@@ -123,107 +123,3 @@ from .poset_core import (
 from .rng import SplitMix64, derive_seed
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALPHA1",
-    "ALPHA2",
-    "AntichainViolation",
-    "BETA1",
-    "BETA2",
-    "CMorphism",
-    "CObject",
-    "CommutativityFailure",
-    "DiagramAxiomFailure",
-    "DiagramMap",
-    "EpsilonTransform",
-    "EquivalenceCertificate",
-    "FIGURE_ONE_PAIRS",
-    "Field",
-    "Formula",
-    "FormulaMorphism",
-    "FormulaToPoint",
-    "GluedOrder",
-    "GluingData",
-    "H121",
-    "H212",
-    "InternalInconsistency",
-    "Mat",
-    "NU",
-    "NaturalityFailure",
-    "NoPathFound",
-    "NotATree",
-    "PHI1",
-    "PHI2",
-    "ParseError",
-    "Poset",
-    "PosetDiagram",
-    "PosetGlueError",
-    "RATIONALS",
-    "SizeLimit",
-    "SplitMix64",
-    "TWO_CHAIN",
-    "TWO_CHAIN_MINUS",
-    "TWO_CHAIN_PLUS",
-    "TrialRecord",
-    "VectComplex",
-    "XI1",
-    "XI12",
-    "XI121",
-    "XI2",
-    "XI212",
-    "build_epsilons",
-    "build_minus",
-    "build_plus",
-    "build_theorem_formulas",
-    "check_formula",
-    "check_formula_morphism",
-    "check_homotopy",
-    "cohomology_table",
-    "compose",
-    "compose_formulas",
-    "counterexample_data",
-    "cross_witness",
-    "derive_seed",
-    "direct_sum",
-    "eval_cmorphism",
-    "eval_formula",
-    "eval_formula_map",
-    "eval_formula_morphism",
-    "eval_point_map",
-    "figure_one_gluing",
-    "figure_one_poset",
-    "from_bgp",
-    "from_function",
-    "gluing_from_json",
-    "gluing_to_json",
-    "hasse",
-    "i_xi",
-    "is_isomorphic",
-    "is_quasi_iso",
-    "is_quasi_iso_diagram",
-    "opposite",
-    "ordinal_sum",
-    "ordinal_witness",
-    "poset_from_generators",
-    "poset_from_json",
-    "poset_loads",
-    "poset_to_dot",
-    "poset_to_json",
-    "product",
-    "random_complex",
-    "random_diagram",
-    "random_gluing",
-    "random_qis_map",
-    "random_ses",
-    "shift",
-    "shift_diagram",
-    "star",
-    "substitute",
-    "substitute_morphism",
-    "translation_formula",
-    "validate_gluing",
-    "verify_bgp_path",
-    "verify_equivalence",
-    "verify_two_chain",
-    "verify_x1z",
-]

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .formula_cat import CMorphism, Formula, FormulaMorphism, FormulaToPoint
 from .intmat import Mat, block, rank_exact, rank_mod
-from .poset_core import Poset, poset_from_json, poset_to_json
+from .poset_core import Poset
 from .rng import SplitMix64, derive_seed
 
 # Modulus for the probabilistic acyclicity fast path over the rationals:
@@ -108,12 +108,6 @@ class VectComplex:
             return Mat.zero(self.dim(i + 1), self.dim(i))
         return m
 
-    def support(self):
-        return sorted(self.dims)
-
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def is_zero_object(self) -> bool:
         return not self.dims
 
@@ -134,9 +128,6 @@ class VectComplex:
 
     def __repr__(self):
         return f"VectComplex(dims={dict(sorted(self.dims.items()))})"
-
-
-ZERO_COMPLEX = VectComplex({}, {})
 
 
 class ChainMap:
@@ -198,15 +189,6 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
         g.target,
         {i: g.at(i).mul(f.at(i)) for i in degrees},
         check=False,
-    )
-
-
-def add_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
-    if f.source != g.source or f.target != g.target:
-        raise ShapeMismatch("can only add parallel chain maps")
-    degrees = set(f.f) | set(g.f)
-    return ChainMap(
-        f.source, f.target, {i: f.at(i).add(g.at(i)) for i in degrees}, check=False
     )
 
 
@@ -380,27 +362,6 @@ class DiagramMap:
                 right = compose_chain_maps(self.components[x2], source.r[(x, x2)])
                 if left != right:
                     raise NaturalityFailure((x, x2))
-
-    def component(self, x) -> ChainMap:
-        return self.components[x]
-
-
-def identity_diagram_map(K: PosetDiagram) -> DiagramMap:
-    return DiagramMap(
-        K, K, {x: identity_chain_map(K.K[x]) for x in K.base.elements}, check=False
-    )
-
-
-def compose_diagram_maps(g: DiagramMap, f: DiagramMap) -> DiagramMap:
-    return DiagramMap(
-        f.source,
-        g.target,
-        {
-            x: compose_chain_maps(g.components[x], f.components[x])
-            for x in f.source.base.elements
-        },
-        check=False,
-    )
 
 
 def shift_diagram(K: PosetDiagram, n: int) -> PosetDiagram:
@@ -661,6 +622,30 @@ def random_complex(seed: int, max_dim: int = 3, window=(-2, 2)) -> VectComplex:
     return _conjugate_complex(_complex_from_elementary(pieces), rng)
 
 
+def _random_null_homotopic(rng: SplitMix64, S: VectComplex, T: VectComplex) -> dict:
+    """The degreewise matrices d_T·h + h·d_S of a null-homotopic chain map
+    S -> T, for a random homotopy h with entries in {-1, 0, 1}; zero
+    degrees are left out."""
+    h = {
+        t: Mat.from_rows(
+            [
+                [rng.randint(-1, 1) for _ in range(S.dim(t))]
+                for _ in range(T.dim(t - 1))
+            ]
+        )
+        for t in set(S.dims) | {i + 1 for i in T.dims}
+        if S.dim(t) and T.dim(t - 1)
+    }
+    n = {}
+    for t in set(S.dims) | set(T.dims):
+        ht = h.get(t, Mat.zero(T.dim(t - 1), S.dim(t)))
+        ht1 = h.get(t + 1, Mat.zero(T.dim(t), S.dim(t + 1)))
+        piece = T.diff(t - 1).mul(ht).add(ht1.mul(S.diff(t)))
+        if not piece.is_zero():
+            n[t] = piece
+    return n
+
+
 class _PieceDiagram:
     """Internal: a diagram assembled from up-set extension pieces.
 
@@ -721,24 +706,7 @@ class _PieceDiagram:
             return factors
         for _ in range(count):
             k, l = rng.choice(pairs)
-            Sk, Sl = self.pieces[k][1], self.pieces[l][1]
-            h = {
-                t: Mat.from_rows(
-                    [
-                        [rng.randint(-1, 1) for _ in range(Sk.dim(t))]
-                        for _ in range(Sl.dim(t - 1))
-                    ]
-                )
-                for t in set(Sk.dims) | {i + 1 for i in Sl.dims}
-                if Sk.dim(t) and Sl.dim(t - 1)
-            }
-            n = {}
-            for t in set(Sk.dims) | set(Sl.dims):
-                ht = h.get(t, Mat.zero(Sl.dim(t - 1), Sk.dim(t)))
-                ht1 = h.get(t + 1, Mat.zero(Sl.dim(t), Sk.dim(t + 1)))
-                piece = Sl.diff(t - 1).mul(ht).add(ht1.mul(Sk.diff(t)))
-                if not piece.is_zero():
-                    n[t] = piece
+            n = _random_null_homotopic(rng, self.pieces[k][1], self.pieces[l][1])
             if n:
                 factors.append((k, l, n))
         return factors
@@ -849,25 +817,9 @@ def random_qis_map(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> Dia
     if noise_pairs:
         for _ in range(rng.randrange(3)):
             k, l = rng.choice(noise_pairs)
-            Sk = src_pieces[k][1]
-            Tl = (src_pieces + extra)[l][1]
-            h = {
-                t: Mat.from_rows(
-                    [
-                        [rng.randint(-1, 1) for _ in range(Sk.dim(t))]
-                        for _ in range(Tl.dim(t - 1))
-                    ]
-                )
-                for t in set(Sk.dims) | {i + 1 for i in Tl.dims}
-                if Sk.dim(t) and Tl.dim(t - 1)
-            }
-            n = {}
-            for t in set(Sk.dims) | set(Tl.dims):
-                ht = h.get(t, Mat.zero(Tl.dim(t - 1), Sk.dim(t)))
-                ht1 = h.get(t + 1, Mat.zero(Tl.dim(t), Sk.dim(t + 1)))
-                piece = Tl.diff(t - 1).mul(ht).add(ht1.mul(Sk.diff(t)))
-                if not piece.is_zero():
-                    n[t] = piece
+            n = _random_null_homotopic(
+                rng, src_pieces[k][1], (src_pieces + extra)[l][1]
+            )
             if n:
                 noise.append((k, l, n))
     components = {}
@@ -1037,67 +989,3 @@ def complex_from_json(doc) -> VectComplex:
         return VectComplex(dims, d, check=True)
     except (ShapeMismatch, D2NotZero) as exc:
         raise ParseError(f"invalid complex: {exc}") from exc
-
-
-def chain_map_degrees_to_json(f: ChainMap) -> dict:
-    return {str(i): m.tolist() for i, m in sorted(f.f.items())}
-
-
-def diagram_to_json(K: PosetDiagram) -> dict:
-    from .poset_core import hasse
-
-    edges = sorted(hasse(K.base).edges, key=lambda e: (K.base.index(e[0]), K.base.index(e[1])))
-    return {
-        "poset": poset_to_json(K.base),
-        "stalks": {x: complex_to_json(K.K[x]) for x in K.base.elements},
-        "maps": [
-            {"from": a, "to": b, "f": chain_map_degrees_to_json(K.r[(a, b)])}
-            for a, b in edges
-        ],
-    }
-
-
-def diagram_from_json(doc) -> PosetDiagram:
-    from .poset_core import hasse
-
-    if not isinstance(doc, dict) or "poset" not in doc or "stalks" not in doc:
-        raise ParseError("diagram JSON needs 'poset' and 'stalks'")
-    base = poset_from_json(doc["poset"])
-    stalks = {}
-    for x in base.elements:
-        if x not in doc["stalks"]:
-            raise ParseError(f"no stalk for element {x!r}")
-        stalks[x] = complex_from_json(doc["stalks"][x])
-    cover_maps = {}
-    for entry in doc.get("maps", []):
-        a, b = entry.get("from"), entry.get("to")
-        if not base.lt(a, b):
-            raise ParseError(f"map for non-edge {a!r} -> {b!r}")
-        f = {int(i): m for i, m in entry.get("f", {}).items()}
-        try:
-            cover_maps[(a, b)] = ChainMap(stalks[a], stalks[b], f, check=True)
-        except (ShapeMismatch, InvalidChainMap) as exc:
-            raise ParseError(f"invalid map {a!r} -> {b!r}: {exc}") from exc
-    edges = hasse(base).edges
-    for a, b in edges:
-        if (a, b) not in cover_maps:
-            cover_maps[(a, b)] = ChainMap(
-                stalks[a], stalks[b], {}, check=False
-            )
-    # Infer all composite restrictions along covering chains, then let the
-    # diagram constructor check path-independence.
-    r = {(x, x): identity_chain_map(stalks[x]) for x in base.elements}
-    r.update(cover_maps)
-    order = sorted(base.elements, key=lambda e: base.height(e))
-    for a in base.elements:
-        for b in order:
-            if (a, b) in r or not base.lt(a, b):
-                continue
-            for c in base.elements:
-                if (a, c) in r and (c, b) in cover_maps:
-                    r[(a, b)] = compose_chain_maps(cover_maps[(c, b)], r[(a, c)])
-                    break
-    try:
-        return PosetDiagram(base, stalks, r, check=True)
-    except (DiagramAxiomFailure, ShapeMismatch, ParseError) as exc:
-        raise ParseError(f"invalid diagram: {exc}") from exc

@@ -114,15 +114,16 @@ class DiagramAxiomFailure(PosetGlueError):
     """A diagram's restriction maps fail identity/composition axioms."""
 
 
-# --- harness -------------------------------------------------------------
-
-class CommutativityFailure(PosetGlueError):
-    """Restriction morphisms of a built formula diagram fail to commute."""
+class CommutativityFailure(DiagramAxiomFailure):
+    """Restrictions of a formula diagram fail to compose; carries the pair
+    and, in the message, the middle element and the difference matrix."""
 
     def __init__(self, pair, detail=""):
         self.pair = pair
         super().__init__(f"restriction square at {pair} does not commute {detail}".rstrip())
 
+
+# --- harness -------------------------------------------------------------
 
 class NaturalityFailure(PosetGlueError):
     """A component collection fails naturality across an edge."""

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .errors import (
     BaseMismatch,
+    CommutativityFailure,
     DiagramAxiomFailure,
     IllegalSupport,
     InternalInconsistency,
@@ -27,7 +28,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .intmat import Mat, block
-from .poset_core import Poset, poset_from_generators, poset_from_json, poset_to_json
+from .poset_core import Poset, poset_from_generators
 
 
 # --- objects and morphisms ---------------------------------------------------
@@ -63,9 +64,6 @@ class CObject:
 
     def __repr__(self):
         return f"CObject({list(self.entries)})"
-
-    def element(self, i):
-        return self.entries[i][0]
 
     def degree(self, i):
         return self.entries[i][1]
@@ -146,11 +144,6 @@ class CMorphism:
 
 def identity_morphism(obj: CObject) -> CMorphism:
     return CMorphism(obj, obj, Mat.identity(len(obj)))
-
-
-def normalize(source: CObject, target: CObject, rows, strict: bool = False) -> CMorphism:
-    """Canonical form of a raw matrix as a morphism source -> target."""
-    return CMorphism(source, target, rows, strict=strict)
 
 
 def compose(g: CMorphism, f: CMorphism) -> CMorphism:
@@ -357,12 +350,6 @@ def identity_formula_morphism(f: FormulaToPoint) -> FormulaMorphism:
     return FormulaMorphism(f, f, Mat.identity(len(f.xi)))
 
 
-def compose_formula_morphisms(g: FormulaMorphism, f: FormulaMorphism) -> FormulaMorphism:
-    if f.target != g.source:
-        raise ShapeMismatch("formula morphisms do not compose")
-    return FormulaMorphism(f.source, g.target, compose(g.phi, f.phi).matrix.rows)
-
-
 def check_homotopy(
     alpha: CMorphism, beta: CMorphism, h: CMorphism, D: CMorphism
 ) -> CheckReport:
@@ -416,7 +403,9 @@ class Formula:
     `at` maps each target element to a FormulaToPoint over the common base;
     `res` maps each pair (y, y2) with y <= y2 to a FormulaMorphism from
     at(y) to at(y2). The constructor verifies the diagram axioms: identity
-    on diagonal pairs and closure under composition.
+    on diagonal pairs and closure under composition.  It is the one place
+    where restriction triangles are checked: a triangle that does not
+    commute raises CommutativityFailure with the difference matrix.
     """
 
     __slots__ = ("target", "base", "at", "res")
@@ -455,8 +444,10 @@ class Formula:
             for y3 in target.up_set(y2):
                 left = compose(self.res[(y2, y3)].phi, self.res[(y, y2)].phi)
                 if left != self.res[(y, y3)].phi:
-                    raise DiagramAxiomFailure(
-                        f"restrictions do not compose along {y!r} <= {y2!r} <= {y3!r}"
+                    raise CommutativityFailure(
+                        (y, y3),
+                        f"via {y2!r}: difference "
+                        f"{left.matrix.sub(self.res[(y, y3)].phi.matrix).tolist()}",
                     )
 
     def __eq__(self, other):
@@ -469,11 +460,6 @@ class Formula:
 
     def __repr__(self):
         return f"Formula(over {list(self.target.elements)})"
-
-
-def identity_formula(X: Poset) -> Formula:
-    """The formula whose evaluation is the identity functor."""
-    return translation_formula(X, 0)
 
 
 def translation_formula(X: Poset, n: int) -> Formula:
@@ -610,59 +596,3 @@ BETA2 = CMorphism(XI121.xi, XI2.xi.shifted(1), [[0, 1, 1]])
 H212 = CMorphism(XI212.xi, XI212.xi.shifted(-1), [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
 H121 = CMorphism(XI121.xi, XI121.xi.shifted(-1), [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
 NU = translation_formula(TWO_CHAIN, 1)
-
-BUILTINS = {
-    "xi1": XI1,
-    "xi2": XI2,
-    "xi12": XI12,
-    "xi121": XI121,
-    "xi212": XI212,
-    "alpha1": ALPHA1,
-    "alpha2": ALPHA2,
-    "beta1": BETA1,
-    "beta2": BETA2,
-    "h": H212,
-    "nu": NU,
-}
-
-
-# --- JSON --------------------------------------------------------------------
-
-def cobject_to_json(obj: CObject) -> list:
-    return [[x, m] for x, m in obj.entries]
-
-
-def formula_to_point_to_json(f: FormulaToPoint) -> dict:
-    return {
-        "base": poset_to_json(f.xi.base),
-        "xi": cobject_to_json(f.xi),
-        "D": f.D.matrix.tolist(),
-    }
-
-
-def formula_to_point_from_json(doc) -> FormulaToPoint:
-    if not isinstance(doc, dict):
-        raise ParseError("formula JSON must be an object")
-    if "builtin" in doc:
-        name = doc["builtin"]
-        if name not in BUILTINS:
-            raise ParseError(
-                f"unknown builtin {name!r}; choose from {sorted(BUILTINS)}"
-            )
-        value = BUILTINS[name]
-        if not isinstance(value, FormulaToPoint):
-            raise ParseError(f"builtin {name!r} is not a formula to a point")
-        return value
-    for key in ("base", "xi", "D"):
-        if key not in doc:
-            raise ParseError(f"formula JSON needs key {key!r}")
-    base = poset_from_json(doc["base"])
-    if not isinstance(doc["xi"], list) or not all(
-        isinstance(e, list) and len(e) == 2 for e in doc["xi"]
-    ):
-        raise ParseError("'xi' must be a list of [element, degree] pairs")
-    xi = CObject(((x, m) for x, m in doc["xi"]), base)
-    try:
-        return FormulaToPoint(xi, doc["D"], strict=True)
-    except (IllegalSupport, ShapeMismatch) as exc:
-        raise ParseError(f"invalid formula matrix: {exc}") from exc

@@ -26,10 +26,10 @@ from .errors import (
     ParseError,
     PhiMissing,
     PhiNotBijective,
-    UnknownElement,
 )
 from .poset_core import (
     Poset,
+    _disjoint_labels,
     direct_sum,
     ordinal_sum,
     point_poset,
@@ -54,10 +54,6 @@ class GluingData:
     Yx: dict
     phi: dict
 
-    def witnesses(self, x):
-        """The ordered tuple Y_x."""
-        return self.Yx[x]
-
 
 @dataclass(frozen=True)
 class GluedOrder:
@@ -66,18 +62,6 @@ class GluedOrder:
     poset: Poset
     sign: str  # "plus" | "minus"
     provenance: GluingData
-
-
-def _relabel_if_colliding(X: Poset, Y: Poset, Yx: dict):
-    """Prefix X with 'L.' and Y with 'R.' when their element sets collide."""
-    if not (set(X.elements) & set(Y.elements)):
-        return X, Y, Yx
-    xm = {e: "L." + e for e in X.elements}
-    ym = {e: "R." + e for e in Y.elements}
-    X2 = Poset([xm[e] for e in X.elements], {(xm[a], xm[b]) for a, b in X.leq})
-    Y2 = Poset([ym[e] for e in Y.elements], {(ym[a], ym[b]) for a, b in Y.leq})
-    Yx2 = {xm[x]: tuple(ym[y] for y in ys) for x, ys in Yx.items()}
-    return X2, Y2, Yx2
 
 
 def validate_gluing(X: Poset, Y: Poset, Yx) -> GluingData:
@@ -102,7 +86,13 @@ def validate_gluing(X: Poset, Y: Poset, Yx) -> GluingData:
             if y in seen:
                 raise ParseError(f"duplicate element {y!r} in the set at {x!r}")
             seen.add(y)
-    X, Y, Yx = _relabel_if_colliding(X, Y, Yx)
+    # Colliding element sets are relabelled; Yx follows by element position.
+    X0, Y0 = X, Y
+    X, Y = _disjoint_labels(X, Y)
+    Yx = {
+        X.elements[X0.index(x)]: tuple(Y.elements[Y0.index(y)] for y in ys)
+        for x, ys in Yx.items()
+    }
 
     for x in X.elements:
         ys = Yx[x]
@@ -265,6 +255,11 @@ def gluing_to_json(g: GluingData) -> dict:
     }
 
 
+def _names(value) -> bool:
+    """Whether a JSON value is a list of element names (strings)."""
+    return isinstance(value, list) and all(isinstance(e, str) for e in value)
+
+
 def gluing_from_json(doc) -> GluingData:
     """Accepts three input forms, detected by their keys:
 
@@ -278,20 +273,20 @@ def gluing_from_json(doc) -> GluingData:
         if "Y" not in doc:
             raise ParseError("BGP form needs keys 'Y' and 'Y0'")
         Y = poset_from_json(doc["Y"])
-        if not isinstance(doc["Y0"], list):
-            raise ParseError("'Y0' must be a list of elements")
+        if not _names(doc["Y0"]):
+            raise ParseError("'Y0' must be a list of element names")
         return from_bgp(Y, doc["Y0"])
     if "X" not in doc or "Y" not in doc:
         raise ParseError("gluing JSON needs keys 'X' and 'Y'")
     X = poset_from_json(doc["X"])
     Y = poset_from_json(doc["Y"])
     if "f" in doc:
-        if not isinstance(doc["f"], dict):
+        if not isinstance(doc["f"], dict) or not _names(list(doc["f"].values())):
             raise ParseError("'f' must be an object mapping X elements to Y elements")
         return from_function(X, Y, doc["f"])
     if "Yx" in doc:
         if not isinstance(doc["Yx"], dict) or not all(
-            isinstance(v, list) for v in doc["Yx"].values()
+            _names(v) for v in doc["Yx"].values()
         ):
             raise ParseError("'Yx' must map each X element to a list of Y elements")
         return validate_gluing(X, Y, {x: tuple(v) for x, v in doc["Yx"].items()})

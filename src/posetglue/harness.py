@@ -16,6 +16,7 @@ coefficient field; a discrepancy between fields aborts the run.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -32,7 +33,6 @@ from .abelian_eval import (
     shift_diagram,
 )
 from .errors import (
-    CommutativityFailure,
     DiagramAxiomFailure,
     InternalInconsistency,
     NaturalityFailure,
@@ -86,25 +86,6 @@ from .gluing import (
 from .intmat import Mat
 from .poset_core import Poset, hasse, is_isomorphic, poset_from_generators
 from .rng import SplitMix64, derive_seed
-
-__all__ = [
-    "TWO_CHAIN_PLUS",
-    "TWO_CHAIN_MINUS",
-    "TrialRecord",
-    "EquivalenceCertificate",
-    "EpsilonTransform",
-    "build_theorem_formulas",
-    "build_epsilons",
-    "verify_equivalence",
-    "verify_two_chain",
-    "verify_x1z",
-    "verify_bgp_path",
-    "random_gluing",
-    "figure_one_poset",
-    "figure_one_gluing",
-    "FIGURE_ONE_PAIRS",
-    "counterexample_data",
-]
 
 
 # --- the two-chain instance ---------------------------------------------------
@@ -170,6 +151,10 @@ class EquivalenceCertificate:
 
 
 def _run_config(trials, seed, field, max_dim, window) -> dict:
+    """The run parameters as recorded in a report.  Every verification entry
+    point calls this first, so bad parameters are rejected before any work."""
+    if max_dim < 1:
+        raise ParseError(f"max_dim must be at least 1, got {max_dim}")
     return {
         "trials": trials,
         "seed": seed,
@@ -262,7 +247,11 @@ class EpsilonTransform:
 # --- the theorem formulas for a gluing -----------------------------------------
 
 def _stalk_value(base: Poset, x, degree: int) -> FormulaToPoint:
-    return FormulaToPoint(CObject(((x, degree),), base), [[1]])
+    value = FormulaToPoint(CObject(((x, degree),), base), [[1]])
+    report = check_formula(value)
+    if not report:
+        raise InternalInconsistency(f"stalk value is invalid: {report.problems[0]}")
+    return value
 
 
 def _arrow_formula(base: Poset, bottom, top, matrix) -> Formula:
@@ -276,122 +265,55 @@ def _arrow_formula(base: Poset, bottom, top, matrix) -> Formula:
     )
 
 
-def _check_commutativity(target: Poset, at: dict, res: dict) -> None:
-    """Raise CommutativityFailure on the first non-commuting triangle."""
-    for a, b in target.leq:
-        if a == b:
-            continue
-        for c in target.up_set(b):
-            if c == b:
-                continue
-            left = compose(res[(b, c)].phi, res[(a, b)].phi)
-            if left != res[(a, c)].phi:
-                raise CommutativityFailure(
-                    (a, c),
-                    f"via {b!r}: difference "
-                    f"{left.matrix.sub(res[(a, c)].phi.matrix).tolist()}",
-                )
+def _positions(value: FormulaToPoint) -> dict:
+    """Index of each element's entry in a value's word (elements occur once)."""
+    return {e: i for i, (e, _) in enumerate(value.xi.entries)}
 
 
-def _permutation_block(g: GluingData, x, x2) -> dict:
-    """Positions (image index, source index) of the transfer bijection."""
-    transfer = g.phi[(x, x2)]
-    target_index = {y: j for j, y in enumerate(g.Yx[x2])}
-    return {(target_index[transfer[y]], i): 1 for i, y in enumerate(g.Yx[x])}
+def _build_xi(g: GluingData, source, target) -> Formula:
+    """The formula carrying diagrams over `source` to diagrams over `target`.
 
-
-def _build_xi_plus(g: GluingData, plus, minus) -> Formula:
-    """The formula carrying diagrams over the plus order to the minus order.
-
-    At y in Y the value is the stalk at y; at x in X it is the extension of
-    the stalk at x (shifted up) by the stalks over the witness set of x.
+    Values are words over the source order.  With the plus sign (xi_plus),
+    y in Y gets the stalk at y and x in X the shifted stalk at x extended by
+    its witness stalks; with the minus sign (xi_minus), y gets the shifted
+    stalk and x the shifted witness stalks extended by the stalk at x.  Each
+    restriction matches entries along the order: x to x2 with each witness
+    to its transfer, and a cross relation through its unique witness.
     """
-    base = plus.poset
-    at = {}
-    for y in g.Y.elements:
-        at[y] = _stalk_value(base, y, 0)
+    base = source.poset
+    plus = source.sign == "plus"
+    at = {y: _stalk_value(base, y, 0 if plus else 1) for y in g.Y.elements}
     for x in g.X.elements:
         ys = g.Yx[x]
         if not ys:
-            at[x] = _stalk_value(base, x, 1)
+            at[x] = _stalk_value(base, x, 1 if plus else 0)
             continue
-        arrow = _arrow_formula(
-            base,
-            ((x, 0),),
-            tuple((y, 0) for y in ys),
-            [[1] for _ in ys],
-        )
+        stalk = ((x, 0),)
+        witnesses = tuple((y, 0) for y in ys)
+        if plus:
+            arrow = _arrow_formula(base, stalk, witnesses, [[1]] * len(ys))
+        else:
+            arrow = _arrow_formula(base, witnesses, stalk, [[1] * len(ys)])
         at[x] = substitute(XI12, arrow)
 
     X_set = set(g.X.elements)
     res = {}
-    for a, b in minus.poset.leq:
+    for a, b in target.poset.leq:
         if a == b:
             continue
-        if a not in X_set and b not in X_set:
-            res[(a, b)] = FormulaMorphism(at[a], at[b], [[1]])
-        elif a in X_set and b in X_set:
-            k, k2 = len(g.Yx[a]), len(g.Yx[b])
-            rows = [[0] * (1 + k) for _ in range(1 + k2)]
-            rows[0][0] = 1
-            for (j, i), c in _permutation_block(g, a, b).items():
-                rows[1 + j][1 + i] = c
-            res[(a, b)] = FormulaMorphism(at[a], at[b], rows)
+        if a in X_set and b in X_set:
+            matching = {a: b, **g.phi[(a, b)]}
+        elif a in X_set or b in X_set:
+            w = cross_witness(target, a, b)
+            matching = {w: b} if a in X_set else {a: w}
         else:
-            # a in Y below b = x in X: pick out the witness coordinate.
-            w = cross_witness(minus, a, b)
-            rows = [[0] for _ in range(1 + len(g.Yx[b]))]
-            rows[1 + g.Yx[b].index(w)][0] = 1
-            res[(a, b)] = FormulaMorphism(at[a], at[b], rows)
-    _check_commutativity(minus.poset, at, res)
-    return Formula(minus.poset, at, res)
-
-
-def _build_xi_minus(g: GluingData, plus, minus) -> Formula:
-    """The formula carrying diagrams over the minus order to the plus order.
-
-    At y in Y the value is the shifted stalk at y; at x in X it is the
-    extension of the shifted witness stalks by the stalk at x.
-    """
-    base = minus.poset
-    at = {}
-    for y in g.Y.elements:
-        at[y] = _stalk_value(base, y, 1)
-    for x in g.X.elements:
-        ys = g.Yx[x]
-        if not ys:
-            at[x] = _stalk_value(base, x, 0)
-            continue
-        arrow = _arrow_formula(
-            base,
-            tuple((y, 0) for y in ys),
-            ((x, 0),),
-            [[1] * len(ys)],
-        )
-        at[x] = substitute(XI12, arrow)
-
-    X_set = set(g.X.elements)
-    res = {}
-    for a, b in plus.poset.leq:
-        if a == b:
-            continue
-        if a not in X_set and b not in X_set:
-            res[(a, b)] = FormulaMorphism(at[a], at[b], [[1]])
-        elif a in X_set and b in X_set:
-            k, k2 = len(g.Yx[a]), len(g.Yx[b])
-            rows = [[0] * (k + 1) for _ in range(k2 + 1)]
-            rows[k2][k] = 1
-            for (j, i), c in _permutation_block(g, a, b).items():
-                rows[j][i] = c
-            res[(a, b)] = FormulaMorphism(at[a], at[b], rows)
-        else:
-            # a = x in X below b in Y: project onto the witness coordinate.
-            w = cross_witness(plus, a, b)
-            row = [0] * (len(g.Yx[a]) + 1)
-            row[g.Yx[a].index(w)] = 1
-            res[(a, b)] = FormulaMorphism(at[a], at[b], [row])
-    _check_commutativity(plus.poset, at, res)
-    return Formula(plus.poset, at, res)
+            matching = {a: b}
+        src, tgt = _positions(at[a]), _positions(at[b])
+        rows = [[0] * len(src) for _ in tgt]
+        for e, f in matching.items():
+            rows[tgt[f]][src[e]] = 1
+        res[(a, b)] = FormulaMorphism(at[a], at[b], rows)
+    return Formula(target.poset, at, res)
 
 
 def build_theorem_formulas(g: GluingData):
@@ -400,20 +322,13 @@ def build_theorem_formulas(g: GluingData):
     xi_plus is a diagram over the minus order valued in words over the plus
     order and xi_minus the reverse, so that each one's evaluation carries
     diagrams over one glued order to diagrams over the other.  Every value
-    and every restriction is validated; a non-commuting restriction triangle
-    raises CommutativityFailure with the difference matrix as witness.
+    is checked where it is made, and the Formula constructor checks every
+    restriction; a non-commuting restriction triangle raises
+    CommutativityFailure with the difference matrix as witness.
     """
     plus = build_plus(g)
     minus = build_minus(g)
-    xi_plus = _build_xi_plus(g, plus, minus)
-    xi_minus = _build_xi_minus(g, plus, minus)
-    for f in list(xi_plus.at.values()) + list(xi_minus.at.values()):
-        report = check_formula(f)
-        if not report:
-            raise InternalInconsistency(
-                f"constructed value is invalid: {report.problems[0]}"
-            )
-    return xi_plus, xi_minus
+    return _build_xi(g, plus, minus), _build_xi(g, minus, plus)
 
 
 def build_epsilons(g: GluingData, xi_plus: Formula, xi_minus: Formula):
@@ -550,10 +465,14 @@ def _two_chain_worker(tseed: int) -> dict:
 
 
 def _parallel_records(jobs, trials, seed, worker, init, initargs):
-    """Run per-trial workers over a process pool, assembled in trial order."""
+    """Run per-trial workers over a process pool, assembled in trial order.
+
+    The pool never has more workers than trials or than the machine has CPUs.
+    """
     seeds = [derive_seed(seed, "trial", i) for i in range(trials)]
+    workers = min(jobs, max(trials, 1), os.cpu_count() or 1)
     with ProcessPoolExecutor(
-        max_workers=min(jobs, max(trials, 1)), initializer=init, initargs=initargs
+        max_workers=workers, initializer=init, initargs=initargs
     ) as pool:
         docs = list(pool.map(worker, seeds))
     return [
@@ -582,6 +501,7 @@ def verify_equivalence(
     records are assembled in trial order, so reports do not depend on
     completion order.
     """
+    config = _run_config(trials, seed, field, max_dim, window)
     xi_plus, xi_minus = build_theorem_formulas(g)
     structural = [("theorem-formulas", True)]
     eps_pm, eps_mp = build_epsilons(g, xi_plus, xi_minus)
@@ -611,7 +531,7 @@ def verify_equivalence(
             f"equivalence for a gluing of {len(g.X)} elements "
             f"against {len(g.Y)}"
         ),
-        config=_run_config(trials, seed, field, max_dim, window),
+        config=config,
         structural=tuple(structural),
         trials=tuple(records),
     )
@@ -684,6 +604,7 @@ def verify_two_chain(
     other side) evaluate to quasi-isomorphisms, and the triple application
     of the plus side has the cohomology tables of the input shifted by one.
     """
+    config = _run_config(trials, seed, field, max_dim, window)
     structural = []
     structural.append(
         (
@@ -731,7 +652,7 @@ def verify_two_chain(
 
     return EquivalenceCertificate(
         description="two-chain equivalences and the cube of the plus side",
-        config=_run_config(trials, seed, field, max_dim, window),
+        config=config,
         structural=tuple(structural),
         trials=tuple(records),
     )
@@ -754,6 +675,7 @@ def verify_x1z(
     disjoint union of X and Z on the minus side), then runs the generic
     equivalence verification.
     """
+    _run_config(trials, seed, field, max_dim, window)
     g, expected_plus, expected_minus = ordinal_witness(X, Z)
     plus = build_plus(g).poset
     minus = build_minus(g).poset
@@ -773,10 +695,6 @@ def verify_x1z(
 
 
 # --- reflection paths between tree orientations --------------------------------
-
-def _orientation_edges(p: Poset):
-    return hasse(p).edges
-
 
 def _undirected(edges):
     return frozenset(frozenset(e) for e in edges)
@@ -812,9 +730,9 @@ def verify_bgp_path(
     built and verified, and the results are collected into one report.
     Equal gluings along the path share one certificate.
     """
-    edges = _orientation_edges(tree)
+    config = _run_config(trials, seed, field, max_dim, window)
     verts = set(tree.elements)
-    und = _undirected(edges)
+    und = _undirected(hasse(tree).edges)
     if len(und) > 8:
         raise SizeLimit("reflection search capped at 8 edges")
     if len(und) != len(verts) - 1 or not _connected(verts, und):
@@ -822,15 +740,13 @@ def verify_bgp_path(
             f"underlying graph has {len(und)} edges on {len(verts)} vertices"
         )
     for name, orient in (("from", from_orient), ("to", to_orient)):
-        if set(orient.elements) != verts or _undirected(
-            _orientation_edges(orient)
-        ) != und:
+        if set(orient.elements) != verts or _undirected(hasse(orient).edges) != und:
             raise ParseError(
                 f"the {name!r} orientation does not orient the given tree"
             )
 
-    start = frozenset(_orientation_edges(from_orient))
-    goal = frozenset(_orientation_edges(to_orient))
+    start = frozenset(hasse(from_orient).edges)
+    goal = frozenset(hasse(to_orient).edges)
     path = _reflection_path(verts, start, goal)
 
     steps = []
@@ -878,7 +794,7 @@ def verify_bgp_path(
 
     return {
         "description": "reflection path between two tree orientations",
-        "config": _run_config(trials, seed, field, max_dim, window),
+        "config": config,
         "path": [{"vertex": s["vertex"], "kind": s["kind"]} for s in steps],
         "path_length": len(steps),
         "steps": steps,

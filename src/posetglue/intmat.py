@@ -129,18 +129,6 @@ def block(parts, row_sizes, col_sizes):
     return Mat(nrows, ncols, out)
 
 
-def hstack(mats):
-    mats = list(mats)
-    return block({(0, j): m for j, m in enumerate(mats)},
-                 [mats[0].nrows], [m.ncols for m in mats])
-
-
-def vstack(mats):
-    mats = list(mats)
-    return block({(i, 0): m for i, m in enumerate(mats)},
-                 [m.nrows for m in mats], [mats[0].ncols])
-
-
 def rank_exact(m: Mat) -> int:
     """Rank over the rationals, by fraction-free (Bareiss) elimination."""
     a = [list(r) for r in m.rows]

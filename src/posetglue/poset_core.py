@@ -75,9 +75,6 @@ class Poset:
         self.index(b)
         return (a, b) in self.leq
 
-    def lt(self, a, b) -> bool:
-        return a != b and self.le(a, b)
-
     def up_set(self, e) -> frozenset:
         """All elements above or equal to e (the principal up-set)."""
         self.index(e)
@@ -250,14 +247,6 @@ def point_poset(label="*") -> Poset:
     return Poset([label], {(label, label)})
 
 
-def up_set(p: Poset, y) -> frozenset:
-    return p.up_set(y)
-
-
-def down_set(p: Poset, y) -> frozenset:
-    return p.down_set(y)
-
-
 def is_isomorphic(p: Poset, q: Poset, max_size: int = 12):
     """An order-isomorphism p -> q as a dict, or None if none exists.
 
@@ -365,9 +354,10 @@ def poset_from_json(doc) -> Poset:
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise ParseError("'elements' must be a list of strings")
     if not isinstance(relations, list) or not all(
-        isinstance(r, list) and len(r) == 2 for r in relations
+        isinstance(r, list) and len(r) == 2 and all(isinstance(e, str) for e in r)
+        for r in relations
     ):
-        raise ParseError("'relations' must be a list of [a, b] pairs")
+        raise ParseError("'relations' must be a list of [a, b] pairs of strings")
     return poset_from_generators(elements, [tuple(r) for r in relations])
 
 

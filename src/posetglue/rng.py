@@ -82,10 +82,6 @@ class SplitMix64:
             out[i], out[j] = out[j], out[i]
         return out
 
-    def spawn(self, *keys) -> "SplitMix64":
-        """Derive an independent sub-stream from integer or string keys."""
-        return SplitMix64(derive_seed(self._state, *keys))
-
 
 def derive_seed(seed: int, *keys) -> int:
     """Stable scalar sub-seed from a base seed and integer or string keys."""

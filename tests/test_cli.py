@@ -260,6 +260,39 @@ class TestVerify:
         assert main(["verify", "two-chain", "--window", "2", "-1"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("max_dim", ["-1", "0"])
+    def test_max_dim_below_one_exits_3(self, files, capsys, max_dim):
+        assert main(["verify", "two-chain", "--trials", "1", "--max-dim", max_dim]) == 3
+        assert "max_dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {
+                "X": {"elements": ["x"], "relations": []},
+                "Y": {"elements": ["a", "b"], "relations": [[["a"], "b"]]},
+                "Yx": {"x": ["a"]},
+            },
+            {
+                "X": {"elements": ["x"], "relations": []},
+                "Y": {"elements": ["y"], "relations": []},
+                "Yx": {"x": [["y"]]},
+            },
+            {
+                "X": {"elements": ["x"], "relations": []},
+                "Y": {"elements": ["y"], "relations": []},
+                "f": {"x": ["y"]},
+            },
+            {"Y": {"elements": ["y"], "relations": []}, "Y0": [["y"]]},
+        ],
+        ids=["relation", "Yx", "f", "Y0"],
+    )
+    def test_non_string_element_exits_3(self, files, capsys, doc):
+        path = files["tmp"] / "nested.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "theorem", "--gluing", str(path), "--trials", "1"]) == 3
+        assert "parse error" in capsys.readouterr().err
+
 
 class TestDemo:
     def test_counterexample_exits_1(self, files, capsys):

@@ -16,13 +16,18 @@ from posetglue.errors import (
     PosetGlueError,
     SizeLimit,
 )
+from posetglue import harness
 from posetglue.formula_cat import (
     NU,
     TWO_CHAIN,
     XI12,
     XI121,
     XI212,
+    Formula,
+    FormulaMorphism,
     check_formula,
+    check_formula_morphism,
+    compose,
     substitute,
 )
 from posetglue.gluing import build_minus, build_plus, validate_gluing
@@ -42,7 +47,8 @@ from posetglue.harness import (
     verify_two_chain,
     verify_x1z,
 )
-from posetglue.poset_core import is_isomorphic, poset_from_generators
+from posetglue.intmat import Mat
+from posetglue.poset_core import hasse, is_isomorphic, poset_from_generators
 
 SMALL = {"trials": 3, "max_dim": 2, "window": (-1, 1)}
 
@@ -93,6 +99,101 @@ class TestTheoremFormulas:
         L = random_diagram(minus, 0, max_dim=2, window=(-1, 1))
         S = eval_formula(xi_minus, L)
         assert S.base.elements == plus.elements
+
+
+class TestSingleCheckSite:
+    """Corruptions that only the Formula constructor's composition check and
+    the epsilon naturality check can catch."""
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["xi_plus", "xi_minus"])
+    def test_zeroed_restriction_names_its_pair(self, side):
+        g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
+        xi = build_theorem_formulas(g)[side]
+        P = xi.target
+        covers = hasse(P).edges
+        # a minimal and c maximal: (a, c) is the composite of every triangle
+        # it belongs to, so the check can only name this pair
+        a, c = next(
+            (a, c)
+            for a, c in sorted(P.leq)
+            if a != c
+            and (a, c) not in covers
+            and P.down_set(a) == {a}
+            and P.up_set(c) == {c}
+        )
+        res = dict(xi.res)
+        res[(a, c)] = FormulaMorphism(
+            xi.at[a], xi.at[c], Mat.zero(len(xi.at[c].xi), len(xi.at[a].xi))
+        )
+        assert check_formula_morphism(res[(a, c)]).ok
+        with pytest.raises(CommutativityFailure) as info:
+            Formula(P, xi.at, res)
+        assert info.value.pair == (a, c)
+        witnesses = [
+            f"via {b!r}: difference "
+            f"{compose(res[(b, c)].phi, res[(a, b)].phi).matrix.tolist()}"
+            for b in P.up_set(a) & P.down_set(c) - {a, c}
+        ]
+        assert any(w in str(info.value) for w in witnesses), str(info.value)
+
+    def test_sign_flipped_epsilon_component_names_its_edge(self):
+        g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
+        eps_pm, _ = build_epsilons(g, *build_theorem_formulas(g))
+        x = next(x for x in g.X.elements if g.Yx[x])
+        comps = {y: fm.phi.matrix.tolist() for y, fm in eps_pm.components.items()}
+        comps[x] = [[-c for c in row] for row in comps[x]]
+        with pytest.raises(NaturalityFailure) as info:
+            EpsilonTransform(eps_pm.source, eps_pm.target, comps)
+        assert info.value.edge in hasse(eps_pm.source.target).edges
+        assert x in info.value.edge
+
+
+class TestRunParameters:
+    @pytest.mark.parametrize("max_dim", [0, -1])
+    def test_max_dim_below_one_is_rejected_before_any_work(self, monkeypatch, max_dim):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the parameters were checked")
+
+        monkeypatch.setattr(harness, "build_theorem_formulas", no_work)
+        monkeypatch.setattr(harness, "random_diagram", no_work)
+        p = poset_from_generators(["a", "b"], [("a", "b")])
+        runs = [
+            lambda: verify_two_chain(trials=1, max_dim=max_dim),
+            lambda: verify_equivalence(single_edge_gluing(), trials=1, max_dim=max_dim),
+            lambda: verify_x1z(p, p, trials=1, max_dim=max_dim),
+            lambda: verify_bgp_path(p, p, p, trials=1, max_dim=max_dim),
+        ]
+        for run in runs:
+            with pytest.raises(ParseError, match="max_dim"):
+                run()
+
+    @pytest.mark.parametrize(
+        "trials, jobs, cpus, workers",
+        [(5, 64, 2, 2), (3, 64, 8, 3), (5, 2, 8, 2), (5, 4, None, 1)],
+    )
+    def test_pool_size_is_capped(self, monkeypatch, trials, jobs, cpus, workers):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        run = {"trials": trials, "seed": 2, "max_dim": 2, "window": (-1, 1)}
+        cert = verify_two_chain(jobs=jobs, **run)
+        assert sizes == [workers]
+        assert cert.to_json() == verify_two_chain(jobs=1, **run).to_json()
 
 
 class TestEpsilons:
