@@ -71,7 +71,6 @@ from .formula_cat import (
     shift,
     star,
     substitute,
-    substitute_morphism,
     translation_formula,
 )
 from .gluing import (

@@ -22,13 +22,36 @@ from .errors import (
 )
 from .formula_cat import CMorphism, Formula, FormulaMorphism, FormulaToPoint
 from .intmat import Mat, block, rank_exact, rank_mod
-from .poset_core import Poset
+from .poset_core import Poset, cover_triangles, hasse
 from .rng import SplitMix64, derive_seed
 
 # Modulus for the probabilistic acyclicity fast path over the rationals:
 # ranks modulo a prime never exceed rational ranks, so a vanishing modular
 # cohomology certifies vanishing rational cohomology.
 _FAST_PRIME = 2**31 - 1
+
+
+# Deterministic Miller-Rabin bases: the primes up to 37 decide primality
+# for every n below 3.18e23, the least strong pseudoprime to all of them
+# (Sorenson and Webster 2015), which is far beyond the 2**64 cap of Field.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        # n is composite unless a**d is 1 or some a**(d * 2**r), r < s, is -1
+        if x != 1 and all(pow(x, 2**r, n) != n - 1 for r in range(s)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -38,10 +61,8 @@ class Field:
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None and (
-            self.p < 2 or any(self.p % q == 0 for q in range(2, int(self.p**0.5) + 1))
-        ):
-            raise ParseError(f"{self.p} is not prime")
+        if self.p is not None and not (self.p < 2**64 and _is_prime(self.p)):
+            raise ParseError(f"{self.p} is not a prime below 2**64")
 
     @staticmethod
     def parse(text: str) -> "Field":
@@ -312,15 +333,12 @@ class PosetDiagram:
             for x in base.elements:
                 if self.r[(x, x)] != identity_chain_map(self.K[x]):
                     raise DiagramAxiomFailure(f"restriction at ({x!r},{x!r}) is not the identity")
-            from .poset_core import hasse
-
-            for x, x2 in hasse(base).edges:
-                for x3 in base.up_set(x2):
-                    left = compose_chain_maps(self.r[(x2, x3)], self.r[(x, x2)])
-                    if left != self.r[(x, x3)]:
-                        raise DiagramAxiomFailure(
-                            f"restrictions do not compose along {x!r} <= {x2!r} <= {x3!r}"
-                        )
+            for x, x2, x3 in cover_triangles(base):
+                left = compose_chain_maps(self.r[(x2, x3)], self.r[(x, x2)])
+                if left != self.r[(x, x3)]:
+                    raise DiagramAxiomFailure(
+                        f"restrictions do not compose along {x!r} <= {x2!r} <= {x3!r}"
+                    )
 
     def stalk(self, x) -> VectComplex:
         return self.K[x]
@@ -355,8 +373,6 @@ class DiagramMap:
             if c.source != source.K[x] or c.target != target.K[x]:
                 raise ShapeMismatch(f"component at {x!r} has wrong ends")
         if check:
-            from .poset_core import hasse
-
             for x, x2 in hasse(source.base).edges:
                 left = compose_chain_maps(target.r[(x, x2)], self.components[x])
                 right = compose_chain_maps(self.components[x2], source.r[(x, x2)])
@@ -614,11 +630,12 @@ def _conjugate_complex(K: VectComplex, rng: SplitMix64) -> VectComplex:
     return VectComplex(K.dims, d, check=True)
 
 
-def random_complex(seed: int, max_dim: int = 3, window=(-2, 2)) -> VectComplex:
+def random_complex(seed: int) -> VectComplex:
     """A deterministic random bounded complex: a sum of stalk and two-term
-    identity pieces, conjugated by random unimodular basis changes."""
-    rng = seed if isinstance(seed, SplitMix64) else SplitMix64(derive_seed(seed, "complex"))
-    pieces = _random_elementary(rng, max_dim, window)
+    identity pieces in degrees -2..2, at most three per degree, conjugated
+    by random unimodular basis changes."""
+    rng = SplitMix64(derive_seed(seed, "complex"))
+    pieces = _random_elementary(rng, 3, (-2, 2))
     return _conjugate_complex(_complex_from_elementary(pieces), rng)
 
 

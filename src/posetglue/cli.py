@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .abelian_eval import Field
@@ -44,49 +43,6 @@ from .poset_core import (
     poset_to_json,
     product,
 )
-
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the verification commands."""
-
-    trials: int = 100
-    seed: int = 0
-    field: Field = Field(None)
-    max_dim: int = 3
-    window: tuple = (-2, 2)
-    jobs: int = 1
-
-    @classmethod
-    def from_args(cls, ns) -> "RunConfig":
-        if ns.trials < 1:
-            raise ParseError("--trials must be at least 1")
-        if ns.jobs < 1:
-            raise ParseError("--jobs must be at least 1")
-        lo, hi = ns.window
-        if lo > hi:
-            raise ParseError(f"degree window [{lo}, {hi}] is empty")
-        return cls(
-            trials=ns.trials,
-            seed=ns.seed,
-            field=Field.parse(ns.field),
-            max_dim=ns.max_dim,
-            window=(lo, hi),
-            jobs=ns.jobs,
-        )
-
-    def kwargs(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "field": self.field,
-            "max_dim": self.max_dim,
-            "window": self.window,
-            "jobs": self.jobs,
-        }
-
 
 # --- plumbing -------------------------------------------------------------------
 
@@ -123,6 +79,19 @@ def _write_dot(ns, poset, name: str) -> None:
         directory = Path(ns.dot)
         directory.mkdir(parents=True, exist_ok=True)
         (directory / f"{name}.dot").write_text(poset_to_dot(poset, name))
+
+
+def _run_args(ns) -> dict:
+    """The shared run flags as keyword arguments of the verify_* calls, which
+    bound them before any work starts."""
+    return {
+        "trials": ns.trials,
+        "seed": ns.seed,
+        "field": Field.parse(ns.field),
+        "max_dim": ns.max_dim,
+        "window": tuple(ns.window),
+        "jobs": ns.jobs,
+    }
 
 
 def _emit(ns, doc, lines) -> None:
@@ -246,25 +215,22 @@ def _cmd_glue_build(ns) -> int:
 # --- verify commands ----------------------------------------------------------------
 
 def _cmd_verify_two_chain(ns) -> int:
-    cfg = RunConfig.from_args(ns)
-    return _finish_cert(ns, verify_two_chain(**cfg.kwargs()))
+    return _finish_cert(ns, verify_two_chain(**_run_args(ns)))
 
 
 def _cmd_verify_theorem(ns) -> int:
-    cfg = RunConfig.from_args(ns)
     g = gluing_from_json(_load_doc(ns.gluing))
     if getattr(ns, "dot", None):
         _write_dot(ns, build_plus(g).poset, f"{Path(ns.gluing).stem}-plus")
         _write_dot(ns, build_minus(g).poset, f"{Path(ns.gluing).stem}-minus")
-    return _finish_cert(ns, verify_equivalence(g, **cfg.kwargs()))
+    return _finish_cert(ns, verify_equivalence(g, **_run_args(ns)))
 
 
 def _cmd_verify_bgp(ns) -> int:
-    cfg = RunConfig.from_args(ns)
     tree = _load_poset(ns.tree)
     fro = _load_poset(ns.from_file)
     to = _load_poset(ns.to)
-    report = verify_bgp_path(tree, fro, to, **cfg.kwargs())
+    report = verify_bgp_path(tree, fro, to, **_run_args(ns))
     lines = [report["description"]]
     for step in report["steps"]:
         lines.append(
@@ -278,18 +244,17 @@ def _cmd_verify_bgp(ns) -> int:
 
 
 def _cmd_verify_x1z(ns) -> int:
-    cfg = RunConfig.from_args(ns)
     X = _load_poset(ns.x)
     Z = _load_poset(ns.z)
-    return _finish_cert(ns, verify_x1z(X, Z, **cfg.kwargs()))
+    return _finish_cert(ns, verify_x1z(X, Z, **_run_args(ns)))
 
 
 # --- demos ---------------------------------------------------------------------------
 
 def _cmd_demo(ns) -> int:
-    cfg = RunConfig.from_args(ns)
+    run = _run_args(ns)
     if ns.name == "two-chain":
-        return _finish_cert(ns, verify_two_chain(**cfg.kwargs()))
+        return _finish_cert(ns, verify_two_chain(**run))
     if ns.name == "counterexample":
         from .gluing import validate_gluing
 
@@ -304,7 +269,7 @@ def _cmd_demo(ns) -> int:
             g, expected_plus, expected_minus = figure_one_gluing(pair)
             plus_ok = is_isomorphic(build_plus(g).poset, expected_plus) is not None
             minus_ok = is_isomorphic(build_minus(g).poset, expected_minus) is not None
-            cert = verify_equivalence(g, **cfg.kwargs())
+            cert = verify_equivalence(g, **run)
             doc = cert.to_json()
             docs.append(
                 {
@@ -330,7 +295,7 @@ def _cmd_demo(ns) -> int:
         tree = poset_from_generators(verts, out_edges)
         source = tree
         sink = poset_from_generators(verts, [(b, a) for a, b in out_edges])
-        report = verify_bgp_path(source, source, sink, **cfg.kwargs())
+        report = verify_bgp_path(source, source, sink, **run)
         lines = [
             f"reflect at {s['vertex']} ({s['kind']}): "
             f"{'pass' if s['ok'] else 'FAIL'}"
@@ -342,7 +307,7 @@ def _cmd_demo(ns) -> int:
     # x1z: a two-element chain over a two-element antichain
     X = poset_from_generators(["a", "b"], [("a", "b")])
     Z = poset_from_generators(["u", "v"], [])
-    return _finish_cert(ns, verify_x1z(X, Z, **cfg.kwargs()))
+    return _finish_cert(ns, verify_x1z(X, Z, **run))
 
 
 # --- parser ----------------------------------------------------------------------------

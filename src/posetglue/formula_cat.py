@@ -28,7 +28,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .intmat import Mat, block
-from .poset_core import Poset, poset_from_generators
+from .poset_core import Poset, cover_triangles, poset_from_generators
 
 
 # --- objects and morphisms ---------------------------------------------------
@@ -176,19 +176,11 @@ def star(m: CMorphism) -> CMorphism:
 
 
 def _twist(m: CMorphism, n: int) -> CMorphism:
-    """Sign-flip the degree-preserving entries when n is odd; used by substitute."""
+    """Sign-flip the degree-preserving entries when n is odd (the negated star,
+    as every other canonical entry raises degree by one); used by substitute."""
     if n % 2 == 0:
         return m
-    rows = []
-    for j in range(len(m.target)):
-        mj = m.target.degree(j)
-        rows.append(
-            tuple(
-                -c if mj == m.source.degree(i) else c
-                for i, c in enumerate(m.matrix.rows[j])
-            )
-        )
-    return CMorphism(m.source, m.target, rows)
+    return CMorphism(m.source, m.target, star(m).matrix.neg())
 
 
 # --- formulas to a point -----------------------------------------------------
@@ -203,9 +195,9 @@ class FormulaToPoint:
 
     __slots__ = ("xi", "D")
 
-    def __init__(self, xi: CObject, D, strict: bool = False):
+    def __init__(self, xi: CObject, D):
         if not isinstance(D, CMorphism):
-            D = CMorphism(xi, xi.shifted(1), D, strict=strict)
+            D = CMorphism(xi, xi.shifted(1), D)
         if D.source != xi or D.target != xi.shifted(1):
             raise ShapeMismatch("D must map the object to its shift by one")
         self.xi = xi
@@ -291,9 +283,9 @@ class FormulaMorphism:
 
     __slots__ = ("source", "target", "phi")
 
-    def __init__(self, source: FormulaToPoint, target: FormulaToPoint, phi, strict=False):
+    def __init__(self, source: FormulaToPoint, target: FormulaToPoint, phi):
         if not isinstance(phi, CMorphism):
-            phi = CMorphism(source.xi, target.xi, phi, strict=strict)
+            phi = CMorphism(source.xi, target.xi, phi)
         if phi.source != source.xi or phi.target != target.xi:
             raise ShapeMismatch("phi must map the source object to the target object")
         self.source = source
@@ -315,23 +307,17 @@ class FormulaMorphism:
         return f"FormulaMorphism({self.phi.matrix.tolist()})"
 
 
-def check_formula_morphism(
-    fm: FormulaMorphism, allow_any_intertwiner: bool = False
-) -> CheckReport:
-    """Verify the restriction property and the intertwining identity.
-
-    With `allow_any_intertwiner` the restriction property (all nonzero
-    components degree-preserving) is waived and only intertwining is checked.
-    """
+def check_formula_morphism(fm: FormulaMorphism) -> CheckReport:
+    """Verify the restriction property (all nonzero components
+    degree-preserving) and the intertwining identity."""
     problems = []
-    if not allow_any_intertwiner:
-        for j in range(len(fm.target.xi)):
-            mj = fm.target.xi.degree(j)
-            for i in range(len(fm.source.xi)):
-                if fm.phi.matrix[j, i] != 0 and mj != fm.source.xi.degree(i):
-                    problems.append(
-                        f"component at ({j},{i}) raises degree; not a restriction"
-                    )
+    for j in range(len(fm.target.xi)):
+        mj = fm.target.xi.degree(j)
+        for i in range(len(fm.source.xi)):
+            if fm.phi.matrix[j, i] != 0 and mj != fm.source.xi.degree(i):
+                problems.append(
+                    f"component at ({j},{i}) raises degree; not a restriction"
+                )
     lhs = compose(shift(fm.phi, 1), fm.source.D)
     rhs = compose(fm.target.D, fm.phi)
     if lhs != rhs:
@@ -403,9 +389,10 @@ class Formula:
     `at` maps each target element to a FormulaToPoint over the common base;
     `res` maps each pair (y, y2) with y <= y2 to a FormulaMorphism from
     at(y) to at(y2). The constructor verifies the diagram axioms: identity
-    on diagonal pairs and closure under composition.  It is the one place
-    where restriction triangles are checked: a triangle that does not
-    commute raises CommutativityFailure with the difference matrix.
+    on diagonal pairs and closure under composition, on the cover triangles
+    of the target.  It is the one place where restriction triangles are
+    checked: a triangle that does not commute raises CommutativityFailure
+    with the difference matrix.
     """
 
     __slots__ = ("target", "base", "at", "res")
@@ -440,15 +427,14 @@ class Formula:
         for y in target.elements:
             if self.res[(y, y)].phi != identity_morphism(self.at[y].xi):
                 raise DiagramAxiomFailure(f"restriction at ({y!r}, {y!r}) is not the identity")
-        for y, y2 in target.leq:
-            for y3 in target.up_set(y2):
-                left = compose(self.res[(y2, y3)].phi, self.res[(y, y2)].phi)
-                if left != self.res[(y, y3)].phi:
-                    raise CommutativityFailure(
-                        (y, y3),
-                        f"via {y2!r}: difference "
-                        f"{left.matrix.sub(self.res[(y, y3)].phi.matrix).tolist()}",
-                    )
+        for y, y2, y3 in cover_triangles(target):
+            left = compose(self.res[(y2, y3)].phi, self.res[(y, y2)].phi)
+            if left != self.res[(y, y3)].phi:
+                raise CommutativityFailure(
+                    (y, y3),
+                    f"via {y2!r}: difference "
+                    f"{left.matrix.sub(self.res[(y, y3)].phi.matrix).tolist()}",
+                )
 
     def __eq__(self, other):
         return (
@@ -523,10 +509,10 @@ def substitute(outer: FormulaToPoint, inner: Formula) -> FormulaToPoint:
     return result
 
 
-def substitute_morphism(psi: FormulaMorphism, inner: Formula) -> FormulaMorphism:
-    """Substitute the inner formula into both ends of a formula morphism."""
-    src = substitute(psi.source, inner)
-    tgt = substitute(psi.target, inner)
+def _substituted_matrix(psi: FormulaMorphism, inner: Formula) -> Mat:
+    """The matrix of a restriction with the inner formula substituted into
+    both ends: block (b, a) is psi's coefficient there times the inner
+    restriction between the two entries' elements."""
     s_entries = psi.source.xi.entries
     t_entries = psi.target.xi.entries
     col_sizes = [len(inner.at[p].xi) for p, _ in s_entries]
@@ -544,28 +530,28 @@ def substitute_morphism(psi: FormulaMorphism, inner: Formula) -> FormulaMorphism
                     "restriction-type formula morphism expected during substitution"
                 )
             blocks[(b, a)] = inner.res[(pa, pb)].phi.matrix.scale(c)
-    fm = FormulaMorphism(src, tgt, block(blocks, row_sizes, col_sizes).rows)
-    report = check_formula_morphism(fm)
-    if not report:
-        raise InternalInconsistency(
-            f"substitution produced an invalid formula morphism: {report.problems[0]}"
-        )
-    return fm
+    return block(blocks, row_sizes, col_sizes)
 
 
 def compose_formulas(outer: Formula, inner: Formula) -> Formula:
     """Compose two formulas: substitute the inner one into every value and
     restriction of the outer one. The result is a formula over the outer
     target valued over the inner base, and its evaluation is the composite
-    of the two evaluations (outer applied after inner)."""
+    of the two evaluations (outer applied after inner).  Each value is
+    substituted once and each restriction built from its substituted ends."""
     if outer.base != inner.target:
         raise BaseMismatch("outer formula's base must equal inner formula's target")
     at = {q: substitute(outer.at[q], inner) for q in outer.target.elements}
-    res = {}
-    for (q, q2), psi in outer.res.items():
-        fm = substitute_morphism(psi, inner)
-        res[(q, q2)] = FormulaMorphism(at[q], at[q2], fm.phi.matrix.rows)
-    return Formula(outer.target, at, res)
+    res = {
+        (q, q2): FormulaMorphism(at[q], at[q2], _substituted_matrix(psi, inner))
+        for (q, q2), psi in outer.res.items()
+    }
+    try:
+        return Formula(outer.target, at, res)
+    except DiagramAxiomFailure as exc:
+        raise InternalInconsistency(
+            f"substitution produced an invalid formula: {exc}"
+        ) from exc
 
 
 # --- named constants over the two-element chain ------------------------------

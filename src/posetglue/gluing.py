@@ -9,10 +9,10 @@ between the Y_x along relations of X, then :func:`build_plus` /
 * plus:  x lies below y whenever some witness w in Y_x has w <= y in Y;
 * minus: y lies below x whenever some witness w in Y_x has y <= w in Y;
 
-with no other cross relations. Both constructions re-verify the result is a
-poset with exactly the predicted relations and a unique witness per cross
-relation, raising InternalInconsistency if the algebra ever disagrees with
-the prediction.
+with no other cross relations. Both constructions record the unique witness
+of each cross relation and re-verify the result is a poset with exactly the
+predicted relations, raising InternalInconsistency if the algebra ever
+disagrees with the prediction.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ from .errors import (
 from .poset_core import (
     Poset,
     _disjoint_labels,
+    cover_triangles,
     direct_sum,
     ordinal_sum,
     point_poset,
@@ -57,11 +58,13 @@ class GluingData:
 
 @dataclass(frozen=True)
 class GluedOrder:
-    """One of the two orders on X ⊔ Y induced by a gluing."""
+    """One of the two orders on X ⊔ Y induced by a gluing; `witness` maps each
+    cross relation (a, b) between X and Y to its unique witness in Y."""
 
     poset: Poset
     sign: str  # "plus" | "minus"
     provenance: GluingData
+    witness: dict
 
 
 def validate_gluing(X: Poset, Y: Poset, Yx) -> GluingData:
@@ -125,29 +128,30 @@ def validate_gluing(X: Poset, Y: Poset, Yx) -> GluingData:
             raise PhiNotBijective(x, x2)
         phi[(x, x2)] = fwd
 
-    for x, x2 in X.leq:
-        if x == x2 and any(phi[(x, x)][y] != y for y in Yx[x]):
+    for x in X.elements:
+        if any(phi[(x, x)][y] != y for y in Yx[x]):
             raise InternalInconsistency(f"connecting map at {x!r} is not the identity")
-        for x3 in X.up_set(x2):
-            for y in Yx[x]:
-                if phi[(x2, x3)][phi[(x, x2)][y]] != phi[(x, x3)][y]:
-                    raise CocycleViolation(x, x2, x3, y)
+    for x, x2, x3 in cover_triangles(X):
+        for y in Yx[x]:
+            if phi[(x2, x3)][phi[(x, x2)][y]] != phi[(x, x3)][y]:
+                raise CocycleViolation(x, x2, x3, y)
 
     return GluingData(X=X, Y=Y, Yx=Yx, phi=phi)
 
 
 def _build(g: GluingData, sign: str) -> GluedOrder:
     X, Y = g.X, g.Y
-    cross = set()
+    witness = {}
     for x in X.elements:
         for w in g.Yx[x]:
-            if sign == "plus":
-                cross.update((x, y) for y in Y.up_set(w))
-            else:
-                cross.update((y, x) for y in Y.down_set(w))
-    generators = list(X.leq) + list(Y.leq) + sorted(
-        cross, key=lambda ab: (ab[0], ab[1])
-    )
+            for y in Y.up_set(w) if sign == "plus" else Y.down_set(w):
+                pair = (x, y) if sign == "plus" else (y, x)
+                if pair in witness:
+                    raise InternalInconsistency(
+                        f"cross relation {pair} has two witnesses, {witness[pair]!r} and {w!r}"
+                    )
+                witness[pair] = w
+    generators = list(X.leq) + list(Y.leq) + sorted(witness)
     elements = X.elements + Y.elements
     try:
         poset = poset_from_generators(elements, generators)
@@ -156,24 +160,13 @@ def _build(g: GluingData, sign: str) -> GluedOrder:
             f"glued relation is not a partial order: {exc}"
         ) from exc
 
-    expected = set(X.leq) | set(Y.leq) | cross
+    expected = set(X.leq) | set(Y.leq) | set(witness)
     expected.update((e, e) for e in elements)
     if poset.leq != frozenset(expected):
         raise InternalInconsistency(
             "transitive closure added relations beyond the predicted glued order"
         )
-    for a, b in cross:
-        x, y = (a, b) if sign == "plus" else (b, a)
-        hits = [
-            w
-            for w in g.Yx[x]
-            if (Y.le(w, y) if sign == "plus" else Y.le(y, w))
-        ]
-        if len(hits) != 1:
-            raise InternalInconsistency(
-                f"cross relation {a!r} <= {b!r} has {len(hits)} witnesses, expected 1"
-            )
-    return GluedOrder(poset=poset, sign=sign, provenance=g)
+    return GluedOrder(poset=poset, sign=sign, provenance=g, witness=witness)
 
 
 def build_plus(g: GluingData) -> GluedOrder:
@@ -188,16 +181,9 @@ def build_minus(g: GluingData) -> GluedOrder:
 
 def cross_witness(order: GluedOrder, a, b):
     """For a cross relation a <= b of a glued order, its unique witness in Y."""
-    g = order.provenance
-    if order.sign == "plus":
-        x, y = a, b
-        hits = [w for w in g.Yx[x] if g.Y.le(w, y)]
-    else:
-        y, x = a, b
-        hits = [w for w in g.Yx[x] if g.Y.le(y, w)]
-    if len(hits) != 1:
+    if (a, b) not in order.witness:
         raise InternalInconsistency(f"{a!r} <= {b!r} is not a cross relation")
-    return hits[0]
+    return order.witness[(a, b)]
 
 
 def from_function(X: Poset, Y: Poset, f) -> GluingData:
@@ -207,6 +193,8 @@ def from_function(X: Poset, Y: Poset, f) -> GluingData:
         if x not in f:
             raise ParseError(f"f gives no value for element {x!r}")
         Y.index(f[x])
+    for x in f:
+        X.index(x)
     for x, x2 in X.leq:
         if not Y.le(f[x], f[x2]):
             raise NotOrderPreserving(x, x2)

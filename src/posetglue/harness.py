@@ -150,11 +150,19 @@ class EquivalenceCertificate:
         }
 
 
-def _run_config(trials, seed, field, max_dim, window) -> dict:
-    """The run parameters as recorded in a report.  Every verification entry
-    point calls this first, so bad parameters are rejected before any work."""
+def _run_config(trials, seed, field, max_dim, window, jobs) -> dict:
+    """The run parameters as recorded in a report (all but jobs).  Every
+    verification entry point calls this first, so bad parameters are
+    rejected before any work."""
+    if trials < 1:
+        raise ParseError(f"trials must be at least 1, got {trials}")
+    if jobs < 1:
+        raise ParseError(f"jobs must be at least 1, got {jobs}")
     if max_dim < 1:
         raise ParseError(f"max_dim must be at least 1, got {max_dim}")
+    lo, hi = window
+    if lo > hi:
+        raise ParseError(f"degree window [{lo}, {hi}] is empty")
     return {
         "trials": trials,
         "seed": seed,
@@ -196,8 +204,8 @@ def _eval_checked(F: Formula, K: PosetDiagram) -> PosetDiagram:
 class EpsilonTransform:
     """A natural transformation between two formulas over a common target.
 
-    Components are formula morphisms, one per target element.  The
-    constructor checks that each component intertwines the value matrices
+    Components are given as matrices, one per target element, and stored as
+    formula morphisms.  The constructor checks that each component intertwines the value matrices
     (DiagramAxiomFailure otherwise) and that the components commute with the
     restrictions across every Hasse edge of the target (NaturalityFailure,
     with the offending edge as witness).
@@ -216,11 +224,7 @@ class EpsilonTransform:
         for y in source.target.elements:
             if y not in components:
                 raise ParseError(f"no component at element {y!r}")
-            fm = components[y]
-            if not isinstance(fm, FormulaMorphism):
-                fm = FormulaMorphism(source.at[y], target.at[y], fm)
-            if fm.source != source.at[y] or fm.target != target.at[y]:
-                raise ParseError(f"component at {y!r} has wrong ends")
+            fm = FormulaMorphism(source.at[y], target.at[y], components[y])
             report = check_formula_morphism(fm)
             if not report:
                 raise DiagramAxiomFailure(
@@ -231,7 +235,9 @@ class EpsilonTransform:
             left = compose(self.target.res[(a, b)].phi, self.components[a].phi)
             right = compose(self.components[b].phi, self.source.res[(a, b)].phi)
             if left != right:
-                raise NaturalityFailure((a, b))
+                raise NaturalityFailure(
+                    (a, b), f"difference {left.matrix.sub(right.matrix).tolist()}"
+                )
 
     def evaluate(self, K: PosetDiagram) -> DiagramMap:
         """The evaluated transformation at a diagram, as a map of diagrams."""
@@ -470,7 +476,7 @@ def _parallel_records(jobs, trials, seed, worker, init, initargs):
     The pool never has more workers than trials or than the machine has CPUs.
     """
     seeds = [derive_seed(seed, "trial", i) for i in range(trials)]
-    workers = min(jobs, max(trials, 1), os.cpu_count() or 1)
+    workers = min(jobs, trials, os.cpu_count() or 1)
     with ProcessPoolExecutor(
         max_workers=workers, initializer=init, initargs=initargs
     ) as pool:
@@ -501,7 +507,7 @@ def verify_equivalence(
     records are assembled in trial order, so reports do not depend on
     completion order.
     """
-    config = _run_config(trials, seed, field, max_dim, window)
+    config = _run_config(trials, seed, field, max_dim, window, jobs)
     xi_plus, xi_minus = build_theorem_formulas(g)
     structural = [("theorem-formulas", True)]
     eps_pm, eps_mp = build_epsilons(g, xi_plus, xi_minus)
@@ -604,7 +610,7 @@ def verify_two_chain(
     other side) evaluate to quasi-isomorphisms, and the triple application
     of the plus side has the cohomology tables of the input shifted by one.
     """
-    config = _run_config(trials, seed, field, max_dim, window)
+    config = _run_config(trials, seed, field, max_dim, window, jobs)
     structural = []
     structural.append(
         (
@@ -675,7 +681,7 @@ def verify_x1z(
     disjoint union of X and Z on the minus side), then runs the generic
     equivalence verification.
     """
-    _run_config(trials, seed, field, max_dim, window)
+    _run_config(trials, seed, field, max_dim, window, jobs)
     g, expected_plus, expected_minus = ordinal_witness(X, Z)
     plus = build_plus(g).poset
     minus = build_minus(g).poset
@@ -730,7 +736,7 @@ def verify_bgp_path(
     built and verified, and the results are collected into one report.
     Equal gluings along the path share one certificate.
     """
-    config = _run_config(trials, seed, field, max_dim, window)
+    config = _run_config(trials, seed, field, max_dim, window, jobs)
     verts = set(tree.elements)
     und = _undirected(hasse(tree).edges)
     if len(und) > 8:
@@ -907,8 +913,8 @@ def _random_witness_set(rng: SplitMix64, Y: Poset) -> tuple:
     return tuple(sorted(chosen, key=Y.index))
 
 
-def random_gluing(seed: int, max_total: int = 8) -> GluingData:
-    """A seeded random gluing with at most `max_total` elements in all.
+def random_gluing(seed: int) -> GluingData:
+    """A seeded random gluing with at most 8 elements in all.
 
     Mixes three shapes: witness sets cut from disjoint chains at the height
     of each element (the generic case, with witness sets of size > 1), the
@@ -918,7 +924,7 @@ def random_gluing(seed: int, max_total: int = 8) -> GluingData:
     rng = SplitMix64(derive_seed(seed, "gluing"))
     kind = rng.choice(("chains", "function", "point"))
     nx = 1 if kind == "point" else 1 + rng.randrange(3)
-    budget = max_total - nx
+    budget = 8 - nx
     X = _random_poset(rng, nx, "x")
 
     if kind == "chains":

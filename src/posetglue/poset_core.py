@@ -198,6 +198,21 @@ def hasse(p: Poset) -> HasseDiagram:
     return HasseDiagram(p.elements, edges)
 
 
+def cover_triangles(p: Poset):
+    """Triangles (a, b, c) with a Hasse edge a < b and c >= b, in element order.
+
+    Maps r(a, b), one per a <= b with r(a, a) the identity, compose on all of
+    a <= b <= c once they compose on these.  By induction on the longest
+    chain from a to b (a = b is trivial): pick a cover a < a2 <= b; then
+    r(b, c)·r(a, b) = r(b, c)·r(a2, b)·r(a, a2)   [cover triangle (a, a2, b)]
+                    = r(a2, c)·r(a, a2)           [induction, a2 to b]
+                    = r(a, c)                     [cover triangle (a, a2, c)].
+    """
+    for a, b in sorted(hasse(p).edges, key=lambda ab: (p.index(ab[0]), p.index(ab[1]))):
+        for c in sorted(p.up_set(b), key=p.index):
+            yield a, b, c
+
+
 def _disjoint_labels(p: Poset, q: Poset):
     """Relabel with 'L.'/'R.' prefixes when the two element sets collide."""
     if set(p.elements) & set(q.elements):
@@ -247,17 +262,17 @@ def point_poset(label="*") -> Poset:
     return Poset([label], {(label, label)})
 
 
-def is_isomorphic(p: Poset, q: Poset, max_size: int = 12):
+def is_isomorphic(p: Poset, q: Poset):
     """An order-isomorphism p -> q as a dict, or None if none exists.
 
     Exact backtracking with iterated invariant refinement for pruning.
-    Unequal sizes return None immediately; equal sizes above `max_size`
-    raise SizeLimit.
+    Unequal sizes return None immediately; equal sizes above 12 raise
+    SizeLimit, because the search is exponential in the worst case.
     """
     if len(p) != len(q):
         return None
-    if len(p) > max_size:
-        raise SizeLimit(f"isomorphism search capped at {max_size} elements")
+    if len(p) > 12:
+        raise SizeLimit("isomorphism search capped at 12 elements")
     if len(p) == 0:
         return {}
 

@@ -76,6 +76,17 @@ class TestField:
         assert str(Field(None)) == "q"
         assert str(Field(7)) == "p:7"
 
+    def test_primality_is_exact_up_to_the_size_cap(self):
+        assert Field(2**61 - 1).p == 2**61 - 1
+        # a Carmichael number and the square of a prime
+        for composite in (561, (2**31 - 1) ** 2):
+            with pytest.raises(ParseError, match="not a prime"):
+                Field(composite)
+        with pytest.raises(ParseError, match="2\\*\\*64"):
+            Field(2**64 + 13)
+        with pytest.raises(ParseError):
+            Field.parse(f"p:{2**64 + 13}")
+
 
 class TestComplexes:
     def test_d_squared_checked(self):

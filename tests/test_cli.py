@@ -293,6 +293,17 @@ class TestVerify:
         assert main(["verify", "theorem", "--gluing", str(path), "--trials", "1"]) == 3
         assert "parse error" in capsys.readouterr().err
 
+    def test_unknown_f_key_exits_1(self, files, capsys):
+        doc = {
+            "X": {"elements": ["x"], "relations": []},
+            "Y": {"elements": ["y"], "relations": []},
+            "f": {"x": "y", "nope": "y"},
+        }
+        path = files["tmp"] / "unknown.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "theorem", "--gluing", str(path), "--trials", "1"]) == 1
+        assert "'nope'" in capsys.readouterr().err
+
 
 class TestDemo:
     def test_counterexample_exits_1(self, files, capsys):

@@ -7,11 +7,14 @@ import pytest
 from posetglue.errors import (
     AntichainViolation,
     GluingError,
+    InternalInconsistency,
     ParseError,
     PhiMissing,
     PhiNotBijective,
+    UnknownElement,
 )
 from posetglue.gluing import (
+    GluingData,
     build_minus,
     build_plus,
     cross_witness,
@@ -174,6 +177,14 @@ class TestBuild:
                         w = cross_witness(minus, y, x)
                         assert w in g.Yx[x] and g.Y.le(y, w)
 
+    def test_second_witness_is_an_internal_alarm(self):
+        # unvalidated data: both witnesses lie below 4, so the cross relation
+        # from the new point to 4 would have two witnesses
+        X, Y, Yx = counterexample_data()
+        g = GluingData(X=X, Y=Y, Yx=Yx, phi={})
+        with pytest.raises(InternalInconsistency, match="two witnesses"):
+            build_plus(g)
+
     def test_empty_witness_sets_give_disjoint_union(self):
         X = chain("x1", "x2")
         Y = chain("y1", "y2")
@@ -243,6 +254,16 @@ class TestJson:
         assert len(g.X) == 1
         (x,) = g.X.elements
         assert set(g.Yx[x]) == {"a", "b"}
+
+    def test_unknown_key_of_f_is_rejected(self):
+        doc = {
+            "X": poset_to_json(chain("x")),
+            "Y": poset_to_json(chain("y")),
+            "f": {"x": "y", "nope": "y"},
+        }
+        with pytest.raises(UnknownElement) as info:
+            gluing_from_json(doc)
+        assert info.value.element == "nope"
 
     def test_bad_documents(self):
         for doc in [{}, {"X": {}}, {"X": 3, "Y": 4, "Yx": 5}, []]:

@@ -9,6 +9,7 @@ import pytest
 from posetglue.abelian_eval import RATIONALS, Field, eval_formula, random_diagram
 from posetglue.errors import (
     CommutativityFailure,
+    InternalInconsistency,
     NaturalityFailure,
     NoPathFound,
     NotATree,
@@ -16,7 +17,7 @@ from posetglue.errors import (
     PosetGlueError,
     SizeLimit,
 )
-from posetglue import harness
+from posetglue import formula_cat, harness
 from posetglue.formula_cat import (
     NU,
     TWO_CHAIN,
@@ -28,6 +29,7 @@ from posetglue.formula_cat import (
     check_formula,
     check_formula_morphism,
     compose,
+    compose_formulas,
     substitute,
 )
 from posetglue.gluing import build_minus, build_plus, validate_gluing
@@ -101,6 +103,18 @@ class TestTheoremFormulas:
         assert S.base.elements == plus.elements
 
 
+def _non_cover_pairs():
+    """(side, a, c) for each relation a < c that is not a cover in the
+    target of xi_plus (side 0) or xi_minus (side 1) of the X1/X2 gluing."""
+    g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
+    return [
+        (side, a, c)
+        for side, xi in enumerate(build_theorem_formulas(g))
+        for a, c in sorted(xi.target.leq)
+        if a != c and (a, c) not in hasse(xi.target).edges
+    ]
+
+
 class TestSingleCheckSite:
     """Corruptions that only the Formula constructor's composition check and
     the epsilon naturality check can catch."""
@@ -136,6 +150,22 @@ class TestSingleCheckSite:
         ]
         assert any(w in str(info.value) for w in witnesses), str(info.value)
 
+    @pytest.mark.parametrize("side, a, c", _non_cover_pairs())
+    def test_every_non_cover_restriction_is_checked(self, side, a, c):
+        g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
+        xi = build_theorem_formulas(g)[side]
+        P = xi.target
+        res = dict(xi.res)
+        res[(a, c)] = FormulaMorphism(
+            xi.at[a], xi.at[c], Mat.zero(len(xi.at[c].xi), len(xi.at[a].xi))
+        )
+        with pytest.raises(CommutativityFailure) as info:
+            Formula(P, xi.at, res)
+        # the failing cover triangle has (a, c) as its composite, or as its
+        # second leg below some z covered by a
+        z, top = info.value.pair
+        assert top == c and z in P.down_set(a)
+
     def test_sign_flipped_epsilon_component_names_its_edge(self):
         g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
         eps_pm, _ = build_epsilons(g, *build_theorem_formulas(g))
@@ -146,6 +176,7 @@ class TestSingleCheckSite:
             EpsilonTransform(eps_pm.source, eps_pm.target, comps)
         assert info.value.edge in hasse(eps_pm.source.target).edges
         assert x in info.value.edge
+        assert "difference" in str(info.value)
 
 
 class TestRunParameters:
@@ -166,6 +197,34 @@ class TestRunParameters:
         for run in runs:
             with pytest.raises(ParseError, match="max_dim"):
                 run()
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"trials": 0}, "trials"),
+            ({"trials": -5}, "trials"),
+            ({"jobs": 0}, "jobs"),
+            ({"window": (2, -1)}, "window"),
+        ],
+    )
+    def test_run_bounds_are_checked_before_any_work(self, monkeypatch, bad, match):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the parameters were checked")
+
+        monkeypatch.setattr(harness, "build_theorem_formulas", no_work)
+        monkeypatch.setattr(harness, "random_diagram", no_work)
+        monkeypatch.setattr(harness, "ordinal_witness", no_work)
+        p = poset_from_generators(["a", "b"], [("a", "b")])
+        run = {"trials": 1, "max_dim": 2, **bad}
+        runs = [
+            lambda: verify_two_chain(**run),
+            lambda: verify_equivalence(single_edge_gluing(), **run),
+            lambda: verify_x1z(p, p, **run),
+            lambda: verify_bgp_path(p, p, p, **run),
+        ]
+        for call in runs:
+            with pytest.raises(ParseError, match=match):
+                call()
 
     @pytest.mark.parametrize(
         "trials, jobs, cpus, workers",
@@ -194,6 +253,39 @@ class TestRunParameters:
         cert = verify_two_chain(jobs=jobs, **run)
         assert sizes == [workers]
         assert cert.to_json() == verify_two_chain(jobs=1, **run).to_json()
+
+
+class TestCompose:
+    def test_each_value_substituted_and_each_restriction_checked_once(
+        self, monkeypatch
+    ):
+        g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
+        xi_plus, xi_minus = build_theorem_formulas(g)
+        calls = {"substitute": 0, "check_formula_morphism": 0}
+        for name in calls:
+            real = getattr(formula_cat, name)
+
+            def spy(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(formula_cat, name, spy)
+        composite = compose_formulas(xi_plus, xi_minus)
+        assert calls == {
+            "substitute": len(xi_plus.target),
+            "check_formula_morphism": len(xi_plus.target.leq),
+        }
+        assert len(composite.res) == len(xi_plus.target.leq)
+
+    def test_invalid_composite_is_an_internal_inconsistency(self, monkeypatch):
+        real = formula_cat._substituted_matrix
+        monkeypatch.setattr(
+            formula_cat,
+            "_substituted_matrix",
+            lambda psi, inner: real(psi, inner).neg(),
+        )
+        with pytest.raises(InternalInconsistency, match="substitution produced"):
+            compose_formulas(TWO_CHAIN_PLUS, TWO_CHAIN_MINUS)
 
 
 class TestEpsilons:

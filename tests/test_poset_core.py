@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from posetglue.errors import CycleError, ParseError, SizeLimit, UnknownElement
 from posetglue.poset_core import (
     Poset,
+    cover_triangles,
     direct_sum,
     hasse,
     is_isomorphic,
@@ -109,6 +110,32 @@ class TestHasse:
         for seed in range(20):
             p = random_generated(seed + 100, 6)
             assert brute_closure(p.elements, hasse(p).edges) == p.leq
+
+    def test_cover_triangles_are_hasse_edges_times_up_sets(self):
+        for seed in range(20):
+            p = random_generated(seed + 200, 6)
+            triangles = list(cover_triangles(p))
+            assert len(triangles) == len(set(triangles))
+            assert set(triangles) == {
+                (a, b, c) for a, b in hasse(p).edges for c in p.up_set(b)
+            }
+
+    def test_cover_triangles_detect_every_broken_composite(self):
+        # r(a, b) = h(b) - h(a) composes on every triangle; changing one
+        # non-cover value r(a, c) must break some cover triangle.
+        for seed in range(20):
+            p = random_generated(seed + 300, 6)
+            h = {e: 3 ** i for i, e in enumerate(p.elements)}
+            covers = hasse(p).edges
+            for a, c in p.leq:
+                if a == c or (a, c) in covers:
+                    continue
+                r = {(x, y): h[y] - h[x] for x, y in p.leq}
+                r[(a, c)] += 1
+                assert any(
+                    r[(y, y2)] + r[(x, y)] != r[(x, y2)]
+                    for x, y, y2 in cover_triangles(p)
+                ), (a, c)
 
 
 class TestOperations:
