@@ -360,7 +360,7 @@ class DiagramMap:
 
     __slots__ = ("source", "target", "components")
 
-    def __init__(self, source: PosetDiagram, target: PosetDiagram, components, check=True):
+    def __init__(self, source: PosetDiagram, target: PosetDiagram, components):
         if source.base != target.base:
             raise BaseMismatch("diagram maps need a common base poset")
         self.source = source
@@ -372,12 +372,11 @@ class DiagramMap:
             c = self.components[x]
             if c.source != source.K[x] or c.target != target.K[x]:
                 raise ShapeMismatch(f"component at {x!r} has wrong ends")
-        if check:
-            for x, x2 in hasse(source.base).edges:
-                left = compose_chain_maps(target.r[(x, x2)], self.components[x])
-                right = compose_chain_maps(self.components[x2], source.r[(x, x2)])
-                if left != right:
-                    raise NaturalityFailure((x, x2))
+        for x, x2 in hasse(source.base).edges:
+            left = compose_chain_maps(target.r[(x, x2)], self.components[x])
+            right = compose_chain_maps(self.components[x2], source.r[(x, x2)])
+            if left != right:
+                raise NaturalityFailure((x, x2))
 
 
 def shift_diagram(K: PosetDiagram, n: int) -> PosetDiagram:
@@ -470,33 +469,28 @@ def eval_point(f: FormulaToPoint, K: PosetDiagram) -> VectComplex:
         raise D2NotZero(f"evaluated differential fails to square to zero: {exc}") from exc
 
 
-def eval_cmorphism(
-    phi: CMorphism,
-    K: PosetDiagram,
-    source: FormulaToPoint | None = None,
-    target: FormulaToPoint | None = None,
-) -> ChainMap:
-    """Evaluate a morphism of graded words on a diagram.
+def eval_cmorphism(phi: CMorphism, K: PosetDiagram) -> ChainMap:
+    """Evaluate a raw morphism of graded words on a diagram.
 
-    When the source and target formulas are supplied, the result is checked
-    to be a chain map between their evaluations; otherwise the carriers are
-    the bare graded objects (zero differential) and no chain condition is
-    imposed — that form exists for functor-law checks on raw morphisms.
+    The carriers are the bare graded objects (zero differential) and no
+    chain condition is imposed; this form exists for functor-law checks.
     """
     if phi.source.base != K.base:
         raise BaseMismatch("morphism and diagram live over different posets")
-    graded = _eval_graded(phi, K)
-    if source is not None and target is not None:
-        src = eval_point(source, K)
-        tgt = eval_point(target, K)
-        return ChainMap(src, tgt, graded, check=True)
     src = VectComplex(_eval_object_dims(phi.source, K), {}, check=False)
     tgt = VectComplex(_eval_object_dims(phi.target, K), {}, check=False)
-    return ChainMap(src, tgt, graded, check=False)
+    return ChainMap(src, tgt, _eval_graded(phi, K), check=False)
 
 
-def eval_formula_morphism(fm: FormulaMorphism, K: PosetDiagram) -> ChainMap:
-    return eval_cmorphism(fm.phi, K, source=fm.source, target=fm.target)
+def eval_formula_morphism(
+    fm: FormulaMorphism, K: PosetDiagram, source: VectComplex, target: VectComplex
+) -> ChainMap:
+    """Evaluate a formula morphism between the evaluations of its ends,
+    which the caller has already made; the result is checked to be a chain
+    map."""
+    if fm.phi.source.base != K.base:
+        raise BaseMismatch("morphism and diagram live over different posets")
+    return ChainMap(source, target, _eval_graded(fm.phi, K), check=True)
 
 
 def eval_point_map(f: FormulaToPoint, g: DiagramMap) -> ChainMap:
@@ -522,11 +516,10 @@ def eval_formula(F: Formula, K: PosetDiagram) -> PosetDiagram:
     if F.base != K.base:
         raise BaseMismatch("formula and diagram live over different posets")
     stalks = {y: eval_point(F.at[y], K) for y in F.target.elements}
-    restrictions = {}
-    for (y, y2), fm in F.res.items():
-        restrictions[(y, y2)] = ChainMap(
-            stalks[y], stalks[y2], _eval_graded(fm.phi, K), check=True
-        )
+    restrictions = {
+        (y, y2): eval_formula_morphism(fm, K, stalks[y], stalks[y2])
+        for (y, y2), fm in F.res.items()
+    }
     return PosetDiagram(F.target, stalks, restrictions, check=True)
 
 
@@ -535,7 +528,7 @@ def eval_formula_map(F: Formula, g: DiagramMap) -> DiagramMap:
     src = eval_formula(F, g.source)
     tgt = eval_formula(F, g.target)
     comps = {y: eval_point_map(F.at[y], g) for y in F.target.elements}
-    return DiagramMap(src, tgt, comps, check=True)
+    return DiagramMap(src, tgt, comps)
 
 
 # --- random generators ---------------------------------------------------------
@@ -676,38 +669,38 @@ class _PieceDiagram:
     def __init__(self, X: Poset, pieces):
         self.X = X
         self.pieces = list(pieces)  # list of (u, VectComplex)
+        self.present = {
+            x: [k for k, (u, _) in enumerate(self.pieces) if X.le(u, x)]
+            for x in X.elements
+        }
+        self.stalks = {
+            x: direct_sum_complexes(self.pieces[k][1] for k in self.present[x])
+            for x in X.elements
+        }
 
-    def present(self, x):
-        return [k for k, (u, _) in enumerate(self.pieces) if self.X.le(u, x)]
-
-    def stalk(self, x) -> VectComplex:
-        return direct_sum_complexes(self.pieces[k][1] for k in self.present(x))
-
-    def _restriction(self, x, x2) -> ChainMap:
-        src_pieces = self.present(x)
-        tgt_pieces = self.present(x2)
-        src = self.stalk(x)
-        tgt = self.stalk(x2)
-        f = {}
-        for t in set(src.dims) | set(tgt.dims):
-            rows = [self.pieces[k][1].dim(t) for k in tgt_pieces]
-            cols = [self.pieces[k][1].dim(t) for k in src_pieces]
-            blocks = {}
-            for ci, k in enumerate(src_pieces):
-                ri = tgt_pieces.index(k)
-                n = self.pieces[k][1].dim(t)
-                if n:
-                    blocks[(ri, ci)] = Mat.identity(n)
-            f[t] = block(blocks, rows, cols)
-        return ChainMap(src, tgt, f, check=False)
+    def inclusion_blocks(self, src_present, tgt_present, t):
+        """(blocks, rows, cols) at degree t of the block inclusion of the
+        pieces src_present into the pieces tgt_present."""
+        rows = [self.pieces[k][1].dim(t) for k in tgt_present]
+        cols = [self.pieces[k][1].dim(t) for k in src_present]
+        blocks = {
+            (tgt_present.index(k), ci): Mat.identity(n)
+            for ci, (k, n) in enumerate(zip(src_present, cols))
+            if n
+        }
+        return blocks, rows, cols
 
     def diagram(self) -> PosetDiagram:
-        stalks = {x: self.stalk(x) for x in self.X.elements}
-        r = {
-            (x, x2): self._restriction(x, x2)
-            for x, x2 in self.X.leq
-        }
-        return PosetDiagram(self.X, stalks, r, check=False)
+        """The untwisted diagram: the stalks with block-inclusion restrictions."""
+        r = {}
+        for x, x2 in self.X.leq:
+            src, tgt = self.stalks[x], self.stalks[x2]
+            present = self.present[x], self.present[x2]
+            f = {}
+            for t in set(src.dims) | set(tgt.dims):
+                f[t] = block(*self.inclusion_blocks(*present, t))
+            r[(x, x2)] = ChainMap(src, tgt, f, check=False)
+        return PosetDiagram(self.X, self.stalks, r, check=False)
 
     def random_twist_factors(self, rng: SplitMix64, count: int) -> list:
         """Unipotent diagram automorphism factors: null-homotopic constant
@@ -730,7 +723,7 @@ class _PieceDiagram:
 
     def twist_matrix(self, x, t, factors, invert: bool = False) -> Mat:
         """The degree-t component at x of the product of (I + N) factors."""
-        present = self.present(x)
+        present = self.present[x]
         sizes = [self.pieces[k][1].dim(t) for k in present]
         total = Mat.identity(sum(sizes))
         for k, l, n in factors:
@@ -841,17 +834,11 @@ def random_qis_map(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> Dia
                 noise.append((k, l, n))
     components = {}
     for x in X.elements:
-        src_present = src_pd.present(x)
-        tgt_present = tgt_pd.present(x)
+        src_present = src_pd.present[x]
+        tgt_present = tgt_pd.present[x]
         f = {}
         for t in set(source.K[x].dims) | set(target.K[x].dims):
-            rows = [tgt_pd.pieces[k][1].dim(t) for k in tgt_present]
-            cols = [src_pd.pieces[k][1].dim(t) for k in src_present]
-            blocks = {}
-            for ci, k in enumerate(src_present):
-                n = src_pd.pieces[k][1].dim(t)
-                if n:
-                    blocks[(tgt_present.index(k), ci)] = Mat.identity(n)
+            blocks, rows, cols = tgt_pd.inclusion_blocks(src_present, tgt_present, t)
             for k, l, n in noise:
                 if k in src_present and t in n:
                     ri, ci = tgt_present.index(l), src_present.index(k)
@@ -864,16 +851,16 @@ def random_qis_map(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> Dia
             if not m.is_zero():
                 f[t] = m
         components[x] = ChainMap(source.K[x], target.K[x], f, check=True)
-    return DiagramMap(source, target, components, check=True)
+    return DiagramMap(source, target, components)
 
 
-def random_ses(X: Poset, seed: int, max_dim: int = 2, window=(-2, 2)):
+def random_ses(X: Poset, seed: int, window=(-2, 2)):
     """A deterministic random degreewise-split short exact sequence of
-    diagrams: returns (inclusion, projection) with a twisted extension in
-    the middle."""
+    diagrams, at most two dimensions per degree and part: returns
+    (inclusion, projection) with a twisted extension in the middle."""
     rng = SplitMix64(derive_seed(seed, "ses"))
-    left_pieces = _random_pieces(X, rng, max_dim, window)
-    right_pieces = _random_pieces(X, rng, max_dim, window)
+    left_pieces = _random_pieces(X, rng, 2, window)
+    right_pieces = _random_pieces(X, rng, 2, window)
     left_pd = _PieceDiagram(X, left_pieces)
     right_pd = _PieceDiagram(X, right_pieces)
     left = left_pd.diagram()
@@ -912,8 +899,8 @@ def random_ses(X: Poset, seed: int, max_dim: int = 2, window=(-2, 2)):
     middle_K = {}
     middle_r = {}
     for x in X.elements:
-        lp = left_pd.present(x)
-        rp = right_pd.present(x)
+        lp = left_pd.present[x]
+        rp = right_pd.present[x]
         Lx, Rx = left.K[x], right.K[x]
         dims = {
             t: Lx.dim(t) + Rx.dim(t)
@@ -980,8 +967,8 @@ def random_ses(X: Poset, seed: int, max_dim: int = 2, window=(-2, 2)):
             )
         incl_components[x] = ChainMap(Lx, Mx, fi, check=True)
         proj_components[x] = ChainMap(Mx, Rx, fp, check=True)
-    incl = DiagramMap(left, middle, incl_components, check=True)
-    proj = DiagramMap(middle, right, proj_components, check=True)
+    incl = DiagramMap(left, middle, incl_components)
+    proj = DiagramMap(middle, right, proj_components)
     return incl, proj
 
 

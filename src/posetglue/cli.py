@@ -62,7 +62,7 @@ def _dumps(doc) -> str:
 def _load_doc(path: str):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)

@@ -78,8 +78,6 @@ from .gluing import (
     cross_witness,
     from_bgp,
     from_function,
-    gluing_from_json,
-    gluing_to_json,
     ordinal_witness,
     validate_gluing,
 )
@@ -154,6 +152,18 @@ def _run_config(trials, seed, field, max_dim, window, jobs) -> dict:
     """The run parameters as recorded in a report (all but jobs).  Every
     verification entry point calls this first, so bad parameters are
     rejected before any work."""
+    ints = {"trials": trials, "seed": seed, "max_dim": max_dim, "jobs": jobs}
+    for name, value in ints.items():
+        if type(value) is not int:  # bool is an int subclass, and rejected
+            raise ParseError(f"{name} must be an int, got {value!r}")
+    if not (
+        isinstance(window, (tuple, list))
+        and len(window) == 2
+        and all(type(v) is int for v in window)
+    ):
+        raise ParseError(f"window must be a pair of ints, got {window!r}")
+    if not isinstance(field, Field):
+        raise ParseError(f"field must be a Field, got {field!r}")
     if trials < 1:
         raise ParseError(f"trials must be at least 1, got {trials}")
     if jobs < 1:
@@ -244,7 +254,7 @@ class EpsilonTransform:
         src = _eval_checked(self.source, K)
         tgt = _eval_checked(self.target, K)
         comps = {
-            y: eval_formula_morphism(self.components[y], K)
+            y: eval_formula_morphism(self.components[y], K, src.K[y], tgt.K[y])
             for y in self.source.target.elements
         }
         return DiagramMap(src, tgt, comps)
@@ -417,7 +427,8 @@ def _certify_retract(value: FormulaToPoint, alpha, beta_row, small, k: int) -> N
 
 # --- randomized verification runs ----------------------------------------------
 
-def _equivalence_trial(eps_pm, eps_mp, tseed, field, max_dim, window) -> TrialRecord:
+def _equivalence_trial(state, tseed) -> TrialRecord:
+    (eps_pm, eps_mp), field, max_dim, window = state
     plus, minus = eps_mp.source.base, eps_pm.source.base
     K = random_diagram(plus, derive_seed(tseed, "plus"), max_dim, window)
     L = random_diagram(minus, derive_seed(tseed, "minus"), max_dim, window)
@@ -438,53 +449,31 @@ def _equivalence_trial(eps_pm, eps_mp, tseed, field, max_dim, window) -> TrialRe
 _WORKER_STATE: dict = {}
 
 
-def _equivalence_worker_init(gluing_doc, field_str, max_dim, window):
-    g = gluing_from_json(gluing_doc)
-    xi_plus, xi_minus = build_theorem_formulas(g)
-    eps_pm, eps_mp = build_epsilons(g, xi_plus, xi_minus)
-    _WORKER_STATE["run"] = (
-        eps_pm,
-        eps_mp,
-        Field.parse(field_str),
-        max_dim,
-        tuple(window),
-    )
+def _worker_init(trial, state) -> None:
+    _WORKER_STATE["run"] = (trial, state)
 
 
-def _equivalence_worker(tseed: int) -> dict:
-    eps_pm, eps_mp, field, max_dim, window = _WORKER_STATE["run"]
-    return _equivalence_trial(eps_pm, eps_mp, tseed, field, max_dim, window).to_json()
+def _worker_trial(tseed: int) -> TrialRecord:
+    trial, state = _WORKER_STATE["run"]
+    return trial(state, tseed)
 
 
-def _two_chain_worker_init(field_str, max_dim, window):
-    _WORKER_STATE["run"] = (
-        _two_chain_epsilons(),
-        Field.parse(field_str),
-        max_dim,
-        tuple(window),
-    )
+def _trial_records(trial, state, seed, trials, jobs) -> list:
+    """trial(state, tseed) for each trial seed, in trial order.
 
-
-def _two_chain_worker(tseed: int) -> dict:
-    eps, field, max_dim, window = _WORKER_STATE["run"]
-    return _two_chain_trial(eps, tseed, field, max_dim, window).to_json()
-
-
-def _parallel_records(jobs, trials, seed, worker, init, initargs):
-    """Run per-trial workers over a process pool, assembled in trial order.
-
-    The pool never has more workers than trials or than the machine has CPUs.
+    With jobs > 1 and more than one trial, the trials run on a process pool
+    of at most min(jobs, trials, CPU count) workers.  Each worker receives
+    the already built and checked state once, so the records do not depend
+    on where, or in which order, the trials ran.
     """
     seeds = [derive_seed(seed, "trial", i) for i in range(trials)]
-    workers = min(jobs, trials, os.cpu_count() or 1)
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=init, initargs=initargs
-    ) as pool:
-        docs = list(pool.map(worker, seeds))
-    return [
-        TrialRecord(seed=d["seed"], verdict=d["verdict"], tables=d["tables"])
-        for d in docs
-    ]
+    if jobs > 1 and trials > 1:
+        workers = min(jobs, trials, os.cpu_count() or 1)
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_worker_init, initargs=(trial, state)
+        ) as pool:
+            return list(pool.map(_worker_trial, seeds))
+    return [trial(state, tseed) for tseed in seeds]
 
 
 def verify_equivalence(
@@ -514,22 +503,8 @@ def verify_equivalence(
     structural.append(("epsilon-naturality", True))
     structural.append(("retract-homotopies", True))
 
-    if jobs > 1 and trials > 1:
-        records = _parallel_records(
-            jobs,
-            trials,
-            seed,
-            _equivalence_worker,
-            _equivalence_worker_init,
-            (gluing_to_json(g), str(field), max_dim, tuple(window)),
-        )
-    else:
-        records = [
-            _equivalence_trial(
-                eps_pm, eps_mp, derive_seed(seed, "trial", i), field, max_dim, window
-            )
-            for i in range(trials)
-        ]
+    state = ((eps_pm, eps_mp), field, max_dim, window)
+    records = _trial_records(_equivalence_trial, state, seed, trials, jobs)
     structural.append(("euler-ledger", True))
 
     return EquivalenceCertificate(
@@ -562,8 +537,8 @@ def _two_chain_epsilons():
     return eps_pm, eps_mp, eps_pp, eps_mm
 
 
-def _two_chain_trial(eps, tseed, field, max_dim, window) -> TrialRecord:
-    eps_pm, eps_mp, eps_pp, eps_mm = eps
+def _two_chain_trial(state, tseed) -> TrialRecord:
+    (eps_pm, eps_mp, eps_pp, eps_mm), field, max_dim, window = state
     K = random_diagram(TWO_CHAIN, tseed, max_dim, window)
     counit = eps_pm.evaluate(K)
     unit = eps_mp.evaluate(K)
@@ -636,23 +611,9 @@ def verify_two_chain(
     structural.append(
         ("retract-homotopy-121", bool(check_homotopy(ALPHA2, BETA2, H121, XI121.D)))
     )
-    eps = _two_chain_epsilons()
+    state = (_two_chain_epsilons(), field, max_dim, window)
     structural.append(("epsilon-naturality", True))
-
-    if jobs > 1 and trials > 1:
-        records = _parallel_records(
-            jobs,
-            trials,
-            seed,
-            _two_chain_worker,
-            _two_chain_worker_init,
-            (str(field), max_dim, tuple(window)),
-        )
-    else:
-        records = [
-            _two_chain_trial(eps, derive_seed(seed, "trial", i), field, max_dim, window)
-            for i in range(trials)
-        ]
+    records = _trial_records(_two_chain_trial, state, seed, trials, jobs)
     structural.append(("composition-law", True))
     structural.append(("euler-ledger", True))
 

@@ -49,7 +49,7 @@ class Poset:
         return len(self.elements)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Poset)
             and self.elements == other.elements
             and self.leq == other.leq

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from posetglue import abelian_eval
 from posetglue.abelian_eval import (
     RATIONALS,
     ChainMap,
@@ -49,7 +50,7 @@ from posetglue.formula_cat import (
     negated_star_shift,
     shift,
 )
-from posetglue.harness import TWO_CHAIN_PLUS
+from posetglue.harness import TWO_CHAIN_PLUS, figure_one_poset
 from posetglue.intmat import Mat
 from posetglue.rng import derive_seed
 
@@ -241,7 +242,10 @@ class TestEvalFormulas:
         for seed in range(10):
             K = random_diagram(TWO_CHAIN, seed, max_dim=2, window=(-1, 1))
             for f in (XI12, XI121):
-                j = eval_formula_morphism(i_xi(f), K)
+                fm = i_xi(f)
+                j = eval_formula_morphism(
+                    fm, K, eval_point(fm.source, K), eval_point(fm.target, K)
+                )
                 assert is_quasi_iso(j)
                 assert induced_qis(j)
                 for t in j.f:
@@ -266,6 +270,20 @@ class TestRandomGenerators:
             K2 = random_diagram(TWO_CHAIN, seed)
             assert K1 == K2
             assert isinstance(K1, PosetDiagram)
+
+    def test_random_diagram_builds_each_stalk_once(self, monkeypatch):
+        calls = []
+        real = abelian_eval.direct_sum_complexes
+        monkeypatch.setattr(
+            abelian_eval,
+            "direct_sum_complexes",
+            lambda parts: calls.append(1) or real(parts),
+        )
+        for X in (TWO_CHAIN, figure_one_poset("X1")):
+            for seed in range(5):
+                calls.clear()
+                random_diagram(X, seed)
+                assert len(calls) == len(X)
 
     def test_random_ses_is_degreewise_exact(self):
         for seed in range(20):

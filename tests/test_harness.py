@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
@@ -17,7 +18,7 @@ from posetglue.errors import (
     PosetGlueError,
     SizeLimit,
 )
-from posetglue import formula_cat, harness
+from posetglue import abelian_eval, formula_cat, harness
 from posetglue.formula_cat import (
     NU,
     TWO_CHAIN,
@@ -205,6 +206,15 @@ class TestRunParameters:
             ({"trials": -5}, "trials"),
             ({"jobs": 0}, "jobs"),
             ({"window": (2, -1)}, "window"),
+            ({"window": (1,)}, "window"),
+            ({"window": ("a", "b")}, "window"),
+            ({"window": 2}, "window"),
+            ({"trials": 1.5}, "trials"),
+            ({"trials": True}, "trials"),
+            ({"seed": "x"}, "seed"),
+            ({"max_dim": 2.5}, "max_dim"),
+            ({"jobs": 1.5}, "jobs"),
+            ({"field": "q"}, "field"),
         ],
     )
     def test_run_bounds_are_checked_before_any_work(self, monkeypatch, bad, match):
@@ -253,6 +263,46 @@ class TestRunParameters:
         cert = verify_two_chain(jobs=jobs, **run)
         assert sizes == [workers]
         assert cert.to_json() == verify_two_chain(jobs=1, **run).to_json()
+
+    def test_workers_get_a_pickled_copy_of_the_built_state(self, monkeypatch):
+        # A worker started by "spawn" receives its initializer arguments and
+        # returns its records by pickle; this pool does both, inline.
+        def round_trip(value):
+            return pickle.loads(pickle.dumps(value))
+
+        class PicklingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*round_trip(initargs))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [round_trip(fn(round_trip(item))) for item in items]
+
+        g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
+        run = {"trials": 4, "seed": 5, "max_dim": 2, "window": (-1, 1)}
+        serial = [
+            verify_equivalence(g, jobs=1, **run).to_json(),
+            verify_two_chain(jobs=1, **run).to_json(),
+        ]
+        builds = []
+        real_build = harness.build_theorem_formulas
+        monkeypatch.setattr(
+            harness,
+            "build_theorem_formulas",
+            lambda g: builds.append(g) or real_build(g),
+        )
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", PicklingPool)
+        pooled = [
+            verify_equivalence(g, jobs=2, **run).to_json(),
+            verify_two_chain(jobs=2, **run).to_json(),
+        ]
+        assert pooled == serial
+        assert len(builds) == 1
 
 
 class TestCompose:
@@ -306,6 +356,20 @@ class TestEpsilons:
         with pytest.raises(PosetGlueError):
             EpsilonTransform(TWO_CHAIN_PLUS, TWO_CHAIN_MINUS, comps)
 
+    def test_evaluate_evaluates_each_value_once(self, monkeypatch):
+        g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
+        eps_pm, eps_mp = build_epsilons(g, *build_theorem_formulas(g))
+        calls = []
+        real = abelian_eval.eval_point
+        monkeypatch.setattr(
+            abelian_eval, "eval_point", lambda f, K: calls.append(f) or real(f, K)
+        )
+        for eps in (eps_pm, eps_mp):
+            K = random_diagram(eps.source.base, 7, 2, (-1, 1))
+            calls.clear()
+            eps.evaluate(K)
+            assert len(calls) == len(eps.source.target) + len(eps.target.target)
+
     def test_naturality_failure_is_reported_with_edge(self):
         # sign-flipped identity components break the connecting square
         bad = {"1": [[1]], "2": [[-1]]}
@@ -355,10 +419,10 @@ class TestVerifyEquivalence:
         assert verify_equivalence(g, **SMALL).ok
 
     def test_jobs_match_sequential(self):
-        g = random_gluing(8)
-        seq = verify_equivalence(g, trials=4, jobs=1, max_dim=2, window=(-1, 1))
-        par = verify_equivalence(g, trials=4, jobs=2, max_dim=2, window=(-1, 1))
-        assert seq.to_json() == par.to_json()
+        for g in (random_gluing(8), figure_one_gluing(FIGURE_ONE_PAIRS[0])[0]):
+            seq = verify_equivalence(g, trials=4, jobs=1, max_dim=2, window=(-1, 1))
+            par = verify_equivalence(g, trials=4, jobs=2, max_dim=2, window=(-1, 1))
+            assert seq.to_json() == par.to_json()
 
     def test_certificate_fields(self):
         g = single_edge_gluing()

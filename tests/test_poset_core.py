@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -307,3 +308,15 @@ class TestQueries:
         p = poset_from_generators(["a", "b"], [("a", "b")])
         q = Poset(["b", "a"], {("a", "a"), ("b", "b"), ("a", "b")})
         assert p.same_order(q)
+
+    def test_equal_but_distinct_posets_compare_equal(self):
+        p = poset_from_generators(["a", "b"], [("a", "b")])
+        for q in (
+            poset_from_generators(["a", "b"], [("a", "b")]),
+            pickle.loads(pickle.dumps(p)),
+        ):
+            assert q is not p
+            assert p == q and q == p and hash(p) == hash(q)
+        assert p == p
+        assert p != poset_from_generators(["a", "b"], [])
+        assert p != poset_from_generators(["b", "a"], [("a", "b")])

@@ -7,10 +7,11 @@ re-export in ``__init__.py``.  Uses are names read in code and attributes
 read off a module (``harness.random_diagram``); imports alone do not count.
 
 A parameter with a default is an option; one that no call in ``src/``,
-``tests/`` or ``perfbench/`` passes, by keyword or by position, is an option
-nobody uses.  Calls are matched to definitions by name only (``f(..)`` and
-``obj.f(..)``; a class by its name for ``__init__``), which can only count
-too many calls, never too few.
+``tests/`` or ``perfbench/`` passes, by keyword or by position, with a value
+other than the literal default is an option nobody uses.  A starred argument
+or ``**kw`` counts as another value.  Calls are matched to definitions by
+name only (``f(..)`` and ``obj.f(..)``; a class by its name for
+``__init__``), which can only count too many calls, never too few.
 """
 
 from __future__ import annotations
@@ -68,10 +69,15 @@ def test_every_public_name_has_a_caller():
     assert not callerless, callerless
 
 
-def _calls(files) -> dict:
-    """Callee name -> list of (positional count, keyword names) per call.
+OTHER = object()  # an argument whose value the AST cannot pin down
 
-    A starred argument counts as every position, ``**kw`` as every keyword.
+
+def _calls(files) -> dict:
+    """Callee name -> list of (positional arguments, keyword arguments) per
+    call, each argument an AST node.
+
+    A starred argument stands for OTHER at its own and every later position,
+    ``**kw`` for OTHER under every keyword (the None key).
     """
     calls = {}
     for path in files:
@@ -80,25 +86,62 @@ def _calls(files) -> dict:
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            starred = any(isinstance(a, ast.Starred) for a in node.args)
-            keywords = {k.arg for k in node.keywords}
-            calls.setdefault(name, []).append(
-                (float("inf") if starred else len(node.args), keywords)
-            )
+            positional = []
+            for arg in node.args:
+                if isinstance(arg, ast.Starred):
+                    positional.append(OTHER)
+                    break
+                positional.append(arg)
+            keywords = {
+                k.arg: OTHER if k.arg is None else k.value for k in node.keywords
+            }
+            calls.setdefault(name, []).append((positional, keywords))
     return calls
 
 
+def _passed(call, position, name):
+    """The argument a call passes for a parameter, OTHER, or None if it
+    passes nothing there."""
+    positional, keywords = call
+    if None in keywords:
+        return OTHER
+    if name in keywords:
+        return keywords[name]
+    if position is not None and positional:
+        if position < len(positional):
+            return positional[position]
+        if positional[-1] is OTHER:
+            return OTHER
+    return None
+
+
+def _literal(node):
+    """(type, value) of a literal argument, or None."""
+    if node is OTHER:
+        return None
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return None
+    return type(value), value
+
+
+def _is_default(arg, default) -> bool:
+    literal = _literal(arg)
+    return literal is not None and literal == _literal(default)
+
+
 def _defaulted(fn, skip: int):
-    """(position after the skipped self/cls, name) of each defaulted parameter;
-    keyword-only ones get no position."""
+    """(position after the skipped self/cls, name, default node) of each
+    defaulted parameter; keyword-only ones get no position."""
     positional = fn.args.posonlyargs + fn.args.args
     first = len(positional) - len(fn.args.defaults)
     for i, arg in enumerate(positional):
         if i >= first:
-            yield i - skip, arg.arg
+            yield i - skip, arg.arg, fn.args.defaults[i - first]
     for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
         if default is not None:
-            yield None, arg.arg
+            yield None, arg.arg, default
 
 
 def _public_callables(tree):
@@ -127,12 +170,10 @@ def test_every_parameter_default_is_overridden_somewhere():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for name, fn, skip in _public_callables(tree):
-            for position, param in _defaulted(fn, skip):
+            for position, param, default in _defaulted(fn, skip):
+                passed = (_passed(c, position, param) for c in calls.get(name, []))
                 if not any(
-                    None in keywords
-                    or param in keywords
-                    or (position is not None and count > position)
-                    for count, keywords in calls.get(name, [])
+                    arg is not None and not _is_default(arg, default) for arg in passed
                 ):
                     unset.append(f"{path.stem}:{fn.name if skip == 0 else name}({param})")
     assert not unset, unset
