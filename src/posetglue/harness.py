@@ -173,6 +173,8 @@ def _run_config(trials, seed, field, max_dim, window, jobs) -> dict:
     lo, hi = window
     if lo > hi:
         raise ParseError(f"degree window [{lo}, {hi}] is empty")
+    if hi - lo >= 2**64:  # the widest draw, randrange(hi - lo + 1), is at most 2**64
+        raise ParseError(f"degree window [{lo}, {hi}] spans more than 2**64 degrees")
     return {
         "trials": trials,
         "seed": seed,

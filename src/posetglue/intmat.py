@@ -5,8 +5,19 @@ all over the place here (empty index sets, zero stalks) and nested tuples
 alone cannot represent an n x 0 matrix. All entries are Python ints; rank is
 computed exactly (fraction-free Bareiss over the rationals, Gaussian
 elimination over a prime field).
+
+Two constructors make a Mat. The public ones, `Mat(nrows, ncols, rows)`,
+`Mat.from_rows` and `Mat.diag`, validate: they convert every entry with
+`int` and reject rows that do not match the stated shape. The private
+`Mat._of` trusts its caller and stores `rows` as given; it is used only in
+this module, by the operations (`mul`, `add`, `sub`, `scale`, `neg`,
+`transpose`, `block`, `zero`, `identity`), which check the shapes of their
+operands and build their results as tuples of int tuples of the right shape.
 """
 from __future__ import annotations
+
+from operator import add as _add
+from operator import sub as _sub
 
 from .errors import ShapeMismatch
 
@@ -23,17 +34,29 @@ class Mat:
         self.rows = rows
 
     @classmethod
+    def _of(cls, nrows, ncols, rows):
+        """A Mat from rows that are already a tuple of nrows int tuples of
+        length ncols; nothing is converted or checked."""
+        m = object.__new__(cls)
+        m.nrows = nrows
+        m.ncols = ncols
+        m.rows = rows
+        return m
+
+    @classmethod
     def from_rows(cls, rows):
         rows = [list(r) for r in rows]
         return cls(len(rows), len(rows[0]) if rows else 0, rows)
 
     @classmethod
     def zero(cls, nrows, ncols):
-        return cls(nrows, ncols, [[0] * ncols for _ in range(nrows)])
+        return cls._of(nrows, ncols, ((0,) * ncols,) * nrows)
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of(
+            n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        )
 
     @classmethod
     def diag(cls, entries):
@@ -60,30 +83,40 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols}, {list(map(list, self.rows))})"
 
     def is_zero(self):
-        return all(v == 0 for r in self.rows for v in r)
+        return not any(map(any, self.rows))
 
     def tolist(self):
         return [list(r) for r in self.rows]
 
     def transpose(self):
-        return Mat(self.ncols, self.nrows,
-                   [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
+        if not self.nrows:
+            return Mat._of(self.ncols, 0, ((),) * self.ncols)
+        return Mat._of(self.ncols, self.nrows, tuple(zip(*self.rows)))
 
     def scale(self, c):
         c = int(c)
-        return Mat(self.nrows, self.ncols, [[c * v for v in r] for r in self.rows])
+        return Mat._of(
+            self.nrows, self.ncols, tuple(tuple([c * v for v in r]) for r in self.rows)
+        )
 
     def neg(self):
         return self.scale(-1)
 
     def add(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ShapeMismatch(f"add {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
-        return Mat(self.nrows, self.ncols,
-                   [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+        return self._entrywise(other, _add, "add")
 
     def sub(self, other):
-        return self.add(other.neg())
+        return self._entrywise(other, _sub, "sub")
+
+    def _entrywise(self, other, op, name):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ShapeMismatch(
+                f"{name} {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
+            )
+        return Mat._of(
+            self.nrows, self.ncols,
+            tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)),
+        )
 
     def mul(self, other):
         if self.ncols != other.nrows:
@@ -98,7 +131,7 @@ class Mat:
                     for j, b in enumerate(rk):
                         if b:
                             oi[j] += a * b
-        return Mat(self.nrows, other.ncols, out)
+        return Mat._of(self.nrows, other.ncols, tuple(map(tuple, out)))
 
 
 def block(parts, row_sizes, col_sizes):
@@ -126,7 +159,7 @@ def block(parts, row_sizes, col_sizes):
             for j, v in enumerate(r):
                 if v:
                     oi[c0 + j] = v
-    return Mat(nrows, ncols, out)
+    return Mat._of(nrows, ncols, tuple(map(tuple, out)))
 
 
 def rank_exact(m: Mat) -> int:

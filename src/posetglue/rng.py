@@ -58,6 +58,8 @@ class SplitMix64:
         """Uniform integer in [0, n). Uses rejection to avoid modulo bias."""
         if n <= 0:
             raise ValueError("randrange needs a positive bound")
+        if n > 1 << 64:
+            raise ValueError("randrange bound exceeds 2**64")
         # Largest multiple of n that fits in 64 bits.
         limit = ((1 << 64) // n) * n
         while True:

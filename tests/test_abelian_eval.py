@@ -37,7 +37,7 @@ from posetglue.abelian_eval import (
     shift_complex,
     shift_diagram,
 )
-from posetglue.errors import D2NotZero, InvalidChainMap, ParseError
+from posetglue.errors import D2NotZero, DiagramAxiomFailure, InvalidChainMap, ParseError
 from posetglue.formula_cat import (
     NU,
     TWO_CHAIN,
@@ -50,8 +50,16 @@ from posetglue.formula_cat import (
     negated_star_shift,
     shift,
 )
-from posetglue.harness import TWO_CHAIN_PLUS, figure_one_poset
+from posetglue.gluing import build_plus
+from posetglue.harness import (
+    FIGURE_ONE_PAIRS,
+    TWO_CHAIN_PLUS,
+    build_theorem_formulas,
+    figure_one_gluing,
+    figure_one_poset,
+)
 from posetglue.intmat import Mat
+from posetglue.poset_core import hasse
 from posetglue.rng import derive_seed
 
 from conftest import (
@@ -95,10 +103,19 @@ class TestComplexes:
             VectComplex({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]}, check=True)
 
     def test_chain_map_checked(self):
-        K = VectComplex({0: 1, 1: 1}, {0: [[1]]})
-        L = VectComplex({0: 1, 1: 1}, {0: [[0]]})
-        with pytest.raises(InvalidChainMap):
-            ChainMap(K, L, {0: [[1]], 1: [[1]]}, check=True)
+        d = VectComplex({0: 1, 1: 1}, {0: [[1]]})
+        zero_d = VectComplex({0: 1, 1: 1}, {0: [[0]]})
+        bad = [
+            (d, zero_d, {0: [[1]], 1: [[1]]}),  # only f[1]·d_S[0], nonzero
+            (zero_d, d, {0: [[1]], 1: [[1]]}),  # only d_T[0]·f[0], nonzero
+            (d, d, {0: [[1]], 1: [[2]]}),  # both present, unequal
+        ]
+        for K, L, f in bad:
+            with pytest.raises(InvalidChainMap):
+                ChainMap(K, L, f, check=True)
+        # a one-sided product of present blocks that vanishes is accepted
+        K = VectComplex({0: 1, 1: 2}, {0: [[1], [0]]})
+        ChainMap(K, zero_d, {0: [[1]], 1: [[0, 1]]}, check=True)
 
     def test_cohomology_matches_fraction_oracle(self):
         for seed in range(60):
@@ -255,6 +272,39 @@ class TestEvalFormulas:
                         for i in range(len(m))
                         for k in range(len(m[i]))
                     )
+
+    @pytest.mark.parametrize("kind", ["non-cover", "diagonal"])
+    def test_unchecked_restrictions_are_proved_by_the_diagram(self, monkeypatch, kind):
+        # eval_formula checks only restrictions along Hasse edges as chain
+        # maps; a wrong diagonal or non-cover restriction must still be
+        # rejected, by PosetDiagram's identity and composition checks.
+        g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
+        F = build_theorem_formulas(g)[0]
+        covers = hasse(F.target).edges
+        pairs = [
+            p for p in sorted(F.target.leq)
+            if (p[0] == p[1]) == (kind == "diagonal") and p not in covers
+        ]
+        real = abelian_eval._eval_graded
+        K, phi = next(
+            (K, F.res[p].phi)
+            for K in (random_diagram(build_plus(g).poset, seed) for seed in range(20))
+            for p in pairs
+            if real(F.res[p].phi, K)
+        )
+        assert [fm.phi for fm in F.res.values()].count(phi) == 1
+
+        def perturbed(psi, K):
+            out = real(psi, K)
+            if psi is phi:
+                t = min(out)
+                out[t] = out[t].scale(2)
+            return out
+
+        eval_formula(F, K)
+        monkeypatch.setattr(abelian_eval, "_eval_graded", perturbed)
+        with pytest.raises(DiagramAxiomFailure):
+            eval_formula(F, K)
 
     def test_formula_map_of_identityish_diagram(self):
         g = random_qis_map(TWO_CHAIN, 5, max_dim=2, window=(-1, 1))

@@ -260,6 +260,11 @@ class TestVerify:
         assert main(["verify", "two-chain", "--window", "2", "-1"]) == 3
         capsys.readouterr()
 
+    def test_window_wider_than_the_rng_exits_3(self, files, capsys):
+        window = ["--window", "0", str(2**64)]
+        assert main(["verify", "two-chain", "--trials", "1", *window]) == 3
+        assert "2**64" in capsys.readouterr().err
+
     @pytest.mark.parametrize("max_dim", ["-1", "0"])
     def test_max_dim_below_one_exits_3(self, files, capsys, max_dim):
         assert main(["verify", "two-chain", "--trials", "1", "--max-dim", max_dim]) == 3

@@ -215,6 +215,8 @@ class TestRunParameters:
             ({"max_dim": 2.5}, "max_dim"),
             ({"jobs": 1.5}, "jobs"),
             ({"field": "q"}, "field"),
+            ({"window": (0, 2**64)}, "window"),
+            ({"window": (-(2**63), 2**63)}, "window"),
         ],
     )
     def test_run_bounds_are_checked_before_any_work(self, monkeypatch, bad, match):
@@ -235,6 +237,10 @@ class TestRunParameters:
         for call in runs:
             with pytest.raises(ParseError, match=match):
                 call()
+
+    def test_widest_window_runs(self):
+        for window in [(0, 2**64 - 1), (-(2**63), 2**63 - 1)]:
+            assert verify_two_chain(trials=1, max_dim=2, window=window).ok
 
     @pytest.mark.parametrize(
         "trials, jobs, cpus, workers",

@@ -1,0 +1,148 @@
+"""Integer matrices: every operation against a fractions reference on random
+shapes, n x 0 and 0 x n included, and the form every result is stored in.
+
+The operations build their results without the validating constructor, so
+each result is also checked to be a tuple of int tuples of its declared
+shape that equals, and hashes like, the same rows passed through ``Mat``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from posetglue.errors import ShapeMismatch
+from posetglue.intmat import Mat, block, rank_exact, rank_mod
+from posetglue.rng import SplitMix64
+
+from conftest import frac_rank, matmul, modp_rank, nonzeros
+
+SEEDS = range(120)
+
+
+def random_mat(rng, nrows, ncols):
+    return Mat(nrows, ncols, [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)])
+
+
+def random_dims(rng, count):
+    """Sizes 0..3, so that empty rows and columns come up often."""
+    return [rng.randrange(4) for _ in range(count)]
+
+
+def assert_well_formed(m, nrows, ncols):
+    assert (m.nrows, m.ncols) == (nrows, ncols)
+    assert type(m.rows) is tuple and len(m.rows) == nrows
+    for row in m.rows:
+        assert type(row) is tuple and len(row) == ncols
+        assert all(type(v) is int for v in row)
+    validated = Mat(m.nrows, m.ncols, m.rows)
+    assert validated == m and hash(validated) == hash(m)
+
+
+def reference(m):
+    return [[Fraction(v) for v in row] for row in m.rows]
+
+
+def test_mul_matches_reference():
+    for seed in SEEDS:
+        rng = SplitMix64(seed)
+        n, k, m = random_dims(rng, 3)
+        a, b = random_mat(rng, n, k), random_mat(rng, k, m)
+        c = a.mul(b)
+        assert_well_formed(c, n, m)
+        # matmul cannot see the width of a 0-row right factor; compare entries
+        assert nonzeros(c.tolist()) == nonzeros(matmul(reference(a), reference(b)))
+        with pytest.raises(ShapeMismatch):
+            a.mul(random_mat(rng, k + 1, m))
+
+
+def test_elementwise_operations_match_reference():
+    for seed in SEEDS:
+        rng = SplitMix64(seed)
+        n, m = random_dims(rng, 2)
+        a, b = random_mat(rng, n, m), random_mat(rng, n, m)
+        c = rng.randint(-3, 3)
+        ra, rb = reference(a), reference(b)
+        expected = {
+            "add": [[x + y for x, y in zip(p, q)] for p, q in zip(ra, rb)],
+            "sub": [[x - y for x, y in zip(p, q)] for p, q in zip(ra, rb)],
+            "scale": [[c * x for x in p] for p in ra],
+            "neg": [[-x for x in p] for p in ra],
+        }
+        results = {"add": a.add(b), "sub": a.sub(b), "scale": a.scale(c), "neg": a.neg()}
+        for name, result in results.items():
+            assert_well_formed(result, n, m)
+            assert result.tolist() == expected[name], name
+        for op in (a.add, a.sub):
+            with pytest.raises(ShapeMismatch):
+                op(random_mat(rng, n, m + 1))
+
+
+def test_transpose_matches_reference():
+    for seed in SEEDS:
+        rng = SplitMix64(seed)
+        n, m = random_dims(rng, 2)
+        a = random_mat(rng, n, m)
+        t = a.transpose()
+        assert_well_formed(t, m, n)
+        assert t.tolist() == [[a.rows[i][j] for i in range(n)] for j in range(m)]
+        assert t.transpose() == a
+
+
+def test_zero_and_identity_match_reference():
+    for n in range(5):
+        for m in range(5):
+            z = Mat.zero(n, m)
+            assert_well_formed(z, n, m)
+            assert z.tolist() == [[0] * m for _ in range(n)] and z.is_zero()
+        e = Mat.identity(n)
+        assert_well_formed(e, n, n)
+        assert e.tolist() == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_block_matches_reference():
+    for seed in SEEDS:
+        rng = SplitMix64(seed)
+        row_sizes = random_dims(rng, 1 + rng.randrange(3))
+        col_sizes = random_dims(rng, 1 + rng.randrange(3))
+        parts = {
+            (i, j): random_mat(rng, r, c)
+            for i, r in enumerate(row_sizes)
+            for j, c in enumerate(col_sizes)
+            if rng.randrange(2)
+        }
+        m = block(parts, row_sizes, col_sizes)
+        assert_well_formed(m, sum(row_sizes), sum(col_sizes))
+        expected = [[0] * sum(col_sizes) for _ in range(sum(row_sizes))]
+        for (i, j), part in parts.items():
+            r0, c0 = sum(row_sizes[:i]), sum(col_sizes[:j])
+            for a, row in enumerate(part.rows):
+                for b, v in enumerate(row):
+                    expected[r0 + a][c0 + b] = v
+        assert m.tolist() == expected
+    with pytest.raises(ShapeMismatch):
+        block({(0, 0): Mat.zero(1, 2)}, [1], [3])
+
+
+def test_ranks_match_reference():
+    for seed in SEEDS:
+        rng = SplitMix64(seed)
+        n, k, m = random_dims(rng, 3)
+        # a product of a thin pair has rank at most k, so ranks vary
+        a = random_mat(rng, n, k).mul(random_mat(rng, k, m))
+        assert rank_exact(a) == frac_rank(a.tolist())
+        for p in (2, 3, 5, 7):
+            assert rank_mod(a, p) == modp_rank(a.tolist(), p)
+
+
+def test_public_constructors_validate():
+    assert Mat(1, 2, [[True, 2.0]]).rows == ((1, 2),)
+    assert all(type(v) is int for v in Mat(1, 2, [[True, 2.0]]).rows[0])
+    assert Mat.from_rows([[1, 2], [3, 4]]).rows == ((1, 2), (3, 4))
+    assert Mat.diag([2, 3]).rows == ((2, 0), (0, 3))
+    for nrows, ncols, rows in [(2, 2, [[1, 2], [3]]), (1, 2, [[1, 2], [3, 4]]), (2, 0, [])]:
+        with pytest.raises(ShapeMismatch):
+            Mat(nrows, ncols, rows)
+    with pytest.raises(ShapeMismatch):
+        Mat.from_rows([[1, 2], [3]])

@@ -1,5 +1,6 @@
-"""Every public top-level name in the package has a caller, and every
-defaulted parameter of a public function or method is set by some call.
+"""Every public top-level name in the package has a caller, every
+defaulted parameter of a public function or method is set by some call, and
+the unchecked ``Mat._of`` constructor is used only inside ``intmat``.
 
 A public function, class or constant of ``src/posetglue/*.py`` must be used
 somewhere in ``src/`` or ``tests/`` other than its own definition and its
@@ -177,3 +178,24 @@ def test_every_parameter_default_is_overridden_somewhere():
                 ):
                     unset.append(f"{path.stem}:{fn.name if skip == 0 else name}({param})")
     assert not unset, unset
+
+
+def test_trusted_mat_constructor_stays_in_intmat():
+    # Mat._of stores rows without converting or checking them; only intmat's
+    # own operations, which build well-formed rows, may call it.
+    intmat = PACKAGE / "intmat.py"
+    files = [
+        path
+        for folder in (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
+        for path in sorted(folder.rglob("*.py"))
+    ]
+    uses = {}
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "_of") or (
+                isinstance(node, ast.Name) and node.id == "_of"
+            ):
+                uses.setdefault(path, []).append(node.lineno)
+    assert intmat in uses  # the guard still names the constructor intmat uses
+    outside = {str(p.relative_to(ROOT)): lines for p, lines in uses.items() if p != intmat}
+    assert not outside, outside
