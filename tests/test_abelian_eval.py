@@ -7,6 +7,9 @@ computations against fractions-based row reduction.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from posetglue import abelian_eval
@@ -313,7 +316,54 @@ class TestEvalFormulas:
         assert is_quasi_iso_diagram(Fg)
 
 
+def _maps_json(maps) -> dict:
+    return {
+        str(key): {str(t): m.tolist() for t, m in sorted(f.f.items())}
+        for key, f in maps.items()
+    }
+
+
+def _diagram_json(K) -> dict:
+    return {"K": {x: complex_to_json(c) for x, c in K.K.items()}, "r": _maps_json(K.r)}
+
+
+def _diagram_map_json(g) -> dict:
+    return {
+        "source": _diagram_json(g.source),
+        "target": _diagram_json(g.target),
+        "components": _maps_json(g.components),
+    }
+
+
+# SHA-256 of the canonical JSON of each generator's draws for seeds 0-19:
+# stalks, restrictions and components, so any change to a draw shows here.
+_DRAWS = {
+    "diagram": lambda X, s: _diagram_json(random_diagram(X, s)),
+    "qis": lambda X, s: _diagram_map_json(
+        random_qis_map(X, s, max_dim=2, window=(-1, 1))
+    ),
+    "ses": lambda X, s: [
+        _diagram_map_json(g) for g in random_ses(X, s, window=(-1, 1))
+    ],
+}
+_DRAW_DIGESTS = {
+    ("diagram", "two-chain"): "7a739221d9f4e3c23c72acb74422bfafa9031ccbb5350049032f828a5ab8f337",
+    ("diagram", "X1"): "556ee694fe337995d1402c8bf282c052084a45b74ec2404c1b28fc361cdb8e32",
+    ("qis", "two-chain"): "f32bca40b784ae77b12ab30e159361d9cbe069d252a40a6c6c12ed2bcb7b4668",
+    ("qis", "X1"): "c47993b02ea7887e45fdc393311429a1cfea0e4efa64454dfca6c8ab34adee9c",
+    ("ses", "two-chain"): "3e67232ae51fd9de07dfda2567c738eef0ff4d970f6d13cf08418cdce9988354",
+    ("ses", "X1"): "ab01488977175b23838f63cffe013a05240591e1d57363ec50552b451aea7388",
+}
+
+
 class TestRandomGenerators:
+    @pytest.mark.parametrize("kind, order", sorted(_DRAW_DIGESTS))
+    def test_draws_are_pinned(self, kind, order):
+        X = TWO_CHAIN if order == "two-chain" else figure_one_poset(order)
+        doc = json.dumps([_DRAWS[kind](X, s) for s in range(20)], sort_keys=True)
+        digest = hashlib.sha256(doc.encode()).hexdigest()
+        assert digest == _DRAW_DIGESTS[(kind, order)]
+
     def test_random_diagram_is_deterministic_and_valid(self):
         for seed in range(10):
             K1 = random_diagram(TWO_CHAIN, seed)
