@@ -6,6 +6,13 @@ All matrices are integers; the field only enters through rank computations
 (rationals via fraction-free elimination, prime fields via modular
 elimination), so every construction is literally identical over every field
 and any field-dependence in reported dimensions would expose a bug.
+
+Every random object is a sum of up-set pieces P_u ⊗ S (a complex S spread
+over the up-set of u), changed only by piece maps between pieces whose
+up-sets nest: twists of the restrictions, null-homotopic noise on a
+quasi-isomorphism, bends of a short exact sequence's middle differential.
+So each random diagram is isomorphic to a split sum of pieces, and random
+trials never see a non-split diagram such as the cone of P_v -> P_u.
 """
 from __future__ import annotations
 
@@ -681,14 +688,36 @@ def _random_null_homotopic(rng: SplitMix64, S: VectComplex, T: VectComplex) -> d
     return n
 
 
-class _PieceDiagram:
-    """Internal: a diagram assembled from up-set extension pieces.
+def _nested_pairs(X: Poset, sources, targets) -> list:
+    """The pairs (k, l) with u_l <= u_k, for pieces (u_k, S_k) of sources and
+    (u_l, S_l) of targets: the up-set of u_k lies in that of u_l, so a map
+    S_k -> S_l spread over the up-set of u_k commutes with the restrictions."""
+    return [
+        (k, l)
+        for k, (u, _) in enumerate(sources)
+        for l, (v, _) in enumerate(targets)
+        if X.le(v, u)
+    ]
 
-    Piece k is a complex S_k spread constantly over the up-set of an element
-    u_k, with identity restrictions; the stalk at x is the direct sum of the
-    pieces whose support contains x, and restrictions are the block
-    inclusions. Twisting by unipotent piece-to-piece chain maps hides the
-    block structure without breaking any axiom.
+
+def _random_piece_maps(rng: SplitMix64, pairs, sources, targets, count: int) -> list:
+    """count random piece maps (k, l, n): a pair drawn from pairs and the
+    degreewise matrices n of a null-homotopic chain map S_k -> S_l. Zero
+    maps are dropped, and without pairs nothing is drawn."""
+    maps = []
+    for _ in range(count if pairs else 0):
+        k, l = rng.choice(pairs)
+        n = _random_null_homotopic(rng, sources[k][1], targets[l][1])
+        if n:
+            maps.append((k, l, n))
+    return maps
+
+
+class _PieceDiagram:
+    """Internal: pieces (u_k, S_k); the stalk at x is the direct sum of the
+    pieces with u_k <= x, and restrictions are the block inclusions. Piece
+    maps (k, l, n), n degreewise S_k -> S_l or S_k -> S_l[1] with u_l <= u_k,
+    commute with them: they bend stalk differentials or twist restrictions.
     """
 
     def __init__(self, X: Poset, pieces):
@@ -703,6 +732,19 @@ class _PieceDiagram:
             for x in X.elements
         }
 
+    def sizes(self, x, t) -> list:
+        return [self.pieces[k][1].dim(t) for k in self.present[x]]
+
+    def place(self, x, t, maps, blocks) -> dict:
+        """Add the degree-t matrices of the piece maps (k, l, n) that are
+        present at x to blocks, keyed by the positions of l and k at x."""
+        present = self.present[x]
+        for k, l, n in maps:
+            if k in present and t in n:
+                key = present.index(l), present.index(k)
+                blocks[key] = blocks[key].add(n[t]) if key in blocks else n[t]
+        return blocks
+
     def inclusion_blocks(self, src_present, tgt_present, t):
         """(blocks, rows, cols) at degree t of the block inclusion of the
         pieces src_present into the pieces tgt_present."""
@@ -715,75 +757,66 @@ class _PieceDiagram:
         }
         return blocks, rows, cols
 
-    def diagram(self) -> PosetDiagram:
-        """The untwisted diagram: the stalks with block-inclusion restrictions."""
+    def diagram(self, bends=()) -> PosetDiagram:
+        """The untwisted diagram: the stalks, their differentials bent by the
+        degree-one piece maps bends, with block-inclusion restrictions. Only
+        a bent diagram needs its axioms checked."""
+        stalks = self.stalks
+        if bends:
+            stalks = {}
+            for x, K in self.stalks.items():
+                d = dict(K.d)
+                for t in K.dims:
+                    blocks = self.place(x, t, bends, {})
+                    if blocks:
+                        bend = block(blocks, self.sizes(x, t + 1), self.sizes(x, t))
+                        d[t] = K.diff(t).add(bend)
+                stalks[x] = VectComplex(K.dims, d, check=True)
         r = {}
         for x, x2 in self.X.leq:
-            src, tgt = self.stalks[x], self.stalks[x2]
+            src, tgt = stalks[x], stalks[x2]
             present = self.present[x], self.present[x2]
-            f = {}
-            for t in set(src.dims) | set(tgt.dims):
-                f[t] = block(*self.inclusion_blocks(*present, t))
-            r[(x, x2)] = ChainMap(src, tgt, f, check=False)
-        return PosetDiagram(self.X, self.stalks, r, check=False)
+            f = {t: block(*self.inclusion_blocks(*present, t)) for t in src.dims}
+            r[(x, x2)] = ChainMap(src, tgt, f, check=bool(bends))
+        return PosetDiagram(self.X, stalks, r, check=bool(bends))
 
     def random_twist_factors(self, rng: SplitMix64, count: int) -> list:
         """Unipotent diagram automorphism factors: null-homotopic constant
-        chain maps from piece k into a piece l supported on a larger up-set."""
-        factors = []
+        chain maps from piece k into a piece l != k supported on a larger
+        up-set."""
         pairs = [
-            (k, l)
-            for k in range(len(self.pieces))
-            for l in range(len(self.pieces))
-            if k != l and self.X.le(self.pieces[l][0], self.pieces[k][0])
+            (k, l) for k, l in _nested_pairs(self.X, self.pieces, self.pieces) if k != l
         ]
-        if not pairs:
-            return factors
-        for _ in range(count):
-            k, l = rng.choice(pairs)
-            n = _random_null_homotopic(rng, self.pieces[k][1], self.pieces[l][1])
-            if n:
-                factors.append((k, l, n))
-        return factors
+        return _random_piece_maps(rng, pairs, self.pieces, self.pieces, count)
 
-    def twist_matrix(self, x, t, factors, invert: bool = False) -> Mat:
-        """The degree-t component at x of the product of (I + N) factors."""
-        present = self.present[x]
-        sizes = [self.pieces[k][1].dim(t) for k in present]
-        total = Mat.identity(sum(sizes))
-        for k, l, n in factors:
-            if k not in present or t not in n:
-                continue
-            ri = present.index(l)
-            ci = present.index(k)
-            blocks = {(i, i): Mat.identity(s) for i, s in enumerate(sizes) if s}
-            body = n[t] if not invert else n[t].neg()
-            if body.nrows and body.ncols:
-                blocks[(ri, ci)] = (
-                    body if ri != ci else body.add(Mat.identity(sizes[ri]))
-                )
-            factor = block(blocks, sizes, sizes)
-            total = factor.mul(total) if not invert else total.mul(factor)
-        return total
-
-    def twisted_diagram(self, factors) -> PosetDiagram:
+    def twisted(self, factors):
+        """The diagram with restrictions conjugated by U, and U itself: the
+        pair (U, U^-1) for each element x and degree t of its stalk, where U
+        is the product of the (I + N) factors, the first one rightmost.
+        Each N squares to zero, so (I + N)^-1 = I - N."""
+        twists = {}
+        for x, K in self.stalks.items():
+            for t, size in K.dims.items():
+                U = Uinv = Mat.identity(size)
+                sizes = self.sizes(x, t)
+                for factor in factors:
+                    blocks = self.place(x, t, [factor], {})
+                    if blocks:
+                        N = block(blocks, sizes, sizes)
+                        U, Uinv = U.add(N.mul(U)), Uinv.sub(Uinv.mul(N))
+                twists[(x, t)] = U, Uinv
         base = self.diagram()
         if not factors:
-            return base
-        r = {}
+            return base, twists
+        r = dict(base.r)
         for (x, x2), f in base.r.items():
-            if x == x2:
-                r[(x, x2)] = f
-                continue
-            g = {}
-            for t in set(f.source.dims) | set(f.target.dims):
-                left = self.twist_matrix(x2, t, factors)
-                right = self.twist_matrix(x, t, factors, invert=True)
-                m = left.mul(f.at(t)).mul(right)
-                if not m.is_zero():
-                    g[t] = m
-            r[(x, x2)] = ChainMap(f.source, f.target, g, check=False)
-        return PosetDiagram(self.X, base.K, r, check=True)
+            if x != x2:
+                g = {
+                    t: twists[(x2, t)][0].mul(m).mul(twists[(x, t)][1])
+                    for t, m in f.f.items()
+                }
+                r[(x, x2)] = ChainMap(f.source, f.target, g, check=False)
+        return PosetDiagram(self.X, base.K, r, check=True), twists
 
 
 def _random_pieces(X: Poset, rng: SplitMix64, max_dim: int, window) -> list:
@@ -818,8 +851,7 @@ def random_diagram(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> Pos
     """
     rng = SplitMix64(derive_seed(seed, "diagram"))
     pd = _PieceDiagram(X, _random_pieces(X, rng, max_dim, window))
-    factors = pd.random_twist_factors(rng, count=2)
-    return pd.twisted_diagram(factors)
+    return pd.twisted(pd.random_twist_factors(rng, count=2))[0]
 
 
 def random_qis_map(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> DiagramMap:
@@ -838,43 +870,20 @@ def random_qis_map(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> Dia
     tgt_pd = _PieceDiagram(X, src_pieces + extra)
     src_factors = src_pd.random_twist_factors(rng, count=1)
     tgt_factors = tgt_pd.random_twist_factors(rng, count=1)
-    source = src_pd.twisted_diagram(src_factors)
-    target = tgt_pd.twisted_diagram(tgt_factors)
-    # Null-homotopic noise on the block inclusion, built piece-constantly so
-    # it commutes with the untwisted restrictions.
-    noise_pairs = [
-        (k, l)
-        for k in range(len(src_pieces))
-        for l in range(len(src_pieces) + len(extra))
-        if X.le((src_pieces + extra)[l][0], src_pieces[k][0])
-    ]
-    noise = []
-    if noise_pairs:
-        for _ in range(rng.randrange(3)):
-            k, l = rng.choice(noise_pairs)
-            n = _random_null_homotopic(
-                rng, src_pieces[k][1], (src_pieces + extra)[l][1]
-            )
-            if n:
-                noise.append((k, l, n))
+    source, src_twists = src_pd.twisted(src_factors)
+    target, tgt_twists = tgt_pd.twisted(tgt_factors)
+    # Null-homotopic noise on the block inclusion; (k, k) is always a pair.
+    pairs = _nested_pairs(X, src_pieces, tgt_pd.pieces)
+    noise = _random_piece_maps(rng, pairs, src_pieces, tgt_pd.pieces, rng.randrange(3))
     components = {}
     for x in X.elements:
-        src_present = src_pd.present[x]
-        tgt_present = tgt_pd.present[x]
         f = {}
-        for t in set(source.K[x].dims) | set(target.K[x].dims):
-            blocks, rows, cols = tgt_pd.inclusion_blocks(src_present, tgt_present, t)
-            for k, l, n in noise:
-                if k in src_present and t in n:
-                    ri, ci = tgt_present.index(l), src_present.index(k)
-                    prev = blocks.get((ri, ci), Mat.zero(rows[ri], cols[ci]))
-                    blocks[(ri, ci)] = prev.add(n[t])
-            raw = block(blocks, rows, cols)
-            left = tgt_pd.twist_matrix(x, t, tgt_factors)
-            right = src_pd.twist_matrix(x, t, src_factors, invert=True)
-            m = left.mul(raw).mul(right)
-            if not m.is_zero():
-                f[t] = m
+        for t in source.K[x].dims:
+            blocks, rows, cols = tgt_pd.inclusion_blocks(
+                src_pd.present[x], tgt_pd.present[x], t
+            )
+            raw = block(tgt_pd.place(x, t, noise, blocks), rows, cols)
+            f[t] = tgt_twists[(x, t)][0].mul(raw).mul(src_twists[(x, t)][1])
         components[x] = ChainMap(source.K[x], target.K[x], f, check=True)
     return DiagramMap(source, target, components)
 
@@ -882,119 +891,38 @@ def random_qis_map(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> Dia
 def random_ses(X: Poset, seed: int, window=(-2, 2)):
     """A deterministic random degreewise-split short exact sequence of
     diagrams, at most two dimensions per degree and part: returns
-    (inclusion, projection) with a twisted extension in the middle."""
+    (inclusion, projection) with a bent extension in the middle."""
     rng = SplitMix64(derive_seed(seed, "ses"))
     left_pieces = _random_pieces(X, rng, 2, window)
     right_pieces = _random_pieces(X, rng, 2, window)
-    left_pd = _PieceDiagram(X, left_pieces)
-    right_pd = _PieceDiagram(X, right_pieces)
-    left = left_pd.diagram()
-    right = right_pd.diagram()
-    # Extension datum: a piece-constant graded map from the right part into
-    # the left part, bent into an off-diagonal differential block.
-    pairs = [
-        (k, l)
-        for k in range(len(right_pieces))
-        for l in range(len(left_pieces))
-        if X.le(left_pieces[l][0], right_pieces[k][0])
+    # Extension datum: piece maps from the right pieces into the left ones,
+    # of degree one, bent into the middle's off-diagonal differential block.
+    shifted = [(u, shift_complex(L, 1)) for u, L in left_pieces]
+    pairs = _nested_pairs(X, right_pieces, left_pieces)
+    count = rng.randrange(3) if pairs else 0
+    bends = [
+        (len(left_pieces) + k, l, {t: m.neg() for t, m in n.items()})
+        for k, l, n in _random_piece_maps(rng, pairs, right_pieces, shifted, count)
     ]
-    bends = []
-    for _ in range(rng.randrange(3) if pairs else 0):
-        k, l = rng.choice(pairs)
-        Rk, Ll = right_pieces[k][1], left_pieces[l][1]
-        h = {
-            t: Mat.from_rows(
-                [
-                    [rng.randint(-1, 1) for _ in range(Rk.dim(t))]
-                    for _ in range(Ll.dim(t))
-                ]
-            )
-            for t in set(Rk.dims)
-            if Rk.dim(t) and Ll.dim(t)
-        }
-        tmat = {}
-        for t in set(Rk.dims) | set(Ll.dims):
-            ht = h.get(t, Mat.zero(Ll.dim(t), Rk.dim(t)))
-            ht1 = h.get(t + 1, Mat.zero(Ll.dim(t + 1), Rk.dim(t + 1)))
-            piece = Ll.diff(t).mul(ht).sub(ht1.mul(Rk.diff(t)))
-            if not piece.is_zero():
-                tmat[t] = piece
-        if tmat:
-            bends.append((k, l, tmat))
-    middle_K = {}
-    middle_r = {}
-    for x in X.elements:
-        lp = left_pd.present[x]
-        rp = right_pd.present[x]
-        Lx, Rx = left.K[x], right.K[x]
-        dims = {
-            t: Lx.dim(t) + Rx.dim(t)
-            for t in set(Lx.dims) | set(Rx.dims)
-        }
-        d = {}
-        for t in set(dims) | {t - 1 for t in dims}:
-            rows = [Lx.dim(t + 1), Rx.dim(t + 1)]
-            cols = [Lx.dim(t), Rx.dim(t)]
-            bend_block = Mat.zero(Lx.dim(t + 1), Rx.dim(t))
-            for k, l, tmat in bends:
-                if k in rp and t in tmat:
-                    row_sizes = [left_pd.pieces[i][1].dim(t + 1) for i in lp]
-                    col_sizes = [right_pd.pieces[i][1].dim(t) for i in rp]
-                    bend_block = bend_block.add(
-                        block(
-                            {(lp.index(l), rp.index(k)): tmat[t]},
-                            row_sizes,
-                            col_sizes,
-                        )
-                    )
-            d[t] = block(
-                {
-                    (0, 0): Lx.diff(t),
-                    (0, 1): bend_block,
-                    (1, 1): Rx.diff(t),
-                },
-                rows,
-                cols,
-            )
-        middle_K[x] = VectComplex(dims, d, check=True)
-    for x, x2 in X.leq:
-        f = {}
-        src, tgt = middle_K[x], middle_K[x2]
-        for t in set(src.dims) | set(tgt.dims):
-            rows = [left.K[x2].dim(t), right.K[x2].dim(t)]
-            cols = [left.K[x].dim(t), right.K[x].dim(t)]
-            f[t] = block(
-                {
-                    (0, 0): left.r[(x, x2)].at(t),
-                    (1, 1): right.r[(x, x2)].at(t),
-                },
-                rows,
-                cols,
-            )
-        middle_r[(x, x2)] = ChainMap(src, tgt, f, check=True)
-    middle = PosetDiagram(X, middle_K, middle_r, check=True)
+    pd = _PieceDiagram(X, left_pieces + right_pieces)
+    middle = pd.diagram(bends)
+    left = _PieceDiagram(X, left_pieces).diagram()
+    right = _PieceDiagram(X, right_pieces).diagram()
     incl_components = {}
     proj_components = {}
     for x in X.elements:
-        Lx, Rx, Mx = left.K[x], right.K[x], middle.K[x]
+        present = pd.present[x]
+        lp = [k for k in present if k < len(left_pieces)]
+        rp = [k for k in present if k >= len(left_pieces)]
         fi = {}
         fp = {}
-        for t in set(Mx.dims):
-            fi[t] = block(
-                {(0, 0): Mat.identity(Lx.dim(t))},
-                [Lx.dim(t), Rx.dim(t)],
-                [Lx.dim(t)],
-            )
-            fp[t] = block(
-                {(0, 1): Mat.identity(Rx.dim(t))},
-                [Rx.dim(t)],
-                [Lx.dim(t), Rx.dim(t)],
-            )
-        incl_components[x] = ChainMap(Lx, Mx, fi, check=True)
-        proj_components[x] = ChainMap(Mx, Rx, fp, check=True)
-    incl = DiagramMap(left, middle, incl_components)
-    proj = DiagramMap(middle, right, proj_components)
-    return incl, proj
+        for t in middle.K[x].dims:
+            fi[t] = block(*pd.inclusion_blocks(lp, present, t))
+            blocks, rows, cols = pd.inclusion_blocks(rp, present, t)
+            fp[t] = block({(c, r): m for (r, c), m in blocks.items()}, cols, rows)
+        incl_components[x] = ChainMap(left.K[x], middle.K[x], fi, check=True)
+        proj_components[x] = ChainMap(middle.K[x], right.K[x], fp, check=True)
+    return DiagramMap(left, middle, incl_components), DiagramMap(middle, right, proj_components)
 
 
 # --- JSON ----------------------------------------------------------------------

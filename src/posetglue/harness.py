@@ -164,6 +164,8 @@ def _run_config(trials, seed, field, max_dim, window, jobs) -> dict:
         raise ParseError(f"window must be a pair of ints, got {window!r}")
     if not isinstance(field, Field):
         raise ParseError(f"field must be a Field, got {field!r}")
+    if not 0 <= seed < 2**64:  # the RNG reads seeds modulo 2**64
+        raise ParseError(f"seed must be in [0, 2**64), got {seed}")
     if trials < 1:
         raise ParseError(f"trials must be at least 1, got {trials}")
     if jobs < 1:

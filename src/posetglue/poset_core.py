@@ -20,9 +20,12 @@ class Poset:
     reflexive-transitive closure as a frozenset of ordered pairs. Construct
     via :func:`poset_from_generators` (or the JSON loader), which computes the
     closure and rejects cycles; the raw constructor trusts its input.
+    Its Hasse diagram and cover triangles are computed on first use and kept.
     """
 
-    __slots__ = ("elements", "leq", "_index", "_up", "_down", "_height")
+    __slots__ = (
+        "elements", "leq", "_index", "_up", "_down", "_height", "_hasse", "_triangles"
+    )
 
     def __init__(self, elements, leq):
         self.elements = tuple(elements)
@@ -44,6 +47,8 @@ class Poset:
                 (heights[d] for d in self._down[e] if d != e), default=-1
             )
         self._height = heights
+        self._hasse = None
+        self._triangles = None
 
     def __len__(self):
         return len(self.elements)
@@ -188,17 +193,19 @@ def _find_cycle(elements, index, pairs, i, j):
 
 def hasse(p: Poset) -> HasseDiagram:
     """Transitive reduction: edges (a, b) with a < b and nothing strictly between."""
-    edges = set()
-    for a in p.elements:
-        for b in p.up_set(a):
-            if a == b:
-                continue
-            if not any(c != a and c != b and p.le(c, b) for c in p.up_set(a)):
-                edges.add((a, b))
-    return HasseDiagram(p.elements, edges)
+    if p._hasse is None:
+        edges = set()
+        for a in p.elements:
+            for b in p.up_set(a):
+                if a == b:
+                    continue
+                if not any(c != a and c != b and p.le(c, b) for c in p.up_set(a)):
+                    edges.add((a, b))
+        p._hasse = HasseDiagram(p.elements, edges)
+    return p._hasse
 
 
-def cover_triangles(p: Poset):
+def cover_triangles(p: Poset) -> tuple:
     """Triangles (a, b, c) with a Hasse edge a < b and c >= b, in element order.
 
     Maps r(a, b), one per a <= b with r(a, a) the identity, compose on all of
@@ -208,9 +215,12 @@ def cover_triangles(p: Poset):
                     = r(a2, c)·r(a, a2)           [induction, a2 to b]
                     = r(a, c)                     [cover triangle (a, a2, c)].
     """
-    for a, b in sorted(hasse(p).edges, key=lambda ab: (p.index(ab[0]), p.index(ab[1]))):
-        for c in sorted(p.up_set(b), key=p.index):
-            yield a, b, c
+    if p._triangles is None:
+        covers = sorted(hasse(p).edges, key=lambda ab: (p.index(ab[0]), p.index(ab[1])))
+        p._triangles = tuple(
+            (a, b, c) for a, b in covers for c in sorted(p.up_set(b), key=p.index)
+        )
+    return p._triangles
 
 
 def _disjoint_labels(p: Poset, q: Poset):

@@ -69,7 +69,9 @@ from conftest import (
     eta_composition_holds,
     eta_naturality_holds,
     frac_cohomology,
+    frac_rank,
     induced_qis,
+    matmul,
     modp_cohomology,
     qis_preservation_holds,
     ses_preservation_holds,
@@ -160,14 +162,15 @@ class TestQuasiIso:
 
     def test_random_qis_components_pass_both_checks(self):
         count = 0
-        for seed in range(40):
-            g = random_qis_map(TWO_CHAIN, seed, max_dim=2, window=(-1, 1))
-            for x in TWO_CHAIN.elements:
-                f = g.components[x]
-                assert is_quasi_iso(f), seed
-                assert induced_qis(f), seed
-                count += 1
-        assert count == 80
+        for X in (TWO_CHAIN, figure_one_poset("X1")):
+            for seed in range(40):
+                g = random_qis_map(X, seed, max_dim=2, window=(-1, 1))
+                for x in X.elements:
+                    f = g.components[x]
+                    assert is_quasi_iso(f), seed
+                    assert induced_qis(f), seed
+                    count += 1
+        assert count == 40 * (2 + 7)
 
     def test_zero_maps_agree_with_oracle(self):
         disagreements = 0
@@ -388,6 +391,19 @@ class TestRandomGenerators:
     def test_random_ses_is_degreewise_exact(self):
         for seed in range(20):
             assert ses_preservation_holds(seed)
+
+    def test_random_ses_is_exact_at_every_element_of_a_branching_order(self):
+        X = figure_one_poset("X1")
+        for seed in range(20):
+            incl, proj = random_ses(X, seed, window=(-1, 1))
+            for x in X.elements:
+                i, p = incl.components[x], proj.components[x]
+                for t in i.target.dims:
+                    A, B = i.at(t).tolist(), p.at(t).tolist()
+                    assert frac_rank(A) == i.source.dim(t), (seed, x, t)
+                    assert frac_rank(B) == p.target.dim(t), (seed, x, t)
+                    assert not any(v for row in matmul(B, A) for v in row), (seed, x, t)
+                    assert frac_rank(A) + frac_rank(B) == i.target.dim(t), (seed, x, t)
 
     def test_cohomology_table_shape(self):
         K = random_diagram(TWO_CHAIN, 2)

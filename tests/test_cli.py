@@ -265,6 +265,11 @@ class TestVerify:
         assert main(["verify", "two-chain", "--trials", "1", *window]) == 3
         assert "2**64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_3(self, files, capsys, seed):
+        assert main(["verify", "two-chain", "--trials", "1", "--seed", seed]) == 3
+        assert "seed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("max_dim", ["-1", "0"])
     def test_max_dim_below_one_exits_3(self, files, capsys, max_dim):
         assert main(["verify", "two-chain", "--trials", "1", "--max-dim", max_dim]) == 3

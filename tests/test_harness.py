@@ -217,6 +217,8 @@ class TestRunParameters:
             ({"field": "q"}, "field"),
             ({"window": (0, 2**64)}, "window"),
             ({"window": (-(2**63), 2**63)}, "window"),
+            ({"seed": -1}, "seed"),
+            ({"seed": 2**64}, "seed"),
         ],
     )
     def test_run_bounds_are_checked_before_any_work(self, monkeypatch, bad, match):
@@ -237,6 +239,15 @@ class TestRunParameters:
         for call in runs:
             with pytest.raises(ParseError, match=match):
                 call()
+
+    def test_seed_range_ends_run_and_stay_distinct(self):
+        # The RNG reads seeds modulo 2**64, so the bound keeps 2**64 from
+        # repeating the trials of seed 0 under another recorded seed.
+        last = verify_two_chain(trials=1, max_dim=2, seed=2**64 - 1)
+        first = verify_two_chain(trials=1, max_dim=2, seed=0)
+        assert last.ok and first.ok
+        assert last.config["seed"] == 2**64 - 1
+        assert last.trials[0].seed != first.trials[0].seed
 
     def test_widest_window_runs(self):
         for window in [(0, 2**64 - 1), (-(2**63), 2**63 - 1)]:

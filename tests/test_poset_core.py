@@ -121,6 +121,18 @@ class TestHasse:
                 (a, b, c) for a, b in hasse(p).edges for c in p.up_set(b)
             }
 
+    def test_reduction_runs_once_per_poset(self, monkeypatch):
+        p = random_generated(400, 6)
+        first = hasse(p)
+        calls = []
+        real = Poset.le
+        monkeypatch.setattr(
+            Poset, "le", lambda self, a, b: calls.append((a, b)) or real(self, a, b)
+        )
+        assert hasse(p) is first
+        assert cover_triangles(p) is cover_triangles(p)
+        assert calls == []
+
     def test_cover_triangles_detect_every_broken_composite(self):
         # r(a, b) = h(b) - h(a) composes on every triangle; changing one
         # non-cover value r(a, c) must break some cover triangle.

@@ -1,6 +1,7 @@
 """Every public top-level name in the package has a caller, every
-defaulted parameter of a public function or method is set by some call, and
-the unchecked ``Mat._of`` constructor is used only inside ``intmat``.
+defaulted parameter of a public function or method is set by some call, the
+unchecked ``Mat._of`` constructor is used only inside ``intmat``, and the
+package imports nothing outside the standard library.
 
 A public function, class or constant of ``src/posetglue/*.py`` must be used
 somewhere in ``src/`` or ``tests/`` other than its own definition and its
@@ -18,6 +19,7 @@ name only (``f(..)`` and ``obj.f(..)``; a class by its name for
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -198,4 +200,20 @@ def test_trusted_mat_constructor_stays_in_intmat():
                 uses.setdefault(path, []).append(node.lineno)
     assert intmat in uses  # the guard still names the constructor intmat uses
     outside = {str(p.relative_to(ROOT)): lines for p, lines in uses.items() if p != intmat}
+    assert not outside, outside
+
+
+def test_runtime_imports_only_the_standard_library():
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in sys.stdlib_module_names:
+                    outside.append(f"{path.name}:{node.lineno} {name}")
     assert not outside, outside
