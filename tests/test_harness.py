@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import pickle
 
@@ -19,6 +22,7 @@ from posetglue.errors import (
     SizeLimit,
 )
 from posetglue import abelian_eval, formula_cat, harness
+from posetglue.cli import main
 from posetglue.formula_cat import (
     NU,
     TWO_CHAIN,
@@ -553,3 +557,65 @@ class TestEulerLedger:
                 (-1) ** (m % 2) * K.K[x].euler() for x, m in xi_plus.at[y].xi.entries
             )
             assert T.K[y].euler() == expected
+
+
+def _digest(doc) -> str:
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestCertificatePins:
+    """SHA-256 digests of whole reports of the pipelines the perfbench
+    digests do not cover.  A deliberate schema change re-records them."""
+
+    X1Z_PAIRS = {
+        "chain-antichain": (
+            (["a", "b"], [("a", "b")]),
+            (["u", "v"], []),
+            "4b7d304c906b55d1d38d7c9944045af488f8fc70df0215804c2ffd9c46b05727",
+        ),
+        "vee-chain": (
+            (["a", "b", "c"], [("a", "b"), ("a", "c")]),
+            (["u", "v"], [("u", "v")]),
+            "72e5701712c98389135bdb3a00149ec6258e2cd8a742a8f4ebad5c836d6d74d5",
+        ),
+        "colliding-labels": (
+            (["*", "a"], [("a", "*")]),
+            (["*", "a", "b"], [("*", "b")]),
+            "04de30681446e75281ebb177a37679ef19114970a30ba9a0546d8d20f750ab08",
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "field, pin",
+        [
+            ("q", "d437fc5881ac84d5db72f1b636796ce5db00de79a43ec58e7f4ee4267d39ece7"),
+            ("p:5", "ed4e593a12bef220865ee023111a78d2f42d502d157c6e6048e23e373492a07c"),
+        ],
+    )
+    def test_two_chain(self, field, pin):
+        cert = verify_two_chain(trials=10, field=Field.parse(field))
+        assert _digest(cert.to_json()) == pin
+
+    @pytest.mark.parametrize("name", sorted(X1Z_PAIRS))
+    def test_x1z(self, name):
+        x, z, pin = self.X1Z_PAIRS[name]
+        X, Z = poset_from_generators(*x), poset_from_generators(*z)
+        cert = verify_x1z(X, Z, trials=2, max_dim=2, window=(-1, 1))
+        assert _digest(cert.to_json()) == pin
+
+    def test_bgp(self):
+        tree = poset_from_generators(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        goal = poset_from_generators(["a", "b", "c"], [("b", "a"), ("c", "b")])
+        report = verify_bgp_path(tree, tree, goal, trials=2, max_dim=2, window=(-1, 1))
+        pin = "aee99367df2fa4441454e00bf1bc5502219a70bc7edd906c2578e5bd9d83e761"
+        assert _digest(report) == pin
+
+    def test_demo_figure1(self):
+        argv = ["demo", "figure1", "--json", "--trials", "2", "--max-dim", "2",
+                "--window", "-1", "1"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        pin = "c2c9495daca16038b3d9c432a666ba843a6505b6444a4c7ad38b3a85f07cbde2"
+        assert _digest(json.loads(out.getvalue())) == pin
