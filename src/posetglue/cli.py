@@ -34,7 +34,6 @@ from .harness import (
 )
 from .poset_core import (
     direct_sum,
-    is_isomorphic,
     opposite,
     ordinal_sum,
     poset_from_generators,
@@ -168,6 +167,8 @@ def _cmd_poset_op(ns) -> int:
 
 
 def _cmd_poset_iso(ns) -> int:
+    from .poset_core import is_isomorphic  # the one isomorphism search
+
     a = _load_poset(ns.a)
     b = _load_poset(ns.b)
     mapping = is_isomorphic(a, b)
@@ -267,8 +268,8 @@ def _cmd_demo(ns) -> int:
         ok = True
         for pair in FIGURE_ONE_PAIRS:
             g, expected_plus, expected_minus = figure_one_gluing(pair)
-            plus_ok = is_isomorphic(build_plus(g).poset, expected_plus) is not None
-            minus_ok = is_isomorphic(build_minus(g).poset, expected_minus) is not None
+            plus_ok = build_plus(g).poset.same_order(expected_plus)
+            minus_ok = build_minus(g).poset.same_order(expected_minus)
             cert = verify_equivalence(g, **run)
             doc = cert.to_json()
             docs.append(

@@ -219,17 +219,18 @@ def ordinal_witness(X: Poset, Z: Poset):
     """The constant gluing of X onto a new bottom point under Z, together
     with the two shapes the glued orders must realize.
 
-    Returns (gluing, expected_plus, expected_minus) where expected_plus is
-    the ordinal sum X then point then Z, and expected_minus is the ordinal
-    sum of a point under the direct sum of X and Z. The caller compares via
-    is_isomorphic.
+    Returns (gluing, expected_plus, expected_minus).  The shapes are built
+    from ordinal and direct sums on the gluing's own labels, so callers
+    compare them with the glued orders by Poset.same_order: expected_plus
+    is X below Y (X, then the point, then Z), and expected_minus is the
+    point below the direct sum of X and Z.
     """
-    bottom = point_poset("*")
-    Y = ordinal_sum(bottom, Z)
-    y0 = Y.elements[0]
-    g = validate_gluing(X, Y, {x: (y0,) for x in X.elements})
-    expected_plus = ordinal_sum(X, ordinal_sum(point_poset("*"), Z))
-    expected_minus = ordinal_sum(point_poset("*"), direct_sum(X, Z))
+    Y = ordinal_sum(point_poset("*"), Z)
+    g = validate_gluing(X, Y, {x: (Y.elements[0],) for x in X.elements})
+    bottom = g.Y.elements[0]
+    above = Poset(g.Y.elements[1:], {(a, b) for a, b in g.Y.leq if a != bottom})
+    expected_plus = ordinal_sum(g.X, g.Y)
+    expected_minus = ordinal_sum(point_poset(bottom), direct_sum(g.X, above))
     return g, expected_plus, expected_minus
 
 
@@ -249,14 +250,20 @@ def _names(value) -> bool:
 
 
 def gluing_from_json(doc) -> GluingData:
-    """Accepts three input forms, detected by their keys:
+    """Accepts exactly one of three input forms, detected by their keys:
 
     * `{"X": .., "Y": .., "Yx": {...}}` — explicit witness sets;
     * `{"X": .., "Y": .., "f": {...}}` — an order-preserving map;
     * `{"Y": .., "Y0": [...]}` — a single new point glued against Y0.
+
+    A document mixing forms (two of 'Yx', 'f' and 'Y0', or 'X' with 'Y0')
+    is rejected with the keys named.
     """
     if not isinstance(doc, dict):
         raise ParseError("gluing JSON must be an object")
+    keys = [k for k in ("X", "Yx", "f", "Y0") if k in doc]
+    if len(set(keys) - {"X"}) > 1 or {"X", "Y0"} <= set(keys):
+        raise ParseError(f"gluing JSON mixes forms, keys {keys}; give exactly one")
     if "Y0" in doc:
         if "Y" not in doc:
             raise ParseError("BGP form needs keys 'Y' and 'Y0'")

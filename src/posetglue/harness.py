@@ -30,7 +30,6 @@ from .abelian_eval import (
     eval_formula_morphism,
     is_quasi_iso_diagram,
     random_diagram,
-    shift_diagram,
 )
 from .errors import (
     DiagramAxiomFailure,
@@ -82,7 +81,7 @@ from .gluing import (
     validate_gluing,
 )
 from .intmat import Mat
-from .poset_core import Poset, hasse, is_isomorphic, poset_from_generators
+from .poset_core import Poset, hasse, poset_from_generators
 from .rng import SplitMix64, derive_seed
 
 
@@ -555,7 +554,7 @@ def _two_chain_trial(state, tseed) -> TrialRecord:
             "composite formula disagrees with iterated evaluation"
         )
     double = eps_mm.evaluate(K)
-    shifted = shift_diagram(K, 1)
+    shifted = counit.target  # NU evaluated at K: K shifted by one
     chain_ok = cohomology_table(T3, field) == cohomology_table(shifted, field)
     verdict = (
         chain_ok
@@ -641,18 +640,16 @@ def verify_x1z(
 ) -> EquivalenceCertificate:
     """Verify the constant gluing of X under a point under Z.
 
-    Structurally checks that the two glued orders realize the expected
-    shapes (X, then a point, then Z on the plus side; a point under the
-    disjoint union of X and Z on the minus side), then runs the generic
-    equivalence verification.
+    Structurally checks that the two glued orders equal the expected shapes
+    on the gluing's labels (X, then a point, then Z on the plus side; a
+    point under the disjoint union of X and Z on the minus side), then runs
+    the generic equivalence verification.
     """
     _run_config(trials, seed, field, max_dim, window, jobs)
     g, expected_plus, expected_minus = ordinal_witness(X, Z)
-    plus = build_plus(g).poset
-    minus = build_minus(g).poset
     shape_checks = (
-        ("plus-order-shape", is_isomorphic(plus, expected_plus) is not None),
-        ("minus-order-shape", is_isomorphic(minus, expected_minus) is not None),
+        ("plus-order-shape", build_plus(g).poset.same_order(expected_plus)),
+        ("minus-order-shape", build_minus(g).poset.same_order(expected_minus)),
     )
     cert = verify_equivalence(g, trials, seed, field, max_dim, window, jobs)
     return EquivalenceCertificate(
@@ -669,14 +666,6 @@ def verify_x1z(
 
 def _undirected(edges):
     return frozenset(frozenset(e) for e in edges)
-
-
-def _relabel(p: Poset, old, new) -> Poset:
-    swap = lambda e: new if e == old else e  # noqa: E731
-    return Poset(
-        [swap(e) for e in p.elements],
-        {(swap(a), swap(b)) for a, b in p.leq},
-    )
 
 
 def verify_bgp_path(
@@ -730,18 +719,17 @@ def verify_bgp_path(
             u for u in rest_elements if frozenset((u, vertex)) in und
         )
         g = from_bgp(rest, neighbors)
-        star = g.X.elements[0]
-        plus = _relabel(build_plus(g).poset, star, vertex)
-        minus = _relabel(build_minus(g).poset, star, vertex)
-        oriented_before = poset_from_generators(tree.elements, before)
-        oriented_after = poset_from_generators(tree.elements, after)
-        expected = (plus, minus) if kind == "source" else (minus, plus)
-        if not expected[0].same_order(oriented_before) or not expected[
-            1
-        ].same_order(oriented_after):
-            raise InternalInconsistency(
-                f"reflection at {vertex!r} does not match the glued orders"
-            )
+        # both orientations on the gluing's labels, the vertex as its new point
+        label = {vertex: g.X.elements[0], **dict(zip(rest.elements, g.Y.elements))}
+        glued = (build_plus(g).poset, build_minus(g).poset)
+        if kind == "sink":
+            glued = glued[::-1]
+        for order, edges in zip(glued, (before, after)):
+            pairs = [(label[a], label[b]) for a, b in edges]
+            if not order.same_order(poset_from_generators(label.values(), pairs)):
+                raise InternalInconsistency(
+                    f"reflection at {vertex!r} does not match the glued orders"
+                )
         key = (tuple(rest_elements), tuple(sorted(rest.leq)), neighbors)
         if key not in cache:
             cache[key] = verify_equivalence(
@@ -963,8 +951,8 @@ def figure_one_gluing(pair):
     """The gluing relating a worked pair, with the two expected orders.
 
     `pair` is one of the tuples in FIGURE_ONE_PAIRS.  Returns (gluing,
-    expected_plus, expected_minus); the glued orders are isomorphic to the
-    named worked posets.
+    expected_plus, expected_minus); the glued orders equal the named worked
+    posets as labelled orders.
     """
     if pair not in _FIGURE_ONE_GLUINGS:
         raise ParseError(f"unknown worked pair {pair!r}; pick one of {FIGURE_ONE_PAIRS}")

@@ -303,6 +303,18 @@ class TestVerify:
         assert main(["verify", "theorem", "--gluing", str(path), "--trials", "1"]) == 3
         assert "parse error" in capsys.readouterr().err
 
+    def test_mixed_forms_exit_3(self, files, capsys):
+        doc = {
+            "X": {"elements": ["x", "q"], "relations": []},
+            "Y": {"elements": ["y"], "relations": []},
+            "Y0": ["y"],
+        }
+        path = files["tmp"] / "mixed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["glue", "validate", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "'X'" in err and "'Y0'" in err
+
     def test_unknown_f_key_exits_1(self, files, capsys):
         doc = {
             "X": {"elements": ["x"], "relations": []},

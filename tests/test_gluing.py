@@ -216,18 +216,21 @@ class TestConstructors:
         assert set(g.Yx[x]) == {"a", "b"}
 
     def test_ordinal_witness_shapes(self):
-        X = chain("x1", "x2")
-        Z = antichain("z1", "z2")
         point = poset_from_generators(["*"], [])
-        g, plus_expected, minus_expected = ordinal_witness(X, Z)
-        assert is_isomorphic(
-            plus_expected, ordinal_sum(X, ordinal_sum(point, Z))
+        colliding = (  # '*' and 'a' in both X and Z
+            poset_from_generators(["*", "a"], [("a", "*")]),
+            poset_from_generators(["*", "a", "b"], [("*", "b")]),
         )
-        assert is_isomorphic(
-            minus_expected, ordinal_sum(point, direct_sum(X, Z))
-        )
-        assert is_isomorphic(build_plus(g).poset, plus_expected)
-        assert is_isomorphic(build_minus(g).poset, minus_expected)
+        for X, Z in ((chain("x1", "x2"), antichain("z1", "z2")), colliding):
+            g, plus_expected, minus_expected = ordinal_witness(X, Z)
+            assert is_isomorphic(
+                plus_expected, ordinal_sum(X, ordinal_sum(point, Z))
+            )
+            assert is_isomorphic(
+                minus_expected, ordinal_sum(point, direct_sum(X, Z))
+            )
+            assert build_plus(g).poset.same_order(plus_expected)
+            assert build_minus(g).poset.same_order(minus_expected)
 
 
 class TestJson:
@@ -264,6 +267,22 @@ class TestJson:
         with pytest.raises(UnknownElement) as info:
             gluing_from_json(doc)
         assert info.value.element == "nope"
+
+    @pytest.mark.parametrize(
+        "keys",
+        [("X", "Yx", "f"), ("X", "Yx", "Y0"), ("X", "f", "Y0"), ("X", "Y0"), ("Yx", "Y0")],
+    )
+    def test_mixed_forms_are_rejected(self, keys):
+        forms = {
+            "X": poset_to_json(chain("x", "q")),
+            "Yx": {"x": ["y"], "q": ["y"]},
+            "f": {"x": "y", "q": "y"},
+            "Y0": ["y"],
+        }
+        doc = {"Y": poset_to_json(chain("y")), **{k: forms[k] for k in keys}}
+        with pytest.raises(ParseError) as info:
+            gluing_from_json(doc)
+        assert all(repr(k) in str(info.value) for k in keys)
 
     def test_bad_documents(self):
         for doc in [{}, {"X": {}}, {"X": 3, "Y": 4, "Yx": 5}, []]:

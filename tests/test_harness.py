@@ -55,7 +55,7 @@ from posetglue.harness import (
     verify_x1z,
 )
 from posetglue.intmat import Mat
-from posetglue.poset_core import hasse, is_isomorphic, poset_from_generators
+from posetglue.poset_core import hasse, poset_from_generators
 
 SMALL = {"trials": 3, "max_dim": 2, "window": (-1, 1)}
 
@@ -462,13 +462,44 @@ class TestVerifyX1Z:
         names = [name for name, _ in cert.structural]
         assert "plus-order-shape" in names and "minus-order-shape" in names
 
+    def test_twenty_elements_need_no_isomorphism_search(self):
+        xs = [f"x{i}" for i in range(10)]
+        zs = [f"z{i}" for i in range(10)]
+        X = poset_from_generators(xs, [(a, b) for a, b in zip(xs, xs[2:])])
+        Z = poset_from_generators(zs, [(zs[0], z) for z in zs[1:]])
+        cert = verify_x1z(X, Z, trials=1, max_dim=2, window=(-1, 1))
+        checks = dict(cert.structural)
+        assert checks["plus-order-shape"] and checks["minus-order-shape"]
+        assert cert.ok
+
+    def test_a_wrong_shape_is_caught(self, monkeypatch, capsys):
+        ordinal_witness = harness.ordinal_witness
+
+        def swapped(X, Z):
+            g, plus, minus = ordinal_witness(X, Z)
+            return g, minus, plus
+
+        monkeypatch.setattr(harness, "ordinal_witness", swapped)
+        X = poset_from_generators(["a", "b"], [("a", "b")])
+        Z = poset_from_generators(["u", "v"], [])
+        cert = verify_x1z(X, Z, **SMALL)
+        checks = dict(cert.structural)
+        assert not checks["plus-order-shape"] and not checks["minus-order-shape"]
+        assert not cert.ok
+        argv = ["demo", "x1z", "--json", "--trials", "1", "--max-dim", "2",
+                "--window", "-1", "1"]
+        assert main(argv) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["structural"][0] == {"name": "plus-order-shape", "pass": False}
+        assert doc["ok"] is False
+
 
 class TestFigureOne:
     def test_orders_are_isomorphic_to_the_named_posets(self):
         for pair in FIGURE_ONE_PAIRS:
             g, expected_plus, expected_minus = figure_one_gluing(pair)
-            assert is_isomorphic(build_plus(g).poset, expected_plus) is not None
-            assert is_isomorphic(build_minus(g).poset, expected_minus) is not None
+            assert build_plus(g).poset.same_order(expected_plus)
+            assert build_minus(g).poset.same_order(expected_minus)
 
     def test_posets_have_seven_elements(self):
         for name in ("X1", "X2", "X3", "X4"):
@@ -495,6 +526,17 @@ class TestBgp:
             ("a", "source"),
             ("c", "sink"),
         ]
+
+    def test_star_labels_survive_the_gluing_relabelling(self):
+        # from_bgp names the new point '**' here, which collides with the
+        # tree, so the gluing relabels every element.
+        verts = ["*", "**", "c"]
+        out = poset_from_generators(verts, [("c", "*"), ("c", "**")])
+        into = poset_from_generators(verts, [("*", "c"), ("**", "c")])
+        for a, b, kind in ((out, into, "source"), (into, out, "sink")):
+            report = verify_bgp_path(out, a, b, trials=1, max_dim=2, window=(-1, 1))
+            assert report["ok"]
+            assert report["path"] == [{"vertex": "c", "kind": kind}]
 
     def test_identity_path(self):
         p = self.path()

@@ -1,7 +1,8 @@
 """Every public top-level name in the package has a caller, every
 defaulted parameter of a public function or method is set by some call, the
-unchecked ``Mat._of`` constructor is used only inside ``intmat``, and the
-package imports nothing outside the standard library.
+unchecked ``Mat._of`` constructor is used only inside ``intmat``, the
+isomorphism search serves only ``poset iso``, and the package imports
+nothing outside the standard library.
 
 A public function, class or constant of ``src/posetglue/*.py`` must be used
 somewhere in ``src/`` or ``tests/`` other than its own definition and its
@@ -216,4 +217,29 @@ def test_runtime_imports_only_the_standard_library():
             for name in names:
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno} {name}")
+    assert not outside, outside
+
+
+def _refers_to(node, name) -> bool:
+    return any(
+        getattr(sub, "id", None) == name
+        or getattr(sub, "attr", None) == name
+        or (isinstance(sub, ast.alias) and name in (sub.name, sub.asname))
+        for sub in ast.walk(node)
+    )
+
+
+def test_only_poset_iso_searches_for_isomorphisms():
+    # is_isomorphic is an exponential search, capped at 12 elements; every
+    # pipeline compares its glued orders with their expected shapes by label
+    # (Poset.same_order) instead.
+    allowed, outside = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in ("poset_core", "__init__"):
+            continue
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if _refers_to(stmt, "is_isomorphic"):
+                where = f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
+                (allowed if where == "cli._cmd_poset_iso" else outside).append(where)
+    assert allowed  # the guard still sees the one search
     assert not outside, outside
