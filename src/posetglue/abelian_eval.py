@@ -22,6 +22,7 @@ from .errors import (
     BaseMismatch,
     D2NotZero,
     DiagramAxiomFailure,
+    InternalInconsistency,
     InvalidChainMap,
     NaturalityFailure,
     ParseError,
@@ -251,25 +252,21 @@ def shift_chain_map(f: ChainMap, n: int) -> ChainMap:
 
 def cone(f: ChainMap) -> VectComplex:
     """The complex with degree-i part K^{i+1} ⊕ L^i and block differential
-    [[d_K[1], 0], [f[1], d_L]]."""
+    [[-d_K[i+1], 0], [f[i+1], d_L[i]]], built from the present blocks over
+    the degrees where it is nonzero."""
     K, L = f.source, f.target
-    dims = {}
-    degrees = set(K.dims) | set(L.dims) | {i - 1 for i in K.dims}
-    for i in degrees:
-        dims[i] = K.dim(i + 1) + L.dim(i)
+    degrees = set(L.dims) | {i - 1 for i in K.dims}
+    dims = {i: K.dim(i + 1) + L.dim(i) for i in degrees}
     d = {}
     for i in degrees:
-        rows = [K.dim(i + 2), L.dim(i + 1)]
-        cols = [K.dim(i + 1), L.dim(i)]
-        d[i] = block(
-            {
-                (0, 0): K.diff(i + 1).neg(),
-                (1, 0): f.at(i + 1),
-                (1, 1): L.diff(i),
-            },
-            rows,
-            cols,
-        )
+        dK = K.d.get(i + 1)
+        parts = {
+            (0, 0): None if dK is None else dK.neg(),
+            (1, 0): f.f.get(i + 1),
+            (1, 1): L.d.get(i),
+        }
+        if any(m is not None for m in parts.values()):
+            d[i] = block(parts, [K.dim(i + 2), L.dim(i + 1)], [K.dim(i + 1), L.dim(i)])
     return VectComplex(dims, d)
 
 
@@ -289,25 +286,28 @@ def direct_sum_complexes(parts) -> VectComplex:
     return VectComplex(dims, d, check=False)
 
 
-def cohomology(K: VectComplex, field: Field = RATIONALS) -> dict:
-    """Dimensions of kernel-mod-image in each degree, zeros omitted."""
+def _cohomology(K: VectComplex, rank) -> dict:
+    """Degree -> dim − rank(d_i) − rank(d_{i−1}), zeros omitted: each
+    differential of K is ranked once, and an absent one has rank 0."""
+    ranks = {i: rank(m) for i, m in K.d.items()}
     out = {}
-    degrees = set(K.dims)
-    for i in sorted(degrees):
-        h = K.dim(i) - field.rank(K.diff(i)) - field.rank(K.diff(i - 1))
+    for i in sorted(K.dims):
+        h = K.dims[i] - ranks.get(i, 0) - ranks.get(i - 1, 0)
         if h:
             out[i] = h
     return out
 
 
+def cohomology(K: VectComplex, field: Field = RATIONALS) -> dict:
+    """Dimensions of kernel-mod-image in each degree, zeros omitted."""
+    return _cohomology(K, field.rank)
+
+
 def _is_acyclic(K: VectComplex, field: Field) -> bool:
-    if field.p is not None:
-        return not cohomology(K, field)
-    # Fast path: modular ranks bound rational ranks from below, and
-    # cohomology dimensions from above; a zero table is a certificate.
-    degrees = set(K.dims)
-    ranks = {i: rank_mod(K.diff(i), _FAST_PRIME) for i in degrees | {i - 1 for i in degrees}}
-    if all(K.dim(i) - ranks[i] - ranks[i - 1] == 0 for i in degrees):
+    # Fast path over the rationals: modular ranks bound rational ranks from
+    # below, and cohomology dimensions from above; a zero table is a
+    # certificate.
+    if field.p is None and not _cohomology(K, lambda m: rank_mod(m, _FAST_PRIME)):
         return True
     return not cohomology(K, field)
 
@@ -481,15 +481,23 @@ def _eval_graded(phi: CMorphism, K: PosetDiagram) -> dict:
 
 def eval_point(f: FormulaToPoint, K: PosetDiagram) -> VectComplex:
     """Evaluate a formula to a point: the direct sum of shifted stalks with
-    the differential assembled from D. The result's d·d = 0 is asserted."""
+    the differential assembled from D. The result's d·d = 0 is asserted, and
+    so is its Euler characteristic: a value with entries (x_i, m_i) must have
+    sum_i (-1)^{m_i} chi(K_{x_i}), else the evaluator itself is broken."""
     if f.xi.base != K.base:
         raise BaseMismatch("formula and diagram live over different posets")
     dims = _eval_object_dims(f.xi, K)
     diff = _eval_graded(f.D, K)
     try:
-        return VectComplex(dims, diff, check=True)
+        T = VectComplex(dims, diff, check=True)
     except D2NotZero as exc:
         raise D2NotZero(f"evaluated differential fails to square to zero: {exc}") from exc
+    expected = sum((-1) ** (m % 2) * K.K[x].euler() for x, m in f.xi.entries)
+    if T.euler() != expected:
+        raise InternalInconsistency(
+            f"Euler characteristic of {f.xi.entries} is {T.euler()}, expected {expected}"
+        )
+    return T
 
 
 def eval_cmorphism(phi: CMorphism, K: PosetDiagram) -> ChainMap:

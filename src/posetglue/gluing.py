@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .errors import (
     AntichainViolation,
     CocycleViolation,
+    GluingError,
     InternalInconsistency,
     NotOrderPreserving,
     ParseError,
@@ -74,8 +75,11 @@ def validate_gluing(X: Poset, Y: Poset, Yx) -> GluingData:
     of their up-sets or down-sets (the witness is reported), PhiMissing /
     PhiNotBijective when the connecting maps cannot be inferred, and
     CocycleViolation if the inferred maps fail to compose (cannot happen
-    when inference succeeded; checked anyway as an internal alarm).
+    when inference succeeded; checked anyway as an internal alarm), and
+    GluingError when X ⊔ Y is empty.
     """
+    if not X.elements and not Y.elements:
+        raise GluingError("X ⊔ Y is empty: a gluing needs at least one element")
     Yx = {x: tuple(ys) for x, ys in Yx.items()}
     for x in X.elements:
         if x not in Yx:

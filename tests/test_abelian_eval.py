@@ -40,7 +40,13 @@ from posetglue.abelian_eval import (
     shift_complex,
     shift_diagram,
 )
-from posetglue.errors import D2NotZero, DiagramAxiomFailure, InvalidChainMap, ParseError
+from posetglue.errors import (
+    D2NotZero,
+    DiagramAxiomFailure,
+    InternalInconsistency,
+    InvalidChainMap,
+    ParseError,
+)
 from posetglue.formula_cat import (
     NU,
     TWO_CHAIN,
@@ -60,6 +66,7 @@ from posetglue.harness import (
     build_theorem_formulas,
     figure_one_gluing,
     figure_one_poset,
+    verify_two_chain,
 )
 from posetglue.intmat import Mat
 from posetglue.poset_core import hasse
@@ -132,6 +139,26 @@ class TestComplexes:
             K = random_complex(seed)
             assert cohomology(K, Field(5)) == modp_cohomology(K, 5)
             assert cohomology(K, Field(3)) == modp_cohomology(K, 3)
+
+    @pytest.mark.parametrize("field", [RATIONALS, Field(5)])
+    def test_cohomology_ranks_each_differential_once(self, monkeypatch, field):
+        ranked = []
+
+        def recording(rank):
+            def wrapper(m, *args):
+                ranked.append(m)
+                return rank(m, *args)
+            return wrapper
+
+        monkeypatch.setattr(abelian_eval, "rank_exact", recording(abelian_eval.rank_exact))
+        monkeypatch.setattr(abelian_eval, "rank_mod", recording(abelian_eval.rank_mod))
+        for seed in range(20):
+            K = random_complex(seed)
+            for C in (K, cone(identity_chain_map(K))):
+                ranked.clear()
+                cohomology(C, field)
+                assert sorted(map(id, ranked)) == sorted(map(id, C.d.values()))
+                assert not any(m.is_zero() for m in ranked)
 
     def test_multiplication_by_p_separates_fields(self):
         K = VectComplex({0: 1, 1: 1}, {0: [[5]]})
@@ -311,6 +338,25 @@ class TestEvalFormulas:
         monkeypatch.setattr(abelian_eval, "_eval_graded", perturbed)
         with pytest.raises(DiagramAxiomFailure):
             eval_formula(F, K)
+
+    def test_euler_ledger_is_audited_where_values_are_made(self, monkeypatch):
+        K = random_diagram(TWO_CHAIN, 3)
+        real = abelian_eval._eval_object_dims
+
+        def miscounted(obj, K):
+            # one extra dimension in a degree no differential reaches
+            dims = real(obj, K)
+            dims[max(dims, default=0) + 10] = 1
+            return dims
+
+        monkeypatch.setattr(abelian_eval, "_eval_object_dims", miscounted)
+        for evaluate in (
+            lambda: eval_point(XI12, K),
+            lambda: eval_formula(TWO_CHAIN_PLUS, K),
+            lambda: verify_two_chain(trials=1),
+        ):
+            with pytest.raises(InternalInconsistency, match="Euler characteristic"):
+                evaluate()
 
     def test_formula_map_of_identityish_diagram(self):
         g = random_qis_map(TWO_CHAIN, 5, max_dim=2, window=(-1, 1))

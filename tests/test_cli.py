@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from posetglue.cli import main
-from posetglue.poset_core import poset_from_generators, poset_to_json
+from posetglue.gluing import build_minus, build_plus, gluing_from_json
+from posetglue.poset_core import poset_from_generators, poset_to_dot, poset_to_json
 
 
 @pytest.fixture
@@ -44,6 +45,10 @@ def files(tmp_path):
             "Yx": {"1": ["2", "3"]},
         },
     )
+    glue_empty = write(
+        "glue_empty.json",
+        {"X": {"elements": []}, "Y": {"elements": []}, "Yx": {}},
+    )
     path_fwd = write(
         "path_fwd.json",
         {
@@ -64,6 +69,7 @@ def files(tmp_path):
         "anti2": anti2,
         "glue_ok": glue_ok,
         "glue_bad": glue_bad,
+        "glue_empty": glue_empty,
         "path_fwd": path_fwd,
         "path_bwd": path_bwd,
         "tmp": tmp_path,
@@ -123,6 +129,18 @@ class TestGlue:
         err = capsys.readouterr().err
         assert "'4'" in err and "'2'" in err and "'3'" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["glue", "validate", "{}"],
+            ["glue", "build", "{}", "--mode", "plus"],
+            ["verify", "theorem", "--gluing", "{}", "--trials", "1"],
+        ],
+    )
+    def test_empty_gluing_exits_1(self, files, capsys, argv):
+        assert main([a.format(files["glue_empty"]) for a in argv]) == 1
+        assert "X ⊔ Y is empty" in capsys.readouterr().err
+
     def test_build_writes_poset_and_dot(self, files, capsys):
         dot_dir = files["tmp"] / "dot"
         assert (
@@ -168,6 +186,22 @@ class TestVerify:
         )
         assert rc == 0
         capsys.readouterr()
+
+    def test_theorem_writes_both_orders_as_dot(self, files, capsys):
+        argv = ["verify", "theorem", "--gluing", files["glue_ok"], "--trials", "2",
+                "--max-dim", "2", "--window", "-1", "1", "--json"]
+        assert main(argv) == 0
+        report = capsys.readouterr().out
+        dot_dir = files["tmp"] / "dot"
+        assert main(argv + ["--dot", str(dot_dir)]) == 0
+        assert capsys.readouterr().out == report
+        with open(files["glue_ok"]) as fh:
+            g = gluing_from_json(json.load(fh))
+        drawn = {p.name: p.read_text() for p in dot_dir.iterdir()}
+        assert drawn == {
+            "glue_ok-plus.dot": poset_to_dot(build_plus(g).poset, "glue_ok-plus"),
+            "glue_ok-minus.dot": poset_to_dot(build_minus(g).poset, "glue_ok-minus"),
+        }
 
     def test_theorem_on_invalid_gluing_exits_1(self, files, capsys):
         rc = main(["verify", "theorem", "--gluing", files["glue_bad"], "--trials", "3"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from posetglue.abelian_eval import eval_formula, eval_point, random_diagram
 from posetglue.errors import IllegalSupport, ShapeMismatch
 from posetglue.formula_cat import (
     ALPHA1,
@@ -38,7 +39,12 @@ from posetglue.formula_cat import (
     substitute,
     translation_formula,
 )
-from posetglue.harness import TWO_CHAIN_MINUS, TWO_CHAIN_PLUS
+from posetglue.harness import (
+    TWO_CHAIN_MINUS,
+    TWO_CHAIN_PLUS,
+    build_theorem_formulas,
+    figure_one_gluing,
+)
 from posetglue.intmat import Mat
 from posetglue.poset_core import poset_from_generators
 
@@ -180,6 +186,23 @@ class TestSubstitution:
         for f in (XI1, XI2, XI12, XI121, XI212):
             for F in (TWO_CHAIN_PLUS, TWO_CHAIN_MINUS, NU):
                 assert check_formula(substitute(f, F)).ok
+
+    def test_degree_raising_outer_coefficient_evaluates_as_composite(self):
+        # Outer words ((a, 0), (b, 0)) with a < b: the off-diagonal
+        # coefficient raises degree, so substitution composes the inner
+        # restriction with the receiving inner D.
+        g = figure_one_gluing(("X1", "X2"))[0]
+        for inner in build_theorem_formulas(g):
+            P = inner.target
+            for a, b in sorted(P.leq):
+                if a == b:
+                    continue
+                outer = FormulaToPoint(CObject(((a, 0), (b, 0)), P), [[1, 0], [1, 1]])
+                composite = substitute(outer, inner)
+                for seed in range(10):
+                    K = random_diagram(inner.base, seed)
+                    expected = eval_point(outer, eval_formula(inner, K))
+                    assert eval_point(composite, K) == expected, (a, b, seed)
 
 
 class TestShiftAndStar:

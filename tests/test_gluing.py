@@ -25,10 +25,16 @@ from posetglue.gluing import (
     ordinal_witness,
     validate_gluing,
 )
-from posetglue.harness import counterexample_data, random_gluing
+from posetglue.harness import (
+    FIGURE_ONE_PAIRS,
+    counterexample_data,
+    figure_one_gluing,
+    random_gluing,
+)
 from posetglue.poset_core import (
     direct_sum,
     is_isomorphic,
+    opposite,
     ordinal_sum,
     poset_from_generators,
     poset_to_json,
@@ -46,6 +52,11 @@ def antichain(*names):
 
 
 class TestValidate:
+    def test_empty_union_is_rejected(self):
+        empty = antichain()
+        with pytest.raises(GluingError, match="X ⊔ Y is empty"):
+            validate_gluing(empty, empty, {})
+
     def test_counterexample_rejected_with_witness(self):
         X, Y, Yx = counterexample_data()
         with pytest.raises(AntichainViolation) as info:
@@ -193,6 +204,20 @@ class TestBuild:
         assert built.leq == brute_closure(
             built.elements, set(X.leq) | set(Y.leq)
         )
+
+
+class TestOpposite:
+    def test_opposite_data_glue_to_the_opposite_orders(self):
+        # The antichain condition asks for disjoint up-sets and disjoint
+        # down-sets, so it holds for the opposite data as well, and reversing
+        # both orders swaps the plus and the minus construction.
+        gluings = [(seed, random_gluing(seed)) for seed in range(300)] + [
+            (pair, figure_one_gluing(pair)[0]) for pair in FIGURE_ONE_PAIRS
+        ]
+        for name, g in gluings:
+            op = validate_gluing(opposite(g.X), opposite(g.Y), g.Yx)
+            assert build_plus(op).poset.same_order(opposite(build_minus(g).poset)), name
+            assert build_minus(op).poset.same_order(opposite(build_plus(g).poset)), name
 
 
 class TestConstructors:

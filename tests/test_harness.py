@@ -439,6 +439,12 @@ class TestVerifyEquivalence:
         g = validate_gluing(X, Y, {"x1": (), "x2": ()})
         assert verify_equivalence(g, **SMALL).ok
 
+    def test_one_empty_side_passes(self):
+        empty = poset_from_generators([], [])
+        point = poset_from_generators(["p"], [])
+        for X, Y, Yx in ((empty, point, {}), (point, empty, {"p": ()})):
+            assert verify_equivalence(validate_gluing(X, Y, Yx), **SMALL).ok
+
     def test_jobs_match_sequential(self):
         for g in (random_gluing(8), figure_one_gluing(FIGURE_ONE_PAIRS[0])[0]):
             seq = verify_equivalence(g, trials=4, jobs=1, max_dim=2, window=(-1, 1))
@@ -461,6 +467,10 @@ class TestVerifyX1Z:
         assert cert.ok
         names = [name for name, _ in cert.structural]
         assert "plus-order-shape" in names and "minus-order-shape" in names
+
+    def test_empty_x_and_z_pass(self):
+        empty = poset_from_generators([], [])
+        assert verify_x1z(empty, empty, **SMALL).ok
 
     def test_twenty_elements_need_no_isomorphism_search(self):
         xs = [f"x{i}" for i in range(10)]

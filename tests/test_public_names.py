@@ -1,7 +1,8 @@
 """Every public top-level name in the package has a caller, every
 defaulted parameter of a public function or method is set by some call, the
 unchecked ``Mat._of`` constructor is used only inside ``intmat``, the
-isomorphism search serves only ``poset iso``, and the package imports
+isomorphism search serves only ``poset iso``, matrices are ranked only by
+``Field.rank`` and the acyclicity fast path, and the package imports
 nothing outside the standard library.
 
 A public function, class or constant of ``src/posetglue/*.py`` must be used
@@ -242,4 +243,25 @@ def test_only_poset_iso_searches_for_isomorphisms():
                 where = f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
                 (allowed if where == "cli._cmd_poset_iso" else outside).append(where)
     assert allowed  # the guard still sees the one search
+    assert not outside, outside
+
+
+def test_only_field_rank_and_the_acyclicity_fast_path_rank_matrices():
+    # abelian_eval._cohomology is the one count of dim - rank - rank; it is
+    # handed its rank function by Field.rank's callers or by _is_acyclic's
+    # modular fast path, so a second count cannot rank matrices by itself.
+    rankers = {"abelian_eval.Field.rank", "abelian_eval._is_acyclic"}
+    allowed, outside = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "intmat":
+            continue
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            owner = f"{stmt.name}." if isinstance(stmt, ast.ClassDef) else ""
+            for unit in stmt.body if owner else [stmt]:
+                if _refers_to(unit, "rank_exact") or _refers_to(unit, "rank_mod"):
+                    where = f"{path.stem}.{owner}{getattr(unit, 'name', unit.lineno)}"
+                    (allowed if where in rankers else outside).append(where)
+    assert set(allowed) == rankers  # the guard still sees both rank sites
     assert not outside, outside
