@@ -527,8 +527,12 @@ def eval_formula_morphism(
 def eval_point_map(f: FormulaToPoint, g: DiagramMap) -> ChainMap:
     """Apply the functor of a formula to a diagram map: the diagonal map of
     shifted components, verified to be a chain map."""
-    src = eval_point(f, g.source)
-    tgt = eval_point(f, g.target)
+    return _point_map(f, g, eval_point(f, g.source), eval_point(f, g.target))
+
+
+def _point_map(f: FormulaToPoint, g: DiagramMap, src, tgt) -> ChainMap:
+    """eval_point_map between src and tgt, the evaluations of f on g's ends,
+    which the caller has already made."""
     out = {}
     for t in set(src.dims) | set(tgt.dims):
         col_sizes = [g.source.K[x].dim(t + m) for x, m in f.xi.entries]
@@ -567,7 +571,9 @@ def eval_formula_map(F: Formula, g: DiagramMap) -> DiagramMap:
     """Apply the functor of a formula to a diagram map, elementwise."""
     src = eval_formula(F, g.source)
     tgt = eval_formula(F, g.target)
-    comps = {y: eval_point_map(F.at[y], g) for y in F.target.elements}
+    comps = {
+        y: _point_map(F.at[y], g, src.K[y], tgt.K[y]) for y in F.target.elements
+    }
     return DiagramMap(src, tgt, comps)
 
 

@@ -65,7 +65,7 @@ def _load_doc(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -75,9 +75,12 @@ def _load_poset(path: str):
 
 def _write_dot(ns, poset, name: str) -> None:
     if getattr(ns, "dot", None):
-        directory = Path(ns.dot)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{name}.dot").write_text(poset_to_dot(poset, name))
+        path = Path(ns.dot) / f"{name}.dot"
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(poset_to_dot(poset, name))
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _run_args(ns) -> dict:

@@ -84,14 +84,6 @@ class InternalInconsistency(PosetGlueError):
 
 # --- formula_cat ---------------------------------------------------------
 
-class IllegalSupport(PosetGlueError):
-    """A nonzero matrix entry sits at a position the category forbids."""
-
-    def __init__(self, row, col, detail):
-        self.row, self.col = row, col
-        super().__init__(f"illegal nonzero entry at ({row}, {col}): {detail}")
-
-
 class ShapeMismatch(PosetGlueError):
     """Matrix or object shapes are not composable/comparable."""
 

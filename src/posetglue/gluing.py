@@ -12,11 +12,13 @@ between the Y_x along relations of X, then :func:`build_plus` /
 with no other cross relations. Both constructions record the unique witness
 of each cross relation and re-verify the result is a poset with exactly the
 predicted relations, raising InternalInconsistency if the algebra ever
-disagrees with the prediction.
+disagrees with the prediction.  Each glued order is built and checked once
+per gluing and then kept on the GluingData, so every later caller gets the
+same order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     AntichainViolation,
@@ -48,13 +50,14 @@ class GluingData:
     `Yx` maps each element of X to an ordered tuple of Y-elements (the input
     order is kept: downstream matrix blocks index by it). `phi` maps each
     ordered pair (x, x2) with x <= x2 to the inferred bijection Y_x -> Y_x2,
-    stored as a dict.
+    stored as a dict.  Its glued orders are built on first use and kept.
     """
 
     X: Poset
     Y: Poset
     Yx: dict
     phi: dict
+    _orders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,6 @@ class GluedOrder:
 
     poset: Poset
     sign: str  # "plus" | "minus"
-    provenance: GluingData
     witness: dict
 
 
@@ -144,6 +146,8 @@ def validate_gluing(X: Poset, Y: Poset, Yx) -> GluingData:
 
 
 def _build(g: GluingData, sign: str) -> GluedOrder:
+    if sign in g._orders:
+        return g._orders[sign]
     X, Y = g.X, g.Y
     witness = {}
     for x in X.elements:
@@ -170,7 +174,8 @@ def _build(g: GluingData, sign: str) -> GluedOrder:
         raise InternalInconsistency(
             "transitive closure added relations beyond the predicted glued order"
         )
-    return GluedOrder(poset=poset, sign=sign, provenance=g, witness=witness)
+    g._orders[sign] = GluedOrder(poset=poset, sign=sign, witness=witness)
+    return g._orders[sign]
 
 
 def build_plus(g: GluingData) -> GluedOrder:

@@ -321,9 +321,9 @@ def build_theorem_formulas(g: GluingData):
     xi_plus is a diagram over the minus order valued in words over the plus
     order and xi_minus the reverse, so that each one's evaluation carries
     diagrams over one glued order to diagrams over the other.  Every value
-    is checked where it is made, and the Formula constructor checks every
-    restriction; a non-commuting restriction triangle raises
-    CommutativityFailure with the difference matrix as witness.
+    is checked where it is made.  The Formula constructor checks restrictions
+    on covers and proves the rest by the cover triangles; a non-commuting
+    triangle raises CommutativityFailure with the difference matrix.
     """
     plus = build_plus(g)
     minus = build_minus(g)

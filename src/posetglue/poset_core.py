@@ -389,7 +389,7 @@ def poset_from_json(doc) -> Poset:
 def poset_loads(text: str) -> Poset:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     return poset_from_json(doc)
 

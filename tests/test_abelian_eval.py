@@ -364,6 +364,15 @@ class TestEvalFormulas:
         assert isinstance(Fg, DiagramMap)
         assert is_quasi_iso_diagram(Fg)
 
+    def test_formula_map_evaluates_each_value_once_per_end(self, monkeypatch):
+        calls = []
+        real = abelian_eval.eval_point
+        monkeypatch.setattr(
+            abelian_eval, "eval_point", lambda f, K: calls.append(f) or real(f, K)
+        )
+        eval_formula_map(TWO_CHAIN_PLUS, random_qis_map(TWO_CHAIN, 5))
+        assert len(calls) == 2 * len(TWO_CHAIN_PLUS.at)
+
 
 def _maps_json(maps) -> dict:
     return {

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from posetglue import cli
 from posetglue.cli import main
 from posetglue.gluing import build_minus, build_plus, gluing_from_json
 from posetglue.poset_core import poset_from_generators, poset_to_dot, poset_to_json
@@ -90,6 +91,28 @@ class TestPoset:
     def test_check_missing_file_exits_3(self, files, capsys):
         assert main(["poset", "check", str(files["tmp"] / "nothere.json")]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            (["glue", "validate"], "[" * 200_000),
+            (["poset", "check"], '{"elements": ' + "[" * 200_000),
+        ],
+        ids=["glue-validate", "poset-check"],
+    )
+    def test_deeply_nested_json_exits_3(self, files, capsys, command, text):
+        deep = files["tmp"] / "deep.json"
+        deep.write_text(text)
+        assert main(command + [str(deep)]) == 3
+        assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_dot_dir_that_cannot_be_made_exits_3(self, files, capsys, below):
+        blocker = files["tmp"] / "notadir"
+        blocker.write_text("")
+        dot = blocker / "sub" if below else blocker
+        assert main(["poset", "check", files["chain3"], "--dot", str(dot)]) == 3
+        assert f"cannot write {dot}" in capsys.readouterr().err
 
     def test_iso_found_and_not_found(self, files, capsys):
         assert main(["poset", "iso", files["chain3"], files["chain3b"]]) == 0
@@ -202,6 +225,19 @@ class TestVerify:
             "glue_ok-plus.dot": poset_to_dot(build_plus(g).poset, "glue_ok-plus"),
             "glue_ok-minus.dot": poset_to_dot(build_minus(g).poset, "glue_ok-minus"),
         }
+
+    def test_theorem_dot_dir_fails_before_verification(
+        self, files, capsys, monkeypatch
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("verification started before the DOT files were written")
+
+        monkeypatch.setattr(cli, "verify_equivalence", no_work)
+        blocker = files["tmp"] / "notadir"
+        blocker.write_text("")
+        argv = ["verify", "theorem", "--gluing", files["glue_ok"], "--dot", str(blocker)]
+        assert main(argv) == 3
+        assert f"cannot write {blocker}" in capsys.readouterr().err
 
     def test_theorem_on_invalid_gluing_exits_1(self, files, capsys):
         rc = main(["verify", "theorem", "--gluing", files["glue_bad"], "--trials", "3"])

@@ -21,7 +21,7 @@ from posetglue.errors import (
     PosetGlueError,
     SizeLimit,
 )
-from posetglue import abelian_eval, formula_cat, harness
+from posetglue import abelian_eval, formula_cat, gluing, harness
 from posetglue.cli import main
 from posetglue.formula_cat import (
     NU,
@@ -37,7 +37,7 @@ from posetglue.formula_cat import (
     compose_formulas,
     substitute,
 )
-from posetglue.gluing import build_minus, build_plus, validate_gluing
+from posetglue.gluing import build_minus, build_plus, gluing_to_json, validate_gluing
 from posetglue.harness import (
     FIGURE_ONE_PAIRS,
     EpsilonTransform,
@@ -170,6 +170,28 @@ class TestSingleCheckSite:
         # second leg below some z covered by a
         z, top = info.value.pair
         assert top == c and z in P.down_set(a)
+
+    def test_sign_flipped_non_cover_restrictions_are_proved_by_the_covers(self):
+        # check_formula_morphism runs only on Hasse edges; every other
+        # restriction is proved by the cover triangles, so a corrupted one is
+        # caught there, even one that is no formula morphism by itself
+        g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
+        formulas = build_theorem_formulas(g)
+        invalid = []
+        for side, a, c in _non_cover_pairs():
+            xi = formulas[side]
+            rows = xi.res[(a, c)].phi.matrix.tolist()
+            j, i = next(
+                (j, i) for j, row in enumerate(rows) for i, e in enumerate(row) if e
+            )
+            rows[j][i] = -rows[j][i]
+            res = dict(xi.res)
+            res[(a, c)] = FormulaMorphism(xi.at[a], xi.at[c], rows)
+            if not check_formula_morphism(res[(a, c)]):
+                invalid.append((side, a, c))
+            with pytest.raises(CommutativityFailure):
+                Formula(xi.target, xi.at, res)
+        assert invalid  # some corruptions fail check_formula_morphism outright
 
     def test_sign_flipped_epsilon_component_names_its_edge(self):
         g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
@@ -326,6 +348,45 @@ class TestRunParameters:
         assert len(builds) == 1
 
 
+class TestOneBuildPerOrder:
+    """Each glued order is built, and its closure checked, once per gluing."""
+
+    @pytest.fixture
+    def closures(self, monkeypatch):
+        calls = []
+        real = gluing.poset_from_generators
+        monkeypatch.setattr(
+            gluing,
+            "poset_from_generators",
+            lambda *args: calls.append(args) or real(*args),
+        )
+        return calls
+
+    def test_verify_x1z(self, closures):
+        X = poset_from_generators(["a", "b"], [("a", "b")])
+        Z = poset_from_generators(["u", "v"], [])
+        assert verify_x1z(X, Z, **SMALL).ok
+        assert len(closures) == 2
+
+    @pytest.mark.parametrize(
+        "argv, builds",
+        [
+            (["demo", "figure1"], 6),
+            (["verify", "theorem", "--gluing", "{gluing}", "--dot", "{dot}"], 2),
+            (["demo", "bgp-star"], 2),
+        ],
+        ids=["demo-figure1", "verify-theorem-dot", "demo-bgp-star"],
+    )
+    def test_cli(self, closures, tmp_path, argv, builds):
+        path = tmp_path / "gluing.json"
+        path.write_text(json.dumps(gluing_to_json(single_edge_gluing())))
+        argv = [a.format(gluing=path, dot=tmp_path / "dot") for a in argv]
+        run = ["--trials", "1", "--max-dim", "2", "--window", "-1", "1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + run) == 0
+        assert len(closures) == builds
+
+
 class TestCompose:
     def test_each_value_substituted_and_each_restriction_checked_once(
         self, monkeypatch
@@ -344,7 +405,7 @@ class TestCompose:
         composite = compose_formulas(xi_plus, xi_minus)
         assert calls == {
             "substitute": len(xi_plus.target),
-            "check_formula_morphism": len(xi_plus.target.leq),
+            "check_formula_morphism": len(hasse(xi_plus.target).edges),
         }
         assert len(composite.res) == len(xi_plus.target.leq)
 

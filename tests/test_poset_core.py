@@ -297,6 +297,10 @@ class TestSerialization:
         with pytest.raises(UnknownElement):
             poset_from_json({"elements": ["a"], "relations": [["a", "b"]]})
 
+    def test_deeply_nested_json_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="invalid JSON"):
+            poset_loads('{"elements": ' + "[" * 200_000)
+
     def test_dot_output(self):
         p = poset_from_generators(["a", "b", "c"], [("a", "b"), ("a", "c")])
         dot = poset_to_dot(p, "demo")

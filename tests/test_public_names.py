@@ -2,7 +2,8 @@
 defaulted parameter of a public function or method is set by some call, the
 unchecked ``Mat._of`` constructor is used only inside ``intmat``, the
 isomorphism search serves only ``poset iso``, matrices are ranked only by
-``Field.rank`` and the acyclicity fast path, and the package imports
+``Field.rank`` and the acyclicity fast path, JSON is decoded only by
+``cli._load_doc`` and ``poset_core.poset_loads``, and the package imports
 nothing outside the standard library.
 
 A public function, class or constant of ``src/posetglue/*.py`` must be used
@@ -264,4 +265,36 @@ def test_only_field_rank_and_the_acyclicity_fast_path_rank_matrices():
                     where = f"{path.stem}.{owner}{getattr(unit, 'name', unit.lineno)}"
                     (allowed if where in rankers else outside).append(where)
     assert set(allowed) == rankers  # the guard still sees both rank sites
+    assert not outside, outside
+
+
+def _decodes_json(node) -> bool:
+    """Whether node calls json.load or json.loads, or a bare loads."""
+    return any(
+        isinstance(sub, ast.Call)
+        and (
+            getattr(sub.func, "id", None) == "loads"
+            or (
+                getattr(sub.func, "attr", None) in ("load", "loads")
+                and getattr(getattr(sub.func, "value", None), "id", None) == "json"
+            )
+        )
+        for sub in ast.walk(node)
+    )
+
+
+def test_only_the_two_json_entry_points_parse_json():
+    # cli._load_doc and poset_core.poset_loads turn every JSON decoding
+    # failure, a nesting too deep to decode included, into ParseError; a
+    # third caller of json.loads would have to repeat that.
+    entry_points = {"cli._load_doc", "poset_core.poset_loads"}
+    allowed, outside = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = f"{stmt.name}." if isinstance(stmt, ast.ClassDef) else ""
+            for unit in stmt.body if owner else [stmt]:
+                if _decodes_json(unit):
+                    where = f"{path.stem}.{owner}{getattr(unit, 'name', unit.lineno)}"
+                    (allowed if where in entry_points else outside).append(where)
+    assert set(allowed) == entry_points  # the guard still sees both entry points
     assert not outside, outside
