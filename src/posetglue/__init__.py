@@ -114,7 +114,6 @@ from .poset_core import (
     ordinal_sum,
     poset_from_generators,
     poset_from_json,
-    poset_loads,
     poset_to_dot,
     poset_to_json,
     product,

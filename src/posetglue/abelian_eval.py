@@ -33,12 +33,6 @@ from .intmat import Mat, block, rank_exact, rank_mod
 from .poset_core import Poset, cover_triangles, hasse
 from .rng import SplitMix64, derive_seed
 
-# Modulus for the probabilistic acyclicity fast path over the rationals:
-# ranks modulo a prime never exceed rational ranks, so a vanishing modular
-# cohomology certifies vanishing rational cohomology.
-_FAST_PRIME = 2**31 - 1
-
-
 # Deterministic Miller-Rabin bases: the primes up to 37 decide primality
 # for every n below 3.18e23, the least strong pseudoprime to all of them
 # (Sorenson and Webster 2015), which is far beyond the 2**64 cap of Field.
@@ -148,11 +142,6 @@ class VectComplex:
             isinstance(other, VectComplex)
             and self.dims == other.dims
             and self.d == other.d
-        )
-
-    def __hash__(self):
-        return hash(
-            (tuple(sorted(self.dims.items())), tuple(sorted(self.d.items())))
         )
 
     def __repr__(self):
@@ -286,10 +275,11 @@ def direct_sum_complexes(parts) -> VectComplex:
     return VectComplex(dims, d, check=False)
 
 
-def _cohomology(K: VectComplex, rank) -> dict:
-    """Degree -> dim − rank(d_i) − rank(d_{i−1}), zeros omitted: each
-    differential of K is ranked once, and an absent one has rank 0."""
-    ranks = {i: rank(m) for i, m in K.d.items()}
+def cohomology(K: VectComplex, field: Field = RATIONALS) -> dict:
+    """Dimensions of kernel-mod-image in each degree, zeros omitted: degree
+    i has dim − rank(d_i) − rank(d_{i−1}), each differential of K is ranked
+    once by field.rank, and an absent one has rank 0."""
+    ranks = {i: field.rank(m) for i, m in K.d.items()}
     out = {}
     for i in sorted(K.dims):
         h = K.dims[i] - ranks.get(i, 0) - ranks.get(i - 1, 0)
@@ -298,23 +288,9 @@ def _cohomology(K: VectComplex, rank) -> dict:
     return out
 
 
-def cohomology(K: VectComplex, field: Field = RATIONALS) -> dict:
-    """Dimensions of kernel-mod-image in each degree, zeros omitted."""
-    return _cohomology(K, field.rank)
-
-
-def _is_acyclic(K: VectComplex, field: Field) -> bool:
-    # Fast path over the rationals: modular ranks bound rational ranks from
-    # below, and cohomology dimensions from above; a zero table is a
-    # certificate.
-    if field.p is None and not _cohomology(K, lambda m: rank_mod(m, _FAST_PRIME)):
-        return True
-    return not cohomology(K, field)
-
-
 def is_quasi_iso(f: ChainMap, field: Field = RATIONALS) -> bool:
-    """True iff the cone of f is acyclic."""
-    return _is_acyclic(cone(f), field)
+    """True iff the cone of f is acyclic over field."""
+    return not cohomology(cone(f), field)
 
 
 class PosetDiagram:
@@ -621,13 +597,17 @@ def _complex_from_elementary(pieces) -> VectComplex:
     return VectComplex(dims, d, check=False)
 
 
-def _random_unimodular(rng: SplitMix64, n: int, steps: int = 3):
-    """A random integer matrix with determinant ±1, plus its exact inverse."""
+_UNIMODULAR_STEPS = 3
+
+
+def _random_unimodular(rng: SplitMix64, n: int):
+    """A random integer matrix with determinant ±1, plus its exact inverse:
+    a product of at most _UNIMODULAR_STEPS random shears and sign flips."""
     U = Mat.identity(n)
     Uinv = Mat.identity(n)
     if n == 0:
         return U, Uinv
-    for _ in range(steps):
+    for _ in range(_UNIMODULAR_STEPS):
         kind = rng.randrange(3)
         if kind == 0 and n >= 2:
             i = rng.randrange(n)
@@ -946,17 +926,3 @@ def complex_to_json(K: VectComplex) -> dict:
         "dims": {str(i): n for i, n in sorted(K.dims.items())},
         "d": {str(i): m.tolist() for i, m in sorted(K.d.items())},
     }
-
-
-def complex_from_json(doc) -> VectComplex:
-    if not isinstance(doc, dict) or "dims" not in doc:
-        raise ParseError("complex JSON needs a 'dims' object")
-    try:
-        dims = {int(i): int(n) for i, n in doc["dims"].items()}
-        d = {int(i): m for i, m in doc.get("d", {}).items()}
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ParseError(f"bad complex JSON: {exc}") from exc
-    try:
-        return VectComplex(dims, d, check=True)
-    except (ShapeMismatch, D2NotZero) as exc:
-        raise ParseError(f"invalid complex: {exc}") from exc

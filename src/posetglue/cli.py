@@ -1,9 +1,13 @@
 """Command-line front end: posets, gluings, and verification pipelines.
 
 Commands operate on small JSON files (formats documented in the owning
-modules) and emit human-readable summaries by default, canonical JSON with
---json, and DOT drawings with --dot DIR.  Reports are deterministic: the
-same inputs, seed, field, and trial count produce byte-identical JSON.
+modules).  Commands that report emit a human-readable summary by default
+and canonical JSON with --json; `poset op` and `glue build` always print
+the poset they make as JSON.  `poset check`, `poset hasse`, `poset op`,
+`glue build` and `verify theorem` also write their orders as DOT drawings
+with --dot DIR.  A command accepts only the flags it reads.  Reports are
+deterministic: the same inputs, seed, field, and trial count produce
+byte-identical JSON.
 
 Exit codes: 0 all passed; 1 input or validation failure; 2 verification
 failure; 3 parse error (bad files or bad command lines).
@@ -74,7 +78,7 @@ def _load_poset(path: str):
 
 
 def _write_dot(ns, poset, name: str) -> None:
-    if getattr(ns, "dot", None):
+    if ns.dot:
         path = Path(ns.dot) / f"{name}.dot"
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -97,7 +101,7 @@ def _run_args(ns) -> dict:
 
 
 def _emit(ns, doc, lines) -> None:
-    if getattr(ns, "json", False):
+    if ns.json:
         print(_dumps(doc))
     else:
         for line in lines:
@@ -125,6 +129,20 @@ def _finish_cert(ns, cert) -> int:
     doc = cert.to_json()
     _emit(ns, doc, _cert_lines(doc))
     return 0 if doc["ok"] else 2
+
+
+def _finish_bgp(ns, report) -> int:
+    """Emit a reflection-path report of verify_bgp_path."""
+    lines = [report["description"]]
+    for step in report["steps"]:
+        lines.append(
+            f"  reflect at {step['vertex']} ({step['kind']}): "
+            f"{'pass' if step['ok'] else 'FAIL'}"
+        )
+    lines.append(f"  path length: {report['path_length']}")
+    lines.append(f"  result: {'PASS' if report['ok'] else 'FAIL'}")
+    _emit(ns, report, lines)
+    return 0 if report["ok"] else 2
 
 
 # --- poset commands ---------------------------------------------------------------
@@ -224,7 +242,7 @@ def _cmd_verify_two_chain(ns) -> int:
 
 def _cmd_verify_theorem(ns) -> int:
     g = gluing_from_json(_load_doc(ns.gluing))
-    if getattr(ns, "dot", None):
+    if ns.dot:
         _write_dot(ns, build_plus(g).poset, f"{Path(ns.gluing).stem}-plus")
         _write_dot(ns, build_minus(g).poset, f"{Path(ns.gluing).stem}-minus")
     return _finish_cert(ns, verify_equivalence(g, **_run_args(ns)))
@@ -234,17 +252,7 @@ def _cmd_verify_bgp(ns) -> int:
     tree = _load_poset(ns.tree)
     fro = _load_poset(ns.from_file)
     to = _load_poset(ns.to)
-    report = verify_bgp_path(tree, fro, to, **_run_args(ns))
-    lines = [report["description"]]
-    for step in report["steps"]:
-        lines.append(
-            f"  reflect at {step['vertex']} ({step['kind']}): "
-            f"{'pass' if step['ok'] else 'FAIL'}"
-        )
-    lines.append(f"  path length: {report['path_length']}")
-    lines.append(f"  result: {'PASS' if report['ok'] else 'FAIL'}")
-    _emit(ns, report, lines)
-    return 0 if report["ok"] else 2
+    return _finish_bgp(ns, verify_bgp_path(tree, fro, to, **_run_args(ns)))
 
 
 def _cmd_verify_x1z(ns) -> int:
@@ -299,15 +307,7 @@ def _cmd_demo(ns) -> int:
         tree = poset_from_generators(verts, out_edges)
         source = tree
         sink = poset_from_generators(verts, [(b, a) for a, b in out_edges])
-        report = verify_bgp_path(source, source, sink, **run)
-        lines = [
-            f"reflect at {s['vertex']} ({s['kind']}): "
-            f"{'pass' if s['ok'] else 'FAIL'}"
-            for s in report["steps"]
-        ]
-        lines.append(f"result: {'PASS' if report['ok'] else 'FAIL'}")
-        _emit(ns, report, lines)
-        return 0 if report["ok"] else 2
+        return _finish_bgp(ns, verify_bgp_path(source, source, sink, **run))
     # x1z: a two-element chain over a two-element antichain
     X = poset_from_generators(["a", "b"], [("a", "b")])
     Z = poset_from_generators(["u", "v"], [])
@@ -316,10 +316,13 @@ def _cmd_demo(ns) -> int:
 
 # --- parser ----------------------------------------------------------------------------
 
-def _add_output_flags(parser) -> None:
+def _add_json_flag(parser) -> None:
     parser.add_argument(
         "--json", action="store_true", help="emit the full report as canonical JSON"
     )
+
+
+def _add_dot_flag(parser) -> None:
     parser.add_argument(
         "--dot", metavar="DIR", help="also write DOT drawings into this directory"
     )
@@ -349,7 +352,7 @@ def _add_run_flags(parser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=1, help="worker processes for parallel trials"
     )
-    _add_output_flags(parser)
+    _add_json_flag(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,33 +366,35 @@ def build_parser() -> argparse.ArgumentParser:
     psub = poset.add_subparsers(dest="subcommand", required=True)
     p_check = psub.add_parser("check", help="validate a poset JSON file")
     p_check.add_argument("file")
-    _add_output_flags(p_check)
+    _add_json_flag(p_check)
+    _add_dot_flag(p_check)
     p_check.set_defaults(func=_cmd_poset_check)
     p_hasse = psub.add_parser("hasse", help="emit the covering relation as DOT")
     p_hasse.add_argument("file")
-    _add_output_flags(p_hasse)
+    _add_json_flag(p_hasse)
+    _add_dot_flag(p_hasse)
     p_hasse.set_defaults(func=_cmd_poset_hasse)
     p_op = psub.add_parser("op", help="apply a poset operation")
     p_op.add_argument("name", choices=sorted(_POSET_OPS))
     p_op.add_argument("files", nargs="+")
-    _add_output_flags(p_op)
+    _add_dot_flag(p_op)
     p_op.set_defaults(func=_cmd_poset_op)
     p_iso = psub.add_parser("iso", help="search for an order isomorphism")
     p_iso.add_argument("a")
     p_iso.add_argument("b")
-    _add_output_flags(p_iso)
+    _add_json_flag(p_iso)
     p_iso.set_defaults(func=_cmd_poset_iso)
 
     glue = top.add_parser("glue", help="validate gluing data and build glued orders")
     gsub = glue.add_subparsers(dest="subcommand", required=True)
     g_val = gsub.add_parser("validate", help="check gluing data, reporting witnesses")
     g_val.add_argument("file")
-    _add_output_flags(g_val)
+    _add_json_flag(g_val)
     g_val.set_defaults(func=_cmd_glue_validate)
     g_build = gsub.add_parser("build", help="write one of the two glued orders")
     g_build.add_argument("file")
     g_build.add_argument("--mode", choices=("plus", "minus"), required=True)
-    _add_output_flags(g_build)
+    _add_dot_flag(g_build)
     g_build.set_defaults(func=_cmd_glue_build)
 
     verify = top.add_parser("verify", help="run a verification pipeline")
@@ -400,6 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_thm = vsub.add_parser("theorem", help="the equivalence for a gluing file")
     v_thm.add_argument("--gluing", required=True, help="gluing JSON file")
     _add_run_flags(v_thm)
+    _add_dot_flag(v_thm)
     v_thm.set_defaults(func=_cmd_verify_theorem)
     v_bgp = vsub.add_parser("bgp", help="a reflection path between tree orientations")
     v_bgp.add_argument("--tree", required=True, help="tree orientation JSON file")

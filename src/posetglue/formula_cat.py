@@ -58,9 +58,6 @@ class CObject:
             and self.base == other.base
         )
 
-    def __hash__(self):
-        return hash(self.entries)
-
     def __repr__(self):
         return f"CObject({list(self.entries)})"
 
@@ -119,9 +116,6 @@ class CMorphism:
             and self.target == other.target
             and self.matrix == other.matrix
         )
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
 
     def __repr__(self):
         return f"CMorphism({self.matrix.tolist()})"
@@ -197,9 +191,6 @@ class FormulaToPoint:
             and self.xi == other.xi
             and self.D == other.D
         )
-
-    def __hash__(self):
-        return hash((self.xi, self.D))
 
     def __repr__(self):
         return f"FormulaToPoint({list(self.xi.entries)}, {self.D.matrix.tolist()})"
@@ -287,9 +278,6 @@ class FormulaMorphism:
             and self.target == other.target
             and self.phi == other.phi
         )
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.phi))
 
     def __repr__(self):
         return f"FormulaMorphism({self.phi.matrix.tolist()})"

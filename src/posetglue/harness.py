@@ -234,8 +234,13 @@ class EpsilonTransform:
 
     def evaluate(self, K: PosetDiagram) -> DiagramMap:
         """The evaluated transformation at a diagram, as a map of diagrams."""
-        src = eval_formula(self.source, K)
-        tgt = eval_formula(self.target, K)
+        return self._evaluate_between(
+            K, eval_formula(self.source, K), eval_formula(self.target, K)
+        )
+
+    def _evaluate_between(self, K: PosetDiagram, src, tgt) -> DiagramMap:
+        """evaluate(K) between src and tgt, the evaluations of the source and
+        target formulas at K, which the caller has already made."""
         comps = {
             y: eval_formula_morphism(self.components[y], K, src.K[y], tgt.K[y])
             for y in self.source.target.elements
@@ -524,7 +529,10 @@ def _two_chain_trial(state, tseed) -> TrialRecord:
     (eps_pm, eps_mp, eps_pp, eps_mm), field, max_dim, window = state
     K = random_diagram(TWO_CHAIN, tseed, max_dim, window)
     counit = eps_pm.evaluate(K)
-    unit = eps_mp.evaluate(K)
+    # the unit starts where the counit ends: NU evaluated at K
+    unit = eps_mp._evaluate_between(
+        K, counit.target, eval_formula(eps_mp.target, K)
+    )
     T1 = eval_formula(TWO_CHAIN_PLUS, K)
     T2 = eval_formula(TWO_CHAIN_PLUS, T1)
     T3 = eval_formula(TWO_CHAIN_PLUS, T2)

@@ -8,8 +8,6 @@ deterministic. Values are immutable after construction.
 """
 from __future__ import annotations
 
-import json
-
 from .errors import CycleError, ParseError, SizeLimit, UnknownElement
 
 
@@ -102,24 +100,10 @@ class Poset:
 class HasseDiagram:
     """Covering relation of a poset: the transitive reduction of its strict order."""
 
-    __slots__ = ("vertices", "edges")
+    __slots__ = ("edges",)
 
-    def __init__(self, vertices, edges):
-        self.vertices = tuple(vertices)
+    def __init__(self, edges):
         self.edges = frozenset(edges)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HasseDiagram)
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
-
-    def __repr__(self):
-        return f"HasseDiagram({list(self.vertices)}, {sorted(self.edges)})"
 
 
 def poset_from_generators(elements, generating_pairs) -> Poset:
@@ -201,7 +185,7 @@ def hasse(p: Poset) -> HasseDiagram:
                     continue
                 if not any(c != a and c != b and p.le(c, b) for c in p.up_set(a)):
                     edges.add((a, b))
-        p._hasse = HasseDiagram(p.elements, edges)
+        p._hasse = HasseDiagram(edges)
     return p._hasse
 
 
@@ -384,14 +368,6 @@ def poset_from_json(doc) -> Poset:
     ):
         raise ParseError("'relations' must be a list of [a, b] pairs of strings")
     return poset_from_generators(elements, [tuple(r) for r in relations])
-
-
-def poset_loads(text: str) -> Poset:
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return poset_from_json(doc)
 
 
 def poset_to_dot(p: Poset, name: str = "poset") -> str:

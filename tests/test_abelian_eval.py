@@ -22,7 +22,6 @@ from posetglue.abelian_eval import (
     VectComplex,
     cohomology,
     cohomology_table,
-    complex_from_json,
     complex_to_json,
     cone,
     eval_formula,
@@ -172,11 +171,6 @@ class TestComplexes:
         assert S.dims == {t - 1: n for t, n in K.dims.items()}
         for t, m in K.d.items():
             assert S.diff(t - 1).tolist() == m.neg().tolist()
-
-    def test_json_round_trip(self):
-        for seed in range(10):
-            K = random_complex(seed)
-            assert complex_from_json(complex_to_json(K)) == K
 
 
 class TestQuasiIso:

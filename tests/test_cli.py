@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -11,7 +12,16 @@ import pytest
 from posetglue import cli
 from posetglue.cli import main
 from posetglue.gluing import build_minus, build_plus, gluing_from_json
-from posetglue.poset_core import poset_from_generators, poset_to_dot, poset_to_json
+from posetglue.poset_core import (
+    opposite,
+    poset_from_generators,
+    poset_from_json,
+    poset_to_dot,
+    poset_to_json,
+)
+
+# a small run: one trial, stalks of dimension at most 2 in degrees -1..1
+SMALL = ["--trials", "1", "--max-dim", "2", "--window", "-1", "1"]
 
 
 @pytest.fixture
@@ -414,21 +424,11 @@ class TestDemo:
         capsys.readouterr()
 
     def test_bgp_star(self, files, capsys):
-        rc = main(
-            [
-                "demo",
-                "bgp-star",
-                "--trials",
-                "1",
-                "--max-dim",
-                "2",
-                "--window",
-                "-1",
-                "1",
-            ]
-        )
-        assert rc == 0
-        capsys.readouterr()
+        assert main(["demo", "bgp-star", *SMALL]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "reflection path between two tree orientations"
+        assert lines[-2:] == ["  path length: 1", "  result: PASS"]
+        assert all(line.startswith("  reflect at ") for line in lines[1:-2])
 
     def test_figure1_json(self, files, capsys):
         rc = main(
@@ -451,6 +451,138 @@ class TestDemo:
         assert len(doc["pairs"]) == 3
         for entry in doc["pairs"]:
             assert entry["plus_isomorphic"] and entry["minus_isomorphic"]
+
+
+RUN_FLAGS = {"--trials", "--seed", "--field", "--max-dim", "--window", "--jobs", "--json"}
+
+# The option strings each subcommand accepts: --json where it prints a
+# report, --dot DIR where it draws orders, the run flags on verify and demo.
+SURFACE = {
+    ("poset", "check"): {"--json", "--dot"},
+    ("poset", "hasse"): {"--json", "--dot"},
+    ("poset", "op"): {"--dot"},
+    ("poset", "iso"): {"--json"},
+    ("glue", "validate"): {"--json"},
+    ("glue", "build"): {"--mode", "--dot"},
+    ("verify", "two-chain"): RUN_FLAGS,
+    ("verify", "theorem"): RUN_FLAGS | {"--gluing", "--dot"},
+    ("verify", "bgp"): RUN_FLAGS | {"--tree", "--from", "--to"},
+    ("verify", "x1z"): RUN_FLAGS | {"--x", "--z"},
+    ("demo",): RUN_FLAGS,
+}
+
+BGP = ["--tree", "{path_fwd}", "--from", "{path_fwd}", "--to", "{path_bwd}"]
+X1Z = ["--x", "{anti2}", "--z", "{chain3}"]
+
+
+def _leaf_parsers(parser, path=()):
+    """(command path, parser) of every command that takes no subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, path + (name,))
+
+
+def _argv(files, argv) -> list:
+    return [a.format(**files) for a in argv]
+
+
+class TestSurface:
+    def test_each_command_accepts_only_the_flags_it_reads(self):
+        surface = {
+            path: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for path, p in _leaf_parsers(cli.build_parser())
+        }
+        assert surface == SURFACE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poset", "op", "opposite", "{chain3}", "--json"],
+            ["glue", "build", "{glue_ok}", "--mode", "plus", "--json"],
+            ["poset", "iso", "{chain3}", "{chain3b}", "--dot", "{tmp}"],
+            ["glue", "validate", "{glue_ok}", "--dot", "{tmp}"],
+            ["verify", "two-chain", *SMALL, "--dot", "{tmp}"],
+            ["verify", "bgp", *BGP, *SMALL, "--dot", "{tmp}"],
+            ["verify", "x1z", *X1Z, *SMALL, "--dot", "{tmp}"],
+            ["demo", "two-chain", *SMALL, "--dot", "{tmp}"],
+        ],
+        ids=[
+            "poset-op-json",
+            "glue-build-json",
+            "poset-iso-dot",
+            "glue-validate-dot",
+            "verify-two-chain-dot",
+            "verify-bgp-dot",
+            "verify-x1z-dot",
+            "demo-dot",
+        ],
+    )
+    def test_a_flag_the_command_does_not_read_exits_3(self, files, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(_argv(files, argv))
+        assert info.value.code == 3
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, name, draw",
+        [
+            (["poset", "check", "{chain3}"], "chain3", lambda p: p),
+            (["poset", "hasse", "{chain3}"], "chain3", lambda p: p),
+            (["poset", "op", "opposite", "{chain3}"], "opposite", opposite),
+        ],
+        ids=["poset-check", "poset-hasse", "poset-op"],
+    )
+    def test_dot_draws_the_order(self, files, capsys, argv, name, draw):
+        argv = _argv(files, argv)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        dot_dir = files["tmp"] / "dot"
+        assert main(argv + ["--dot", str(dot_dir)]) == 0
+        assert capsys.readouterr().out == out
+        with open(files["chain3"]) as fh:
+            poset = draw(poset_from_json(json.load(fh)))
+        drawn = {p.name: p.read_text() for p in dot_dir.iterdir()}
+        assert drawn == {f"{name}.dot": poset_to_dot(poset, name)}
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["poset", "check", "{chain3}"], "relations"),
+            (["poset", "hasse", "{chain3}"], "dot"),
+            (["poset", "iso", "{chain3}", "{chain3b}"], "mapping"),
+            (["glue", "validate", "{glue_ok}"], "witness_set_sizes"),
+            (["verify", "two-chain", *SMALL], "trials"),
+            (["verify", "theorem", "--gluing", "{glue_ok}", *SMALL], "trials"),
+            (["verify", "bgp", *BGP, *SMALL], "steps"),
+            (["verify", "x1z", *X1Z, *SMALL], "trials"),
+            (["demo", "bgp-star", *SMALL], "steps"),
+        ],
+        ids=[
+            "poset-check",
+            "poset-hasse",
+            "poset-iso",
+            "glue-validate",
+            "verify-two-chain",
+            "verify-theorem",
+            "verify-bgp",
+            "verify-x1z",
+            "demo-bgp-star",
+        ],
+    )
+    def test_json_prints_the_report_as_canonical_json(self, files, capsys, argv, key):
+        argv = _argv(files, argv)
+        code = main(argv)
+        text = capsys.readouterr().out
+        assert main(argv + ["--json"]) == code == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert key in doc
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(text)
 
 
 class TestConsoleScript:

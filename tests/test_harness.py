@@ -479,6 +479,18 @@ class TestVerifyTwoChain:
         par = verify_two_chain(trials=6, seed=3, jobs=3, max_dim=2, window=(-1, 1))
         assert seq.to_json() == par.to_json()
 
+    def test_each_trial_evaluates_nu_once(self, monkeypatch):
+        # four epsilons with two ends each and T1, T2, T3 make 11, less the
+        # unit's source, which is the counit's target: NU evaluated at K
+        calls = []
+        real = harness.eval_formula
+        monkeypatch.setattr(
+            harness, "eval_formula", lambda F, K: calls.append(F) or real(F, K)
+        )
+        assert verify_two_chain(trials=1).ok
+        assert len(calls) == 10
+        assert sum(F is NU for F in calls) == 1
+
     def test_structural_check_names(self):
         cert = verify_two_chain(trials=1, max_dim=2, window=(-1, 1))
         names = [name for name, _ in cert.structural]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 import pickle
 
 import pytest
@@ -21,7 +20,6 @@ from posetglue.poset_core import (
     ordinal_sum,
     poset_from_generators,
     poset_from_json,
-    poset_loads,
     poset_to_dot,
     poset_to_json,
     product,
@@ -278,7 +276,6 @@ class TestSerialization:
             assert set(doc) == {"elements", "relations"}
             q = poset_from_json(doc)
             assert q.leq == p.leq and q.elements == p.elements
-            assert poset_loads(json.dumps(doc)).leq == p.leq
 
     def test_json_relations_are_hasse_edges(self):
         chain = poset_from_generators(["a", "b", "c"], [("a", "b"), ("b", "c")])
@@ -296,10 +293,6 @@ class TestSerialization:
                 poset_from_json(doc)
         with pytest.raises(UnknownElement):
             poset_from_json({"elements": ["a"], "relations": [["a", "b"]]})
-
-    def test_deeply_nested_json_is_a_parse_error(self):
-        with pytest.raises(ParseError, match="invalid JSON"):
-            poset_loads('{"elements": ' + "[" * 200_000)
 
     def test_dot_output(self):
         p = poset_from_generators(["a", "b", "c"], [("a", "b"), ("a", "c")])

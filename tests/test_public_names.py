@@ -1,10 +1,9 @@
 """Every public top-level name in the package has a caller, every
-defaulted parameter of a public function or method is set by some call, the
-unchecked ``Mat._of`` constructor is used only inside ``intmat``, the
-isomorphism search serves only ``poset iso``, matrices are ranked only by
-``Field.rank`` and the acyclicity fast path, JSON is decoded only by
-``cli._load_doc`` and ``poset_core.poset_loads``, and the package imports
-nothing outside the standard library.
+defaulted parameter of a function or method, private ones included, is set
+by some call, the unchecked ``Mat._of`` constructor is used only inside
+``intmat``, the isomorphism search serves only ``poset iso``, matrices are
+ranked only by ``Field.rank``, JSON is decoded only by ``cli._load_doc``,
+and the package imports nothing outside the standard library.
 
 A public function, class or constant of ``src/posetglue/*.py`` must be used
 somewhere in ``src/`` or ``tests/`` other than its own definition and its
@@ -150,19 +149,20 @@ def _defaulted(fn, skip: int):
             yield None, arg.arg, default
 
 
-def _public_callables(tree):
-    """(call name, function node, leading parameters a call does not pass)."""
+def _callables(tree):
+    """(call name, function node, leading parameters a call does not pass)
+    of every top-level function and every method, private ones included."""
     for stmt in tree.body:
-        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+        if isinstance(stmt, ast.FunctionDef):
             yield stmt.name, stmt, 0
-        elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+        elif isinstance(stmt, ast.ClassDef):
             for fn in stmt.body:
                 if not isinstance(fn, ast.FunctionDef):
                     continue
                 decorators = {getattr(d, "id", None) for d in fn.decorator_list}
                 if fn.name == "__init__":
                     yield stmt.name, fn, 1
-                elif not fn.name.startswith("_") and "property" not in decorators:
+                elif "property" not in decorators:
                     yield fn.name, fn, 0 if "staticmethod" in decorators else 1
 
 
@@ -175,7 +175,7 @@ def test_every_parameter_default_is_overridden_somewhere():
     unset = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for name, fn, skip in _public_callables(tree):
+        for name, fn, skip in _callables(tree):
             for position, param, default in _defaulted(fn, skip):
                 passed = (_passed(c, position, param) for c in calls.get(name, []))
                 if not any(
@@ -247,11 +247,11 @@ def test_only_poset_iso_searches_for_isomorphisms():
     assert not outside, outside
 
 
-def test_only_field_rank_and_the_acyclicity_fast_path_rank_matrices():
-    # abelian_eval._cohomology is the one count of dim - rank - rank; it is
-    # handed its rank function by Field.rank's callers or by _is_acyclic's
-    # modular fast path, so a second count cannot rank matrices by itself.
-    rankers = {"abelian_eval.Field.rank", "abelian_eval._is_acyclic"}
+def test_only_field_rank_ranks_matrices():
+    # abelian_eval.cohomology is the one count of dim - rank - rank and
+    # ranks through Field.rank; is_quasi_iso is the cohomology of the cone,
+    # so no second count can rank matrices by itself.
+    rankers = {"abelian_eval.Field.rank"}
     allowed, outside = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "intmat":
@@ -264,7 +264,7 @@ def test_only_field_rank_and_the_acyclicity_fast_path_rank_matrices():
                 if _refers_to(unit, "rank_exact") or _refers_to(unit, "rank_mod"):
                     where = f"{path.stem}.{owner}{getattr(unit, 'name', unit.lineno)}"
                     (allowed if where in rankers else outside).append(where)
-    assert set(allowed) == rankers  # the guard still sees both rank sites
+    assert set(allowed) == rankers  # the guard still sees the rank site
     assert not outside, outside
 
 
@@ -283,11 +283,11 @@ def _decodes_json(node) -> bool:
     )
 
 
-def test_only_the_two_json_entry_points_parse_json():
-    # cli._load_doc and poset_core.poset_loads turn every JSON decoding
-    # failure, a nesting too deep to decode included, into ParseError; a
-    # third caller of json.loads would have to repeat that.
-    entry_points = {"cli._load_doc", "poset_core.poset_loads"}
+def test_only_cli_load_doc_parses_json():
+    # cli._load_doc turns every JSON decoding failure, a nesting too deep to
+    # decode included, into ParseError; a second caller of json.loads would
+    # have to repeat that.
+    entry_points = {"cli._load_doc"}
     allowed, outside = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
@@ -296,5 +296,5 @@ def test_only_the_two_json_entry_points_parse_json():
                 if _decodes_json(unit):
                     where = f"{path.stem}.{owner}{getattr(unit, 'name', unit.lineno)}"
                     (allowed if where in entry_points else outside).append(where)
-    assert set(allowed) == entry_points  # the guard still sees both entry points
+    assert set(allowed) == entry_points  # the guard still sees the entry point
     assert not outside, outside
