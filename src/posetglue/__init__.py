@@ -3,10 +3,11 @@
 The package mechanizes a small calculus of matrix-valued formulas over
 posets.  `poset_core` holds finite posets and their combinatorics;
 `intmat` exact integer matrices; `formula_cat` the formula calculus with
-its named constants; `gluing` the admissible-gluing data and the two
-induced orders; `abelian_eval` evaluation into complexes of vector spaces
-over exact fields; `harness` the randomized verification pipelines; and
-`cli` the command-line front end.
+the paper's reference constants over the two-element chain; `gluing` the
+admissible-gluing data and the two induced orders; `abelian_eval`
+evaluation into complexes of vector spaces over exact fields; `harness`
+the randomized verification pipelines, with the two-chain instance derived
+from the point-over-point gluing; and `cli` the command-line front end.
 """
 
 from .abelian_eval import (
@@ -49,11 +50,7 @@ from .formula_cat import (
     H121,
     H212,
     NU,
-    PHI1,
-    PHI2,
     TWO_CHAIN,
-    XI1,
-    XI2,
     XI12,
     XI121,
     XI212,

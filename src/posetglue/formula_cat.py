@@ -538,9 +538,8 @@ def compose_formulas(outer: Formula, inner: Formula) -> Formula:
 # --- named constants over the two-element chain ------------------------------
 
 TWO_CHAIN = poset_from_generators(["1", "2"], [("1", "2")])
+NU = translation_formula(TWO_CHAIN, 1)
 
-XI1 = FormulaToPoint(CObject((("1", 1),), TWO_CHAIN), [[1]])
-XI2 = FormulaToPoint(CObject((("2", 0),), TWO_CHAIN), [[1]])
 XI12 = FormulaToPoint(
     CObject((("1", 1), ("2", 0)), TWO_CHAIN), [[1, 0], [1, 1]]
 )
@@ -553,13 +552,9 @@ XI212 = FormulaToPoint(
     [[1, 0, 0], [0, 1, 0], [1, 1, 1]],
 )
 
-PHI1 = FormulaMorphism(XI12, XI1, [[1, 0]])
-PHI2 = FormulaMorphism(XI2, XI12, [[0], [1]])
-
-ALPHA1 = CMorphism(XI1.xi, XI212.xi, [[1], [-1], [0]])
-BETA1 = CMorphism(XI212.xi, XI1.xi, [[0, -1, 0]])
-ALPHA2 = CMorphism(XI2.xi.shifted(1), XI121.xi, [[0], [1], [0]])
-BETA2 = CMorphism(XI121.xi, XI2.xi.shifted(1), [[0, 1, 1]])
+ALPHA1 = CMorphism(NU.at["1"].xi, XI212.xi, [[1], [-1], [0]])
+BETA1 = CMorphism(XI212.xi, NU.at["1"].xi, [[0, -1, 0]])
+ALPHA2 = CMorphism(NU.at["2"].xi, XI121.xi, [[0], [1], [0]])
+BETA2 = CMorphism(XI121.xi, NU.at["2"].xi, [[0, 1, 1]])
 H212 = CMorphism(XI212.xi, XI212.xi.shifted(-1), [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
 H121 = CMorphism(XI121.xi, XI121.xi.shifted(-1), [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-NU = translation_formula(TWO_CHAIN, 1)

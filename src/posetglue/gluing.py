@@ -266,10 +266,13 @@ def gluing_from_json(doc) -> GluingData:
     * `{"Y": .., "Y0": [...]}` — a single new point glued against Y0.
 
     A document mixing forms (two of 'Yx', 'f' and 'Y0', or 'X' with 'Y0')
-    is rejected with the keys named.
+    or holding any other key is rejected with the keys named.
     """
     if not isinstance(doc, dict):
         raise ParseError("gluing JSON must be an object")
+    unknown = sorted(set(doc) - {"X", "Y", "Yx", "f", "Y0"}, key=str)
+    if unknown:
+        raise ParseError(f"gluing JSON has unknown keys {unknown}")
     keys = [k for k in ("X", "Yx", "f", "Y0") if k in doc]
     if len(set(keys) - {"X"}) > 1 or {"X", "Y0"} <= set(keys):
         raise ParseError(f"gluing JSON mixes forms, keys {keys}; give exactly one")

@@ -49,8 +49,6 @@ from .formula_cat import (
     H212,
     NU,
     TWO_CHAIN,
-    XI1,
-    XI2,
     XI12,
     XI121,
     XI212,
@@ -59,8 +57,6 @@ from .formula_cat import (
     Formula,
     FormulaMorphism,
     FormulaToPoint,
-    PHI1,
-    PHI2,
     check_formula,
     check_formula_morphism,
     check_homotopy,
@@ -81,23 +77,8 @@ from .gluing import (
     validate_gluing,
 )
 from .intmat import Mat
-from .poset_core import Poset, hasse, poset_from_generators
+from .poset_core import Poset, hasse, point_poset, poset_from_generators
 from .rng import SplitMix64, derive_seed
-
-
-# --- the two-chain instance ---------------------------------------------------
-
-#: The plus-side formula over the two-element chain: the value at "1" is the
-#: stalk at "2" and the value at "2" is the extension of both stalks.
-TWO_CHAIN_PLUS = Formula(
-    TWO_CHAIN, {"1": XI2, "2": XI12}, {("1", "2"): PHI2}
-)
-
-#: The minus-side formula over the two-element chain, inverse to the plus
-#: side up to shift.
-TWO_CHAIN_MINUS = Formula(
-    TWO_CHAIN, {"1": XI12, "2": XI1}, {("1", "2"): PHI1}
-)
 
 
 # --- certificates --------------------------------------------------------------
@@ -258,14 +239,16 @@ def _stalk_value(base: Poset, x, degree: int) -> FormulaToPoint:
     return value
 
 
-def _arrow_formula(base: Poset, bottom, top, matrix) -> Formula:
-    """A formula over the two-chain with the given stalk words as values."""
+def _arrow_formula(chain: Poset, base: Poset, bottom, top, matrix) -> Formula:
+    """A formula over a two-element chain with the given stalk words as the
+    values at its bottom and top."""
+    low, high = sorted(chain.elements, key=chain.height)
     f1 = FormulaToPoint(CObject(bottom, base), Mat.identity(len(bottom)))
     f2 = FormulaToPoint(CObject(top, base), Mat.identity(len(top)))
     return Formula(
-        TWO_CHAIN,
-        {"1": f1, "2": f2},
-        {("1", "2"): FormulaMorphism(f1, f2, matrix)},
+        chain,
+        {low: f1, high: f2},
+        {(low, high): FormulaMorphism(f1, f2, matrix)},
     )
 
 
@@ -295,9 +278,9 @@ def _build_xi(g: GluingData, source, target) -> Formula:
         stalk = ((x, 0),)
         witnesses = tuple((y, 0) for y in ys)
         if plus:
-            arrow = _arrow_formula(base, stalk, witnesses, [[1]] * len(ys))
+            arrow = _arrow_formula(TWO_CHAIN, base, stalk, witnesses, [[1]] * len(ys))
         else:
-            arrow = _arrow_formula(base, witnesses, stalk, [[1] * len(ys)])
+            arrow = _arrow_formula(TWO_CHAIN, base, witnesses, stalk, [[1] * len(ys)])
         at[x] = substitute(XI12, arrow)
 
     X_set = set(g.X.elements)
@@ -413,6 +396,29 @@ def _certify_retract(value: FormulaToPoint, alpha, beta_row, small, k: int) -> N
         )
 
 
+# --- the two-chain instance ---------------------------------------------------
+
+#: The smallest gluing: the point "1" glued under the point "2".  Its plus
+#: order is TWO_CHAIN and its minus order is TWO_CHAIN with "1" and "2"
+#: swapped, so its theorem formulas relabelled along the swap (the arrow
+#: formula of the stalks at "2" and "1") are the two-chain instance.
+_POINT_GLUING = from_function(point_poset("1"), point_poset("2"), {"1": "2"})
+_POINT_XI = build_theorem_formulas(_POINT_GLUING)
+_FLIPPED = _POINT_XI[0].target
+
+#: The plus-side formula over the two-element chain: the value at "1" is the
+#: stalk at "2" and the value at "2" is the extension of both stalks.
+TWO_CHAIN_PLUS = compose_formulas(
+    _arrow_formula(TWO_CHAIN, _FLIPPED, (("2", 0),), (("1", 0),), [[1]]), _POINT_XI[0]
+)
+
+#: The minus-side formula over the two-element chain, inverse to the plus
+#: side up to shift.
+TWO_CHAIN_MINUS = compose_formulas(
+    _POINT_XI[1], _arrow_formula(_FLIPPED, TWO_CHAIN, (("1", 0),), (("2", 0),), [[1]])
+)
+
+
 # --- randomized verification runs ----------------------------------------------
 
 def _equivalence_trial(state, tseed) -> TrialRecord:
@@ -507,13 +513,19 @@ def verify_equivalence(
 
 
 def _two_chain_epsilons():
-    """The four comparison transformations of the two-chain instance."""
+    """The four comparison transformations of the two-chain instance.
+
+    The counit and unit come from the point gluing: the unit as it stands
+    (its plus order is TWO_CHAIN), the counit re-keyed along the swap.
+    """
+    counit, eps_mp = build_epsilons(_POINT_GLUING, *_POINT_XI)
     comp_pm = compose_formulas(TWO_CHAIN_PLUS, TWO_CHAIN_MINUS)
-    comp_mp = compose_formulas(TWO_CHAIN_MINUS, TWO_CHAIN_PLUS)
     comp_pp = compose_formulas(TWO_CHAIN_PLUS, TWO_CHAIN_PLUS)
     comp_mm = compose_formulas(TWO_CHAIN_MINUS, TWO_CHAIN_MINUS)
-    eps_pm = EpsilonTransform(comp_pm, NU, {"1": [[1]], "2": [[0, 1, 1]]})
-    eps_mp = EpsilonTransform(NU, comp_mp, {"1": [[1], [-1], [0]], "2": [[1]]})
+    swap = (("1", "2"), ("2", "1"))
+    eps_pm = EpsilonTransform(
+        comp_pm, NU, {y: counit.components[z].phi.matrix for y, z in swap}
+    )
     eps_pp = EpsilonTransform(
         comp_pp, TWO_CHAIN_MINUS, {"1": [[1, 0], [0, 1]], "2": [[0, 1, 0]]}
     )
@@ -569,24 +581,24 @@ def verify_two_chain(
 ) -> EquivalenceCertificate:
     """Verify the two-chain instance, including the cube of the plus side.
 
-    Structural checks: validity of the named constant formulas, the
-    substitution identities producing the two composite values, and the two
-    retract homotopies.  Per trial: the four comparison transformations
+    The two formulas, the counit and the unit are those of the point gluing
+    of "1" under "2", relabelled onto TWO_CHAIN.  Structural checks: validity
+    of their values and restrictions and of XI12, the substitution identities
+    producing the two composite values XI121 and XI212, and the two retract
+    homotopies.  Per trial: the four comparison transformations
     (counit, unit, and the two identifying the square of one side with the
     other side) evaluate to quasi-isomorphisms, and the triple application
     of the plus side has the cohomology tables of the input shifted by one.
     """
     config = _run_config(trials, seed, field, max_dim, window, jobs)
+    named = (TWO_CHAIN_PLUS, TWO_CHAIN_MINUS)
     structural = []
     structural.append(
         (
             "named-formulas-valid",
-            all(
-                bool(check_formula(f))
-                for f in (XI1, XI2, XI12)
-            )
-            and bool(check_formula_morphism(PHI1))
-            and bool(check_formula_morphism(PHI2)),
+            bool(check_formula(XI12))
+            and all(bool(check_formula(f)) for F in named for f in F.at.values())
+            and all(bool(check_formula_morphism(F.res[("1", "2")])) for F in named),
         )
     )
     structural.append(
@@ -681,12 +693,12 @@ def verify_bgp_path(
     config = _run_config(trials, seed, field, max_dim, window, jobs)
     verts = set(tree.elements)
     und = _undirected(hasse(tree).edges)
-    if len(und) > 8:
-        raise SizeLimit("reflection search capped at 8 edges")
     if len(und) != len(verts) - 1 or not _connected(verts, und):
         raise NotATree(
             f"underlying graph has {len(und)} edges on {len(verts)} vertices"
         )
+    if len(und) > 8:
+        raise SizeLimit("reflection search capped at 8 edges")
     for name, orient in (("from", from_orient), ("to", to_orient)):
         if set(orient.elements) != verts or _undirected(hasse(orient).edges) != und:
             raise ParseError(
@@ -750,18 +762,10 @@ def verify_bgp_path(
 
 
 def _connected(verts, und) -> bool:
-    if not verts:
-        return True
-    seen = set()
-    stack = [next(iter(sorted(verts)))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        for e in und:
-            if v in e:
-                stack.extend(e - {v})
+    seen, frontier = set(), set(list(verts)[:1])
+    while frontier:
+        seen |= frontier
+        frontier = {v for e in und if e & frontier for v in e} - seen
     return seen == set(verts)
 
 
@@ -782,17 +786,13 @@ def _reflection_path(verts, start, goal):
         for v in order:
             out = frozenset(e for e in state if e[0] == v)
             inc = frozenset(e for e in state if e[1] == v)
-            flips = []
-            if out and not inc:
-                flips.append(("source", out))
-            elif inc and not out:
-                flips.append(("sink", inc))
-            for kind, flipped in flips:
-                nxt = (state - flipped) | {(b, a) for a, b in flipped}
-                nxt = frozenset(nxt)
-                if nxt not in parent:
-                    parent[nxt] = (state, v, kind)
-                    queue.append(nxt)
+            if bool(out) == bool(inc):
+                continue  # neither a source nor a sink
+            kind, flipped = ("source", out) if out else ("sink", inc)
+            nxt = frozenset((state - flipped) | {(b, a) for a, b in flipped})
+            if nxt not in parent:
+                parent[nxt] = (state, v, kind)
+                queue.append(nxt)
     if goal not in parent:
         raise NoPathFound("no reflection sequence reaches the target orientation")
     path = []

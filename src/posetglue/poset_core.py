@@ -358,6 +358,9 @@ def poset_to_json(p: Poset) -> dict:
 def poset_from_json(doc) -> Poset:
     if not isinstance(doc, dict) or "elements" not in doc:
         raise ParseError("poset JSON needs an 'elements' list")
+    unknown = sorted(set(doc) - {"elements", "relations"}, key=str)
+    if unknown:
+        raise ParseError(f"poset JSON has unknown keys {unknown}")
     elements = doc["elements"]
     relations = doc.get("relations", [])
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):

@@ -204,9 +204,11 @@ def random_cmorphism(rng, src, tgt):
 
 
 def _law_xi(seed: int):
-    from posetglue.formula_cat import XI1, XI2, XI12, XI121, XI212
+    from posetglue.formula_cat import XI12, XI121, XI212
+    from posetglue.harness import TWO_CHAIN_MINUS, TWO_CHAIN_PLUS
 
-    return (XI1, XI2, XI12, XI121, XI212)[seed % 5]
+    xi1, xi2 = TWO_CHAIN_MINUS.at["2"], TWO_CHAIN_PLUS.at["1"]
+    return (xi1, xi2, XI12, XI121, XI212)[seed % 5]
 
 
 def _carrier_degrees(obj, K) -> set:

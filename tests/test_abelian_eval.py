@@ -49,8 +49,6 @@ from posetglue.errors import (
 from posetglue.formula_cat import (
     NU,
     TWO_CHAIN,
-    XI1,
-    XI2,
     XI12,
     XI121,
     XI212,
@@ -61,6 +59,7 @@ from posetglue.formula_cat import (
 from posetglue.gluing import build_plus
 from posetglue.harness import (
     FIGURE_ONE_PAIRS,
+    TWO_CHAIN_MINUS,
     TWO_CHAIN_PLUS,
     build_theorem_formulas,
     figure_one_gluing,
@@ -82,6 +81,10 @@ from conftest import (
     qis_preservation_holds,
     ses_preservation_holds,
 )
+
+# the one-entry values of the two-chain formulas
+XI1 = TWO_CHAIN_MINUS.at["2"]
+XI2 = TWO_CHAIN_PLUS.at["1"]
 
 
 class TestField:

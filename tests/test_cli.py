@@ -92,6 +92,12 @@ class TestPoset:
         assert main(["poset", "check", files["chain3"]]) == 0
         assert "3 elements" in capsys.readouterr().out
 
+    def test_check_misspelled_key_exits_3(self, files, capsys):
+        path = files["tmp"] / "misspelled.json"
+        path.write_text(json.dumps({"elements": ["a", "b"], "relation": [["a", "b"]]}))
+        assert main(["poset", "check", str(path)]) == 3
+        assert "'relation'" in capsys.readouterr().err
+
     def test_check_bad_json_exits_3(self, files, capsys):
         bad = files["tmp"] / "broken.json"
         bad.write_text("{nope")
@@ -394,6 +400,21 @@ class TestVerify:
         assert main(["glue", "validate", str(path)]) == 3
         err = capsys.readouterr().err
         assert "'X'" in err and "'Y0'" in err
+
+    def test_misspelled_nested_key_exits_3(self, files, capsys):
+        # spelled right, y <= z makes the witnesses an AntichainViolation
+        doc = {
+            "X": {"elements": ["x"]},
+            "Y": {"elements": ["y", "z"], "relatons": [["y", "z"]]},
+            "Yx": {"x": ["y", "z"]},
+        }
+        path = files["tmp"] / "misspelled.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "theorem", "--gluing", str(path), "--trials", "1"]) == 3
+        assert "'relatons'" in capsys.readouterr().err
+        doc["Y"]["relations"] = doc["Y"].pop("relatons")
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "theorem", "--gluing", str(path), "--trials", "1"]) == 1
 
     def test_unknown_f_key_exits_1(self, files, capsys):
         doc = {

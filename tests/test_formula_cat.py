@@ -14,11 +14,7 @@ from posetglue.formula_cat import (
     H121,
     H212,
     NU,
-    PHI1,
-    PHI2,
     TWO_CHAIN,
-    XI1,
-    XI2,
     XI12,
     XI121,
     XI212,
@@ -49,6 +45,12 @@ from posetglue.intmat import Mat
 from posetglue.poset_core import poset_from_generators
 
 from conftest import matmul
+
+# the one-entry values and the restrictions of the two-chain formulas
+XI1 = TWO_CHAIN_MINUS.at["2"]
+XI2 = TWO_CHAIN_PLUS.at["1"]
+PHI1 = TWO_CHAIN_MINUS.res[("1", "2")]
+PHI2 = TWO_CHAIN_PLUS.res[("1", "2")]
 
 
 class TestMat:

@@ -309,6 +309,20 @@ class TestJson:
             gluing_from_json(doc)
         assert all(repr(k) in str(info.value) for k in keys)
 
+    def test_unknown_keys_are_rejected(self):
+        doc = {
+            "X": poset_to_json(chain("x")),
+            "Y": poset_to_json(chain("y")),
+            "Yx": {"x": ["y"]},
+            "Yz": {},
+        }
+        with pytest.raises(ParseError, match=r"\['Yz'\]"):
+            gluing_from_json(doc)
+        doc.pop("Yz")
+        doc["Y"] = {"elements": ["y"], "relatons": []}
+        with pytest.raises(ParseError, match="relatons"):
+            gluing_from_json(doc)
+
     def test_bad_documents(self):
         for doc in [{}, {"X": {}}, {"X": 3, "Y": 4, "Yx": 5}, []]:
             with pytest.raises(ParseError):

@@ -29,15 +29,23 @@ from posetglue.formula_cat import (
     XI12,
     XI121,
     XI212,
+    CObject,
     Formula,
     FormulaMorphism,
+    FormulaToPoint,
     check_formula,
     check_formula_morphism,
     compose,
     compose_formulas,
     substitute,
 )
-from posetglue.gluing import build_minus, build_plus, gluing_to_json, validate_gluing
+from posetglue.gluing import (
+    build_minus,
+    build_plus,
+    from_function,
+    gluing_to_json,
+    validate_gluing,
+)
 from posetglue.harness import (
     FIGURE_ONE_PAIRS,
     EpsilonTransform,
@@ -55,7 +63,7 @@ from posetglue.harness import (
     verify_x1z,
 )
 from posetglue.intmat import Mat
-from posetglue.poset_core import hasse, poset_from_generators
+from posetglue.poset_core import hasse, point_poset, poset_from_generators
 
 SMALL = {"trials": 3, "max_dim": 2, "window": (-1, 1)}
 
@@ -78,6 +86,23 @@ class TestTheoremFormulas:
         assert xi_plus.at["x"].D.matrix.tolist() == [[1, 0], [1, 1]]
         assert xi_plus.at["y"].xi.entries == (("y", 0),)
         assert xi_minus.at["y"].xi.entries == (("y", 1),)
+        # with x, y named "1", "2", relabelling along their swap gives the
+        # two-chain instance
+        point = from_function(point_poset("1"), point_poset("2"), {"1": "2"})
+        xi_plus, xi_minus = build_theorem_formulas(point)
+        chain, flipped = xi_plus.base, xi_plus.target
+        assert chain == TWO_CHAIN and flipped.le("2", "1")
+
+        def swap(target, base):
+            at = {
+                y: FormulaToPoint(CObject(((z, 0),), base), [[1]])
+                for y, z in (("1", "2"), ("2", "1"))
+            }
+            res = {(a, b): FormulaMorphism(at[a], at[b], [[1]]) for a, b in target.leq}
+            return Formula(target, at, res)
+
+        assert compose_formulas(swap(chain, flipped), xi_plus) == TWO_CHAIN_PLUS
+        assert compose_formulas(xi_minus, swap(flipped, chain)) == TWO_CHAIN_MINUS
 
     def test_every_value_is_a_valid_formula(self):
         for seed in (0, 3, 11):
@@ -491,6 +516,42 @@ class TestVerifyTwoChain:
         assert len(calls) == 10
         assert sum(F is NU for F in calls) == 1
 
+    def test_two_chain_formulas_are_pinned(self):
+        def pins(F):
+            values = {
+                y: (f.xi.entries, f.D.matrix.tolist()) for y, f in F.at.items()
+            }
+            return values, F.res[("1", "2")].phi.matrix.tolist()
+
+        assert pins(TWO_CHAIN_PLUS) == (
+            {"1": ((("2", 0),), [[1]]), "2": ((("1", 1), ("2", 0)), [[1, 0], [1, 1]])},
+            [[0], [1]],
+        )
+        assert pins(TWO_CHAIN_MINUS) == (
+            {"1": ((("1", 1), ("2", 0)), [[1, 0], [1, 1]]), "2": ((("1", 1),), [[1]])},
+            [[1, 0]],
+        )
+
+    def test_counit_and_unit_are_pinned(self):
+        counit, unit, _, _ = harness._two_chain_epsilons()
+        matrices = [
+            {y: fm.phi.matrix.tolist() for y, fm in eps.components.items()}
+            for eps in (counit, unit)
+        ]
+        assert matrices == [
+            {"1": [[1]], "2": [[0, 1, 1]]},
+            {"1": [[1], [-1], [0]], "2": [[1]]},
+        ]
+
+    def test_counit_and_unit_come_from_build_epsilons(self, monkeypatch):
+        calls = []
+        real = harness.build_epsilons
+        monkeypatch.setattr(
+            harness, "build_epsilons", lambda *a: calls.append(a) or real(*a)
+        )
+        assert verify_two_chain(trials=1, max_dim=2, window=(-1, 1)).ok
+        assert len(calls) == 1
+
     def test_structural_check_names(self):
         cert = verify_two_chain(trials=1, max_dim=2, window=(-1, 1))
         names = [name for name, _ in cert.structural]
@@ -632,6 +693,16 @@ class TestBgp:
         )
         with pytest.raises(NotATree):
             verify_bgp_path(diamond, diamond, diamond, trials=1)
+
+    def test_long_cycle_is_not_a_tree(self):
+        # nine edges: the tree check comes before the edge cap
+        names = ["bot", "p1", "p2", "p3", "q1", "q2", "q3", "q4", "top"]
+        edges = [("bot", "p1"), ("p1", "p2"), ("p2", "p3"), ("p3", "top")]
+        edges += [("bot", "q1"), ("q1", "q2"), ("q2", "q3"), ("q3", "q4"), ("q4", "top")]
+        cycle = poset_from_generators(names, edges)
+        assert len(hasse(cycle).edges) == 9
+        with pytest.raises(NotATree):
+            verify_bgp_path(cycle, cycle, cycle, trials=1)
 
     def test_orientation_mismatch_rejected(self):
         p = self.path()

@@ -294,6 +294,13 @@ class TestSerialization:
         with pytest.raises(UnknownElement):
             poset_from_json({"elements": ["a"], "relations": [["a", "b"]]})
 
+    def test_unknown_keys_are_rejected(self):
+        # a misspelled 'relations' would otherwise load as an antichain
+        doc = {"elements": ["a", "b"], "relation": [["a", "b"]], "extra": 1}
+        with pytest.raises(ParseError, match=r"\['extra', 'relation'\]"):
+            poset_from_json(doc)
+        assert poset_from_json({"elements": ["a", "b"]}).leq == {("a", "a"), ("b", "b")}
+
     def test_dot_output(self):
         p = poset_from_generators(["a", "b", "c"], [("a", "b"), ("a", "c")])
         dot = poset_to_dot(p, "demo")
