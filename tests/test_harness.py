@@ -38,6 +38,7 @@ from posetglue.formula_cat import (
     compose,
     compose_formulas,
     substitute,
+    translation_formula,
 )
 from posetglue.gluing import (
     build_minus,
@@ -63,7 +64,7 @@ from posetglue.harness import (
     verify_x1z,
 )
 from posetglue.intmat import Mat
-from posetglue.poset_core import hasse, point_poset, poset_from_generators
+from posetglue.poset_core import hasse, opposite, point_poset, poset_from_generators
 
 SMALL = {"trials": 3, "max_dim": 2, "window": (-1, 1)}
 
@@ -131,6 +132,80 @@ class TestTheoremFormulas:
         L = random_diagram(minus, 0, max_dim=2, window=(-1, 1))
         S = eval_formula(xi_minus, L)
         assert S.base.elements == plus.elements
+
+
+def _anti_transpose(matrix):
+    """The transpose in reversed order: entry (j, i) of an n-by-m matrix
+    moves to (m - 1 - i, n - 1 - j)."""
+    return [list(col)[::-1] for col in zip(*matrix.rows)][::-1]
+
+
+def dual(F: Formula) -> Formula:
+    """F over the opposite target and base: each word reversed with every
+    degree m taken to 1 - m, each D and restriction anti-transposed."""
+    base = opposite(F.base)
+    at = {
+        y: FormulaToPoint(
+            CObject([(e, 1 - m) for e, m in reversed(f.xi.entries)], base),
+            _anti_transpose(f.D.matrix),
+        )
+        for y, f in F.at.items()
+    }
+    res = {
+        (b, a): FormulaMorphism(at[b], at[a], _anti_transpose(fm.phi.matrix))
+        for (a, b), fm in F.res.items()
+    }
+    return Formula(opposite(F.target), at, res)
+
+
+def _up_to_entry_order(F: Formula):
+    """F's orders, words, D's and restrictions, keyed by entry, not position
+    (an element occurs at most once in a theorem formula's word)."""
+
+    def sparse(matrix, rows, cols):
+        return {
+            (rows[j], cols[i]): c
+            for j, row in enumerate(matrix.rows)
+            for i, c in enumerate(row)
+            if c
+        }
+
+    values = {
+        y: (sorted(f.xi.entries), sparse(f.D.matrix, f.xi.entries, f.xi.entries))
+        for y, f in F.at.items()
+    }
+    restrictions = {
+        key: sparse(fm.phi.matrix, fm.target.xi.entries, fm.source.xi.entries)
+        for key, fm in F.res.items()
+    }
+    orders = [(set(P.elements), P.leq) for P in (F.target, F.base)]
+    return orders, values, restrictions
+
+
+def _gluing_id(case):
+    return "-".join(case) if isinstance(case, tuple) else f"random{case}"
+
+
+class TestDuality:
+    @pytest.mark.parametrize("case", [*FIGURE_ONE_PAIRS, *range(20)], ids=_gluing_id)
+    def test_each_sign_is_the_dual_of_the_other_on_the_opposite_data(self, case):
+        # xi_minus of a gluing is the dual of xi_plus of the opposite data,
+        # and conversely: this pins the two sign choices of the builder
+        g = figure_one_gluing(case)[0] if isinstance(case, tuple) else random_gluing(case)
+        self.assert_dual(g)
+
+    def test_witness_free_elements_are_dual(self):
+        X = poset_from_generators(["x1", "x2"], [])
+        Y = poset_from_generators(["y1", "y2"], [("y1", "y2")])
+        self.assert_dual(validate_gluing(X, Y, {"x1": ("y1",), "x2": ()}))
+
+    @staticmethod
+    def assert_dual(g):
+        op = validate_gluing(opposite(g.X), opposite(g.Y), g.Yx)
+        xi_plus, xi_minus = build_theorem_formulas(g)
+        op_plus, op_minus = build_theorem_formulas(op)
+        assert _up_to_entry_order(xi_minus) == _up_to_entry_order(dual(op_plus))
+        assert _up_to_entry_order(xi_plus) == _up_to_entry_order(dual(op_minus))
 
 
 def _non_cover_pairs():
@@ -457,6 +532,20 @@ class TestEpsilons:
         plus = build_plus(g).poset
         for eps in (eps_pm, eps_mp):
             assert set(eps.components) == set(plus.elements)
+
+    def test_a_broken_retract_is_caught(self):
+        g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
+        xi_plus, xi_minus = build_theorem_formulas(g)
+        comp_pm = compose_formulas(xi_plus, xi_minus)
+        nu_minus = translation_formula(xi_minus.base, 1)
+        x = next(x for x in g.X.elements if g.Yx[x])
+        k = len(g.Yx[x])
+        middle = [0] * k + [1] + [0] * k
+        counit = [0] * k + [1] + [1] * k
+        harness._certify_retract(comp_pm.at[x], nu_minus.at[x], middle, counit)
+        counit[k] = -1
+        with pytest.raises(InternalInconsistency, match="retract certificate failed"):
+            harness._certify_retract(comp_pm.at[x], nu_minus.at[x], middle, counit)
 
     def test_component_shape_mismatch_is_rejected(self):
         comps = {"1": [[1]], "2": [[1]]}
