@@ -16,8 +16,6 @@ abelian_eval module turns these values into actual complexes and chain maps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     BaseMismatch,
     CommutativityFailure,
@@ -172,7 +170,8 @@ class FormulaToPoint:
 
     Validity (checked by :func:`check_formula`, not by the constructor):
     the twisted-shifted square D*[1]·D vanishes, D is lower triangular, and
-    every diagonal entry is 1.
+    every diagonal entry is 1.  The check returns None for a valid value and
+    otherwise one message naming the first violation.
     """
 
     __slots__ = ("xi", "D")
@@ -217,44 +216,20 @@ def shift(value, n: int):
     raise TypeError(f"cannot shift {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of a validity check: ok flag plus human-readable problems."""
-
-    ok: bool
-    problems: tuple
-
-    def __bool__(self):
-        return self.ok
-
-
-def _report(problems) -> CheckReport:
-    problems = tuple(problems)
-    return CheckReport(ok=not problems, problems=problems)
-
-
-def check_formula(f: FormulaToPoint) -> CheckReport:
-    """Verify the three formula conditions; list every violation found."""
-    problems = []
-    n = len(f.xi)
+def check_formula(f: FormulaToPoint) -> str | None:
+    """None if f satisfies the three formula conditions, otherwise a message
+    naming the first violation: the nonzero square D*[1]·D, or the first
+    entry of D, row by row, that breaks unit lower triangularity."""
     square = compose(shift(star(f.D), 1), f.D)
     if not square.is_zero():
-        for j in range(n):
-            for i in range(n):
-                if square.matrix[j, i] != 0:
-                    problems.append(
-                        f"D*[1]·D has nonzero entry {square.matrix[j, i]} at ({j},{i})"
-                    )
-    for j in range(n):
-        for i in range(j + 1, n):
-            if f.D.matrix[j, i] != 0:
-                problems.append(
-                    f"D is not lower triangular: entry {f.D.matrix[j, i]} at ({j},{i})"
-                )
-    for i in range(n):
-        if f.D.matrix[i, i] != 1:
-            problems.append(f"diagonal entry at ({i},{i}) is {f.D.matrix[i, i]}, not 1")
-    return _report(problems)
+        return f"D*[1]·D = {square.matrix.tolist()} is not zero"
+    for j, row in enumerate(f.D.matrix.rows):
+        for i, c in enumerate(row):
+            if i > j and c != 0:
+                return f"D is not lower triangular: entry {c} at ({j},{i})"
+            if i == j and c != 1:
+                return f"diagonal entry at ({i},{i}) is {c}, not 1"
+    return None
 
 
 class FormulaMorphism:
@@ -283,29 +258,21 @@ class FormulaMorphism:
         return f"FormulaMorphism({self.phi.matrix.tolist()})"
 
 
-def check_formula_morphism(fm: FormulaMorphism) -> CheckReport:
-    """Verify the restriction property (all nonzero components
-    degree-preserving) and the intertwining identity."""
-    problems = []
-    for j in range(len(fm.target.xi)):
-        mj = fm.target.xi.degree(j)
-        for i in range(len(fm.source.xi)):
-            if fm.phi.matrix[j, i] != 0 and mj != fm.source.xi.degree(i):
-                problems.append(
-                    f"component at ({j},{i}) raises degree; not a restriction"
-                )
+def check_formula_morphism(fm: FormulaMorphism) -> str | None:
+    """None if fm is a restriction (every nonzero component preserves degree)
+    that intertwines the two D's, otherwise a message naming the first
+    degree-raising component or the difference phi[1]·D - D'·phi."""
+    src, tgt = fm.source.xi, fm.target.xi
+    for j, row in enumerate(fm.phi.matrix.rows):
+        for i, c in enumerate(row):
+            if c != 0 and tgt.degree(j) != src.degree(i):
+                return f"component {c} at ({j},{i}) raises degree; not a restriction"
     lhs = compose(shift(fm.phi, 1), fm.source.D)
     rhs = compose(fm.target.D, fm.phi)
     if lhs != rhs:
-        diff = lhs.matrix.sub(rhs.matrix)
-        for j in range(diff.nrows):
-            for i in range(diff.ncols):
-                if diff[j, i] != 0:
-                    problems.append(
-                        f"intertwining fails at ({j},{i}): "
-                        f"phi[1]·D = {lhs.matrix[j, i]} but D'·phi = {rhs.matrix[j, i]}"
-                    )
-    return _report(problems)
+        diff = lhs.matrix.sub(rhs.matrix).tolist()
+        return f"intertwining fails: phi[1]·D - D'·phi = {diff}"
+    return None
 
 
 def identity_formula_morphism(f: FormulaToPoint) -> FormulaMorphism:
@@ -314,13 +281,13 @@ def identity_formula_morphism(f: FormulaToPoint) -> FormulaMorphism:
 
 def check_homotopy(
     alpha: CMorphism, beta: CMorphism, h: CMorphism, D: CMorphism
-) -> CheckReport:
-    """Verify that beta retracts alpha up to the homotopy h against D.
+) -> str | None:
+    """None if beta retracts alpha up to the homotopy h against D, otherwise
+    a message naming the first of the two sides that is not the identity.
 
     Concretely: beta·alpha is the identity, and
     alpha·beta + h[1]·D + D*[-1]·h is the identity, all in canonical form.
     """
-    problems = []
     xi = D.source
     xi_small = alpha.source
     if alpha.target != xi or beta.source != xi or beta.target != xi_small:
@@ -329,17 +296,14 @@ def check_homotopy(
         raise ShapeMismatch("h must map D's object to its shift by -1")
     ba = compose(beta, alpha)
     if ba != identity_morphism(xi_small):
-        problems.append(f"beta·alpha = {ba.matrix.tolist()} is not the identity")
+        return f"beta·alpha = {ba.matrix.tolist()} is not the identity"
     ab = compose(alpha, beta)
     hD = compose(shift(h, 1), D)
     Dh = compose(shift(star(D), -1), h)
     total = add(add(ab, hD), Dh)
     if total != identity_morphism(xi):
-        problems.append(
-            "alpha·beta + h[1]·D + D*[-1]·h = "
-            f"{total.matrix.tolist()} is not the identity"
-        )
-    return _report(problems)
+        return f"alpha·beta + h[1]·D + D*[-1]·h = {total.matrix.tolist()} is not the identity"
+    return None
 
 
 def negated_star_shift(f: FormulaToPoint) -> FormulaToPoint:
@@ -369,7 +333,8 @@ class Formula:
     of the target.  It is the one place where restriction triangles are
     checked: a triangle that does not commute raises CommutativityFailure
     with the difference matrix.  Only the restrictions along Hasse edges
-    go through check_formula_morphism; by the induction in cover_triangles
+    go through check_formula_morphism, and the first message it returns is
+    raised as DiagramAxiomFailure; by the induction in cover_triangles
     every other one equals a composite of those, so it is valid too.
     """
 
@@ -400,10 +365,10 @@ class Formula:
                 raise ShapeMismatch(f"restriction for {y!r} <= {y2!r} has wrong ends")
             if (y, y2) not in covers:
                 continue
-            report = check_formula_morphism(fm)
-            if not report:
+            problem = check_formula_morphism(fm)
+            if problem is not None:
                 raise DiagramAxiomFailure(
-                    f"restriction for {y!r} <= {y2!r} is invalid: {report.problems[0]}"
+                    f"restriction for {y!r} <= {y2!r} is invalid: {problem}"
                 )
         for y in target.elements:
             if self.res[(y, y)].phi != identity_morphism(self.at[y].xi):
@@ -482,11 +447,9 @@ def substitute(outer: FormulaToPoint, inner: Formula) -> FormulaToPoint:
                     f"outer coefficient at ({b},{a}) sits at an illegal position"
                 )
     result = FormulaToPoint(xi, block(blocks, sizes, sizes).rows)
-    report = check_formula(result)
-    if not report:
-        raise InternalInconsistency(
-            f"substitution produced an invalid formula: {report.problems[0]}"
-        )
+    problem = check_formula(result)
+    if problem is not None:
+        raise InternalInconsistency(f"substitution produced an invalid formula: {problem}")
     return result
 
 

@@ -199,11 +199,9 @@ class EpsilonTransform:
             if y not in components:
                 raise ParseError(f"no component at element {y!r}")
             fm = FormulaMorphism(source.at[y], target.at[y], components[y])
-            report = check_formula_morphism(fm)
-            if not report:
-                raise DiagramAxiomFailure(
-                    f"component at {y!r} is invalid: {report.problems[0]}"
-                )
+            problem = check_formula_morphism(fm)
+            if problem is not None:
+                raise DiagramAxiomFailure(f"component at {y!r} is invalid: {problem}")
             self.components[y] = fm
         for a, b in hasse(source.target).edges:
             left = compose(self.target.res[(a, b)].phi, self.components[a].phi)
@@ -233,9 +231,9 @@ class EpsilonTransform:
 
 def _stalk_value(base: Poset, x, degree: int) -> FormulaToPoint:
     value = FormulaToPoint(CObject(((x, degree),), base), [[1]])
-    report = check_formula(value)
-    if not report:
-        raise InternalInconsistency(f"stalk value is invalid: {report.problems[0]}")
+    problem = check_formula(value)
+    if problem is not None:
+        raise InternalInconsistency(f"stalk value is invalid: {problem}")
     return value
 
 
@@ -358,16 +356,14 @@ def _certify_retract(value: FormulaToPoint, small: FormulaToPoint, alpha, beta) 
     n = len(value.xi)
     k = n // 2
     h_rows = [[int(i < k and j == k + 1 + i) for j in range(n)] for i in range(n)]
-    report = check_homotopy(
+    problem = check_homotopy(
         CMorphism(small.xi, value.xi, [[a] for a in alpha]),
         CMorphism(value.xi, small.xi, [beta]),
         CMorphism(value.xi, value.xi.shifted(-1), h_rows),
         value.D,
     )
-    if not report:
-        raise InternalInconsistency(
-            f"retract certificate failed: {report.problems[0]}"
-        )
+    if problem is not None:
+        raise InternalInconsistency(f"retract certificate failed: {problem}")
 
 
 # --- the two-chain instance ---------------------------------------------------
@@ -573,9 +569,9 @@ def verify_two_chain(
     structural.append(
         (
             "named-formulas-valid",
-            bool(check_formula(XI12))
-            and all(bool(check_formula(f)) for F in named for f in F.at.values())
-            and all(bool(check_formula_morphism(F.res[("1", "2")])) for F in named),
+            check_formula(XI12) is None
+            and all(check_formula(f) is None for F in named for f in F.at.values())
+            and all(check_formula_morphism(F.res[("1", "2")]) is None for F in named),
         )
     )
     structural.append(
@@ -587,10 +583,10 @@ def verify_two_chain(
         )
     )
     structural.append(
-        ("retract-homotopy-212", bool(check_homotopy(ALPHA1, BETA1, H212, XI212.D)))
+        ("retract-homotopy-212", check_homotopy(ALPHA1, BETA1, H212, XI212.D) is None)
     )
     structural.append(
-        ("retract-homotopy-121", bool(check_homotopy(ALPHA2, BETA2, H121, XI121.D)))
+        ("retract-homotopy-121", check_homotopy(ALPHA2, BETA2, H121, XI121.D) is None)
     )
     state = (epsilons, field, max_dim, window)
     structural.append(("epsilon-naturality", True))
@@ -666,7 +662,8 @@ def verify_bgp_path(
     search over orientations; for every step the single-vertex gluing whose
     two glued orders are the orientations before and after the flip is
     built and verified, and the results are collected into one report.
-    Equal gluings along the path share one certificate.
+    Each step's trial seed is derived from its gluing, so equal gluings
+    along the path get equal certificates.
     """
     config = _run_config(trials, seed, field, max_dim, window, jobs)
     verts = set(tree.elements)
@@ -688,7 +685,6 @@ def verify_bgp_path(
     path = _reflection_path(verts, start, goal)
 
     steps = []
-    cache = {}
     for vertex, kind, before, after in path:
         rest_elements = [e for e in tree.elements if e != vertex]
         rest_edges = [e for e in before if vertex not in e]
@@ -709,17 +705,9 @@ def verify_bgp_path(
                     f"reflection at {vertex!r} does not match the glued orders"
                 )
         key = (tuple(rest_elements), tuple(sorted(rest.leq)), neighbors)
-        if key not in cache:
-            cache[key] = verify_equivalence(
-                g,
-                trials,
-                derive_seed(seed, "bgp", repr(key)),
-                field,
-                max_dim,
-                window,
-                jobs,
-            )
-        cert = cache[key]
+        cert = verify_equivalence(
+            g, trials, derive_seed(seed, "bgp", repr(key)), field, max_dim, window, jobs
+        )
         steps.append(
             {
                 "vertex": vertex,

@@ -28,9 +28,7 @@ class Poset:
     def __init__(self, elements, leq):
         self.elements = tuple(elements)
         self.leq = frozenset(leq)
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
-            raise ParseError("duplicate element identifiers")
+        self._index = _index_of(self.elements)
         up = {e: [] for e in self.elements}
         down = {e: [] for e in self.elements}
         for a, b in self.leq:
@@ -97,6 +95,16 @@ class Poset:
         return set(self.elements) == set(other.elements) and self.leq == other.leq
 
 
+def _index_of(elements) -> dict:
+    """Position of each element; ParseError naming the first repeated one."""
+    index = {}
+    for i, e in enumerate(elements):
+        if e in index:
+            raise ParseError(f"duplicate element identifier {e!r}")
+        index[e] = i
+    return index
+
+
 class HasseDiagram:
     """Covering relation of a poset: the transitive reduction of its strict order."""
 
@@ -113,9 +121,7 @@ def poset_from_generators(elements, generating_pairs) -> Poset:
     CycleError (naming a violating cycle) if the closure is not antisymmetric.
     """
     elements = list(elements)
-    index = {e: i for i, e in enumerate(elements)}
-    if len(index) != len(elements):
-        raise ParseError("duplicate element identifiers")
+    index = _index_of(elements)
     pairs = [(a, b) for a, b in generating_pairs]
     for a, b in pairs:
         if a not in index:
@@ -238,9 +244,20 @@ def opposite(p: Poset) -> Poset:
     return Poset(p.elements, {(b, a) for a, b in p.leq})
 
 
+#: Backslash-escapes for the characters that delimit a product label.
+_PAIR_ESCAPES = str.maketrans({c: "\\" + c for c in "\\,()"})
+
+
 def product(p: Poset, q: Poset) -> Poset:
-    """Componentwise order on pairs; labels are '(a,b)' in p-major order."""
-    label = {(a, b): f"({a},{b})" for a in p.elements for b in q.elements}
+    """Componentwise order on pairs; labels are '(a,b)' in p-major order.
+
+    Inside each component a backslash, comma or parenthesis is escaped with
+    a backslash, so distinct pairs get distinct labels; other names are kept.
+    """
+    label = {
+        (a, b): f"({a.translate(_PAIR_ESCAPES)},{b.translate(_PAIR_ESCAPES)})"
+        for a in p.elements for b in q.elements
+    }
     elements = [label[(a, b)] for a in p.elements for b in q.elements]
     leq = set()
     for a in p.elements:
@@ -377,7 +394,7 @@ def poset_to_dot(p: Poset, name: str = "poset") -> str:
     """DOT drawing: one node per element, one arrow per Hasse edge,
     elements of equal longest-chain height share a rank, maxima on top."""
     def quote(s):
-        return '"' + s.replace('"', '\\"') + '"'
+        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
     lines = [f"digraph {quote(name)} {{", "  rankdir=BT;"]
     for e in p.elements:

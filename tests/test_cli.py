@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import posetglue
 from posetglue import cli
 from posetglue.cli import main
 from posetglue.gluing import build_minus, build_plus, gluing_from_json
@@ -98,6 +101,12 @@ class TestPoset:
         assert main(["poset", "check", str(path)]) == 3
         assert "'relation'" in capsys.readouterr().err
 
+    def test_check_names_a_duplicate_element(self, files, capsys):
+        path = files["tmp"] / "dup.json"
+        path.write_text(json.dumps({"elements": ["a", "b", "a"]}))
+        assert main(["poset", "check", str(path)]) == 3
+        assert "duplicate element identifier 'a'" in capsys.readouterr().err
+
     def test_check_bad_json_exits_3(self, files, capsys):
         bad = files["tmp"] / "broken.json"
         bad.write_text("{nope")
@@ -141,6 +150,15 @@ class TestPoset:
         assert main(["poset", "op", "ordinal-sum", files["anti2"], files["chain3"]]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["elements"]) == 5
+
+    def test_op_product_of_names_with_commas(self, files, capsys):
+        left = files["tmp"] / "left.json"
+        left.write_text(json.dumps({"elements": ["x,y", "x"]}))
+        right = files["tmp"] / "right.json"
+        right.write_text(json.dumps({"elements": ["z", "y,z"]}))
+        assert main(["poset", "op", "product", str(left), str(right)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(set(doc["elements"])) == 4 and "(x\\,y,z)" in doc["elements"]
 
     def test_op_wrong_arity_exits_3(self, files, capsys):
         assert main(["poset", "op", "opposite", files["chain3"], files["anti2"]]) == 3
@@ -608,10 +626,16 @@ class TestSurface:
 
 class TestConsoleScript:
     def test_module_entry_point(self, files):
+        # the child imports the package from where this process did, which
+        # may be a path the test runner added rather than an install
+        env = dict(os.environ)
+        here = str(Path(posetglue.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [here, env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "posetglue.cli", "poset", "check", files["chain3"]],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0
         assert "3 elements" in result.stdout

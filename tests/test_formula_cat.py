@@ -44,7 +44,9 @@ from posetglue.harness import (
 from posetglue.intmat import Mat
 from posetglue.poset_core import poset_from_generators
 
-from conftest import matmul
+from posetglue.rng import SplitMix64, derive_seed
+
+from conftest import matmul, random_cmorphism, random_cobject
 
 # the one-entry values and the restrictions of the two-chain formulas
 XI1 = TWO_CHAIN_MINUS.at["2"]
@@ -130,12 +132,12 @@ class TestNamedConstants:
     def test_all_named_formulas_are_valid(self):
         for f in (XI1, XI2, XI12, XI121, XI212):
             report = check_formula(f)
-            assert report.ok, report.problems
+            assert report is None, report
 
     def test_named_formula_morphisms_are_valid(self):
         for fm in (PHI1, PHI2):
             report = check_formula_morphism(fm)
-            assert report.ok, report.problems
+            assert report is None, report
 
     def test_exact_matrices(self):
         assert XI1.xi.entries == (("1", 1),)
@@ -150,9 +152,9 @@ class TestNamedConstants:
 
     def test_retract_homotopies(self):
         report = check_homotopy(ALPHA1, BETA1, H212, XI212.D)
-        assert report.ok, report.problems
+        assert report is None, report
         report = check_homotopy(ALPHA2, BETA2, H121, XI121.D)
-        assert report.ok, report.problems
+        assert report is None, report
 
     def test_beta_alpha_is_identity(self):
         assert compose(BETA1, ALPHA1).matrix.tolist() == [[1]]
@@ -161,8 +163,7 @@ class TestNamedConstants:
     def test_broken_homotopy_is_rejected(self):
         zero_h = CMorphism(XI212.xi, XI212.xi.shifted(-1), Mat.zero(3, 3))
         report = check_homotopy(ALPHA1, BETA1, zero_h, XI212.D)
-        assert not report.ok
-        assert any("identity" in p for p in report.problems)
+        assert "is not the identity" in report
 
 
 class TestSubstitution:
@@ -182,7 +183,7 @@ class TestSubstitution:
     def test_result_is_always_valid(self):
         for f in (XI1, XI2, XI12, XI121, XI212):
             for F in (TWO_CHAIN_PLUS, TWO_CHAIN_MINUS, NU):
-                assert check_formula(substitute(f, F)).ok
+                assert check_formula(substitute(f, F)) is None
 
     def test_degree_raising_outer_coefficient_evaluates_as_composite(self):
         # Outer words ((a, 0), (b, 0)) with a < b: the off-diagonal
@@ -206,7 +207,7 @@ class TestShiftAndStar:
     def test_i_xi_intertwines(self):
         for f in (XI1, XI12, XI121, XI212):
             fm = i_xi(f)
-            assert check_formula_morphism(fm).ok
+            assert check_formula_morphism(fm) is None
             n = len(f.xi.entries)
             expected = Mat.diag([(-1) ** (m % 2) for _, m in f.xi.entries])
             assert fm.phi.matrix == expected
@@ -215,16 +216,16 @@ class TestShiftAndStar:
 
     def test_negated_star_shift_is_valid(self):
         for f in (XI12, XI121, XI212):
-            assert check_formula(negated_star_shift(f)).ok
+            assert check_formula(negated_star_shift(f)) is None
 
 
 class TestFormulaValidation:
     def test_two_chain_formulas_are_valid(self):
         for F in (TWO_CHAIN_PLUS, TWO_CHAIN_MINUS, NU):
             for y in F.target.elements:
-                assert check_formula(F.at[y]).ok
+                assert check_formula(F.at[y]) is None
             for fm in F.res.values():
-                assert check_formula_morphism(fm).ok
+                assert check_formula_morphism(fm) is None
 
     def test_res_must_be_degree_preserving_restrictions(self):
         # a res entry that raises degree is not a valid restriction morphism
@@ -245,11 +246,30 @@ class TestFormulaValidation:
                 assert F.at[y].xi.entries == ((y, n),)
 
 
-class TestCheckReports:
+def _formula_conditions(f: FormulaToPoint):
+    """The three formula conditions, computed entrywise from f.D.matrix:
+    (D*[1]·D vanishes, D is lower triangular, D has a unit diagonal)."""
+    D = f.D.matrix.tolist()
+    entries = f.xi.entries
+    n = len(entries)
+    # D*: entry (j, k) maps degree m_k to m_j + 1; its sign is that parity
+    sign = [[(-1) ** (entries[j][1] + 1 - entries[k][1]) for k in range(n)] for j in range(n)]
+    square_zero = True
+    for j, (xj, mj) in enumerate(entries):
+        for i, (xi, mi) in enumerate(entries):
+            if mj + 2 - mi not in (0, 1) or not f.xi.base.le(xi, xj):
+                continue  # quotiented away in the canonical form
+            if sum(sign[j][k] * D[j][k] * D[k][i] for k in range(n)) != 0:
+                square_zero = False
+    lower = all(D[j][i] == 0 for j in range(n) for i in range(j + 1, n))
+    unit = all(D[i][i] == 1 for i in range(n))
+    return square_zero, lower, unit
+
+
+class TestCheckWitnesses:
     def test_non_unit_diagonal_fails(self):
         f = FormulaToPoint(CObject((("1", 1),), TWO_CHAIN), [[2]])
-        report = check_formula(f)
-        assert not report.ok
+        assert check_formula(f) == "diagonal entry at (0,0) is 2, not 1"
 
     def test_non_lower_triangular_fails(self):
         # the (0, 1) entry has legal support (equal degrees, same element) so
@@ -257,9 +277,7 @@ class TestCheckReports:
         f = FormulaToPoint(
             CObject((("1", 1), ("1", 1)), TWO_CHAIN), [[1, 1], [0, 1]]
         )
-        report = check_formula(f)
-        assert not report.ok
-        assert any("lower triangular" in p for p in report.problems)
+        assert check_formula(f) == "D is not lower triangular: entry 1 at (0,1)"
 
     def test_d_star_d_must_vanish(self):
         # D*[1]·D = 0 fails for this D even though it is unit lower triangular
@@ -268,5 +286,58 @@ class TestCheckReports:
             CObject((("1", 2), ("1", 1), ("1", 0)), X),
             [[1, 0, 0], [1, 1, 0], [0, 1, 1]],
         )
-        report = check_formula(f)
-        assert not report.ok
+        assert check_formula(f) == "D*[1]·D = [[0, 0, 0], [0, 0, 0], [1, 0, 0]] is not zero"
+
+    def test_degree_raising_component_is_named(self):
+        source = FormulaToPoint(CObject((("1", 0),), TWO_CHAIN), [[1]])
+        target = FormulaToPoint(CObject((("2", 1),), TWO_CHAIN), [[1]])
+        fm = FormulaMorphism(source, target, [[1]])
+        assert check_formula_morphism(fm) == (
+            "component 1 at (0,0) raises degree; not a restriction"
+        )
+
+    def test_intertwining_difference_is_named(self):
+        # "1" goes to "1" in degree 1, but XI12's D also sends it on to "2"
+        fm = FormulaMorphism(XI1, XI12, [[1], [0]])
+        assert check_formula_morphism(fm) == (
+            "intertwining fails: phi[1]·D - D'·phi = [[0], [-1]]"
+        )
+
+    def test_bad_beta_alpha_is_named(self):
+        zero_beta = CMorphism(XI212.xi, NU.at["1"].xi, [[0, 0, 0]])
+        assert check_homotopy(ALPHA1, zero_beta, H212, XI212.D) == (
+            "beta·alpha = [[0]] is not the identity"
+        )
+
+    def test_bad_homotopy_sum_is_named(self):
+        zero_h = CMorphism(XI212.xi, XI212.xi.shifted(-1), Mat.zero(3, 3))
+        assert check_homotopy(ALPHA1, BETA1, zero_h, XI212.D) == (
+            "alpha·beta + h[1]·D + D*[-1]·h = "
+            "[[0, -1, 0], [0, 1, 0], [0, 0, 0]] is not the identity"
+        )
+
+    def test_check_formula_agrees_with_the_three_conditions(self):
+        V = poset_from_generators(["a", "b", "c"], [("a", "c"), ("b", "c")])
+        rng = SplitMix64(derive_seed(0, "check-formula"))
+        seen = set()
+        for trial in range(300):
+            base = (TWO_CHAIN, V)[trial % 2]
+            xi = random_cobject(rng, base, max_len=4)
+            rows = random_cmorphism(rng, xi, xi.shifted(1)).matrix.tolist()
+            if trial % 3:
+                # unit lower triangular, so D*[1]·D alone decides
+                rows = [
+                    [1 if i == j else c if i < j else 0 for i, c in enumerate(row)]
+                    for j, row in enumerate(rows)
+                ]
+            f = FormulaToPoint(xi, rows)
+            square_zero, lower, unit = _formula_conditions(f)
+            problem = check_formula(f)
+            seen.add((square_zero, lower and unit))
+            if not square_zero:
+                assert problem.startswith("D*[1]·D = "), (xi, rows, problem)
+            elif not (lower and unit):
+                assert problem.startswith(("D is not lower", "diagonal entry")), problem
+            else:
+                assert problem is None, (xi, rows, problem)
+        assert seen == {(True, True), (False, True), (True, False), (False, False)}

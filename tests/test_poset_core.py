@@ -225,6 +225,23 @@ class TestOperations:
                             p.le(a1, a2) and q.le(b1, b2)
                         )
 
+    def test_product_labels_escape_delimiters(self):
+        # unescaped, ("x,y", "z") and ("x", "y,z") would both be "(x,y,z)"
+        p = poset_from_generators(["x,y", "x"], [("x", "x,y")])
+        q = poset_from_generators(["z", "y,z"], [("z", "y,z")])
+        label = {
+            ("x,y", "z"): r"(x\,y,z)",
+            ("x,y", "y,z"): r"(x\,y,y\,z)",
+            ("x", "z"): "(x,z)",
+            ("x", "y,z"): r"(x,y\,z)",
+        }
+        pr = product(p, q)
+        assert pr.elements == tuple(label.values())
+        for (a1, b1), (a2, b2) in itertools.product(label, repeat=2):
+            assert pr.le(label[a1, b1], label[a2, b2]) == (p.le(a1, a2) and q.le(b1, b2))
+        odd = product(poset_from_generators(["a\\", "(b)"], []), poset_from_generators(["c"], []))
+        assert odd.elements == (r"(a\\,c)", r"(\(b\),c)")
+
 
 class TestIsomorphism:
     def brute_iso(self, p: Poset, q: Poset) -> bool:
@@ -291,6 +308,9 @@ class TestSerialization:
         ]:
             with pytest.raises(ParseError):
                 poset_from_json(doc)
+        for make in (Poset, poset_from_generators):
+            with pytest.raises(ParseError, match="duplicate element identifier 'a'"):
+                make(["a", "b", "a"], [])
         with pytest.raises(UnknownElement):
             poset_from_json({"elements": ["a"], "relations": [["a", "b"]]})
 
@@ -308,6 +328,10 @@ class TestSerialization:
         assert "rankdir=BT" in dot
         assert '"a" -> "b";' in dot and '"a" -> "c";' in dot
         assert "rank=same" in dot
+
+    def test_dot_escapes_backslashes_and_quotes(self):
+        dot = poset_to_dot(poset_from_generators(["a\\", 'b"'], [("a\\", 'b"')]))
+        assert '  "a\\\\" -> "b\\"";' in dot.splitlines()
 
 
 class TestQueries:
