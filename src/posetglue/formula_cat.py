@@ -50,7 +50,7 @@ class CObject:
         return len(self.entries)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, CObject)
             and self.entries == other.entries
             and self.base == other.base
@@ -63,31 +63,37 @@ class CObject:
         return self.entries[i][1]
 
     def shifted(self, n: int) -> "CObject":
-        return CObject(((x, m + n) for x, m in self.entries), self.base)
+        # the elements were validated when self was made
+        obj = object.__new__(CObject)
+        obj.entries = tuple((x, m + n) for x, m in self.entries)
+        obj.base = self.base
+        return obj
 
 
-def _canonical_rows(source: CObject, target: CObject, rows):
+def _canonical(source: CObject, target: CObject, matrix: Mat) -> Mat:
     """Zero forbidden positions: order violations, degree lowerings, and
-    degree jumps of 2 or more (the quotient)."""
-    out = []
-    for j in range(len(target)):
-        xj, mj = target.entries[j]
-        row = []
-        for i in range(len(source)):
-            c = rows[j][i]
-            xi, mi = source.entries[i]
-            legal = c != 0 and mj - mi in (0, 1) and source.base.le(xi, xj)
-            row.append(int(c) if legal else 0)
-        out.append(tuple(row))
-    return tuple(out)
+    degree jumps of 2 or more (the quotient).  A zero entry is left as it is
+    before any order or degree test; the elements were validated when the
+    objects were made, so the order test is one membership test."""
+    src, tgt, leq = source.entries, target.entries, source.base.leq
+
+    def legal(j, i):
+        xj, mj = tgt[j]
+        xi, mi = src[i]
+        return 0 <= mj - mi <= 1 and (xi, xj) in leq
+
+    return matrix.masked(legal)
 
 
 class CMorphism:
     """An integer matrix between two objects, stored in canonical form.
 
-    Construction normalizes: entries at positions violating the order or
-    degree conditions become zero, and degree jumps >= 2 are quotiented
-    away. Equality is equality of canonical forms.
+    The constructor validates and normalizes any input: a Mat of the right
+    shape, or rows of entries that int() accepts (ShapeMismatch otherwise).
+    Entries at positions violating the order or degree conditions become
+    zero, and degree jumps >= 2 are quotiented away.  Equality is equality
+    of canonical forms.  Products are made by :func:`compose` through the
+    private ``_product``, which trusts that its matrix is already canonical.
     """
 
     __slots__ = ("source", "target", "matrix")
@@ -95,20 +101,29 @@ class CMorphism:
     def __init__(self, source: CObject, target: CObject, matrix):
         if source.base != target.base:
             raise BaseMismatch("source and target live over different posets")
-        rows = matrix.rows if isinstance(matrix, Mat) else tuple(
-            tuple(int(c) for c in r) for r in matrix
-        )
-        if len(rows) != len(target) or any(len(r) != len(source) for r in rows):
+        if not isinstance(matrix, Mat):
+            matrix = Mat(len(target), len(source), matrix)
+        elif (matrix.nrows, matrix.ncols) != (len(target), len(source)):
             raise ShapeMismatch(
                 f"matrix must be {len(target)}x{len(source)}, "
-                f"got {len(rows)}x{len(rows[0]) if rows else 0}"
+                f"got {matrix.nrows}x{matrix.ncols}"
             )
         self.source = source
         self.target = target
-        self.matrix = Mat.from_rows(_canonical_rows(source, target, rows))
+        self.matrix = _canonical(source, target, matrix)
+
+    @classmethod
+    def _product(cls, source: CObject, target: CObject, matrix: Mat) -> "CMorphism":
+        """A morphism from a matrix already canonical for these ends;
+        nothing is checked."""
+        m = object.__new__(cls)
+        m.source = source
+        m.target = target
+        m.matrix = matrix
+        return m
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, CMorphism)
             and self.source == other.source
             and self.target == other.target
@@ -127,12 +142,21 @@ def identity_morphism(obj: CObject) -> CMorphism:
 
 
 def compose(g: CMorphism, f: CMorphism) -> CMorphism:
-    """Matrix product followed by canonical normalization."""
+    """The matrix product g·f in canonical form.
+
+    The product needs no order test.  A nonzero entry (k, i) of g·f has a
+    nonzero term g[k, j]·f[j, i].  Both factors are canonical, so
+    x_i <= x_j <= x_k and each factor raises degree by 0 or 1.  Hence
+    x_i <= x_k by transitivity, and the entry raises degree by
+    m_k - m_i in {0, 1, 2}.  Only the jumps of 2 are quotiented away.
+    """
     if f.source.base != g.source.base:
         raise BaseMismatch("cannot compose morphisms over different posets")
     if f.target != g.source:
         raise ShapeMismatch("compose: target of the first factor != source of the second")
-    return CMorphism(f.source, g.target, g.matrix.mul(f.matrix))
+    src, tgt = f.source.entries, g.target.entries
+    product = g.matrix.mul(f.matrix).masked(lambda k, i: tgt[k][1] - src[i][1] != 2)
+    return CMorphism._product(f.source, g.target, product)
 
 
 def add(f: CMorphism, g: CMorphism) -> CMorphism:
@@ -185,7 +209,7 @@ class FormulaToPoint:
         self.D = D
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FormulaToPoint)
             and self.xi == other.xi
             and self.D == other.D
@@ -343,10 +367,11 @@ class Formula:
     def __init__(self, target: Poset, at: dict, res: dict):
         self.target = target
         self.at = dict(at)
-        bases = {f.xi.base for f in self.at.values()}
-        if len(bases) != 1:
+        values = iter(self.at.values())
+        first = next(values, None)
+        if first is None or any(f.xi.base != first.xi.base for f in values):
             raise BaseMismatch("all values must live over one base poset")
-        self.base = next(iter(bases))
+        self.base = first.xi.base
         self.res = dict(res)
         for y in target.elements:
             if y not in self.at:

@@ -230,11 +230,9 @@ class EpsilonTransform:
 # --- the theorem formulas for a gluing -----------------------------------------
 
 def _stalk_value(base: Poset, x, degree: int) -> FormulaToPoint:
-    value = FormulaToPoint(CObject(((x, degree),), base), [[1]])
-    problem = check_formula(value)
-    if problem is not None:
-        raise InternalInconsistency(f"stalk value is invalid: {problem}")
-    return value
+    # valid for every element and degree: the one entry of D*[1]·D raises
+    # degree by 2 and is quotiented away (test_formula_cat checks this)
+    return FormulaToPoint(CObject(((x, degree),), base), [[1]])
 
 
 def _arrow_formula(chain: Poset, base: Poset, bottom, top) -> Formula:

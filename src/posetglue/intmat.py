@@ -11,8 +11,10 @@ Two constructors make a Mat. The public ones, `Mat(nrows, ncols, rows)`,
 `int` and reject rows that do not match the stated shape. The private
 `Mat._of` trusts its caller and stores `rows` as given; it is used only in
 this module, by the operations (`mul`, `add`, `sub`, `scale`, `neg`,
-`transpose`, `block`, `zero`, `identity`), which check the shapes of their
-operands and build their results as tuples of int tuples of the right shape.
+`transpose`, `masked`, `block`, `zero`, `identity`), which check the shapes
+of their operands and build their results as tuples of int tuples of the
+right shape.  `masked` keeps or zeroes the entries of a Mat that is already
+valid, so it converts and checks nothing either.
 """
 from __future__ import annotations
 
@@ -101,6 +103,18 @@ class Mat:
 
     def neg(self):
         return self.scale(-1)
+
+    def masked(self, keep):
+        """This matrix with every nonzero entry (i, j) for which keep(i, j) is
+        false replaced by 0; keep is never called on a zero entry, and rows
+        that lose nothing are shared."""
+        rows = list(self.rows)
+        changed = False
+        for i, r in enumerate(rows):
+            if any(r) and not all(keep(i, j) for j, v in enumerate(r) if v):
+                rows[i] = tuple([v if v and keep(i, j) else 0 for j, v in enumerate(r)])
+                changed = True
+        return Mat._of(self.nrows, self.ncols, tuple(rows)) if changed else self
 
     def add(self, other):
         return self._entrywise(other, _add, "add")

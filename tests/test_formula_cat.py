@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from posetglue.abelian_eval import eval_formula, eval_point, random_diagram
-from posetglue.errors import ShapeMismatch
+from posetglue.errors import BaseMismatch, ShapeMismatch
 from posetglue.formula_cat import (
     ALPHA1,
     ALPHA2,
@@ -40,6 +40,7 @@ from posetglue.harness import (
     TWO_CHAIN_PLUS,
     build_theorem_formulas,
     figure_one_gluing,
+    figure_one_poset,
 )
 from posetglue.intmat import Mat
 from posetglue.poset_core import poset_from_generators
@@ -83,22 +84,36 @@ class TestMat:
 
 
 class TestObjectsAndMorphisms:
+    # each rule holds for list rows and for a Mat alike
     def test_support_rule_zeroes_or_rejects(self):
         # no relation from "2" down to "1": a nonzero entry in that direction
         # is normalized to zero.
         src = CObject((("2", 0),), TWO_CHAIN)
         tgt = CObject((("1", 0),), TWO_CHAIN)
-        assert CMorphism(src, tgt, [[1]]).matrix.is_zero()
+        for matrix in ([[1]], Mat.identity(1)):
+            assert CMorphism(src, tgt, matrix).matrix.is_zero()
 
     def test_degree_jumps_of_two_are_quotiented(self):
         src = CObject((("1", 0),), TWO_CHAIN)
         tgt = CObject((("1", 2),), TWO_CHAIN)
-        assert CMorphism(src, tgt, [[1]]).matrix.is_zero()
+        for matrix in ([[1]], Mat.identity(1)):
+            assert CMorphism(src, tgt, matrix).matrix.is_zero()
 
     def test_degree_lowering_is_zeroed(self):
         src = CObject((("1", 1),), TWO_CHAIN)
         tgt = CObject((("1", 0),), TWO_CHAIN)
-        assert CMorphism(src, tgt, [[1]]).matrix.is_zero()
+        for matrix in ([[1]], Mat.identity(1)):
+            assert CMorphism(src, tgt, matrix).matrix.is_zero()
+
+    def test_wrong_shapes_are_rejected(self):
+        src = CObject((("1", 0), ("2", 0)), TWO_CHAIN)
+        tgt = CObject((("2", 0),), TWO_CHAIN)
+        for matrix in (Mat.zero(2, 2), Mat.zero(1, 1), Mat.zero(2, 1)):
+            with pytest.raises(ShapeMismatch):
+                CMorphism(src, tgt, matrix)
+        for target, rows in ((src, [[1, 0], [1]]), (tgt, [[1]]), (tgt, [[1, 0, 0]]), (tgt, [])):
+            with pytest.raises(ShapeMismatch):
+                CMorphism(src, target, rows)
 
     def test_composition_matches_matrix_product(self):
         phi = CMorphism(XI12.xi, XI1.xi, [[1, 0]])
@@ -126,6 +141,41 @@ class TestObjectsAndMorphisms:
         s = shift(XI12, 1)
         assert s.xi.entries == tuple((x, m + 1) for x, m in XI12.xi.entries)
         assert s.D.matrix == XI12.D.matrix
+
+
+class TestCompose:
+    def test_agrees_with_the_validating_constructor(self):
+        # compose skips the order test; the reference canonicalizes the
+        # plain product from scratch.  Words over an order with incomparable
+        # elements, with degrees that give jumps of 0, 1 and 2.
+        bases = (figure_one_poset("X1"), TWO_CHAIN)
+        jumps = set()
+        for seed in range(240):
+            rng = SplitMix64(derive_seed(seed, "compose"))
+            base = bases[seed % 2]
+            a, b, c = (random_cobject(rng, base, 4, (-1, 0, 1, 2)) for _ in range(3))
+            f, g = random_cmorphism(rng, a, b), random_cmorphism(rng, b, c)
+            product = g.matrix.mul(f.matrix)
+            reference = CMorphism(f.source, g.target, product)
+            got = compose(g, f)
+            assert got == reference and got.matrix == reference.matrix, seed
+            jumps |= {
+                c.degree(k) - a.degree(i)
+                for k, row in enumerate(product.rows)
+                for i, v in enumerate(row)
+                if v
+            }
+        assert jumps == {0, 1, 2}
+
+    def test_a_product_at_a_jump_of_two_is_quotiented(self):
+        V = poset_from_generators(["a", "b", "c"], [("a", "c"), ("b", "c")])
+        ab = CObject((("a", 0), ("b", 0)), V)
+        c1, c2 = CObject((("c", 1),), V), CObject((("c", 2),), V)
+        f = CMorphism(ab, c1, [[1, 2]])
+        g = CMorphism(c1, c2, [[3]])
+        assert g.matrix.mul(f.matrix).tolist() == [[3, 6]]
+        assert compose(g, f).is_zero()
+        assert compose(g, f) == CMorphism(f.source, c2, [[3, 6]])
 
 
 class TestNamedConstants:
@@ -238,6 +288,23 @@ class TestFormulaValidation:
                 {"1": XI1, "2": XI12},
                 {("1", "2"): FormulaMorphism(XI1, XI12, [[1], [1]])},
             )
+
+    def test_values_over_two_bases_are_rejected(self):
+        other = poset_from_generators(["1", "2", "3"], [("1", "2")])
+        stray = FormulaToPoint(CObject((("2", 0),), other), [[1]])
+        with pytest.raises(BaseMismatch, match="all values must live over one base poset"):
+            Formula(TWO_CHAIN, {"1": XI2, "2": stray}, {})
+        F = TWO_CHAIN_PLUS
+        assert Formula(F.target, F.at, F.res).base is F.base
+
+    def test_stalk_values_are_valid(self):
+        # every one-entry value with D = [[1]] is a formula: the one entry of
+        # D*[1]·D raises degree by 2 and is quotiented away
+        for base in (TWO_CHAIN, figure_one_poset("X1")):
+            for x in base.elements:
+                for d in range(-2, 3):
+                    value = FormulaToPoint(CObject(((x, d),), base), [[1]])
+                    assert check_formula(value) is None, (x, d)
 
     def test_translation_formula_shapes(self):
         for n in (0, 1, 2):

@@ -1,9 +1,10 @@
 """Every public top-level name in the package has a caller, every
 defaulted parameter of a function or method, private ones included, is set
 by some call, the unchecked ``Mat._of`` constructor is used only inside
-``intmat``, the isomorphism search serves only ``poset iso``, matrices are
-ranked only by ``Field.rank``, JSON is decoded only by ``cli._load_doc``,
-and the package imports nothing outside the standard library.
+``intmat`` and the unchecked ``CMorphism._product`` only by ``compose``, the
+isomorphism search serves only ``poset iso``, matrices are ranked only by
+``Field.rank``, JSON is decoded only by ``cli._load_doc``, and the package
+imports nothing outside the standard library.
 
 A public function, class or constant of ``src/posetglue/*.py`` must be used
 somewhere in ``src/`` or ``tests/`` other than its own definition and its
@@ -203,6 +204,27 @@ def test_trusted_mat_constructor_stays_in_intmat():
                 uses.setdefault(path, []).append(node.lineno)
     assert intmat in uses  # the guard still names the constructor intmat uses
     outside = {str(p.relative_to(ROOT)): lines for p, lines in uses.items() if p != intmat}
+    assert not outside, outside
+
+
+def test_trusted_cmorphism_constructor_serves_only_compose():
+    # CMorphism._product stores a matrix without the order and degree tests;
+    # only compose, whose products are order-legal by transitivity and
+    # quotient their degree jumps of 2 themselves, may call it.
+    files = [
+        path
+        for folder in (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
+        for path in sorted(folder.rglob("*.py"))
+    ]
+    allowed, outside = [], []
+    for path in files:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = f"{stmt.name}." if isinstance(stmt, ast.ClassDef) else ""
+            for unit in stmt.body if owner else [stmt]:
+                if _refers_to(unit, "_product"):
+                    where = f"{path.stem}.{owner}{getattr(unit, 'name', unit.lineno)}"
+                    (allowed if where == "formula_cat.compose" else outside).append(where)
+    assert allowed  # the guard still sees the one caller
     assert not outside, outside
 
 
