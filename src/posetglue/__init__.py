@@ -57,7 +57,6 @@ from .formula_cat import (
     CMorphism,
     CObject,
     Formula,
-    FormulaMorphism,
     FormulaToPoint,
     check_formula,
     check_formula_morphism,

@@ -28,9 +28,9 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-from .formula_cat import CMorphism, Formula, FormulaMorphism, FormulaToPoint
+from .formula_cat import CMorphism, Formula, FormulaToPoint
 from .intmat import Mat, block, rank_exact, rank_mod
-from .poset_core import Poset, cover_triangles, hasse
+from .poset_core import Poset, cover_triangles, covers, hasse, require_elements
 from .rng import SplitMix64, derive_seed
 
 # Deterministic Miller-Rabin bases: the primes up to 37 decide primality
@@ -308,9 +308,7 @@ class PosetDiagram:
         self.base = base
         self.K = dict(K)
         self.r = dict(r)
-        for x in base.elements:
-            if x not in self.K:
-                raise ParseError(f"no complex at element {x!r}")
+        require_elements(base, self.K, "complex")
         for x, x2 in base.leq:
             if (x, x2) not in self.r:
                 if x == x2:
@@ -359,13 +357,12 @@ class DiagramMap:
         self.source = source
         self.target = target
         self.components = dict(components)
+        require_elements(source.base, self.components, "component")
         for x in source.base.elements:
-            if x not in self.components:
-                raise ParseError(f"no component at element {x!r}")
             c = self.components[x]
             if c.source != source.K[x] or c.target != target.K[x]:
                 raise ShapeMismatch(f"component at {x!r} has wrong ends")
-        for x, x2 in hasse(source.base).edges:
+        for x, x2 in covers(source.base):
             left = compose_chain_maps(target.r[(x, x2)], self.components[x])
             right = compose_chain_maps(self.components[x2], source.r[(x, x2)])
             if left != right:
@@ -490,14 +487,14 @@ def eval_cmorphism(phi: CMorphism, K: PosetDiagram) -> ChainMap:
 
 
 def eval_formula_morphism(
-    fm: FormulaMorphism, K: PosetDiagram, source: VectComplex, target: VectComplex
+    phi: CMorphism, K: PosetDiagram, source: VectComplex, target: VectComplex
 ) -> ChainMap:
-    """Evaluate a formula morphism between the evaluations of its ends,
-    which the caller has already made; the result is checked to be a chain
-    map."""
-    if fm.phi.source.base != K.base:
+    """Evaluate a formula morphism phi between the evaluations of the two
+    values it connects, which the caller has already made; the result is
+    checked to be a chain map."""
+    if phi.source.base != K.base:
         raise BaseMismatch("morphism and diagram live over different posets")
-    return ChainMap(source, target, _eval_graded(fm.phi, K), check=True)
+    return ChainMap(source, target, _eval_graded(phi, K), check=True)
 
 
 def eval_point_map(f: FormulaToPoint, g: DiagramMap) -> ChainMap:
@@ -527,18 +524,18 @@ def eval_formula(F: Formula, K: PosetDiagram) -> PosetDiagram:
     if F.base != K.base:
         raise BaseMismatch("formula and diagram live over different posets")
     stalks = {y: eval_point(F.at[y], K) for y in F.target.elements}
-    covers = hasse(F.target).edges
+    edges = hasse(F.target).edges
     # Only restrictions along Hasse edges are checked as chain maps here;
     # PosetDiagram proves the rest, comparing each diagonal one with the
     # identity and each other one with a composite of checked ones along
     # cover_triangles.
     restrictions = {
         (y, y2): (
-            eval_formula_morphism(fm, K, stalks[y], stalks[y2])
-            if (y, y2) in covers
-            else ChainMap(stalks[y], stalks[y2], _eval_graded(fm.phi, K), check=False)
+            eval_formula_morphism(phi, K, stalks[y], stalks[y2])
+            if (y, y2) in edges
+            else ChainMap(stalks[y], stalks[y2], _eval_graded(phi, K), check=False)
         )
-        for (y, y2), fm in F.res.items()
+        for (y, y2), phi in F.res.items()
     }
     return PosetDiagram(F.target, stalks, restrictions, check=True)
 

@@ -7,9 +7,9 @@ quotiented away). On top of these live:
 
 * FormulaToPoint — an object together with a square matrix D to its shift
   satisfying D*[1]·D = 0, lower triangularity, and unit diagonal;
-* FormulaMorphism — a degree-preserving matrix intertwining two such D's;
-* Formula — a poset-shaped diagram of FormulaToPoint values and
-  FormulaMorphism restrictions.
+* Formula — a poset-shaped diagram of FormulaToPoint values whose
+  restrictions are CMorphisms between the value words, each preserving
+  degree and intertwining the two values' D's (check_formula_morphism).
 
 Everything here is pure integer algebra with no choice of coefficients; the
 abelian_eval module turns these values into actual complexes and chain maps.
@@ -25,7 +25,13 @@ from .errors import (
     ShapeMismatch,
 )
 from .intmat import Mat, block
-from .poset_core import Poset, cover_triangles, hasse, poset_from_generators
+from .poset_core import (
+    Poset,
+    cover_triangles,
+    hasse,
+    poset_from_generators,
+    require_elements,
+)
 
 
 # --- objects and morphisms ---------------------------------------------------
@@ -232,10 +238,7 @@ def shift(value, n: int):
         return FormulaToPoint(value.xi.shifted(n), value.D.matrix.rows)
     if isinstance(value, Formula):
         at = {y: shift(f, n) for y, f in value.at.items()}
-        res = {
-            key: FormulaMorphism(at[key[0]], at[key[1]], fm.phi.matrix.rows)
-            for key, fm in value.res.items()
-        }
+        res = {key: shift(phi, n) for key, phi in value.res.items()}
         return Formula(value.target, at, res)
     raise TypeError(f"cannot shift {type(value).__name__}")
 
@@ -256,51 +259,27 @@ def check_formula(f: FormulaToPoint) -> str | None:
     return None
 
 
-class FormulaMorphism:
-    """A degree-preserving matrix phi intertwining two formulas to a point."""
-
-    __slots__ = ("source", "target", "phi")
-
-    def __init__(self, source: FormulaToPoint, target: FormulaToPoint, phi):
-        if not isinstance(phi, CMorphism):
-            phi = CMorphism(source.xi, target.xi, phi)
-        if phi.source != source.xi or phi.target != target.xi:
-            raise ShapeMismatch("phi must map the source object to the target object")
-        self.source = source
-        self.target = target
-        self.phi = phi
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormulaMorphism)
-            and self.source == other.source
-            and self.target == other.target
-            and self.phi == other.phi
-        )
-
-    def __repr__(self):
-        return f"FormulaMorphism({self.phi.matrix.tolist()})"
-
-
-def check_formula_morphism(fm: FormulaMorphism) -> str | None:
-    """None if fm is a restriction (every nonzero component preserves degree)
-    that intertwines the two D's, otherwise a message naming the first
-    degree-raising component or the difference phi[1]·D - D'·phi."""
-    src, tgt = fm.source.xi, fm.target.xi
-    for j, row in enumerate(fm.phi.matrix.rows):
+def check_formula_morphism(
+    phi: CMorphism, source: FormulaToPoint, target: FormulaToPoint
+) -> str | None:
+    """None if phi, a morphism from source's word to target's, is a
+    restriction (every nonzero component preserves degree) that intertwines
+    the two D's, otherwise a message naming the first degree-raising
+    component or the difference phi[1]·D - D'·phi.  ShapeMismatch if phi
+    does not connect the two words."""
+    src, tgt = source.xi, target.xi
+    if phi.source != src or phi.target != tgt:
+        raise ShapeMismatch("phi must map the source word to the target word")
+    for j, row in enumerate(phi.matrix.rows):
         for i, c in enumerate(row):
             if c != 0 and tgt.degree(j) != src.degree(i):
                 return f"component {c} at ({j},{i}) raises degree; not a restriction"
-    lhs = compose(shift(fm.phi, 1), fm.source.D)
-    rhs = compose(fm.target.D, fm.phi)
+    lhs = compose(shift(phi, 1), source.D)
+    rhs = compose(target.D, phi)
     if lhs != rhs:
         diff = lhs.matrix.sub(rhs.matrix).tolist()
         return f"intertwining fails: phi[1]·D - D'·phi = {diff}"
     return None
-
-
-def identity_formula_morphism(f: FormulaToPoint) -> FormulaMorphism:
-    return FormulaMorphism(f, f, Mat.identity(len(f.xi)))
 
 
 def check_homotopy(
@@ -335,14 +314,16 @@ def negated_star_shift(f: FormulaToPoint) -> FormulaToPoint:
     return FormulaToPoint(f.xi.shifted(1), star(f.D).matrix.neg().rows)
 
 
-def i_xi(f: FormulaToPoint) -> FormulaMorphism:
-    """The diagonal sign isomorphism from shift(f, 1) to negated_star_shift(f).
+def i_xi(f: FormulaToPoint) -> CMorphism:
+    """The diagonal sign isomorphism from shift(f, 1) to negated_star_shift(f),
+    a morphism of their common word f.xi[1].
 
     Its (i,i) entry is (-1)**m_i for the i-th degree m_i of f's object; it
     intertwines D with -D* exactly.
     """
     signs = [(-1) ** (m % 2) for _, m in f.xi.entries]
-    return FormulaMorphism(shift(f, 1), negated_star_shift(f), Mat.diag(signs))
+    word = f.xi.shifted(1)
+    return CMorphism(word, word, Mat.diag(signs))
 
 
 # --- poset-shaped formulas ---------------------------------------------------
@@ -351,15 +332,16 @@ class Formula:
     """A diagram over a target poset valued in formulas over a base poset.
 
     `at` maps each target element to a FormulaToPoint over the common base;
-    `res` maps each pair (y, y2) with y <= y2 to a FormulaMorphism from
-    at(y) to at(y2). The constructor verifies the diagram axioms: identity
-    on diagonal pairs and closure under composition, on the cover triangles
-    of the target.  It is the one place where restriction triangles are
-    checked: a triangle that does not commute raises CommutativityFailure
-    with the difference matrix.  Only the restrictions along Hasse edges
-    go through check_formula_morphism, and the first message it returns is
-    raised as DiagramAxiomFailure; by the induction in cover_triangles
-    every other one equals a composite of those, so it is valid too.
+    `res` maps each pair (y, y2) with y <= y2 to a CMorphism from the word
+    at[y].xi to the word at[y2].xi, to intertwine the two values' D's.  The
+    constructor verifies the diagram axioms: identity on diagonal pairs and
+    closure under composition, on the cover triangles of the target.  It is
+    the one place where restriction triangles are checked: a triangle that
+    does not commute raises CommutativityFailure with the difference matrix.
+    Only the restrictions along Hasse edges go through
+    check_formula_morphism, and the first message it returns is raised as
+    DiagramAxiomFailure; by the induction in cover_triangles every other one
+    equals a composite of those, so it is valid too.
     """
 
     __slots__ = ("target", "base", "at", "res")
@@ -372,39 +354,36 @@ class Formula:
         if first is None or any(f.xi.base != first.xi.base for f in values):
             raise BaseMismatch("all values must live over one base poset")
         self.base = first.xi.base
+        require_elements(target, self.at, "value")
         self.res = dict(res)
-        for y in target.elements:
-            if y not in self.at:
-                raise ParseError(f"no value at element {y!r}")
         for y, y2 in target.leq:
             if (y, y2) not in self.res:
                 if y == y2:
-                    self.res[(y, y2)] = identity_formula_morphism(self.at[y])
+                    self.res[(y, y2)] = identity_morphism(self.at[y].xi)
                 else:
                     raise ParseError(f"no restriction for {y!r} <= {y2!r}")
         covers = hasse(target).edges
-        for (y, y2), fm in self.res.items():
+        for (y, y2), phi in self.res.items():
             if not target.le(y, y2):
                 raise ParseError(f"restriction given for unrelated pair {y!r}, {y2!r}")
-            if fm.source != self.at[y] or fm.target != self.at[y2]:
+            if phi.source != self.at[y].xi or phi.target != self.at[y2].xi:
                 raise ShapeMismatch(f"restriction for {y!r} <= {y2!r} has wrong ends")
-            if (y, y2) not in covers:
-                continue
-            problem = check_formula_morphism(fm)
-            if problem is not None:
-                raise DiagramAxiomFailure(
-                    f"restriction for {y!r} <= {y2!r} is invalid: {problem}"
-                )
+            if (y, y2) in covers:
+                problem = check_formula_morphism(phi, self.at[y], self.at[y2])
+                if problem is not None:
+                    raise DiagramAxiomFailure(
+                        f"restriction for {y!r} <= {y2!r} is invalid: {problem}"
+                    )
         for y in target.elements:
-            if self.res[(y, y)].phi != identity_morphism(self.at[y].xi):
+            if self.res[(y, y)] != identity_morphism(self.at[y].xi):
                 raise DiagramAxiomFailure(f"restriction at ({y!r}, {y!r}) is not the identity")
         for y, y2, y3 in cover_triangles(target):
-            left = compose(self.res[(y2, y3)].phi, self.res[(y, y2)].phi)
-            if left != self.res[(y, y3)].phi:
+            left = compose(self.res[(y2, y3)], self.res[(y, y2)])
+            if left != self.res[(y, y3)]:
                 raise CommutativityFailure(
                     (y, y3),
                     f"via {y2!r}: difference "
-                    f"{left.matrix.sub(self.res[(y, y3)].phi.matrix).tolist()}",
+                    f"{left.matrix.sub(self.res[(y, y3)].matrix).tolist()}",
                 )
 
     def __eq__(self, other):
@@ -422,10 +401,7 @@ class Formula:
 def translation_formula(X: Poset, n: int) -> Formula:
     """The formula whose evaluation shifts every complex by n."""
     at = {x: FormulaToPoint(CObject(((x, n),), X), Mat.identity(1)) for x in X.elements}
-    res = {
-        (x, x2): FormulaMorphism(at[x], at[x2], Mat.identity(1))
-        for x, x2 in X.leq
-    }
+    res = {(x, x2): CMorphism(at[x].xi, at[x2].xi, Mat.identity(1)) for x, x2 in X.leq}
     return Formula(X, at, res)
 
 
@@ -461,7 +437,7 @@ def substitute(outer: FormulaToPoint, inner: Formula) -> FormulaToPoint:
             if c == 0:
                 continue
             pa, ma = entries[a]
-            rho = inner.res[(pa, pb)].phi
+            rho = inner.res[(pa, pb)]
             if mb == ma - 1:
                 blocks[(b, a)] = rho.matrix.scale(c)
             elif mb == ma:
@@ -478,19 +454,19 @@ def substitute(outer: FormulaToPoint, inner: Formula) -> FormulaToPoint:
     return result
 
 
-def _substituted_matrix(psi: FormulaMorphism, inner: Formula) -> Mat:
+def _substituted_matrix(psi: CMorphism, inner: Formula) -> Mat:
     """The matrix of a restriction with the inner formula substituted into
     both ends: block (b, a) is psi's coefficient there times the inner
     restriction between the two entries' elements."""
-    s_entries = psi.source.xi.entries
-    t_entries = psi.target.xi.entries
+    s_entries = psi.source.entries
+    t_entries = psi.target.entries
     col_sizes = [len(inner.at[p].xi) for p, _ in s_entries]
     row_sizes = [len(inner.at[p].xi) for p, _ in t_entries]
     blocks = {}
     for b in range(len(t_entries)):
         pb, mb = t_entries[b]
         for a in range(len(s_entries)):
-            c = psi.phi.matrix[b, a]
+            c = psi.matrix[b, a]
             if c == 0:
                 continue
             pa, ma = s_entries[a]
@@ -498,7 +474,7 @@ def _substituted_matrix(psi: FormulaMorphism, inner: Formula) -> Mat:
                 raise InternalInconsistency(
                     "restriction-type formula morphism expected during substitution"
                 )
-            blocks[(b, a)] = inner.res[(pa, pb)].phi.matrix.scale(c)
+            blocks[(b, a)] = inner.res[(pa, pb)].matrix.scale(c)
     return block(blocks, row_sizes, col_sizes)
 
 
@@ -512,7 +488,7 @@ def compose_formulas(outer: Formula, inner: Formula) -> Formula:
         raise BaseMismatch("outer formula's base must equal inner formula's target")
     at = {q: substitute(outer.at[q], inner) for q in outer.target.elements}
     res = {
-        (q, q2): FormulaMorphism(at[q], at[q2], _substituted_matrix(psi, inner))
+        (q, q2): CMorphism(at[q].xi, at[q2].xi, _substituted_matrix(psi, inner))
         for (q, q2), psi in outer.res.items()
     }
     try:

@@ -32,6 +32,7 @@ from .abelian_eval import (
     random_diagram,
 )
 from .errors import (
+    BaseMismatch,
     DiagramAxiomFailure,
     InternalInconsistency,
     NaturalityFailure,
@@ -55,7 +56,6 @@ from .formula_cat import (
     CMorphism,
     CObject,
     Formula,
-    FormulaMorphism,
     FormulaToPoint,
     check_formula,
     check_formula_morphism,
@@ -77,7 +77,14 @@ from .gluing import (
     validate_gluing,
 )
 from .intmat import Mat
-from .poset_core import Poset, hasse, point_poset, poset_from_generators
+from .poset_core import (
+    Poset,
+    covers,
+    hasse,
+    point_poset,
+    poset_from_generators,
+    require_elements,
+)
 from .rng import SplitMix64, derive_seed
 
 
@@ -179,10 +186,11 @@ class EpsilonTransform:
     """A natural transformation between two formulas over a common target.
 
     Components are given as matrices, one per target element, and stored as
-    formula morphisms.  The constructor checks that each component intertwines the value matrices
+    CMorphisms from source.at[y].xi to target.at[y].xi.  The constructor
+    checks that each component intertwines the two values' D's
     (DiagramAxiomFailure otherwise) and that the components commute with the
-    restrictions across every Hasse edge of the target (NaturalityFailure,
-    with the offending edge as witness).
+    restrictions across every Hasse edge of the target, walked in element
+    order (NaturalityFailure, with the first offending edge as witness).
     """
 
     __slots__ = ("source", "target", "components")
@@ -191,21 +199,20 @@ class EpsilonTransform:
         if source.target != target.target:
             raise ParseError("source and target formulas have different shapes")
         if source.base != target.base:
-            raise ParseError("source and target formulas have different values")
+            raise BaseMismatch("source and target formulas have different bases")
+        require_elements(source.target, components, "component")
         self.source = source
         self.target = target
         self.components = {}
         for y in source.target.elements:
-            if y not in components:
-                raise ParseError(f"no component at element {y!r}")
-            fm = FormulaMorphism(source.at[y], target.at[y], components[y])
-            problem = check_formula_morphism(fm)
+            phi = CMorphism(source.at[y].xi, target.at[y].xi, components[y])
+            problem = check_formula_morphism(phi, source.at[y], target.at[y])
             if problem is not None:
                 raise DiagramAxiomFailure(f"component at {y!r} is invalid: {problem}")
-            self.components[y] = fm
-        for a, b in hasse(source.target).edges:
-            left = compose(self.target.res[(a, b)].phi, self.components[a].phi)
-            right = compose(self.components[b].phi, self.source.res[(a, b)].phi)
+            self.components[y] = phi
+        for a, b in covers(source.target):
+            left = compose(self.target.res[(a, b)], self.components[a])
+            right = compose(self.components[b], self.source.res[(a, b)])
             if left != right:
                 raise NaturalityFailure(
                     (a, b), f"difference {left.matrix.sub(right.matrix).tolist()}"
@@ -241,7 +248,7 @@ def _arrow_formula(chain: Poset, base: Poset, bottom, top) -> Formula:
     low, high = sorted(chain.elements, key=chain.height)
     f1 = FormulaToPoint(CObject(bottom, base), Mat.identity(len(bottom)))
     f2 = FormulaToPoint(CObject(top, base), Mat.identity(len(top)))
-    res = {(low, high): FormulaMorphism(f1, f2, [[1] * len(bottom)] * len(top))}
+    res = {(low, high): CMorphism(f1.xi, f2.xi, [[1] * len(bottom)] * len(top))}
     return Formula(chain, {low: f1, high: f2}, res)
 
 
@@ -288,7 +295,7 @@ def _build_xi(g: GluingData, source, target) -> Formula:
         rows = [[0] * len(src) for _ in tgt]
         for e, f in matching.items():
             rows[tgt[f]][src[e]] = 1
-        res[(a, b)] = FormulaMorphism(at[a], at[b], rows)
+        res[(a, b)] = CMorphism(at[a].xi, at[b].xi, rows)
     return Formula(target.poset, at, res)
 
 
@@ -492,7 +499,7 @@ def _two_chain_epsilons():
     comp_mm = compose_formulas(TWO_CHAIN_MINUS, TWO_CHAIN_MINUS)
     swap = (("1", "2"), ("2", "1"))
     eps_pm = EpsilonTransform(
-        comp_pm, NU, {y: counit.components[z].phi.matrix for y, z in swap}
+        comp_pm, NU, {y: counit.components[z].matrix for y, z in swap}
     )
     eps_pp = EpsilonTransform(
         comp_pp, TWO_CHAIN_MINUS, {"1": [[1, 0], [0, 1]], "2": [[0, 1, 0]]}
@@ -569,7 +576,10 @@ def verify_two_chain(
             "named-formulas-valid",
             check_formula(XI12) is None
             and all(check_formula(f) is None for F in named for f in F.at.values())
-            and all(check_formula_morphism(F.res[("1", "2")]) is None for F in named),
+            and all(
+                check_formula_morphism(F.res[("1", "2")], F.at["1"], F.at["2"]) is None
+                for F in named
+            ),
         )
     )
     structural.append(

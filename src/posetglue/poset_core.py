@@ -195,6 +195,23 @@ def hasse(p: Poset) -> HasseDiagram:
     return p._hasse
 
 
+def covers(p: Poset) -> list:
+    """The Hasse edges in element order, so that every walk over them, and
+    the first failure it names, is the same on every run."""
+    return sorted(hasse(p).edges, key=lambda ab: (p.index(ab[0]), p.index(ab[1])))
+
+
+def require_elements(p: Poset, mapping, what: str) -> None:
+    """ParseError unless the keys of mapping are exactly the elements of p,
+    naming the first element without an entry or else the first stray key."""
+    for e in p.elements:
+        if e not in mapping:
+            raise ParseError(f"no {what} at element {e!r}")
+    if len(mapping) != len(p.elements):
+        stray = next(k for k in mapping if k not in p)
+        raise ParseError(f"{what} given at {stray!r}, which is not an element")
+
+
 def cover_triangles(p: Poset) -> tuple:
     """Triangles (a, b, c) with a Hasse edge a < b and c >= b, in element order.
 
@@ -206,9 +223,8 @@ def cover_triangles(p: Poset) -> tuple:
                     = r(a, c)                     [cover triangle (a, a2, c)].
     """
     if p._triangles is None:
-        covers = sorted(hasse(p).edges, key=lambda ab: (p.index(ab[0]), p.index(ab[1])))
         p._triangles = tuple(
-            (a, b, c) for a, b in covers for c in sorted(p.up_set(b), key=p.index)
+            (a, b, c) for a, b in covers(p) for c in sorted(p.up_set(b), key=p.index)
         )
     return p._triangles
 
@@ -368,8 +384,7 @@ def _cover_maps(p: Poset):
 
 def poset_to_json(p: Poset) -> dict:
     """JSON form: elements plus generating relations (the Hasse edges)."""
-    edges = sorted(hasse(p).edges, key=lambda ab: (p.index(ab[0]), p.index(ab[1])))
-    return {"elements": list(p.elements), "relations": [list(e) for e in edges]}
+    return {"elements": list(p.elements), "relations": [list(e) for e in covers(p)]}
 
 
 def poset_from_json(doc) -> Poset:
@@ -399,8 +414,7 @@ def poset_to_dot(p: Poset, name: str = "poset") -> str:
     lines = [f"digraph {quote(name)} {{", "  rankdir=BT;"]
     for e in p.elements:
         lines.append(f"  {quote(e)};")
-    edges = sorted(hasse(p).edges, key=lambda ab: (p.index(ab[0]), p.index(ab[1])))
-    for a, b in edges:
+    for a, b in covers(p):
         lines.append(f"  {quote(a)} -> {quote(b)};")
     by_height = {}
     for e in p.elements:

@@ -4,11 +4,35 @@ The library computes ranks and quasi-isomorphism verdicts its own way (integer
 pivoting, mapping cones).  These helpers redo the same questions from scratch
 with fractions.Fraction row reduction and induced maps on cohomology, so the
 tests compare two genuinely different computations.
+
+It also holds :func:`run_python`, which runs a child interpreter on this
+package, for tests whose subject is the process itself: its entry point and
+its independence of the hash seed.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+import posetglue
+
+
+def run_python(args, hash_seed=None) -> subprocess.CompletedProcess:
+    """Run `python args...` in a child that imports this package from where
+    this process did (which may be a path the test runner added rather than
+    an install), with PYTHONHASHSEED set to hash_seed unless it is None."""
+    env = dict(os.environ)
+    here = str(Path(posetglue.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [here, env.get("PYTHONPATH")]))
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
+    )
 
 
 def rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:

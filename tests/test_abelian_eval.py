@@ -176,6 +176,22 @@ class TestComplexes:
             assert S.diff(t - 1).tolist() == m.neg().tolist()
 
 
+class TestDiagrams:
+    def test_complex_at_a_stray_element_is_rejected(self):
+        K = random_diagram(TWO_CHAIN, 1)
+        with pytest.raises(ParseError, match="complex given at '3', which is not"):
+            PosetDiagram(TWO_CHAIN, {**K.K, "3": K.K["1"]}, K.r)
+        with pytest.raises(ParseError, match="no complex at element '2'"):
+            PosetDiagram(TWO_CHAIN, {"1": K.K["1"]}, K.r)
+
+    def test_component_at_a_stray_element_is_rejected(self):
+        K = random_diagram(TWO_CHAIN, 1)
+        ident = {x: identity_chain_map(K.K[x]) for x in TWO_CHAIN.elements}
+        with pytest.raises(ParseError, match="component given at '3', which is not"):
+            DiagramMap(K, K, {**ident, "3": ident["1"]})
+        assert DiagramMap(K, K, ident).components == ident
+
+
 class TestQuasiIso:
     def test_identity_and_cone(self):
         for seed in range(10):
@@ -289,9 +305,11 @@ class TestEvalFormulas:
         for seed in range(10):
             K = random_diagram(TWO_CHAIN, seed, max_dim=2, window=(-1, 1))
             for f in (XI12, XI121):
-                fm = i_xi(f)
                 j = eval_formula_morphism(
-                    fm, K, eval_point(fm.source, K), eval_point(fm.target, K)
+                    i_xi(f),
+                    K,
+                    eval_point(shift(f, 1), K),
+                    eval_point(negated_star_shift(f), K),
                 )
                 assert is_quasi_iso(j)
                 assert induced_qis(j)
@@ -317,12 +335,12 @@ class TestEvalFormulas:
         ]
         real = abelian_eval._eval_graded
         K, phi = next(
-            (K, F.res[p].phi)
+            (K, F.res[p])
             for K in (random_diagram(build_plus(g).poset, seed) for seed in range(20))
             for p in pairs
-            if real(F.res[p].phi, K)
+            if real(F.res[p], K)
         )
-        assert [fm.phi for fm in F.res.values()].count(phi) == 1
+        assert list(F.res.values()).count(phi) == 1
 
         def perturbed(psi, K):
             out = real(psi, K)

@@ -4,17 +4,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import posetglue
 from posetglue import cli
 from posetglue.cli import main
-from posetglue.gluing import build_minus, build_plus, gluing_from_json
+from posetglue.gluing import build_minus, build_plus, gluing_from_json, gluing_to_json
+from posetglue.harness import FIGURE_ONE_PAIRS, figure_one_gluing
 from posetglue.poset_core import (
     opposite,
     poset_from_generators,
@@ -22,6 +18,8 @@ from posetglue.poset_core import (
     poset_to_dot,
     poset_to_json,
 )
+
+from conftest import run_python
 
 # a small run: one trial, stalks of dimension at most 2 in degrees -1..1
 SMALL = ["--trials", "1", "--max-dim", "2", "--window", "-1", "1"]
@@ -626,19 +624,24 @@ class TestSurface:
 
 class TestConsoleScript:
     def test_module_entry_point(self, files):
-        # the child imports the package from where this process did, which
-        # may be a path the test runner added rather than an install
-        env = dict(os.environ)
-        here = str(Path(posetglue.__file__).parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [here, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "posetglue.cli", "poset", "check", files["chain3"]],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        result = run_python(["-m", "posetglue.cli", "poset", "check", files["chain3"]])
         assert result.returncode == 0
         assert "3 elements" in result.stdout
+
+    def test_theorem_json_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # set and frozenset iteration order changes with PYTHONHASHSEED; a
+        # report must stay byte-identical from run to run all the same
+        gluing = tmp_path / "x1x2.json"
+        g = figure_one_gluing(FIGURE_ONE_PAIRS[0])[0]
+        gluing.write_text(json.dumps(gluing_to_json(g)))
+        argv = ["-m", "posetglue.cli", "verify", "theorem", "--gluing", str(gluing)]
+        outs = []
+        for hash_seed in (0, 1):
+            result = run_python([*argv, "--trials", "3", "--json"], hash_seed)
+            assert result.returncode == 0, result.stderr
+            outs.append(result.stdout)
+        assert json.loads(outs[0])["ok"]
+        assert outs[0] == outs[1]
 
 
 def test_round_trip_through_op(tmp_path, capsys):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from posetglue.abelian_eval import eval_formula, eval_point, random_diagram
-from posetglue.errors import BaseMismatch, ShapeMismatch
+from posetglue.errors import BaseMismatch, ParseError, ShapeMismatch
 from posetglue.formula_cat import (
     ALPHA1,
     ALPHA2,
@@ -21,7 +21,6 @@ from posetglue.formula_cat import (
     CMorphism,
     CObject,
     Formula,
-    FormulaMorphism,
     FormulaToPoint,
     check_formula,
     check_formula_morphism,
@@ -121,7 +120,7 @@ class TestObjectsAndMorphisms:
         assert compose(psi, phi).matrix.tolist() == [[1, 0]]
 
     def test_identity_is_neutral(self):
-        phi = PHI1.phi
+        phi = PHI1
         left = compose(identity_morphism(phi.target), phi)
         right = compose(phi, identity_morphism(phi.source))
         assert left.matrix == phi.matrix == right.matrix
@@ -185,8 +184,8 @@ class TestNamedConstants:
             assert report is None, report
 
     def test_named_formula_morphisms_are_valid(self):
-        for fm in (PHI1, PHI2):
-            report = check_formula_morphism(fm)
+        for phi, F in ((PHI1, TWO_CHAIN_MINUS), (PHI2, TWO_CHAIN_PLUS)):
+            report = check_formula_morphism(phi, F.at["1"], F.at["2"])
             assert report is None, report
 
     def test_exact_matrices(self):
@@ -256,13 +255,12 @@ class TestSubstitution:
 class TestShiftAndStar:
     def test_i_xi_intertwines(self):
         for f in (XI1, XI12, XI121, XI212):
-            fm = i_xi(f)
-            assert check_formula_morphism(fm) is None
-            n = len(f.xi.entries)
+            phi = i_xi(f)
+            assert check_formula_morphism(phi, shift(f, 1), negated_star_shift(f)) is None
             expected = Mat.diag([(-1) ** (m % 2) for _, m in f.xi.entries])
-            assert fm.phi.matrix == expected
-            assert fm.source.xi.entries == shift(f, 1).xi.entries
-            assert fm.target.D.matrix == star(f.D).matrix.neg()
+            assert phi.matrix == expected
+            assert phi.source.entries == shift(f, 1).xi.entries
+            assert negated_star_shift(f).D.matrix == star(f.D).matrix.neg()
 
     def test_negated_star_shift_is_valid(self):
         for f in (XI12, XI121, XI212):
@@ -274,20 +272,37 @@ class TestFormulaValidation:
         for F in (TWO_CHAIN_PLUS, TWO_CHAIN_MINUS, NU):
             for y in F.target.elements:
                 assert check_formula(F.at[y]) is None
-            for fm in F.res.values():
-                assert check_formula_morphism(fm) is None
+            for (y, y2), phi in F.res.items():
+                assert check_formula_morphism(phi, F.at[y], F.at[y2]) is None
 
     def test_res_must_be_degree_preserving_restrictions(self):
         # a res entry that raises degree is not a valid restriction morphism
-        bad = FormulaMorphism(XI2, XI12, [[0], [1]])
+        bad = CMorphism(XI2.xi, XI12.xi, [[0], [1]])
         F = Formula(TWO_CHAIN, {"1": XI2, "2": XI12}, {("1", "2"): bad})
         assert F is not None  # PHI2 itself is legal as a res value
         with pytest.raises(Exception):
             Formula(
                 TWO_CHAIN,
                 {"1": XI1, "2": XI12},
-                {("1", "2"): FormulaMorphism(XI1, XI12, [[1], [1]])},
+                {("1", "2"): CMorphism(XI1.xi, XI12.xi, [[1], [1]])},
             )
+
+    def test_restriction_with_wrong_ends_is_rejected(self):
+        # PHI2 maps XI2's word to XI12's; as a restriction between XI1 and
+        # XI12, or between XI2 and XI1, it has the wrong ends
+        with pytest.raises(ShapeMismatch, match="phi must map the source word"):
+            check_formula_morphism(PHI2, XI1, XI12)
+        with pytest.raises(ShapeMismatch, match="phi must map the source word"):
+            check_formula_morphism(PHI2, XI2, XI1)
+        with pytest.raises(ShapeMismatch, match="restriction for '1' <= '2' has wrong ends"):
+            Formula(TWO_CHAIN, {"1": XI1, "2": XI12}, {("1", "2"): PHI2})
+
+    def test_value_at_a_stray_element_is_rejected(self):
+        at = {**TWO_CHAIN_PLUS.at, "3": XI2}
+        with pytest.raises(ParseError, match="value given at '3', which is not an element"):
+            Formula(TWO_CHAIN, at, TWO_CHAIN_PLUS.res)
+        with pytest.raises(ParseError, match="no value at element '2'"):
+            Formula(TWO_CHAIN, {"1": XI2}, {})
 
     def test_values_over_two_bases_are_rejected(self):
         other = poset_from_generators(["1", "2", "3"], [("1", "2")])
@@ -358,15 +373,15 @@ class TestCheckWitnesses:
     def test_degree_raising_component_is_named(self):
         source = FormulaToPoint(CObject((("1", 0),), TWO_CHAIN), [[1]])
         target = FormulaToPoint(CObject((("2", 1),), TWO_CHAIN), [[1]])
-        fm = FormulaMorphism(source, target, [[1]])
-        assert check_formula_morphism(fm) == (
+        phi = CMorphism(source.xi, target.xi, [[1]])
+        assert check_formula_morphism(phi, source, target) == (
             "component 1 at (0,0) raises degree; not a restriction"
         )
 
     def test_intertwining_difference_is_named(self):
         # "1" goes to "1" in degree 1, but XI12's D also sends it on to "2"
-        fm = FormulaMorphism(XI1, XI12, [[1], [0]])
-        assert check_formula_morphism(fm) == (
+        phi = CMorphism(XI1.xi, XI12.xi, [[1], [0]])
+        assert check_formula_morphism(phi, XI1, XI12) == (
             "intertwining fails: phi[1]·D - D'·phi = [[0], [-1]]"
         )
 

@@ -12,6 +12,7 @@ import pytest
 
 from posetglue.abelian_eval import RATIONALS, Field, eval_formula, random_diagram
 from posetglue.errors import (
+    BaseMismatch,
     CommutativityFailure,
     InternalInconsistency,
     NaturalityFailure,
@@ -29,9 +30,9 @@ from posetglue.formula_cat import (
     XI12,
     XI121,
     XI212,
+    CMorphism,
     CObject,
     Formula,
-    FormulaMorphism,
     FormulaToPoint,
     check_formula,
     check_formula_morphism,
@@ -66,6 +67,8 @@ from posetglue.harness import (
 from posetglue.intmat import Mat
 from posetglue.poset_core import hasse, opposite, point_poset, poset_from_generators
 
+from conftest import run_python
+
 SMALL = {"trials": 3, "max_dim": 2, "window": (-1, 1)}
 
 
@@ -99,7 +102,7 @@ class TestTheoremFormulas:
                 y: FormulaToPoint(CObject(((z, 0),), base), [[1]])
                 for y, z in (("1", "2"), ("2", "1"))
             }
-            res = {(a, b): FormulaMorphism(at[a], at[b], [[1]]) for a, b in target.leq}
+            res = {(a, b): CMorphism(at[a].xi, at[b].xi, [[1]]) for a, b in target.leq}
             return Formula(target, at, res)
 
         assert compose_formulas(swap(chain, flipped), xi_plus) == TWO_CHAIN_PLUS
@@ -152,8 +155,8 @@ def dual(F: Formula) -> Formula:
         for y, f in F.at.items()
     }
     res = {
-        (b, a): FormulaMorphism(at[b], at[a], _anti_transpose(fm.phi.matrix))
-        for (a, b), fm in F.res.items()
+        (b, a): CMorphism(at[b].xi, at[a].xi, _anti_transpose(phi.matrix))
+        for (a, b), phi in F.res.items()
     }
     return Formula(opposite(F.target), at, res)
 
@@ -175,8 +178,8 @@ def _up_to_entry_order(F: Formula):
         for y, f in F.at.items()
     }
     restrictions = {
-        key: sparse(fm.phi.matrix, fm.target.xi.entries, fm.source.xi.entries)
-        for key, fm in F.res.items()
+        key: sparse(phi.matrix, phi.target.entries, phi.source.entries)
+        for key, phi in F.res.items()
     }
     orders = [(set(P.elements), P.leq) for P in (F.target, F.base)]
     return orders, values, restrictions
@@ -241,16 +244,16 @@ class TestSingleCheckSite:
             and P.up_set(c) == {c}
         )
         res = dict(xi.res)
-        res[(a, c)] = FormulaMorphism(
-            xi.at[a], xi.at[c], Mat.zero(len(xi.at[c].xi), len(xi.at[a].xi))
+        res[(a, c)] = CMorphism(
+            xi.at[a].xi, xi.at[c].xi, Mat.zero(len(xi.at[c].xi), len(xi.at[a].xi))
         )
-        assert check_formula_morphism(res[(a, c)]) is None
+        assert check_formula_morphism(res[(a, c)], xi.at[a], xi.at[c]) is None
         with pytest.raises(CommutativityFailure) as info:
             Formula(P, xi.at, res)
         assert info.value.pair == (a, c)
         witnesses = [
             f"via {b!r}: difference "
-            f"{compose(res[(b, c)].phi, res[(a, b)].phi).matrix.tolist()}"
+            f"{compose(res[(b, c)], res[(a, b)]).matrix.tolist()}"
             for b in P.up_set(a) & P.down_set(c) - {a, c}
         ]
         assert any(w in str(info.value) for w in witnesses), str(info.value)
@@ -261,8 +264,8 @@ class TestSingleCheckSite:
         xi = build_theorem_formulas(g)[side]
         P = xi.target
         res = dict(xi.res)
-        res[(a, c)] = FormulaMorphism(
-            xi.at[a], xi.at[c], Mat.zero(len(xi.at[c].xi), len(xi.at[a].xi))
+        res[(a, c)] = CMorphism(
+            xi.at[a].xi, xi.at[c].xi, Mat.zero(len(xi.at[c].xi), len(xi.at[a].xi))
         )
         with pytest.raises(CommutativityFailure) as info:
             Formula(P, xi.at, res)
@@ -280,14 +283,14 @@ class TestSingleCheckSite:
         invalid = []
         for side, a, c in _non_cover_pairs():
             xi = formulas[side]
-            rows = xi.res[(a, c)].phi.matrix.tolist()
+            rows = xi.res[(a, c)].matrix.tolist()
             j, i = next(
                 (j, i) for j, row in enumerate(rows) for i, e in enumerate(row) if e
             )
             rows[j][i] = -rows[j][i]
             res = dict(xi.res)
-            res[(a, c)] = FormulaMorphism(xi.at[a], xi.at[c], rows)
-            if check_formula_morphism(res[(a, c)]) is not None:
+            res[(a, c)] = CMorphism(xi.at[a].xi, xi.at[c].xi, rows)
+            if check_formula_morphism(res[(a, c)], xi.at[a], xi.at[c]) is not None:
                 invalid.append((side, a, c))
             with pytest.raises(CommutativityFailure):
                 Formula(xi.target, xi.at, res)
@@ -297,13 +300,25 @@ class TestSingleCheckSite:
         g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
         eps_pm, _ = build_epsilons(g, *build_theorem_formulas(g))
         x = next(x for x in g.X.elements if g.Yx[x])
-        comps = {y: fm.phi.matrix.tolist() for y, fm in eps_pm.components.items()}
+        comps = {y: phi.matrix.tolist() for y, phi in eps_pm.components.items()}
         comps[x] = [[-c for c in row] for row in comps[x]]
         with pytest.raises(NaturalityFailure) as info:
             EpsilonTransform(eps_pm.source, eps_pm.target, comps)
         assert info.value.edge in hasse(eps_pm.source.target).edges
         assert x in info.value.edge
         assert "difference" in str(info.value)
+
+    def test_naturality_witness_does_not_depend_on_the_hash_seed(self):
+        # with every witnessed counit component sign-flipped, several edges
+        # fail at once; the one named must be the first in element order,
+        # not the first in the Hasse edges' hash order
+        edges = set()
+        for hash_seed in (0, 1):
+            result = run_python(["-c", _FLIPPED_COUNIT], hash_seed)
+            assert result.returncode == 0, result.stderr
+            edges.add(result.stdout)
+        (out,) = edges
+        assert len(out.splitlines()) == 2, out
 
 
 class TestRunParameters:
@@ -520,6 +535,38 @@ class TestCompose:
             compose_formulas(TWO_CHAIN_PLUS, TWO_CHAIN_MINUS)
 
 
+#: Sign-flip every witnessed counit component of the X1/X2 gluing, as
+#: matrices and as evaluated chain maps, and print the edge named by the
+#: NaturalityFailure of EpsilonTransform and of DiagramMap.
+_FLIPPED_COUNIT = """
+from posetglue.abelian_eval import ChainMap, DiagramMap, random_diagram
+from posetglue.errors import NaturalityFailure
+from posetglue.harness import (
+    FIGURE_ONE_PAIRS, EpsilonTransform, build_epsilons, build_theorem_formulas,
+    figure_one_gluing,
+)
+
+g = figure_one_gluing(FIGURE_ONE_PAIRS[0])[0]
+eps_pm, _ = build_epsilons(g, *build_theorem_formulas(g))
+witnessed = [x for x in g.X.elements if g.Yx[x]]
+comps = {y: phi.matrix.tolist() for y, phi in eps_pm.components.items()}
+counit = eps_pm.evaluate(random_diagram(eps_pm.source.base, 0))
+maps = dict(counit.components)
+for x in witnessed:
+    comps[x] = [[-c for c in row] for row in comps[x]]
+    c = maps[x]
+    maps[x] = ChainMap(c.source, c.target, {t: m.neg() for t, m in c.f.items()})
+try:
+    EpsilonTransform(eps_pm.source, eps_pm.target, comps)
+except NaturalityFailure as exc:
+    print(exc.edge)
+try:
+    DiagramMap(counit.source, counit.target, maps)
+except NaturalityFailure as exc:
+    print(exc.edge)
+"""
+
+
 class TestEpsilons:
     def test_two_chain_substitutions_reproduce_constants(self):
         assert substitute(XI12, TWO_CHAIN_MINUS).D.matrix == XI121.D.matrix
@@ -532,6 +579,27 @@ class TestEpsilons:
         plus = build_plus(g).poset
         for eps in (eps_pm, eps_mp):
             assert set(eps.components) == set(plus.elements)
+
+    def test_component_at_a_stray_element_is_rejected(self):
+        comps = {"1": [[1]], "2": [[1]], "3": [[1]]}
+        with pytest.raises(ParseError, match="component given at '3', which is not"):
+            EpsilonTransform(NU, NU, comps)
+        with pytest.raises(ParseError, match="no component at element '2'"):
+            EpsilonTransform(NU, NU, {"1": [[1]]})
+
+    def test_formulas_over_different_bases_are_rejected(self):
+        # the same target, TWO_CHAIN, but values over a one-point order
+        point = point_poset("p")
+        word = CObject((("p", 0),), point)
+        value = FormulaToPoint(word, [[1]])
+        res = {("1", "2"): CMorphism(word, word, [[1]])}
+        F = Formula(TWO_CHAIN, {"1": value, "2": value}, res)
+        with pytest.raises(BaseMismatch, match="different bases"):
+            EpsilonTransform(NU, F, {"1": [[1]], "2": [[1]]})
+
+    def test_formulas_of_different_shapes_are_rejected(self):
+        with pytest.raises(ParseError, match="different shapes"):
+            EpsilonTransform(NU, translation_formula(point_poset("1"), 1), {"1": [[1]]})
 
     def test_a_broken_retract_is_caught(self):
         g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
@@ -610,7 +678,7 @@ class TestVerifyTwoChain:
             values = {
                 y: (f.xi.entries, f.D.matrix.tolist()) for y, f in F.at.items()
             }
-            return values, F.res[("1", "2")].phi.matrix.tolist()
+            return values, F.res[("1", "2")].matrix.tolist()
 
         assert pins(TWO_CHAIN_PLUS) == (
             {"1": ((("2", 0),), [[1]]), "2": ((("1", 1), ("2", 0)), [[1, 0], [1, 1]])},
@@ -624,7 +692,7 @@ class TestVerifyTwoChain:
     def test_counit_and_unit_are_pinned(self):
         counit, unit, _, _ = harness._two_chain_epsilons()
         matrices = [
-            {y: fm.phi.matrix.tolist() for y, fm in eps.components.items()}
+            {y: phi.matrix.tolist() for y, phi in eps.components.items()}
             for eps in (counit, unit)
         ]
         assert matrices == [
