@@ -30,7 +30,9 @@ from .errors import (
 )
 from .formula_cat import CMorphism, Formula, FormulaToPoint
 from .intmat import Mat, block, rank_exact, rank_mod
-from .poset_core import Poset, cover_triangles, covers, hasse, require_elements
+from .poset_core import (
+    Poset, cover_triangles, covers, hasse, require_elements, require_relations
+)
 from .rng import SplitMix64, derive_seed
 
 # Deterministic Miller-Rabin bases: the primes up to 37 decide primality
@@ -309,16 +311,9 @@ class PosetDiagram:
         self.K = dict(K)
         self.r = dict(r)
         require_elements(base, self.K, "complex")
-        for x, x2 in base.leq:
-            if (x, x2) not in self.r:
-                if x == x2:
-                    self.r[(x, x2)] = identity_chain_map(self.K[x])
-                else:
-                    raise ParseError(f"no restriction for {x!r} <= {x2!r}")
+        require_relations(base, self.r, lambda x: identity_chain_map(self.K[x]))
         if check:
             for (x, x2), f in self.r.items():
-                if not base.le(x, x2):
-                    raise ParseError(f"restriction for unrelated pair {x!r}, {x2!r}")
                 if f.source != self.K[x] or f.target != self.K[x2]:
                     raise ShapeMismatch(f"restriction for {x!r} <= {x2!r} has wrong ends")
             for x in base.elements:

@@ -21,16 +21,16 @@ from .errors import (
     CommutativityFailure,
     DiagramAxiomFailure,
     InternalInconsistency,
-    ParseError,
     ShapeMismatch,
 )
 from .intmat import Mat, block
 from .poset_core import (
     Poset,
     cover_triangles,
-    hasse,
+    covers,
     poset_from_generators,
     require_elements,
+    require_relations,
 )
 
 
@@ -186,8 +186,8 @@ def star(m: CMorphism) -> CMorphism:
 
 
 def _twist(m: CMorphism, n: int) -> CMorphism:
-    """Sign-flip the degree-preserving entries when n is odd (the negated star,
-    as every other canonical entry raises degree by one); used by substitute."""
+    """Sign-flip the degree-preserving entries when n is odd: the negated star,
+    as every other canonical entry raises degree by one."""
     if n % 2 == 0:
         return m
     return CMorphism(m.source, m.target, star(m).matrix.neg())
@@ -338,7 +338,7 @@ class Formula:
     closure under composition, on the cover triangles of the target.  It is
     the one place where restriction triangles are checked: a triangle that
     does not commute raises CommutativityFailure with the difference matrix.
-    Only the restrictions along Hasse edges go through
+    Only the restrictions along Hasse edges, in element order, go through
     check_formula_morphism, and the first message it returns is raised as
     DiagramAxiomFailure; by the induction in cover_triangles every other one
     equals a composite of those, so it is valid too.
@@ -356,24 +356,16 @@ class Formula:
         self.base = first.xi.base
         require_elements(target, self.at, "value")
         self.res = dict(res)
-        for y, y2 in target.leq:
-            if (y, y2) not in self.res:
-                if y == y2:
-                    self.res[(y, y2)] = identity_morphism(self.at[y].xi)
-                else:
-                    raise ParseError(f"no restriction for {y!r} <= {y2!r}")
-        covers = hasse(target).edges
+        require_relations(target, self.res, lambda y: identity_morphism(self.at[y].xi))
         for (y, y2), phi in self.res.items():
-            if not target.le(y, y2):
-                raise ParseError(f"restriction given for unrelated pair {y!r}, {y2!r}")
             if phi.source != self.at[y].xi or phi.target != self.at[y2].xi:
                 raise ShapeMismatch(f"restriction for {y!r} <= {y2!r} has wrong ends")
-            if (y, y2) in covers:
-                problem = check_formula_morphism(phi, self.at[y], self.at[y2])
-                if problem is not None:
-                    raise DiagramAxiomFailure(
-                        f"restriction for {y!r} <= {y2!r} is invalid: {problem}"
-                    )
+        for y, y2 in covers(target):
+            problem = check_formula_morphism(self.res[(y, y2)], self.at[y], self.at[y2])
+            if problem is not None:
+                raise DiagramAxiomFailure(
+                    f"restriction for {y!r} <= {y2!r} is invalid: {problem}"
+                )
         for y in target.elements:
             if self.res[(y, y)] != identity_morphism(self.at[y].xi):
                 raise DiagramAxiomFailure(f"restriction at ({y!r}, {y!r}) is not the identity")
@@ -408,46 +400,17 @@ def translation_formula(X: Poset, n: int) -> Formula:
 def substitute(outer: FormulaToPoint, inner: Formula) -> FormulaToPoint:
     """Replace each entry (p, m) of the outer formula by the inner value at p.
 
-    The result object concatenates the shifted inner objects in outer entry
-    order. Its matrix has diagonal blocks given by the inner D's (with
-    degree-preserving entries sign-twisted by the parity of the outer
-    degree), and off-diagonal blocks given by inner restrictions — composed
-    with the receiving D when the outer coefficient raises degree.
+    The result object concatenates the inner words shifted by m, in outer
+    entry order, and its D is outer.D with the inner formula substituted
+    (see _substituted_matrix); the result is checked with check_formula.
     """
     if outer.xi.base != inner.target:
         raise BaseMismatch("outer formula must live over the inner formula's target")
-    entries = outer.xi.entries
-    pieces = [shift(inner.at[p], m) for p, m in entries]
-    sizes = [len(piece.xi) for piece in pieces]
-    base = inner.base
-    new_entries = []
-    for piece in pieces:
-        new_entries.extend(piece.xi.entries)
-    xi = CObject(new_entries, base)
-
-    blocks = {}
-    for a, piece in enumerate(pieces):
-        blocks[(a, a)] = _twist(piece.D, entries[a][1]).matrix
-    for b in range(len(entries)):
-        pb, mb = entries[b]
-        for a in range(len(entries)):
-            if a == b:
-                continue
-            c = outer.D.matrix[b, a]
-            if c == 0:
-                continue
-            pa, ma = entries[a]
-            rho = inner.res[(pa, pb)]
-            if mb == ma - 1:
-                blocks[(b, a)] = rho.matrix.scale(c)
-            elif mb == ma:
-                body = _twist(compose(inner.at[pb].D, rho), ma)
-                blocks[(b, a)] = body.matrix.scale(c)
-            else:
-                raise InternalInconsistency(
-                    f"outer coefficient at ({b},{a}) sits at an illegal position"
-                )
-    result = FormulaToPoint(xi, block(blocks, sizes, sizes).rows)
+    xi = CObject(
+        [(e, m + n) for p, n in outer.xi.entries for e, m in inner.at[p].xi.entries],
+        inner.base,
+    )
+    result = FormulaToPoint(xi, _substituted_matrix(outer.D, inner))
     problem = check_formula(result)
     if problem is not None:
         raise InternalInconsistency(f"substitution produced an invalid formula: {problem}")
@@ -455,26 +418,31 @@ def substitute(outer: FormulaToPoint, inner: Formula) -> FormulaToPoint:
 
 
 def _substituted_matrix(psi: CMorphism, inner: Formula) -> Mat:
-    """The matrix of a restriction with the inner formula substituted into
-    both ends: block (b, a) is psi's coefficient there times the inner
-    restriction between the two entries' elements."""
+    """The matrix of the word morphism psi with the inner formula substituted
+    into both ends, for a value's D and a restriction alike.
+
+    Block (b, a) is psi's coefficient c there times rho, the inner
+    restriction from the element of source entry a to that of target
+    entry b, when the entry preserves degree; when it raises degree (the
+    only other canonical case) it is c times the inner D at the target
+    element after rho, sign-twisted by the parity of the source degree.
+    A value's unit diagonal meets rho(p, p), the identity, so its diagonal
+    blocks are the twisted inner D's.
+    """
     s_entries = psi.source.entries
     t_entries = psi.target.entries
     col_sizes = [len(inner.at[p].xi) for p, _ in s_entries]
     row_sizes = [len(inner.at[p].xi) for p, _ in t_entries]
     blocks = {}
-    for b in range(len(t_entries)):
-        pb, mb = t_entries[b]
-        for a in range(len(s_entries)):
-            c = psi.matrix[b, a]
+    for b, (pb, mb) in enumerate(t_entries):
+        for a, c in enumerate(psi.matrix.rows[b]):
             if c == 0:
                 continue
             pa, ma = s_entries[a]
+            rho = inner.res[(pa, pb)]
             if mb != ma:
-                raise InternalInconsistency(
-                    "restriction-type formula morphism expected during substitution"
-                )
-            blocks[(b, a)] = inner.res[(pa, pb)].matrix.scale(c)
+                rho = _twist(compose(inner.at[pb].D, rho), ma)
+            blocks[(b, a)] = rho.matrix.scale(c)
     return block(blocks, row_sizes, col_sizes)
 
 

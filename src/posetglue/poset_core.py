@@ -212,6 +212,23 @@ def require_elements(p: Poset, mapping, what: str) -> None:
         raise ParseError(f"{what} given at {stray!r}, which is not an element")
 
 
+def require_relations(p: Poset, maps: dict, identity) -> None:
+    """Complete maps, keyed by the pairs a <= b of p, with identity(a) at each
+    missing diagonal pair; ParseError unless its keys are then exactly the
+    pairs of p, naming the first missing pair in element order or else the
+    first key that is not a pair of p."""
+    for a in p.elements:
+        if (a, a) not in maps:
+            maps[(a, a)] = identity(a)
+    if maps.keys() != p.leq:
+        missing = [ab for ab in p.leq if ab not in maps]
+        if missing:
+            a, b = min(missing, key=lambda ab: (p.index(ab[0]), p.index(ab[1])))
+            raise ParseError(f"no restriction for {a!r} <= {b!r}")
+        a, b = next(ab for ab in maps if ab not in p.leq)
+        raise ParseError(f"restriction given for unrelated pair {a!r}, {b!r}")
+
+
 def cover_triangles(p: Poset) -> tuple:
     """Triangles (a, b, c) with a Hasse edge a < b and c >= b, in element order.
 

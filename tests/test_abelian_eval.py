@@ -184,6 +184,12 @@ class TestDiagrams:
         with pytest.raises(ParseError, match="no complex at element '2'"):
             PosetDiagram(TWO_CHAIN, {"1": K.K["1"]}, K.r)
 
+    def test_restriction_for_an_unrelated_pair_is_rejected(self):
+        K = random_diagram(TWO_CHAIN, 1)
+        r = {**K.r, ("2", "1"): K.r[("1", "2")]}
+        with pytest.raises(ParseError, match="restriction given for unrelated pair '2', '1'"):
+            PosetDiagram(TWO_CHAIN, K.K, r)
+
     def test_component_at_a_stray_element_is_rejected(self):
         K = random_diagram(TWO_CHAIN, 1)
         ident = {x: identity_chain_map(K.K[x]) for x in TWO_CHAIN.elements}

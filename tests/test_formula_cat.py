@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from posetglue.abelian_eval import eval_formula, eval_point, random_diagram
@@ -46,7 +48,7 @@ from posetglue.poset_core import poset_from_generators
 
 from posetglue.rng import SplitMix64, derive_seed
 
-from conftest import matmul, random_cmorphism, random_cobject
+from conftest import matmul, random_cmorphism, random_cobject, run_python
 
 # the one-entry values and the restrictions of the two-chain formulas
 XI1 = TWO_CHAIN_MINUS.at["2"]
@@ -236,20 +238,20 @@ class TestSubstitution:
 
     def test_degree_raising_outer_coefficient_evaluates_as_composite(self):
         # Outer words ((a, 0), (b, 0)) with a < b: the off-diagonal
-        # coefficient raises degree, so substitution composes the inner
-        # restriction with the receiving inner D.
+        # coefficient c raises degree, so substitution composes the inner
+        # restriction with the receiving inner D and scales it by c.
         g = figure_one_gluing(("X1", "X2"))[0]
         for inner in build_theorem_formulas(g):
             P = inner.target
-            for a, b in sorted(P.leq):
+            for (a, b), c in itertools.product(sorted(P.leq), (1, -1)):
                 if a == b:
                     continue
-                outer = FormulaToPoint(CObject(((a, 0), (b, 0)), P), [[1, 0], [1, 1]])
+                outer = FormulaToPoint(CObject(((a, 0), (b, 0)), P), [[1, 0], [c, 1]])
                 composite = substitute(outer, inner)
                 for seed in range(10):
                     K = random_diagram(inner.base, seed)
                     expected = eval_point(outer, eval_formula(inner, K))
-                    assert eval_point(composite, K) == expected, (a, b, seed)
+                    assert eval_point(composite, K) == expected, (a, b, c, seed)
 
 
 class TestShiftAndStar:
@@ -265,6 +267,26 @@ class TestShiftAndStar:
     def test_negated_star_shift_is_valid(self):
         for f in (XI12, XI121, XI212):
             assert check_formula(negated_star_shift(f)) is None
+
+
+#: Build a Formula and a PosetDiagram over X1 with every restriction
+#: missing, and print the ParseError each raises.
+_MISSING_RESTRICTIONS = """
+from posetglue.abelian_eval import PosetDiagram, random_diagram
+from posetglue.errors import ParseError
+from posetglue.formula_cat import Formula, translation_formula
+from posetglue.harness import figure_one_poset
+
+X1 = figure_one_poset("X1")
+for build in (
+    lambda: Formula(X1, translation_formula(X1, 0).at, {}),
+    lambda: PosetDiagram(X1, random_diagram(X1, 0).K, {}),
+):
+    try:
+        build()
+    except ParseError as exc:
+        print(exc)
+"""
 
 
 class TestFormulaValidation:
@@ -303,6 +325,19 @@ class TestFormulaValidation:
             Formula(TWO_CHAIN, at, TWO_CHAIN_PLUS.res)
         with pytest.raises(ParseError, match="no value at element '2'"):
             Formula(TWO_CHAIN, {"1": XI2}, {})
+
+    def test_restriction_for_an_unrelated_pair_is_rejected(self):
+        res = {**NU.res, ("2", "1"): CMorphism(NU.at["2"].xi, NU.at["1"].xi, [[1]])}
+        with pytest.raises(ParseError, match="restriction given for unrelated pair '2', '1'"):
+            Formula(TWO_CHAIN, NU.at, res)
+
+    def test_missing_restriction_is_named_in_element_order(self):
+        # leq is a frozenset of string pairs, so its iteration order moves
+        # with the hash seed; the pair named must not
+        for hash_seed in (0, 2):
+            result = run_python(["-c", _MISSING_RESTRICTIONS], hash_seed)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.splitlines() == ["no restriction for '1' <= '2'"] * 2
 
     def test_values_over_two_bases_are_rejected(self):
         other = poset_from_generators(["1", "2", "3"], [("1", "2")])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ from posetglue.abelian_eval import RATIONALS, Field, eval_formula, random_diagra
 from posetglue.errors import (
     BaseMismatch,
     CommutativityFailure,
+    DiagramAxiomFailure,
     InternalInconsistency,
     NaturalityFailure,
     NoPathFound,
@@ -525,14 +527,39 @@ class TestCompose:
         assert len(composite.res) == len(xi_plus.target.leq)
 
     def test_invalid_composite_is_an_internal_inconsistency(self, monkeypatch):
+        # negate the substituted restrictions but not the values' D's, so
+        # that every value passes substitute's check and Formula rejects
+        # the composite
         real = formula_cat._substituted_matrix
-        monkeypatch.setattr(
-            formula_cat,
-            "_substituted_matrix",
-            lambda psi, inner: real(psi, inner).neg(),
-        )
-        with pytest.raises(InternalInconsistency, match="substitution produced"):
+
+        def negated(psi, inner):
+            m = real(psi, inner)
+            return m.neg() if psi.target != psi.source.shifted(1) else m
+
+        monkeypatch.setattr(formula_cat, "_substituted_matrix", negated)
+        with pytest.raises(InternalInconsistency, match="substitution produced") as info:
             compose_formulas(TWO_CHAIN_PLUS, TWO_CHAIN_MINUS)
+        assert isinstance(info.value.__cause__, DiagramAxiomFailure)
+
+    @pytest.mark.parametrize("index", range(len(FIGURE_ONE_PAIRS) + 10))
+    @pytest.mark.parametrize("plus_outer", (True, False))
+    def test_evaluating_a_composite_is_composing_evaluations(self, index, plus_outer):
+        xi_plus, xi_minus = _law_formulas(index)
+        outer, inner = (xi_plus, xi_minus) if plus_outer else (xi_minus, xi_plus)
+        composite = compose_formulas(outer, inner)
+        for seed in (0, 1):
+            K = random_diagram(inner.base, seed, 2, (-1, 1))
+            assert eval_formula(composite, K) == eval_formula(outer, eval_formula(inner, K))
+
+
+@functools.lru_cache(maxsize=None)
+def _law_formulas(index: int):
+    """The theorem formulas of the Figure-1 gluings, then random_gluing 0, 1, ..."""
+    if index < len(FIGURE_ONE_PAIRS):
+        g = figure_one_gluing(FIGURE_ONE_PAIRS[index])[0]
+    else:
+        g = random_gluing(index - len(FIGURE_ONE_PAIRS))
+    return build_theorem_formulas(g)
 
 
 #: Sign-flip every witnessed counit component of the X1/X2 gluing, as
