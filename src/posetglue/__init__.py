@@ -58,6 +58,7 @@ from .formula_cat import (
     CObject,
     Formula,
     FormulaToPoint,
+    canonical_formula,
     check_formula,
     check_formula_morphism,
     check_homotopy,
@@ -74,7 +75,6 @@ from .gluing import (
     GluingData,
     build_minus,
     build_plus,
-    cross_witness,
     from_bgp,
     from_function,
     gluing_from_json,

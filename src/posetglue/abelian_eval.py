@@ -593,12 +593,11 @@ _UNIMODULAR_STEPS = 3
 
 
 def _random_unimodular(rng: SplitMix64, n: int):
-    """A random integer matrix with determinant ±1, plus its exact inverse:
-    a product of at most _UNIMODULAR_STEPS random shears and sign flips."""
+    """A random n x n integer matrix with determinant ±1 (n >= 1, as complexes
+    keep no zero dimension), plus its exact inverse: a product of at most
+    _UNIMODULAR_STEPS random shears and sign flips."""
     U = Mat.identity(n)
     Uinv = Mat.identity(n)
-    if n == 0:
-        return U, Uinv
     for _ in range(_UNIMODULAR_STEPS):
         kind = rng.randrange(3)
         if kind == 0 and n >= 2:

@@ -228,10 +228,8 @@ class FormulaToPoint:
 def shift(value, n: int):
     """Shift all degrees by n; matrices are carried over unchanged.
 
-    Accepts a CObject, CMorphism, FormulaToPoint, or Formula.
+    Accepts a CMorphism, FormulaToPoint, or Formula.
     """
-    if isinstance(value, CObject):
-        return value.shifted(n)
     if isinstance(value, CMorphism):
         return CMorphism(value.source.shifted(n), value.target.shifted(n), value.matrix)
     if isinstance(value, FormulaToPoint):
@@ -390,11 +388,35 @@ class Formula:
         return f"Formula(over {list(self.target.elements)})"
 
 
+def canonical_formula(target: Poset, base: Poset, words: dict) -> Formula:
+    """The formula over target whose value at y has the word words[y] over
+    base, and whose every matrix (each value's D and each restriction for
+    y < y2) is the all-ones matrix in canonical form.
+
+    Canonical form keeps an entry only where the order holds and the degree
+    rises by 0 or 1, so the words and the base order decide every matrix.
+    Each D keeps its unit diagonal when entries of equal degree in one word
+    are incomparable, as the witnesses of one element are by the antichain
+    condition (see harness._build_xi).  Values are checked by check_formula
+    (InternalInconsistency otherwise), restrictions by Formula.
+    """
+    def ones(src: CObject, tgt: CObject) -> CMorphism:
+        return CMorphism(src, tgt, [[1] * len(src)] * len(tgt))
+
+    at = {}
+    for y in target.elements:
+        xi = CObject(words[y], base)
+        at[y] = FormulaToPoint(xi, ones(xi, xi.shifted(1)))
+        problem = check_formula(at[y])
+        if problem is not None:
+            raise InternalInconsistency(f"canonical value at {y!r} is invalid: {problem}")
+    res = {(y, y2): ones(at[y].xi, at[y2].xi) for y, y2 in target.leq if y != y2}
+    return Formula(target, at, res)
+
+
 def translation_formula(X: Poset, n: int) -> Formula:
     """The formula whose evaluation shifts every complex by n."""
-    at = {x: FormulaToPoint(CObject(((x, n),), X), Mat.identity(1)) for x in X.elements}
-    res = {(x, x2): CMorphism(at[x].xi, at[x2].xi, Mat.identity(1)) for x, x2 in X.leq}
-    return Formula(X, at, res)
+    return canonical_formula(X, X, {x: ((x, n),) for x in X.elements})
 
 
 def substitute(outer: FormulaToPoint, inner: Formula) -> FormulaToPoint:

@@ -188,13 +188,6 @@ def build_minus(g: GluingData) -> GluedOrder:
     return _build(g, "minus")
 
 
-def cross_witness(order: GluedOrder, a, b):
-    """For a cross relation a <= b of a glued order, its unique witness in Y."""
-    if (a, b) not in order.witness:
-        raise InternalInconsistency(f"{a!r} <= {b!r} is not a cross relation")
-    return order.witness[(a, b)]
-
-
 def from_function(X: Poset, Y: Poset, f) -> GluingData:
     """Gluing data of an order-preserving map f: X -> Y (all Y_x singletons)."""
     f = dict(f)

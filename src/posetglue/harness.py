@@ -54,29 +54,26 @@ from .formula_cat import (
     XI121,
     XI212,
     CMorphism,
-    CObject,
     Formula,
     FormulaToPoint,
+    canonical_formula,
     check_formula,
     check_formula_morphism,
     check_homotopy,
     compose,
     compose_formulas,
     shift,
-    substitute,
     translation_formula,
 )
 from .gluing import (
     GluingData,
     build_minus,
     build_plus,
-    cross_witness,
     from_bgp,
     from_function,
     ordinal_witness,
     validate_gluing,
 )
-from .intmat import Mat
 from .poset_core import (
     Poset,
     covers,
@@ -236,67 +233,29 @@ class EpsilonTransform:
 
 # --- the theorem formulas for a gluing -----------------------------------------
 
-def _stalk_value(base: Poset, x, degree: int) -> FormulaToPoint:
-    # valid for every element and degree: the one entry of D*[1]·D raises
-    # degree by 2 and is quotiented away (test_formula_cat checks this)
-    return FormulaToPoint(CObject(((x, degree),), base), [[1]])
-
-
-def _arrow_formula(chain: Poset, base: Poset, bottom, top) -> Formula:
-    """A formula over a two-element chain with the given stalk words as the
-    values at its bottom and top, and the all-ones restriction between them."""
-    low, high = sorted(chain.elements, key=chain.height)
-    f1 = FormulaToPoint(CObject(bottom, base), Mat.identity(len(bottom)))
-    f2 = FormulaToPoint(CObject(top, base), Mat.identity(len(top)))
-    res = {(low, high): CMorphism(f1.xi, f2.xi, [[1] * len(bottom)] * len(top))}
-    return Formula(chain, {low: f1, high: f2}, res)
-
-
-def _positions(value: FormulaToPoint) -> dict:
-    """Index of each element's entry in a value's word (elements occur once)."""
-    return {e: i for i, (e, _) in enumerate(value.xi.entries)}
-
-
 def _build_xi(g: GluingData, source, target) -> Formula:
     """The formula carrying diagrams over `source` to diagrams over `target`.
 
-    Values are words over the source order.  With the plus sign (xi_plus),
-    y in Y gets the stalk at y and x in X the shifted stalk at x extended by
-    its witness stalks; with the minus sign (xi_minus), y gets the shifted
-    stalk and x the shifted witness stalks extended by the stalk at x.  Each
-    restriction matches entries along the order: x to x2 with each witness
-    to its transfer, and a cross relation through its unique witness.
+    Only the words are written here: with the plus sign (xi_plus), y in Y
+    gets (y, 0) and x in X gets (x, 1) followed by (w, 0) for each witness
+    w; with the minus sign (xi_minus), y gets (y, 1) and x gets (w, 1) for
+    each witness, then (x, 0).  canonical_formula makes every matrix the
+    all-ones matrix in canonical form over the source order, and that is
+    the paper's construction.  Entries of equal degree in one word are
+    witnesses of one x, incomparable by the antichain condition, so each D
+    keeps its unit diagonal and the extension entries between the stalk at
+    x and its witnesses, and nothing else.  A restriction for a < b keeps
+    exactly x -> x2 with each witness w -> phi(w), or the one entry through
+    the unique witness of a cross relation: any other related pair of
+    entries would give two witnesses of one element a common up-set or
+    down-set element.
     """
-    base = source.poset
     plus = source.sign == "plus"
-    y_degree = 0 if plus else 1
-    at = {y: _stalk_value(base, y, y_degree) for y in g.Y.elements}
+    words = {y: ((y, 0 if plus else 1),) for y in g.Y.elements}
     for x in g.X.elements:
-        if not g.Yx[x]:
-            at[x] = _stalk_value(base, x, 1 - y_degree)
-            continue
-        stalk, witnesses = ((x, 0),), tuple((y, 0) for y in g.Yx[x])
-        ends = (stalk, witnesses) if plus else (witnesses, stalk)
-        at[x] = substitute(XI12, _arrow_formula(TWO_CHAIN, base, *ends))
-
-    X_set = set(g.X.elements)
-    res = {}
-    for a, b in target.poset.leq:
-        if a == b:
-            continue
-        if a in X_set and b in X_set:
-            matching = {a: b, **g.phi[(a, b)]}
-        elif a in X_set or b in X_set:
-            w = cross_witness(target, a, b)
-            matching = {w: b} if a in X_set else {a: w}
-        else:
-            matching = {a: b}
-        src, tgt = _positions(at[a]), _positions(at[b])
-        rows = [[0] * len(src) for _ in tgt]
-        for e, f in matching.items():
-            rows[tgt[f]][src[e]] = 1
-        res[(a, b)] = CMorphism(at[a].xi, at[b].xi, rows)
-    return Formula(target.poset, at, res)
+        witnesses = tuple((w, 0 if plus else 1) for w in g.Yx[x])
+        words[x] = ((x, 1),) + witnesses if plus else witnesses + ((x, 0),)
+    return canonical_formula(target.poset, source.poset, words)
 
 
 def build_theorem_formulas(g: GluingData):
@@ -375,23 +334,21 @@ def _certify_retract(value: FormulaToPoint, small: FormulaToPoint, alpha, beta) 
 
 #: The smallest gluing: the point "1" glued under the point "2".  Its plus
 #: order is TWO_CHAIN and its minus order is TWO_CHAIN with "1" and "2"
-#: swapped, so its theorem formulas relabelled along the swap (the arrow
-#: formula of the stalks at "2" and "1") are the two-chain instance.
+#: swapped, so its theorem formulas relabelled along the swap (the
+#: canonical formulas of the words _SWAP, between the two orders) are the
+#: two-chain instance.
 _POINT_GLUING = from_function(point_poset("1"), point_poset("2"), {"1": "2"})
 _POINT_XI = build_theorem_formulas(_POINT_GLUING)
 _FLIPPED = _POINT_XI[0].target
+_SWAP = {"1": (("2", 0),), "2": (("1", 0),)}
 
 #: The plus-side formula over the two-element chain: the value at "1" is the
 #: stalk at "2" and the value at "2" is the extension of both stalks.
-TWO_CHAIN_PLUS = compose_formulas(
-    _arrow_formula(TWO_CHAIN, _FLIPPED, (("2", 0),), (("1", 0),)), _POINT_XI[0]
-)
+TWO_CHAIN_PLUS = compose_formulas(canonical_formula(TWO_CHAIN, _FLIPPED, _SWAP), _POINT_XI[0])
 
 #: The minus-side formula over the two-element chain, inverse to the plus
 #: side up to shift.
-TWO_CHAIN_MINUS = compose_formulas(
-    _POINT_XI[1], _arrow_formula(_FLIPPED, TWO_CHAIN, (("1", 0),), (("2", 0),))
-)
+TWO_CHAIN_MINUS = compose_formulas(_POINT_XI[1], canonical_formula(_FLIPPED, TWO_CHAIN, _SWAP))
 
 
 # --- randomized verification runs ----------------------------------------------

@@ -153,7 +153,8 @@ def poset_from_generators(elements, generating_pairs) -> Poset:
 
 
 def _find_cycle(elements, index, pairs, i, j):
-    """A concrete generator path i -> j -> i, for the CycleError message."""
+    """A concrete generator path i -> j -> i, for the CycleError message.
+    The closure found i and j on a cycle along these edges, so both exist."""
     adj = {e: [] for e in elements}
     for a, b in pairs:
         adj[a].append(b)
@@ -173,12 +174,9 @@ def _find_cycle(elements, index, pairs, i, j):
                 if nxt not in prev:
                     prev[nxt] = cur
                     queue.append(nxt)
-        return None
 
     a, b = elements[i], elements[j]
-    forward = path(a, b) or [a, b]
-    back = path(b, a) or [b, a]
-    return forward + back[1:]
+    return path(a, b) + path(b, a)[1:]
 
 
 def hasse(p: Poset) -> HasseDiagram:

@@ -196,6 +196,28 @@ class TestGlue:
         assert main([a.format(files["glue_empty"]) for a in argv]) == 1
         assert "X ⊔ Y is empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {
+                    "X": {"elements": ["x1", "x2"], "relations": []},
+                    "Y": {"elements": ["y"], "relations": []},
+                    "f": {"x1": "y"},
+                },
+                "f gives no value for element 'x2'",
+            ),
+            ({"Y0": ["y"]}, "BGP form needs keys 'Y' and 'Y0'"),
+        ],
+        ids=["f-misses-an-element", "Y0-without-Y"],
+    )
+    def test_incomplete_gluing_exits_3(self, files, capsys, doc, message):
+        path = files["tmp"] / "incomplete.json"
+        path.write_text(json.dumps(doc))
+        assert main(["glue", "validate", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "parse error" in err and message in err
+
     def test_build_writes_poset_and_dot(self, files, capsys):
         dot_dir = files["tmp"] / "dot"
         assert (

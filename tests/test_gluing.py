@@ -17,7 +17,6 @@ from posetglue.gluing import (
     GluingData,
     build_minus,
     build_plus,
-    cross_witness,
     from_bgp,
     from_function,
     gluing_from_json,
@@ -177,7 +176,7 @@ class TestBuild:
             for x in g.X.elements:
                 for y in g.Y.elements:
                     if plus.poset.le(x, y):
-                        w = cross_witness(plus, x, y)
+                        w = plus.witness[(x, y)]
                         assert w in g.Yx[x] and g.Y.le(w, y)
                         others = [v for v in g.Yx[x] if g.Y.le(v, y)]
                         assert others == [w]
@@ -185,7 +184,7 @@ class TestBuild:
             for x in g.X.elements:
                 for y in g.Y.elements:
                     if minus.poset.le(y, x):
-                        w = cross_witness(minus, y, x)
+                        w = minus.witness[(y, x)]
                         assert w in g.Yx[x] and g.Y.le(y, w)
 
     def test_second_witness_is_an_internal_alarm(self):

@@ -139,6 +139,80 @@ class TestTheoremFormulas:
         assert S.base.elements == plus.elements
 
 
+def _paper_xi(g, source, target) -> Formula:
+    """The theorem formula derived as in the paper: XI12 substituted into the
+    arrow formula from the stalk at x to its witness stalks (or back), and
+    each restriction matching entries through phi and the cross witnesses."""
+    base, X = source.poset, set(g.X.elements)
+    plus = source.sign == "plus"
+
+    def word(entries):
+        return FormulaToPoint(CObject(entries, base), Mat.identity(len(entries)))
+
+    at = {y: word(((y, 0 if plus else 1),)) for y in g.Y.elements}
+    for x in g.X.elements:
+        if not g.Yx[x]:
+            at[x] = word(((x, 1 if plus else 0),))
+            continue
+        stalk, witnesses = word(((x, 0),)), word(tuple((w, 0) for w in g.Yx[x]))
+        low, high = (stalk, witnesses) if plus else (witnesses, stalk)
+        ones = [[1] * len(low.xi)] * len(high.xi)
+        arrow = Formula(
+            TWO_CHAIN, {"1": low, "2": high}, {("1", "2"): CMorphism(low.xi, high.xi, ones)}
+        )
+        at[x] = substitute(XI12, arrow)
+    res = {}
+    for a, b in target.poset.leq:
+        if a == b:
+            continue
+        if a in X and b in X:
+            matching = {a: b, **g.phi[(a, b)]}
+        elif a in X:
+            matching = {target.witness[(a, b)]: b}
+        elif b in X:
+            matching = {a: target.witness[(a, b)]}
+        else:
+            matching = {a: b}
+        src = {e: i for i, (e, _) in enumerate(at[a].xi.entries)}
+        tgt = {e: j for j, (e, _) in enumerate(at[b].xi.entries)}
+        rows = [[0] * len(src) for _ in tgt]
+        for e, f in matching.items():
+            rows[tgt[f]][src[e]] = 1
+        res[(a, b)] = CMorphism(at[a].xi, at[b].xi, rows)
+    return Formula(target.poset, at, res)
+
+
+def _chain_of_chains(n: int, k: int):
+    """X a chain of n elements, Y k disjoint chains of length n, and the
+    witnesses of the height-i element of X the height-i elements of Y."""
+    xs = [f"x{i}" for i in range(n)]
+    ys = [[f"c{j}h{i}" for i in range(n)] for j in range(k)]
+    X = poset_from_generators(xs, list(zip(xs, xs[1:])))
+    Y = poset_from_generators(sum(ys, []), [p for c in ys for p in zip(c, c[1:])])
+    return validate_gluing(X, Y, {x: tuple(c[i] for c in ys) for i, x in enumerate(xs)})
+
+
+#: the chain-of-chains shapes (n, k) of the build-scale benchmark workload
+_BUILD_SHAPES = ((6, 3), (9, 3), (8, 4), (9, 4), (10, 4))
+
+
+class TestPaperDerivation:
+    @pytest.mark.parametrize(
+        "case",
+        [*FIGURE_ONE_PAIRS, *range(100), *_BUILD_SHAPES],
+        ids=lambda c: "-".join(map(str, c)) if isinstance(c, tuple) else f"random{c}",
+    )
+    def test_canonical_formulas_are_the_paper_derivation(self, case):
+        if case in FIGURE_ONE_PAIRS:
+            g = figure_one_gluing(case)[0]
+        elif isinstance(case, tuple):
+            g = _chain_of_chains(*case)
+        else:
+            g = random_gluing(case)
+        plus, minus = build_plus(g), build_minus(g)
+        assert build_theorem_formulas(g) == (_paper_xi(g, plus, minus), _paper_xi(g, minus, plus))
+
+
 def _anti_transpose(matrix):
     """The transpose in reversed order: entry (j, i) of an n-by-m matrix
     moves to (m - 1 - i, n - 1 - j)."""
@@ -641,6 +715,16 @@ class TestEpsilons:
         counit[k] = -1
         with pytest.raises(InternalInconsistency, match="retract certificate failed"):
             harness._certify_retract(comp_pm.at[x], nu_minus.at[x], middle, counit)
+
+    def test_component_that_is_no_formula_morphism_is_named(self):
+        g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
+        eps_pm, _ = build_epsilons(g, *build_theorem_formulas(g))
+        comps = {y: phi.matrix for y, phi in eps_pm.components.items()}
+        comps["1"] = [[0, 0, 1]]
+        with pytest.raises(
+            DiagramAxiomFailure, match="component at '1' is invalid: intertwining fails"
+        ):
+            EpsilonTransform(eps_pm.source, eps_pm.target, comps)
 
     def test_component_shape_mismatch_is_rejected(self):
         comps = {"1": [[1]], "2": [[1]]}

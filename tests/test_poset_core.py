@@ -284,6 +284,27 @@ class TestIsomorphism:
         anti = poset_from_generators(["u", "v"], [])
         assert is_isomorphic(chain, anti) is None
 
+    def test_crowns_are_told_apart_by_the_search(self):
+        # every element of the 8-crown and of two 4-crowns has the colour of
+        # its level after refinement, so only backtracking tells them apart
+        def crowns(*sizes):
+            elements, relations = [], []
+            for c, n in enumerate(sizes):
+                low = [f"c{c}a{i}" for i in range(n)]
+                high = [f"c{c}b{i}" for i in range(n)]
+                elements += low + high
+                relations += [(low[i], high[j]) for i in range(n) for j in (i, (i + 1) % n)]
+            return poset_from_generators(elements, relations)
+
+        eight, two_fours = crowns(4), crowns(2, 2)
+        assert is_isomorphic(eight, two_fours) is None
+        assert is_isomorphic(two_fours, eight) is None
+        assert is_isomorphic(eight, crowns(4)) is not None
+
+    def test_empty_posets_are_isomorphic(self):
+        empty = poset_from_generators([], [])
+        assert is_isomorphic(empty, empty) == {}
+
 
 class TestSerialization:
     def test_json_round_trip(self):
