@@ -17,6 +17,7 @@ trials never see a non-split diagram such as the cone of P_v -> P_u.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     BaseMismatch,
@@ -29,7 +30,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .formula_cat import CMorphism, Formula, FormulaToPoint
-from .intmat import Mat, block, rank_exact, rank_mod
+from .intmat import Mat, block, placed, rank_exact, rank_mod
 from .poset_core import (
     Poset, cover_triangles, covers, hasse, require_elements, require_relations
 )
@@ -140,7 +141,7 @@ class VectComplex:
         return sum((-1) ** (i % 2) * n for i, n in self.dims.items())
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, VectComplex)
             and self.dims == other.dims
             and self.d == other.d
@@ -159,11 +160,12 @@ class ChainMap:
         self.source = source
         self.target = target
         ff = {}
+        tdims, sdims = target.dims, source.dims
         for i, m in f.items():
             i = int(i)
             if not isinstance(m, Mat):
                 m = Mat.from_rows(m)
-            if m.nrows != target.dim(i) or m.ncols != source.dim(i):
+            if m.nrows != tdims.get(i, 0) or m.ncols != sdims.get(i, 0):
                 raise ShapeMismatch(
                     f"component at degree {i} must be {target.dim(i)}x{source.dim(i)}"
                 )
@@ -317,7 +319,12 @@ class PosetDiagram:
                 if f.source != self.K[x] or f.target != self.K[x2]:
                     raise ShapeMismatch(f"restriction for {x!r} <= {x2!r} has wrong ends")
             for x in base.elements:
-                if self.r[(x, x)] != identity_chain_map(self.K[x]):
+                # the ends are checked: the identity is an identity
+                # block in each degree of the stalk
+                f = self.r[(x, x)].f
+                if f.keys() != self.K[x].dims.keys() or not all(
+                    m.is_identity() for m in f.values()
+                ):
                     raise DiagramAxiomFailure(f"restriction at ({x!r},{x!r}) is not the identity")
             for x, x2, x3 in cover_triangles(base):
                 left = compose_chain_maps(self.r[(x2, x3)], self.r[(x, x2)])
@@ -387,64 +394,98 @@ def cohomology_table(K: PosetDiagram, field: Field = RATIONALS) -> dict:
 
 # --- evaluation of formulas ---------------------------------------------------
 
-def _graded_support(obj, K: PosetDiagram):
-    """Result degrees t for which some block of the evaluated object is nonzero."""
-    degrees = set()
-    for x, m in obj.entries:
-        for i in K.K[x].dims:
-            degrees.add(i - m)
-    return degrees
+def _eval_object_dims(word, ev: _Evaluation) -> dict:
+    """The nonzero dimensions of word evaluated at ev's diagram."""
+    return {t: offsets[-1] for t, offsets in ev.layout(word).items()}
 
 
-def _eval_object_dims(obj, K: PosetDiagram) -> dict:
-    dims = {}
-    for t in _graded_support(obj, K):
-        total = sum(K.K[x].dim(t + m) for x, m in obj.entries)
-        if total:
-            dims[t] = total
-    return dims
+def _plan(phi: CMorphism) -> tuple:
+    """The evaluation plan of phi, compiled on its first evaluation and kept
+    on phi: an item (j, i, (x_i, x_j), m_i, c, raising) per nonzero entry c
+    at row j and column i of phi's matrix, for source entry (x_i, m_i) and
+    target entry (x_j, m_j).
 
-
-def _eval_graded(phi: CMorphism, K: PosetDiagram) -> dict:
-    """The degreewise matrices of the evaluated morphism.
-
-    A degree-preserving entry c at (j, i) contributes c times the restriction
-    map; a degree-raising entry contributes c times (-1)**m_i times the
-    target differential composed with the restriction map.
+    At a diagram K, a degree-preserving entry contributes c times the
+    restriction K(x_i <= x_j); a raising one (m_j = m_i + 1, the only other
+    canonical case) c·(-1)**m_i times the differential of K(x_j) after it.
+    The plan folds the sign into c for raising entries: negating an integer
+    matrix and scaling it by c gives the integers of scaling it by -c.
     """
-    src, tgt = phi.source, phi.target
-    out = {}
-    degrees = _graded_support(src, K) | _graded_support(tgt, K)
-    for t in degrees:
-        col_sizes = [K.K[x].dim(t + m) for x, m in src.entries]
-        row_sizes = [K.K[x].dim(t + m) for x, m in tgt.entries]
-        blocks = {}
-        for j, (xj, mj) in enumerate(tgt.entries):
-            for i, (xi, mi) in enumerate(src.entries):
-                c = phi.matrix[j, i]
-                if c == 0:
-                    continue
-                # absent restriction or differential blocks are zero
-                r = K.r[(xi, xj)].f.get(t + mi)
-                if r is None:
-                    continue
-                if mj == mi:
-                    piece = r
-                else:  # mj == mi + 1 in canonical form
-                    d = K.K[xj].d.get(t + mi)
-                    if d is None:
+    if phi.plan is None:
+        src, tgt = phi.source.entries, phi.target.entries
+        plan = []
+        for j, row in enumerate(phi.matrix.rows):
+            xj, mj = tgt[j]
+            for i, c in enumerate(row):
+                if c:
+                    xi, mi = src[i]
+                    raising = mj != mi
+                    plan.append((j, i, (xi, xj), mi, -c if raising and mi % 2 else c, raising))
+        phi.plan = tuple(plan)
+    return phi.plan
+
+
+class _Evaluation:
+    """The per-diagram work of one evaluation call at a diagram K, shared by
+    every value's D, restriction and component it evaluates: the layouts of
+    each word, and each product d_{x_j}·r of a raising plan item, by pair
+    (x_i, x_j) and stalk degree (None where it vanishes).  The layout of a
+    word at a degree t of its support is the offset of each entry in the
+    degree-t part of the word at K, then the total size: entry k, (x, m),
+    spans dim K(x)^{t+m} rows or columns from offset k on.
+    """
+
+    __slots__ = ("K", "layouts", "products")
+
+    def __init__(self, K: PosetDiagram):
+        self.K = K
+        self.layouts = {}
+        self.products = {}
+
+    def layout(self, word) -> dict:
+        """degree t -> the layout of word at t, for t in its support."""
+        entries = word.entries
+        if entries not in self.layouts:
+            stalks = self.K.K
+            self.layouts[entries] = {
+                t: list(accumulate((stalks[x].dims.get(t + m, 0) for x, m in entries), initial=0))
+                for t in {s - m for x, m in entries for s in stalks[x].dims}
+            }
+        return self.layouts[entries]
+
+    def matrices(self, phi: CMorphism) -> dict:
+        """The degreewise matrices of phi evaluated at K, nonzero degrees
+        only: each plan item is walked over the nonzero degrees s of its
+        restriction and lands at degree t = s - m_i."""
+        stalks, products, placed_at = self.K.K, self.products, {}
+        for j, i, pair, mi, c, raising in _plan(phi):
+            for s, m in self.K.r[pair].f.items():
+                if raising:
+                    if (pair, s) not in products:
+                        d = stalks[pair[1]].d.get(s)
+                        dm = None if d is None else d.mul(m)
+                        products[pair, s] = None if dm is None or dm.is_zero() else dm
+                    m = products[pair, s]
+                    if m is None:
                         continue
-                    piece = d.mul(r)
-                    if piece.is_zero():
-                        continue
-                    if mi % 2:
-                        piece = piece.neg()
-                if c != 1:
-                    piece = piece.scale(c)
-                blocks[(j, i)] = piece
-        if blocks:
-            out[t] = block(blocks, row_sizes, col_sizes)
-    return out
+                placed_at.setdefault(s - mi, []).append((j, i, c, m))
+        rows, cols = self.layout(phi.target), self.layout(phi.source)
+        return {t: placed(rows[t], cols[t], items) for t, items in placed_at.items()}
+
+    def point(self, f: FormulaToPoint) -> VectComplex:
+        """f evaluated at K, with its checks (see eval_point)."""
+        K = self.K
+        dims = _eval_object_dims(f.xi, self)
+        try:
+            T = VectComplex(dims, self.matrices(f.D), check=True)
+        except D2NotZero as exc:
+            raise D2NotZero(f"evaluated differential fails to square to zero: {exc}") from exc
+        expected = sum((-1) ** (m % 2) * K.K[x].euler() for x, m in f.xi.entries)
+        if T.euler() != expected:
+            raise InternalInconsistency(
+                f"Euler characteristic of {f.xi.entries} is {T.euler()}, expected {expected}"
+            )
+        return T
 
 
 def eval_point(f: FormulaToPoint, K: PosetDiagram) -> VectComplex:
@@ -454,18 +495,7 @@ def eval_point(f: FormulaToPoint, K: PosetDiagram) -> VectComplex:
     sum_i (-1)^{m_i} chi(K_{x_i}), else the evaluator itself is broken."""
     if f.xi.base != K.base:
         raise BaseMismatch("formula and diagram live over different posets")
-    dims = _eval_object_dims(f.xi, K)
-    diff = _eval_graded(f.D, K)
-    try:
-        T = VectComplex(dims, diff, check=True)
-    except D2NotZero as exc:
-        raise D2NotZero(f"evaluated differential fails to square to zero: {exc}") from exc
-    expected = sum((-1) ** (m % 2) * K.K[x].euler() for x, m in f.xi.entries)
-    if T.euler() != expected:
-        raise InternalInconsistency(
-            f"Euler characteristic of {f.xi.entries} is {T.euler()}, expected {expected}"
-        )
-    return T
+    return _Evaluation(K).point(f)
 
 
 def eval_cmorphism(phi: CMorphism, K: PosetDiagram) -> ChainMap:
@@ -476,9 +506,10 @@ def eval_cmorphism(phi: CMorphism, K: PosetDiagram) -> ChainMap:
     """
     if phi.source.base != K.base:
         raise BaseMismatch("morphism and diagram live over different posets")
-    src = VectComplex(_eval_object_dims(phi.source, K), {}, check=False)
-    tgt = VectComplex(_eval_object_dims(phi.target, K), {}, check=False)
-    return ChainMap(src, tgt, _eval_graded(phi, K), check=False)
+    ev = _Evaluation(K)
+    src = VectComplex(_eval_object_dims(phi.source, ev), {}, check=False)
+    tgt = VectComplex(_eval_object_dims(phi.target, ev), {}, check=False)
+    return ChainMap(src, tgt, ev.matrices(phi), check=False)
 
 
 def eval_formula_morphism(
@@ -489,7 +520,7 @@ def eval_formula_morphism(
     checked to be a chain map."""
     if phi.source.base != K.base:
         raise BaseMismatch("morphism and diagram live over different posets")
-    return ChainMap(source, target, _eval_graded(phi, K), check=True)
+    return ChainMap(source, target, _Evaluation(K).matrices(phi), check=True)
 
 
 def eval_point_map(f: FormulaToPoint, g: DiagramMap) -> ChainMap:
@@ -500,36 +531,31 @@ def eval_point_map(f: FormulaToPoint, g: DiagramMap) -> ChainMap:
 
 def _point_map(f: FormulaToPoint, g: DiagramMap, src, tgt) -> ChainMap:
     """eval_point_map between src and tgt, the evaluations of f on g's ends,
-    which the caller has already made."""
-    out = {}
-    for t in set(src.dims) | set(tgt.dims):
-        col_sizes = [g.source.K[x].dim(t + m) for x, m in f.xi.entries]
-        row_sizes = [g.target.K[x].dim(t + m) for x, m in f.xi.entries]
-        blocks = {}
-        for i, (x, m) in enumerate(f.xi.entries):
-            piece = g.components[x].at(t + m)
-            if not piece.is_zero():
-                blocks[(i, i)] = piece
-        out[t] = block(blocks, row_sizes, col_sizes)
+    which the caller has already made: the identity plan of f's word, with
+    g's components for the restrictions, on the word's layouts at both ends."""
+    rows, cols, placed_at = _Evaluation(g.target), _Evaluation(g.source), {}
+    for i, (x, m) in enumerate(f.xi.entries):
+        for s, piece in g.components[x].f.items():
+            placed_at.setdefault(s - m, []).append((i, i, 1, piece))
+    rows, cols = rows.layout(f.xi), cols.layout(f.xi)
+    out = {t: placed(rows[t], cols[t], items) for t, items in placed_at.items()}
     return ChainMap(src, tgt, out, check=True)
 
 
 def eval_formula(F: Formula, K: PosetDiagram) -> PosetDiagram:
-    """Evaluate a poset-shaped formula to a diagram over its target poset."""
+    """Evaluate a poset-shaped formula to a diagram over its target poset,
+    through one _Evaluation shared by all its values and restrictions."""
     if F.base != K.base:
         raise BaseMismatch("formula and diagram live over different posets")
-    stalks = {y: eval_point(F.at[y], K) for y in F.target.elements}
+    ev = _Evaluation(K)
+    stalks = {y: ev.point(F.at[y]) for y in F.target.elements}
     edges = hasse(F.target).edges
     # Only restrictions along Hasse edges are checked as chain maps here;
     # PosetDiagram proves the rest, comparing each diagonal one with the
     # identity and each other one with a composite of checked ones along
     # cover_triangles.
     restrictions = {
-        (y, y2): (
-            eval_formula_morphism(phi, K, stalks[y], stalks[y2])
-            if (y, y2) in edges
-            else ChainMap(stalks[y], stalks[y2], _eval_graded(phi, K), check=False)
-        )
+        (y, y2): ChainMap(stalks[y], stalks[y2], ev.matrices(phi), check=(y, y2) in edges)
         for (y, y2), phi in F.res.items()
     }
     return PosetDiagram(F.target, stalks, restrictions, check=True)

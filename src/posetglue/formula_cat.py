@@ -100,9 +100,12 @@ class CMorphism:
     zero, and degree jumps >= 2 are quotiented away.  Equality is equality
     of canonical forms.  Products are made by :func:`compose` through the
     private ``_product``, which trusts that its matrix is already canonical.
+    ``plan`` is None until abelian_eval first evaluates the morphism and
+    keeps its evaluation plan there, so the plan lives exactly as long as
+    the morphism.
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "plan")
 
     def __init__(self, source: CObject, target: CObject, matrix):
         if source.base != target.base:
@@ -117,6 +120,7 @@ class CMorphism:
         self.source = source
         self.target = target
         self.matrix = _canonical(source, target, matrix)
+        self.plan = None
 
     @classmethod
     def _product(cls, source: CObject, target: CObject, matrix: Mat) -> "CMorphism":
@@ -126,6 +130,7 @@ class CMorphism:
         m.source = source
         m.target = target
         m.matrix = matrix
+        m.plan = None
         return m
 
     def __eq__(self, other):

@@ -11,13 +11,14 @@ Two constructors make a Mat. The public ones, `Mat(nrows, ncols, rows)`,
 `int` and reject rows that do not match the stated shape. The private
 `Mat._of` trusts its caller and stores `rows` as given; it is used only in
 this module, by the operations (`mul`, `add`, `sub`, `scale`, `neg`,
-`transpose`, `masked`, `block`, `zero`, `identity`), which check the shapes
-of their operands and build their results as tuples of int tuples of the
-right shape.  `masked` keeps or zeroes the entries of a Mat that is already
-valid, so it converts and checks nothing either.
+`transpose`, `masked`, `placed`, `zero`, `identity`), which check the
+shapes of their operands and build their results as tuples of int tuples
+of the right shape.  `masked` keeps or zeroes the entries of a Mat that is
+already valid, so it converts and checks nothing either.
 """
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import add as _add
 from operator import sub as _sub
 
@@ -76,6 +77,12 @@ class Mat:
             and self.nrows == other.nrows
             and self.ncols == other.ncols
             and self.rows == other.rows
+        )
+
+    def is_identity(self):
+        return self.nrows == self.ncols and all(
+            r[i] == 1 and not any(r[:i]) and not any(r[i + 1:])
+            for i, r in enumerate(self.rows)
         )
 
     def __hash__(self):
@@ -150,29 +157,31 @@ class Mat:
 
 def block(parts, row_sizes, col_sizes):
     """Assemble a block matrix. parts[(i, j)] is a Mat or absent (= zero)."""
-    nrows = sum(row_sizes)
-    ncols = sum(col_sizes)
+    blocks = [(i, j, 1, m) for (i, j), m in parts.items() if m is not None]
+    return placed(
+        list(accumulate(row_sizes, initial=0)), list(accumulate(col_sizes, initial=0)), blocks
+    )
+
+
+def placed(row_off, col_off, blocks):
+    """The matrix with c·m in block (i, j) for each (i, j, c, m) in blocks
+    and zeros elsewhere: block row i spans rows row_off[i] to row_off[i + 1],
+    block column j columns col_off[j] to col_off[j + 1], and m must fill its
+    block.  A lone block that fills the matrix with c = 1 is returned as it
+    is."""
+    nrows, ncols = row_off[-1], col_off[-1]
     out = [[0] * ncols for _ in range(nrows)]
-    row_off = [0]
-    for s in row_sizes:
-        row_off.append(row_off[-1] + s)
-    col_off = [0]
-    for s in col_sizes:
-        col_off.append(col_off[-1] + s)
-    for (bi, bj), m in parts.items():
-        if m is None:
-            continue
-        if (m.nrows, m.ncols) != (row_sizes[bi], col_sizes[bj]):
+    for i, j, c, m in blocks:
+        r0, c0, c1 = row_off[i], col_off[j], col_off[j + 1]
+        if (m.nrows, m.ncols) != (row_off[i + 1] - r0, c1 - c0):
             raise ShapeMismatch(
-                f"block ({bi},{bj}) is {m.nrows}x{m.ncols}, "
-                f"slot is {row_sizes[bi]}x{col_sizes[bj]}"
+                f"block ({i},{j}) is {m.nrows}x{m.ncols}, "
+                f"slot is {row_off[i + 1] - r0}x{c1 - c0}"
             )
-        r0, c0 = row_off[bi], col_off[bj]
-        for i, r in enumerate(m.rows):
-            oi = out[r0 + i]
-            for j, v in enumerate(r):
-                if v:
-                    oi[c0 + j] = v
+        if len(blocks) == 1 and c == 1 and (m.nrows, m.ncols) == (nrows, ncols):
+            return m
+        for k, r in enumerate(m.rows, r0):
+            out[k][c0:c1] = r if c == 1 else [c * v for v in r]
     return Mat._of(nrows, ncols, tuple(map(tuple, out)))
 
 

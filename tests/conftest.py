@@ -208,6 +208,63 @@ def modp_cohomology(K, p: int) -> dict:
     return out
 
 
+# --- the dense evaluator, kept as the reference for the evaluation plans ---------
+
+def dense_graded(phi, K) -> dict:
+    """The degreewise matrices of the word morphism phi evaluated at the
+    diagram K, degree by degree over the whole support of both words, with
+    every position of phi's matrix read and a dense block matrix assembled
+    per degree entry by entry.
+
+    A degree-preserving entry c at (j, i) contributes c times the restriction
+    map; a degree-raising entry contributes c times (-1)**m_i times the
+    target differential composed with the restriction map.
+    """
+    from posetglue.intmat import Mat
+
+    def support(obj):
+        return {i - m for x, m in obj.entries for i in K.K[x].dims}
+
+    src, tgt = phi.source, phi.target
+    out = {}
+    for t in support(src) | support(tgt):
+        col_sizes = [K.K[x].dim(t + m) for x, m in src.entries]
+        row_sizes = [K.K[x].dim(t + m) for x, m in tgt.entries]
+        blocks = {}
+        for j, (xj, mj) in enumerate(tgt.entries):
+            for i, (xi, mi) in enumerate(src.entries):
+                c = phi.matrix[j, i]
+                if c == 0:
+                    continue
+                # absent restriction or differential blocks are zero
+                r = K.r[(xi, xj)].f.get(t + mi)
+                if r is None:
+                    continue
+                if mj == mi:
+                    piece = r
+                else:  # mj == mi + 1 in canonical form
+                    d = K.K[xj].d.get(t + mi)
+                    if d is None:
+                        continue
+                    piece = d.mul(r)
+                    if piece.is_zero():
+                        continue
+                    if mi % 2:
+                        piece = piece.neg()
+                if c != 1:
+                    piece = piece.scale(c)
+                blocks[(j, i)] = piece
+        if blocks:
+            rows = [[0] * sum(col_sizes) for _ in range(sum(row_sizes))]
+            for (j, i), piece in blocks.items():
+                r0, c0 = sum(row_sizes[:j]), sum(col_sizes[:i])
+                for a, row in enumerate(piece.rows):
+                    for b, v in enumerate(row):
+                        rows[r0 + a][c0 + b] = v
+            out[t] = Mat(sum(row_sizes), sum(col_sizes), rows)
+    return out
+
+
 # --- random words and functor-law instances -------------------------------------
 
 def random_cobject(rng, base, max_len: int = 3, degrees=(-1, 0, 1)):

@@ -7,8 +7,10 @@ computations against fractions-based row reduction.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -24,6 +26,7 @@ from posetglue.abelian_eval import (
     cohomology_table,
     complex_to_json,
     cone,
+    eval_cmorphism,
     eval_formula,
     eval_formula_map,
     eval_formula_morphism,
@@ -49,6 +52,8 @@ from posetglue.errors import (
 from posetglue.formula_cat import (
     NU,
     TWO_CHAIN,
+    CMorphism,
+    CObject,
     XI12,
     XI121,
     XI212,
@@ -61,9 +66,12 @@ from posetglue.harness import (
     FIGURE_ONE_PAIRS,
     TWO_CHAIN_MINUS,
     TWO_CHAIN_PLUS,
+    build_epsilons,
     build_theorem_formulas,
     figure_one_gluing,
     figure_one_poset,
+    random_gluing,
+    verify_equivalence,
     verify_two_chain,
 )
 from posetglue.intmat import Mat
@@ -71,6 +79,8 @@ from posetglue.poset_core import hasse
 from posetglue.rng import derive_seed
 
 from conftest import (
+    _diagonal_eval,
+    dense_graded,
     eta_composition_holds,
     eta_naturality_holds,
     frac_cohomology,
@@ -81,6 +91,11 @@ from conftest import (
     qis_preservation_holds,
     ses_preservation_holds,
 )
+
+# Bytes of traced memory still held after certifying random_gluing 10-59,
+# once 0-9 have run: 0 with plans kept on their morphisms, 3.5 MB with a
+# module-level cache keyed by id that holds each morphism with its plan.
+_PLAN_GROWTH_BOUND = 2**19
 
 # the one-entry values of the two-chain formulas
 XI1 = TWO_CHAIN_MINUS.at["2"]
@@ -339,24 +354,24 @@ class TestEvalFormulas:
             p for p in sorted(F.target.leq)
             if (p[0] == p[1]) == (kind == "diagonal") and p not in covers
         ]
-        real = abelian_eval._eval_graded
+        real = abelian_eval._Evaluation.matrices
         K, phi = next(
             (K, F.res[p])
             for K in (random_diagram(build_plus(g).poset, seed) for seed in range(20))
             for p in pairs
-            if real(F.res[p], K)
+            if real(abelian_eval._Evaluation(K), F.res[p])
         )
         assert list(F.res.values()).count(phi) == 1
 
-        def perturbed(psi, K):
-            out = real(psi, K)
+        def perturbed(ev, psi):
+            out = real(ev, psi)
             if psi is phi:
                 t = min(out)
                 out[t] = out[t].scale(2)
             return out
 
         eval_formula(F, K)
-        monkeypatch.setattr(abelian_eval, "_eval_graded", perturbed)
+        monkeypatch.setattr(abelian_eval._Evaluation, "matrices", perturbed)
         with pytest.raises(DiagramAxiomFailure):
             eval_formula(F, K)
 
@@ -387,12 +402,113 @@ class TestEvalFormulas:
 
     def test_formula_map_evaluates_each_value_once_per_end(self, monkeypatch):
         calls = []
-        real = abelian_eval.eval_point
+        real = abelian_eval._Evaluation.point
         monkeypatch.setattr(
-            abelian_eval, "eval_point", lambda f, K: calls.append(f) or real(f, K)
+            abelian_eval._Evaluation, "point", lambda ev, f: calls.append(f) or real(ev, f)
         )
         eval_formula_map(TWO_CHAIN_PLUS, random_qis_map(TWO_CHAIN, 5))
         assert len(calls) == 2 * len(TWO_CHAIN_PLUS.at)
+
+
+def _exact(matrices) -> dict:
+    """Degreewise matrices as their reprs, which show every entry."""
+    return {t: repr(m) for t, m in matrices.items()}
+
+
+def _assert_dense(F, K, T):
+    """T, the evaluation of F at K, has the dense evaluator's D at every value
+    and its matrices at every restriction."""
+    for y, f in F.at.items():
+        assert _exact(T.K[y].d) == _exact(dense_graded(f.D, K)), y
+    for pair, phi in F.res.items():
+        assert _exact(T.r[pair].f) == _exact(dense_graded(phi, K)), pair
+
+
+def _plan_diagrams(X) -> tuple:
+    """random_diagram seeds 0-4 and both ends of one random_qis_map over X,
+    with the map."""
+    g = random_qis_map(X, 0)
+    return [random_diagram(X, seed) for seed in range(5)] + [g.source, g.target], g
+
+
+def _assert_point_maps(F, g):
+    """Each value of F applied to the diagram map g is the block-diagonal
+    map of g's shifted components."""
+    for f in F.at.values():
+        mapped = eval_point_map(f, g)
+        for t in set(mapped.source.dims) | set(mapped.target.dims):
+            assert mapped.at(t).tolist() == _diagonal_eval(f.xi, g, t)
+
+
+class TestEvaluationPlans:
+    @pytest.mark.parametrize(
+        "case",
+        [*FIGURE_ONE_PAIRS, *range(40)],
+        ids=lambda c: "-".join(c) if isinstance(c, tuple) else f"random{c}",
+    )
+    def test_plans_match_the_dense_evaluator(self, case):
+        # every D, restriction and epsilon component of the theorem
+        # formulas, their composites and the translations
+        g = figure_one_gluing(case)[0] if isinstance(case, tuple) else random_gluing(case)
+        xi_plus, xi_minus = build_theorem_formulas(g)
+        eps_pm, eps_mp = build_epsilons(g, xi_plus, xi_minus)
+        # over the plus order: xi_plus, and the unit from the translation
+        # to the composite; over the minus order: xi_minus and the counit
+        for F, eps in ((xi_plus, eps_mp), (xi_minus, eps_pm)):
+            diagrams, qis = _plan_diagrams(F.base)
+            for K in diagrams:
+                _assert_dense(F, K, eval_formula(F, K))
+                m = eps.evaluate(K)
+                _assert_dense(eps.source, K, m.source)
+                _assert_dense(eps.target, K, m.target)
+                for y, phi in eps.components.items():
+                    assert _exact(m.components[y].f) == _exact(dense_graded(phi, K)), y
+            _assert_point_maps(F, qis)
+
+    def test_two_chain_plans_match_the_dense_evaluator(self):
+        diagrams, qis = _plan_diagrams(TWO_CHAIN)
+        for F in (TWO_CHAIN_PLUS, TWO_CHAIN_MINUS):
+            for K in diagrams:
+                _assert_dense(F, K, eval_formula(F, K))
+            _assert_point_maps(F, qis)
+
+    def test_signs_and_coefficients_by_hand(self):
+        # K(1) = Z -> Z in degrees 1, 2; K(2) = Z --3--> Z in degrees 1, 2;
+        # the restriction is 1 in degree 1 and 3 in degree 2.
+        K1 = VectComplex({1: 1, 2: 1}, {1: [[1]]})
+        K2 = VectComplex({1: 1, 2: 1}, {1: [[3]]})
+        r = ChainMap(K1, K2, {1: [[1]], 2: [[3]]})
+        K = PosetDiagram(TWO_CHAIN, {"1": K1, "2": K2}, {("1", "2"): r})
+        # entries: ("1",1) -> ("2",2) raises degree from an odd m_i, c = 2;
+        # ("1",1) -> ("2",1) keeps it at an odd m_i, c = -1; ("2",0) ->
+        # ("2",1) raises it from an even m_i, c = -1; ("2",0) -> ("2",0)
+        # keeps it, c = 2.  The other positions are not canonical.
+        src = CObject((("1", 1), ("2", 0)), TWO_CHAIN)
+        tgt = CObject((("2", 2), ("2", 1), ("2", 0)), TWO_CHAIN)
+        phi = CMorphism(src, tgt, [[2, 0], [-1, -1], [0, 2]])
+        # degree 0: rows ("2",2), ("2",1), column ("1",1): 2·(-1)·d·r = -6
+        # and -1·r = -1.  Degree 1: rows ("2",1), ("2",0), columns ("1",1),
+        # ("2",0): -1·r = -3, -1·d = -3 and 2.  Degree 2: 2.
+        want = {0: [[-6], [-1]], 1: [[-3, -3], [0, 2]], 2: [[2]]}
+        got = eval_cmorphism(phi, K)
+        assert {t: m.tolist() for t, m in got.f.items()} == want
+        assert _exact(got.f) == _exact(dense_graded(phi, K))
+
+    def test_plans_do_not_accumulate(self):
+        # A plan lives on its morphism and goes with it: certifying fifty
+        # new gluings leaves no plan of theirs behind.
+        for seed in range(10):
+            verify_equivalence(random_gluing(seed), trials=1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for seed in range(10, 60):
+                verify_equivalence(random_gluing(seed), trials=1)
+            gc.collect()
+            growth = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert growth < _PLAN_GROWTH_BOUND, growth
 
 
 def _maps_json(maps) -> dict:

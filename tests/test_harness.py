@@ -735,9 +735,9 @@ class TestEpsilons:
         g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
         eps_pm, eps_mp = build_epsilons(g, *build_theorem_formulas(g))
         calls = []
-        real = abelian_eval.eval_point
+        real = abelian_eval._Evaluation.point
         monkeypatch.setattr(
-            abelian_eval, "eval_point", lambda f, K: calls.append(f) or real(f, K)
+            abelian_eval._Evaluation, "point", lambda ev, f: calls.append(f) or real(ev, f)
         )
         for eps in (eps_pm, eps_mp):
             K = random_diagram(eps.source.base, 7, 2, (-1, 1))
