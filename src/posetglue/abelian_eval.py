@@ -213,15 +213,17 @@ def identity_chain_map(K: VectComplex) -> ChainMap:
     return ChainMap(K, K, {i: Mat.identity(n) for i, n in K.dims.items()}, check=False)
 
 
-def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
-    if f.target != g.source:
-        raise ShapeMismatch("chain maps do not compose")
-    return ChainMap(
-        f.source,
-        g.target,
-        {i: g.f[i].mul(f.f[i]) for i in f.f.keys() & g.f.keys()},
-        check=False,
-    )
+def _products(g: ChainMap, f: ChainMap) -> dict:
+    """The nonzero degreewise products g.f[i]·f.f[i], that is the blocks of
+    the composite g·f, for chain maps whose ends are already known to match."""
+    gf, out = g.f, {}
+    for i, m in f.f.items():
+        n = gf.get(i)
+        if n is not None:
+            nm = n.mul(m)
+            if not nm.is_zero():
+                out[i] = nm
+    return out
 
 
 def shift_complex(K: VectComplex, n: int) -> VectComplex:
@@ -300,10 +302,13 @@ def is_quasi_iso(f: ChainMap, field: Field = RATIONALS) -> bool:
 class PosetDiagram:
     """One complex per poset element plus compatible restriction chain maps.
 
-    Restrictions are stored for every related pair; the constructor checks
-    identities on the diagonal and closure under composition (covering
-    relations against arbitrary upper bounds, which implies the general
-    case by induction along chains).
+    Restrictions are stored for every related pair, a missing diagonal one
+    being the identity.  With check, the constructor checks the ends of each
+    restriction, that each diagonal one is the identity, and closure under
+    composition on cover_triangles, comparing the degreewise products with
+    the stored blocks.  By the induction there this implies the general
+    case; the degenerate triangles (x, x2, x2) follow from the identity
+    check.
     """
 
     __slots__ = ("base", "K", "r")
@@ -326,9 +331,9 @@ class PosetDiagram:
                     m.is_identity() for m in f.values()
                 ):
                     raise DiagramAxiomFailure(f"restriction at ({x!r},{x!r}) is not the identity")
+            r = self.r
             for x, x2, x3 in cover_triangles(base):
-                left = compose_chain_maps(self.r[(x2, x3)], self.r[(x, x2)])
-                if left != self.r[(x, x3)]:
+                if _products(r[(x2, x3)], r[(x, x2)]) != r[(x, x3)].f:
                     raise DiagramAxiomFailure(
                         f"restrictions do not compose along {x!r} <= {x2!r} <= {x3!r}"
                     )
@@ -349,7 +354,8 @@ class PosetDiagram:
 
 
 class DiagramMap:
-    """A family of chain maps, one per element, commuting with restrictions."""
+    """A family of chain maps, one per element, commuting with restrictions:
+    the two composites on each Hasse edge have equal degreewise products."""
 
     __slots__ = ("source", "target", "components")
 
@@ -365,9 +371,8 @@ class DiagramMap:
             if c.source != source.K[x] or c.target != target.K[x]:
                 raise ShapeMismatch(f"component at {x!r} has wrong ends")
         for x, x2 in covers(source.base):
-            left = compose_chain_maps(target.r[(x, x2)], self.components[x])
-            right = compose_chain_maps(self.components[x2], source.r[(x, x2)])
-            if left != right:
+            left = _products(target.r[(x, x2)], self.components[x])
+            if left != _products(self.components[x2], source.r[(x, x2)]):
                 raise NaturalityFailure((x, x2))
 
 
@@ -426,13 +431,17 @@ def _plan(phi: CMorphism) -> tuple:
 
 
 class _Evaluation:
-    """The per-diagram work of one evaluation call at a diagram K, shared by
-    every value's D, restriction and component it evaluates: the layouts of
-    each word, and each product d_{x_j}·r of a raising plan item, by pair
-    (x_i, x_j) and stalk degree (None where it vanishes).  The layout of a
-    word at a degree t of its support is the offset of each entry in the
-    degree-t part of the word at K, then the total size: entry k, (x, m),
-    spans dim K(x)^{t+m} rows or columns from offset k on.
+    """The evaluation context of one call at a diagram K, shared by every
+    formula, value's D, restriction and component that the call evaluates
+    there: the layouts of each word, and each product d_{x_j}·r of a raising
+    plan item, by pair (x_i, x_j) and stalk degree (None where it vanishes).
+    The layout of a word at a degree t of its support is the offset of each
+    entry in the degree-t part of the word at K, then the total size: entry
+    k, (x, m), spans dim K(x)^{t+m} rows or columns from offset k on.
+
+    A context lives for its call only: nothing it makes refers back to it,
+    and nothing keeps it on K, so K and its context form no reference cycle
+    and both are freed by reference counting.
     """
 
     __slots__ = ("K", "layouts", "products")
@@ -471,6 +480,27 @@ class _Evaluation:
                 placed_at.setdefault(s - mi, []).append((j, i, c, m))
         rows, cols = self.layout(phi.target), self.layout(phi.source)
         return {t: placed(rows[t], cols[t], items) for t, items in placed_at.items()}
+
+    def chain_map(self, phi: CMorphism, source: VectComplex, target: VectComplex) -> ChainMap:
+        """phi evaluated at K between source and target, the evaluations of
+        its two words' values, checked to be a chain map."""
+        return ChainMap(source, target, self.matrices(phi), check=True)
+
+    def formula(self, F: Formula) -> PosetDiagram:
+        """F evaluated at K, with its checks (see eval_formula)."""
+        if F.base != self.K.base:
+            raise BaseMismatch("formula and diagram live over different posets")
+        stalks = {y: self.point(F.at[y]) for y in F.target.elements}
+        edges = hasse(F.target).edges
+        # Only restrictions along Hasse edges are checked as chain maps here;
+        # PosetDiagram proves the rest, comparing each diagonal one with the
+        # identity and each other one with a composite of checked ones along
+        # cover_triangles.
+        restrictions = {
+            (y, y2): ChainMap(stalks[y], stalks[y2], self.matrices(phi), check=(y, y2) in edges)
+            for (y, y2), phi in F.res.items()
+        }
+        return PosetDiagram(F.target, stalks, restrictions, check=True)
 
     def point(self, f: FormulaToPoint) -> VectComplex:
         """f evaluated at K, with its checks (see eval_point)."""
@@ -520,24 +550,28 @@ def eval_formula_morphism(
     checked to be a chain map."""
     if phi.source.base != K.base:
         raise BaseMismatch("morphism and diagram live over different posets")
-    return ChainMap(source, target, _Evaluation(K).matrices(phi), check=True)
+    return _Evaluation(K).chain_map(phi, source, target)
 
 
 def eval_point_map(f: FormulaToPoint, g: DiagramMap) -> ChainMap:
     """Apply the functor of a formula to a diagram map: the diagonal map of
     shifted components, verified to be a chain map."""
-    return _point_map(f, g, eval_point(f, g.source), eval_point(f, g.target))
+    if f.xi.base != g.source.base:
+        raise BaseMismatch("formula and diagram live over different posets")
+    src, tgt = _Evaluation(g.source), _Evaluation(g.target)
+    return _point_map(f, g, src, tgt, src.point(f), tgt.point(f))
 
 
-def _point_map(f: FormulaToPoint, g: DiagramMap, src, tgt) -> ChainMap:
-    """eval_point_map between src and tgt, the evaluations of f on g's ends,
-    which the caller has already made: the identity plan of f's word, with
-    g's components for the restrictions, on the word's layouts at both ends."""
-    rows, cols, placed_at = _Evaluation(g.target), _Evaluation(g.source), {}
+def _point_map(f: FormulaToPoint, g: DiagramMap, src_ev, tgt_ev, src, tgt) -> ChainMap:
+    """eval_point_map between src and tgt, the evaluations of f on g's ends
+    that the caller has already made through the contexts src_ev and tgt_ev:
+    the identity plan of f's word, with g's components for the restrictions,
+    on the word's layouts at both ends."""
+    placed_at = {}
     for i, (x, m) in enumerate(f.xi.entries):
         for s, piece in g.components[x].f.items():
             placed_at.setdefault(s - m, []).append((i, i, 1, piece))
-    rows, cols = rows.layout(f.xi), cols.layout(f.xi)
+    rows, cols = tgt_ev.layout(f.xi), src_ev.layout(f.xi)
     out = {t: placed(rows[t], cols[t], items) for t, items in placed_at.items()}
     return ChainMap(src, tgt, out, check=True)
 
@@ -545,28 +579,17 @@ def _point_map(f: FormulaToPoint, g: DiagramMap, src, tgt) -> ChainMap:
 def eval_formula(F: Formula, K: PosetDiagram) -> PosetDiagram:
     """Evaluate a poset-shaped formula to a diagram over its target poset,
     through one _Evaluation shared by all its values and restrictions."""
-    if F.base != K.base:
-        raise BaseMismatch("formula and diagram live over different posets")
-    ev = _Evaluation(K)
-    stalks = {y: ev.point(F.at[y]) for y in F.target.elements}
-    edges = hasse(F.target).edges
-    # Only restrictions along Hasse edges are checked as chain maps here;
-    # PosetDiagram proves the rest, comparing each diagonal one with the
-    # identity and each other one with a composite of checked ones along
-    # cover_triangles.
-    restrictions = {
-        (y, y2): ChainMap(stalks[y], stalks[y2], ev.matrices(phi), check=(y, y2) in edges)
-        for (y, y2), phi in F.res.items()
-    }
-    return PosetDiagram(F.target, stalks, restrictions, check=True)
+    return _Evaluation(K).formula(F)
 
 
 def eval_formula_map(F: Formula, g: DiagramMap) -> DiagramMap:
-    """Apply the functor of a formula to a diagram map, elementwise."""
-    src = eval_formula(F, g.source)
-    tgt = eval_formula(F, g.target)
+    """Apply the functor of a formula to a diagram map, elementwise, through
+    one _Evaluation at each end of g, shared by the values and the maps."""
+    src_ev, tgt_ev = _Evaluation(g.source), _Evaluation(g.target)
+    src, tgt = src_ev.formula(F), tgt_ev.formula(F)
     comps = {
-        y: _point_map(F.at[y], g, src.K[y], tgt.K[y]) for y in F.target.elements
+        y: _point_map(F.at[y], g, src_ev, tgt_ev, src.K[y], tgt.K[y])
+        for y in F.target.elements
     }
     return DiagramMap(src, tgt, comps)
 
@@ -785,6 +808,8 @@ class _PieceDiagram:
                 stalks[x] = VectComplex(K.dims, d, check=True)
         r = {}
         for x, x2 in self.X.leq:
+            if x == x2:
+                continue  # PosetDiagram fills in the identities
             src, tgt = stalks[x], stalks[x2]
             present = self.present[x], self.present[x2]
             f = {t: block(*self.inclusion_blocks(*present, t)) for t in src.dims}

@@ -338,9 +338,11 @@ class Formula:
     `res` maps each pair (y, y2) with y <= y2 to a CMorphism from the word
     at[y].xi to the word at[y2].xi, to intertwine the two values' D's.  The
     constructor verifies the diagram axioms: identity on diagonal pairs and
-    closure under composition, on the cover triangles of the target.  It is
-    the one place where restriction triangles are checked: a triangle that
-    does not commute raises CommutativityFailure with the difference matrix.
+    closure under composition, on the cover triangles of the target.  Those
+    leave out the degenerate triangles (y, y2, y2), which follow from the
+    identity check that runs first.  It is the one place where restriction
+    triangles are checked: a triangle that does not commute raises
+    CommutativityFailure with the difference matrix.
     Only the restrictions along Hasse edges, in element order, go through
     check_formula_morphism, and the first message it returns is raised as
     DiagramAxiomFailure; by the induction in cover_triangles every other one

@@ -25,9 +25,9 @@ from .abelian_eval import (
     DiagramMap,
     Field,
     PosetDiagram,
+    _Evaluation,
     cohomology_table,
     eval_formula,
-    eval_formula_morphism,
     is_quasi_iso_diagram,
     random_diagram,
 )
@@ -216,16 +216,18 @@ class EpsilonTransform:
                 )
 
     def evaluate(self, K: PosetDiagram) -> DiagramMap:
-        """The evaluated transformation at a diagram, as a map of diagrams."""
-        return self._evaluate_between(
-            K, eval_formula(self.source, K), eval_formula(self.target, K)
-        )
+        """The evaluated transformation at a diagram, as a map of diagrams,
+        through one evaluation context at K for both formulas and every
+        component."""
+        ev = _Evaluation(K)
+        return self._evaluate_between(ev, ev.formula(self.source), ev.formula(self.target))
 
-    def _evaluate_between(self, K: PosetDiagram, src, tgt) -> DiagramMap:
+    def _evaluate_between(self, ev: _Evaluation, src, tgt) -> DiagramMap:
         """evaluate(K) between src and tgt, the evaluations of the source and
-        target formulas at K, which the caller has already made."""
+        target formulas at K that the caller has already made, with ev its
+        evaluation context at K."""
         comps = {
-            y: eval_formula_morphism(self.components[y], K, src.K[y], tgt.K[y])
+            y: ev.chain_map(self.components[y], src.K[y], tgt.K[y])
             for y in self.source.target.elements
         }
         return DiagramMap(src, tgt, comps)
@@ -474,9 +476,8 @@ def _two_chain_trial(state, tseed) -> TrialRecord:
     K = random_diagram(TWO_CHAIN, tseed, max_dim, window)
     counit = eps_pm.evaluate(K)
     # the unit starts where the counit ends: NU evaluated at K
-    unit = eps_mp._evaluate_between(
-        K, counit.target, eval_formula(eps_mp.target, K)
-    )
+    ev = _Evaluation(K)
+    unit = eps_mp._evaluate_between(ev, counit.target, ev.formula(eps_mp.target))
     T1 = eval_formula(TWO_CHAIN_PLUS, K)
     T2 = eval_formula(TWO_CHAIN_PLUS, T1)
     T3 = eval_formula(TWO_CHAIN_PLUS, T2)

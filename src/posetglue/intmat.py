@@ -25,6 +25,10 @@ from operator import sub as _sub
 from .errors import ShapeMismatch
 
 
+#: Mat.identity(n) by n.
+_IDENTITIES: dict = {}
+
+
 class Mat:
     __slots__ = ("nrows", "ncols", "rows")
 
@@ -57,9 +61,14 @@ class Mat:
 
     @classmethod
     def identity(cls, n):
-        return cls._of(
-            n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        )
+        """The n x n identity, one shared instance per n: no operation
+        changes a Mat once it is made."""
+        m = _IDENTITIES.get(n)
+        if m is None:
+            m = _IDENTITIES[n] = cls._of(
+                n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+            )
+        return m
 
     @classmethod
     def diag(cls, entries):

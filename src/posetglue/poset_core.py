@@ -228,7 +228,7 @@ def require_relations(p: Poset, maps: dict, identity) -> None:
 
 
 def cover_triangles(p: Poset) -> tuple:
-    """Triangles (a, b, c) with a Hasse edge a < b and c >= b, in element order.
+    """Triangles (a, b, c) with a Hasse edge a < b and c > b, in element order.
 
     Maps r(a, b), one per a <= b with r(a, a) the identity, compose on all of
     a <= b <= c once they compose on these.  By induction on the longest
@@ -236,10 +236,18 @@ def cover_triangles(p: Poset) -> tuple:
     r(b, c)·r(a, b) = r(b, c)·r(a2, b)·r(a, a2)   [cover triangle (a, a2, b)]
                     = r(a2, c)·r(a, a2)           [induction, a2 to b]
                     = r(a, c)                     [cover triangle (a, a2, c)].
+    The degenerate triangles (a, b, b) are left out: the steps that would use
+    them fall to the identity check.  When a2 = b, the first step is
+    r(b, b) = id and the second is trivial; when a2 = c (so a2 = b = c), the
+    last step is r(c, c) = id.  Every caller checks each r(b, b) against the
+    identity before it walks these triangles.
     """
     if p._triangles is None:
         p._triangles = tuple(
-            (a, b, c) for a, b in covers(p) for c in sorted(p.up_set(b), key=p.index)
+            (a, b, c)
+            for a, b in covers(p)
+            for c in sorted(p.up_set(b), key=p.index)
+            if c != b
         )
     return p._triangles
 

@@ -205,6 +205,18 @@ class TestDiagrams:
         with pytest.raises(ParseError, match="restriction given for unrelated pair '2', '1'"):
             PosetDiagram(TWO_CHAIN, K.K, r)
 
+    def test_a_diagonal_automorphism_is_not_the_identity(self):
+        # 2·I at the maximal element "2" is a chain automorphism, so only the
+        # identity check rejects it: cover_triangles has no triangle (1, 2, 2)
+        K = next(
+            K for K in (random_diagram(TWO_CHAIN, seed) for seed in range(20))
+            if K.r[("1", "2")].f
+        )
+        doubled = {i: m.scale(2) for i, m in identity_chain_map(K.K["2"]).f.items()}
+        r = {**K.r, ("2", "2"): ChainMap(K.K["2"], K.K["2"], doubled)}
+        with pytest.raises(DiagramAxiomFailure, match=r"at \('2','2'\) is not the identity"):
+            PosetDiagram(TWO_CHAIN, K.K, r)
+
     def test_component_at_a_stray_element_is_rejected(self):
         K = random_diagram(TWO_CHAIN, 1)
         ident = {x: identity_chain_map(K.K[x]) for x in TWO_CHAIN.elements}
@@ -401,13 +413,21 @@ class TestEvalFormulas:
         assert is_quasi_iso_diagram(Fg)
 
     def test_formula_map_evaluates_each_value_once_per_end(self, monkeypatch):
-        calls = []
-        real = abelian_eval._Evaluation.point
+        calls, contexts = [], []
+        real, real_init = abelian_eval._Evaluation.point, abelian_eval._Evaluation.__init__
         monkeypatch.setattr(
             abelian_eval._Evaluation, "point", lambda ev, f: calls.append(f) or real(ev, f)
         )
-        eval_formula_map(TWO_CHAIN_PLUS, random_qis_map(TWO_CHAIN, 5))
+        monkeypatch.setattr(
+            abelian_eval._Evaluation,
+            "__init__",
+            lambda ev, K: contexts.append(K) or real_init(ev, K),
+        )
+        g = random_qis_map(TWO_CHAIN, 5)
+        eval_formula_map(TWO_CHAIN_PLUS, g)
         assert len(calls) == 2 * len(TWO_CHAIN_PLUS.at)
+        # the maps are laid out on the contexts of the two ends' evaluations
+        assert contexts == [g.source, g.target]
 
 
 def _exact(matrices) -> dict:

@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from posetglue.abelian_eval import eval_formula, eval_point, random_diagram
-from posetglue.errors import BaseMismatch, ParseError, ShapeMismatch
+from posetglue.errors import BaseMismatch, DiagramAxiomFailure, ParseError, ShapeMismatch
 from posetglue.formula_cat import (
     ALPHA1,
     ALPHA2,
@@ -338,6 +338,16 @@ class TestFormulaValidation:
             result = run_python(["-c", _MISSING_RESTRICTIONS], hash_seed)
             assert result.returncode == 0, result.stderr
             assert result.stdout.splitlines() == ["no restriction for '1' <= '2'"] * 2
+
+    def test_a_diagonal_automorphism_is_not_the_identity(self):
+        # 2·identity at the maximal element "2" intertwines its value's D, so
+        # only the identity check rejects it: cover_triangles has no
+        # triangle (1, 2, 2)
+        word = TWO_CHAIN_PLUS.at["2"].xi
+        doubled = CMorphism(word, word, Mat.identity(len(word)).scale(2))
+        res = {**TWO_CHAIN_PLUS.res, ("2", "2"): doubled}
+        with pytest.raises(DiagramAxiomFailure, match=r"at \('2', '2'\) is not the identity"):
+            Formula(TWO_CHAIN, TWO_CHAIN_PLUS.at, res)
 
     def test_values_over_two_bases_are_rejected(self):
         other = poset_from_generators(["1", "2", "3"], [("1", "2")])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -734,16 +735,24 @@ class TestEpsilons:
     def test_evaluate_evaluates_each_value_once(self, monkeypatch):
         g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
         eps_pm, eps_mp = build_epsilons(g, *build_theorem_formulas(g))
-        calls = []
-        real = abelian_eval._Evaluation.point
+        calls, contexts = [], []
+        real, real_init = abelian_eval._Evaluation.point, abelian_eval._Evaluation.__init__
         monkeypatch.setattr(
             abelian_eval._Evaluation, "point", lambda ev, f: calls.append(f) or real(ev, f)
+        )
+        monkeypatch.setattr(
+            abelian_eval._Evaluation,
+            "__init__",
+            lambda ev, K: contexts.append(K) or real_init(ev, K),
         )
         for eps in (eps_pm, eps_mp):
             K = random_diagram(eps.source.base, 7, 2, (-1, 1))
             calls.clear()
+            contexts.clear()
             eps.evaluate(K)
             assert len(calls) == len(eps.source.target) + len(eps.target.target)
+            # one context for both formulas and every component
+            assert contexts == [K]
 
     def test_naturality_failure_is_reported_with_edge(self):
         # sign-flipped identity components break the connecting square
@@ -776,9 +785,9 @@ class TestVerifyTwoChain:
         # four epsilons with two ends each and T1, T2, T3 make 11, less the
         # unit's source, which is the counit's target: NU evaluated at K
         calls = []
-        real = harness.eval_formula
+        real = abelian_eval._Evaluation.formula
         monkeypatch.setattr(
-            harness, "eval_formula", lambda F, K: calls.append(F) or real(F, K)
+            abelian_eval._Evaluation, "formula", lambda ev, F: calls.append(F) or real(ev, F)
         )
         assert verify_two_chain(trials=1).ok
         assert len(calls) == 10
@@ -852,6 +861,19 @@ class TestVerifyEquivalence:
             seq = verify_equivalence(g, trials=4, jobs=1, max_dim=2, window=(-1, 1))
             par = verify_equivalence(g, trials=4, jobs=2, max_dim=2, window=(-1, 1))
             assert seq.to_json() == par.to_json()
+
+    def test_a_certificate_leaves_no_cyclic_garbage(self):
+        # Evaluation contexts live for their call: one kept on its diagram
+        # makes a reference cycle for every evaluated diagram (2,509 objects
+        # for the cyclic collector in this certificate).
+        g = figure_one_gluing(FIGURE_ONE_PAIRS[0])[0]
+        gc.collect()
+        gc.disable()
+        try:
+            assert verify_equivalence(g, trials=5).ok
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_certificate_fields(self):
         g = single_edge_gluing()
