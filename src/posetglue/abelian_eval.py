@@ -247,21 +247,19 @@ def shift_chain_map(f: ChainMap, n: int) -> ChainMap:
 
 def cone(f: ChainMap) -> VectComplex:
     """The complex with degree-i part K^{i+1} ⊕ L^i and block differential
-    [[-d_K[i+1], 0], [f[i+1], d_L[i]]], built from the present blocks over
-    the degrees where it is nonzero."""
+    [[-d_K[i+1], 0], [f[i+1], d_L[i]]] over the degrees where it is
+    nonzero, placed in one pass from the present blocks (-d_K as the
+    coefficient -1, absent blocks left out) and checked to square to zero."""
     K, L = f.source, f.target
     degrees = set(L.dims) | {i - 1 for i in K.dims}
     dims = {i: K.dim(i + 1) + L.dim(i) for i in degrees}
     d = {}
     for i in degrees:
-        dK = K.d.get(i + 1)
-        parts = {
-            (0, 0): None if dK is None else dK.neg(),
-            (1, 0): f.f.get(i + 1),
-            (1, 1): L.d.get(i),
-        }
-        if any(m is not None for m in parts.values()):
-            d[i] = block(parts, [K.dim(i + 2), L.dim(i + 1)], [K.dim(i + 1), L.dim(i)])
+        parts = ((0, 0, -1, K.d.get(i + 1)), (1, 0, 1, f.f.get(i + 1)), (1, 1, 1, L.d.get(i)))
+        blocks = [part for part in parts if part[3] is not None]
+        if blocks:
+            rows, cols = K.dim(i + 2), K.dim(i + 1)
+            d[i] = placed([0, rows, rows + L.dim(i + 1)], [0, cols, dims[i]], blocks)
     return VectComplex(dims, d)
 
 
@@ -273,11 +271,9 @@ def direct_sum_complexes(parts) -> VectComplex:
     dims = {i: sum(p.dim(i) for p in parts) for i in degrees}
     d = {}
     for i in degrees:
-        rows = [p.dim(i + 1) for p in parts]
-        cols = [p.dim(i) for p in parts]
-        d[i] = block(
-            {(k, k): p.diff(i) for k, p in enumerate(parts)}, rows, cols
-        )
+        blocks = {(k, k): p.d[i] for k, p in enumerate(parts) if i in p.d}
+        if blocks:
+            d[i] = block(blocks, [p.dim(i + 1) for p in parts], [p.dim(i) for p in parts])
     return VectComplex(dims, d, check=False)
 
 
@@ -643,10 +639,11 @@ _UNIMODULAR_STEPS = 3
 
 def _random_unimodular(rng: SplitMix64, n: int):
     """A random n x n integer matrix with determinant ±1 (n >= 1, as complexes
-    keep no zero dimension), plus its exact inverse: a product of at most
-    _UNIMODULAR_STEPS random shears and sign flips."""
-    U = Mat.identity(n)
-    Uinv = Mat.identity(n)
+    keep no zero dimension), plus its exact inverse: a product U = E_s...E_1
+    of at most _UNIMODULAR_STEPS random shears and sign flips E, each applied
+    as a row operation on U and its inverse as a column operation on U^-1."""
+    U = [[int(r == s) for s in range(n)] for r in range(n)]
+    Uinv = [row[:] for row in U]
     for _ in range(_UNIMODULAR_STEPS):
         kind = rng.randrange(3)
         if kind == 0 and n >= 2:
@@ -655,37 +652,25 @@ def _random_unimodular(rng: SplitMix64, n: int):
             if i == j:
                 continue
             c = rng.choice([-2, -1, 1, 2])
-            E = _shear(n, i, j, c)
-            Einv = _shear(n, i, j, -c)
+            # E = I + c·e_ij adds c times row j to row i; E^-1 = I - c·e_ij
+            # on the right subtracts c times column i from column j
+            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+            for row in Uinv:
+                row[j] -= c * row[i]
         else:
             i = rng.randrange(n)
-            E = Mat.diag([-1 if k == i else 1 for k in range(n)])
-            Einv = E
-        U = E.mul(U)
-        Uinv = Uinv.mul(Einv)
-    return U, Uinv
-
-
-def _shear(n: int, i: int, j: int, c: int) -> Mat:
-    rows = [
-        tuple(
-            1 if r == s else (c if (r == i and s == j) else 0) for s in range(n)
-        )
-        for r in range(n)
-    ]
-    return Mat(n, n, tuple(rows))
+            U[i] = [-a for a in U[i]]
+            for row in Uinv:
+                row[i] = -row[i]
+    return Mat(n, n, U), Mat(n, n, Uinv)
 
 
 def _conjugate_complex(K: VectComplex, rng: SplitMix64) -> VectComplex:
-    U = {}
-    Uinv = {}
+    U, Uinv = {}, {}
     for i, n in K.dims.items():
         U[i], Uinv[i] = _random_unimodular(rng, n)
-    d = {}
-    for i, m in K.d.items():
-        left = U.get(i + 1, Mat.identity(K.dim(i + 1)))
-        right = Uinv.get(i, Mat.identity(K.dim(i)))
-        d[i] = left.mul(m).mul(right)
+    # a nonzero differential has both its degrees in K.dims
+    d = {i: U[i + 1].mul(m).mul(Uinv[i]) for i, m in K.d.items()}
     return VectComplex(K.dims, d, check=True)
 
 
@@ -752,27 +737,31 @@ class _PieceDiagram:
     pieces with u_k <= x, and restrictions are the block inclusions. Piece
     maps (k, l, n), n degreewise S_k -> S_l or S_k -> S_l[1] with u_l <= u_k,
     commute with them: they bend stalk differentials or twist restrictions.
+
+    Everything at x depends on x only through present[x], its piece set:
+    one stalk is built per distinct piece set and shared by the elements
+    that have it, as is one restriction per distinct pair of piece sets.
     """
 
     def __init__(self, X: Poset, pieces):
         self.X = X
         self.pieces = list(pieces)  # list of (u, VectComplex)
         self.present = {
-            x: [k for k, (u, _) in enumerate(self.pieces) if X.le(u, x)]
+            x: tuple(k for k, (u, _) in enumerate(self.pieces) if X.le(u, x))
             for x in X.elements
         }
-        self.stalks = {
-            x: direct_sum_complexes(self.pieces[k][1] for k in self.present[x])
-            for x in X.elements
+        self.sums = {
+            p: direct_sum_complexes(self.pieces[k][1] for k in p)
+            for p in dict.fromkeys(self.present.values())
         }
+        self.stalks = {x: self.sums[p] for x, p in self.present.items()}
 
-    def sizes(self, x, t) -> list:
-        return [self.pieces[k][1].dim(t) for k in self.present[x]]
+    def sizes(self, present, t) -> list:
+        return [self.pieces[k][1].dim(t) for k in present]
 
-    def place(self, x, t, maps, blocks) -> dict:
-        """Add the degree-t matrices of the piece maps (k, l, n) that are
-        present at x to blocks, keyed by the positions of l and k at x."""
-        present = self.present[x]
+    def place(self, present, t, maps, blocks) -> dict:
+        """Add the degree-t matrices of the piece maps (k, l, n) with k in
+        the piece set present to blocks, keyed by the positions of l and k."""
         for k, l, n in maps:
             if k in present and t in n:
                 key = present.index(l), present.index(k)
@@ -791,29 +780,58 @@ class _PieceDiagram:
         }
         return blocks, rows, cols
 
+    def twists(self, factors) -> dict:
+        """(U, U^-1) by piece set p and degree t of its stalk, where U is
+        the product of the (I + N) factors, the first one rightmost.  Each
+        N squares to zero, so (I + N)^-1 = I - N."""
+        twists = {}
+        for p, K in self.sums.items():
+            for t, size in K.dims.items():
+                U = Uinv = Mat.identity(size)
+                sizes = self.sizes(p, t)
+                for factor in factors:
+                    blocks = self.place(p, t, [factor], {})
+                    if blocks:
+                        N = block(blocks, sizes, sizes)
+                        U, Uinv = U.add(N.mul(U)), Uinv.sub(Uinv.mul(N))
+                twists[(p, t)] = U, Uinv
+        return twists
+
+    def _restrictions(self, sums, twists, check: bool) -> dict:
+        """The restriction for each x <= x2 between the stalks sums (by piece
+        set): U_{x2}·ι·U_x^-1 in each degree, for ι the block inclusion,
+        written as the columns of U_{x2} at the slots of x's pieces times
+        U_x^-1.  Pairs with the same two piece sets share one chain map."""
+        r, shared = {}, {}
+        for x, x2 in self.X.leq:
+            p, p2 = key = self.present[x], self.present[x2]
+            if key not in shared:
+                f = {}
+                for t in sums[p].dims:
+                    off = list(accumulate(self.sizes(p2, t), initial=0))
+                    slots = [c for i in map(p2.index, p) for c in range(off[i], off[i + 1])]
+                    f[t] = twists[(p2, t)][0].columns(slots).mul(twists[(p, t)][1])
+                shared[key] = ChainMap(sums[p], sums[p2], f, check=check)
+            r[(x, x2)] = shared[key]
+        return r
+
     def diagram(self, bends=()) -> PosetDiagram:
         """The untwisted diagram: the stalks, their differentials bent by the
         degree-one piece maps bends, with block-inclusion restrictions. Only
         a bent diagram needs its axioms checked."""
-        stalks = self.stalks
+        sums, stalks = self.sums, self.stalks
         if bends:
-            stalks = {}
-            for x, K in self.stalks.items():
+            sums = {}
+            for p, K in self.sums.items():
                 d = dict(K.d)
                 for t in K.dims:
-                    blocks = self.place(x, t, bends, {})
+                    blocks = self.place(p, t, bends, {})
                     if blocks:
-                        bend = block(blocks, self.sizes(x, t + 1), self.sizes(x, t))
+                        bend = block(blocks, self.sizes(p, t + 1), self.sizes(p, t))
                         d[t] = K.diff(t).add(bend)
-                stalks[x] = VectComplex(K.dims, d, check=True)
-        r = {}
-        for x, x2 in self.X.leq:
-            if x == x2:
-                continue  # PosetDiagram fills in the identities
-            src, tgt = stalks[x], stalks[x2]
-            present = self.present[x], self.present[x2]
-            f = {t: block(*self.inclusion_blocks(*present, t)) for t in src.dims}
-            r[(x, x2)] = ChainMap(src, tgt, f, check=bool(bends))
+                sums[p] = VectComplex(K.dims, d, check=True)
+            stalks = {x: sums[p] for x, p in self.present.items()}
+        r = self._restrictions(sums, self.twists(()), bool(bends))
         return PosetDiagram(self.X, stalks, r, check=bool(bends))
 
     def random_twist_factors(self, rng: SplitMix64, count: int) -> list:
@@ -826,33 +844,13 @@ class _PieceDiagram:
         return _random_piece_maps(rng, pairs, self.pieces, self.pieces, count)
 
     def twisted(self, factors):
-        """The diagram with restrictions conjugated by U, and U itself: the
-        pair (U, U^-1) for each element x and degree t of its stalk, where U
-        is the product of the (I + N) factors, the first one rightmost.
-        Each N squares to zero, so (I + N)^-1 = I - N."""
-        twists = {}
-        for x, K in self.stalks.items():
-            for t, size in K.dims.items():
-                U = Uinv = Mat.identity(size)
-                sizes = self.sizes(x, t)
-                for factor in factors:
-                    blocks = self.place(x, t, [factor], {})
-                    if blocks:
-                        N = block(blocks, sizes, sizes)
-                        U, Uinv = U.add(N.mul(U)), Uinv.sub(Uinv.mul(N))
-                twists[(x, t)] = U, Uinv
-        base = self.diagram()
-        if not factors:
-            return base, twists
-        r = dict(base.r)
-        for (x, x2), f in base.r.items():
-            if x != x2:
-                g = {
-                    t: twists[(x2, t)][0].mul(m).mul(twists[(x, t)][1])
-                    for t, m in f.f.items()
-                }
-                r[(x, x2)] = ChainMap(f.source, f.target, g, check=False)
-        return PosetDiagram(self.X, base.K, r, check=True), twists
+        """The diagram with restrictions conjugated by U, written straight
+        from the columns of the twists (no untwisted diagram is built
+        first), and the twists (U, U^-1) by piece set and degree.  With at
+        least one factor, PosetDiagram checks the diagram's axioms."""
+        twists = self.twists(factors)
+        r = self._restrictions(self.sums, twists, False)
+        return PosetDiagram(self.X, self.stalks, r, check=bool(factors)), twists
 
 
 def _random_pieces(X: Poset, rng: SplitMix64, max_dim: int, window) -> list:
@@ -914,12 +912,11 @@ def random_qis_map(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> Dia
     components = {}
     for x in X.elements:
         f = {}
+        p, p2 = src_pd.present[x], tgt_pd.present[x]
         for t in source.K[x].dims:
-            blocks, rows, cols = tgt_pd.inclusion_blocks(
-                src_pd.present[x], tgt_pd.present[x], t
-            )
-            raw = block(tgt_pd.place(x, t, noise, blocks), rows, cols)
-            f[t] = tgt_twists[(x, t)][0].mul(raw).mul(src_twists[(x, t)][1])
+            blocks, rows, cols = tgt_pd.inclusion_blocks(p, p2, t)
+            raw = block(tgt_pd.place(p2, t, noise, blocks), rows, cols)
+            f[t] = tgt_twists[(p2, t)][0].mul(raw).mul(src_twists[(p, t)][1])
         components[x] = ChainMap(source.K[x], target.K[x], f, check=True)
     return DiagramMap(source, target, components)
 

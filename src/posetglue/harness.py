@@ -474,19 +474,26 @@ def _two_chain_epsilons():
 def _two_chain_trial(state, tseed) -> TrialRecord:
     (eps_pm, eps_mp, eps_pp, eps_mm), field, max_dim, window = state
     K = random_diagram(TWO_CHAIN, tseed, max_dim, window)
-    counit = eps_pm.evaluate(K)
-    # the unit starts where the counit ends: NU evaluated at K
+
+    # one evaluation context per diagram (K, T1 and T2), shared by every
+    # formula and transformation evaluated there
+    def at(eps, ev):
+        return eps._evaluate_between(ev, ev.formula(eps.source), ev.formula(eps.target))
+
     ev = _Evaluation(K)
+    counit = at(eps_pm, ev)
+    # the unit starts where the counit ends: NU evaluated at K
     unit = eps_mp._evaluate_between(ev, counit.target, ev.formula(eps_mp.target))
-    T1 = eval_formula(TWO_CHAIN_PLUS, K)
-    T2 = eval_formula(TWO_CHAIN_PLUS, T1)
+    T1 = ev.formula(TWO_CHAIN_PLUS)
+    ev1 = _Evaluation(T1)
+    T2 = ev1.formula(TWO_CHAIN_PLUS)
     T3 = eval_formula(TWO_CHAIN_PLUS, T2)
-    square = eps_pp.evaluate(T1)
+    square = at(eps_pp, ev1)
     if square.source != T3:
         raise InternalInconsistency(
             "composite formula disagrees with iterated evaluation"
         )
-    double = eps_mm.evaluate(K)
+    double = at(eps_mm, ev)
     shifted = counit.target  # NU evaluated at K: K shifted by one
     chain_ok = cohomology_table(T3, field) == cohomology_table(shifted, field)
     verdict = (

@@ -265,6 +265,59 @@ def dense_graded(phi, K) -> dict:
     return out
 
 
+# --- block-built cone and shear-product basis change, kept as references -------
+
+def block_cone(f):
+    """The mapping cone of the chain map f assembled with intmat.block: at
+    each degree i of K[1] ⊕ L, the blocks -d_K[i+1] (a negated copy),
+    f[i+1] and d_L[i], absent ones as None, checked by VectComplex."""
+    from posetglue.abelian_eval import VectComplex
+    from posetglue.intmat import block
+
+    K, L = f.source, f.target
+    degrees = set(L.dims) | {i - 1 for i in K.dims}
+    dims = {i: K.dim(i + 1) + L.dim(i) for i in degrees}
+    d = {}
+    for i in degrees:
+        dK = K.d.get(i + 1)
+        parts = {
+            (0, 0): None if dK is None else dK.neg(),
+            (1, 0): f.f.get(i + 1),
+            (1, 1): L.d.get(i),
+        }
+        if any(m is not None for m in parts.values()):
+            d[i] = block(parts, [K.dim(i + 2), L.dim(i + 1)], [K.dim(i + 1), L.dim(i)])
+    return VectComplex(dims, d)
+
+
+def shear_product_unimodular(rng, n: int):
+    """A random unimodular n x n matrix U and its inverse as products of
+    explicit elementary matrices: each step draws a shear I + c·e_ij (or a
+    sign flip), multiplies U by it on the left and U^-1 by its inverse on
+    the right, drawing from rng exactly as abelian_eval._random_unimodular."""
+    from posetglue.abelian_eval import _UNIMODULAR_STEPS
+    from posetglue.intmat import Mat
+
+    def shear(c):
+        return Mat(n, n, [[int(r == s) + (c if (r, s) == (i, j) else 0) for s in range(n)]
+                          for r in range(n)])
+
+    U = Uinv = Mat.identity(n)
+    for _ in range(_UNIMODULAR_STEPS):
+        kind = rng.randrange(3)
+        if kind == 0 and n >= 2:
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i == j:
+                continue
+            c = rng.choice([-2, -1, 1, 2])
+            E, Einv = shear(c), shear(-c)
+        else:
+            i = rng.randrange(n)
+            E = Einv = Mat.diag([-1 if k == i else 1 for k in range(n)])
+        U, Uinv = E.mul(U), Uinv.mul(Einv)
+    return U, Uinv
+
+
 # --- random words and functor-law instances -------------------------------------
 
 def random_cobject(rng, base, max_len: int = 3, degrees=(-1, 0, 1)):

@@ -39,6 +39,7 @@ from posetglue.abelian_eval import (
     random_diagram,
     random_qis_map,
     random_ses,
+    shift_chain_map,
     shift_complex,
     shift_diagram,
 )
@@ -76,10 +77,11 @@ from posetglue.harness import (
 )
 from posetglue.intmat import Mat
 from posetglue.poset_core import hasse
-from posetglue.rng import derive_seed
+from posetglue.rng import SplitMix64, derive_seed
 
 from conftest import (
     _diagonal_eval,
+    block_cone,
     dense_graded,
     eta_composition_holds,
     eta_naturality_holds,
@@ -90,6 +92,7 @@ from conftest import (
     modp_cohomology,
     qis_preservation_holds,
     ses_preservation_holds,
+    shear_product_unimodular,
 )
 
 # Bytes of traced memory still held after certifying random_gluing 10-59,
@@ -182,6 +185,27 @@ class TestComplexes:
         assert cohomology(K, RATIONALS) == {}
         assert cohomology(K, Field(5)) == {0: 1, 1: 1}
         assert cohomology(K, Field(3)) == {}
+
+    def test_cone_matches_the_block_built_cone(self):
+        maps = [
+            f
+            for X in (TWO_CHAIN, figure_one_poset("X1"))
+            for seed in range(20)
+            for f in random_qis_map(X, seed).components.values()
+        ]
+        assert any(f.source.d and f.f for f in maps)  # -d_K and f both occur
+        K, zero = random_complex(7), VectComplex({}, {})
+        assert K.d
+        g = next(f for f in maps if f.source.d and f.target.d)
+        maps += [
+            identity_chain_map(K),
+            ChainMap(zero, K, {}),
+            ChainMap(K, zero, {}),
+            shift_chain_map(g, 1),
+            shift_chain_map(g, -3),
+        ]
+        for f in maps:
+            assert cone(f) == block_cone(f)
 
     def test_shift_negates_differential(self):
         K = random_complex(7)
@@ -579,6 +603,15 @@ class TestRandomGenerators:
         digest = hashlib.sha256(doc.encode()).hexdigest()
         assert digest == _DRAW_DIGESTS[(kind, order)]
 
+    def test_unimodular_matches_the_shear_product(self):
+        for n in range(1, 5):
+            for seed in range(50):
+                rng, ref = SplitMix64(seed), SplitMix64(seed)
+                U, Uinv = abelian_eval._random_unimodular(rng, n)
+                assert (U, Uinv) == shear_product_unimodular(ref, n), (n, seed)
+                assert U.mul(Uinv) == Mat.identity(n)
+                assert rng._state == ref._state
+
     def test_random_diagram_is_deterministic_and_valid(self):
         for seed in range(10):
             K1 = random_diagram(TWO_CHAIN, seed)
@@ -587,18 +620,38 @@ class TestRandomGenerators:
             assert isinstance(K1, PosetDiagram)
 
     def test_random_diagram_builds_each_stalk_once(self, monkeypatch):
-        calls = []
-        real = abelian_eval.direct_sum_complexes
+        # one direct sum per distinct piece set {k : u_k <= x}, shared by the
+        # elements that have it
+        calls, drawn = [], []
+        real_sum, real_pieces = abelian_eval.direct_sum_complexes, abelian_eval._random_pieces
         monkeypatch.setattr(
             abelian_eval,
             "direct_sum_complexes",
-            lambda parts: calls.append(1) or real(parts),
+            lambda parts: calls.append(1) or real_sum(parts),
         )
+        monkeypatch.setattr(
+            abelian_eval,
+            "_random_pieces",
+            lambda *args: drawn.append(real_pieces(*args)) or drawn[-1],
+        )
+        shared = 0
         for X in (TWO_CHAIN, figure_one_poset("X1")):
-            for seed in range(5):
+            for seed in range(10):
                 calls.clear()
-                random_diagram(X, seed)
-                assert len(calls) == len(X)
+                drawn.clear()
+                K = random_diagram(X, seed)
+                (pieces,) = drawn
+                sets = {
+                    x: frozenset(k for k, (u, _) in enumerate(pieces) if x in X.up_set(u))
+                    for x in X.elements
+                }
+                assert len(calls) == len(set(sets.values())) <= len(X)
+                for x in X.elements:
+                    for x2 in X.elements:
+                        if sets[x] == sets[x2]:
+                            assert K.K[x] is K.K[x2]
+                shared += len(set(sets.values())) < len(X)
+        assert shared  # some draw has two elements with one piece set
 
     def test_random_ses_is_degreewise_exact(self):
         for seed in range(20):

@@ -793,6 +793,16 @@ class TestVerifyTwoChain:
         assert len(calls) == 10
         assert sum(F is NU for F in calls) == 1
 
+    def test_each_trial_makes_one_evaluation_context_per_diagram(self, monkeypatch):
+        # the input K and the first two plus-side evaluations T1 and T2
+        diagrams = []
+        real = abelian_eval._Evaluation.__init__
+        monkeypatch.setattr(
+            abelian_eval._Evaluation, "__init__", lambda ev, K: diagrams.append(K) or real(ev, K)
+        )
+        assert verify_two_chain(trials=1).ok
+        assert len(diagrams) == len({id(K) for K in diagrams}) == 3
+
     def test_two_chain_formulas_are_pinned(self):
         def pins(F):
             values = {
