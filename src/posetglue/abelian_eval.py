@@ -7,12 +7,13 @@ All matrices are integers; the field only enters through rank computations
 elimination), so every construction is literally identical over every field
 and any field-dependence in reported dimensions would expose a bug.
 
-Every random object is a sum of up-set pieces P_u ⊗ S (a complex S spread
-over the up-set of u), changed only by piece maps between pieces whose
-up-sets nest: twists of the restrictions, null-homotopic noise on a
-quasi-isomorphism, bends of a short exact sequence's middle differential.
-So each random diagram is isomorphic to a split sum of pieces, and random
-trials never see a non-split diagram such as the cone of P_v -> P_u.
+Every random diagram is a split sum of up-set pieces P_u ⊗ S (a complex S
+spread over the up-set of u) whose restrictions are the block inclusions.
+Piece maps between pieces whose up-sets nest never change a restriction:
+twists conjugate the components of a random quasi-isomorphism, after
+null-homotopic noise is added to them, and bends change the middle
+differential of a random short exact sequence.  So random trials never see
+a non-split diagram such as the cone of P_v -> P_u.
 """
 from __future__ import annotations
 
@@ -686,7 +687,9 @@ def random_complex(seed: int) -> VectComplex:
 def _random_null_homotopic(rng: SplitMix64, S: VectComplex, T: VectComplex) -> dict:
     """The degreewise matrices d_T·h + h·d_S of a null-homotopic chain map
     S -> T, for a random homotopy h with entries in {-1, 0, 1}; zero
-    degrees are left out."""
+    degrees are left out.  The blocks of h are drawn in the iteration order
+    of a set of ints, a CPython detail, so the draw is not promised to match
+    on other interpreters; ROADMAP item 9 draws them in sorted order."""
     h = {
         t: Mat.from_rows(
             [
@@ -736,7 +739,7 @@ class _PieceDiagram:
     """Internal: pieces (u_k, S_k); the stalk at x is the direct sum of the
     pieces with u_k <= x, and restrictions are the block inclusions. Piece
     maps (k, l, n), n degreewise S_k -> S_l or S_k -> S_l[1] with u_l <= u_k,
-    commute with them: they bend stalk differentials or twist restrictions.
+    commute with them: they bend stalk differentials or twist diagram maps.
 
     Everything at x depends on x only through present[x], its piece set:
     one stalk is built per distinct piece set and shared by the elements
@@ -770,7 +773,9 @@ class _PieceDiagram:
 
     def inclusion_blocks(self, src_present, tgt_present, t):
         """(blocks, rows, cols) at degree t of the block inclusion of the
-        pieces src_present into the pieces tgt_present."""
+        pieces src_present into the pieces tgt_present: the restrictions of
+        every diagram, and the maps that random_qis_map and random_ses start
+        from."""
         rows = [self.pieces[k][1].dim(t) for k in tgt_present]
         cols = [self.pieces[k][1].dim(t) for k in src_present]
         blocks = {
@@ -797,28 +802,23 @@ class _PieceDiagram:
                 twists[(p, t)] = U, Uinv
         return twists
 
-    def _restrictions(self, sums, twists, check: bool) -> dict:
+    def _restrictions(self, sums, check: bool) -> dict:
         """The restriction for each x <= x2 between the stalks sums (by piece
-        set): U_{x2}·ι·U_x^-1 in each degree, for ι the block inclusion,
-        written as the columns of U_{x2} at the slots of x's pieces times
-        U_x^-1.  Pairs with the same two piece sets share one chain map."""
+        set): the block inclusion in each degree.  Pairs with the same two
+        piece sets share one chain map."""
         r, shared = {}, {}
         for x, x2 in self.X.leq:
             p, p2 = key = self.present[x], self.present[x2]
             if key not in shared:
-                f = {}
-                for t in sums[p].dims:
-                    off = list(accumulate(self.sizes(p2, t), initial=0))
-                    slots = [c for i in map(p2.index, p) for c in range(off[i], off[i + 1])]
-                    f[t] = twists[(p2, t)][0].columns(slots).mul(twists[(p, t)][1])
+                f = {t: block(*self.inclusion_blocks(p, p2, t)) for t in sums[p].dims}
                 shared[key] = ChainMap(sums[p], sums[p2], f, check=check)
             r[(x, x2)] = shared[key]
         return r
 
     def diagram(self, bends=()) -> PosetDiagram:
-        """The untwisted diagram: the stalks, their differentials bent by the
-        degree-one piece maps bends, with block-inclusion restrictions. Only
-        a bent diagram needs its axioms checked."""
+        """The diagram of the pieces: the stalks, their differentials bent by
+        the degree-one piece maps bends, with block-inclusion restrictions.
+        Only a bent diagram needs its axioms checked."""
         sums, stalks = self.sums, self.stalks
         if bends:
             sums = {}
@@ -831,7 +831,7 @@ class _PieceDiagram:
                         d[t] = K.diff(t).add(bend)
                 sums[p] = VectComplex(K.dims, d, check=True)
             stalks = {x: sums[p] for x, p in self.present.items()}
-        r = self._restrictions(sums, self.twists(()), bool(bends))
+        r = self._restrictions(sums, bool(bends))
         return PosetDiagram(self.X, stalks, r, check=bool(bends))
 
     def random_twist_factors(self, rng: SplitMix64, count: int) -> list:
@@ -842,15 +842,6 @@ class _PieceDiagram:
             (k, l) for k, l in _nested_pairs(self.X, self.pieces, self.pieces) if k != l
         ]
         return _random_piece_maps(rng, pairs, self.pieces, self.pieces, count)
-
-    def twisted(self, factors):
-        """The diagram with restrictions conjugated by U, written straight
-        from the columns of the twists (no untwisted diagram is built
-        first), and the twists (U, U^-1) by piece set and degree.  With at
-        least one factor, PosetDiagram checks the diagram's axioms."""
-        twists = self.twists(factors)
-        r = self._restrictions(self.sums, twists, False)
-        return PosetDiagram(self.X, self.stalks, r, check=bool(factors)), twists
 
 
 def _random_pieces(X: Poset, rng: SplitMix64, max_dim: int, window) -> list:
@@ -878,14 +869,15 @@ def _random_pieces(X: Poset, rng: SplitMix64, max_dim: int, window) -> list:
 
 
 def random_diagram(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> PosetDiagram:
-    """A deterministic random diagram over X: a twisted sum of up-set pieces.
+    """A deterministic random diagram over X: a split sum of up-set pieces
+    with block-inclusion restrictions.
 
     The same seed yields the same diagram regardless of the field in use —
     all entries are integers; fields only enter when ranks are computed.
     """
     rng = SplitMix64(derive_seed(seed, "diagram"))
     pd = _PieceDiagram(X, _random_pieces(X, rng, max_dim, window))
-    return pd.twisted(pd.random_twist_factors(rng, count=2))[0]
+    return pd.diagram()
 
 
 def random_qis_map(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> DiagramMap:
@@ -904,8 +896,8 @@ def random_qis_map(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> Dia
     tgt_pd = _PieceDiagram(X, src_pieces + extra)
     src_factors = src_pd.random_twist_factors(rng, count=1)
     tgt_factors = tgt_pd.random_twist_factors(rng, count=1)
-    source, src_twists = src_pd.twisted(src_factors)
-    target, tgt_twists = tgt_pd.twisted(tgt_factors)
+    source, src_twists = src_pd.diagram(), src_pd.twists(src_factors)
+    target, tgt_twists = tgt_pd.diagram(), tgt_pd.twists(tgt_factors)
     # Null-homotopic noise on the block inclusion; (k, k) is always a pair.
     pairs = _nested_pairs(X, src_pieces, tgt_pd.pieces)
     noise = _random_piece_maps(rng, pairs, src_pieces, tgt_pd.pieces, rng.randrange(3))

@@ -11,9 +11,9 @@ Two constructors make a Mat. The public ones, `Mat(nrows, ncols, rows)`,
 `int` and reject rows that do not match the stated shape. The private
 `Mat._of` trusts its caller and stores `rows` as given; it is used only in
 this module, by the operations (`mul`, `add`, `sub`, `scale`, `neg`,
-`transpose`, `columns`, `masked`, `placed`, `zero`, `identity`), which
-check the shapes of their operands and build their results as tuples of
-int tuples of the right shape.  `masked` keeps or zeroes the entries of a
+`transpose`, `masked`, `placed`, `zero`, `identity`), which check the
+shapes of their operands and build their results as tuples of int tuples
+of the right shape.  `masked` keeps or zeroes the entries of a
 Mat that is already valid, so it converts and checks nothing either.
 """
 from __future__ import annotations
@@ -110,12 +110,6 @@ class Mat:
         if not self.nrows:
             return Mat._of(self.ncols, 0, ((),) * self.ncols)
         return Mat._of(self.ncols, self.nrows, tuple(zip(*self.rows)))
-
-    def columns(self, cols):
-        """The matrix of the columns cols of this one, in that order."""
-        if not all(0 <= j < self.ncols for j in cols):
-            raise ShapeMismatch(f"columns {list(cols)} of a {self.nrows}x{self.ncols} matrix")
-        return Mat._of(self.nrows, len(cols), tuple(tuple([r[j] for j in cols]) for r in self.rows))
 
     def scale(self, c):
         c = int(c)

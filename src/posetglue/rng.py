@@ -2,7 +2,7 @@
 
 The algorithm is SplitMix64 (Steele, Lea & Flood's mix with the golden-gamma
 increment), chosen because it is tiny, fast, well studied, and completely
-specified by three constants -- so certificates reproduce bit-for-bit on any
+specified by three constants -- so the stream itself is the same on every
 platform and Python version:
 
     state := (state + 0x9E3779B97F4A7C15) mod 2^64
@@ -14,6 +14,12 @@ platform and Python version:
 Sub-streams (per-trial seeds and the like) are derived by feeding the parent
 seed and the key through one mixing round each, which keeps trials independent
 of evaluation order.
+
+Certificates reproduce bit-for-bit only as far as the draws that consume
+the stream do.  One does not yet: `abelian_eval._random_null_homotopic`
+draws its blocks in the iteration order of a set of int degrees, which is
+CPython's hash-table order, not a property of the degrees.  Drawing them in
+sorted order (ROADMAP item 9) changes the recorded draws and digests.
 """
 from __future__ import annotations
 

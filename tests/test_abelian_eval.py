@@ -62,7 +62,7 @@ from posetglue.formula_cat import (
     negated_star_shift,
     shift,
 )
-from posetglue.gluing import build_plus
+from posetglue.gluing import build_minus, build_plus
 from posetglue.harness import (
     FIGURE_ONE_PAIRS,
     TWO_CHAIN_MINUS,
@@ -613,11 +613,29 @@ class TestRandomGenerators:
                 assert rng._state == ref._state
 
     def test_random_diagram_is_deterministic_and_valid(self):
-        for seed in range(10):
-            K1 = random_diagram(TWO_CHAIN, seed)
-            K2 = random_diagram(TWO_CHAIN, seed)
-            assert K1 == K2
-            assert isinstance(K1, PosetDiagram)
+        # Every drawn diagram passes the axioms, and every random_diagram is
+        # a split sum: each restriction, in each degree, is a 0/1 matrix with
+        # exactly one 1 in each column and at most one in each row.
+        orders = [TWO_CHAIN] + [
+            build(figure_one_gluing(pair)[0]).poset
+            for pair in FIGURE_ONE_PAIRS
+            for build in (build_plus, build_minus)
+        ]
+        for X in orders:
+            for seed in range(20):
+                K = random_diagram(X, seed)
+                assert K == random_diagram(X, seed)
+                g = random_qis_map(X, seed)
+                for D in (K, g.source, g.target):
+                    for f in D.r.values():
+                        ChainMap(f.source, f.target, f.f, check=True)
+                    PosetDiagram(D.base, D.K, D.r, check=True)
+                for (x, x2), f in K.r.items():
+                    for t in f.source.dims:
+                        m = f.at(t)
+                        assert all(v in (0, 1) for row in m.rows for v in row), (seed, x, x2, t)
+                        assert all(sum(col) == 1 for col in m.transpose().rows), (seed, x, x2, t)
+                        assert all(sum(row) <= 1 for row in m.rows), (seed, x, x2, t)
 
     def test_random_diagram_builds_each_stalk_once(self, monkeypatch):
         # one direct sum per distinct piece set {k : u_k <= x}, shared by the

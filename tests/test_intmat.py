@@ -146,17 +146,3 @@ def test_public_constructors_validate():
             Mat(nrows, ncols, rows)
     with pytest.raises(ShapeMismatch):
         Mat.from_rows([[1, 2], [3]])
-
-
-def test_columns_are_selected_in_order():
-    for seed in SEEDS:
-        rng = SplitMix64(seed)
-        n, k = random_dims(rng, 2)
-        a = random_mat(rng, n, k)
-        cols = [rng.randrange(k) for _ in range(rng.randrange(5))] if k else []
-        c = a.columns(cols)
-        assert_well_formed(c, n, len(cols))
-        assert c.tolist() == [[row[j] for j in cols] for row in a.tolist()]
-        for bad in ([k], [-1]):
-            with pytest.raises(ShapeMismatch):
-                a.columns(bad)
