@@ -374,12 +374,28 @@ class DiagramMap:
 
 
 def shift_diagram(K: PosetDiagram, n: int) -> PosetDiagram:
-    return PosetDiagram(
-        K.base,
-        {x: shift_complex(c, n) for x, c in K.K.items()},
-        {key: shift_chain_map(f, n) for key, f in K.r.items()},
-        check=False,
-    )
+    """K shifted by n: each stalk by shift_complex, each restriction
+    reindexed between the shifted stalks of its pair.  Each distinct stalk
+    object is shifted once, as is each restriction object between one pair
+    of stalk objects, so what K shares the result shares.  Shifting keeps
+    d·d = 0, chain maps and the diagram axioms, so nothing is checked again.
+
+    This is the evaluation of translation_formula(K.base, n) at K: the
+    general evaluation of its words ((x, n),) puts K(x)^{t+n} in degree t,
+    the differential times (-1)**n and every restriction as it is."""
+    shifted, stalks, maps, r = {}, {}, {}, {}
+    for x, c in K.K.items():
+        if id(c) not in shifted:
+            shifted[id(c)] = shift_complex(c, n)
+        stalks[x] = shifted[id(c)]
+    for (x, x2), f in K.r.items():
+        key = id(f), id(K.K[x]), id(K.K[x2])
+        if key not in maps:
+            maps[key] = ChainMap(
+                stalks[x], stalks[x2], {i - n: m for i, m in f.f.items()}, check=False
+            )
+        r[(x, x2)] = maps[key]
+    return PosetDiagram(K.base, stalks, r, check=False)
 
 
 def is_quasi_iso_diagram(f: DiagramMap, field: Field = RATIONALS) -> bool:
@@ -484,9 +500,12 @@ class _Evaluation:
         return ChainMap(source, target, self.matrices(phi), check=True)
 
     def formula(self, F: Formula) -> PosetDiagram:
-        """F evaluated at K, with its checks (see eval_formula)."""
+        """F evaluated at K, with its checks (see eval_formula); a translation
+        formula (F.shift set) is K shifted, made by shift_diagram."""
         if F.base != self.K.base:
             raise BaseMismatch("formula and diagram live over different posets")
+        if F.shift is not None:
+            return shift_diagram(self.K, F.shift)
         stalks = {y: self.point(F.at[y]) for y in F.target.elements}
         edges = hasse(F.target).edges
         # Only restrictions along Hasse edges are checked as chain maps here;
@@ -702,10 +721,13 @@ def _random_null_homotopic(rng: SplitMix64, S: VectComplex, T: VectComplex) -> d
     }
     n = {}
     for t in set(S.dims) | set(T.dims):
-        ht = h.get(t, Mat.zero(T.dim(t - 1), S.dim(t)))
-        ht1 = h.get(t + 1, Mat.zero(T.dim(t), S.dim(t + 1)))
-        piece = T.diff(t - 1).mul(ht).add(ht1.mul(S.diff(t)))
-        if not piece.is_zero():
+        # an absent block of h or of a differential is zero, as is its term
+        piece = None
+        for a, b in ((T.d.get(t - 1), h.get(t)), (h.get(t + 1), S.d.get(t))):
+            if a is not None and b is not None:
+                term = a.mul(b)
+                piece = term if piece is None else piece.add(term)
+        if piece is not None and not piece.is_zero():
             n[t] = piece
     return n
 
@@ -907,8 +929,12 @@ def random_qis_map(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> Dia
         p, p2 = src_pd.present[x], tgt_pd.present[x]
         for t in source.K[x].dims:
             blocks, rows, cols = tgt_pd.inclusion_blocks(p, p2, t)
-            raw = block(tgt_pd.place(p2, t, noise, blocks), rows, cols)
-            f[t] = tgt_twists[(p2, t)][0].mul(raw).mul(src_twists[(p, t)][1])
+            m = block(tgt_pd.place(p2, t, noise, blocks), rows, cols)
+            U, Uinv = tgt_twists[(p2, t)][0], src_twists[(p, t)][1]
+            # a twist that no factor touched is the shared identity
+            if U is not Mat.identity(U.nrows):
+                m = U.mul(m)
+            f[t] = m if Uinv is Mat.identity(Uinv.nrows) else m.mul(Uinv)
         components[x] = ChainMap(source.K[x], target.K[x], f, check=True)
     return DiagramMap(source, target, components)
 

@@ -347,12 +347,18 @@ class Formula:
     check_formula_morphism, and the first message it returns is raised as
     DiagramAxiomFailure; by the induction in cover_triangles every other one
     equals a composite of those, so it is valid too.
+
+    `shift` is None except on the formulas made by translation_formula,
+    which set it to their n: abelian_eval evaluates such a formula at K as
+    K shifted by n, which is what the general evaluation computes for it.
+    It takes no part in equality.
     """
 
-    __slots__ = ("target", "base", "at", "res")
+    __slots__ = ("target", "base", "at", "res", "shift")
 
     def __init__(self, target: Poset, at: dict, res: dict):
         self.target = target
+        self.shift = None
         self.at = dict(at)
         values = iter(self.at.values())
         first = next(values, None)
@@ -422,8 +428,12 @@ def canonical_formula(target: Poset, base: Poset, words: dict) -> Formula:
 
 
 def translation_formula(X: Poset, n: int) -> Formula:
-    """The formula whose evaluation shifts every complex by n."""
-    return canonical_formula(X, X, {x: ((x, n),) for x in X.elements})
+    """The formula whose evaluation shifts every complex by n: the canonical
+    formula of the words ((x, n),), tagged with n in its shift slot so that
+    abelian_eval evaluates it as the shifted diagram (see Formula)."""
+    F = canonical_formula(X, X, {x: ((x, n),) for x in X.elements})
+    F.shift = n
+    return F
 
 
 def substitute(outer: FormulaToPoint, inner: Formula) -> FormulaToPoint:

@@ -218,7 +218,10 @@ class EpsilonTransform:
     def evaluate(self, K: PosetDiagram) -> DiagramMap:
         """The evaluated transformation at a diagram, as a map of diagrams,
         through one evaluation context at K for both formulas and every
-        component."""
+        component.  A translation formula end (the unit's source, the
+        counit's target) is K shifted, made by shift_diagram without the
+        evaluator's checks; the other end, every component and the
+        naturality of the result are checked."""
         ev = _Evaluation(K)
         return self._evaluate_between(ev, ev.formula(self.source), ev.formula(self.target))
 
@@ -482,7 +485,8 @@ def _two_chain_trial(state, tseed) -> TrialRecord:
 
     ev = _Evaluation(K)
     counit = at(eps_pm, ev)
-    # the unit starts where the counit ends: NU evaluated at K
+    # the unit starts where the counit ends: NU evaluated at K, that is
+    # shift_diagram(K, 1)
     unit = eps_mp._evaluate_between(ev, counit.target, ev.formula(eps_mp.target))
     T1 = ev.formula(TWO_CHAIN_PLUS)
     ev1 = _Evaluation(T1)
@@ -494,7 +498,7 @@ def _two_chain_trial(state, tseed) -> TrialRecord:
             "composite formula disagrees with iterated evaluation"
         )
     double = at(eps_mm, ev)
-    shifted = counit.target  # NU evaluated at K: K shifted by one
+    shifted = counit.target  # NU evaluated at K: shift_diagram(K, 1)
     chain_ok = cohomology_table(T3, field) == cohomology_table(shifted, field)
     verdict = (
         chain_ok

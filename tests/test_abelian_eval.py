@@ -51,16 +51,17 @@ from posetglue.errors import (
     ParseError,
 )
 from posetglue.formula_cat import (
-    NU,
     TWO_CHAIN,
     CMorphism,
     CObject,
     XI12,
     XI121,
     XI212,
+    canonical_formula,
     i_xi,
     negated_star_shift,
     shift,
+    translation_formula,
 )
 from posetglue.gluing import build_minus, build_plus
 from posetglue.harness import (
@@ -329,6 +330,15 @@ class TestQuasiIso:
         assert not is_quasi_iso(to_zero, Field(5))
 
 
+def _glued_orders() -> list:
+    """TWO_CHAIN and the six glued orders of the Figure-1 gluings."""
+    return [TWO_CHAIN] + [
+        build(figure_one_gluing(pair)[0]).poset
+        for pair in FIGURE_ONE_PAIRS
+        for build in (build_plus, build_minus)
+    ]
+
+
 class TestEvalFormulas:
     def test_stalk_formula_is_the_shifted_stalk(self):
         for seed in range(15):
@@ -342,9 +352,24 @@ class TestEvalFormulas:
             assert eval_point(XI12, K) == cone(K.r[("1", "2")])
 
     def test_translation_formula_evaluates_to_the_shift(self):
-        for seed in range(10):
-            K = random_diagram(TWO_CHAIN, seed, max_dim=2, window=(-1, 1))
-            assert eval_formula(NU, K) == shift_diagram(K, 1)
+        # The general evaluator on the untagged words ((x, n),) is the
+        # reference for shift_diagram, which evaluates translation_formula.
+        for X in _glued_orders():
+            for n in range(-2, 3):
+                words = canonical_formula(X, X, {x: ((x, n),) for x in X.elements})
+                nu = translation_formula(X, n)
+                assert words.shift is None and nu.shift == n
+                for seed in range(20):
+                    K = random_diagram(X, seed)
+                    shifted = shift_diagram(K, n)
+                    assert eval_formula(words, K) == shifted == eval_formula(nu, K), (n, seed)
+                    for f in shifted.r.values():
+                        ChainMap(f.source, f.target, f.f, check=True)
+                    PosetDiagram(X, shifted.K, shifted.r, check=True)
+                    for x in X.elements:
+                        for x2 in X.elements:
+                            shared = K.K[x] is K.K[x2]
+                            assert shared == (shifted.K[x] is shifted.K[x2]), (n, seed)
 
     def test_starred_shift_evaluates_to_the_shifted_value(self):
         # the plain word shift only agrees up to the diagonal sign
@@ -616,12 +641,7 @@ class TestRandomGenerators:
         # Every drawn diagram passes the axioms, and every random_diagram is
         # a split sum: each restriction, in each degree, is a 0/1 matrix with
         # exactly one 1 in each column and at most one in each row.
-        orders = [TWO_CHAIN] + [
-            build(figure_one_gluing(pair)[0]).poset
-            for pair in FIGURE_ONE_PAIRS
-            for build in (build_plus, build_minus)
-        ]
-        for X in orders:
+        for X in _glued_orders():
             for seed in range(20):
                 K = random_diagram(X, seed)
                 assert K == random_diagram(X, seed)

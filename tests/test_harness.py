@@ -745,12 +745,18 @@ class TestEpsilons:
             "__init__",
             lambda ev, K: contexts.append(K) or real_init(ev, K),
         )
-        for eps in (eps_pm, eps_mp):
+        sides = ((eps_pm, eps_pm.source, eps_pm.target), (eps_mp, eps_mp.target, eps_mp.source))
+        for eps, composite, nu in sides:
             K = random_diagram(eps.source.base, 7, 2, (-1, 1))
             calls.clear()
             contexts.clear()
             eps.evaluate(K)
-            assert len(calls) == len(eps.source.target) + len(eps.target.target)
+            # each composite value once; the translation side is K shifted
+            # and evaluates no value
+            assert nu.shift == 1 and composite.shift is None
+            assert [id(f) for f in calls] == [
+                id(composite.at[y]) for y in composite.target.elements
+            ]
             # one context for both formulas and every component
             assert contexts == [K]
 
