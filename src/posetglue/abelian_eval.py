@@ -406,8 +406,11 @@ def is_quasi_iso_diagram(f: DiagramMap, field: Field = RATIONALS) -> bool:
 
 
 def cohomology_table(K: PosetDiagram, field: Field = RATIONALS) -> dict:
-    """Per-element cohomology dimension tables."""
-    return {x: cohomology(K.K[x], field) for x in K.base.elements}
+    """Per-element cohomology dimension tables; a stalk object that several
+    elements share (draws and shift_diagram share them) is ranked once."""
+    stalks = {id(C): C for C in K.K.values()}
+    ranked = {key: cohomology(C, field) for key, C in stalks.items()}
+    return {x: ranked[id(K.K[x])] for x in K.base.elements}
 
 
 # --- evaluation of formulas ---------------------------------------------------
@@ -690,8 +693,14 @@ def _conjugate_complex(K: VectComplex, rng: SplitMix64) -> VectComplex:
     for i, n in K.dims.items():
         U[i], Uinv[i] = _random_unimodular(rng, n)
     # a nonzero differential has both its degrees in K.dims
-    d = {i: U[i + 1].mul(m).mul(Uinv[i]) for i, m in K.d.items()}
+    d = {i: _times(_times(U[i + 1], m), Uinv[i]) for i, m in K.d.items()}
     return VectComplex(K.dims, d, check=True)
+
+
+def _times(a: Mat, b: Mat) -> Mat:
+    """a·b, skipping an identity factor (an untouched basis change, or the
+    differential of a two-term piece)."""
+    return b if a.is_identity() else a if b.is_identity() else a.mul(b)
 
 
 def random_complex(seed: int) -> VectComplex:

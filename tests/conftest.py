@@ -318,6 +318,99 @@ def shear_product_unimodular(rng, n: int):
     return U, Uinv
 
 
+# --- gluings and glued orders shared by several test modules ---------------------
+
+def chain_of_chains(n: int, k: int):
+    """X a chain of n elements, Y k disjoint chains of length n, and the
+    witnesses of the height-i element of X the height-i elements of Y."""
+    from posetglue.gluing import validate_gluing
+    from posetglue.poset_core import poset_from_generators
+
+    xs = [f"x{i}" for i in range(n)]
+    ys = [[f"c{j}h{i}" for i in range(n)] for j in range(k)]
+    X = poset_from_generators(xs, list(zip(xs, xs[1:])))
+    Y = poset_from_generators(sum(ys, []), [p for c in ys for p in zip(c, c[1:])])
+    return validate_gluing(X, Y, {x: tuple(c[i] for c in ys) for i, x in enumerate(xs)})
+
+
+def glued_orders() -> list:
+    """TWO_CHAIN and the six glued orders of the Figure-1 gluings."""
+    from posetglue.formula_cat import TWO_CHAIN
+    from posetglue.gluing import build_minus, build_plus
+    from posetglue.harness import FIGURE_ONE_PAIRS, figure_one_gluing
+
+    return [TWO_CHAIN] + [
+        build(figure_one_gluing(pair)[0]).poset
+        for pair in FIGURE_ONE_PAIRS
+        for build in (build_plus, build_minus)
+    ]
+
+
+# --- the morphism-level checks, kept as references for the matrix-level ones ----
+
+def morphism_check_formula(f) -> str | None:
+    """formula_cat.check_formula with every product rebuilt as a canonical
+    morphism: D*[1]·D is composed from the shifted star of D."""
+    from posetglue.formula_cat import compose, shift, star
+
+    square = compose(shift(star(f.D), 1), f.D)
+    if not square.is_zero():
+        return f"D*[1]·D = {square.matrix.tolist()} is not zero"
+    for j, row in enumerate(f.D.matrix.rows):
+        for i, c in enumerate(row):
+            if i > j and c != 0:
+                return f"D is not lower triangular: entry {c} at ({j},{i})"
+            if i == j and c != 1:
+                return f"diagonal entry at ({i},{i}) is {c}, not 1"
+    return None
+
+
+def morphism_check_formula_morphism(phi, source, target) -> str | None:
+    """formula_cat.check_formula_morphism comparing the two sides as
+    composed canonical morphisms."""
+    from posetglue.errors import ShapeMismatch
+    from posetglue.formula_cat import compose, shift
+
+    src, tgt = source.xi, target.xi
+    if phi.source != src or phi.target != tgt:
+        raise ShapeMismatch("phi must map the source word to the target word")
+    for j, row in enumerate(phi.matrix.rows):
+        for i, c in enumerate(row):
+            if c != 0 and tgt.degree(j) != src.degree(i):
+                return f"component {c} at ({j},{i}) raises degree; not a restriction"
+    lhs = compose(shift(phi, 1), source.D)
+    rhs = compose(target.D, phi)
+    if lhs != rhs:
+        diff = lhs.matrix.sub(rhs.matrix).tolist()
+        return f"intertwining fails: phi[1]·D - D'·phi = {diff}"
+    return None
+
+
+def morphism_check_homotopy(alpha, beta, h, D) -> str | None:
+    """formula_cat.check_homotopy with each term composed as a canonical
+    morphism, the sum canonicalized by the constructor, and both sides
+    compared with identity morphisms."""
+    from posetglue.errors import ShapeMismatch
+    from posetglue.formula_cat import CMorphism, compose, identity_morphism, shift, star
+
+    xi = D.source
+    xi_small = alpha.source
+    if alpha.target != xi or beta.source != xi or beta.target != xi_small:
+        raise ShapeMismatch("alpha and beta must connect D's object with a common one")
+    if h.source != xi or h.target != xi.shifted(-1):
+        raise ShapeMismatch("h must map D's object to its shift by -1")
+    ba = compose(beta, alpha)
+    if ba != identity_morphism(xi_small):
+        return f"beta·alpha = {ba.matrix.tolist()} is not the identity"
+    ab = compose(alpha, beta)
+    hD = compose(shift(h, 1), D)
+    Dh = compose(shift(star(D), -1), h)
+    total = CMorphism(xi, xi, ab.matrix.add(hD.matrix).add(Dh.matrix))
+    if total != identity_morphism(xi):
+        return f"alpha·beta + h[1]·D + D*[-1]·h = {total.matrix.tolist()} is not the identity"
+    return None
+
+
 # --- random words and functor-law instances -------------------------------------
 
 def random_cobject(rng, base, max_len: int = 3, degrees=(-1, 0, 1)):

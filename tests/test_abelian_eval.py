@@ -63,7 +63,7 @@ from posetglue.formula_cat import (
     shift,
     translation_formula,
 )
-from posetglue.gluing import build_minus, build_plus
+from posetglue.gluing import build_plus
 from posetglue.harness import (
     FIGURE_ONE_PAIRS,
     TWO_CHAIN_MINUS,
@@ -88,6 +88,7 @@ from conftest import (
     eta_naturality_holds,
     frac_cohomology,
     frac_rank,
+    glued_orders,
     induced_qis,
     matmul,
     modp_cohomology,
@@ -330,15 +331,6 @@ class TestQuasiIso:
         assert not is_quasi_iso(to_zero, Field(5))
 
 
-def _glued_orders() -> list:
-    """TWO_CHAIN and the six glued orders of the Figure-1 gluings."""
-    return [TWO_CHAIN] + [
-        build(figure_one_gluing(pair)[0]).poset
-        for pair in FIGURE_ONE_PAIRS
-        for build in (build_plus, build_minus)
-    ]
-
-
 class TestEvalFormulas:
     def test_stalk_formula_is_the_shifted_stalk(self):
         for seed in range(15):
@@ -354,7 +346,7 @@ class TestEvalFormulas:
     def test_translation_formula_evaluates_to_the_shift(self):
         # The general evaluator on the untagged words ((x, n),) is the
         # reference for shift_diagram, which evaluates translation_formula.
-        for X in _glued_orders():
+        for X in glued_orders():
             for n in range(-2, 3):
                 words = canonical_formula(X, X, {x: ((x, n),) for x in X.elements})
                 nu = translation_formula(X, n)
@@ -641,7 +633,7 @@ class TestRandomGenerators:
         # Every drawn diagram passes the axioms, and every random_diagram is
         # a split sum: each restriction, in each degree, is a 0/1 matrix with
         # exactly one 1 in each column and at most one in each row.
-        for X in _glued_orders():
+        for X in glued_orders():
             for seed in range(20):
                 K = random_diagram(X, seed)
                 assert K == random_diagram(X, seed)
@@ -713,6 +705,27 @@ class TestRandomGenerators:
         table = cohomology_table(K)
         assert set(table) == {"1", "2"}
         assert table["1"] == frac_cohomology(K.K["1"])
+
+    def test_cohomology_table_ranks_each_stalk_object_once(self, monkeypatch):
+        # draws share stalk objects by piece set and shift_diagram keeps that
+        # sharing, so a table makes one cohomology call per distinct object
+        real = abelian_eval.cohomology
+        calls = []
+        monkeypatch.setattr(
+            abelian_eval, "cohomology", lambda C, field: calls.append(C) or real(C, field)
+        )
+        X = figure_one_poset("X1")
+        shared = 0
+        for seed in range(10):
+            K = random_diagram(X, seed)
+            for D in (K, shift_diagram(K, 1)):
+                calls.clear()
+                table = cohomology_table(D)
+                stalks = {id(C) for C in D.K.values()}
+                assert len(calls) == len(stalks), seed
+                assert table == {x: real(D.K[x]) for x in X.elements}, seed
+                shared += len(stalks) < len(X.elements)
+        assert shared  # the sharing occurs
 
 
 class TestFunctorLaws:

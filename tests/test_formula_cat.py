@@ -8,6 +8,7 @@ import pytest
 
 from posetglue.abelian_eval import eval_formula, eval_point, random_diagram
 from posetglue.errors import BaseMismatch, DiagramAxiomFailure, ParseError, ShapeMismatch
+from posetglue import harness
 from posetglue.formula_cat import (
     ALPHA1,
     ALPHA2,
@@ -24,6 +25,7 @@ from posetglue.formula_cat import (
     CObject,
     Formula,
     FormulaToPoint,
+    canonical_formula,
     check_formula,
     check_formula_morphism,
     check_homotopy,
@@ -36,19 +38,33 @@ from posetglue.formula_cat import (
     substitute,
     translation_formula,
 )
+from posetglue.gluing import build_minus, build_plus
 from posetglue.harness import (
+    FIGURE_ONE_PAIRS,
     TWO_CHAIN_MINUS,
     TWO_CHAIN_PLUS,
+    build_epsilons,
     build_theorem_formulas,
     figure_one_gluing,
     figure_one_poset,
+    random_gluing,
 )
 from posetglue.intmat import Mat
 from posetglue.poset_core import poset_from_generators
 
 from posetglue.rng import SplitMix64, derive_seed
 
-from conftest import matmul, random_cmorphism, random_cobject, run_python
+from conftest import (
+    chain_of_chains,
+    glued_orders,
+    matmul,
+    morphism_check_formula,
+    morphism_check_formula_morphism,
+    morphism_check_homotopy,
+    random_cmorphism,
+    random_cobject,
+    run_python,
+)
 
 # the one-entry values and the restrictions of the two-chain formulas
 XI1 = TWO_CHAIN_MINUS.at["2"]
@@ -443,6 +459,11 @@ class TestCheckWitnesses:
             "[[0, -1, 0], [0, 1, 0], [0, 0, 0]] is not the identity"
         )
 
+    def test_homotopy_against_a_map_that_is_no_d_is_rejected(self):
+        not_d = CMorphism(XI212.xi, XI212.xi, Mat.identity(3))
+        with pytest.raises(ShapeMismatch, match="D must map its object to its shift by 1"):
+            check_homotopy(ALPHA1, BETA1, H212, not_d)
+
     def test_check_formula_agrees_with_the_three_conditions(self):
         V = poset_from_generators(["a", "b", "c"], [("a", "c"), ("b", "c")])
         rng = SplitMix64(derive_seed(0, "check-formula"))
@@ -468,3 +489,180 @@ class TestCheckWitnesses:
             else:
                 assert problem is None, (xi, rows, problem)
         assert seen == {(True, True), (False, True), (True, False), (False, False)}
+
+
+# --- the matrix-level checks against their morphism-level references ------------
+
+_REFERENCE = {
+    check_formula: morphism_check_formula,
+    check_formula_morphism: morphism_check_formula_morphism,
+    check_homotopy: morphism_check_homotopy,
+}
+
+
+def _built_sites(g, monkeypatch) -> list:
+    """(check, args) for every value and restriction of g's theorem formulas,
+    their composites and shift formulas, every epsilon component, and every
+    retract certificate that build_epsilons runs."""
+    retracts = []
+    real = harness.check_homotopy
+    monkeypatch.setattr(harness, "check_homotopy", lambda *a: retracts.append(a) or real(*a))
+    xi_plus, xi_minus = build_theorem_formulas(g)
+    eps_pm, eps_mp = build_epsilons(g, xi_plus, xi_minus)
+    monkeypatch.undo()
+    sites = []
+    for F in (xi_plus, xi_minus, eps_pm.source, eps_pm.target, eps_mp.source, eps_mp.target):
+        sites += [(check_formula, (f,)) for f in F.at.values()]
+        sites += [
+            (check_formula_morphism, (phi, F.at[y], F.at[y2]))
+            for (y, y2), phi in F.res.items()
+        ]
+    for eps in (eps_pm, eps_mp):
+        sites += [
+            (check_formula_morphism, (phi, eps.source.at[y], eps.target.at[y]))
+            for y, phi in eps.components.items()
+        ]
+    assert len(retracts) == 2 * len(g.X.elements)
+    return sites + [(check_homotopy, args) for args in retracts]
+
+
+def _sign_flips(m: Mat):
+    """The rows of m with the sign of one nonzero entry flipped, for each."""
+    rows = m.tolist()
+    for j, row in enumerate(rows):
+        for i, c in enumerate(row):
+            if c:
+                flipped = [list(r) for r in rows]
+                flipped[j][i] = -c
+                yield flipped
+
+
+def _flipped(check, args):
+    """Every site made from args by flipping the sign of one entry of one of
+    its matrices."""
+    if check is check_formula:
+        (f,) = args
+        return [(check, (FormulaToPoint(f.xi, rows),)) for rows in _sign_flips(f.D.matrix)]
+    if check is check_formula_morphism:
+        phi = args[0]
+        return [
+            (check, (CMorphism(phi.source, phi.target, rows), *args[1:]))
+            for rows in _sign_flips(phi.matrix)
+        ]
+    return [
+        (check, args[:k] + (CMorphism(m.source, m.target, rows),) + args[k + 1:])
+        for k, m in enumerate(args)
+        for rows in _sign_flips(m.matrix)
+    ]
+
+
+def _agree(sites):
+    for check, args in sites:
+        assert check(*args) == _REFERENCE[check](*args), (check.__name__, args)
+
+
+class TestMatrixLevelChecks:
+    @pytest.mark.parametrize(
+        "case",
+        [*FIGURE_ONE_PAIRS, *range(20), (6, 3)],
+        ids=lambda c: "-".join(map(str, c)) if isinstance(c, tuple) else f"random{c}",
+    )
+    def test_every_built_site_agrees_with_the_reference(self, case, monkeypatch):
+        if case in FIGURE_ONE_PAIRS:
+            g = figure_one_gluing(case)[0]
+        elif isinstance(case, tuple):
+            g = chain_of_chains(*case)
+        else:
+            g = random_gluing(case)
+        sites = _built_sites(g, monkeypatch)
+        for check, args in sites:
+            assert check(*args) is None
+        _agree(sites)
+
+    def test_flipped_signs_agree_with_the_reference(self, monkeypatch):
+        sites = _built_sites(figure_one_gluing(FIGURE_ONE_PAIRS[0])[0], monkeypatch)
+        verdicts = set()
+        for site in sites:
+            for check, args in _flipped(*site):
+                verdicts.add((check.__name__, check(*args) is None))
+                _agree([(check, args)])
+        assert verdicts >= {
+            ("check_formula", False),
+            ("check_formula_morphism", False),
+            ("check_homotopy", False),
+        }
+
+    def test_jumps_of_two_agree_with_the_reference(self):
+        # random words with degrees -1..2: products with entries that jump
+        # by 2 and are quotiented away, and degree-raising restrictions.
+        # Each homotopy check also gets a sub-word of xi, included and
+        # projected, so that beta·alpha is the identity and the sum is tested.
+        bases = (figure_one_poset("X1"), TWO_CHAIN)
+        degrees = (-1, 0, 1, 2)
+        jumps, messages = set(), set()
+
+        def jumps_by_two(product, src, tgt, rise=0):
+            return any(
+                v and tgt.degree(k) + rise - src.degree(i) == 2
+                for k, row in enumerate(product.rows)
+                for i, v in enumerate(row)
+            )
+
+        for seed in range(200):
+            rng = SplitMix64(derive_seed(seed, "matrix-checks"))
+            base = bases[seed % 2]
+            xi, xi2, small = (random_cobject(rng, base, 4, degrees) for _ in range(3))
+            D = random_cmorphism(rng, xi, xi.shifted(1))
+            D2 = random_cmorphism(rng, xi2, xi2.shifted(1))
+            values = (FormulaToPoint(xi, D), FormulaToPoint(xi2, D2))
+            phi = random_cmorphism(rng, xi, xi2)
+            alpha, beta = random_cmorphism(rng, small, xi), random_cmorphism(rng, xi, small)
+            h = random_cmorphism(rng, xi, xi.shifted(-1))
+            picks = [i for i in range(len(xi)) if rng.randrange(2)] or [0]
+            sub = CObject([xi.entries[i] for i in picks], base)
+            inclusion = [[int(i == p) for p in picks] for i in range(len(xi))]
+            sites = [
+                *((check_formula, (f,)) for f in values),
+                (check_formula_morphism, (phi, *values)),
+                (check_homotopy, (alpha, beta, h, D)),
+                (check_homotopy, (
+                    CMorphism(sub, xi, inclusion),
+                    CMorphism(xi, sub, list(zip(*inclusion))),
+                    h,
+                    D,
+                )),
+            ]
+            _agree(sites)
+            if jumps_by_two(star(D).matrix.mul(D.matrix), xi, xi, 2):
+                jumps.add("square")
+            if jumps_by_two(h.matrix.mul(D.matrix).add(star(D).matrix.mul(h.matrix)), xi, xi):
+                jumps.add("homotopy")
+            messages |= {(check.__name__, str(check(*args))[:9]) for check, args in sites}
+        assert jumps == {"square", "homotopy"}
+        assert {
+            ("check_formula_morphism", "component"),
+            ("check_homotopy", "beta·alph"),
+            ("check_homotopy", "alpha·bet"),
+        } <= messages
+
+    def test_non_identity_diagonals_agree_with_the_reference(self):
+        word = TWO_CHAIN_PLUS.at["2"].xi
+        for phi in (CMorphism(word, word, Mat.identity(len(word)).scale(c)) for c in (1, 2, -1)):
+            assert phi.matrix.is_identity() == (phi == identity_morphism(word))
+        doubled = FormulaToPoint(XI12.xi, XI12.D.matrix.scale(2))
+        _agree([
+            (check_formula, (doubled,)),
+            (check_homotopy, (CMorphism(ALPHA1.source, ALPHA1.target, ALPHA1.matrix.scale(2)),
+                              BETA1, H212, XI212.D)),
+        ])
+        assert check_formula(doubled) == "diagonal entry at (0,0) is 2, not 1"
+
+
+@pytest.mark.parametrize("n", range(-2, 3))
+def test_translation_formula_is_the_checked_canonical_formula(n):
+    # translation_formula skips the checks its shape proves; canonical_formula
+    # on the same words runs every one
+    g = chain_of_chains(10, 4)
+    for X in (*glued_orders(), build_plus(g).poset, build_minus(g).poset):
+        words = {x: ((x, n),) for x in X.elements}
+        assert translation_formula(X, n) == canonical_formula(X, X, words), X
