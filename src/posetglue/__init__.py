@@ -20,7 +20,6 @@ from .abelian_eval import (
     eval_cmorphism,
     eval_formula,
     eval_formula_map,
-    eval_formula_morphism,
     eval_point_map,
     is_quasi_iso,
     is_quasi_iso_diagram,

@@ -449,28 +449,36 @@ def _plan(phi: CMorphism) -> tuple:
 class _Evaluation:
     """The evaluation context of one call at a diagram K, shared by every
     formula, value's D, restriction and component that the call evaluates
-    there: the layouts of each word, and each product d_{x_j}·r of a raising
-    plan item, by pair (x_i, x_j) and stalk degree (None where it vanishes).
+    there: each formula's evaluation, the layouts of each word, and each
+    product d_{x_j}·r of a raising plan item, by pair (x_i, x_j) and stalk
+    degree (None where it vanishes).
     The layout of a word at a degree t of its support is the offset of each
     entry in the degree-t part of the word at K, then the total size: entry
     k, (x, m), spans dim K(x)^{t+m} rows or columns from offset k on.
+
+    Every evaluation passes through formula or layout, which reject a
+    formula or word over another base than K's first (BaseMismatch).
 
     A context lives for its call only: nothing it makes refers back to it,
     and nothing keeps it on K, so K and its context form no reference cycle
     and both are freed by reference counting.
     """
 
-    __slots__ = ("K", "layouts", "products")
+    __slots__ = ("K", "layouts", "products", "formulas")
 
     def __init__(self, K: PosetDiagram):
         self.K = K
         self.layouts = {}
         self.products = {}
+        self.formulas = {}
 
     def layout(self, word) -> dict:
-        """degree t -> the layout of word at t, for t in its support."""
+        """degree t -> the layout of word at t, for t in its support; the
+        first word with given entries is checked to live over K's base."""
         entries = word.entries
         if entries not in self.layouts:
+            if word.base != self.K.base:
+                raise BaseMismatch("formula and diagram live over different posets")
             stalks = self.K.K
             self.layouts[entries] = {
                 t: list(accumulate((stalks[x].dims.get(t + m, 0) for x, m in entries), initial=0))
@@ -497,16 +505,18 @@ class _Evaluation:
         rows, cols = self.layout(phi.target), self.layout(phi.source)
         return {t: placed(rows[t], cols[t], items) for t, items in placed_at.items()}
 
-    def chain_map(self, phi: CMorphism, source: VectComplex, target: VectComplex) -> ChainMap:
-        """phi evaluated at K between source and target, the evaluations of
-        its two words' values, checked to be a chain map."""
-        return ChainMap(source, target, self.matrices(phi), check=True)
-
     def formula(self, F: Formula) -> PosetDiagram:
-        """F evaluated at K, with its checks (see eval_formula); a translation
-        formula (F.shift set) is K shifted, made by shift_diagram."""
+        """F evaluated at K (see eval_formula), once per context: kept by F's
+        id (the call holds F), or by the shift of a translation formula."""
         if F.base != self.K.base:
             raise BaseMismatch("formula and diagram live over different posets")
+        key = id(F) if F.shift is None else ("shift", F.shift)
+        if key not in self.formulas:
+            self.formulas[key] = self._formula(F)
+        return self.formulas[key]
+
+    def _formula(self, F: Formula) -> PosetDiagram:
+        """formula(F) made anew; a translation formula is K shifted."""
         if F.shift is not None:
             return shift_diagram(self.K, F.shift)
         stalks = {y: self.point(F.at[y]) for y in F.target.elements}
@@ -542,8 +552,6 @@ def eval_point(f: FormulaToPoint, K: PosetDiagram) -> VectComplex:
     the differential assembled from D. The result's d·d = 0 is asserted, and
     so is its Euler characteristic: a value with entries (x_i, m_i) must have
     sum_i (-1)^{m_i} chi(K_{x_i}), else the evaluator itself is broken."""
-    if f.xi.base != K.base:
-        raise BaseMismatch("formula and diagram live over different posets")
     return _Evaluation(K).point(f)
 
 
@@ -553,30 +561,15 @@ def eval_cmorphism(phi: CMorphism, K: PosetDiagram) -> ChainMap:
     The carriers are the bare graded objects (zero differential) and no
     chain condition is imposed; this form exists for functor-law checks.
     """
-    if phi.source.base != K.base:
-        raise BaseMismatch("morphism and diagram live over different posets")
     ev = _Evaluation(K)
     src = VectComplex(_eval_object_dims(phi.source, ev), {}, check=False)
     tgt = VectComplex(_eval_object_dims(phi.target, ev), {}, check=False)
     return ChainMap(src, tgt, ev.matrices(phi), check=False)
 
 
-def eval_formula_morphism(
-    phi: CMorphism, K: PosetDiagram, source: VectComplex, target: VectComplex
-) -> ChainMap:
-    """Evaluate a formula morphism phi between the evaluations of the two
-    values it connects, which the caller has already made; the result is
-    checked to be a chain map."""
-    if phi.source.base != K.base:
-        raise BaseMismatch("morphism and diagram live over different posets")
-    return _Evaluation(K).chain_map(phi, source, target)
-
-
 def eval_point_map(f: FormulaToPoint, g: DiagramMap) -> ChainMap:
     """Apply the functor of a formula to a diagram map: the diagonal map of
     shifted components, verified to be a chain map."""
-    if f.xi.base != g.source.base:
-        raise BaseMismatch("formula and diagram live over different posets")
     src, tgt = _Evaluation(g.source), _Evaluation(g.target)
     return _point_map(f, g, src, tgt, src.point(f), tgt.point(f))
 

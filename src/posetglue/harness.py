@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .abelian_eval import (
     RATIONALS,
+    ChainMap,
     DiagramMap,
     Field,
     PosetDiagram,
@@ -221,16 +222,15 @@ class EpsilonTransform:
         component.  A translation formula end (the unit's source, the
         counit's target) is K shifted, made by shift_diagram without the
         evaluator's checks; the other end, every component and the
-        naturality of the result are checked."""
-        ev = _Evaluation(K)
-        return self._evaluate_between(ev, ev.formula(self.source), ev.formula(self.target))
+        naturality of the result are checked; K's base is checked first."""
+        return self._at(_Evaluation(K))
 
-    def _evaluate_between(self, ev: _Evaluation, src, tgt) -> DiagramMap:
-        """evaluate(K) between src and tgt, the evaluations of the source and
-        target formulas at K that the caller has already made, with ev its
-        evaluation context at K."""
+    def _at(self, ev: _Evaluation) -> DiagramMap:
+        """evaluate(ev.K) through the context ev, which evaluates each
+        formula once however many transformations share it."""
+        src, tgt = ev.formula(self.source), ev.formula(self.target)
         comps = {
-            y: ev.chain_map(self.components[y], src.K[y], tgt.K[y])
+            y: ChainMap(src.K[y], tgt.K[y], ev.matrices(self.components[y]), check=True)
             for y in self.source.target.elements
         }
         return DiagramMap(src, tgt, comps)
@@ -477,27 +477,17 @@ def _two_chain_epsilons():
 def _two_chain_trial(state, tseed) -> TrialRecord:
     (eps_pm, eps_mp, eps_pp, eps_mm), field, max_dim, window = state
     K = random_diagram(TWO_CHAIN, tseed, max_dim, window)
-
-    # one evaluation context per diagram (K, T1 and T2), shared by every
-    # formula and transformation evaluated there
-    def at(eps, ev):
-        return eps._evaluate_between(ev, ev.formula(eps.source), ev.formula(eps.target))
-
+    # one evaluation context per diagram (K, T1 and T2), which evaluates
+    # each formula there once, so the unit starts where the counit ends
     ev = _Evaluation(K)
-    counit = at(eps_pm, ev)
-    # the unit starts where the counit ends: NU evaluated at K, that is
-    # shift_diagram(K, 1)
-    unit = eps_mp._evaluate_between(ev, counit.target, ev.formula(eps_mp.target))
+    counit, unit, double = eps_pm._at(ev), eps_mp._at(ev), eps_mm._at(ev)
     T1 = ev.formula(TWO_CHAIN_PLUS)
     ev1 = _Evaluation(T1)
     T2 = ev1.formula(TWO_CHAIN_PLUS)
+    square = eps_pp._at(ev1)
     T3 = eval_formula(TWO_CHAIN_PLUS, T2)
-    square = at(eps_pp, ev1)
     if square.source != T3:
-        raise InternalInconsistency(
-            "composite formula disagrees with iterated evaluation"
-        )
-    double = at(eps_mm, ev)
+        raise InternalInconsistency("composite formula disagrees with iterated evaluation")
     shifted = counit.target  # NU evaluated at K: shift_diagram(K, 1)
     chain_ok = cohomology_table(T3, field) == cohomology_table(shifted, field)
     verdict = (

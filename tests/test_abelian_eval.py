@@ -29,7 +29,6 @@ from posetglue.abelian_eval import (
     eval_cmorphism,
     eval_formula,
     eval_formula_map,
-    eval_formula_morphism,
     eval_point,
     eval_point_map,
     identity_chain_map,
@@ -44,6 +43,7 @@ from posetglue.abelian_eval import (
     shift_diagram,
 )
 from posetglue.errors import (
+    BaseMismatch,
     D2NotZero,
     DiagramAxiomFailure,
     InternalInconsistency,
@@ -51,6 +51,7 @@ from posetglue.errors import (
     ParseError,
 )
 from posetglue.formula_cat import (
+    NU,
     TWO_CHAIN,
     CMorphism,
     CObject,
@@ -66,6 +67,7 @@ from posetglue.formula_cat import (
 from posetglue.gluing import build_plus
 from posetglue.harness import (
     FIGURE_ONE_PAIRS,
+    EpsilonTransform,
     TWO_CHAIN_MINUS,
     TWO_CHAIN_PLUS,
     build_epsilons,
@@ -77,7 +79,7 @@ from posetglue.harness import (
     verify_two_chain,
 )
 from posetglue.intmat import Mat
-from posetglue.poset_core import hasse
+from posetglue.poset_core import hasse, poset_from_generators
 from posetglue.rng import SplitMix64, derive_seed
 
 from conftest import (
@@ -379,12 +381,8 @@ class TestEvalFormulas:
         for seed in range(10):
             K = random_diagram(TWO_CHAIN, seed, max_dim=2, window=(-1, 1))
             for f in (XI12, XI121):
-                j = eval_formula_morphism(
-                    i_xi(f),
-                    K,
-                    eval_point(shift(f, 1), K),
-                    eval_point(negated_star_shift(f), K),
-                )
+                src, tgt = eval_point(shift(f, 1), K), eval_point(negated_star_shift(f), K)
+                j = ChainMap(src, tgt, eval_cmorphism(i_xi(f), K).f, check=True)
                 assert is_quasi_iso(j)
                 assert induced_qis(j)
                 for t in j.f:
@@ -469,6 +467,77 @@ class TestEvalFormulas:
         assert len(calls) == 2 * len(TWO_CHAIN_PLUS.at)
         # the maps are laid out on the contexts of the two ends' evaluations
         assert contexts == [g.source, g.target]
+
+
+# The antichain on TWO_CHAIN's elements: a diagram over it has a stalk for
+# every entry of a word over TWO_CHAIN, so only the base check rejects it.
+_DISCRETE = poset_from_generators(["1", "2"], [])
+_PLUS_IDENTITY = EpsilonTransform(
+    TWO_CHAIN_PLUS, TWO_CHAIN_PLUS, {"1": [[1]], "2": [[1, 0], [0, 1]]}
+)
+_NU_IDENTITY = EpsilonTransform(NU, NU, {"1": [[1]], "2": [[1]]})
+_OTHER_BASE = {
+    "eval_point": lambda K, g: eval_point(XI12, K),
+    "eval_cmorphism": lambda K, g: eval_cmorphism(TWO_CHAIN_PLUS.res[("1", "2")], K),
+    "eval_point_map": lambda K, g: eval_point_map(XI12, g),
+    "eval_formula": lambda K, g: eval_formula(TWO_CHAIN_PLUS, K),
+    "eval_formula-translation": lambda K, g: eval_formula(NU, K),
+    "eval_formula_map": lambda K, g: eval_formula_map(TWO_CHAIN_PLUS, g),
+    "EpsilonTransform.evaluate": lambda K, g: _PLUS_IDENTITY.evaluate(K),
+    "EpsilonTransform.evaluate-translation": lambda K, g: _NU_IDENTITY.evaluate(K),
+}
+
+
+class TestEvaluationContext:
+    @pytest.mark.parametrize("entry", sorted(_OTHER_BASE))
+    def test_a_diagram_over_another_poset_is_rejected_first(self, monkeypatch, entry):
+        K, g = random_diagram(_DISCRETE, 1), random_qis_map(_DISCRETE, 1)
+        plans, contexts = [], []
+        real_plan, real_init = abelian_eval._plan, abelian_eval._Evaluation.__init__
+        monkeypatch.setattr(abelian_eval, "_plan", lambda phi: plans.append(phi) or real_plan(phi))
+        monkeypatch.setattr(
+            abelian_eval._Evaluation,
+            "__init__",
+            lambda ev, K: contexts.append(ev) or real_init(ev, K),
+        )
+        with pytest.raises(BaseMismatch, match="formula and diagram live over different posets"):
+            _OTHER_BASE[entry](K, g)
+        # no plan compiled, and no layout, product or formula kept
+        assert plans == []
+        assert contexts
+        assert all(not (ev.layouts or ev.products or ev.formulas) for ev in contexts)
+
+    def test_a_formula_is_evaluated_once_per_context(self, monkeypatch):
+        calls = []
+        real = abelian_eval._Evaluation._formula
+        monkeypatch.setattr(
+            abelian_eval._Evaluation, "_formula", lambda ev, F: calls.append(F) or real(ev, F)
+        )
+        ev = abelian_eval._Evaluation(random_diagram(TWO_CHAIN, 3))
+        T = ev.formula(TWO_CHAIN_PLUS)
+        assert ev.formula(TWO_CHAIN_PLUS) is T
+        assert [id(F) for F in calls] == [id(TWO_CHAIN_PLUS)]
+
+    def test_translation_formulas_are_kept_by_their_shift(self, monkeypatch):
+        shifts = []
+        real = abelian_eval.shift_diagram
+        monkeypatch.setattr(
+            abelian_eval, "shift_diagram", lambda K, n: shifts.append(n) or real(K, n)
+        )
+        K = random_diagram(TWO_CHAIN, 3)
+        ev = abelian_eval._Evaluation(K)
+        one, other = translation_formula(TWO_CHAIN, 1), translation_formula(TWO_CHAIN, 1)
+        assert one is not other
+        assert ev.formula(one) is ev.formula(other) is ev.formula(NU)
+        assert shifts == [1]
+        assert ev.formula(translation_formula(TWO_CHAIN, 2)) == real(K, 2)
+        assert shifts == [1, 2]
+
+    def test_contexts_share_no_evaluation(self):
+        K = random_diagram(TWO_CHAIN, 3)
+        first, second = eval_formula(TWO_CHAIN_PLUS, K), eval_formula(TWO_CHAIN_PLUS, K)
+        assert first == second
+        assert first is not second
 
 
 def _exact(matrices) -> dict:

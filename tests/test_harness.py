@@ -804,13 +804,30 @@ class TestVerifyTwoChain:
         # four epsilons with two ends each and T1, T2, T3 make 11, less the
         # unit's source, which is the counit's target: NU evaluated at K
         calls = []
-        real = abelian_eval._Evaluation.formula
+        real = abelian_eval._Evaluation._formula
         monkeypatch.setattr(
-            abelian_eval._Evaluation, "formula", lambda ev, F: calls.append(F) or real(ev, F)
+            abelian_eval._Evaluation, "_formula", lambda ev, F: calls.append(F) or real(ev, F)
         )
         assert verify_two_chain(trials=1).ok
         assert len(calls) == 10
         assert sum(F is NU for F in calls) == 1
+
+    def test_a_broken_composition_law_is_an_internal_inconsistency(self, monkeypatch):
+        # T3, the plus side evaluated three times, must be the source of the
+        # evaluated square transformation at T1
+        real = harness.eval_formula
+
+        def iterated(F, K):
+            T3 = real(F, K)
+            wrong = abelian_eval.shift_diagram(T3, 2)
+            assert wrong != T3
+            return wrong
+
+        monkeypatch.setattr(harness, "eval_formula", iterated)
+        with pytest.raises(
+            InternalInconsistency, match="composite formula disagrees with iterated evaluation"
+        ):
+            verify_two_chain(trials=1)
 
     def test_each_trial_makes_one_evaluation_context_per_diagram(self, monkeypatch):
         # the input K and the first two plus-side evaluations T1 and T2
