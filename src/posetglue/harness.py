@@ -61,7 +61,6 @@ from .formula_cat import (
     check_formula,
     check_formula_morphism,
     check_homotopy,
-    compose,
     compose_formulas,
     shift,
     translation_formula,
@@ -189,6 +188,11 @@ class EpsilonTransform:
     (DiagramAxiomFailure otherwise) and that the components commute with the
     restrictions across every Hasse edge of the target, walked in element
     order (NaturalityFailure, with the first offending edge as witness).
+    Both sides of each square are plain matrix products: the components
+    were just shown to preserve degree, and so were the restrictions along
+    Hasse edges (by Formula, or by the shape of a translation formula), so
+    no entry jumps by 2 and compose's quotient would change nothing; both
+    sides run from the source word at a to the target word at b.
     """
 
     __slots__ = ("source", "target", "components")
@@ -208,13 +212,12 @@ class EpsilonTransform:
             if problem is not None:
                 raise DiagramAxiomFailure(f"component at {y!r} is invalid: {problem}")
             self.components[y] = phi
+        comps = self.components
         for a, b in covers(source.target):
-            left = compose(self.target.res[(a, b)], self.components[a])
-            right = compose(self.components[b], self.source.res[(a, b)])
+            left = target.res[(a, b)].matrix.mul(comps[a].matrix)
+            right = comps[b].matrix.mul(source.res[(a, b)].matrix)
             if left != right:
-                raise NaturalityFailure(
-                    (a, b), f"difference {left.matrix.sub(right.matrix).tolist()}"
-                )
+                raise NaturalityFailure((a, b), f"difference {left.sub(right).tolist()}")
 
     def evaluate(self, K: PosetDiagram) -> DiagramMap:
         """The evaluated transformation at a diagram, as a map of diagrams,

@@ -346,6 +346,20 @@ def glued_orders() -> list:
     ]
 
 
+def wrap_trusted(monkeypatch, observe) -> None:
+    """Make every CMorphism._trusted call first pass its (source, target,
+    matrix) to observe, for the rest of the test."""
+    from posetglue.formula_cat import CMorphism
+
+    real = CMorphism._trusted
+
+    def trusted(cls, source, target, matrix):
+        observe(source, target, matrix)
+        return real(source, target, matrix)
+
+    monkeypatch.setattr(CMorphism, "_trusted", classmethod(trusted))
+
+
 # --- the morphism-level checks, kept as references for the matrix-level ones ----
 
 def morphism_check_formula(f) -> str | None:

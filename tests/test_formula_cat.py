@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 
 from posetglue.abelian_eval import eval_formula, eval_point, random_diagram
-from posetglue.errors import BaseMismatch, DiagramAxiomFailure, ParseError, ShapeMismatch
+from posetglue.errors import (
+    BaseMismatch,
+    CommutativityFailure,
+    DiagramAxiomFailure,
+    ParseError,
+    ShapeMismatch,
+)
 from posetglue import harness
 from posetglue.formula_cat import (
     ALPHA1,
@@ -25,11 +32,13 @@ from posetglue.formula_cat import (
     CObject,
     Formula,
     FormulaToPoint,
+    _canonical,
     canonical_formula,
     check_formula,
     check_formula_morphism,
     check_homotopy,
     compose,
+    compose_formulas,
     i_xi,
     identity_morphism,
     negated_star_shift,
@@ -64,6 +73,7 @@ from conftest import (
     random_cmorphism,
     random_cobject,
     run_python,
+    wrap_trusted,
 )
 
 # the one-entry values and the restrictions of the two-chain formulas
@@ -324,6 +334,32 @@ class TestFormulaValidation:
                 {"1": XI1, "2": XI12},
                 {("1", "2"): CMorphism(XI1.xi, XI12.xi, [[1], [1]])},
             )
+
+    def test_a_degree_raising_entry_off_the_covers_fails_its_triangle(self):
+        # r(a, c) gets the entry ("1", 0) -> ("2", 1): legal in canonical
+        # form (1 <= 2, degree rises by one), so the validating constructor
+        # keeps it, but the product r(b, c)·r(a, b) of the two
+        # degree-preserving covers has no entry there
+        chain = poset_from_generators(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        low = FormulaToPoint(CObject((("1", 0),), TWO_CHAIN), [[1]])
+        top = FormulaToPoint(CObject((("1", 0), ("2", 1)), TWO_CHAIN), [[1, 0], [0, 1]])
+        assert check_formula(top) is None
+        at = {"a": low, "b": low, "c": top}
+        res = {
+            ("a", "b"): CMorphism(low.xi, low.xi, [[1]]),
+            ("b", "c"): CMorphism(low.xi, top.xi, [[1], [0]]),
+            ("a", "c"): CMorphism(low.xi, top.xi, [[1], [0]]),
+        }
+        Formula(chain, at, res)
+        res[("a", "c")] = CMorphism(low.xi, top.xi, [[1], [1]])
+        assert res[("a", "c")].matrix.tolist() == [[1], [1]]
+        with pytest.raises(CommutativityFailure) as info:
+            Formula(chain, at, res)
+        assert info.value.pair == ("a", "c")
+        left = compose(res[("b", "c")], res[("a", "b")])
+        difference = left.matrix.sub(res[("a", "c")].matrix).tolist()
+        assert difference == [[0], [-1]]
+        assert str(info.value).endswith(f"via 'b': difference {difference}")
 
     def test_restriction_with_wrong_ends_is_rejected(self):
         # PHI2 maps XI2's word to XI12's; as a restriction between XI1 and
@@ -656,6 +692,69 @@ class TestMatrixLevelChecks:
                               BETA1, H212, XI212.D)),
         ])
         assert check_formula(doubled) == "diagonal entry at (0,0) is 2, not 1"
+
+
+#: The functions that build morphisms through CMorphism._trusted, each of
+#: which proves in its docstring that its matrices are canonical.
+TRUSTED_SITES = {
+    "compose", "star", "_twist", "ones", "translation_formula", "substitute", "compose_formulas",
+}
+
+
+def _trusted_site(frame) -> str:
+    """The name of the function that frame runs, comprehensions skipped."""
+    while frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
+def _build_two_chain():
+    """Rebuild the two-chain formulas and transformations as the harness
+    does, and the substitutions that reproduce the named constants."""
+    harness.build_theorem_formulas(harness._POINT_GLUING)
+    plus = compose_formulas(
+        canonical_formula(TWO_CHAIN, harness._FLIPPED, harness._SWAP), harness._POINT_XI[0]
+    )
+    minus = compose_formulas(
+        harness._POINT_XI[1], canonical_formula(harness._FLIPPED, TWO_CHAIN, harness._SWAP)
+    )
+    assert (plus, minus) == (TWO_CHAIN_PLUS, TWO_CHAIN_MINUS)
+    assert substitute(XI12, minus) == XI121 and substitute(XI12, plus) == XI212
+    harness._two_chain_epsilons()
+
+
+class TestCanonicalByConstruction:
+    @pytest.mark.parametrize(
+        "case",
+        [*FIGURE_ONE_PAIRS, *range(40), (6, 3), (10, 4), "two-chain"],
+        ids=lambda c: (
+            "-".join(map(str, c)) if isinstance(c, tuple)
+            else c if isinstance(c, str) else f"random{c}"
+        ),
+    )
+    def test_every_trusted_matrix_is_canonical(self, case, monkeypatch):
+        # CMorphism._trusted skips the canonical-form pass; every matrix
+        # that reaches it while a structure is built is already canonical
+        sites = set()
+
+        def observe(source, target, matrix):
+            # asserted at the call, before any check of the built structure
+            site = _trusted_site(sys._getframe(2))
+            sites.add(site)
+            assert _canonical(source, target, matrix) == matrix, (site, source, target, matrix)
+
+        wrap_trusted(monkeypatch, observe)
+        if case == "two-chain":
+            _build_two_chain()
+        else:
+            if case in FIGURE_ONE_PAIRS:
+                g = figure_one_gluing(case)[0]
+            elif isinstance(case, tuple):
+                g = chain_of_chains(*case)
+            else:
+                g = random_gluing(case)
+            build_epsilons(g, *build_theorem_formulas(g))
+        assert sites == TRUSTED_SITES
 
 
 @pytest.mark.parametrize("n", range(-2, 3))

@@ -70,7 +70,7 @@ from posetglue.harness import (
 from posetglue.intmat import Mat
 from posetglue.poset_core import hasse, opposite, point_poset, poset_from_generators
 
-from conftest import chain_of_chains, run_python
+from conftest import chain_of_chains, run_python, wrap_trusted
 
 SMALL = {"trials": 3, "max_dim": 2, "window": (-1, 1)}
 
@@ -290,6 +290,18 @@ def _non_cover_pairs():
     ]
 
 
+def _naturality_difference(source, target, components, edge) -> list:
+    """The difference of the two sides of the naturality square at edge,
+    computed with compose on validated morphisms."""
+    a, b = edge
+    phi = {
+        y: CMorphism(source.at[y].xi, target.at[y].xi, components[y]) for y in (a, b)
+    }
+    left = compose(target.res[(a, b)], phi[a])
+    right = compose(phi[b], source.res[(a, b)])
+    return left.matrix.sub(right.matrix).tolist()
+
+
 class TestSingleCheckSite:
     """Corruptions that only the Formula constructor's composition check and
     the epsilon naturality check can catch."""
@@ -373,7 +385,8 @@ class TestSingleCheckSite:
             EpsilonTransform(eps_pm.source, eps_pm.target, comps)
         assert info.value.edge in hasse(eps_pm.source.target).edges
         assert x in info.value.edge
-        assert "difference" in str(info.value)
+        difference = _naturality_difference(eps_pm.source, eps_pm.target, comps, info.value.edge)
+        assert str(info.value).endswith(f"difference {difference}")
 
     def test_naturality_witness_does_not_depend_on_the_hash_seed(self):
         # with every witnessed counit component sign-flipped, several edges
@@ -751,13 +764,16 @@ class TestEpsilons:
             assert contexts == [K]
 
     def test_building_one_structure_makes_a_pinned_number_of_morphisms(self, monkeypatch):
-        # The formula checks work on matrices and the translation formulas
-        # are valid by their shape, so building the 50-element structure
-        # makes only the morphisms it keeps or validates as input and the
-        # products that its triangle, naturality and substitution steps
-        # compose.  Checks that rebuilt canonical morphisms made 5,260
-        # constructions and 5,360 compose calls here.
-        made, composed = [], []
+        # Building the 50-element structure validates only the morphisms
+        # made from outside input (epsilon components, retract maps,
+        # identity diagonals); the matrices that are canonical by
+        # construction take the trusted path, and compose runs only inside
+        # substitution, as the triangle and naturality walks multiply plain
+        # matrices.  Validating every morphism made 3,830 validating
+        # constructions, 2,680 trusted ones and 2,680 compose calls here;
+        # rebuilding canonical morphisms in the checks made 5,260
+        # constructions and 5,360 compose calls before that.
+        made, trusted, composed = [], [], []
         real_init, real_compose = CMorphism.__init__, formula_cat.compose
 
         def counted_compose(g, f):
@@ -767,11 +783,11 @@ class TestEpsilons:
         monkeypatch.setattr(
             CMorphism, "__init__", lambda m, *args: made.append(m) or real_init(m, *args)
         )
+        wrap_trusted(monkeypatch, lambda *args: trusted.append(args))
         monkeypatch.setattr(formula_cat, "compose", counted_compose)
-        monkeypatch.setattr(harness, "compose", counted_compose)
         g = chain_of_chains(10, 4)
         build_epsilons(g, *build_theorem_formulas(g))
-        assert (len(made), len(composed)) == (3830, 2680)
+        assert (len(made), len(trusted), len(composed)) == (260, 3750, 180)
 
     def test_naturality_failure_is_reported_with_edge(self):
         # sign-flipped identity components break the connecting square
@@ -779,6 +795,9 @@ class TestEpsilons:
         with pytest.raises(NaturalityFailure) as info:
             EpsilonTransform(NU, NU, bad)
         assert info.value.edge == ("1", "2")
+        difference = _naturality_difference(NU, NU, bad, info.value.edge)
+        assert difference == [[2]]
+        assert str(info.value).endswith(f"difference {difference}")
 
 
 class TestVerifyTwoChain:

@@ -1,7 +1,8 @@
 """Every public top-level name in the package has a caller, every
 defaulted parameter of a function or method, private ones included, is set
 by some call, the unchecked ``Mat._of`` constructor is used only inside
-``intmat`` and the unchecked ``CMorphism._product`` only by ``compose``, the
+``intmat`` and the unchecked ``CMorphism._trusted`` only by the builders
+that prove their matrices canonical (and the one test wrapper), the
 isomorphism search serves only ``poset iso``, matrices are ranked only by
 ``Field.rank``, JSON is decoded only by ``cli._load_doc``, and the package
 imports nothing outside the standard library.
@@ -207,10 +208,25 @@ def test_trusted_mat_constructor_stays_in_intmat():
     assert not outside, outside
 
 
-def test_trusted_cmorphism_constructor_serves_only_compose():
-    # CMorphism._product stores a matrix without the order and degree tests;
-    # only compose, whose products are order-legal by transitivity and
-    # quotient their degree jumps of 2 themselves, may call it.
+#: The callers of CMorphism._trusted: each proves in its docstring that the
+#: matrices it passes are canonical (compose's products by transitivity and
+#: its own quotient, star's and _twist's sign changes, canonical_formula's
+#: 0/1 pass, translation_formula's [[1]] and the substituted matrices).
+PROVEN_TRUSTED_SITES = {
+    "formula_cat.compose",
+    "formula_cat.star",
+    "formula_cat._twist",
+    "formula_cat.canonical_formula",
+    "formula_cat.translation_formula",
+    "formula_cat.substitute",
+    "formula_cat.compose_formulas",
+}
+
+
+def test_trusted_cmorphism_constructor_serves_only_proven_sites():
+    # CMorphism._trusted stores a matrix without the order and degree tests;
+    # only the builders that prove their matrices canonical may call it, and
+    # in the tests only conftest.wrap_trusted, which observes those calls.
     files = [
         path
         for folder in (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
@@ -221,10 +237,12 @@ def test_trusted_cmorphism_constructor_serves_only_compose():
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
             owner = f"{stmt.name}." if isinstance(stmt, ast.ClassDef) else ""
             for unit in stmt.body if owner else [stmt]:
-                if _refers_to(unit, "_product"):
+                if _refers_to(unit, "_trusted"):
                     where = f"{path.stem}.{owner}{getattr(unit, 'name', unit.lineno)}"
-                    (allowed if where == "formula_cat.compose" else outside).append(where)
-    assert allowed  # the guard still sees the one caller
+                    known = PROVEN_TRUSTED_SITES | {"conftest.wrap_trusted"}
+                    (allowed if where in known else outside).append(where)
+    # the guard still sees every listed caller
+    assert set(allowed) == PROVEN_TRUSTED_SITES | {"conftest.wrap_trusted"}
     assert not outside, outside
 
 
