@@ -708,19 +708,12 @@ def random_complex(seed: int) -> VectComplex:
 def _random_null_homotopic(rng: SplitMix64, S: VectComplex, T: VectComplex) -> dict:
     """The degreewise matrices d_T·h + h·d_S of a null-homotopic chain map
     S -> T, for a random homotopy h with entries in {-1, 0, 1}; zero
-    degrees are left out.  The blocks of h are drawn in the iteration order
-    of a set of ints, a CPython detail, so the draw is not promised to match
-    on other interpreters; ROADMAP item 9 draws them in sorted order."""
-    h = {
-        t: Mat.from_rows(
-            [
-                [rng.randint(-1, 1) for _ in range(S.dim(t))]
-                for _ in range(T.dim(t - 1))
-            ]
-        )
-        for t in set(S.dims) | {i + 1 for i in T.dims}
-        if S.dim(t) and T.dim(t - 1)
-    }
+    degrees are left out.  The blocks of h are drawn in ascending degree."""
+    h = {}
+    for t in sorted(set(S.dims) | {i + 1 for i in T.dims}):
+        if S.dim(t) and T.dim(t - 1):
+            rows = [[rng.randint(-1, 1) for _ in range(S.dim(t))] for _ in range(T.dim(t - 1))]
+            h[t] = Mat.from_rows(rows)
     n = {}
     for t in set(S.dims) | set(T.dims):
         # an absent block of h or of a differential is zero, as is its term

@@ -16,6 +16,8 @@ abelian_eval module turns these values into actual complexes and chain maps.
 """
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .errors import (
     BaseMismatch,
     CommutativityFailure,
@@ -23,7 +25,7 @@ from .errors import (
     InternalInconsistency,
     ShapeMismatch,
 )
-from .intmat import Mat, block
+from .intmat import Mat, placed
 from .poset_core import (
     Poset,
     cover_triangles,
@@ -76,19 +78,22 @@ class CObject:
         return obj
 
 
+def _legal(source: CObject, target: CObject) -> list:
+    """The canonical-position rule as rows: legal[j][i] is true where entry
+    (j, i) from source to target may be nonzero, as x_i <= x_j and m_j - m_i
+    is 0 or 1 (the elements were validated when the objects were made)."""
+    leq = source.base.leq
+    return [
+        [0 <= mj - mi <= 1 and (xi, xj) in leq for xi, mi in source.entries]
+        for xj, mj in target.entries
+    ]
+
+
 def _canonical(source: CObject, target: CObject, matrix: Mat) -> Mat:
     """Zero forbidden positions: order violations, degree lowerings, and
-    degree jumps of 2 or more (the quotient).  A zero entry is left as it is
-    before any order or degree test; the elements were validated when the
-    objects were made, so the order test is one membership test."""
-    src, tgt, leq = source.entries, target.entries, source.base.leq
-
-    def legal(j, i):
-        xj, mj = tgt[j]
-        xi, mi = src[i]
-        return 0 <= mj - mi <= 1 and (xi, xj) in leq
-
-    return matrix.masked(legal)
+    degree jumps of 2 or more (the quotient)."""
+    legal = _legal(source, target)
+    return matrix.masked(lambda j, i: legal[j][i])
 
 
 class CMorphism:
@@ -101,10 +106,10 @@ class CMorphism:
     of canonical forms.  Matrices that are canonical by construction skip
     that pass through the private ``_trusted``, which checks nothing; each
     of its callers proves its matrix canonical in its docstring: the
-    products of :func:`compose`, the sign twists of :func:`star` and
-    :func:`_twist`, the 0/1 matrices of :func:`canonical_formula`, the
-    [[1]] matrices of :func:`translation_formula` and the substituted
-    matrices of :func:`substitute` and :func:`compose_formulas` (see
+    products of :func:`compose`, the sign twists of :func:`star`, the 0/1
+    matrices of :func:`canonical_formula`, the [[1]] matrices of
+    :func:`translation_formula` and the substituted matrices of
+    :func:`substitute` and :func:`compose_formulas` (see
     :func:`_substituted_matrix`).  Input from outside these builders (rows,
     JSON, the retract maps, the named constants) takes the constructor.
     ``plan`` is None until abelian_eval first evaluates the morphism and
@@ -179,10 +184,9 @@ def compose(g: CMorphism, f: CMorphism) -> CMorphism:
     x_i <= x_k by transitivity, and the entry raises degree by
     m_k - m_i in {0, 1, 2}.  Only the jumps of 2 are quotiented away, and
     the mask is skipped when the degrees of the two ends allow none
-    (see _quotient).  Where one factor is known to preserve degree no
-    entry can jump by 2, so the cover-triangle walk of Formula and the
-    naturality walk of harness.EpsilonTransform compare plain matrix
-    products instead and make no morphism.
+    (see _quotient).  It is the category's composition and the tests'
+    reference; no builder calls it, as substitution and the checks and walks
+    multiply plain matrices (see _substituted_matrix and Formula).
     """
     if f.source.base != g.source.base:
         raise BaseMismatch("cannot compose morphisms over different posets")
@@ -192,29 +196,22 @@ def compose(g: CMorphism, f: CMorphism) -> CMorphism:
     return CMorphism._trusted(f.source, g.target, product)
 
 
+def _koszul(obj: CObject) -> tuple:
+    """The Koszul signs (-1)**m of obj's degrees m, in entry order."""
+    return tuple([-1 if m % 2 else 1 for _, m in obj.entries])
+
+
+def _starred(matrix: Mat, source: CObject, target: CObject) -> Mat:
+    """matrix, from source to target, with entry (j, i) times (-1)**(m_j - m_i),
+    the Koszul signs of its row and column; a shift of both ends changes none."""
+    return matrix.signed(_koszul(target), _koszul(source))
+
+
 def star(m: CMorphism) -> CMorphism:
     """Entrywise sign twist by the parity of the degree difference.  A sign
     change keeps the zero pattern of m's canonical matrix, so the twist is
     canonical for the same ends."""
-    rows = []
-    for j in range(len(m.target)):
-        mj = m.target.degree(j)
-        rows.append(
-            tuple(
-                c if (mj - m.source.degree(i)) % 2 == 0 else -c
-                for i, c in enumerate(m.matrix.rows[j])
-            )
-        )
-    return CMorphism._trusted(m.source, m.target, Mat(len(m.target), len(m.source), rows))
-
-
-def _twist(m: CMorphism, n: int) -> CMorphism:
-    """Sign-flip the degree-preserving entries when n is odd: the negated star,
-    as every other canonical entry raises degree by one.  Like star, it
-    keeps the zero pattern, so it stays canonical."""
-    if n % 2 == 0:
-        return m
-    return CMorphism._trusted(m.source, m.target, star(m).matrix.neg())
+    return CMorphism._trusted(m.source, m.target, _starred(m.matrix, m.source, m.target))
 
 
 # --- formulas to a point -----------------------------------------------------
@@ -273,10 +270,11 @@ def check_formula(f: FormulaToPoint) -> str | None:
     The square is computed on the matrices: shift changes no matrix, and
     D*[1]·D maps xi to xi[2], so its jumps of 2, the entries (k, i) with
     m_k = m_i, are the ones quotiented away."""
-    square = _quotient(star(f.D).matrix.mul(f.D.matrix), f.xi.entries, f.xi.entries, 2)
+    D, xi = f.D, f.xi
+    square = _quotient(_starred(D.matrix, xi, D.target).mul(D.matrix), xi.entries, xi.entries, 2)
     if not square.is_zero():
         return f"D*[1]·D = {square.tolist()} is not zero"
-    for j, row in enumerate(f.D.matrix.rows):
+    for j, row in enumerate(D.matrix.rows):
         for i, c in enumerate(row):
             if i > j and c != 0:
                 return f"D is not lower triangular: entry {c} at ({j},{i})"
@@ -323,6 +321,8 @@ def check_homotopy(
     """
     xi = D.source
     xi_small = alpha.source
+    if D.target != xi.shifted(1):
+        raise ShapeMismatch("D must map its object to its shift by 1")
     if alpha.target != xi or beta.source != xi or beta.target != xi_small:
         raise ShapeMismatch("alpha and beta must connect D's object with a common one")
     if h.source != xi or h.target != xi.shifted(-1):
@@ -330,9 +330,8 @@ def check_homotopy(
     ba = _quotient(beta.matrix.mul(alpha.matrix), xi_small.entries, xi_small.entries)
     if not ba.is_identity():
         return f"beta·alpha = {ba.tolist()} is not the identity"
-    if D.target != xi.shifted(1):
-        raise ShapeMismatch("D must map its object to its shift by 1")
-    ab, hD, Dh = alpha.matrix.mul(beta.matrix), h.matrix.mul(D.matrix), star(D).matrix.mul(h.matrix)
+    ab, hD = alpha.matrix.mul(beta.matrix), h.matrix.mul(D.matrix)
+    Dh = _starred(D.matrix, xi, D.target).mul(h.matrix)
     total = _quotient(ab.add(hD).add(Dh), xi.entries, xi.entries)
     if not total.is_identity():
         return f"alpha·beta + h[1]·D + D*[-1]·h = {total.tolist()} is not the identity"
@@ -341,19 +340,18 @@ def check_homotopy(
 
 def negated_star_shift(f: FormulaToPoint) -> FormulaToPoint:
     """The formula (xi[1], -D*), isomorphic to the plain shift via i_xi."""
-    return FormulaToPoint(f.xi.shifted(1), star(f.D).matrix.neg().rows)
+    return FormulaToPoint(f.xi.shifted(1), _starred(f.D.matrix, f.xi, f.D.target).neg())
 
 
 def i_xi(f: FormulaToPoint) -> CMorphism:
     """The diagonal sign isomorphism from shift(f, 1) to negated_star_shift(f),
     a morphism of their common word f.xi[1].
 
-    Its (i,i) entry is (-1)**m_i for the i-th degree m_i of f's object; it
-    intertwines D with -D* exactly.
+    Its (i,i) entry is the Koszul sign (-1)**m_i of the i-th degree m_i of
+    f's object; it intertwines D with -D* exactly.
     """
-    signs = [(-1) ** (m % 2) for _, m in f.xi.entries]
     word = f.xi.shifted(1)
-    return CMorphism(word, word, Mat.diag(signs))
+    return CMorphism(word, word, Mat.diag(_koszul(f.xi)))
 
 
 # --- poset-shaped formulas ---------------------------------------------------
@@ -440,8 +438,8 @@ def canonical_formula(target: Poset, base: Poset, words: dict) -> Formula:
 
     Canonical form keeps an entry only where the order holds and the degree
     rises by 0 or 1, so the words and the base order decide every matrix,
-    and each is written as those 0/1 entries in one pass.  The pass tests
-    exactly the predicate that _canonical keeps, so each matrix is
+    and each is written as those 0/1 entries in one pass.  The pass reads
+    the rule that _canonical masks with (_legal), so each matrix is
     canonical by construction and taken as it is.
     Each D keeps its unit diagonal when entries of equal degree in one word
     are incomparable, as the witnesses of one element are by the antichain
@@ -449,10 +447,7 @@ def canonical_formula(target: Poset, base: Poset, words: dict) -> Formula:
     (InternalInconsistency otherwise), restrictions by Formula.
     """
     def ones(src: CObject, tgt: CObject) -> CMorphism:
-        return CMorphism._trusted(src, tgt, Mat(len(tgt), len(src), [
-            [int(0 <= mj - mi <= 1 and (xi, xj) in base.leq) for xi, mi in src.entries]
-            for xj, mj in tgt.entries
-        ]))
+        return CMorphism._trusted(src, tgt, Mat(len(tgt), len(src), _legal(src, tgt)))
 
     at = {}
     for y in target.elements:
@@ -519,36 +514,40 @@ def _substituted_matrix(psi: CMorphism, inner: Formula) -> Mat:
 
     Block (b, a) is psi's coefficient c there times rho, the inner
     restriction from the element of source entry a to that of target
-    entry b, when the entry preserves degree; when it raises degree (the
-    only other canonical case) it is c times the inner D at the target
-    element after rho, sign-twisted by the parity of the source degree.
-    A value's unit diagonal meets rho(p, p), the identity, so its diagonal
-    blocks are the twisted inner D's.
+    entry b, when the entry preserves degree.  When it raises degree (the
+    only other canonical case) it is c times D·rho, for the inner D at the
+    target element, with its jumps of 2 quotiented away, and negated and
+    starred when the source degree ma is odd.  So a value's diagonal
+    blocks, where rho(p, p) is the identity, are the twisted inner D's.
 
     The result is canonical for the substituted words, so callers take it
     as it is.  A nonzero block sits where psi's entry is canonical: pa <= pb
     and mb - ma is 0 or 1.  When it is 0, both inner words are shifted by
     the same m, so rho's canonical entries keep their order relation and
-    degree rise.  When it is 1, D·rho is a canonical map from the word at
-    pa to the word at pb shifted by 1, and that shift is exactly the outer
-    step mb - ma.  Scaling by c != 0 and the sign twist keep the zero
-    pattern, and every other block is zero.
+    degree rise.  When it is 1, the quotiented D·rho is canonical from the
+    word at pa to the word at pb shifted by 1 (see compose), and that shift
+    is the outer step mb - ma.  Scaling by c != 0 and the sign twist keep
+    the zero pattern, and every other block is zero.
     """
     s_entries = psi.source.entries
     t_entries = psi.target.entries
-    col_sizes = [len(inner.at[p].xi) for p, _ in s_entries]
-    row_sizes = [len(inner.at[p].xi) for p, _ in t_entries]
-    blocks = {}
+    row_off = list(accumulate([len(inner.at[p].xi) for p, _ in t_entries], initial=0))
+    col_off = list(accumulate([len(inner.at[p].xi) for p, _ in s_entries], initial=0))
+    blocks = []
     for b, (pb, mb) in enumerate(t_entries):
         for a, c in enumerate(psi.matrix.rows[b]):
             if c == 0:
                 continue
             pa, ma = s_entries[a]
             rho = inner.res[(pa, pb)]
+            mat = rho.matrix
             if mb != ma:
-                rho = _twist(compose(inner.at[pb].D, rho), ma)
-            blocks[(b, a)] = rho.matrix.scale(c)
-    return block(blocks, row_sizes, col_sizes)
+                D = inner.at[pb].D
+                mat = _quotient(D.matrix.mul(mat), rho.source.entries, D.target.entries)
+                if ma % 2:
+                    mat, c = _starred(mat, rho.source, D.target), -c
+            blocks.append((b, a, c, mat))
+    return placed(row_off, col_off, blocks)
 
 
 def compose_formulas(outer: Formula, inner: Formula) -> Formula:

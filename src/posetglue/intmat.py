@@ -11,15 +11,16 @@ Two constructors make a Mat. The public ones, `Mat(nrows, ncols, rows)`,
 `int` and reject rows that do not match the stated shape. The private
 `Mat._of` trusts its caller and stores `rows` as given; it is used only in
 this module, by the operations (`mul`, `add`, `sub`, `scale`, `neg`,
-`transpose`, `masked`, `placed`, `zero`, `identity`), which check the
-shapes of their operands and build their results as tuples of int tuples
-of the right shape.  `masked` keeps or zeroes the entries of a
+`signed`, `transpose`, `masked`, `placed`, `zero`, `identity`), which
+check the shapes of their operands and build their results as tuples of
+int tuples of the right shape.  `masked` keeps or zeroes the entries of a
 Mat that is already valid, so it converts and checks nothing either.
 """
 from __future__ import annotations
 
 from itertools import accumulate
 from operator import add as _add
+from operator import mul as _mul
 from operator import sub as _sub
 
 from .errors import ShapeMismatch
@@ -119,6 +120,15 @@ class Mat:
 
     def neg(self):
         return self.scale(-1)
+
+    def signed(self, row_signs, col_signs):
+        """Row i and column j multiplied by their signs, each 1 or -1."""
+        shape = (len(row_signs), len(col_signs))
+        if shape != (self.nrows, self.ncols):
+            raise ShapeMismatch(f"signed {self.nrows}x{self.ncols} by {shape[0]}x{shape[1]} signs")
+        by_sign = {1: col_signs, -1: [-s for s in col_signs]}
+        rows = tuple(tuple(map(_mul, r, by_sign[s])) for s, r in zip(row_signs, self.rows))
+        return Mat._of(self.nrows, self.ncols, rows)
 
     def masked(self, keep):
         """This matrix with every nonzero entry (i, j) for which keep(i, j) is

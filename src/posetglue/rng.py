@@ -15,11 +15,8 @@ Sub-streams (per-trial seeds and the like) are derived by feeding the parent
 seed and the key through one mixing round each, which keeps trials independent
 of evaluation order.
 
-Certificates reproduce bit-for-bit only as far as the draws that consume
-the stream do.  One does not yet: `abelian_eval._random_null_homotopic`
-draws its blocks in the iteration order of a set of int degrees, which is
-CPython's hash-table order, not a property of the degrees.  Drawing them in
-sorted order (ROADMAP item 9) changes the recorded draws and digests.
+Every draw consumes the stream in an order fixed by its inputs alone, so
+certificates reproduce bit-for-bit on any platform and Python version.
 """
 from __future__ import annotations
 

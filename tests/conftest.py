@@ -425,6 +425,80 @@ def morphism_check_homotopy(alpha, beta, h, D) -> str | None:
     return None
 
 
+# --- the morphism-level substitution, kept as a reference for the matrix-level one
+
+def per_entry_star(m):
+    """formula_cat.star entry by entry: entry (j, i) negated where the degree
+    difference m_j - m_i is odd, through the validating constructor."""
+    from posetglue.formula_cat import CMorphism
+
+    rows = [
+        [c if (mj - m.source.degree(i)) % 2 == 0 else -c for i, c in enumerate(row)]
+        for row, (_, mj) in zip(m.matrix.rows, m.target.entries)
+    ]
+    return CMorphism(m.source, m.target, rows)
+
+
+def twist(m, n: int):
+    """m with its per-entry star negated when n is odd, m itself otherwise."""
+    from posetglue.formula_cat import CMorphism
+
+    if n % 2 == 0:
+        return m
+    return CMorphism(m.source, m.target, per_entry_star(m).matrix.neg())
+
+
+def morphism_substituted_matrix(psi, inner):
+    """formula_cat._substituted_matrix with each block built as a morphism:
+    c·rho for a degree-preserving entry c of psi, and c·twist(D·rho, m_a),
+    with D·rho composed, for a degree-raising one."""
+    from posetglue.formula_cat import compose
+    from posetglue.intmat import block
+
+    s_entries, t_entries = psi.source.entries, psi.target.entries
+    blocks = {}
+    for b, (pb, mb) in enumerate(t_entries):
+        for a, c in enumerate(psi.matrix.rows[b]):
+            if c:
+                pa, ma = s_entries[a]
+                rho = inner.res[(pa, pb)]
+                if mb != ma:
+                    rho = twist(compose(inner.at[pb].D, rho), ma)
+                blocks[(b, a)] = rho.matrix.scale(c)
+    return block(
+        blocks,
+        [len(inner.at[p].xi) for p, _ in t_entries],
+        [len(inner.at[p].xi) for p, _ in s_entries],
+    )
+
+
+# --- the homotopy draw, kept as a reference for abelian_eval's ------------------
+
+def null_homotopic_reference(rng, S, T) -> dict:
+    """abelian_eval._random_null_homotopic redone by hand: each block
+    h_t: S_t -> T_(t-1), entries in {-1, 0, 1}, drawn row by row for t
+    ascending over every integer degree, then d_T·h + h·d_S as nested lists
+    in each degree where it is nonzero."""
+    span = [*S.dims, *(i + 1 for i in T.dims)]
+    if not span:
+        return {}
+    h = {}
+    for t in range(min(span), max(span) + 1):
+        if S.dim(t) and T.dim(t - 1):
+            h[t] = [[rng.randint(-1, 1) for _ in range(S.dim(t))] for _ in range(T.dim(t - 1))]
+    n = {}
+    for t in range(min(span) - 1, max(span) + 1):
+        total = [[0] * S.dim(t) for _ in range(T.dim(t))]
+        for a, b in ((T.d.get(t - 1), h.get(t)), (h.get(t + 1), S.d.get(t))):
+            if a is not None and b is not None:
+                a = a if isinstance(a, list) else a.tolist()
+                b = b if isinstance(b, list) else b.tolist()
+                total = [[u + v for u, v in zip(r, s)] for r, s in zip(total, matmul(a, b))]
+        if any(map(any, total)):
+            n[t] = total
+    return n
+
+
 # --- random words and functor-law instances -------------------------------------
 
 def random_cobject(rng, base, max_len: int = 3, degrees=(-1, 0, 1)):

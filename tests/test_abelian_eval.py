@@ -94,6 +94,7 @@ from conftest import (
     induced_qis,
     matmul,
     modp_cohomology,
+    null_homotopic_reference,
     qis_preservation_holds,
     ses_preservation_holds,
     shear_product_unimodular,
@@ -688,6 +689,19 @@ class TestRandomGenerators:
         doc = json.dumps([_DRAWS[kind](X, s) for s in range(20)], sort_keys=True)
         digest = hashlib.sha256(doc.encode()).hexdigest()
         assert digest == _DRAW_DIGESTS[(kind, order)]
+
+    def test_null_homotopic_draws_its_blocks_in_ascending_degree(self):
+        # S over degrees -2..0 and T one degree lower: three blocks of h,
+        # in degrees whose set need not iterate in sorted order
+        S = VectComplex({-2: 1, -1: 2, 0: 1}, {-2: [[1], [0]], -1: [[0, 1]]})
+        T = VectComplex({-3: 1, -2: 2, -1: 1}, {-3: [[1], [0]], -2: [[0, 1]]})
+        for seed in range(20):
+            rng, ref = SplitMix64(seed), SplitMix64(seed)
+            got = abelian_eval._random_null_homotopic(rng, S, T)
+            assert {t: m.tolist() for t, m in got.items()} == null_homotopic_reference(
+                ref, S, T
+            ), seed
+            assert rng._state == ref._state
 
     def test_unimodular_matches_the_shear_product(self):
         for n in range(1, 5):

@@ -70,6 +70,8 @@ from conftest import (
     morphism_check_formula,
     morphism_check_formula_morphism,
     morphism_check_homotopy,
+    morphism_substituted_matrix,
+    per_entry_star,
     random_cmorphism,
     random_cobject,
     run_python,
@@ -153,13 +155,26 @@ class TestObjectsAndMorphisms:
         right = compose(phi, identity_morphism(phi.source))
         assert left.matrix == phi.matrix == right.matrix
 
-    def test_star_negates_odd_degree_jumps(self):
-        d = XI121.D
-        starred = star(d)
-        for j, (_, mj) in enumerate(d.target.entries):
-            for i, (_, mi) in enumerate(d.source.entries):
-                sign = (-1) ** ((mj - mi) % 2)
-                assert starred.matrix[j, i] == sign * d.matrix[j, i]
+    def test_star_negated_star_and_i_xi_follow_the_degree_parity(self):
+        # star(D) has D's entry (j, i) times (-1)**(m_j - m_i), the negated
+        # star shift's D minus that, and i_xi the diagonal (-1)**m_i; on the
+        # named values and on random D's over words with degrees -2..2
+        rng = SplitMix64(derive_seed(0, "star"))
+        words = [random_cobject(rng, TWO_CHAIN, 4, (-2, -1, 0, 1, 2)) for _ in range(40)]
+        values = [XI1, XI12, XI121, XI212] + [
+            FormulaToPoint(xi, random_cmorphism(rng, xi, xi.shifted(1))) for xi in words
+        ]
+        for f in values:
+            d, starred = f.D, star(f.D)
+            negated = negated_star_shift(f).D.matrix
+            for j, (_, mj) in enumerate(d.target.entries):
+                for i, (_, mi) in enumerate(d.source.entries):
+                    sign = (-1) ** ((mj - mi) % 2)
+                    assert starred.matrix[j, i] == sign * d.matrix[j, i]
+                    assert negated[j, i] == -sign * d.matrix[j, i]
+            assert starred == per_entry_star(d)
+            assert _canonical(d.source, d.target, starred.matrix) == starred.matrix
+            assert i_xi(f).matrix == Mat.diag([(-1) ** (m % 2) for _, m in f.xi.entries])
 
     def test_star_is_an_involution(self):
         assert star(star(XI121.D)).matrix == XI121.D.matrix
@@ -496,9 +511,13 @@ class TestCheckWitnesses:
         )
 
     def test_homotopy_against_a_map_that_is_no_d_is_rejected(self):
+        # every shape is checked before any product, so a pair that is no
+        # retract is rejected for the shape of D too
         not_d = CMorphism(XI212.xi, XI212.xi, Mat.identity(3))
-        with pytest.raises(ShapeMismatch, match="D must map its object to its shift by 1"):
-            check_homotopy(ALPHA1, BETA1, H212, not_d)
+        zero_beta = CMorphism(XI212.xi, NU.at["1"].xi, [[0, 0, 0]])
+        for beta in (BETA1, zero_beta):
+            with pytest.raises(ShapeMismatch, match="D must map its object to its shift by 1"):
+                check_homotopy(ALPHA1, beta, H212, not_d)
 
     def test_check_formula_agrees_with_the_three_conditions(self):
         V = poset_from_generators(["a", "b", "c"], [("a", "c"), ("b", "c")])
@@ -694,11 +713,11 @@ class TestMatrixLevelChecks:
         assert check_formula(doubled) == "diagonal entry at (0,0) is 2, not 1"
 
 
-#: The functions that build morphisms through CMorphism._trusted, each of
-#: which proves in its docstring that its matrices are canonical.
-TRUSTED_SITES = {
-    "compose", "star", "_twist", "ones", "translation_formula", "substitute", "compose_formulas",
-}
+#: The functions that build morphisms through CMorphism._trusted while a
+#: structure is built, each of which proves in its docstring that its
+#: matrices are canonical; compose and star are trusted sites too, but no
+#: builder calls them.
+TRUSTED_SITES = {"ones", "translation_formula", "substitute", "compose_formulas"}
 
 
 def _trusted_site(frame) -> str:
@@ -723,15 +742,34 @@ def _build_two_chain():
     harness._two_chain_epsilons()
 
 
-class TestCanonicalByConstruction:
-    @pytest.mark.parametrize(
-        "case",
-        [*FIGURE_ONE_PAIRS, *range(40), (6, 3), (10, 4), "two-chain"],
-        ids=lambda c: (
-            "-".join(map(str, c)) if isinstance(c, tuple)
-            else c if isinstance(c, str) else f"random{c}"
-        ),
+#: Structures whose build is observed: the Figure-1 gluings, random gluings,
+#: two chains of chains and the two-chain.
+_STRUCTURES = [*FIGURE_ONE_PAIRS, *range(40), (6, 3), (10, 4), "two-chain"]
+
+
+def _structure_id(case) -> str:
+    return (
+        "-".join(map(str, case)) if isinstance(case, tuple)
+        else case if isinstance(case, str) else f"random{case}"
     )
+
+
+def _build_structure(case):
+    """Build the formulas and transformations of one of _STRUCTURES."""
+    if case == "two-chain":
+        _build_two_chain()
+        return
+    if case in FIGURE_ONE_PAIRS:
+        g = figure_one_gluing(case)[0]
+    elif isinstance(case, tuple):
+        g = chain_of_chains(*case)
+    else:
+        g = random_gluing(case)
+    build_epsilons(g, *build_theorem_formulas(g))
+
+
+class TestCanonicalByConstruction:
+    @pytest.mark.parametrize("case", _STRUCTURES, ids=_structure_id)
     def test_every_trusted_matrix_is_canonical(self, case, monkeypatch):
         # CMorphism._trusted skips the canonical-form pass; every matrix
         # that reaches it while a structure is built is already canonical
@@ -744,17 +782,29 @@ class TestCanonicalByConstruction:
             assert _canonical(source, target, matrix) == matrix, (site, source, target, matrix)
 
         wrap_trusted(monkeypatch, observe)
-        if case == "two-chain":
-            _build_two_chain()
-        else:
-            if case in FIGURE_ONE_PAIRS:
-                g = figure_one_gluing(case)[0]
-            elif isinstance(case, tuple):
-                g = chain_of_chains(*case)
-            else:
-                g = random_gluing(case)
-            build_epsilons(g, *build_theorem_formulas(g))
+        _build_structure(case)
         assert sites == TRUSTED_SITES
+
+    @pytest.mark.parametrize("case", _STRUCTURES, ids=_structure_id)
+    def test_every_composite_matches_the_morphism_level_substitution(self, case, monkeypatch):
+        # each value and restriction of each composite equals the reference
+        # that composes D·rho as a morphism and twists it with the per-entry
+        # star
+        composites, real = [], compose_formulas
+
+        def recording(outer, inner):
+            composites.append((outer, inner, real(outer, inner)))
+            return composites[-1][2]
+
+        monkeypatch.setattr(harness, "compose_formulas", recording)
+        monkeypatch.setitem(globals(), "compose_formulas", recording)
+        _build_structure(case)
+        assert composites
+        for outer, inner, F in composites:
+            for q in outer.target.elements:
+                assert F.at[q].D.matrix == morphism_substituted_matrix(outer.at[q].D, inner), q
+            for key, psi in outer.res.items():
+                assert F.res[key].matrix == morphism_substituted_matrix(psi, inner), key
 
 
 @pytest.mark.parametrize("n", range(-2, 3))

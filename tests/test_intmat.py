@@ -79,6 +79,25 @@ def test_elementwise_operations_match_reference():
                 op(random_mat(rng, n, m + 1))
 
 
+def test_signed_matches_reference():
+    # sizes 0..3 give 0 x n and n x 0 shapes; zero rows come up often
+    for seed in SEEDS:
+        rng = SplitMix64(seed)
+        n, m = random_dims(rng, 2)
+        a = random_mat(rng, n, m)
+        if n and rng.randrange(2):
+            a = Mat(n, m, [[0] * m if i == 0 else row for i, row in enumerate(a.rows)])
+        rows, cols = ([rng.choice([-1, 1]) for _ in range(k)] for k in (n, m))
+        s = a.signed(rows, cols)
+        assert_well_formed(s, n, m)
+        assert s.tolist() == [
+            [rows[i] * cols[j] * a.rows[i][j] for j in range(m)] for i in range(n)
+        ]
+        for bad in ((rows + [1], cols), (rows, cols + [1])):
+            with pytest.raises(ShapeMismatch):
+                a.signed(*bad)
+
+
 def test_transpose_matches_reference():
     for seed in SEEDS:
         rng = SplitMix64(seed)
