@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-from .formula_cat import CMorphism, Formula, FormulaToPoint
+from .formula_cat import CMorphism, Formula, FormulaToPoint, _plan
 from .intmat import Mat, block, placed, rank_exact, rank_mod
 from .poset_core import (
     Poset, cover_triangles, covers, hasse, require_elements, require_relations
@@ -420,38 +420,14 @@ def _eval_object_dims(word, ev: _Evaluation) -> dict:
     return {t: offsets[-1] for t, offsets in ev.layout(word).items()}
 
 
-def _plan(phi: CMorphism) -> tuple:
-    """The evaluation plan of phi, compiled on its first evaluation and kept
-    on phi: an item (j, i, (x_i, x_j), m_i, c, raising) per nonzero entry c
-    at row j and column i of phi's matrix, for source entry (x_i, m_i) and
-    target entry (x_j, m_j).
-
-    At a diagram K, a degree-preserving entry contributes c times the
-    restriction K(x_i <= x_j); a raising one (m_j = m_i + 1, the only other
-    canonical case) c·(-1)**m_i times the differential of K(x_j) after it.
-    The plan folds the sign into c for raising entries: negating an integer
-    matrix and scaling it by c gives the integers of scaling it by -c.
-    """
-    if phi.plan is None:
-        src, tgt = phi.source.entries, phi.target.entries
-        plan = []
-        for j, row in enumerate(phi.matrix.rows):
-            xj, mj = tgt[j]
-            for i, c in enumerate(row):
-                if c:
-                    xi, mi = src[i]
-                    raising = mj != mi
-                    plan.append((j, i, (xi, xj), mi, -c if raising and mi % 2 else c, raising))
-        phi.plan = tuple(plan)
-    return phi.plan
-
-
 class _Evaluation:
     """The evaluation context of one call at a diagram K, shared by every
     formula, value's D, restriction and component that the call evaluates
     there: each formula's evaluation, the layouts of each word, and each
     product d_{x_j}·r of a raising plan item, by pair (x_i, x_j) and stalk
     degree (None where it vanishes).
+    Morphisms are read only through formula_cat._plan; nothing here writes
+    into one.
     The layout of a word at a degree t of its support is the offset of each
     entry in the degree-t part of the word at K, then the total size: entry
     k, (x, m), spans dim K(x)^{t+m} rows or columns from offset k on.
@@ -488,8 +464,10 @@ class _Evaluation:
 
     def matrices(self, phi: CMorphism) -> dict:
         """The degreewise matrices of phi evaluated at K, nonzero degrees
-        only: each plan item is walked over the nonzero degrees s of its
-        restriction and lands at degree t = s - m_i."""
+        only.  A plan item (j, i, (x_i, x_j), m_i, c, raising) is c times the
+        restriction K(x_i <= x_j), and then the differential of K(x_j) if
+        raising, walked over the nonzero degrees s of the restriction to
+        land at degree t = s - m_i."""
         stalks, products, placed_at = self.K.K, self.products, {}
         for j, i, pair, mi, c, raising in _plan(phi):
             for s, m in self.K.r[pair].f.items():
@@ -802,20 +780,22 @@ class _PieceDiagram:
         }
         return blocks, rows, cols
 
-    def twists(self, factors) -> dict:
-        """(U, U^-1) by piece set p and degree t of its stalk, where U is
-        the product of the (I + N) factors, the first one rightmost.  Each
-        N squares to zero, so (I + N)^-1 = I - N."""
+    def random_twists(self, rng: SplitMix64) -> dict:
+        """(U, U^-1) by piece set p and degree t of its stalk, for a random
+        unipotent diagram automorphism U = I + N: N is one null-homotopic
+        constant chain map from a piece k into a piece l != k supported on a
+        larger up-set (none without such a pair).  N has only the off-diagonal
+        blocks (l, k), so it squares to zero and U^-1 = I - N."""
+        pairs = [kl for kl in _nested_pairs(self.X, self.pieces, self.pieces) if kl[0] != kl[1]]
+        maps = _random_piece_maps(rng, pairs, self.pieces, self.pieces, 1)
         twists = {}
         for p, K in self.sums.items():
             for t, size in K.dims.items():
                 U = Uinv = Mat.identity(size)
-                sizes = self.sizes(p, t)
-                for factor in factors:
-                    blocks = self.place(p, t, [factor], {})
-                    if blocks:
-                        N = block(blocks, sizes, sizes)
-                        U, Uinv = U.add(N.mul(U)), Uinv.sub(Uinv.mul(N))
+                blocks = self.place(p, t, maps, {})
+                if blocks:
+                    N = block(blocks, self.sizes(p, t), self.sizes(p, t))
+                    U, Uinv = U.add(N), U.sub(N)
                 twists[(p, t)] = U, Uinv
         return twists
 
@@ -850,15 +830,6 @@ class _PieceDiagram:
             stalks = {x: sums[p] for x, p in self.present.items()}
         r = self._restrictions(sums, bool(bends))
         return PosetDiagram(self.X, stalks, r, check=bool(bends))
-
-    def random_twist_factors(self, rng: SplitMix64, count: int) -> list:
-        """Unipotent diagram automorphism factors: null-homotopic constant
-        chain maps from piece k into a piece l != k supported on a larger
-        up-set."""
-        pairs = [
-            (k, l) for k, l in _nested_pairs(self.X, self.pieces, self.pieces) if k != l
-        ]
-        return _random_piece_maps(rng, pairs, self.pieces, self.pieces, count)
 
 
 def _random_pieces(X: Poset, rng: SplitMix64, max_dim: int, window) -> list:
@@ -911,10 +882,8 @@ def random_qis_map(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> Dia
         extra.append((u, VectComplex({i: 1, i + 1: 1}, {i: [[1]]})))
     src_pd = _PieceDiagram(X, src_pieces)
     tgt_pd = _PieceDiagram(X, src_pieces + extra)
-    src_factors = src_pd.random_twist_factors(rng, count=1)
-    tgt_factors = tgt_pd.random_twist_factors(rng, count=1)
-    source, src_twists = src_pd.diagram(), src_pd.twists(src_factors)
-    target, tgt_twists = tgt_pd.diagram(), tgt_pd.twists(tgt_factors)
+    src_twists, tgt_twists = src_pd.random_twists(rng), tgt_pd.random_twists(rng)
+    source, target = src_pd.diagram(), tgt_pd.diagram()
     # Null-homotopic noise on the block inclusion; (k, k) is always a pair.
     pairs = _nested_pairs(X, src_pieces, tgt_pd.pieces)
     noise = _random_piece_maps(rng, pairs, src_pieces, tgt_pd.pieces, rng.randrange(3))
@@ -925,22 +894,22 @@ def random_qis_map(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> Dia
         for t in source.K[x].dims:
             blocks, rows, cols = tgt_pd.inclusion_blocks(p, p2, t)
             m = block(tgt_pd.place(p2, t, noise, blocks), rows, cols)
-            U, Uinv = tgt_twists[(p2, t)][0], src_twists[(p, t)][1]
-            # a twist that no factor touched is the shared identity
-            if U is not Mat.identity(U.nrows):
-                m = U.mul(m)
-            f[t] = m if Uinv is Mat.identity(Uinv.nrows) else m.mul(Uinv)
+            f[t] = _times(_times(tgt_twists[(p2, t)][0], m), src_twists[(p, t)][1])
         components[x] = ChainMap(source.K[x], target.K[x], f, check=True)
     return DiagramMap(source, target, components)
 
 
-def random_ses(X: Poset, seed: int, window=(-2, 2)):
+_SES_WINDOW = (-1, 1)
+
+
+def random_ses(X: Poset, seed: int):
     """A deterministic random degreewise-split short exact sequence of
-    diagrams, at most two dimensions per degree and part: returns
-    (inclusion, projection) with a bent extension in the middle."""
+    diagrams, at most two dimensions per degree and part, in the degrees of
+    _SES_WINDOW: returns (inclusion, projection) with a bent extension in
+    the middle."""
     rng = SplitMix64(derive_seed(seed, "ses"))
-    left_pieces = _random_pieces(X, rng, 2, window)
-    right_pieces = _random_pieces(X, rng, 2, window)
+    left_pieces = _random_pieces(X, rng, 2, _SES_WINDOW)
+    right_pieces = _random_pieces(X, rng, 2, _SES_WINDOW)
     # Extension datum: piece maps from the right pieces into the left ones,
     # of degree one, bent into the middle's off-diagonal differential block.
     shifted = [(u, shift_complex(L, 1)) for u, L in left_pieces]

@@ -112,9 +112,9 @@ class CMorphism:
     :func:`substitute` and :func:`compose_formulas` (see
     :func:`_substituted_matrix`).  Input from outside these builders (rows,
     JSON, the retract maps, the named constants) takes the constructor.
-    ``plan`` is None until abelian_eval first evaluates the morphism and
-    keeps its evaluation plan there, so the plan lives exactly as long as
-    the morphism.
+    ``plan`` is None until the morphism is first evaluated; then :func:`_plan`
+    keeps its entries there, so the plan lives exactly as long as the
+    morphism.
     """
 
     __slots__ = ("source", "target", "matrix", "plan")
@@ -207,6 +207,33 @@ def _starred(matrix: Mat, source: CObject, target: CObject) -> Mat:
     return matrix.signed(_koszul(target), _koszul(source))
 
 
+def _entries(phi: CMorphism):
+    """The nonzero entries c of phi, row by row, as items
+    (j, i, (x_i, x_j), m_i, c, raising) for source entry (x_i, m_i) and
+    target entry (x_j, m_j): how substitution and evaluation read a word
+    morphism.  A degree-preserving entry stands for c times the inner map
+    of x_i <= x_j; a raising one (m_j = m_i + 1, the only other canonical
+    case) for c·(-1)**m_i, the c yielded, times the inner D or differential
+    at x_j after that map."""
+    src, tgt = phi.source.entries, phi.target.entries
+    for j, row in enumerate(phi.matrix.rows):
+        xj, mj = tgt[j]
+        for i, c in enumerate(row):
+            if c:
+                xi, mi = src[i]
+                raising = mj != mi
+                yield j, i, (xi, xj), mi, -c if raising and mi % 2 else c, raising
+
+
+def _plan(phi: CMorphism) -> tuple:
+    """phi's entries (see _entries) for evaluation, made on its first
+    evaluation and kept on phi.  Substitution and the checks read each
+    morphism once and walk _entries afresh."""
+    if phi.plan is None:
+        phi.plan = tuple(_entries(phi))
+    return phi.plan
+
+
 def star(m: CMorphism) -> CMorphism:
     """Entrywise sign twist by the parity of the degree difference.  A sign
     change keeps the zero pattern of m's canonical matrix, so the twist is
@@ -290,16 +317,16 @@ def check_formula_morphism(
     restriction (every nonzero component preserves degree) that intertwines
     the two D's, otherwise a message naming the first degree-raising
     component or the difference phi[1]·D - D'·phi.  ShapeMismatch if phi
-    does not connect the two words.  Both sides are plain matrix products:
+    does not connect the two words.  The degree test reads _entries(phi)
+    and names the unsigned entry.  Both sides are plain matrix products:
     phi preserves degree once the first test passes and each D raises it by
     0 or 1, so no entry of either side jumps by 2 and none is quotiented."""
-    src, tgt = source.xi, target.xi
-    if phi.source != src or phi.target != tgt:
+    if phi.source != source.xi or phi.target != target.xi:
         raise ShapeMismatch("phi must map the source word to the target word")
-    for j, row in enumerate(phi.matrix.rows):
-        for i, c in enumerate(row):
-            if c != 0 and tgt.degree(j) != src.degree(i):
-                return f"component {c} at ({j},{i}) raises degree; not a restriction"
+    for j, i, _, _, _, raising in _entries(phi):
+        if raising:
+            c = phi.matrix.rows[j][i]
+            return f"component {c} at ({j},{i}) raises degree; not a restriction"
     lhs = phi.matrix.mul(source.D.matrix)
     rhs = target.D.matrix.mul(phi.matrix)
     if lhs != rhs:
@@ -512,11 +539,11 @@ def _substituted_matrix(psi: CMorphism, inner: Formula) -> Mat:
     """The matrix of the word morphism psi with the inner formula substituted
     into both ends, for a value's D and a restriction alike.
 
-    Block (b, a) is psi's coefficient c there times rho, the inner
-    restriction from the element of source entry a to that of target
-    entry b, when the entry preserves degree.  When it raises degree (the
-    only other canonical case) it is c times D·rho, for the inner D at the
-    target element, with its jumps of 2 quotiented away, and negated and
+    Each item of _entries(psi) gives block (b, a): its coefficient c times
+    rho, the inner restriction from the element of source entry a to that
+    of target entry b, when the entry preserves degree.  When it raises
+    degree it is c, which carries the Koszul sign, times D·rho, for the
+    inner D at the target element, with its jumps of 2 quotiented away and
     starred when the source degree ma is odd.  So a value's diagonal
     blocks, where rho(p, p) is the identity, are the twisted inner D's.
 
@@ -529,24 +556,18 @@ def _substituted_matrix(psi: CMorphism, inner: Formula) -> Mat:
     is the outer step mb - ma.  Scaling by c != 0 and the sign twist keep
     the zero pattern, and every other block is zero.
     """
-    s_entries = psi.source.entries
-    t_entries = psi.target.entries
-    row_off = list(accumulate([len(inner.at[p].xi) for p, _ in t_entries], initial=0))
-    col_off = list(accumulate([len(inner.at[p].xi) for p, _ in s_entries], initial=0))
+    row_off = list(accumulate([len(inner.at[p].xi) for p, _ in psi.target.entries], initial=0))
+    col_off = list(accumulate([len(inner.at[p].xi) for p, _ in psi.source.entries], initial=0))
     blocks = []
-    for b, (pb, mb) in enumerate(t_entries):
-        for a, c in enumerate(psi.matrix.rows[b]):
-            if c == 0:
-                continue
-            pa, ma = s_entries[a]
-            rho = inner.res[(pa, pb)]
-            mat = rho.matrix
-            if mb != ma:
-                D = inner.at[pb].D
-                mat = _quotient(D.matrix.mul(mat), rho.source.entries, D.target.entries)
-                if ma % 2:
-                    mat, c = _starred(mat, rho.source, D.target), -c
-            blocks.append((b, a, c, mat))
+    for b, a, pair, ma, c, raising in _entries(psi):
+        rho = inner.res[pair]
+        mat = rho.matrix
+        if raising:
+            D = inner.at[pair[1]].D
+            mat = _quotient(D.matrix.mul(mat), rho.source.entries, D.target.entries)
+            if ma % 2:
+                mat = _starred(mat, rho.source, D.target)
+        blocks.append((b, a, c, mat))
     return placed(row_off, col_off, blocks)
 
 

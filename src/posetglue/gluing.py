@@ -35,6 +35,7 @@ from .poset_core import (
     _disjoint_labels,
     cover_triangles,
     direct_sum,
+    in_element_order,
     ordinal_sum,
     point_poset,
     poset_from_generators,
@@ -75,7 +76,8 @@ def validate_gluing(X: Poset, Y: Poset, Yx) -> GluingData:
 
     Raises AntichainViolation when two members of some Y_x share an element
     of their up-sets or down-sets (the witness is reported), PhiMissing /
-    PhiNotBijective when the connecting maps cannot be inferred, and
+    PhiNotBijective when the connecting maps cannot be inferred (for the
+    first such x <= x2 in element order), and
     CocycleViolation if the inferred maps fail to compose (cannot happen
     when inference succeeded; checked anyway as an internal alarm), and
     GluingError when X ⊔ Y is empty.
@@ -118,7 +120,7 @@ def validate_gluing(X: Poset, Y: Poset, Yx) -> GluingData:
                     raise AntichainViolation(x, y, y2, w, "down")
 
     phi = {}
-    for x, x2 in X.leq:
+    for x, x2 in in_element_order(X, X.leq):
         fwd = {}
         for y in Yx[x]:
             candidates = [y2 for y2 in Yx[x2] if Y.le(y, y2)]
@@ -189,7 +191,8 @@ def build_minus(g: GluingData) -> GluedOrder:
 
 
 def from_function(X: Poset, Y: Poset, f) -> GluingData:
-    """Gluing data of an order-preserving map f: X -> Y (all Y_x singletons)."""
+    """Gluing data of an order-preserving map f: X -> Y (all Y_x singletons);
+    NotOrderPreserving names the first pair in element order that f breaks."""
     f = dict(f)
     for x in X.elements:
         if x not in f:
@@ -197,7 +200,7 @@ def from_function(X: Poset, Y: Poset, f) -> GluingData:
         Y.index(f[x])
     for x in f:
         X.index(x)
-    for x, x2 in X.leq:
+    for x, x2 in in_element_order(X, X.leq):
         if not Y.le(f[x], f[x2]):
             raise NotOrderPreserving(x, x2)
     return validate_gluing(X, Y, {x: (f[x],) for x in X.elements})

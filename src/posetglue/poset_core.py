@@ -193,10 +193,15 @@ def hasse(p: Poset) -> HasseDiagram:
     return p._hasse
 
 
+def in_element_order(p: Poset, pairs) -> list:
+    """pairs of p's elements in element order, so that every walk over them,
+    and the first failure it names, is the same on every run."""
+    return sorted(pairs, key=lambda ab: (p.index(ab[0]), p.index(ab[1])))
+
+
 def covers(p: Poset) -> list:
-    """The Hasse edges in element order, so that every walk over them, and
-    the first failure it names, is the same on every run."""
-    return sorted(hasse(p).edges, key=lambda ab: (p.index(ab[0]), p.index(ab[1])))
+    """The Hasse edges in element order (see in_element_order)."""
+    return in_element_order(p, hasse(p).edges)
 
 
 def require_elements(p: Poset, mapping, what: str) -> None:
@@ -219,9 +224,9 @@ def require_relations(p: Poset, maps: dict, identity) -> None:
         if (a, a) not in maps:
             maps[(a, a)] = identity(a)
     if maps.keys() != p.leq:
-        missing = [ab for ab in p.leq if ab not in maps]
+        missing = in_element_order(p, [ab for ab in p.leq if ab not in maps])
         if missing:
-            a, b = min(missing, key=lambda ab: (p.index(ab[0]), p.index(ab[1])))
+            a, b = missing[0]
             raise ParseError(f"no restriction for {a!r} <= {b!r}")
         a, b = next(ab for ab in maps if ab not in p.leq)
         raise ParseError(f"restriction given for unrelated pair {a!r}, {b!r}")

@@ -605,7 +605,7 @@ def ses_preservation_holds(seed: int) -> bool:
     from posetglue.formula_cat import TWO_CHAIN
     from posetglue.rng import derive_seed
 
-    incl, proj = random_ses(TWO_CHAIN, derive_seed(seed, "ses"), window=(-1, 1))
+    incl, proj = random_ses(TWO_CHAIN, derive_seed(seed, "ses"))
     xi = _law_xi(seed)
     Fi = eval_point_map(xi, incl)
     Fp = eval_point_map(xi, proj)

@@ -49,16 +49,19 @@ from posetglue.errors import (
     InternalInconsistency,
     InvalidChainMap,
     ParseError,
+    ShapeMismatch,
 )
 from posetglue.formula_cat import (
     NU,
     TWO_CHAIN,
     CMorphism,
     CObject,
+    FormulaToPoint,
     XI12,
     XI121,
     XI212,
     canonical_formula,
+    check_formula,
     i_xi,
     negated_star_shift,
     shift,
@@ -218,6 +221,57 @@ class TestComplexes:
         assert S.dims == {t - 1: n for t, n in K.dims.items()}
         for t, m in K.d.items():
             assert S.diff(t - 1).tolist() == m.neg().tolist()
+
+
+class TestRejectedShapes:
+    """The shape and base checks of complexes, chain maps, diagrams and
+    diagram maps, each named by its message."""
+
+    S, T = VectComplex({0: 1}, {}), VectComplex({0: 2}, {})
+
+    def _diagram(self):
+        # S at "1", T at "2", included as the first coordinate
+        r = {("1", "2"): ChainMap(self.S, self.T, {0: [[1], [0]]})}
+        return PosetDiagram(TWO_CHAIN, {"1": self.S, "2": self.T}, r)
+
+    def test_negative_dimension(self):
+        with pytest.raises(ShapeMismatch, match="negative dimension"):
+            VectComplex({0: -1}, {})
+
+    def test_differential_of_the_wrong_shape(self):
+        with pytest.raises(ShapeMismatch, match="differential at degree 0 must be 1x1"):
+            VectComplex({0: 1, 1: 1}, {0: [[1, 1]]})
+
+    def test_chain_map_component_of_the_wrong_shape(self):
+        with pytest.raises(ShapeMismatch, match="component at degree 0 must be 2x1"):
+            ChainMap(self.S, self.T, {0: [[1, 0]]})
+
+    def test_diagram_restriction_with_wrong_ends(self):
+        r = {("1", "2"): identity_chain_map(self.T)}
+        with pytest.raises(ShapeMismatch, match="restriction for '1' <= '2' has wrong ends"):
+            PosetDiagram(TWO_CHAIN, {"1": self.S, "2": self.T}, r)
+
+    def test_diagram_map_over_different_bases(self):
+        other = random_diagram(poset_from_generators(["1", "2"], []), 1)
+        with pytest.raises(BaseMismatch, match="diagram maps need a common base poset"):
+            DiagramMap(self._diagram(), other, {})
+
+    def test_diagram_map_component_with_wrong_ends(self):
+        K = self._diagram()
+        swapped = {"1": identity_chain_map(self.T), "2": identity_chain_map(self.S)}
+        with pytest.raises(ShapeMismatch, match="component at '1' has wrong ends"):
+            DiagramMap(K, K, swapped)
+
+    def test_evaluated_d_squared_names_the_evaluation(self):
+        # an unchecked value whose two degree-preserving entries compose to
+        # a nonzero d·d at a stalk Z in degree 0 (check_formula rejects it)
+        xi = CObject((("1", 0), ("1", -1), ("1", -2)), TWO_CHAIN)
+        f = FormulaToPoint(xi, [[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+        assert check_formula(f) is not None
+        r = {("1", "2"): identity_chain_map(self.S)}
+        K = PosetDiagram(TWO_CHAIN, {"1": self.S, "2": self.S}, r)
+        with pytest.raises(D2NotZero, match="evaluated differential fails to square to zero"):
+            eval_point(f, K)
 
 
 class TestDiagrams:
@@ -669,7 +723,7 @@ _DRAWS = {
         random_qis_map(X, s, max_dim=2, window=(-1, 1))
     ),
     "ses": lambda X, s: [
-        _diagram_map_json(g) for g in random_ses(X, s, window=(-1, 1))
+        _diagram_map_json(g) for g in random_ses(X, s)
     ],
 }
 _DRAW_DIGESTS = {
@@ -773,7 +827,7 @@ class TestRandomGenerators:
     def test_random_ses_is_exact_at_every_element_of_a_branching_order(self):
         X = figure_one_poset("X1")
         for seed in range(20):
-            incl, proj = random_ses(X, seed, window=(-1, 1))
+            incl, proj = random_ses(X, seed)
             for x in X.elements:
                 i, p = incl.components[x], proj.components[x]
                 for t in i.target.dims:

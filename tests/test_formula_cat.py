@@ -220,6 +220,38 @@ class TestCompose:
         assert compose(g, f) == CMorphism(f.source, c2, [[3, 6]])
 
 
+class TestRejectedInputs:
+    """The base and shape checks of the constructors and of composition
+    and substitution, each named by its message."""
+
+    X1 = figure_one_poset("X1")
+
+    def test_morphism_ends_over_different_posets(self):
+        over_x1 = CObject((("1", 0),), self.X1)
+        with pytest.raises(BaseMismatch, match="source and target live over different posets"):
+            CMorphism(XI12.xi, over_x1, [[1, 0]])
+
+    def test_compose_over_different_posets(self):
+        one = identity_morphism(CObject((("1", 0),), self.X1))
+        with pytest.raises(BaseMismatch, match="cannot compose morphisms over different posets"):
+            compose(one, identity_morphism(XI12.xi))
+
+    def test_compose_of_unmatched_ends(self):
+        with pytest.raises(ShapeMismatch, match="target of the first factor != source"):
+            compose(identity_morphism(XI121.xi), identity_morphism(XI12.xi))
+
+    def test_value_with_a_d_that_is_not_to_the_shift(self):
+        with pytest.raises(ShapeMismatch, match="D must map the object to its shift by one"):
+            FormulaToPoint(XI12.xi, identity_morphism(XI12.xi))
+
+    def test_substitution_over_another_target(self):
+        inner = translation_formula(self.X1, 0)
+        with pytest.raises(BaseMismatch, match="outer formula must live over the inner"):
+            substitute(XI12, inner)
+        with pytest.raises(BaseMismatch, match="base must equal inner formula's target"):
+            compose_formulas(NU, inner)
+
+
 class TestNamedConstants:
     def test_all_named_formulas_are_valid(self):
         for f in (XI1, XI2, XI12, XI121, XI212):

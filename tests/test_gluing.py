@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from posetglue.errors import (
@@ -39,7 +41,7 @@ from posetglue.poset_core import (
     poset_to_json,
 )
 
-from conftest import brute_closure
+from conftest import brute_closure, run_python
 
 
 def chain(*names):
@@ -48,6 +50,69 @@ def chain(*names):
 
 def antichain(*names):
     return poset_from_generators(list(names), [])
+
+
+#: Gluing documents over X with a < b and c < d that fail at both pairs,
+#: by the witness each must name on every run: the pair a -> b, the first
+#: in element order.
+_X = {"elements": ["a", "b", "c", "d"], "relations": [["a", "b"], ["c", "d"]]}
+_ANTICHAIN = {"elements": ["p", "q", "r", "s"], "relations": []}
+_TWO_FAILURES = {
+    "PhiMissing": (
+        {"X": _X, "Y": _ANTICHAIN, "Yx": {"a": ["p"], "b": ["q"], "c": ["r"], "d": ["s"]}},
+        "no admissible image of 'p' when passing 'a' -> 'b'",
+    ),
+    "PhiNotBijective": (
+        {
+            "X": _X,
+            "Y": _ANTICHAIN,
+            "Yx": {"a": ["p"], "b": ["p", "q"], "c": ["r"], "d": ["r", "s"]},
+        },
+        "transfer map 'a' -> 'b' is not a bijection",
+    ),
+    "NotOrderPreserving": (
+        {
+            "X": _X,
+            "Y": {"elements": ["p", "q"], "relations": [["p", "q"]]},
+            "f": {"a": "q", "b": "p", "c": "q", "d": "p"},
+        },
+        "map is not order preserving on 'a' <= 'b'",
+    ),
+}
+_LIBRARY_WITNESSES = """
+import json, sys
+from posetglue.gluing import gluing_from_json
+for doc in json.loads(sys.argv[1]):
+    try:
+        gluing_from_json(doc)
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+class TestWitnessOrder:
+    def test_library_witnesses_do_not_depend_on_the_hash_seed(self):
+        docs = [doc for doc, _ in _TWO_FAILURES.values()]
+        outs = set()
+        for hash_seed in (0, 1):
+            result = run_python(["-c", _LIBRARY_WITNESSES, json.dumps(docs)], hash_seed)
+            assert result.returncode == 0, result.stderr
+            outs.add(result.stdout)
+        (out,) = outs
+        assert out.splitlines() == [f"{n} {w}" for n, (_, w) in _TWO_FAILURES.items()]
+
+    @pytest.mark.parametrize("name", sorted(_TWO_FAILURES))
+    def test_glue_validate_witness_does_not_depend_on_the_hash_seed(self, tmp_path, name):
+        doc, witness = _TWO_FAILURES[name]
+        path = tmp_path / "gluing.json"
+        path.write_text(json.dumps(doc))
+        errs = set()
+        for hash_seed in (0, 1):
+            result = run_python(["-m", "posetglue.cli", "glue", "validate", str(path)], hash_seed)
+            assert result.returncode == 1, result.stderr
+            errs.add(result.stderr)
+        (err,) = errs
+        assert witness in err
 
 
 class TestValidate:

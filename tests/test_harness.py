@@ -1002,6 +1002,12 @@ class TestFigureOne:
         for name in ("X1", "X2", "X3", "X4"):
             assert len(figure_one_poset(name)) == 7
 
+    def test_unknown_names_are_rejected(self):
+        with pytest.raises(ParseError, match="unknown worked poset 'X5'; pick one of X1..X4"):
+            figure_one_poset("X5")
+        with pytest.raises(ParseError, match=r"unknown worked pair \('X1', 'X4'\)"):
+            figure_one_gluing(("X1", "X4"))
+
     def test_counterexample_data_matches_construction(self):
         X, Y, Yx = counterexample_data()
         assert [len(X), len(Y)] == [1, 3]

@@ -2,7 +2,8 @@
 defaulted parameter of a function or method, private ones included, is set
 by some call, the unchecked ``Mat._of`` constructor is used only inside
 ``intmat`` and the unchecked ``CMorphism._trusted`` only by the builders
-that prove their matrices canonical (and the one test wrapper), the
+that prove their matrices canonical (and the one test wrapper), only
+``formula_cat`` walks a word morphism's entries and stores its plan, the
 isomorphism search serves only ``poset iso``, matrices are ranked only by
 ``Field.rank``, JSON is decoded only by ``cli._load_doc``, and the package
 imports nothing outside the standard library.
@@ -243,6 +244,46 @@ def test_trusted_cmorphism_constructor_serves_only_proven_sites():
     # the guard still sees every listed caller
     assert set(allowed) == PROVEN_TRUSTED_SITES | {"conftest.wrap_trusted"}
     assert not outside, outside
+
+
+def test_formula_cat_owns_the_entry_walk_and_the_plan():
+    # formula_cat._entries is the one reading of a word morphism's entries,
+    # with the Koszul sign of a raising entry folded in, and formula_cat._plan
+    # keeps it on the morphism for evaluation.  So no other module stores a
+    # plan, and abelian_eval takes its plan from formula_cat and reads no
+    # morphism's matrix, which an entry walk of its own would have to do.
+    formula_cat, abelian_eval = PACKAGE / "formula_cat.py", PACKAGE / "abelian_eval.py"
+    files = [
+        path
+        for folder in (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
+        for path in sorted(folder.rglob("*.py"))
+    ]
+    stores = {}
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "plan"
+                and isinstance(node.ctx, ast.Store)
+            ):
+                stores.setdefault(str(path.relative_to(ROOT)), []).append(node.lineno)
+    own = str(formula_cat.relative_to(ROOT))
+    assert own in stores  # the guard still sees formula_cat's own stores
+    outside = {p: lines for p, lines in stores.items() if p != own}
+    assert not outside, outside
+    tree = ast.parse(abelian_eval.read_text(), filename=str(abelian_eval))
+    assert any(
+        isinstance(node, ast.ImportFrom)
+        and node.module == "formula_cat"
+        and "_plan" in {alias.name for alias in node.names}
+        for node in tree.body
+    )
+    reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "matrix"
+    ]
+    assert not reads, reads
 
 
 def test_runtime_imports_only_the_standard_library():
