@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .formula_cat import CMorphism, Formula, FormulaToPoint, _plan
-from .intmat import Mat, block, placed, rank_exact, rank_mod
+from .intmat import Mat, _as_int, block, placed, rank_exact, rank_mod
 from .poset_core import (
     Poset, cover_triangles, covers, hasse, require_elements, require_relations
 )
@@ -67,7 +67,11 @@ class Field:
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None and not (self.p < 2**64 and _is_prime(self.p)):
+        if self.p is None:
+            return
+        if type(self.p) is not int:  # bool is an int subclass, and rejected
+            raise ParseError(f"p must be an int or None, got {self.p!r}")
+        if not (self.p < 2**64 and _is_prime(self.p)):
             raise ParseError(f"{self.p} is not a prime below 2**64")
 
     @staticmethod
@@ -105,12 +109,13 @@ class VectComplex:
     __slots__ = ("dims", "d")
 
     def __init__(self, dims, d, check: bool = True):
-        self.dims = {int(i): int(n) for i, n in dims.items() if int(n) != 0}
+        dims = {_as_int(i, "degree"): _as_int(n, "dimension") for i, n in dims.items()}
+        self.dims = {i: n for i, n in dims.items() if n}
         if any(n < 0 for n in self.dims.values()):
             raise ShapeMismatch("negative dimension")
         dd = {}
         for i, m in d.items():
-            i = int(i)
+            i = _as_int(i, "degree")
             if not isinstance(m, Mat):
                 m = Mat.from_rows(m)
             if m.nrows != self.dim(i + 1) or m.ncols != self.dim(i):
@@ -163,7 +168,7 @@ class ChainMap:
         ff = {}
         tdims, sdims = target.dims, source.dims
         for i, m in f.items():
-            i = int(i)
+            i = _as_int(i, "degree")
             if not isinstance(m, Mat):
                 m = Mat.from_rows(m)
             if m.nrows != tdims.get(i, 0) or m.ncols != sdims.get(i, 0):
@@ -421,11 +426,10 @@ def _eval_object_dims(word, ev: _Evaluation) -> dict:
 
 
 class _Evaluation:
-    """The evaluation context of one call at a diagram K, shared by every
-    formula, value's D, restriction and component that the call evaluates
-    there: each formula's evaluation, the layouts of each word, and each
-    product d_{x_j}·r of a raising plan item, by pair (x_i, x_j) and stalk
-    degree (None where it vanishes).
+    """The evaluation context of one call at a diagram K: the layout of each
+    word, and each product d_{x_j}·r of a raising plan item, by pair
+    (x_i, x_j) and stalk degree (None where it vanishes), shared by every
+    value's D, restriction and component that the call evaluates there.
     Morphisms are read only through formula_cat._plan; nothing here writes
     into one.
     The layout of a word at a degree t of its support is the offset of each
@@ -434,19 +438,16 @@ class _Evaluation:
 
     Every evaluation passes through formula or layout, which reject a
     formula or word over another base than K's first (BaseMismatch).
-
-    A context lives for its call only: nothing it makes refers back to it,
-    and nothing keeps it on K, so K and its context form no reference cycle
-    and both are freed by reference counting.
+    A context lives for its call only and is kept on nothing it makes,
+    so it forms no reference cycle.
     """
 
-    __slots__ = ("K", "layouts", "products", "formulas")
+    __slots__ = ("K", "layouts", "products")
 
     def __init__(self, K: PosetDiagram):
         self.K = K
         self.layouts = {}
         self.products = {}
-        self.formulas = {}
 
     def layout(self, word) -> dict:
         """degree t -> the layout of word at t, for t in its support; the
@@ -484,17 +485,10 @@ class _Evaluation:
         return {t: placed(rows[t], cols[t], items) for t, items in placed_at.items()}
 
     def formula(self, F: Formula) -> PosetDiagram:
-        """F evaluated at K (see eval_formula), once per context: kept by F's
-        id (the call holds F), or by the shift of a translation formula."""
+        """F evaluated at K (see eval_formula); a translation formula is K
+        shifted."""
         if F.base != self.K.base:
             raise BaseMismatch("formula and diagram live over different posets")
-        key = id(F) if F.shift is None else ("shift", F.shift)
-        if key not in self.formulas:
-            self.formulas[key] = self._formula(F)
-        return self.formulas[key]
-
-    def _formula(self, F: Formula) -> PosetDiagram:
-        """formula(F) made anew; a translation formula is K shifted."""
         if F.shift is not None:
             return shift_diagram(self.K, F.shift)
         stalks = {y: self.point(F.at[y]) for y in F.target.elements}

@@ -25,7 +25,7 @@ from .errors import (
     InternalInconsistency,
     ShapeMismatch,
 )
-from .intmat import Mat, placed
+from .intmat import Mat, _as_int, placed
 from .poset_core import (
     Poset,
     cover_triangles,
@@ -48,7 +48,7 @@ class CObject:
     __slots__ = ("entries", "base")
 
     def __init__(self, entries, base: Poset):
-        entries = tuple((x, int(m)) for x, m in entries)
+        entries = tuple((x, _as_int(m, "degree")) for x, m in entries)
         for x, _ in entries:
             base.index(x)
         self.entries = entries
@@ -66,9 +66,6 @@ class CObject:
 
     def __repr__(self):
         return f"CObject({list(self.entries)})"
-
-    def degree(self, i):
-        return self.entries[i][1]
 
     def shifted(self, n: int) -> "CObject":
         # the elements were validated when self was made
@@ -100,7 +97,7 @@ class CMorphism:
     """An integer matrix between two objects, stored in canonical form.
 
     The constructor validates and normalizes any input: a Mat of the right
-    shape, or rows of entries that int() accepts (ShapeMismatch otherwise).
+    shape (ShapeMismatch otherwise), or rows of integer entries (see Mat).
     Entries at positions violating the order or degree conditions become
     zero, and degree jumps >= 2 are quotiented away.  Equality is equality
     of canonical forms.  Matrices that are canonical by construction skip

@@ -8,33 +8,45 @@ elimination over a prime field).
 
 Two constructors make a Mat. The public ones, `Mat(nrows, ncols, rows)`,
 `Mat.from_rows` and `Mat.diag`, validate: they convert every entry with
-`int` and reject rows that do not match the stated shape. The private
-`Mat._of` trusts its caller and stores `rows` as given; it is used only in
-this module, by the operations (`mul`, `add`, `sub`, `scale`, `neg`,
-`signed`, `transpose`, `masked`, `placed`, `zero`, `identity`), which
-check the shapes of their operands and build their results as tuples of
-int tuples of the right shape.  `masked` keeps or zeroes the entries of a
-Mat that is already valid, so it converts and checks nothing either.
+`operator.index`, which takes ints and bools but not what `int` would
+truncate or parse (1.5, "1"; ParseError), and reject rows that do not
+match the stated shape. The private `Mat._of` trusts its caller and stores
+`rows` as given; it is used only in this module, by the operations (`mul`,
+`add`, `sub`, `scale`, `neg`, `signed`, `transpose`, `masked`, `placed`,
+`zero`, `identity`), which check the shapes of their operands and build
+their results as tuples of int tuples of the right shape.  `masked` keeps
+or zeroes the entries of a Mat that is already valid, so it converts and
+checks nothing either.
 """
 from __future__ import annotations
 
 from itertools import accumulate
 from operator import add as _add
+from operator import index
 from operator import mul as _mul
 from operator import sub as _sub
 
-from .errors import ShapeMismatch
+from .errors import ParseError, ShapeMismatch
 
 
 #: Mat.identity(n) by n.
 _IDENTITIES: dict = {}
 
 
+def _as_int(v, what="matrix entry") -> int:
+    """v as an int: operator.index takes ints and bools (as 0 and 1) and
+    refuses what int() would truncate or parse, such as 1.5 or "1"."""
+    try:
+        return index(v)
+    except TypeError:
+        raise ParseError(f"{what} must be an integer, got {v!r}") from None
+
+
 class Mat:
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, nrows, ncols, rows):
-        rows = tuple(tuple(int(v) for v in r) for r in rows)
+        rows = tuple(tuple(map(_as_int, r)) for r in rows)
         if len(rows) != nrows or any(len(r) != ncols for r in rows):
             raise ShapeMismatch(f"expected {nrows}x{ncols}, got {[len(r) for r in rows]}")
         self.nrows = nrows
@@ -113,7 +125,7 @@ class Mat:
         return Mat._of(self.ncols, self.nrows, tuple(zip(*self.rows)))
 
     def scale(self, c):
-        c = int(c)
+        c = _as_int(c, "scale factor")
         return Mat._of(
             self.nrows, self.ncols, tuple(tuple([c * v for v in r]) for r in self.rows)
         )

@@ -390,7 +390,7 @@ def morphism_check_formula_morphism(phi, source, target) -> str | None:
         raise ShapeMismatch("phi must map the source word to the target word")
     for j, row in enumerate(phi.matrix.rows):
         for i, c in enumerate(row):
-            if c != 0 and tgt.degree(j) != src.degree(i):
+            if c != 0 and tgt.entries[j][1] != src.entries[i][1]:
                 return f"component {c} at ({j},{i}) raises degree; not a restriction"
     lhs = compose(shift(phi, 1), source.D)
     rhs = compose(target.D, phi)
@@ -433,7 +433,7 @@ def per_entry_star(m):
     from posetglue.formula_cat import CMorphism
 
     rows = [
-        [c if (mj - m.source.degree(i)) % 2 == 0 else -c for i, c in enumerate(row)]
+        [c if (mj - m.source.entries[i][1]) % 2 == 0 else -c for i, c in enumerate(row)]
         for row, (_, mj) in zip(m.matrix.rows, m.target.entries)
     ]
     return CMorphism(m.source, m.target, rows)

@@ -202,7 +202,7 @@ class TestCompose:
             got = compose(g, f)
             assert got == reference and got.matrix == reference.matrix, seed
             jumps |= {
-                c.degree(k) - a.degree(i)
+                c.entries[k][1] - a.entries[i][1]
                 for k, row in enumerate(product.rows)
                 for i, v in enumerate(row)
                 if v
@@ -239,6 +239,14 @@ class TestRejectedInputs:
     def test_compose_of_unmatched_ends(self):
         with pytest.raises(ShapeMismatch, match="target of the first factor != source"):
             compose(identity_morphism(XI121.xi), identity_morphism(XI12.xi))
+
+    def test_degrees_and_entries_are_integers(self):
+        # int() used to truncate: CMorphism(w, w, [[0.5]]) was the zero map
+        w = CObject((("1", 0),), self.X1)
+        with pytest.raises(ParseError, match="matrix entry must be an integer, got 0.5"):
+            CMorphism(w, w, [[0.5]])
+        with pytest.raises(ParseError, match="degree must be an integer, got 0.5"):
+            CObject((("1", 0.5),), self.X1)
 
     def test_value_with_a_d_that_is_not_to_the_shift(self):
         with pytest.raises(ShapeMismatch, match="D must map the object to its shift by one"):
@@ -690,7 +698,7 @@ class TestMatrixLevelChecks:
 
         def jumps_by_two(product, src, tgt, rise=0):
             return any(
-                v and tgt.degree(k) + rise - src.degree(i) == 2
+                v and tgt.entries[k][1] + rise - src.entries[i][1] == 2
                 for k, row in enumerate(product.rows)
                 for i, v in enumerate(row)
             )

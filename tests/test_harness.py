@@ -817,17 +817,22 @@ class TestVerifyTwoChain:
         par = verify_two_chain(trials=6, seed=3, jobs=3, max_dim=2, window=(-1, 1))
         assert seq.to_json() == par.to_json()
 
-    def test_each_trial_evaluates_nu_once(self, monkeypatch):
-        # four epsilons with two ends each and T1, T2, T3 make 11, less the
-        # unit's source, which is the counit's target: NU evaluated at K
-        calls = []
-        real = abelian_eval._Evaluation._formula
+    def test_each_trial_evaluates_eleven_formulas(self, monkeypatch):
+        # four epsilons with two ends each and T1, T2, T3, each evaluated
+        # afresh: NU at K is the counit's target and the unit's source, and
+        # K is shifted for each
+        calls, shifts = [], []
+        real, real_shift = abelian_eval._Evaluation.formula, abelian_eval.shift_diagram
         monkeypatch.setattr(
-            abelian_eval._Evaluation, "_formula", lambda ev, F: calls.append(F) or real(ev, F)
+            abelian_eval._Evaluation, "formula", lambda ev, F: calls.append(F) or real(ev, F)
+        )
+        monkeypatch.setattr(
+            abelian_eval, "shift_diagram", lambda K, n: shifts.append(n) or real_shift(K, n)
         )
         assert verify_two_chain(trials=1).ok
-        assert len(calls) == 10
-        assert sum(F is NU for F in calls) == 1
+        assert len(calls) == 11
+        assert [F.shift for F in calls if F.shift is not None] == [1, 1]
+        assert shifts == [1, 1]
 
     def test_a_broken_composition_law_is_an_internal_inconsistency(self, monkeypatch):
         # T3, the plus side evaluated three times, must be the source of the
@@ -846,15 +851,18 @@ class TestVerifyTwoChain:
         ):
             verify_two_chain(trials=1)
 
-    def test_each_trial_makes_one_evaluation_context_per_diagram(self, monkeypatch):
-        # the input K and the first two plus-side evaluations T1 and T2
+    def test_each_trial_makes_one_evaluation_context_per_call(self, monkeypatch):
+        # at the input K: three epsilons and T1; at T1: the square and T2;
+        # at T2: T3
         diagrams = []
         real = abelian_eval._Evaluation.__init__
         monkeypatch.setattr(
             abelian_eval._Evaluation, "__init__", lambda ev, K: diagrams.append(K) or real(ev, K)
         )
         assert verify_two_chain(trials=1).ok
-        assert len(diagrams) == len({id(K) for K in diagrams}) == 3
+        K, T1, T2 = diagrams[0], diagrams[4], diagrams[6]
+        assert len({id(K), id(T1), id(T2)}) == 3
+        assert [id(D) for D in diagrams] == [id(K)] * 4 + [id(T1)] * 2 + [id(T2)]
 
     def test_two_chain_formulas_are_pinned(self):
         def pins(F):

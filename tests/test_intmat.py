@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from posetglue.errors import ShapeMismatch
+from posetglue.errors import ParseError, ShapeMismatch
 from posetglue.intmat import Mat, block, rank_exact, rank_mod
 from posetglue.rng import SplitMix64
 
@@ -156,8 +156,8 @@ def test_ranks_match_reference():
 
 
 def test_public_constructors_validate():
-    assert Mat(1, 2, [[True, 2.0]]).rows == ((1, 2),)
-    assert all(type(v) is int for v in Mat(1, 2, [[True, 2.0]]).rows[0])
+    assert Mat(1, 2, [[True, 2]]).rows == ((1, 2),)
+    assert all(type(v) is int for v in Mat(1, 2, [[True, 2]]).rows[0])
     assert Mat.from_rows([[1, 2], [3, 4]]).rows == ((1, 2), (3, 4))
     assert Mat.diag([2, 3]).rows == ((2, 0), (0, 3))
     for nrows, ncols, rows in [(2, 2, [[1, 2], [3]]), (1, 2, [[1, 2], [3, 4]]), (2, 0, [])]:
@@ -165,3 +165,17 @@ def test_public_constructors_validate():
             Mat(nrows, ncols, rows)
     with pytest.raises(ShapeMismatch):
         Mat.from_rows([[1, 2], [3]])
+
+
+def test_public_constructors_take_integers_only():
+    # int() would truncate 1.5 and 2.0 and parse "1"; operator.index refuses
+    # them, and the error names the value
+    for bad in (1.5, 2.0, "1", "x", None):
+        with pytest.raises(ParseError, match=f"matrix entry must be an integer, got {bad!r}"):
+            Mat(1, 2, [[1, bad]])
+        with pytest.raises(ParseError, match="must be an integer"):
+            Mat.from_rows([[bad]])
+        with pytest.raises(ParseError, match="must be an integer"):
+            Mat.diag([1, bad])
+    with pytest.raises(ParseError, match="scale factor must be an integer, got 0.5"):
+        Mat.identity(2).scale(0.5)

@@ -5,8 +5,9 @@ by some call, the unchecked ``Mat._of`` constructor is used only inside
 that prove their matrices canonical (and the one test wrapper), only
 ``formula_cat`` walks a word morphism's entries and stores its plan, the
 isomorphism search serves only ``poset iso``, matrices are ranked only by
-``Field.rank``, JSON is decoded only by ``cli._load_doc``, and the package
-imports nothing outside the standard library.
+``Field.rank``, JSON is decoded only by ``cli._load_doc``, ``harness``
+makes evaluation contexts only in ``EpsilonTransform.evaluate``, and the
+package imports nothing outside the standard library.
 
 A public function, class or constant of ``src/posetglue/*.py`` must be used
 somewhere in ``src/`` or ``tests/`` other than its own definition and its
@@ -345,6 +346,31 @@ def test_only_field_rank_ranks_matrices():
                     where = f"{path.stem}.{owner}{getattr(unit, 'name', unit.lineno)}"
                     (allowed if where in rankers else outside).append(where)
     assert set(allowed) == rankers  # the guard still sees the rank site
+    assert not outside, outside
+
+
+def _constructs(node, name) -> bool:
+    """Whether node calls `name` or `<anything>.name`."""
+    return any(
+        isinstance(sub, ast.Call)
+        and name in (getattr(sub.func, "id", None), getattr(sub.func, "attr", None))
+        for sub in ast.walk(node)
+    )
+
+
+def test_harness_makes_evaluation_contexts_only_in_epsilon_evaluate():
+    # The trial drivers evaluate through EpsilonTransform.evaluate and
+    # eval_formula, each of which makes its own context for its one call;
+    # no driver hands a context from one evaluation to the next.
+    harness, maker = PACKAGE / "harness.py", "harness.EpsilonTransform.evaluate"
+    allowed, outside = [], []
+    for stmt in ast.parse(harness.read_text(), filename=str(harness)).body:
+        owner = f"{stmt.name}." if isinstance(stmt, ast.ClassDef) else ""
+        for unit in stmt.body if owner else [stmt]:
+            if _constructs(unit, "_Evaluation"):
+                where = f"harness.{owner}{getattr(unit, 'name', unit.lineno)}"
+                (allowed if where == maker else outside).append(where)
+    assert allowed == [maker]  # the guard still sees the one maker
     assert not outside, outside
 
 
