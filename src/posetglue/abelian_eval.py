@@ -98,6 +98,14 @@ class Field:
 RATIONALS = Field(None)
 
 
+def _items(mapping, what: str):
+    """mapping.items(); ParseError naming the value if it is not a mapping."""
+    try:
+        return mapping.items()
+    except AttributeError:
+        raise ParseError(f"{what} must be a mapping by degree, got {mapping!r}") from None
+
+
 class VectComplex:
     """A bounded complex: degree -> dimension, with integer differentials.
 
@@ -109,12 +117,12 @@ class VectComplex:
     __slots__ = ("dims", "d")
 
     def __init__(self, dims, d, check: bool = True):
-        dims = {_as_int(i, "degree"): _as_int(n, "dimension") for i, n in dims.items()}
+        dims = {_as_int(i, "degree"): _as_int(n, "dimension") for i, n in _items(dims, "dims")}
         self.dims = {i: n for i, n in dims.items() if n}
         if any(n < 0 for n in self.dims.values()):
             raise ShapeMismatch("negative dimension")
         dd = {}
-        for i, m in d.items():
+        for i, m in _items(d, "differentials"):
             i = _as_int(i, "degree")
             if not isinstance(m, Mat):
                 m = Mat.from_rows(m)
@@ -167,7 +175,7 @@ class ChainMap:
         self.target = target
         ff = {}
         tdims, sdims = target.dims, source.dims
-        for i, m in f.items():
+        for i, m in _items(f, "components"):
             i = _as_int(i, "degree")
             if not isinstance(m, Mat):
                 m = Mat.from_rows(m)
@@ -519,6 +527,53 @@ class _Evaluation:
         return T
 
 
+class _Representable:
+    """The images of formula values and word morphisms at the representable
+    diagram P_u of an element u: the field in degree 0 at each x >= u and
+    zero elsewhere, identity restrictions and zero differential.
+
+    A word entry (e, m) is one dimension in degree -m if u <= e and nothing
+    otherwise, so the layout of a word at degree t counts its entries over
+    the up-set of u with m = -t.  A plan item (j, i, (x_i, x_j), m_i, c,
+    raising) of a morphism is c times a restriction of P_u, the identity of
+    the field at degree -m_i, when u <= x_i (and so u <= x_j); a raising
+    item vanishes, as it ends in a differential of P_u.  This is what
+    _Evaluation computes at the diagram P_u, made with no PosetDiagram and
+    no restriction; morphisms are read only through formula_cat._plan.
+    """
+
+    __slots__ = ("base", "up")
+
+    def __init__(self, base: Poset, u):
+        self.base = base
+        self.up = base.up_set(u)
+
+    def layout(self, word) -> dict:
+        """degree t -> the offsets of word's entries at t, then the total
+        size (see _Evaluation.layout), for t in the support of word at P_u."""
+        if word.base != self.base:
+            raise BaseMismatch("formula and representable live over different posets")
+        up, entries = self.up, word.entries
+        return {
+            t: list(accumulate((int(m == -t and x in up) for x, m in entries), initial=0))
+            for t in {-m for x, m in entries if x in up}
+        }
+
+    def matrices(self, phi: CMorphism) -> dict:
+        """The degreewise matrices of phi at P_u, nonzero degrees only."""
+        one, placed_at = Mat.identity(1), {}
+        for j, i, (x, _), mi, c, raising in _plan(phi):
+            if not raising and x in self.up:
+                placed_at.setdefault(-mi, []).append((j, i, c, one))
+        rows, cols = self.layout(phi.target), self.layout(phi.source)
+        return {t: placed(rows[t], cols[t], items) for t, items in placed_at.items()}
+
+    def point(self, f: FormulaToPoint) -> VectComplex:
+        """f at P_u, its d·d = 0 checked."""
+        dims = {t: offsets[-1] for t, offsets in self.layout(f.xi).items()}
+        return VectComplex(dims, self.matrices(f.D), check=True)
+
+
 def eval_point(f: FormulaToPoint, K: PosetDiagram) -> VectComplex:
     """Evaluate a formula to a point: the direct sum of shifted stalks with
     the differential assembled from D. The result's d·d = 0 is asserted, and
@@ -850,6 +905,12 @@ def _random_pieces(X: Poset, rng: SplitMix64, max_dim: int, window) -> list:
     return pieces
 
 
+def _diagram_pieces(X: Poset, seed: int, max_dim: int, window) -> list:
+    """The pieces (u, S) that random_diagram(X, seed, max_dim, window)
+    spreads over X: the one draw of its random numbers."""
+    return _random_pieces(X, SplitMix64(derive_seed(seed, "diagram")), max_dim, window)
+
+
 def random_diagram(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> PosetDiagram:
     """A deterministic random diagram over X: a split sum of up-set pieces
     with block-inclusion restrictions.
@@ -857,9 +918,7 @@ def random_diagram(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> Pos
     The same seed yields the same diagram regardless of the field in use —
     all entries are integers; fields only enter when ranks are computed.
     """
-    rng = SplitMix64(derive_seed(seed, "diagram"))
-    pd = _PieceDiagram(X, _random_pieces(X, rng, max_dim, window))
-    return pd.diagram()
+    return _PieceDiagram(X, _diagram_pieces(X, seed, max_dim, window)).diagram()
 
 
 def random_qis_map(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> DiagramMap:

@@ -96,7 +96,6 @@ def _run_args(ns) -> dict:
         "field": Field.parse(ns.field),
         "max_dim": ns.max_dim,
         "window": tuple(ns.window),
-        "jobs": ns.jobs,
     }
 
 
@@ -348,9 +347,6 @@ def _add_run_flags(parser) -> None:
         default=(-2, 2),
         metavar=("LO", "HI"),
         help="degree window for random complexes",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for parallel trials"
     )
     _add_json_flag(parser)
 

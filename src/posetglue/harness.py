@@ -16,8 +16,6 @@ coefficient field; a discrepancy between fields aborts the run.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .abelian_eval import (
@@ -26,9 +24,13 @@ from .abelian_eval import (
     DiagramMap,
     Field,
     PosetDiagram,
+    _diagram_pieces,
     _Evaluation,
+    _Representable,
+    cohomology,
     cohomology_table,
     eval_formula,
+    is_quasi_iso,
     is_quasi_iso_diagram,
     random_diagram,
 )
@@ -132,11 +134,11 @@ class EquivalenceCertificate:
         }
 
 
-def _run_config(trials, seed, field, max_dim, window, jobs) -> dict:
-    """The run parameters as recorded in a report (all but jobs).  Every
+def _run_config(trials, seed, field, max_dim, window) -> dict:
+    """The run parameters as recorded in a report.  Every
     verification entry point calls this first, so bad parameters are
     rejected before any work."""
-    ints = {"trials": trials, "seed": seed, "max_dim": max_dim, "jobs": jobs}
+    ints = {"trials": trials, "seed": seed, "max_dim": max_dim}
     for name, value in ints.items():
         if type(value) is not int:  # bool is an int subclass, and rejected
             raise ParseError(f"{name} must be an int, got {value!r}")
@@ -152,8 +154,6 @@ def _run_config(trials, seed, field, max_dim, window, jobs) -> dict:
         raise ParseError(f"seed must be in [0, 2**64), got {seed}")
     if trials < 1:
         raise ParseError(f"trials must be at least 1, got {trials}")
-    if jobs < 1:
-        raise ParseError(f"jobs must be at least 1, got {jobs}")
     if max_dim < 1:
         raise ParseError(f"max_dim must be at least 1, got {max_dim}")
     lo, hi = window
@@ -358,6 +358,13 @@ TWO_CHAIN_MINUS = compose_formulas(_POINT_XI[1], canonical_formula(_FLIPPED, TWO
 # --- randomized verification runs ----------------------------------------------
 
 def _equivalence_trial(state, tseed) -> TrialRecord:
+    """One trial evaluated at its draws, the first of every certificate: the
+    unit at a random diagram K over the plus order and the counit at one, L,
+    over the minus order, with the cohomology tables of the four corners and
+    the verdict that both are quasi-isomorphisms.  Every check of the
+    evaluator runs here: the chain-map checks of the evaluated restrictions
+    and components, the diagram axioms of the evaluated composites, the
+    naturality of both diagram maps and the Euler ledger."""
     (eps_pm, eps_mp), field, max_dim, window = state
     plus, minus = eps_mp.source.base, eps_pm.source.base
     K = random_diagram(plus, derive_seed(tseed, "plus"), max_dim, window)
@@ -376,34 +383,83 @@ def _equivalence_trial(state, tseed) -> TrialRecord:
     return TrialRecord(seed=tseed, verdict=verdict, tables=tables)
 
 
-_WORKER_STATE: dict = {}
+class _Images:
+    """The images of the representables under one epsilon, for the trials
+    of one verify_equivalence call: at an element u of its base, made on
+    the first trial that draws a piece at u, the cohomology of the source
+    and of the target value at P_u at each y, and whether every
+    component's cone at P_u is acyclic, all over one field."""
+
+    __slots__ = ("eps", "field", "memo")
+
+    def __init__(self, eps: EpsilonTransform, field: Field):
+        self.eps = eps
+        self.field = field
+        self.memo = {}
+
+    def at(self, u) -> tuple:
+        """({y: (H(source at P_u)(y), H(target at P_u)(y))}, acyclic)."""
+        if u not in self.memo:
+            eps, field = self.eps, self.field
+            P = _Representable(eps.source.base, u)
+            cohomologies, acyclic = {}, True
+            for y in eps.source.target.elements:
+                src, tgt = P.point(eps.source.at[y]), P.point(eps.target.at[y])
+                cohomologies[y] = cohomology(src, field), cohomology(tgt, field)
+                component = ChainMap(src, tgt, P.matrices(eps.components[y]), check=True)
+                acyclic = acyclic and is_quasi_iso(component, field)
+            self.memo[u] = cohomologies, acyclic
+        return self.memo[u]
 
 
-def _worker_init(trial, state) -> None:
-    _WORKER_STATE["run"] = (trial, state)
+def _convolved(terms) -> dict:
+    """The cohomology table entry of a sum of tensor products, as _table_json
+    writes it: for pairs (a, b) of cohomology dimension tables, degree n
+    gets the sum over the pairs of a[i]·b[n - i]."""
+    out = {}
+    for a, b in terms:
+        for i, m in a.items():
+            for j, n in b.items():
+                out[i + j] = out.get(i + j, 0) + m * n
+    return {str(i): out[i] for i in sorted(out)}
 
 
-def _worker_trial(tseed: int) -> TrialRecord:
-    trial, state = _WORKER_STATE["run"]
-    return trial(state, tseed)
+def _assembled_trial(state, tseed) -> TrialRecord:
+    """The record of _equivalence_trial at tseed, from the images of the
+    representables (see verify_equivalence): the same pieces (u, S) are
+    drawn, each S is ranked once, and a piece with H(S) = 0 contributes
+    nothing."""
+    (counit_images, unit_images), field, max_dim, window = state
+    verdict, tables = True, {}
+    sides = (
+        (unit_images, "plus", ("plus_shift", "plus_round_trip")),
+        (counit_images, "minus", ("minus_round_trip", "minus_shift")),
+    )
+    for images, side, names in sides:
+        base = images.eps.source.base
+        pieces = _diagram_pieces(base, derive_seed(tseed, side), max_dim, window)
+        drawn = [(images.at(u), h) for u, S in pieces if (h := cohomology(S, field))]
+        verdict = verdict and all(acyclic for (_, acyclic), _ in drawn)
+        for end, name in enumerate(names):
+            tables[name] = {
+                y: _convolved((cohomologies[y][end], h) for (cohomologies, _), h in drawn)
+                for y in images.eps.source.target.elements
+            }
+    return TrialRecord(seed=tseed, verdict=verdict, tables=tables)
 
 
-def _trial_records(trial, state, seed, trials, jobs) -> list:
-    """trial(state, tseed) for each trial seed, in trial order.
-
-    With jobs > 1 and more than one trial, the trials run on a process pool
-    of at most min(jobs, trials, CPU count) workers.  Each worker receives
-    the already built and checked state once, so the records do not depend
-    on where, or in which order, the trials ran.
-    """
-    seeds = [derive_seed(seed, "trial", i) for i in range(trials)]
-    if jobs > 1 and trials > 1:
-        workers = min(jobs, trials, os.cpu_count() or 1)
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(trial, state)
-        ) as pool:
-            return list(pool.map(_worker_trial, seeds))
-    return [trial(state, tseed) for tseed in seeds]
+def _first_difference(evaluated: TrialRecord, assembled: TrialRecord):
+    """Where two records of one trial first differ: the verdict, or the first
+    table and element (in record order) with different rows; None if they
+    are equal."""
+    if evaluated.verdict != assembled.verdict:
+        return f"verdict: evaluated {evaluated.verdict}, assembled {assembled.verdict}"
+    for name, table in evaluated.tables.items():
+        for y, row in table.items():
+            other = assembled.tables[name][y]
+            if other != row:
+                return f"table {name!r} at {y!r}: evaluated {row}, assembled {other}"
+    return None
 
 
 def verify_equivalence(
@@ -413,28 +469,50 @@ def verify_equivalence(
     field: Field = RATIONALS,
     max_dim: int = 3,
     window=(-2, 2),
-    jobs: int = 1,
 ) -> EquivalenceCertificate:
     """Build the formulas for a gluing and verify the equivalence on trials.
 
-    Each trial draws one random diagram over each glued order, evaluates the
-    unit on the plus-side diagram K (comparing K shifted with the round
-    trip) and the counit on the minus-side diagram L (comparing the round
-    trip with L shifted), and requires both to be quasi-isomorphisms over
-    the given field.  Cohomology dimension tables of all four corners are
-    recorded per trial.  With jobs > 1 the trials run on a process pool;
-    records are assembled in trial order, so reports do not depend on
-    completion order.
+    Each trial draws one random diagram over each glued order, K over the
+    plus order and L over the minus order.  Its record holds the cohomology
+    tables of the unit at K (K shifted against the round trip) and of the
+    counit at L (the round trip against L shifted), and the verdict that
+    both are quasi-isomorphisms over the given field.
+
+    Trial 0 is evaluated (_equivalence_trial), with every check of the
+    evaluator, and its record is the one reported.  The other trials are
+    assembled from the images of the representables (_assembled_trial):
+    a draw is a split sum of pieces P_u ⊗ S, and a formula's functor is
+    additive, so its value at the draw is the sum of its values at the
+    pieces.  Over a field S is isomorphic to H(S) plus a contractible
+    complex, and a functor keeps that splitting; so F(P_u ⊗ S) has the
+    cohomology of F(P_u) ⊗ H(S), the degree convolution of H(F(P_u)) with
+    H(S) (Künneth), and by naturality an epsilon's component at P_u ⊗ S is
+    a quasi-isomorphism iff H(S) = 0 or its component at P_u is one.  The
+    images at each P_u are made once per call, when a trial first draws a
+    piece at u with H(S) ≠ 0.  With more than one trial, trial 0 is also
+    assembled, and a record that differs from the evaluated one raises
+    InternalInconsistency naming the first table and element that differ,
+    before any other trial runs.  A one-trial run builds no image.
     """
-    config = _run_config(trials, seed, field, max_dim, window, jobs)
+    config = _run_config(trials, seed, field, max_dim, window)
     xi_plus, xi_minus = build_theorem_formulas(g)
     structural = [("theorem-formulas", True)]
     eps_pm, eps_mp = build_epsilons(g, xi_plus, xi_minus)
     structural.append(("epsilon-naturality", True))
     structural.append(("retract-homotopies", True))
 
-    state = ((eps_pm, eps_mp), field, max_dim, window)
-    records = _trial_records(_equivalence_trial, state, seed, trials, jobs)
+    seeds = [derive_seed(seed, "trial", i) for i in range(trials)]
+    first = _equivalence_trial(((eps_pm, eps_mp), field, max_dim, window), seeds[0])
+    records = [first]
+    if trials > 1:
+        state = ((_Images(eps_pm, field), _Images(eps_mp, field)), field, max_dim, window)
+        problem = _first_difference(first, _assembled_trial(state, seeds[0]))
+        if problem is not None:
+            raise InternalInconsistency(
+                f"trial {seeds[0]} assembled from the representables differs "
+                f"from its evaluation, at the {problem}"
+            )
+        records += [_assembled_trial(state, tseed) for tseed in seeds[1:]]
     structural.append(("euler-ledger", True))
 
     return EquivalenceCertificate(
@@ -507,7 +585,6 @@ def verify_two_chain(
     field: Field = RATIONALS,
     max_dim: int = 3,
     window=(-2, 2),
-    jobs: int = 1,
 ) -> EquivalenceCertificate:
     """Verify the two-chain instance, including the cube of the plus side.
 
@@ -521,7 +598,7 @@ def verify_two_chain(
     other side) evaluate to quasi-isomorphisms, and the triple application
     of the plus side has the cohomology tables of the input shifted by one.
     """
-    config = _run_config(trials, seed, field, max_dim, window, jobs)
+    config = _run_config(trials, seed, field, max_dim, window)
     epsilons = _two_chain_epsilons()
     eps_pm, _, eps_pp, _ = epsilons
     named = (TWO_CHAIN_PLUS, TWO_CHAIN_MINUS)
@@ -553,7 +630,8 @@ def verify_two_chain(
     )
     state = (epsilons, field, max_dim, window)
     structural.append(("epsilon-naturality", True))
-    records = _trial_records(_two_chain_trial, state, seed, trials, jobs)
+    seeds = [derive_seed(seed, "trial", i) for i in range(trials)]
+    records = [_two_chain_trial(state, tseed) for tseed in seeds]
     structural.append(("composition-law", True))
     structural.append(("euler-ledger", True))
 
@@ -573,7 +651,6 @@ def verify_x1z(
     field: Field = RATIONALS,
     max_dim: int = 2,
     window=(-1, 1),
-    jobs: int = 1,
 ) -> EquivalenceCertificate:
     """Verify the constant gluing of X under a point under Z.
 
@@ -582,13 +659,13 @@ def verify_x1z(
     point under the disjoint union of X and Z on the minus side), then runs
     the generic equivalence verification.
     """
-    _run_config(trials, seed, field, max_dim, window, jobs)
+    _run_config(trials, seed, field, max_dim, window)
     g, expected_plus, expected_minus = ordinal_witness(X, Z)
     shape_checks = (
         ("plus-order-shape", build_plus(g).poset.same_order(expected_plus)),
         ("minus-order-shape", build_minus(g).poset.same_order(expected_minus)),
     )
-    cert = verify_equivalence(g, trials, seed, field, max_dim, window, jobs)
+    cert = verify_equivalence(g, trials, seed, field, max_dim, window)
     return EquivalenceCertificate(
         description=(
             f"ordinal gluing of {len(X)} elements over {len(Z)} elements"
@@ -614,7 +691,6 @@ def verify_bgp_path(
     field: Field = RATIONALS,
     max_dim: int = 2,
     window=(-1, 1),
-    jobs: int = 1,
 ) -> dict:
     """Connect two orientations of a tree by vertex reflections, verifying each.
 
@@ -628,7 +704,7 @@ def verify_bgp_path(
     Each step's trial seed is derived from its gluing, so equal gluings
     along the path get equal certificates.
     """
-    config = _run_config(trials, seed, field, max_dim, window, jobs)
+    config = _run_config(trials, seed, field, max_dim, window)
     verts = set(tree.elements)
     und = _undirected(hasse(tree).edges)
     if len(und) != len(verts) - 1 or not _connected(verts, und):
@@ -669,7 +745,7 @@ def verify_bgp_path(
                 )
         key = (tuple(rest_elements), tuple(sorted(rest.leq)), neighbors)
         cert = verify_equivalence(
-            g, trials, derive_seed(seed, "bgp", repr(key)), field, max_dim, window, jobs
+            g, trials, derive_seed(seed, "bgp", repr(key)), field, max_dim, window
         )
         steps.append(
             {

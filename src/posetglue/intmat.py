@@ -46,7 +46,10 @@ class Mat:
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, nrows, ncols, rows):
-        rows = tuple(tuple(map(_as_int, r)) for r in rows)
+        try:
+            rows = tuple(tuple(map(_as_int, r)) for r in rows)
+        except TypeError:  # rows, or one of them, is not iterable
+            raise ParseError(f"matrix rows must be sequences of integers, got {rows!r}") from None
         if len(rows) != nrows or any(len(r) != ncols for r in rows):
             raise ShapeMismatch(f"expected {nrows}x{ncols}, got {[len(r) for r in rows]}")
         self.nrows = nrows
@@ -65,7 +68,10 @@ class Mat:
 
     @classmethod
     def from_rows(cls, rows):
-        rows = [list(r) for r in rows]
+        try:
+            rows = [list(r) for r in rows]
+        except TypeError:  # rows, or one of them, is not iterable
+            raise ParseError(f"matrix rows must be sequences of integers, got {rows!r}") from None
         return cls(len(rows), len(rows[0]) if rows else 0, rows)
 
     @classmethod

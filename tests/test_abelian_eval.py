@@ -257,6 +257,17 @@ class TestRejectedShapes:
         with pytest.raises(ParseError, match="matrix entry must be an integer, got 0.5"):
             ChainMap(self.S, self.T, {0: [[0.5], [0]]})
 
+    def test_dims_differentials_and_components_are_mappings(self):
+        # each used to raise a raw TypeError or AttributeError
+        with pytest.raises(ParseError, match="matrix rows must be sequences of integers, got 5"):
+            VectComplex({0: 1}, {0: 5})
+        with pytest.raises(ParseError, match=r"dims must be a mapping by degree, got \[1\]"):
+            VectComplex([1], {})
+        with pytest.raises(ParseError, match=r"differentials must be a mapping by degree, got \[1\]"):
+            VectComplex({0: 1}, [1])
+        with pytest.raises(ParseError, match=r"components must be a mapping by degree, got \[1\]"):
+            ChainMap(self.S, self.T, [1])
+
     def test_differential_of_the_wrong_shape(self):
         with pytest.raises(ShapeMismatch, match="differential at degree 0 must be 1x1"):
             VectComplex({0: 1, 1: 1}, {0: [[1, 1]]})

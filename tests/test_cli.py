@@ -363,14 +363,12 @@ class TestVerify:
         assert q["trials"] == p5["trials"]
         assert q["config"] != p5["config"]
 
-    def test_jobs_flag_keeps_output(self, files, capsys):
-        base = ["verify", "two-chain", "--trials", "4", "--json"]
-        assert main(base) == 0
-        seq = capsys.readouterr().out
-        assert main(base + ["--jobs", "2"]) == 0
-        par = capsys.readouterr().out
-        seq_doc, par_doc = json.loads(seq), json.loads(par)
-        assert seq_doc["trials"] == par_doc["trials"]
+    def test_jobs_flag_is_a_usage_error(self, files, capsys):
+        # trials run in the calling process; there is no process pool
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "two-chain", "--trials", "4", "--jobs", "2"])
+        assert info.value.code == 3
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_bad_field_exits_3(self, files, capsys):
         assert main(["verify", "two-chain", "--field", "p:4"]) == 3
@@ -512,7 +510,7 @@ class TestDemo:
             assert entry["plus_isomorphic"] and entry["minus_isomorphic"]
 
 
-RUN_FLAGS = {"--trials", "--seed", "--field", "--max-dim", "--window", "--jobs", "--json"}
+RUN_FLAGS = {"--trials", "--seed", "--field", "--max-dim", "--window", "--json"}
 
 # The option strings each subcommand accepts: --json where it prints a
 # report, --dot DIR where it draws orders, the run flags on verify and demo.

@@ -8,11 +8,10 @@ import gc
 import hashlib
 import io
 import json
-import pickle
 
 import pytest
 
-from posetglue.abelian_eval import RATIONALS, Field, eval_formula, random_diagram
+from posetglue.abelian_eval import RATIONALS, Field, VectComplex, eval_formula, random_diagram
 from posetglue.errors import (
     BaseMismatch,
     CommutativityFailure,
@@ -425,7 +424,7 @@ class TestRunParameters:
         [
             ({"trials": 0}, "trials"),
             ({"trials": -5}, "trials"),
-            ({"jobs": 0}, "jobs"),
+            ({"seed": True}, "seed"),
             ({"window": (2, -1)}, "window"),
             ({"window": (1,)}, "window"),
             ({"window": ("a", "b")}, "window"),
@@ -434,7 +433,7 @@ class TestRunParameters:
             ({"trials": True}, "trials"),
             ({"seed": "x"}, "seed"),
             ({"max_dim": 2.5}, "max_dim"),
-            ({"jobs": 1.5}, "jobs"),
+            ({"window": (0.5, 1)}, "window"),
             ({"field": "q"}, "field"),
             ({"window": (0, 2**64)}, "window"),
             ({"window": (-(2**63), 2**63)}, "window"),
@@ -473,74 +472,6 @@ class TestRunParameters:
     def test_widest_window_runs(self):
         for window in [(0, 2**64 - 1), (-(2**63), 2**63 - 1)]:
             assert verify_two_chain(trials=1, max_dim=2, window=window).ok
-
-    @pytest.mark.parametrize(
-        "trials, jobs, cpus, workers",
-        [(5, 64, 2, 2), (3, 64, 8, 3), (5, 2, 8, 2), (5, 4, None, 1)],
-    )
-    def test_pool_size_is_capped(self, monkeypatch, trials, jobs, cpus, workers):
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-        run = {"trials": trials, "seed": 2, "max_dim": 2, "window": (-1, 1)}
-        cert = verify_two_chain(jobs=jobs, **run)
-        assert sizes == [workers]
-        assert cert.to_json() == verify_two_chain(jobs=1, **run).to_json()
-
-    def test_workers_get_a_pickled_copy_of_the_built_state(self, monkeypatch):
-        # A worker started by "spawn" receives its initializer arguments and
-        # returns its records by pickle; this pool does both, inline.
-        def round_trip(value):
-            return pickle.loads(pickle.dumps(value))
-
-        class PicklingPool:
-            def __init__(self, max_workers, initializer, initargs):
-                initializer(*round_trip(initargs))
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [round_trip(fn(round_trip(item))) for item in items]
-
-        g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
-        run = {"trials": 4, "seed": 5, "max_dim": 2, "window": (-1, 1)}
-        serial = [
-            verify_equivalence(g, jobs=1, **run).to_json(),
-            verify_two_chain(jobs=1, **run).to_json(),
-        ]
-        builds = []
-        real_build = harness.build_theorem_formulas
-        monkeypatch.setattr(
-            harness,
-            "build_theorem_formulas",
-            lambda g: builds.append(g) or real_build(g),
-        )
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", PicklingPool)
-        pooled = [
-            verify_equivalence(g, jobs=2, **run).to_json(),
-            verify_two_chain(jobs=2, **run).to_json(),
-        ]
-        assert pooled == serial
-        assert len(builds) == 1
 
 
 class TestOneBuildPerOrder:
@@ -812,11 +743,6 @@ class TestVerifyTwoChain:
         assert a.to_json()["trials"] == b.to_json()["trials"]
         assert a.to_json()["config"] != b.to_json()["config"]
 
-    def test_jobs_match_sequential(self):
-        seq = verify_two_chain(trials=6, seed=3, jobs=1, max_dim=2, window=(-1, 1))
-        par = verify_two_chain(trials=6, seed=3, jobs=3, max_dim=2, window=(-1, 1))
-        assert seq.to_json() == par.to_json()
-
     def test_each_trial_evaluates_eleven_formulas(self, monkeypatch):
         # four epsilons with two ends each and T1, T2, T3, each evaluated
         # afresh: NU at K is the counit's target and the unit's source, and
@@ -927,12 +853,6 @@ class TestVerifyEquivalence:
         for X, Y, Yx in ((empty, point, {}), (point, empty, {"p": ()})):
             assert verify_equivalence(validate_gluing(X, Y, Yx), **SMALL).ok
 
-    def test_jobs_match_sequential(self):
-        for g in (random_gluing(8), figure_one_gluing(FIGURE_ONE_PAIRS[0])[0]):
-            seq = verify_equivalence(g, trials=4, jobs=1, max_dim=2, window=(-1, 1))
-            par = verify_equivalence(g, trials=4, jobs=2, max_dim=2, window=(-1, 1))
-            assert seq.to_json() == par.to_json()
-
     def test_a_certificate_leaves_no_cyclic_garbage(self):
         # Evaluation contexts live for their call: one kept on its diagram
         # makes a reference cycle for every evaluated diagram (2,509 objects
@@ -952,6 +872,126 @@ class TestVerifyEquivalence:
         assert set(doc) == {"description", "config", "structural", "trials", "ok"}
         for trial in doc["trials"]:
             assert set(trial) == {"seed", "verdict", "tables"}
+
+
+def _epsilons(g):
+    return build_epsilons(g, *build_theorem_formulas(g))
+
+
+def _both_paths(epsilons, field, tseeds):
+    """The evaluated and the assembled record of each trial seed, as JSON
+    text, at verify_equivalence's default draw (max_dim 3, window (-2, 2))."""
+    eps_pm, eps_mp = epsilons
+    evaluated = ((eps_pm, eps_mp), field, 3, (-2, 2))
+    assembled = ((harness._Images(eps_pm, field), harness._Images(eps_mp, field)), field, 3, (-2, 2))
+    return [
+        (
+            json.dumps(harness._equivalence_trial(evaluated, tseed).to_json()),
+            json.dumps(harness._assembled_trial(assembled, tseed).to_json()),
+        )
+        for tseed in tseeds
+    ]
+
+
+ORACLE_GLUINGS = {
+    "figure-one": lambda: [figure_one_gluing(pair)[0] for pair in FIGURE_ONE_PAIRS],
+    "random-gluings": lambda: [random_gluing(seed) for seed in range(40)],
+    "chain-of-chains": lambda: [chain_of_chains(10, 4)],
+}
+
+
+class TestAssembledTrials:
+    """Trials assembled from the images of the representables against the
+    evaluated ones, the oracle: the two records agree byte for byte."""
+
+    @pytest.mark.parametrize("field", [RATIONALS, Field(5)], ids=str)
+    @pytest.mark.parametrize("case", sorted(ORACLE_GLUINGS))
+    def test_assembled_records_equal_evaluated_ones(self, case, field):
+        for g in ORACLE_GLUINGS[case]():
+            for evaluated, assembled in _both_paths(_epsilons(g), field, range(10)):
+                assert assembled == evaluated
+
+    @pytest.mark.parametrize("field, verdict", [(RATIONALS, True), (Field(5), False)], ids=str)
+    def test_components_times_five_are_quasi_isomorphisms_over_q_only(self, field, verdict):
+        # 5 times a natural transformation is natural; over F5 it is zero,
+        # so no component whose ends have cohomology is a quasi-isomorphism
+        g = figure_one_gluing(FIGURE_ONE_PAIRS[0])[0]
+        epsilons = _epsilons(g)
+        scaled = tuple(
+            EpsilonTransform(
+                eps.source, eps.target, {y: phi.matrix.scale(5) for y, phi in eps.components.items()}
+            )
+            for eps in epsilons
+        )
+        records = _both_paths(scaled, field, range(5))
+        for (evaluated, assembled), (unscaled, _) in zip(records, _both_paths(epsilons, field, range(5))):
+            assert assembled == evaluated
+            assert json.loads(evaluated)["verdict"] is verdict
+            assert json.loads(evaluated)["tables"] == json.loads(unscaled)["tables"]
+
+    @pytest.fixture
+    def images(self, monkeypatch):
+        """The (base, u) of every image of a representable built."""
+        built = []
+        real = abelian_eval._Representable.__init__
+        monkeypatch.setattr(
+            abelian_eval._Representable,
+            "__init__",
+            lambda P, base, u: built.append((id(base), u)) or real(P, base, u),
+        )
+        return built
+
+    def test_a_one_trial_certificate_builds_no_image(self, images):
+        g = figure_one_gluing(FIGURE_ONE_PAIRS[0])[0]
+        assert verify_equivalence(g, trials=1).ok
+        assert images == []
+        assert verify_equivalence(g, trials=2).ok
+        assert images  # the spy sees the images of a longer run
+
+    def test_each_image_is_built_once_per_call(self, images):
+        g = figure_one_gluing(FIGURE_ONE_PAIRS[0])[0]
+        for _ in range(2):
+            images.clear()
+            assert verify_equivalence(g, trials=20).ok
+            assert images and len(set(images)) == len(images)
+
+    @pytest.mark.parametrize(
+        "corrupt, difference",
+        [
+            ("point", "the verdict: evaluated True, assembled False"),
+            ("cohomology", "the table 'plus_shift' at '1': evaluated {'-1': 1}, assembled {"),
+        ],
+    )
+    def test_a_corrupted_image_stops_the_run_at_trial_zero(self, monkeypatch, corrupt, difference):
+        if corrupt == "point":
+            # one more dimension in degree 9, far from every differential: no
+            # component is a quasi-isomorphism any more
+            real = abelian_eval._Representable.point
+            monkeypatch.setattr(
+                abelian_eval._Representable,
+                "point",
+                lambda P, f: VectComplex({**real(P, f).dims, 9: 1}, real(P, f).d),
+            )
+        else:
+            # every image, and every drawn S, gets cohomology in degree 9
+            real = harness.cohomology
+            monkeypatch.setattr(harness, "cohomology", lambda K, field: {**real(K, field), 9: 1})
+        assembled = []
+        real_trial = harness._assembled_trial
+        monkeypatch.setattr(
+            harness,
+            "_assembled_trial",
+            lambda state, tseed: assembled.append(tseed) or real_trial(state, tseed),
+        )
+        g = figure_one_gluing(FIGURE_ONE_PAIRS[0])[0]
+        tseed = harness.derive_seed(0, "trial", 0)
+        with pytest.raises(InternalInconsistency) as info:
+            verify_equivalence(g, trials=5)
+        assert str(info.value).startswith(
+            f"trial {tseed} assembled from the representables differs from its "
+            f"evaluation, at {difference}"
+        )
+        assert assembled == [tseed]  # no later trial was assembled
 
 
 class TestVerifyX1Z:

@@ -179,3 +179,13 @@ def test_public_constructors_take_integers_only():
             Mat.diag([1, bad])
     with pytest.raises(ParseError, match="scale factor must be an integer, got 0.5"):
         Mat.identity(2).scale(0.5)
+
+
+def test_rows_that_are_not_sequences_are_refused():
+    # a row that is a bare int used to raise a raw TypeError
+    with pytest.raises(ParseError, match=r"matrix rows must be sequences of integers, got \[1\]"):
+        Mat(1, 1, [1])
+    with pytest.raises(ParseError, match=r"matrix rows must be sequences of integers, got \[1\]"):
+        Mat.from_rows([1])
+    with pytest.raises(ParseError, match="matrix rows must be sequences of integers, got 5"):
+        Mat(1, 1, 5)
