@@ -656,12 +656,19 @@ def _random_elementary(rng: SplitMix64, max_dim: int, window) -> list:
     return pieces
 
 
-def _complex_from_elementary(pieces) -> VectComplex:
+def _elementary_slots(pieces) -> dict:
+    """degree i -> the basis of the complex of the elementary pieces at i, as
+    (k, part): part 0 of piece k in its degree, part 1 one degree up."""
     slots = {}
     for k, (kind, i) in enumerate(pieces):
         slots.setdefault(i, []).append((k, 0))
         if kind == "two":
             slots.setdefault(i + 1, []).append((k, 1))
+    return slots
+
+
+def _complex_from_elementary(pieces) -> VectComplex:
+    slots = _elementary_slots(pieces)
     dims = {i: len(v) for i, v in slots.items()}
     d = {}
     for i in dims:
@@ -680,41 +687,71 @@ def _complex_from_elementary(pieces) -> VectComplex:
 _UNIMODULAR_STEPS = 3
 
 
-def _random_unimodular(rng: SplitMix64, n: int):
-    """A random n x n integer matrix with determinant ±1 (n >= 1, as complexes
-    keep no zero dimension), plus its exact inverse: a product U = E_s...E_1
-    of at most _UNIMODULAR_STEPS random shears and sign flips E, each applied
-    as a row operation on U and its inverse as a column operation on U^-1."""
-    U = [[int(r == s) for s in range(n)] for r in range(n)]
-    Uinv = [row[:] for row in U]
+def _unimodular_steps(rng: SplitMix64, n: int) -> list:
+    """The draw of a random n x n integer matrix with determinant ±1 (n >= 1,
+    as complexes keep no zero dimension): at most _UNIMODULAR_STEPS
+    elementary row operations, each (i, j, c), adding c times row j to row
+    i, or (i, None, None), negating row i."""
+    steps = []
     for _ in range(_UNIMODULAR_STEPS):
         kind = rng.randrange(3)
         if kind == 0 and n >= 2:
-            i = rng.randrange(n)
-            j = rng.randrange(n)
-            if i == j:
-                continue
-            c = rng.choice([-2, -1, 1, 2])
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i != j:
+                steps.append((i, j, rng.choice([-2, -1, 1, 2])))
+        else:
+            steps.append((rng.randrange(n), None, None))
+    return steps
+
+
+def _unimodular(n: int, steps) -> tuple:
+    """The product U = E_s...E_1 of the row operations E of steps (see
+    _unimodular_steps) on the n x n identity, plus its exact inverse: each E
+    is applied as a row operation on U and its inverse as a column operation
+    on U^-1."""
+    U = [[int(r == s) for s in range(n)] for r in range(n)]
+    Uinv = [row[:] for row in U]
+    for i, j, c in steps:
+        if j is None:
+            U[i] = [-a for a in U[i]]
+            for row in Uinv:
+                row[i] = -row[i]
+        else:
             # E = I + c·e_ij adds c times row j to row i; E^-1 = I - c·e_ij
             # on the right subtracts c times column i from column j
             U[i] = [a + c * b for a, b in zip(U[i], U[j])]
             for row in Uinv:
                 row[j] -= c * row[i]
-        else:
-            i = rng.randrange(n)
-            U[i] = [-a for a in U[i]]
-            for row in Uinv:
-                row[i] = -row[i]
     return Mat(n, n, U), Mat(n, n, Uinv)
 
 
-def _conjugate_complex(K: VectComplex, rng: SplitMix64) -> VectComplex:
-    U, Uinv = {}, {}
-    for i, n in K.dims.items():
-        U[i], Uinv[i] = _random_unimodular(rng, n)
+def _draw_complex(rng: SplitMix64, max_dim: int, window) -> tuple:
+    """The recipe (elementary pieces, unimodular steps by degree) of a random
+    complex: every random number _build_complex needs, drawn in its order."""
+    elem = _random_elementary(rng, max_dim, window)
+    return elem, {i: _unimodular_steps(rng, len(v)) for i, v in _elementary_slots(elem).items()}
+
+
+def _build_complex(elem, steps) -> VectComplex:
+    """The complex of the elementary pieces elem, conjugated in each degree
+    i by the unimodular matrix of steps[i]."""
+    K = _complex_from_elementary(elem)
+    U = {i: _unimodular(n, steps[i]) for i, n in K.dims.items()}
     # a nonzero differential has both its degrees in K.dims
-    d = {i: _times(_times(U[i + 1], m), Uinv[i]) for i, m in K.d.items()}
+    d = {i: _times(_times(U[i + 1][0], m), U[i][1]) for i, m in K.d.items()}
     return VectComplex(K.dims, d, check=True)
+
+
+def _recipe_cohomology(elem) -> dict:
+    """H(S) of the complex _build_complex makes of the elementary pieces
+    elem, over every field: one dimension per stalk piece in its degree.  A
+    two-term piece is acyclic (its d is [[1]]), and conjugation by U in
+    GL_n(Z), whose inverse is integral too, keeps every rank mod p."""
+    h = {}
+    for kind, i in elem:
+        if kind == "stalk":
+            h[i] = h.get(i, 0) + 1
+    return h
 
 
 def _times(a: Mat, b: Mat) -> Mat:
@@ -728,8 +765,7 @@ def random_complex(seed: int) -> VectComplex:
     identity pieces in degrees -2..2, at most three per degree, conjugated
     by random unimodular basis changes."""
     rng = SplitMix64(derive_seed(seed, "complex"))
-    pieces = _random_elementary(rng, 3, (-2, 2))
-    return _conjugate_complex(_complex_from_elementary(pieces), rng)
+    return _build_complex(*_draw_complex(rng, 3, (-2, 2)))
 
 
 def _random_null_homotopic(rng: SplitMix64, S: VectComplex, T: VectComplex) -> dict:
@@ -881,34 +917,40 @@ class _PieceDiagram:
         return PosetDiagram(self.X, stalks, r, check=bool(bends))
 
 
-def _random_pieces(X: Poset, rng: SplitMix64, max_dim: int, window) -> list:
+def _draw_pieces(X: Poset, rng: SplitMix64, max_dim: int, window) -> list:
+    """The recipes (u, elementary pieces, unimodular steps by degree) of the
+    pieces (u, S) of a random split diagram over X, at most max_dim
+    dimensions per element and degree: every random number of the draw.
+    _build_pieces makes the pieces."""
     budget = {}
-    pieces = []
+    recipes = []
     for _ in range(1 + rng.randrange(3)):
         u = rng.choice(X.elements)
-        elem = _random_elementary(rng, max_dim, window)
-        S = _conjugate_complex(_complex_from_elementary(elem), rng)
-        fits = True
-        for x in X.up_set(u):
-            for t, n in S.dims.items():
-                if budget.get((x, t), 0) + n > max_dim:
-                    fits = False
-        if not fits or S.is_zero_object():
+        elem, steps = _draw_complex(rng, max_dim, window)
+        dims = {i: len(v) for i, v in _elementary_slots(elem).items()}
+        up = X.up_set(u)
+        fits = all(budget.get((x, t), 0) + n <= max_dim for x in up for t, n in dims.items())
+        if not dims or not fits:
             continue
-        for x in X.up_set(u):
-            for t, n in S.dims.items():
+        for x in up:
+            for t, n in dims.items():
                 budget[(x, t)] = budget.get((x, t), 0) + n
-        pieces.append((u, S))
-    if not pieces:
+        recipes.append((u, elem, steps))
+    if not recipes:
         lo, _hi = window
-        pieces.append((rng.choice(X.elements), VectComplex({lo: 1}, {})))
-    return pieces
+        recipes.append((rng.choice(X.elements), [("stalk", lo)], {lo: []}))
+    return recipes
 
 
-def _diagram_pieces(X: Poset, seed: int, max_dim: int, window) -> list:
-    """The pieces (u, S) that random_diagram(X, seed, max_dim, window)
-    spreads over X: the one draw of its random numbers."""
-    return _random_pieces(X, SplitMix64(derive_seed(seed, "diagram")), max_dim, window)
+def _build_pieces(recipes) -> list:
+    """The pieces (u, S) of the recipes of _draw_pieces."""
+    return [(u, _build_complex(elem, steps)) for u, elem, steps in recipes]
+
+
+def _diagram_draw(X: Poset, seed: int, max_dim: int, window) -> list:
+    """The recipes of the pieces that random_diagram(X, seed, max_dim,
+    window) spreads over X: the one draw of its random numbers."""
+    return _draw_pieces(X, SplitMix64(derive_seed(seed, "diagram")), max_dim, window)
 
 
 def random_diagram(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> PosetDiagram:
@@ -918,7 +960,7 @@ def random_diagram(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> Pos
     The same seed yields the same diagram regardless of the field in use —
     all entries are integers; fields only enter when ranks are computed.
     """
-    return _PieceDiagram(X, _diagram_pieces(X, seed, max_dim, window)).diagram()
+    return _PieceDiagram(X, _build_pieces(_diagram_draw(X, seed, max_dim, window))).diagram()
 
 
 def random_qis_map(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> DiagramMap:
@@ -926,7 +968,7 @@ def random_qis_map(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> Dia
     inclusion into a sum with extra acyclic pieces, plus null-homotopic
     noise, conjugated by independent twists on both sides."""
     rng = SplitMix64(derive_seed(seed, "qis"))
-    src_pieces = _random_pieces(X, rng, max_dim, window)
+    src_pieces = _build_pieces(_draw_pieces(X, rng, max_dim, window))
     lo, hi = window
     extra = []
     for _ in range(1 + rng.randrange(2)):
@@ -961,8 +1003,8 @@ def random_ses(X: Poset, seed: int):
     _SES_WINDOW: returns (inclusion, projection) with a bent extension in
     the middle."""
     rng = SplitMix64(derive_seed(seed, "ses"))
-    left_pieces = _random_pieces(X, rng, 2, _SES_WINDOW)
-    right_pieces = _random_pieces(X, rng, 2, _SES_WINDOW)
+    left_pieces = _build_pieces(_draw_pieces(X, rng, 2, _SES_WINDOW))
+    right_pieces = _build_pieces(_draw_pieces(X, rng, 2, _SES_WINDOW))
     # Extension datum: piece maps from the right pieces into the left ones,
     # of degree one, bent into the middle's off-diagonal differential block.
     shifted = [(u, shift_complex(L, 1)) for u, L in left_pieces]

@@ -24,8 +24,9 @@ from .abelian_eval import (
     DiagramMap,
     Field,
     PosetDiagram,
-    _diagram_pieces,
+    _diagram_draw,
     _Evaluation,
+    _recipe_cohomology,
     _Representable,
     cohomology,
     cohomology_table,
@@ -385,31 +386,52 @@ def _equivalence_trial(state, tseed) -> TrialRecord:
 
 class _Images:
     """The images of the representables under one epsilon, for the trials
-    of one verify_equivalence call: at an element u of its base, made on
-    the first trial that draws a piece at u, the cohomology of the source
-    and of the target value at P_u at each y, and whether every
-    component's cone at P_u is acyclic, all over one field."""
+    of one verify_equivalence call, all over one field: at an element u of
+    its base, the cohomology of the source and of the target value at P_u
+    at each y, and whether every component's cone at P_u is acyclic.
 
-    __slots__ = ("eps", "field", "memo")
+    The value of a word at P_u is spanned by its entries over u, and a
+    morphism's matrices there are its entries between those (see
+    _Representable).  So the images at y depend on u only through which
+    entries of the source and target words at y lie over u, its two
+    selections at y.  One image is made per y and distinct pair of
+    selections, on the first trial that draws a piece at such a u; where
+    both are empty the images are zero, the component is acyclic, and
+    nothing is built."""
+
+    __slots__ = ("eps", "field", "by_element", "by_selection")
 
     def __init__(self, eps: EpsilonTransform, field: Field):
         self.eps = eps
         self.field = field
-        self.memo = {}
+        self.by_element = {}
+        self.by_selection = {}
 
     def at(self, u) -> tuple:
         """({y: (H(source at P_u)(y), H(target at P_u)(y))}, acyclic)."""
-        if u not in self.memo:
-            eps, field = self.eps, self.field
-            P = _Representable(eps.source.base, u)
+        if u not in self.by_element:
+            eps, field, memo = self.eps, self.field, self.by_selection
+            base = eps.source.base
+            up, P = base.up_set(u), None
             cohomologies, acyclic = {}, True
             for y in eps.source.target.elements:
-                src, tgt = P.point(eps.source.at[y]), P.point(eps.target.at[y])
-                cohomologies[y] = cohomology(src, field), cohomology(tgt, field)
-                component = ChainMap(src, tgt, P.matrices(eps.components[y]), check=True)
-                acyclic = acyclic and is_quasi_iso(component, field)
-            self.memo[u] = cohomologies, acyclic
-        return self.memo[u]
+                src, tgt = eps.source.at[y], eps.target.at[y]
+                key = (y, _over(src.xi, up), _over(tgt.xi, up))
+                if key not in memo and (key[1] or key[2]):
+                    P = _Representable(base, u) if P is None else P
+                    src, tgt = P.point(src), P.point(tgt)
+                    component = ChainMap(src, tgt, P.matrices(eps.components[y]), check=True)
+                    image = cohomology(src, field), cohomology(tgt, field)
+                    memo[key] = image, is_quasi_iso(component, field)
+                cohomologies[y], image_acyclic = memo.get(key, (({}, {}), True))
+                acyclic = acyclic and image_acyclic
+            self.by_element[u] = cohomologies, acyclic
+        return self.by_element[u]
+
+
+def _over(word, up) -> tuple:
+    """The positions of the entries of word that lie over an up-set."""
+    return tuple(i for i, (x, _) in enumerate(word.entries) if x in up)
 
 
 def _convolved(terms) -> dict:
@@ -427,9 +449,9 @@ def _convolved(terms) -> dict:
 def _assembled_trial(state, tseed) -> TrialRecord:
     """The record of _equivalence_trial at tseed, from the images of the
     representables (see verify_equivalence): the same pieces (u, S) are
-    drawn, each S is ranked once, and a piece with H(S) = 0 contributes
-    nothing."""
-    (counit_images, unit_images), field, max_dim, window = state
+    drawn, but no S is built; H(S) is read off each piece's recipe, and a
+    piece with H(S) = 0 contributes nothing."""
+    (counit_images, unit_images), _field, max_dim, window = state
     verdict, tables = True, {}
     sides = (
         (unit_images, "plus", ("plus_shift", "plus_round_trip")),
@@ -437,8 +459,8 @@ def _assembled_trial(state, tseed) -> TrialRecord:
     )
     for images, side, names in sides:
         base = images.eps.source.base
-        pieces = _diagram_pieces(base, derive_seed(tseed, side), max_dim, window)
-        drawn = [(images.at(u), h) for u, S in pieces if (h := cohomology(S, field))]
+        recipes = _diagram_draw(base, derive_seed(tseed, side), max_dim, window)
+        drawn = [(images.at(u), h) for u, elem, _ in recipes if (h := _recipe_cohomology(elem))]
         verdict = verdict and all(acyclic for (_, acyclic), _ in drawn)
         for end, name in enumerate(names):
             tables[name] = {
@@ -450,15 +472,21 @@ def _assembled_trial(state, tseed) -> TrialRecord:
 
 def _first_difference(evaluated: TrialRecord, assembled: TrialRecord):
     """Where two records of one trial first differ: the verdict, or the first
-    table and element (in record order) with different rows; None if they
-    are equal."""
+    table, then element, in record order (the evaluated record's first) that
+    only one record has or whose rows differ; None if they are equal."""
     if evaluated.verdict != assembled.verdict:
         return f"verdict: evaluated {evaluated.verdict}, assembled {assembled.verdict}"
-    for name, table in evaluated.tables.items():
-        for y, row in table.items():
-            other = assembled.tables[name][y]
-            if other != row:
-                return f"table {name!r} at {y!r}: evaluated {row}, assembled {other}"
+    for name in {**evaluated.tables, **assembled.tables}:
+        if name not in evaluated.tables or name not in assembled.tables:
+            side = "evaluated" if name in evaluated.tables else "assembled"
+            return f"table {name!r}, only in the {side} record"
+        ours, theirs = evaluated.tables[name], assembled.tables[name]
+        for y in {**ours, **theirs}:
+            if y not in ours or y not in theirs:
+                side = "evaluated" if y in ours else "assembled"
+                return f"table {name!r} at {y!r}, only in the {side} record"
+            if ours[y] != theirs[y]:
+                return f"table {name!r} at {y!r}: evaluated {ours[y]}, assembled {theirs[y]}"
     return None
 
 
@@ -487,12 +515,15 @@ def verify_equivalence(
     complex, and a functor keeps that splitting; so F(P_u ⊗ S) has the
     cohomology of F(P_u) ⊗ H(S), the degree convolution of H(F(P_u)) with
     H(S) (Künneth), and by naturality an epsilon's component at P_u ⊗ S is
-    a quasi-isomorphism iff H(S) = 0 or its component at P_u is one.  The
-    images at each P_u are made once per call, when a trial first draws a
-    piece at u with H(S) ≠ 0.  With more than one trial, trial 0 is also
-    assembled, and a record that differs from the evaluated one raises
+    a quasi-isomorphism iff H(S) = 0 or its component at P_u is one.  No
+    assembled trial builds S: H(S) is read off the draw (one dimension per
+    stalk piece).  The images are made once per call and per distinct
+    sub-word, when a trial first draws a piece with H(S) ≠ 0 whose u selects
+    it (_Images).  With more than one trial, trial 0 is also assembled, and
+    a record that differs from the evaluated one raises
     InternalInconsistency naming the first table and element that differ,
-    before any other trial runs.  A one-trial run builds no image.
+    or that only one record has, before any other trial runs.  A one-trial
+    run builds no image.
     """
     config = _run_config(trials, seed, field, max_dim, window)
     xi_plus, xi_minus = build_theorem_formulas(g)

@@ -294,7 +294,7 @@ def shear_product_unimodular(rng, n: int):
     """A random unimodular n x n matrix U and its inverse as products of
     explicit elementary matrices: each step draws a shear I + c·e_ij (or a
     sign flip), multiplies U by it on the left and U^-1 by its inverse on
-    the right, drawing from rng exactly as abelian_eval._random_unimodular."""
+    the right, drawing from rng exactly as abelian_eval._unimodular_steps."""
     from posetglue.abelian_eval import _UNIMODULAR_STEPS
     from posetglue.intmat import Mat
 

@@ -67,7 +67,7 @@ from posetglue.formula_cat import (
     shift,
     translation_formula,
 )
-from posetglue.gluing import build_plus
+from posetglue.gluing import build_minus, build_plus
 from posetglue.harness import (
     FIGURE_ONE_PAIRS,
     EpsilonTransform,
@@ -752,6 +752,13 @@ _DRAW_DIGESTS = {
 }
 
 
+def _draw_orders() -> list:
+    """The glued orders of the Figure-1 gluings and of random_gluing 0-19."""
+    gluings = [figure_one_gluing(pair)[0] for pair in FIGURE_ONE_PAIRS]
+    gluings += [random_gluing(seed) for seed in range(20)]
+    return [build(g).poset for g in gluings for build in (build_plus, build_minus)]
+
+
 class TestRandomGenerators:
     @pytest.mark.parametrize("kind, order", sorted(_DRAW_DIGESTS))
     def test_draws_are_pinned(self, kind, order):
@@ -777,10 +784,37 @@ class TestRandomGenerators:
         for n in range(1, 5):
             for seed in range(50):
                 rng, ref = SplitMix64(seed), SplitMix64(seed)
-                U, Uinv = abelian_eval._random_unimodular(rng, n)
+                U, Uinv = abelian_eval._unimodular(n, abelian_eval._unimodular_steps(rng, n))
                 assert (U, Uinv) == shear_product_unimodular(ref, n), (n, seed)
                 assert U.mul(Uinv) == Mat.identity(n)
                 assert rng._state == ref._state
+
+    def test_a_draw_fixes_the_dims_and_cohomology_of_its_pieces(self):
+        # The recipes of a draw, without building S: their elementary pieces
+        # give the built S's dims, and their stalk pieces its cohomology over
+        # every field; drawing alone leaves the generator where drawing and
+        # building does.
+        fields = (RATIONALS, Field(2), Field(3), Field(5))
+        for X in _draw_orders():
+            for seed in range(50):
+                rng, ref = SplitMix64(seed), SplitMix64(seed)
+                recipes = abelian_eval._draw_pieces(X, rng, 3, (-2, 2))
+                pieces = abelian_eval._build_pieces(abelian_eval._draw_pieces(X, ref, 3, (-2, 2)))
+                assert rng._state == ref._state, seed
+                for (u, elem, _), (v, S) in zip(recipes, pieces, strict=True):
+                    assert u == v
+                    dims = {}
+                    for kind, i in elem:
+                        for t in (i, i + 1) if kind == "two" else (i,):
+                            dims[t] = dims.get(t, 0) + 1
+                    assert S.dims == dims
+                    stalks = {}
+                    for kind, i in elem:
+                        if kind == "stalk":
+                            stalks[i] = stalks.get(i, 0) + 1
+                    assert abelian_eval._recipe_cohomology(elem) == stalks
+                    for field in fields:
+                        assert cohomology(S, field) == stalks, (seed, field)
 
     def test_random_diagram_is_deterministic_and_valid(self):
         # Every drawn diagram passes the axioms, and every random_diagram is
@@ -806,7 +840,7 @@ class TestRandomGenerators:
         # one direct sum per distinct piece set {k : u_k <= x}, shared by the
         # elements that have it
         calls, drawn = [], []
-        real_sum, real_pieces = abelian_eval.direct_sum_complexes, abelian_eval._random_pieces
+        real_sum, real_pieces = abelian_eval.direct_sum_complexes, abelian_eval._build_pieces
         monkeypatch.setattr(
             abelian_eval,
             "direct_sum_complexes",
@@ -814,7 +848,7 @@ class TestRandomGenerators:
         )
         monkeypatch.setattr(
             abelian_eval,
-            "_random_pieces",
+            "_build_pieces",
             lambda *args: drawn.append(real_pieces(*args)) or drawn[-1],
         )
         shared = 0

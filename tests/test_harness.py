@@ -955,6 +955,87 @@ class TestAssembledTrials:
             assert verify_equivalence(g, trials=20).ok
             assert images and len(set(images)) == len(images)
 
+    def test_each_sub_word_is_imaged_once_per_call(self, monkeypatch):
+        # An image at P_u depends on u only through the entries of the source
+        # and target words at y over u: one pair of points is built per
+        # distinct pair of those selections that a drawn piece with H(S) != 0
+        # reaches, and none for a pair of empty selections.  On random_gluing
+        # 7 two drawn u select the same source entries at some y but not the
+        # same target entries.
+        calls, made = [], []
+        real_point, real_init = abelian_eval._Representable.point, harness._Images.__init__
+        monkeypatch.setattr(
+            abelian_eval._Representable,
+            "point",
+            lambda P, f: calls.append((f, tuple(i for i, (x, _) in enumerate(f.xi.entries) if x in P.up)))
+            or real_point(P, f),
+        )
+        monkeypatch.setattr(
+            harness._Images, "__init__", lambda images, *args: made.append(images) or real_init(images, *args)
+        )
+        seeds = [harness.derive_seed(0, "trial", i) for i in range(20)]
+        for g in [figure_one_gluing(pair)[0] for pair in FIGURE_ONE_PAIRS] + [random_gluing(7)]:
+            calls.clear()
+            made.clear()
+            assert verify_equivalence(g, trials=20).ok
+            counit_images, unit_images = made
+            for images, side in ((unit_images, "plus"), (counit_images, "minus")):
+                eps = images.eps
+                base = eps.source.base
+                ends = {}
+                for y in eps.source.target.elements:
+                    ends[id(eps.source.at[y])] = (y, 0)
+                    ends[id(eps.target.at[y])] = (y, 1)
+                # each image is a source point followed by a target point at y
+                points = [(ends[id(f)], selection) for f, selection in calls if id(f) in ends]
+                assert len(points) % 2 == 0
+                built = []
+                for ((y, end), selection), ((y2, end2), selection2) in zip(points[::2], points[1::2]):
+                    assert (y2, end, end2) == (y, 0, 1)
+                    built.append((y, selection, selection2))
+                drawn = set()
+                for tseed in seeds:
+                    recipes = abelian_eval._diagram_draw(base, harness.derive_seed(tseed, side), 3, (-2, 2))
+                    for u, elem, _ in recipes:
+                        if any(kind == "stalk" for kind, _ in elem):
+                            for y in eps.source.target.elements:
+                                over = [
+                                    tuple(i for i, (x, _) in enumerate(f.xi.entries) if base.le(u, x))
+                                    for f in (eps.source.at[y], eps.target.at[y])
+                                ]
+                                if any(over):
+                                    drawn.add((y, *over))
+                assert drawn and sorted(built) == sorted(drawn), side
+
+    @pytest.mark.parametrize(
+        "lone, difference",
+        [
+            ("table", "the table 'extra', only in the assembled record"),
+            ("element", "the table 'plus_shift' at '1', only in the evaluated record"),
+        ],
+    )
+    def test_a_table_or_element_on_one_side_only_stops_the_run(self, monkeypatch, lone, difference):
+        real_trial = harness._assembled_trial
+
+        def assembled(state, tseed):
+            record = real_trial(state, tseed)
+            tables = dict(record.tables)
+            if lone == "table":
+                tables["extra"] = {}
+            else:
+                tables["plus_shift"] = {y: row for y, row in tables["plus_shift"].items() if y != "1"}
+            return harness.TrialRecord(seed=record.seed, verdict=record.verdict, tables=tables)
+
+        monkeypatch.setattr(harness, "_assembled_trial", assembled)
+        g = figure_one_gluing(FIGURE_ONE_PAIRS[0])[0]
+        tseed = harness.derive_seed(0, "trial", 0)
+        with pytest.raises(InternalInconsistency) as info:
+            verify_equivalence(g, trials=2)
+        assert str(info.value) == (
+            f"trial {tseed} assembled from the representables differs from its "
+            f"evaluation, at {difference}"
+        )
+
     @pytest.mark.parametrize(
         "corrupt, difference",
         [
@@ -973,7 +1054,7 @@ class TestAssembledTrials:
                 lambda P, f: VectComplex({**real(P, f).dims, 9: 1}, real(P, f).d),
             )
         else:
-            # every image, and every drawn S, gets cohomology in degree 9
+            # every image gets cohomology in degree 9 (no drawn S is ranked)
             real = harness.cohomology
             monkeypatch.setattr(harness, "cohomology", lambda K, field: {**real(K, field), 9: 1})
         assembled = []
