@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .formula_cat import CMorphism, Formula, FormulaToPoint, _plan
-from .intmat import Mat, _as_int, block, placed, rank_exact, rank_mod
+from .intmat import Mat, _as_int, block, placed, product_memo, rank_exact, rank_mod
 from .poset_core import (
     Poset, cover_triangles, covers, hasse, require_elements, require_relations
 )
@@ -227,14 +227,15 @@ def identity_chain_map(K: VectComplex) -> ChainMap:
     return ChainMap(K, K, {i: Mat.identity(n) for i, n in K.dims.items()}, check=False)
 
 
-def _products(g: ChainMap, f: ChainMap) -> dict:
-    """The nonzero degreewise products g.f[i]·f.f[i], that is the blocks of
-    the composite g·f, for chain maps whose ends are already known to match."""
+def _products(g: ChainMap, f: ChainMap, mul) -> dict:
+    """The nonzero degreewise products g.f[i]·f.f[i], each taken as
+    mul(g.f[i], f.f[i]), that is the blocks of the composite g·f, for chain
+    maps whose ends are already known to match."""
     gf, out = g.f, {}
     for i, m in f.f.items():
         n = gf.get(i)
         if n is not None:
-            nm = n.mul(m)
+            nm = mul(n, m)
             if not nm.is_zero():
                 out[i] = nm
     return out
@@ -318,7 +319,10 @@ class PosetDiagram:
     composition on cover_triangles, comparing the degreewise products with
     the stored blocks.  By the induction there this implies the general
     case; the degenerate triangles (x, x2, x2) follow from the identity
-    check.
+    check.  Equal blocks are often one object (the evaluator and the draws
+    share them), so the walk multiplies each distinct pair of block objects
+    once (intmat.product_memo, kept for this walk only) and still compares
+    every triangle.
     """
 
     __slots__ = ("base", "K", "r")
@@ -341,9 +345,9 @@ class PosetDiagram:
                     m.is_identity() for m in f.values()
                 ):
                     raise DiagramAxiomFailure(f"restriction at ({x!r},{x!r}) is not the identity")
-            r = self.r
+            r, mul = self.r, product_memo()
             for x, x2, x3 in cover_triangles(base):
-                if _products(r[(x2, x3)], r[(x, x2)]) != r[(x, x3)].f:
+                if _products(r[(x2, x3)], r[(x, x2)], mul) != r[(x, x3)].f:
                     raise DiagramAxiomFailure(
                         f"restrictions do not compose along {x!r} <= {x2!r} <= {x3!r}"
                     )
@@ -380,9 +384,10 @@ class DiagramMap:
             c = self.components[x]
             if c.source != source.K[x] or c.target != target.K[x]:
                 raise ShapeMismatch(f"component at {x!r} has wrong ends")
+        mul = product_memo()
         for x, x2 in covers(source.base):
-            left = _products(target.r[(x, x2)], self.components[x])
-            if left != _products(self.components[x2], source.r[(x, x2)]):
+            left = _products(target.r[(x, x2)], self.components[x], mul)
+            if left != _products(self.components[x2], source.r[(x, x2)], mul):
                 raise NaturalityFailure((x, x2))
 
 
@@ -438,6 +443,9 @@ class _Evaluation:
     word, and each product d_{x_j}·r of a raising plan item, by pair
     (x_i, x_j) and stalk degree (None where it vanishes), shared by every
     value's D, restriction and component that the call evaluates there.
+    Equal evaluated matrices are one object (shared, keyed by the Mat, so
+    by its shape too): the formula's restrictions repeat few distinct
+    matrices, and the diagram walks multiply each distinct pair once.
     Morphisms are read only through formula_cat._plan; nothing here writes
     into one.
     The layout of a word at a degree t of its support is the offset of each
@@ -450,12 +458,13 @@ class _Evaluation:
     so it forms no reference cycle.
     """
 
-    __slots__ = ("K", "layouts", "products")
+    __slots__ = ("K", "layouts", "products", "shared")
 
     def __init__(self, K: PosetDiagram):
         self.K = K
         self.layouts = {}
         self.products = {}
+        self.shared = {}
 
     def layout(self, word) -> dict:
         """degree t -> the layout of word at t, for t in its support; the
@@ -489,8 +498,11 @@ class _Evaluation:
                     if m is None:
                         continue
                 placed_at.setdefault(s - mi, []).append((j, i, c, m))
-        rows, cols = self.layout(phi.target), self.layout(phi.source)
-        return {t: placed(rows[t], cols[t], items) for t, items in placed_at.items()}
+        rows, cols, out = self.layout(phi.target), self.layout(phi.source), {}
+        for t, items in placed_at.items():
+            m = placed(rows[t], cols[t], items)
+            out[t] = self.shared.setdefault(m, m)
+        return out
 
     def formula(self, F: Formula) -> PosetDiagram:
         """F evaluated at K (see eval_formula); a translation formula is K

@@ -16,6 +16,7 @@ failure; 3 parse error (bad files or bad command lines).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -428,9 +429,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), made on the first call and kept for the process:
+    parsing changes nothing in a parser, and each command looks up the
+    library functions it calls when it runs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         return ns.func(ns)
     except ParseError as exc:

@@ -16,7 +16,7 @@ abelian_eval module turns these values into actual complexes and chain maps.
 """
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from .errors import (
     BaseMismatch,
@@ -25,7 +25,7 @@ from .errors import (
     InternalInconsistency,
     ShapeMismatch,
 )
-from .intmat import Mat, _as_int, placed
+from .intmat import Mat, _as_int, placed, product_memo
 from .poset_core import (
     Poset,
     cover_triangles,
@@ -79,11 +79,11 @@ def _legal(source: CObject, target: CObject) -> list:
     """The canonical-position rule as rows: legal[j][i] is true where entry
     (j, i) from source to target may be nonzero, as x_i <= x_j and m_j - m_i
     is 0 or 1 (the elements were validated when the objects were made)."""
-    leq = source.base.leq
-    return [
-        [0 <= mj - mi <= 1 and (xi, xj) in leq for xi, mi in source.entries]
-        for xj, mj in target.entries
-    ]
+    down, rows = source.base.down_set, []
+    for xj, mj in target.entries:
+        below = down(xj)
+        rows.append([0 <= mj - mi <= 1 and xi in below for xi, mi in source.entries])
+    return rows
 
 
 def _canonical(source: CObject, target: CObject, matrix: Mat) -> Mat:
@@ -213,13 +213,14 @@ def _entries(phi: CMorphism):
     case) for c·(-1)**m_i, the c yielded, times the inner D or differential
     at x_j after that map."""
     src, tgt = phi.source.entries, phi.target.entries
+    positions = range(len(src))
     for j, row in enumerate(phi.matrix.rows):
         xj, mj = tgt[j]
-        for i, c in enumerate(row):
-            if c:
-                xi, mi = src[i]
-                raising = mj != mi
-                yield j, i, (xi, xj), mi, -c if raising and mi % 2 else c, raising
+        for i in compress(positions, row):  # the nonzero columns, found in C
+            c = row[i]
+            xi, mi = src[i]
+            raising = mj != mi
+            yield j, i, (xi, xj), mi, -c if raising and mi % 2 else c, raising
 
 
 def _plan(phi: CMorphism) -> tuple:
@@ -401,7 +402,11 @@ class Formula:
     the matrices with r(a, c): a < b is a Hasse edge, so r(a, b) was shown
     to preserve degree, and the canonical r(b, c) raises it by 0 or 1; no
     entry of the product jumps by 2, so compose's quotient would change
-    nothing, and the ends were checked before the walk.
+    nothing, and the ends were checked before the walk.  The builders make
+    equal restriction matrices one object (canonical_formula,
+    compose_formulas), so the walk multiplies each distinct pair of matrix
+    objects once (intmat.product_memo, kept for this walk only) and still
+    compares the product with r(a, c) on every triangle.
 
     `shift` is None except on the formulas made by translation_formula,
     which set it to their n: abelian_eval evaluates such a formula at K as
@@ -435,9 +440,9 @@ class Formula:
         for y in target.elements:
             if not self.res[(y, y)].matrix.is_identity():
                 raise DiagramAxiomFailure(f"restriction at ({y!r}, {y!r}) is not the identity")
-        res = self.res
+        res, mul = self.res, product_memo()
         for y, y2, y3 in cover_triangles(target):
-            left, right = res[(y2, y3)].matrix.mul(res[(y, y2)].matrix), res[(y, y3)].matrix
+            left, right = mul(res[(y2, y3)].matrix, res[(y, y2)].matrix), res[(y, y3)].matrix
             if left != right:
                 raise CommutativityFailure(
                     (y, y3), f"via {y2!r}: difference {left.sub(right).tolist()}"
@@ -464,14 +469,21 @@ def canonical_formula(target: Poset, base: Poset, words: dict) -> Formula:
     rises by 0 or 1, so the words and the base order decide every matrix,
     and each is written as those 0/1 entries in one pass.  The pass reads
     the rule that _canonical masks with (_legal), so each matrix is
-    canonical by construction and taken as it is.
+    canonical by construction and taken as it is.  Equal matrices are one
+    object, shared through a dict of this call keyed by the Mat (its shape
+    included): the matrices depend only on the shapes of two words, so few
+    are distinct, and Formula's triangle walk computes each distinct product
+    once while it still compares every triangle.
     Each D keeps its unit diagonal when entries of equal degree in one word
     are incomparable, as the witnesses of one element are by the antichain
     condition (see harness._build_xi).  Values are checked by check_formula
     (InternalInconsistency otherwise), restrictions by Formula.
     """
+    shared = {}
+
     def ones(src: CObject, tgt: CObject) -> CMorphism:
-        return CMorphism._trusted(src, tgt, Mat(len(tgt), len(src), _legal(src, tgt)))
+        m = Mat(len(tgt), len(src), _legal(src, tgt))
+        return CMorphism._trusted(src, tgt, shared.setdefault(m, m))
 
     at = {}
     for y in target.elements:
@@ -574,14 +586,15 @@ def compose_formulas(outer: Formula, inner: Formula) -> Formula:
     target valued over the inner base, and its evaluation is the composite
     of the two evaluations (outer applied after inner).  Each value is
     substituted once and each restriction built from its substituted ends,
-    its matrix canonical by construction (see _substituted_matrix)."""
+    its matrix canonical by construction (see _substituted_matrix).  Equal
+    restriction matrices are one object, as in canonical_formula."""
     if outer.base != inner.target:
         raise BaseMismatch("outer formula's base must equal inner formula's target")
     at = {q: substitute(outer.at[q], inner) for q in outer.target.elements}
-    res = {
-        (q, q2): CMorphism._trusted(at[q].xi, at[q2].xi, _substituted_matrix(psi, inner))
-        for (q, q2), psi in outer.res.items()
-    }
+    res, shared = {}, {}
+    for (q, q2), psi in outer.res.items():
+        m = _substituted_matrix(psi, inner)
+        res[(q, q2)] = CMorphism._trusted(at[q].xi, at[q2].xi, shared.setdefault(m, m))
     try:
         return Formula(outer.target, at, res)
     except DiagramAxiomFailure as exc:

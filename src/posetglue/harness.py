@@ -77,6 +77,7 @@ from .gluing import (
     ordinal_witness,
     validate_gluing,
 )
+from .intmat import Mat, product_memo
 from .poset_core import (
     Poset,
     covers,
@@ -193,7 +194,9 @@ class EpsilonTransform:
     were just shown to preserve degree, and so were the restrictions along
     Hasse edges (by Formula, or by the shape of a translation formula), so
     no entry jumps by 2 and compose's quotient would change nothing; both
-    sides run from the source word at a to the target word at b.
+    sides run from the source word at a to the target word at b.  Equal
+    component matrices are one object, and each distinct product of the
+    walk is taken once; every square is still compared.
     """
 
     __slots__ = ("source", "target", "components")
@@ -206,17 +209,21 @@ class EpsilonTransform:
         require_elements(source.target, components, "component")
         self.source = source
         self.target = target
-        self.components = {}
+        self.components, shared = {}, {}
         for y in source.target.elements:
-            phi = CMorphism(source.at[y].xi, target.at[y].xi, components[y])
+            src, tgt = source.at[y].xi, target.at[y].xi
+            m = components[y]
+            if not isinstance(m, Mat):
+                m = Mat(len(tgt), len(src), m)
+            phi = CMorphism(src, tgt, shared.setdefault(m, m))
             problem = check_formula_morphism(phi, source.at[y], target.at[y])
             if problem is not None:
                 raise DiagramAxiomFailure(f"component at {y!r} is invalid: {problem}")
             self.components[y] = phi
-        comps = self.components
+        comps, mul = self.components, product_memo()
         for a, b in covers(source.target):
-            left = target.res[(a, b)].matrix.mul(comps[a].matrix)
-            right = comps[b].matrix.mul(source.res[(a, b)].matrix)
+            left = mul(target.res[(a, b)].matrix, comps[a].matrix)
+            right = mul(comps[b].matrix, source.res[(a, b)].matrix)
             if left != right:
                 raise NaturalityFailure((a, b), f"difference {left.sub(right).tolist()}")
 
@@ -397,15 +404,17 @@ class _Images:
     selections at y.  One image is made per y and distinct pair of
     selections, on the first trial that draws a piece at such a u; where
     both are empty the images are zero, the component is acyclic, and
-    nothing is built."""
+    nothing is built.  The tables of a piece P_u ⊗ S are made once per
+    distinct u and H(S), on the first trial that draws such a piece."""
 
-    __slots__ = ("eps", "field", "by_element", "by_selection")
+    __slots__ = ("eps", "field", "by_element", "by_selection", "by_piece")
 
     def __init__(self, eps: EpsilonTransform, field: Field):
         self.eps = eps
         self.field = field
         self.by_element = {}
         self.by_selection = {}
+        self.by_piece = {}
 
     def at(self, u) -> tuple:
         """({y: (H(source at P_u)(y), H(target at P_u)(y))}, acyclic)."""
@@ -428,21 +437,43 @@ class _Images:
             self.by_element[u] = cohomologies, acyclic
         return self.by_element[u]
 
+    def piece(self, u, h) -> tuple:
+        """((source tables, target tables), acyclic) of a piece P_u ⊗ S with
+        H(S) = h: at each y, the cohomology of the source and of the target
+        value at the piece, the convolution of its image at P_u with h."""
+        key = u, tuple(sorted(h.items()))
+        if key not in self.by_piece:
+            cohomologies, acyclic = self.at(u)
+            tables = tuple(
+                {y: _convolved(images[end], h) for y, images in cohomologies.items()}
+                for end in (0, 1)
+            )
+            self.by_piece[key] = tables, acyclic
+        return self.by_piece[key]
+
 
 def _over(word, up) -> tuple:
     """The positions of the entries of word that lie over an up-set."""
     return tuple(i for i, (x, _) in enumerate(word.entries) if x in up)
 
 
-def _convolved(terms) -> dict:
-    """The cohomology table entry of a sum of tensor products, as _table_json
-    writes it: for pairs (a, b) of cohomology dimension tables, degree n
-    gets the sum over the pairs of a[i]·b[n - i]."""
+def _convolved(a: dict, b: dict) -> dict:
+    """The cohomology dimension table of a tensor product, for those of its
+    factors a and b: degree n gets the sum of a[i]·b[n - i]."""
     out = {}
-    for a, b in terms:
-        for i, m in a.items():
-            for j, n in b.items():
-                out[i + j] = out.get(i + j, 0) + m * n
+    for i, m in a.items():
+        for j, n in b.items():
+            out[i + j] = out.get(i + j, 0) + m * n
+    return out
+
+
+def _summed(tables) -> dict:
+    """The cohomology table entry of a direct sum, as _table_json writes it,
+    for the dimension tables of its summands."""
+    out = {}
+    for table in tables:
+        for i, n in table.items():
+            out[i] = out.get(i, 0) + n
     return {str(i): out[i] for i in sorted(out)}
 
 
@@ -460,11 +491,11 @@ def _assembled_trial(state, tseed) -> TrialRecord:
     for images, side, names in sides:
         base = images.eps.source.base
         recipes = _diagram_draw(base, derive_seed(tseed, side), max_dim, window)
-        drawn = [(images.at(u), h) for u, elem, _ in recipes if (h := _recipe_cohomology(elem))]
-        verdict = verdict and all(acyclic for (_, acyclic), _ in drawn)
+        drawn = [images.piece(u, h) for u, elem, _ in recipes if (h := _recipe_cohomology(elem))]
+        verdict = verdict and all(acyclic for _, acyclic in drawn)
         for end, name in enumerate(names):
             tables[name] = {
-                y: _convolved((cohomologies[y][end], h) for (cohomologies, _), h in drawn)
+                y: _summed(pieces[end][y] for pieces, _ in drawn)
                 for y in images.eps.source.target.elements
             }
     return TrialRecord(seed=tseed, verdict=verdict, tables=tables)

@@ -17,6 +17,11 @@ match the stated shape. The private `Mat._of` trusts its caller and stores
 their results as tuples of int tuples of the right shape.  `masked` keeps
 or zeroes the entries of a Mat that is already valid, so it converts and
 checks nothing either.
+
+A Mat is never changed once it is made: no operation writes into its rows,
+and results share rows with their operands where they are equal.  So equal
+matrices may be one shared object (the identities of `Mat.identity`, and
+the matrices that the formula builders and the evaluator share by value).
 """
 from __future__ import annotations
 
@@ -42,12 +47,26 @@ def _as_int(v, what="matrix entry") -> int:
         raise ParseError(f"{what} must be an integer, got {v!r}") from None
 
 
+def _int_row(r) -> tuple:
+    """The row r as a tuple of ints.  A list or tuple is converted by
+    operator.index alone; any other row, and one with an entry that is not
+    an integer, goes through _as_int, which names the first bad entry (a
+    row that can be read only once is read only there).  TypeError if r is
+    not iterable."""
+    if type(r) is tuple or type(r) is list:
+        try:
+            return tuple(map(index, r))
+        except TypeError:
+            pass
+    return tuple(map(_as_int, r))
+
+
 class Mat:
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, nrows, ncols, rows):
         try:
-            rows = tuple(tuple(map(_as_int, r)) for r in rows)
+            rows = tuple([_int_row(r) for r in rows])
         except TypeError:  # rows, or one of them, is not iterable
             raise ParseError(f"matrix rows must be sequences of integers, got {rows!r}") from None
         if len(rows) != nrows or any(len(r) != ncols for r in rows):
@@ -100,7 +119,7 @@ class Mat:
         return self.rows[i][j]
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Mat)
             and self.nrows == other.nrows
             and self.ncols == other.ncols
@@ -177,19 +196,43 @@ class Mat:
         )
 
     def mul(self, other):
+        """self·other, row by row: row i of the product is the sum of the
+        rows k of other scaled by the nonzero entries a = self[i, k].  A
+        row with one entry 1 is that row of other, shared; a row of zeros is
+        one shared zero row."""
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"mul {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        out = [[0] * other.ncols for _ in range(self.nrows)]
-        orows = other.rows
-        for i, row in enumerate(self.rows):
-            oi = out[i]
-            for k, a in enumerate(row):
+        zero = (0,) * other.ncols
+        out = []
+        for row in self.rows:
+            acc = None
+            for a, rk in zip(row, other.rows):
                 if a:
-                    rk = orows[k]
-                    for j, b in enumerate(rk):
-                        if b:
-                            oi[j] += a * b
-        return Mat._of(self.nrows, other.ncols, tuple(map(tuple, out)))
+                    if acc is None:
+                        acc = rk if a == 1 else [a * b for b in rk]
+                    elif a == 1:
+                        acc = list(map(_add, acc, rk))
+                    else:
+                        acc = [v + a * b for v, b in zip(acc, rk)]
+            out.append(zero if acc is None else tuple(acc))
+        return Mat._of(self.nrows, other.ncols, tuple(out))
+
+
+def product_memo():
+    """A function mul(a, b) = a.mul(b) that multiplies each pair of operand
+    objects once and returns that product on every later call with the
+    same two objects.  It keeps its operands, so the ids that key it cannot
+    be reused while it lives; its maker keeps it for one walk."""
+    made = {}
+
+    def mul(a, b):
+        key = id(a), id(b)
+        hit = made.get(key)
+        if hit is None:
+            hit = made[key] = a, b, a.mul(b)
+        return hit[2]
+
+    return mul
 
 
 def block(parts, row_sizes, col_sizes):

@@ -180,15 +180,14 @@ def _find_cycle(elements, index, pairs, i, j):
 
 
 def hasse(p: Poset) -> HasseDiagram:
-    """Transitive reduction: edges (a, b) with a < b and nothing strictly between."""
+    """Transitive reduction: edges (a, b) with a < b and nothing strictly
+    between.  With S the strict up-set of a, b in S is a cover iff S meets
+    the down-set of b in b alone."""
     if p._hasse is None:
         edges = set()
         for a in p.elements:
-            for b in p.up_set(a):
-                if a == b:
-                    continue
-                if not any(c != a and c != b and p.le(c, b) for c in p.up_set(a)):
-                    edges.add((a, b))
+            above = p._up[a] - {a}
+            edges.update((a, b) for b in above if len(above & p._down[b]) == 1)
         p._hasse = HasseDiagram(edges)
     return p._hasse
 

@@ -642,6 +642,43 @@ class TestSurface:
             json.loads(text)
 
 
+class TestParserKept:
+    #: Commands that exit 0, 1 and 3, the last two of them a usage error.
+    RUNS = [
+        ["poset", "check", "{chain3}", "--json"],
+        ["glue", "validate", "{glue_bad}"],
+        ["verify", "theorem", "--gluing", "{glue_ok}", *SMALL, "--json"],
+        ["verify", "two-chain", "--trials", "0"],
+        ["poset", "hasse", "{chain3}"],
+        ["demo", "counterexample", *SMALL],
+        ["poset", "frobnicate"],
+        ["verify", "two-chain", *SMALL, "--jobs", "2"],
+    ]
+
+    def test_calls_in_a_row_answer_as_first_calls(self, files, capsys, monkeypatch):
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        runs = [_argv(files, argv) for argv in self.RUNS]
+        firsts = []
+        for argv in runs:
+            cli._parser.cache_clear()
+            firsts.append(run(argv))
+        assert [code for code, _, _ in firsts] == [0, 1, 0, 3, 0, 1, 3, 3]
+        assert firsts[6][2].startswith("usage: posetglue poset [-h]")
+        assert firsts[7][2].startswith("usage: posetglue [-h]")
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        assert [run(argv) for argv in runs + runs] == firsts + firsts
+        assert len(built) == 1
+
+
 class TestConsoleScript:
     def test_module_entry_point(self, files):
         result = run_python(["-m", "posetglue.cli", "poset", "check", files["chain3"]])

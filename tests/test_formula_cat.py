@@ -15,7 +15,7 @@ from posetglue.errors import (
     ParseError,
     ShapeMismatch,
 )
-from posetglue import harness
+from posetglue import formula_cat, harness
 from posetglue.formula_cat import (
     ALPHA1,
     ALPHA2,
@@ -59,7 +59,7 @@ from posetglue.harness import (
     random_gluing,
 )
 from posetglue.intmat import Mat
-from posetglue.poset_core import poset_from_generators
+from posetglue.poset_core import cover_triangles, hasse, poset_from_generators
 
 from posetglue.rng import SplitMix64, derive_seed
 
@@ -855,3 +855,68 @@ def test_translation_formula_is_the_checked_canonical_formula(n):
     for X in (*glued_orders(), build_plus(g).poset, build_minus(g).poset):
         words = {x: ((x, n),) for x in X.elements}
         assert translation_formula(X, n) == canonical_formula(X, X, words), X
+
+
+class TestSharedMatrices:
+    """Equal restriction matrices are one object, each distinct product of
+    a triangle walk is taken once, and every triangle is still compared."""
+
+    def test_theorem_formulas_hold_few_distinct_matrices(self):
+        g = chain_of_chains(10, 4)
+        xi_plus, xi_minus = build_theorem_formulas(g)
+        for F in (xi_plus, xi_minus, compose_formulas(xi_plus, xi_minus)):
+            strict = [phi.matrix for (y, y2), phi in F.res.items() if y != y2]
+            assert len(strict) == 445
+            # equal matrices are one object, and there are at most six
+            assert len({id(m) for m in strict}) == len(set(strict)) <= 6
+
+    def test_the_triangle_walk_multiplies_each_distinct_pair_once(self, monkeypatch):
+        xi = build_theorem_formulas(chain_of_chains(10, 4))[0]
+        counts = {"all": 0, "covers": 0}
+        real_mul, real_check = Mat.mul, formula_cat.check_formula_morphism
+
+        def counted_mul(a, b):
+            counts["all"] += 1
+            return real_mul(a, b)
+
+        def counted_check(*args):
+            before = counts["all"]
+            problem = real_check(*args)
+            counts["covers"] += counts["all"] - before
+            return problem
+
+        monkeypatch.setattr(Mat, "mul", counted_mul)
+        monkeypatch.setattr(formula_cat, "check_formula_morphism", counted_check)
+        Formula(xi.target, xi.at, xi.res)
+        assert len(cover_triangles(xi.target)) == 540
+        assert 0 < counts["all"] - counts["covers"] <= 10
+
+    @pytest.mark.parametrize("case", [FIGURE_ONE_PAIRS[0], (10, 4)], ids=["X1-X2", "chains-10-4"])
+    def test_a_changed_non_cover_restriction_fails_at_its_first_triangle(self, case):
+        g = figure_one_gluing(case)[0] if case in FIGURE_ONE_PAIRS else chain_of_chains(*case)
+        xi = build_theorem_formulas(g)[0]
+        edges = hasse(xi.target).edges
+        triangles = cover_triangles(xi.target)
+        tested = 0
+        for (y, y3), phi in sorted(xi.res.items()):
+            shared_with = sum(psi.matrix is phi.matrix for psi in xi.res.values())
+            if y == y3 or (y, y3) in edges or shared_with < 2 or phi.is_zero():
+                continue
+            # a restriction that shares its matrix, with one nonzero entry doubled
+            rows = phi.matrix.tolist()
+            j, i = next((j, i) for j, row in enumerate(rows) for i, c in enumerate(row) if c)
+            rows[j][i] *= 2
+            res = {**xi.res, (y, y3): CMorphism(phi.source, phi.target, rows)}
+            # the first triangle, in walk order, whose plain product differs
+            a, b, c = next(
+                (a, b, c)
+                for a, b, c in triangles
+                if res[(b, c)].matrix.mul(res[(a, b)].matrix) != res[(a, c)].matrix
+            )
+            with pytest.raises(CommutativityFailure) as info:
+                Formula(xi.target, xi.at, res)
+            assert info.value.pair == (a, c) and f"via {b!r}:" in str(info.value)
+            tested += 1
+            if tested == 6:
+                break
+        assert tested

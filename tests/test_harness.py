@@ -955,6 +955,31 @@ class TestAssembledTrials:
             assert verify_equivalence(g, trials=20).ok
             assert images and len(set(images)) == len(images)
 
+    def test_each_piece_is_convolved_once_per_call(self, monkeypatch):
+        # a trial sums the tables of its pieces; the tables of a piece P_u ⊗ S
+        # are convolved once per distinct u and H(S), at each y and end
+        calls = []
+        real = harness._convolved
+        monkeypatch.setattr(harness, "_convolved", lambda a, b: calls.append(1) or real(a, b))
+        seeds = [harness.derive_seed(0, "trial", i) for i in range(20)]
+        for g in [figure_one_gluing(pair)[0] for pair in FIGURE_ONE_PAIRS] + [random_gluing(7)]:
+            calls.clear()
+            assert verify_equivalence(g, trials=20).ok
+            plus, minus = build_plus(g).poset, build_minus(g).poset
+            expected = 0
+            for base, side, target in ((plus, "plus", minus), (minus, "minus", plus)):
+                pieces = {
+                    (u, tuple(sorted(h.items())))
+                    for tseed in seeds
+                    for u, elem, _ in abelian_eval._diagram_draw(
+                        base, harness.derive_seed(tseed, side), 3, (-2, 2)
+                    )
+                    if (h := abelian_eval._recipe_cohomology(elem))
+                }
+                expected += 2 * len(target) * len(pieces)
+            # fewer than one per table, element and assembled trial (trial 0 twice)
+            assert len(calls) == expected < 4 * len(plus) * 21
+
     def test_each_sub_word_is_imaged_once_per_call(self, monkeypatch):
         # An image at P_u depends on u only through the entries of the source
         # and target words at y over u: one pair of points is built per

@@ -8,12 +8,15 @@ shape that equals, and hashes like, the same rows passed through ``Mat``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetglue.errors import ParseError, ShapeMismatch
-from posetglue.intmat import Mat, block, rank_exact, rank_mod
+from posetglue.intmat import Mat, _as_int, block, product_memo, rank_exact, rank_mod
 from posetglue.rng import SplitMix64
 
 from conftest import frac_rank, matmul, modp_rank, nonzeros
@@ -189,3 +192,113 @@ def test_rows_that_are_not_sequences_are_refused():
         Mat.from_rows([1])
     with pytest.raises(ParseError, match="matrix rows must be sequences of integers, got 5"):
         Mat(1, 1, 5)
+
+
+#: Entries small and large, of both signs.
+ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
+
+
+@st.composite
+def factor_pairs(draw):
+    """(a, b) with a n x k and b k x m, every size 0..4."""
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def mat(rows, cols):
+        return Mat(rows, cols, [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)])
+
+    return mat(n, k), mat(k, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_pairs())
+def test_mul_is_the_triple_loop(pair):
+    a, b = pair
+    expected = [
+        [sum(a.rows[i][k] * b.rows[k][j] for k in range(a.ncols)) for j in range(b.ncols)]
+        for i in range(a.nrows)
+    ]
+    c = a.mul(b)
+    assert_well_formed(c, a.nrows, b.ncols)
+    assert c.tolist() == expected
+
+
+def test_product_memo_multiplies_each_pair_of_objects_once(monkeypatch):
+    a, b = Mat.from_rows([[1, 2], [0, 1]]), Mat.from_rows([[3], [4]])
+    equal = Mat.from_rows([[1, 2], [0, 1]])
+    calls = []
+    real = Mat.mul
+    monkeypatch.setattr(Mat, "mul", lambda x, y: calls.append((x, y)) or real(x, y))
+    mul = product_memo()
+    assert mul(a, b) is mul(a, b)
+    assert mul(equal, b) == mul(a, b)  # an equal operand is another object
+    assert mul(a, b).tolist() == [[11], [4]]
+    assert len(calls) == 2 and calls[1][0] is equal
+    assert product_memo()(a, b) is not mul(a, b)  # each memo is its own
+
+
+def _converted_one_by_one(nrows, ncols, rows):
+    """The rows of Mat(nrows, ncols, rows) converted entry by entry with
+    _as_int, the constructor's reference, with its errors."""
+    try:
+        rows = tuple(tuple(map(_as_int, r)) for r in rows)
+    except TypeError:
+        raise ParseError(f"matrix rows must be sequences of integers, got {rows!r}") from None
+    if len(rows) != nrows or any(len(r) != ncols for r in rows):
+        raise ShapeMismatch(f"expected {nrows}x{ncols}, got {[len(r) for r in rows]}")
+    return rows
+
+
+def _outcome(make):
+    """The rows made, or the error type and message, with object addresses
+    (of generators) left out."""
+    try:
+        made = make()
+    except (ParseError, ShapeMismatch) as exc:
+        return type(exc), re.sub(r" at 0x[0-9a-f]+", "", str(exc))
+    return made.rows if isinstance(made, Mat) else made
+
+
+#: (nrows, ncols, a function making fresh rows): bad entries, rows that are
+#: not iterable, rows read once, and shapes that do not match.
+CONSTRUCTOR_CASES = [
+    (1, 2, lambda: [[1, 1.5]]),
+    (1, 2, lambda: [[1, "1"]]),
+    (2, 1, lambda: [[1.5], 2]),
+    (2, 1, lambda: [[1], 2]),
+    (1, 1, lambda: [1]),
+    (1, 1, lambda: 5),
+    (1, 1, lambda: None),
+    (2, 2, lambda: ([i, i + 1] for i in range(2))),
+    (2, 2, lambda: ([i, 1.5] for i in range(2))),
+    (2, 1, lambda: ([i] if i else 7 for i in range(2))),
+    (1, 2, lambda: [iter([1.5, 2])]),
+    (1, 1, lambda: [iter([1.5, 2])]),
+    (1, 2, lambda: [(v for v in (1, "1"))]),
+    (2, 2, lambda: [iter([1, 2]), [3, None]]),
+    (2, 2, lambda: [[1, 2], [3]]),
+    (1, 2, lambda: [[1, 2], [3, 4]]),
+    (2, 0, lambda: []),
+    (1, 2, lambda: [[True, 2]]),
+    (2, 2, lambda: [range(2), (3, 4)]),
+]
+
+
+@pytest.mark.parametrize("nrows, ncols, make", CONSTRUCTOR_CASES)
+def test_constructor_errors_are_those_of_the_one_by_one_conversion(nrows, ncols, make):
+    assert _outcome(lambda: Mat(nrows, ncols, make())) == _outcome(
+        lambda: _converted_one_by_one(nrows, ncols, make())
+    )
+
+
+@pytest.mark.parametrize("nrows, ncols, make", CONSTRUCTOR_CASES)
+def test_from_rows_errors_are_those_of_the_one_by_one_conversion(nrows, ncols, make):
+    def reference():
+        try:
+            rows = [list(r) for r in make()]
+        except TypeError:
+            raise ParseError(
+                f"matrix rows must be sequences of integers, got {make()!r}"
+            ) from None
+        return _converted_one_by_one(len(rows), len(rows[0]) if rows else 0, rows)
+
+    assert _outcome(lambda: Mat.from_rows(make())) == _outcome(reference)

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetglue.errors import CycleError, ParseError, SizeLimit, UnknownElement
+from posetglue.gluing import build_minus, build_plus
+from posetglue.harness import random_gluing
 from posetglue.poset_core import (
     Poset,
     cover_triangles,
@@ -26,7 +28,7 @@ from posetglue.poset_core import (
 )
 from posetglue.rng import SplitMix64
 
-from conftest import brute_closure
+from conftest import brute_closure, chain_of_chains
 
 
 def random_generated(seed: int, n: int) -> Poset:
@@ -103,6 +105,23 @@ class TestHasse:
                     c not in (a, b) and p.le(a, c) and p.le(c, b) for c in p.elements
                 )
             )
+            assert hasse(p).edges == expected
+
+    @pytest.mark.parametrize(
+        "case", [*range(40), (10, 4)], ids=[*map("random{}".format, range(40)), "chains-10-4"]
+    )
+    def test_glued_orders_have_the_covers_of_the_pairwise_definition(self, case):
+        # b covers a iff a < b and no c lies strictly between them, tested
+        # for every c of the strict up-set of a
+        g = chain_of_chains(*case) if isinstance(case, tuple) else random_gluing(case)
+        for p in (build_plus(g).poset, build_minus(g).poset):
+            expected = {
+                (a, b)
+                for a in p.elements
+                for b in p.up_set(a)
+                if a != b
+                and not any(c != a and c != b and p.le(c, b) for c in p.up_set(a))
+            }
             assert hasse(p).edges == expected
 
     def test_closure_of_hasse_recovers_order(self):

@@ -6,8 +6,9 @@ that prove their matrices canonical (and the one test wrapper), only
 ``formula_cat`` walks a word morphism's entries and stores its plan, the
 isomorphism search serves only ``poset iso``, matrices are ranked only by
 ``Field.rank``, JSON is decoded only by ``cli._load_doc``, ``harness``
-makes evaluation contexts only in ``EpsilonTransform.evaluate``, and the
-package imports nothing outside the standard library.
+makes evaluation contexts only in ``EpsilonTransform.evaluate``, no module
+keeps a cache in a dict or set of its own (but ``intmat._IDENTITIES``), and
+the package imports nothing outside the standard library.
 
 A public function, class or constant of ``src/posetglue/*.py`` must be used
 somewhere in ``src/`` or ``tests/`` other than its own definition and its
@@ -403,4 +404,73 @@ def test_only_cli_load_doc_parses_json():
                     where = f"{path.stem}.{owner}{getattr(unit, 'name', unit.lineno)}"
                     (allowed if where in entry_points else outside).append(where)
     assert set(allowed) == entry_points  # the guard still sees the entry point
+    assert not outside, outside
+
+
+#: Methods that write into a dict or a set.
+_MUTATORS = {
+    "setdefault", "update", "pop", "popitem", "clear", "add", "discard", "remove",
+    "__setitem__", "__delitem__", "__ior__",
+}
+
+
+def _module_containers(tree) -> set:
+    """Names that a module's top level binds to a dict or set display,
+    comprehension, or dict() or set() call."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets, value = [stmt.target], stmt.value
+        else:
+            continue
+        container = isinstance(value, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp)) or (
+            isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("dict", "set")
+        )
+        if container:
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _writes_into(node, name) -> bool:
+    """Whether node stores or deletes an item of `name`, or calls one of its
+    mutating methods."""
+    for sub in ast.walk(node):
+        if (
+            isinstance(sub, ast.Subscript)
+            and isinstance(sub.ctx, (ast.Store, ast.Del))
+            and getattr(sub.value, "id", None) == name
+        ):
+            return True
+        if (
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr in _MUTATORS
+            and getattr(sub.func.value, "id", None) == name
+        ):
+            return True
+    return False
+
+
+def test_no_module_keeps_a_cache():
+    # Each call is evaluated afresh: the formula builders, the evaluator and
+    # the trials share matrices and products only through memos that are
+    # locals of one call.  A dict or set bound at module level that a
+    # function fills would outlive every call; the shared identities of
+    # Mat.identity are the one such table.
+    allowed = {"intmat._IDENTITIES"}
+    found, outside = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        containers = _module_containers(tree)
+        functions = [
+            node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        ]
+        for name in sorted(containers):
+            if any(_writes_into(fn, name) for fn in functions):
+                where = f"{path.stem}.{name}"
+                (found if where in allowed else outside).append(where)
+    assert set(found) == allowed  # the guard still sees the one table
     assert not outside, outside
