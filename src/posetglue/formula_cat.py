@@ -69,21 +69,38 @@ class CObject:
 
     def shifted(self, n: int) -> "CObject":
         # the elements were validated when self was made
-        obj = object.__new__(CObject)
-        obj.entries = tuple((x, m + n) for x, m in self.entries)
-        obj.base = self.base
-        return obj
+        return _word(tuple([(x, m + n) for x, m in self.entries]), self.base)
+
+
+def _word(entries: tuple, base: Poset) -> CObject:
+    """The object of entries, a tuple of (element, int degree) pairs whose
+    elements were validated over base when the words they come from were
+    made; nothing is checked again."""
+    obj = object.__new__(CObject)
+    obj.entries = entries
+    obj.base = base
+    return obj
+
+
+def _degrees(word: CObject) -> tuple:
+    """The degrees of word's entries, in entry order."""
+    return tuple([m for _, m in word.entries])
+
+
+def _legal_row(source: CObject, xj, mj) -> tuple:
+    """The canonical-position rule for one target entry (x_j, m_j): entry i
+    is 1 where a matrix from source may be nonzero in that row, as
+    x_i <= x_j and m_j - m_i is 0 or 1, and 0 elsewhere.  It reads only
+    source and the target entry."""
+    below = source.base.down_set(xj)
+    return tuple([int(0 <= mj - mi <= 1 and xi in below) for xi, mi in source.entries])
 
 
 def _legal(source: CObject, target: CObject) -> list:
-    """The canonical-position rule as rows: legal[j][i] is true where entry
-    (j, i) from source to target may be nonzero, as x_i <= x_j and m_j - m_i
-    is 0 or 1 (the elements were validated when the objects were made)."""
-    down, rows = source.base.down_set, []
-    for xj, mj in target.entries:
-        below = down(xj)
-        rows.append([0 <= mj - mi <= 1 and xi in below for xi, mi in source.entries])
-    return rows
+    """The canonical-position rule as rows: legal[j][i] is 1 where entry
+    (j, i) from source to target may be nonzero (see _legal_row; the
+    elements were validated when the objects were made)."""
+    return [_legal_row(source, xj, mj) for xj, mj in target.entries]
 
 
 def _canonical(source: CObject, target: CObject, matrix: Mat) -> Mat:
@@ -106,7 +123,8 @@ class CMorphism:
     products of :func:`compose`, the sign twists of :func:`star`, the 0/1
     matrices of :func:`canonical_formula`, the [[1]] matrices of
     :func:`translation_formula` and the substituted matrices of
-    :func:`substitute` and :func:`compose_formulas` (see
+    :func:`_substituted_value` (for :func:`substitute` and
+    :func:`compose_formulas`) and :func:`compose_formulas` (see
     :func:`_substituted_matrix`).  Input from outside these builders (rows,
     JSON, the retract maps, the named constants) takes the constructor.
     ``plan`` is None until the morphism is first evaluated; then :func:`_plan`
@@ -321,15 +339,76 @@ def check_formula_morphism(
     0 or 1, so no entry of either side jumps by 2 and none is quotiented."""
     if phi.source != source.xi or phi.target != target.xi:
         raise ShapeMismatch("phi must map the source word to the target word")
+    return _restriction_problem(phi, source, target, Mat.mul)
+
+
+def _restriction_problem(
+    phi: CMorphism, source: FormulaToPoint, target: FormulaToPoint, mul
+) -> str | None:
+    """check_formula_morphism once phi's ends are known to be the two words,
+    with its two products taken by mul(a, b) = a·b."""
     for j, i, _, _, _, raising in _entries(phi):
         if raising:
             c = phi.matrix.rows[j][i]
             return f"component {c} at ({j},{i}) raises degree; not a restriction"
-    lhs = phi.matrix.mul(source.D.matrix)
-    rhs = target.D.matrix.mul(phi.matrix)
+    lhs = mul(phi.matrix, source.D.matrix)
+    rhs = mul(target.D.matrix, phi.matrix)
     if lhs != rhs:
         return f"intertwining fails: phi[1]·D - D'·phi = {lhs.sub(rhs).tolist()}"
     return None
+
+
+def _memo(key, run):
+    """A function check(*args) = run(*args) that runs once per key(*args)
+    and returns that result on every later call with the same key.  Each
+    key function proves in its docstring that its key decides run's result
+    (_value_key, _restriction_key, harness._homotopy_key).  It keeps
+    the arguments of each run, so the ids in its keys cannot be reused while
+    it lives; its maker keeps it for one call."""
+    made = {}
+
+    def check(*args):
+        k = key(*args)
+        hit = made.get(k)
+        if hit is None:
+            hit = made[k] = args, run(*args)
+        return hit[1]
+
+    return check
+
+
+def _value_key(f: FormulaToPoint) -> tuple:
+    """The key of check_formula(f): the D matrix object and the degrees of
+    f's word.  The check reads nothing else: the square multiplies D's
+    matrix by its sign twist, whose signs are the Koszul signs of the
+    degrees of the word and of D's target, the word shifted by one (as
+    FormulaToPoint requires); the quotient of the square reads those
+    degrees; the triangularity test reads the matrix."""
+    return id(f.D.matrix), _degrees(f.xi)
+
+
+def _restriction_key(phi: CMorphism, source: FormulaToPoint, target: FormulaToPoint) -> tuple:
+    """The key of _restriction_problem(phi, source, target, mul) for phi
+    from source's word to target's: the matrix objects of phi and of both
+    D's and the degrees of both words.  The degree test reads phi's matrix
+    and, through _entries, the degrees of phi's ends, which are the two
+    words; the intertwining test multiplies the three matrices.  A result
+    does not depend on mul, which multiplies exactly."""
+    return (
+        id(phi.matrix), id(source.D.matrix), id(target.D.matrix),
+        _degrees(source.xi), _degrees(target.xi),
+    )
+
+
+def _restriction_checks(mul):
+    """A check(phi, source, target) for restrictions whose ends are already
+    known to be the two words: _restriction_problem with mul, run once per
+    _restriction_key within one walk."""
+
+    def run(phi, source, target):
+        return _restriction_problem(phi, source, target, mul)
+
+    return _memo(_restriction_key, run)
 
 
 def check_homotopy(
@@ -395,18 +474,22 @@ class Formula:
     triangles are checked: a triangle that does not commute raises
     CommutativityFailure with the difference matrix.
     Only the restrictions along Hasse edges, in element order, go through
-    check_formula_morphism, and the first message it returns is raised as
-    DiagramAxiomFailure; by the induction in cover_triangles every other one
-    equals a composite of those, so it is valid too.
+    the test of check_formula_morphism, and the first message it returns is
+    raised as DiagramAxiomFailure; by the induction in cover_triangles every
+    other one equals a composite of those, so it is valid too.  The ends
+    were checked first, so the test runs once per _restriction_key (the
+    matrix objects of the restriction and of both D's, and the degrees of
+    both words), which decides its result; every Hasse edge still gets a
+    result.
     Each triangle (a, b, c) compares the plain product r(b, c)·r(a, b) of
     the matrices with r(a, c): a < b is a Hasse edge, so r(a, b) was shown
     to preserve degree, and the canonical r(b, c) raises it by 0 or 1; no
     entry of the product jumps by 2, so compose's quotient would change
     nothing, and the ends were checked before the walk.  The builders make
-    equal restriction matrices one object (canonical_formula,
-    compose_formulas), so the walk multiplies each distinct pair of matrix
-    objects once (intmat.product_memo, kept for this walk only) and still
-    compares the product with r(a, c) on every triangle.
+    equal matrices one object (canonical_formula, compose_formulas), so the
+    walk multiplies each distinct pair of matrix objects once, the cover
+    tests' products included (intmat.product_memo, kept for this walk
+    only), and still compares the product with r(a, c) on every triangle.
 
     `shift` is None except on the formulas made by translation_formula,
     which set it to their n: abelian_eval evaluates such a formula at K as
@@ -426,21 +509,26 @@ class Formula:
             raise BaseMismatch("all values must live over one base poset")
         self.base = first.xi.base
         require_elements(target, self.at, "value")
-        self.res = dict(res)
-        require_relations(target, self.res, lambda y: identity_morphism(self.at[y].xi))
-        for (y, y2), phi in self.res.items():
-            if phi.source != self.at[y].xi or phi.target != self.at[y2].xi:
+        self.res = res = dict(res)
+        at = self.at
+        require_relations(target, res, lambda y: identity_morphism(at[y].xi))
+        for (y, y2), phi in res.items():
+            src, tgt = at[y].xi, at[y2].xi
+            if (phi.source is not src and phi.source != src) or (
+                phi.target is not tgt and phi.target != tgt
+            ):
                 raise ShapeMismatch(f"restriction for {y!r} <= {y2!r} has wrong ends")
+        mul = product_memo()
+        check = _restriction_checks(mul)
         for y, y2 in covers(target):
-            problem = check_formula_morphism(self.res[(y, y2)], self.at[y], self.at[y2])
+            problem = check(res[(y, y2)], at[y], at[y2])
             if problem is not None:
                 raise DiagramAxiomFailure(
                     f"restriction for {y!r} <= {y2!r} is invalid: {problem}"
                 )
         for y in target.elements:
-            if not self.res[(y, y)].matrix.is_identity():
+            if not res[(y, y)].matrix.is_identity():
                 raise DiagramAxiomFailure(f"restriction at ({y!r}, {y!r}) is not the identity")
-        res, mul = self.res, product_memo()
         for y, y2, y3 in cover_triangles(target):
             left, right = mul(res[(y2, y3)].matrix, res[(y, y2)].matrix), res[(y, y3)].matrix
             if left != right:
@@ -466,33 +554,51 @@ def canonical_formula(target: Poset, base: Poset, words: dict) -> Formula:
     y < y2) is the all-ones matrix in canonical form.
 
     Canonical form keeps an entry only where the order holds and the degree
-    rises by 0 or 1, so the words and the base order decide every matrix,
-    and each is written as those 0/1 entries in one pass.  The pass reads
-    the rule that _canonical masks with (_legal), so each matrix is
-    canonical by construction and taken as it is.  Equal matrices are one
-    object, shared through a dict of this call keyed by the Mat (its shape
-    included): the matrices depend only on the shapes of two words, so few
-    are distinct, and Formula's triangle walk computes each distinct product
-    once while it still compares every triangle.
+    rises by 0 or 1, so the words and the base order decide every matrix.
+    Its row for a target entry (x_j, m_j) is _legal's row over the source
+    word, which reads only that word and that entry; so each row is made
+    once per source element and target entry, kept in a dict of that
+    element, and equal rows are one object (interned by value when a row is
+    made).  A matrix is then decided by its column count and the row
+    objects it stacks, in order: equal matrices have equal rows, and equal
+    rows are one object.  So matrices are shared through a dict keyed by
+    that count and the ids of those rows (kept alive by the dicts of this
+    call), and each distinct matrix is made once; no entry tuple is hashed
+    per pair.  The rows are canonical by construction, so each matrix is
+    taken as it is.  Equal matrices being one object, Formula's walks take
+    each distinct product and cover test once while they still compare
+    every triangle.
     Each D keeps its unit diagonal when entries of equal degree in one word
     are incomparable, as the witnesses of one element are by the antichain
     condition (see harness._build_xi).  Values are checked by check_formula
-    (InternalInconsistency otherwise), restrictions by Formula.
+    (InternalInconsistency otherwise), once per _value_key; restrictions by
+    Formula.
     """
-    shared = {}
+    rows_at, interned, shared = {}, {}, {}
 
-    def ones(src: CObject, tgt: CObject) -> CMorphism:
-        m = Mat(len(tgt), len(src), _legal(src, tgt))
-        return CMorphism._trusted(src, tgt, shared.setdefault(m, m))
+    def ones(y, src: CObject, tgt: CObject) -> CMorphism:
+        rows, picked = rows_at[y], []
+        for entry in tgt.entries:
+            row = rows.get(entry)
+            if row is None:
+                row = _legal_row(src, *entry)
+                row = rows[entry] = interned.setdefault(row, row)
+            picked.append(row)
+        key = (len(src), *map(id, picked))
+        m = shared.get(key)
+        if m is None:
+            m = shared[key] = Mat(len(tgt), len(src), picked)
+        return CMorphism._trusted(src, tgt, m)
 
-    at = {}
+    at, check = {}, _memo(_value_key, check_formula)
     for y in target.elements:
         xi = CObject(words[y], base)
-        at[y] = FormulaToPoint(xi, ones(xi, xi.shifted(1)))
-        problem = check_formula(at[y])
+        rows_at[y] = {}
+        at[y] = FormulaToPoint(xi, ones(y, xi, xi.shifted(1)))
+        problem = check(at[y])
         if problem is not None:
             raise InternalInconsistency(f"canonical value at {y!r} is invalid: {problem}")
-    res = {(y, y2): ones(at[y].xi, at[y2].xi) for y, y2 in target.leq if y != y2}
+    res = {(y, y2): ones(y, at[y].xi, at[y2].xi) for y, y2 in target.leq if y != y2}
     return Formula(target, at, res)
 
 
@@ -531,14 +637,25 @@ def substitute(outer: FormulaToPoint, inner: Formula) -> FormulaToPoint:
     """
     if outer.xi.base != inner.target:
         raise BaseMismatch("outer formula must live over the inner formula's target")
-    xi = CObject(
-        [(e, m + n) for p, n in outer.xi.entries for e, m in inner.at[p].xi.entries],
+    return _substituted_value(outer, inner, _substituted_matrix(outer.D, inner), check_formula)
+
+
+def _substituted_word(word: CObject, inner: Formula) -> CObject:
+    """word with each entry (p, m) replaced by the inner word at p shifted by
+    m.  Every entry comes from an inner word, whose elements were validated
+    over inner.base when it was made, so none is looked up again."""
+    return _word(
+        tuple([(e, m + n) for p, n in word.entries for e, m in inner.at[p].xi.entries]),
         inner.base,
     )
-    result = FormulaToPoint(
-        xi, CMorphism._trusted(xi, xi.shifted(1), _substituted_matrix(outer.D, inner))
-    )
-    problem = check_formula(result)
+
+
+def _substituted_value(outer: FormulaToPoint, inner: Formula, D: Mat, check) -> FormulaToPoint:
+    """substitute(outer, inner) given D, the substituted matrix of outer.D,
+    with the value checked by check (check_formula, or a memo of it)."""
+    xi = _substituted_word(outer.xi, inner)
+    result = FormulaToPoint(xi, CMorphism._trusted(xi, xi.shifted(1), D))
+    problem = check(result)
     if problem is not None:
         raise InternalInconsistency(f"substitution produced an invalid formula: {problem}")
     return result
@@ -585,16 +702,61 @@ def compose_formulas(outer: Formula, inner: Formula) -> Formula:
     restriction of the outer one. The result is a formula over the outer
     target valued over the inner base, and its evaluation is the composite
     of the two evaluations (outer applied after inner).  Each value is
-    substituted once and each restriction built from its substituted ends,
-    its matrix canonical by construction (see _substituted_matrix).  Equal
-    restriction matrices are one object, as in canonical_formula."""
+    substituted once and checked once per _value_key; each restriction is
+    built from its substituted ends.  Every matrix is canonical by
+    construction (see _substituted_matrix).
+
+    The substituted matrix of each psi, a value's D or a restriction, is
+    made only once per key, and equal ones are one object.  The key is
+    psi's matrix object, the shapes of its two ends, and the inner matrix
+    objects that psi's nonzero entries select: the restriction for each
+    such entry and, for a raising one, the D at its target element.  The
+    shape of an outer word is its degrees and, for each of its entries
+    (p, m), the degrees of the inner word at p; equal shapes are one
+    object, so the key holds its id.  The key decides _substituted_matrix:
+    psi runs between the outer words of its shapes (Formula checked the
+    ends of a restriction, FormulaToPoint those of a D), so its matrix and
+    their degrees decide every item of _entries(psi) but the element pair
+    (the nonzero positions, the signed coefficients, which entries raise
+    degree, the parity of m_a); the lengths of the inner words decide the
+    block offsets; and each block is c times the selected restriction's
+    matrix or, for a raising entry, c times the selected D's matrix times
+    it, masked and twisted by the degrees of the two inner words.
+    """
     if outer.base != inner.target:
         raise BaseMismatch("outer formula's base must equal inner formula's target")
-    at = {q: substitute(outer.at[q], inner) for q in outer.target.elements}
-    res, shared = {}, {}
-    for (q, q2), psi in outer.res.items():
-        m = _substituted_matrix(psi, inner)
-        res[(q, q2)] = CMorphism._trusted(at[q].xi, at[q2].xi, shared.setdefault(m, m))
+    inner_res, inner_at = inner.res, inner.at
+    shapes, made, shared = {}, {}, {}
+
+    def shape(word: CObject) -> tuple:
+        s = (_degrees(word), *[_degrees(inner_at[p].xi) for p, _ in word.entries])
+        return shapes.setdefault(s, s)
+
+    def substituted(psi: CMorphism, source_shape: tuple, target_shape: tuple) -> Mat:
+        key = [id(psi.matrix), id(source_shape), id(target_shape)]
+        for _, _, pair, _, _, raising in _entries(psi):
+            key.append(id(inner_res[pair].matrix))
+            if raising:
+                key.append(id(inner_at[pair[1]].D.matrix))
+        key = tuple(key)
+        m = made.get(key)
+        if m is None:
+            m = _substituted_matrix(psi, inner)
+            m = made[key] = shared.setdefault(m, m)
+        return m
+
+    check, at, at_shape = _memo(_value_key, check_formula), {}, {}
+    for q in outer.target.elements:
+        f = outer.at[q]
+        at_shape[q] = shape(f.xi)
+        D = substituted(f.D, at_shape[q], shape(f.D.target))
+        at[q] = _substituted_value(f, inner, D, check)
+    res = {
+        (q, q2): CMorphism._trusted(
+            at[q].xi, at[q2].xi, substituted(psi, at_shape[q], at_shape[q2])
+        )
+        for (q, q2), psi in outer.res.items()
+    }
     try:
         return Formula(outer.target, at, res)
     except DiagramAxiomFailure as exc:

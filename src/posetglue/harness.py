@@ -60,6 +60,9 @@ from .formula_cat import (
     CMorphism,
     Formula,
     FormulaToPoint,
+    _degrees,
+    _memo,
+    _restriction_checks,
     canonical_formula,
     check_formula,
     check_formula_morphism,
@@ -195,8 +198,12 @@ class EpsilonTransform:
     Hasse edges (by Formula, or by the shape of a translation formula), so
     no entry jumps by 2 and compose's quotient would change nothing; both
     sides run from the source word at a to the target word at b.  Equal
-    component matrices are one object, and each distinct product of the
-    walk is taken once; every square is still compared.
+    component matrices are one object (a canonical form that masks nothing
+    keeps its Mat).  Each component is made between the two words at y, so
+    the test of check_formula_morphism runs once per _restriction_key,
+    which decides it; each distinct product of the tests and the walk is
+    taken once; every component gets a result and every square is still
+    compared.
     """
 
     __slots__ = ("source", "target", "components")
@@ -210,17 +217,19 @@ class EpsilonTransform:
         self.source = source
         self.target = target
         self.components, shared = {}, {}
+        mul = product_memo()
+        check = _restriction_checks(mul)
         for y in source.target.elements:
             src, tgt = source.at[y].xi, target.at[y].xi
             m = components[y]
             if not isinstance(m, Mat):
                 m = Mat(len(tgt), len(src), m)
             phi = CMorphism(src, tgt, shared.setdefault(m, m))
-            problem = check_formula_morphism(phi, source.at[y], target.at[y])
+            problem = check(phi, source.at[y], target.at[y])
             if problem is not None:
                 raise DiagramAxiomFailure(f"component at {y!r} is invalid: {problem}")
             self.components[y] = phi
-        comps, mul = self.components, product_memo()
+        comps = self.components
         for a, b in covers(source.target):
             left = mul(target.res[(a, b)].matrix, comps[a].matrix)
             right = mul(comps[b].matrix, source.res[(a, b)].matrix)
@@ -316,30 +325,55 @@ def build_epsilons(g: GluingData, xi_plus: Formula, xi_minus: Formula):
         retracts.append((comp_pm.at[x], nu_minus.at[x], middle, row))
     eps_pm = EpsilonTransform(comp_pm, nu_minus, counit)
     eps_mp = EpsilonTransform(nu_plus, comp_mp, unit)
-    for value, small, alpha, beta in retracts:
-        _certify_retract(value, small, alpha, beta)
+    _certify_retracts(retracts)
     return eps_pm, eps_mp
 
 
-def _certify_retract(value: FormulaToPoint, small: FormulaToPoint, alpha, beta) -> None:
-    """Check that the shifted stalk `small` is a homotopy retract of a
-    composite value with word (witnesses, x, witnesses), through the column
-    alpha into the value and the row beta out of it.
+def _homotopy_key(alpha: CMorphism, beta: CMorphism, h: CMorphism, D: CMorphism) -> tuple:
+    """The key of check_homotopy(alpha, beta, h, D) when the four morphisms
+    have the ends it asks for: the four matrix objects and the degrees of
+    alpha's source and of D's source.  With the ends right, the check reads
+    nothing else: it multiplies the matrices, twists D by the Koszul signs
+    of the degrees of its ends (D's source and that word shifted by one),
+    and masks and compares the products by the degrees of the two words."""
+    return (
+        id(alpha.matrix), id(beta.matrix), id(h.matrix), id(D.matrix),
+        _degrees(alpha.source), _degrees(D.source),
+    )
+
+
+def _certify_retracts(retracts) -> None:
+    """Check, for each (value, small, alpha, beta) of retracts, that the
+    shifted stalk `small` is a homotopy retract of a composite value with
+    word (witnesses, x, witnesses), through the column alpha into the value
+    and the row beta out of it.
 
     The homotopy matches the leading witness block with the trailing one;
     failure means the construction itself is wrong, hence the hard error.
+    The three maps are made between the two words with the ends
+    check_homotopy asks for, and equal matrices are one object, through a
+    dict of this call (a canonical form that masks nothing keeps its Mat).
+    So check_homotopy runs once per _homotopy_key, which decides it, and
+    every retract still gets a result.
     """
-    n = len(value.xi)
-    k = n // 2
-    h_rows = [[int(i < k and j == k + 1 + i) for j in range(n)] for i in range(n)]
-    problem = check_homotopy(
-        CMorphism(small.xi, value.xi, [[a] for a in alpha]),
-        CMorphism(value.xi, small.xi, [beta]),
-        CMorphism(value.xi, value.xi.shifted(-1), h_rows),
-        value.D,
-    )
-    if problem is not None:
-        raise InternalInconsistency(f"retract certificate failed: {problem}")
+    shared, check = {}, _memo(_homotopy_key, check_homotopy)
+
+    def morphism(source, target, rows):
+        m = Mat(len(target), len(source), rows)
+        return CMorphism(source, target, shared.setdefault(m, m))
+
+    for value, small, alpha, beta in retracts:
+        n = len(value.xi)
+        k = n // 2
+        h_rows = [[int(i < k and j == k + 1 + i) for j in range(n)] for i in range(n)]
+        problem = check(
+            morphism(small.xi, value.xi, [[a] for a in alpha]),
+            morphism(value.xi, small.xi, [beta]),
+            morphism(value.xi, value.xi.shifted(-1), h_rows),
+            value.D,
+        )
+        if problem is not None:
+            raise InternalInconsistency(f"retract certificate failed: {problem}")
 
 
 # --- the two-chain instance ---------------------------------------------------

@@ -123,33 +123,64 @@ def poset_from_generators(elements, generating_pairs) -> Poset:
     elements = list(elements)
     index = _index_of(elements)
     pairs = [(a, b) for a, b in generating_pairs]
-    for a, b in pairs:
-        if a not in index:
-            raise UnknownElement(a)
-        if b not in index:
-            raise UnknownElement(b)
     n = len(elements)
-    # Reachability as bitmasks; Warshall closure.
-    reach = [1 << i for i in range(n)]
+    # Reachability as bitmasks, by one pass over a topological order (Kahn):
+    # each element reaches itself and whatever its successors reach, and
+    # taken in reverse order its successors are done before it.
+    succ = [[] for _ in range(n)]
+    indegree = [0] * n
     for a, b in pairs:
-        reach[index[a]] |= 1 << index[b]
-    for k in range(n):
-        rk = reach[k]
-        bit = 1 << k
-        for i in range(n):
-            if reach[i] & bit:
-                reach[i] |= rk
-    for i in range(n):
-        for j in range(n):
-            if i != j and reach[i] >> j & 1 and reach[j] >> i & 1:
-                raise CycleError(_find_cycle(elements, index, pairs, i, j))
+        i, j = index.get(a), index.get(b)
+        if i is None:
+            raise UnknownElement(a)
+        if j is None:
+            raise UnknownElement(b)
+        if i != j:
+            succ[i].append(j)
+            indegree[j] += 1
+    order = [i for i in range(n) if not indegree[i]]
+    for i in order:  # grows while it is walked
+        for j in succ[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) < n:
+        raise CycleError(_find_cycle(elements, index, pairs, *_first_cycle_pair(succ)))
+    reach = [0] * n
+    for i in reversed(order):
+        r = 1 << i
+        for j in succ[i]:
+            r |= reach[j]
+        reach[i] = r
     leq = set()
-    for i in range(n):
-        ri = reach[i]
-        for j in range(n):
-            if ri >> j & 1:
-                leq.add((elements[i], elements[j]))
+    for i, a in enumerate(elements):
+        r = reach[i]
+        while r:
+            low = r & -r
+            leq.add((a, elements[low.bit_length() - 1]))
+            r ^= low
     return Poset(elements, leq)
+
+
+def _first_cycle_pair(succ) -> tuple:
+    """The first (i, j), i != j, in row-major order with each of i and j
+    reachable from the other along the edges succ, as Warshall's closure
+    would meet it: i is the first element on a cycle and j the first other
+    element of its strongly connected component."""
+    n = len(succ)
+    reach = []
+    for i in range(n):
+        seen, stack = 1 << i, [i]
+        while stack:
+            for j in succ[stack.pop()]:
+                if not seen >> j & 1:
+                    seen |= 1 << j
+                    stack.append(j)
+        reach.append(seen)
+    return next(
+        (i, j) for i in range(n) for j in range(n)
+        if i != j and reach[i] >> j & 1 and reach[j] >> i & 1
+    )
 
 
 def _find_cycle(elements, index, pairs, i, j):

@@ -12,6 +12,7 @@ from posetglue.errors import (
     BaseMismatch,
     CommutativityFailure,
     DiagramAxiomFailure,
+    InternalInconsistency,
     ParseError,
     ShapeMismatch,
 )
@@ -33,6 +34,8 @@ from posetglue.formula_cat import (
     Formula,
     FormulaToPoint,
     _canonical,
+    _legal,
+    _substituted_matrix,
     canonical_formula,
     check_formula,
     check_formula_morphism,
@@ -598,10 +601,13 @@ _REFERENCE = {
 def _built_sites(g, monkeypatch) -> list:
     """(check, args) for every value and restriction of g's theorem formulas,
     their composites and shift formulas, every epsilon component, and every
-    retract certificate that build_epsilons runs."""
-    retracts = []
-    real = harness.check_homotopy
+    retract certificate that build_epsilons runs: check_homotopy runs once
+    per distinct _homotopy_key of the retracts, one of which each retract
+    gets."""
+    retracts, keys = [], []
+    real, real_key = harness.check_homotopy, harness._homotopy_key
     monkeypatch.setattr(harness, "check_homotopy", lambda *a: retracts.append(a) or real(*a))
+    monkeypatch.setattr(harness, "_homotopy_key", lambda *a: keys.append(real_key(*a)) or keys[-1])
     xi_plus, xi_minus = build_theorem_formulas(g)
     eps_pm, eps_mp = build_epsilons(g, xi_plus, xi_minus)
     monkeypatch.undo()
@@ -617,7 +623,8 @@ def _built_sites(g, monkeypatch) -> list:
             (check_formula_morphism, (phi, eps.source.at[y], eps.target.at[y]))
             for y, phi in eps.components.items()
         ]
-    assert len(retracts) == 2 * len(g.X.elements)
+    assert len(keys) == 2 * len(g.X.elements)
+    assert len(retracts) == len(set(keys))
     return sites + [(check_homotopy, args) for args in retracts]
 
 
@@ -757,7 +764,7 @@ class TestMatrixLevelChecks:
 #: structure is built, each of which proves in its docstring that its
 #: matrices are canonical; compose and star are trusted sites too, but no
 #: builder calls them.
-TRUSTED_SITES = {"ones", "translation_formula", "substitute", "compose_formulas"}
+TRUSTED_SITES = {"ones", "translation_formula", "_substituted_value", "compose_formulas"}
 
 
 def _trusted_site(frame) -> str:
@@ -873,7 +880,7 @@ class TestSharedMatrices:
     def test_the_triangle_walk_multiplies_each_distinct_pair_once(self, monkeypatch):
         xi = build_theorem_formulas(chain_of_chains(10, 4))[0]
         counts = {"all": 0, "covers": 0}
-        real_mul, real_check = Mat.mul, formula_cat.check_formula_morphism
+        real_mul, real_check = Mat.mul, formula_cat._restriction_problem
 
         def counted_mul(a, b):
             counts["all"] += 1
@@ -886,10 +893,21 @@ class TestSharedMatrices:
             return problem
 
         monkeypatch.setattr(Mat, "mul", counted_mul)
-        monkeypatch.setattr(formula_cat, "check_formula_morphism", counted_check)
+        monkeypatch.setattr(formula_cat, "_restriction_problem", counted_check)
         Formula(xi.target, xi.at, xi.res)
         assert len(cover_triangles(xi.target)) == 540
         assert 0 < counts["all"] - counts["covers"] <= 10
+        # one walk memo serves the cover tests and the triangles: each
+        # distinct operand pair is multiplied once, over both
+        res, at, pairs = xi.res, xi.at, set()
+        for y, y2 in hasse(xi.target).edges:
+            phi = res[(y, y2)].matrix
+            pairs |= {(id(phi), id(at[y].D.matrix)), (id(at[y2].D.matrix), id(phi))}
+        pairs |= {
+            (id(res[(b, c)].matrix), id(res[(a, b)].matrix))
+            for a, b, c in cover_triangles(xi.target)
+        }
+        assert counts["all"] == len(pairs)
 
     @pytest.mark.parametrize("case", [FIGURE_ONE_PAIRS[0], (10, 4)], ids=["X1-X2", "chains-10-4"])
     def test_a_changed_non_cover_restriction_fails_at_its_first_triangle(self, case):
@@ -920,3 +938,163 @@ class TestSharedMatrices:
             if tested == 6:
                 break
         assert tested
+
+
+class TestKeyedBuilds:
+    """canonical_formula and compose_formulas build each distinct matrix
+    once, and Formula, EpsilonTransform and the retract certificates run
+    each check once per key: the results are those of the unkeyed builds,
+    and a key never merges inputs that the check tells apart."""
+
+    @pytest.mark.parametrize(
+        "case", [*FIGURE_ONE_PAIRS, *range(40), (6, 3), (10, 4)], ids=_structure_id
+    )
+    def test_every_matrix_equals_the_unkeyed_build(self, case):
+        if case in FIGURE_ONE_PAIRS:
+            g = figure_one_gluing(case)[0]
+        elif isinstance(case, tuple):
+            g = chain_of_chains(*case)
+        else:
+            g = random_gluing(case)
+        xi_plus, xi_minus = build_theorem_formulas(g)
+        eps_pm, eps_mp = build_epsilons(g, xi_plus, xi_minus)
+        for F in (xi_plus, xi_minus):
+            for f in F.at.values():
+                n = len(f.xi)
+                assert f.D.matrix == Mat(n, n, _legal(f.xi, f.xi.shifted(1)))
+            for (y, y2), phi in F.res.items():
+                src, tgt = F.at[y].xi, F.at[y2].xi
+                reference = Mat(len(tgt), len(src), _legal(src, tgt))
+                assert phi.matrix.is_identity() if y == y2 else phi.matrix == reference
+        for F, outer, inner in ((eps_pm.source, xi_plus, xi_minus), (eps_mp.target, xi_minus, xi_plus)):
+            for q, f in F.at.items():
+                word = [
+                    (e, m + n) for p, n in outer.at[q].xi.entries for e, m in inner.at[p].xi.entries
+                ]
+                assert f.xi == CObject(word, inner.base)
+                assert f.D.matrix == _substituted_matrix(outer.at[q].D, inner)
+            for key, psi in outer.res.items():
+                assert F.res[key].matrix == _substituted_matrix(psi, inner)
+        for eps, sign in ((eps_pm, 1), (eps_mp, -1)):
+            for y, phi in eps.components.items():
+                k = len(g.Yx[y]) if y in g.X else None
+                if k is None:
+                    rows = [[1]]
+                elif sign == 1:  # the counit's row
+                    rows = [[0] * k + [1] + [1] * k]
+                else:  # the unit's column
+                    rows = [[c] for c in [1] * k + [-1] + [0] * k]
+                assert phi.matrix == CMorphism(phi.source, phi.target, rows).matrix, y
+        for F in (xi_plus, xi_minus, eps_pm.source, eps_mp.target):
+            made = [f.D.matrix for f in F.at.values()]
+            made += [phi.matrix for (y, y2), phi in F.res.items() if y != y2]
+            # equal matrices that the builder made are one object
+            assert len({id(m) for m in made}) == len(set(made))
+
+    @pytest.mark.parametrize(
+        "inner_words, inner_covers, outer_words, outer_covers",
+        [
+            # two values' D's apart only in the outer degrees: the raising
+            # entry's sign and twist differ
+            ({"u": (("z", 1), ("w", 0))}, [], {"q1": (("u", 0),), "q2": (("u", 1),)}, []),
+            # two restrictions apart only in the length of the inner word
+            # at an entry that psi does not select
+            (
+                {"u": (("z", 0),), "v1": (("z", 0),), "v2": (("z", 0), ("w", 0))},
+                [],
+                {
+                    "q1": (("u", 0), ("v1", 0)), "r1": (("u", 0),),
+                    "q2": (("u", 0), ("v2", 0)), "r2": (("u", 0),),
+                },
+                [("q1", "r1"), ("q2", "r2")],
+            ),
+            # two values' D's apart only in the degrees of the inner words,
+            # which have one length and one D matrix object
+            (
+                {"u": (("z", 0), ("w", 0)), "u2": (("z", 1), ("w", 0))},
+                [],
+                {"q1": (("u", 1),), "q2": (("u2", 1),)},
+                [],
+            ),
+            # two values' D's apart only in the inner D that the raising
+            # entry selects: z < w, and v is incomparable to z
+            (
+                {"u": (("z", 0), ("w", 0)), "u2": (("z", 0), ("v", 0))},
+                [],
+                {"q1": (("u", 0),), "q2": (("u2", 0),)},
+                [],
+            ),
+            # two restrictions apart only in the inner restriction they
+            # select: [[1]] for z < w, [[0]] for z and v
+            (
+                {"u": (("z", 0),), "u2": (("w", 0),), "t": (("z", 0),), "t2": (("v", 0),)},
+                [("u", "u2"), ("t", "t2")],
+                {"q1": (("u", 0),), "r1": (("u2", 0),), "q2": (("t", 0),), "r2": (("t2", 0),)},
+                [("q1", "r1"), ("q2", "r2")],
+            ),
+        ],
+        ids=["outer-degrees", "inner-lengths", "inner-degrees", "inner-d", "inner-restriction"],
+    )
+    def test_a_substitution_key_tells_apart_what_its_result_does(
+        self, inner_words, inner_covers, outer_words, outer_covers
+    ):
+        # two psi with one matrix object, with the same key but for one
+        # part, whose substituted matrices differ
+        B = poset_from_generators(["z", "w", "v"], [("z", "w")])
+        P = poset_from_generators(list(inner_words), inner_covers)
+        T = poset_from_generators(list(outer_words), outer_covers)
+        inner = canonical_formula(P, B, inner_words)
+        outer = canonical_formula(T, P, outer_words)
+        F = compose_formulas(outer, inner)
+        for q in T.elements:
+            assert F.at[q].D.matrix == _substituted_matrix(outer.at[q].D, inner), q
+        for key, psi in outer.res.items():
+            assert F.res[key].matrix == _substituted_matrix(psi, inner), key
+        psis = [outer.res[e] for e in outer_covers] or [outer.at[q].D for q in ("q1", "q2")]
+        assert psis[0].matrix is psis[1].matrix
+        assert _substituted_matrix(psis[0], inner) != _substituted_matrix(psis[1], inner)
+
+    def test_a_row_is_kept_per_target_entry(self):
+        # the source word at p meets the element b at degrees 0 and 2: the
+        # rows differ, and the restriction to r is zero
+        B = poset_from_generators(["a", "b"], [("a", "b")])
+        T = poset_from_generators(["p", "q", "r"], [("p", "q"), ("p", "r")])
+        F = canonical_formula(T, B, {"p": (("a", 0),), "q": (("b", 0),), "r": (("b", 2),)})
+        for (y, y2), phi in F.res.items():
+            src, tgt = F.at[y].xi, F.at[y2].xi
+            if y != y2:
+                assert phi.matrix == Mat(len(tgt), len(src), _legal(src, tgt)), (y, y2)
+        assert F.res[("p", "r")].is_zero() and not F.res[("p", "q")].is_zero()
+
+    def test_a_value_sharing_a_valid_d_with_other_degrees_is_rejected(self):
+        # both words have the all-ones lower triangle as D, one object;
+        # it is a valid D at degrees (0, 0, 0) and not at (1, 0, 0)
+        C = poset_from_generators(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        T = poset_from_generators(["p", "q"], [])
+        words = {"p": (("a", 0), ("b", 0), ("c", 0)), "q": (("a", 1), ("b", 0), ("c", 0))}
+        xis = {y: CObject(w, C) for y, w in words.items()}
+        assert len({Mat(3, 3, _legal(xi, xi.shifted(1))) for xi in xis.values()}) == 1
+        problem = check_formula(FormulaToPoint(xis["q"], _legal(xis["q"], xis["q"].shifted(1))))
+        assert problem is not None
+        with pytest.raises(InternalInconsistency) as info:
+            canonical_formula(T, C, words)
+        assert str(info.value) == f"canonical value at 'q' is invalid: {problem}"
+        assert canonical_formula(T, C, {"p": words["p"], "q": words["p"]})
+
+    def test_a_restriction_sharing_valid_matrices_with_other_degrees_is_rejected(self):
+        # two Hasse edges with one restriction matrix and one D object; the
+        # second raises degree, so it is no restriction
+        B = poset_from_generators(["a", "b"], [("a", "b")])
+        T = poset_from_generators(["p", "q", "r", "s"], [("p", "q"), ("r", "s")])
+        words = {"p": (("a", 0),), "q": (("b", 0),), "r": (("a", 0),), "s": (("b", 1),)}
+        one = Mat.identity(1)
+        at = {y: FormulaToPoint(CObject(w, B), one) for y, w in words.items()}
+        res = {e: CMorphism(at[e[0]].xi, at[e[1]].xi, one) for e in (("p", "q"), ("r", "s"))}
+        assert all(phi.matrix is one for phi in res.values())
+        assert all(f.D.matrix is one for f in at.values())
+        assert check_formula_morphism(res[("p", "q")], at["p"], at["q"]) is None
+        problem = check_formula_morphism(res[("r", "s")], at["r"], at["s"])
+        assert problem == "component 1 at (0,0) raises degree; not a restriction"
+        with pytest.raises(DiagramAxiomFailure) as info:
+            Formula(T, at, res)
+        assert str(info.value) == f"restriction for 'r' <= 's' is invalid: {problem}"

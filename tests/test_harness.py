@@ -514,12 +514,16 @@ class TestOneBuildPerOrder:
 
 
 class TestCompose:
-    def test_each_value_substituted_and_each_restriction_checked_once(
-        self, monkeypatch
+    @pytest.mark.parametrize("case", [FIGURE_ONE_PAIRS[0], (10, 4)], ids=["X1-X2", "chains-10-4"])
+    def test_each_value_substituted_once_and_each_check_run_once_per_key(
+        self, case, monkeypatch
     ):
-        g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
+        # every value is substituted once; check_formula runs once per
+        # distinct _value_key of the values, and the restriction test once
+        # per distinct _restriction_key of the Hasse edges
+        g = figure_one_gluing(case)[0] if case in FIGURE_ONE_PAIRS else chain_of_chains(*case)
         xi_plus, xi_minus = build_theorem_formulas(g)
-        calls = {"substitute": 0, "check_formula_morphism": 0}
+        calls = {"_substituted_value": 0, "check_formula": 0, "_restriction_problem": 0}
         for name in calls:
             real = getattr(formula_cat, name)
 
@@ -529,11 +533,49 @@ class TestCompose:
 
             monkeypatch.setattr(formula_cat, name, spy)
         composite = compose_formulas(xi_plus, xi_minus)
+        monkeypatch.undo()
+        edges = hasse(xi_plus.target).edges
+        at, res = composite.at, composite.res
         assert calls == {
-            "substitute": len(xi_plus.target),
-            "check_formula_morphism": len(hasse(xi_plus.target).edges),
+            "_substituted_value": len(xi_plus.target),
+            "check_formula": len({formula_cat._value_key(f) for f in at.values()}),
+            "_restriction_problem": len({
+                formula_cat._restriction_key(res[(y, y2)], at[y], at[y2]) for y, y2 in edges
+            }),
         }
         assert len(composite.res) == len(xi_plus.target.leq)
+        if case == (10, 4):
+            # few distinct inputs: 85 Hasse edges, 50 values
+            assert (len(edges), len(at)) == (85, 50)
+            assert calls["check_formula"] < 10 and calls["_restriction_problem"] < 30
+
+    @pytest.mark.parametrize("case", [FIGURE_ONE_PAIRS[0], (10, 4)], ids=["X1-X2", "chains-10-4"])
+    def test_corrupting_any_hasse_edge_still_raises(self, case):
+        # each Hasse edge in turn gets a restriction, one entry changed, that
+        # the unkeyed check rejects; the walk names that edge with the
+        # unkeyed check's message.  A 1x1 restriction between one-entry words
+        # has no such change: its scalar commutes with both [[1]] D's.
+        g = figure_one_gluing(case)[0] if case in FIGURE_ONE_PAIRS else chain_of_chains(*case)
+        composite = compose_formulas(*build_theorem_formulas(g))
+        at, edges, tested = composite.at, hasse(composite.target).edges, 0
+        for y, y2 in sorted(edges):
+            phi = composite.res[(y, y2)]
+            for j, i in ((j, i) for j in range(phi.matrix.nrows) for i in range(phi.matrix.ncols)):
+                rows = phi.matrix.tolist()
+                rows[j][i] = 2 * rows[j][i] + 1
+                bad = CMorphism(phi.source, phi.target, rows)
+                problem = check_formula_morphism(bad, at[y], at[y2])
+                if problem is not None:
+                    break
+            else:
+                assert (phi.matrix.nrows, phi.matrix.ncols) == (1, 1), (y, y2)
+                continue
+            with pytest.raises(DiagramAxiomFailure) as info:
+                Formula(composite.target, at, {**composite.res, (y, y2): bad})
+            assert str(info.value) == f"restriction for {y!r} <= {y2!r} is invalid: {problem}"
+            tested += 1
+        assert tested == sum(composite.res[e].matrix.nrows * composite.res[e].matrix.ncols > 1
+                             for e in edges) > 0
 
     def test_invalid_composite_is_an_internal_inconsistency(self, monkeypatch):
         # negate the substituted restrictions but not the values' D's, so
@@ -646,10 +688,28 @@ class TestEpsilons:
         k = len(g.Yx[x])
         middle = [0] * k + [1] + [0] * k
         counit = [0] * k + [1] + [1] * k
-        harness._certify_retract(comp_pm.at[x], nu_minus.at[x], middle, counit)
+        harness._certify_retracts([(comp_pm.at[x], nu_minus.at[x], middle, counit)])
         counit[k] = -1
         with pytest.raises(InternalInconsistency, match="retract certificate failed"):
-            harness._certify_retract(comp_pm.at[x], nu_minus.at[x], middle, counit)
+            harness._certify_retracts([(comp_pm.at[x], nu_minus.at[x], middle, counit)])
+
+    def test_a_retract_sharing_valid_matrices_with_other_degrees_is_rejected(self):
+        # both retracts have one D object and, through the certificate's own
+        # sharing, one alpha, beta and h; only the degrees differ, and with
+        # them the sign twist of D
+        P = point_poset("1")
+        D = XI121.D.matrix
+        valid = FormulaToPoint(CObject((("1", 1), ("1", 1), ("1", 0)), P), D)
+        other = FormulaToPoint(CObject((("1", 1), ("1", 0), ("1", 0)), P), D)
+        assert valid.D.matrix is D and other.D.matrix is D
+        alpha, beta = [0, 1, 0], [0, 1, -1]
+
+        def small(m):
+            return FormulaToPoint(CObject((("1", m),), P), [[1]])
+
+        harness._certify_retracts([(valid, small(1), alpha, beta)])
+        with pytest.raises(InternalInconsistency, match="retract certificate failed: alpha"):
+            harness._certify_retracts([(valid, small(1), alpha, beta), (other, small(0), alpha, beta)])
 
     def test_component_that_is_no_formula_morphism_is_named(self):
         g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])

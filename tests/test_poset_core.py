@@ -14,6 +14,7 @@ from posetglue.gluing import build_minus, build_plus
 from posetglue.harness import random_gluing
 from posetglue.poset_core import (
     Poset,
+    _find_cycle,
     cover_triangles,
     direct_sum,
     hasse,
@@ -43,6 +44,28 @@ def random_generated(seed: int, n: int) -> Poset:
     return poset_from_generators(elements, pairs)
 
 
+def _warshall(elements, pairs):
+    """The reflexive-transitive closure of pairs by Warshall's algorithm on
+    bitmasks, or, when it is not antisymmetric, the cycle that
+    poset_core._find_cycle gives for the first pair (i, j), i != j, in
+    row-major order with each reachable from the other."""
+    n, index = len(elements), {e: i for i, e in enumerate(elements)}
+    reach = [1 << i for i in range(n)]
+    for a, b in pairs:
+        reach[index[a]] |= 1 << index[b]
+    for k in range(n):
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    for i in range(n):
+        for j in range(n):
+            if i != j and reach[i] >> j & 1 and reach[j] >> i & 1:
+                return tuple(_find_cycle(elements, index, pairs, i, j))
+    return frozenset(
+        (elements[i], elements[j]) for i in range(n) for j in range(n) if reach[i] >> j & 1
+    )
+
+
 class TestClosure:
     def test_matches_brute_warshall(self):
         for seed in range(40):
@@ -57,6 +80,36 @@ class TestClosure:
             ]
             p = poset_from_generators(elements, pairs)
             assert p.leq == brute_closure(elements, pairs)
+
+    @pytest.mark.parametrize("cyclic", (False, True), ids=("dag", "cyclic"))
+    def test_matches_the_bitmask_warshall_closure(self, cyclic):
+        # the closure, or the CycleError and its path, of a Warshall
+        # closure on bitmasks that meets the first cycle pair in row-major
+        # order; DAGs are generated against a shuffled order, so element
+        # order is not a topological order, with repeated pairs and loops
+        raised = 0
+        for seed in range(150):
+            rng = SplitMix64(seed)
+            n = 1 + rng.randrange(12)
+            elements = [f"e{i}" for i in range(n)]
+            rank = list(range(n))
+            for i in range(n - 1, 0, -1):
+                j = rng.randrange(i + 1)
+                rank[i], rank[j] = rank[j], rank[i]
+            pairs = []
+            for _ in range(rng.randrange(2 * n + 1)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                if cyclic or rank[i] <= rank[j]:
+                    pairs.append((elements[i], elements[j]))
+            expected = _warshall(elements, pairs)
+            if isinstance(expected, tuple):
+                with pytest.raises(CycleError) as info:
+                    poset_from_generators(elements, pairs)
+                assert info.value.cycle == expected, seed
+                raised += 1
+            else:
+                assert poset_from_generators(elements, pairs).leq == expected, seed
+        assert raised == (50 if cyclic else 0)
 
     def test_element_order_is_preserved(self):
         p = poset_from_generators(["b", "a", "c"], [("b", "c")])

@@ -220,7 +220,7 @@ PROVEN_TRUSTED_SITES = {
     "formula_cat.star",
     "formula_cat.canonical_formula",
     "formula_cat.translation_formula",
-    "formula_cat.substitute",
+    "formula_cat._substituted_value",
     "formula_cat.compose_formulas",
 }
 
