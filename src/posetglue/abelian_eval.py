@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-from .formula_cat import CMorphism, Formula, FormulaToPoint, _plan
+from .formula_cat import CMorphism, Formula, FormulaToPoint, _patterns, _plan
 from .intmat import Mat, _as_int, block, placed, product_memo, rank_exact, rank_mod
 from .poset_core import (
     Poset, cover_triangles, covers, hasse, require_elements, require_relations
@@ -187,23 +187,27 @@ class ChainMap:
                 ff[i] = m
         self.f = ff
         if check:
-            # f[i+1]·d_S[i] == d_T[i]·f[i], where an absent block is zero: only
-            # degrees with a product of two present blocks are tested, and a
-            # product without its counterpart must vanish.
-            sd, td = source.d, target.d
-            degrees = {i - 1 for i in ff if i - 1 in sd} | {i for i in ff if i in td}
-            for i in sorted(degrees):
-                f1, f0 = ff.get(i + 1), ff.get(i)
-                lhs = f1.mul(sd[i]) if f1 is not None and i in sd else None
-                rhs = td[i].mul(f0) if f0 is not None and i in td else None
-                if lhs is None:
-                    ok = rhs.is_zero()
-                elif rhs is None:
-                    ok = lhs.is_zero()
-                else:
-                    ok = lhs == rhs
-                if not ok:
-                    raise InvalidChainMap(f"does not commute with d at degree {i}")
+            self._check()
+
+    def _check(self):
+        """InvalidChainMap unless f[i+1]·d_S[i] == d_T[i]·f[i] in every
+        degree, where an absent block is zero: only degrees with a product
+        of two present blocks are tested, and a product without its
+        counterpart must vanish."""
+        ff, sd, td = self.f, self.source.d, self.target.d
+        degrees = {i - 1 for i in ff if i - 1 in sd} | {i for i in ff if i in td}
+        for i in sorted(degrees):
+            f1, f0 = ff.get(i + 1), ff.get(i)
+            lhs = f1.mul(sd[i]) if f1 is not None and i in sd else None
+            rhs = td[i].mul(f0) if f0 is not None and i in td else None
+            if lhs is None:
+                ok = rhs.is_zero()
+            elif rhs is None:
+                ok = lhs.is_zero()
+            else:
+                ok = lhs == rhs
+            if not ok:
+                raise InvalidChainMap(f"does not commute with d at degree {i}")
 
     def at(self, i: int) -> Mat:
         m = self.f.get(i)
@@ -321,8 +325,15 @@ class PosetDiagram:
     case; the degenerate triangles (x, x2, x2) follow from the identity
     check.  Equal blocks are often one object (the evaluator and the draws
     share them), so the walk multiplies each distinct pair of block objects
-    once (intmat.product_memo, kept for this walk only) and still compares
-    every triangle.
+    once (intmat.product_memo, kept for this walk only).  Equal restrictions
+    are often one chain map too (the evaluator makes one per object triple
+    of its ends and matrices; the draws one per pair of piece sets), so the
+    walk compares each distinct triple of restriction objects
+    (r(x2, x3), r(x, x2), r(x, x3)) once: the comparison reads the blocks
+    of those three chain maps and nothing else, so a repeated triple has
+    the result of its first triangle, which passed, and the first failing
+    triangle in walk order is still the witness.  The triples' ids stay
+    unique while the walk runs, as r keeps the chain maps.
     """
 
     __slots__ = ("base", "K", "r")
@@ -345,9 +356,14 @@ class PosetDiagram:
                     m.is_identity() for m in f.values()
                 ):
                     raise DiagramAxiomFailure(f"restriction at ({x!r},{x!r}) is not the identity")
-            r, mul = self.r, product_memo()
+            r, mul, compared = self.r, product_memo(), set()
             for x, x2, x3 in cover_triangles(base):
-                if _products(r[(x2, x3)], r[(x, x2)], mul) != r[(x, x3)].f:
+                g, f, h = r[(x2, x3)], r[(x, x2)], r[(x, x3)]
+                triple = id(g), id(f), id(h)
+                if triple in compared:
+                    continue
+                compared.add(triple)
+                if _products(g, f, mul) != h.f:
                     raise DiagramAxiomFailure(
                         f"restrictions do not compose along {x!r} <= {x2!r} <= {x3!r}"
                     )
@@ -439,53 +455,118 @@ def _eval_object_dims(word, ev: _Evaluation) -> dict:
 
 
 class _Evaluation:
-    """The evaluation context of one call at a diagram K: the layout of each
-    word, and each product d_{x_j}·r of a raising plan item, by pair
-    (x_i, x_j) and stalk degree (None where it vanishes), shared by every
-    value's D, restriction and component that the call evaluates there.
-    Equal evaluated matrices are one object (shared, keyed by the Mat, so
-    by its shape too): the formula's restrictions repeat few distinct
-    matrices, and the diagram walks multiply each distinct pair once.
-    Morphisms are read only through formula_cat._plan; nothing here writes
-    into one.
-    The layout of a word at a degree t of its support is the offset of each
-    entry in the degree-t part of the word at K, then the total size: entry
-    k, (x, m), spans dim K(x)^{t+m} rows or columns from offset k on.
+    """The evaluation context of one call at a diagram K.  It does each
+    piece of work once per distinct input, through memos that live on it
+    for the call only; it is kept on nothing it makes, so it forms no
+    reference cycle.  Morphisms are read only through formula_cat._plan and
+    formula_cat._patterns; nothing here writes into one.
 
-    Every evaluation passes through formula or layout, which reject a
-    formula or word over another base than K's first (BaseMismatch).
-    A context lives for its call only and is kept on nothing it makes,
-    so it forms no reference cycle.
+    * The record of a word (record) is its signature, the stalk object
+      K(x) and the degree m of each entry (x, m), with its layout, one
+      record per distinct signature (layouts), found by word object
+      (words).  The layout of a word at a degree t of its support is the
+      offset of each entry in the degree-t part of the word at K, then the
+      total size: entry k, (x, m), spans dim K(x)^{t+m} rows or columns
+      from offset k on.  The signature decides it.
+    * The degreewise matrices of a word morphism phi are made once per
+      key(phi) (made); see key for the proof that the key decides them.
+      On a hit no plan is read.  Each product d_{x_j}·r of a raising plan
+      item is made once per pair (x_i, x_j) and stalk degree (products,
+      None where it vanishes), and equal evaluated matrices are one object
+      (shared, keyed by the Mat, so by its shape too).
+    * Each value is evaluated once per key of its D (values; see formula).
+    * Each chain map is made once per object triple of its ends and its
+      matrices (maps; see chain_map).
+    Every id these memos hold names an object that lives for the call:
+    the patterns and the matrix objects they stand for are kept by the
+    pattern function, the records by layouts, the words by words, the
+    stalks and restrictions by K, the matrices of a chain map by maps.
+
+    Every evaluation passes through formula or record, which reject a
+    formula or word over another base than K's first (BaseMismatch), before
+    any record, key or plan is made.
     """
 
-    __slots__ = ("K", "layouts", "products", "shared")
+    __slots__ = (
+        "K", "pattern", "words", "layouts", "products", "made", "values", "maps", "shared"
+    )
 
     def __init__(self, K: PosetDiagram):
         self.K = K
+        self.pattern = _patterns()
+        self.words = {}
         self.layouts = {}
         self.products = {}
+        self.made = {}
+        self.values = {}
+        self.maps = {}
         self.shared = {}
 
-    def layout(self, word) -> dict:
-        """degree t -> the layout of word at t, for t in its support; the
-        first word with given entries is checked to live over K's base."""
-        entries = word.entries
-        if entries not in self.layouts:
+    def record(self, word) -> tuple:
+        """(signature, layout) of word at K, one object per distinct
+        signature; the first time a word object is seen it is checked to
+        live over K's base."""
+        hit = self.words.get(id(word))
+        if hit is None:
             if word.base != self.K.base:
                 raise BaseMismatch("formula and diagram live over different posets")
-            stalks = self.K.K
-            self.layouts[entries] = {
-                t: list(accumulate((stalks[x].dims.get(t + m, 0) for x, m in entries), initial=0))
-                for t in {s - m for x, m in entries for s in stalks[x].dims}
-            }
-        return self.layouts[entries]
+            stalks, entries = self.K.K, word.entries
+            signature = tuple([(id(stalks[x]), m) for x, m in entries])
+            record = self.layouts.get(signature)
+            if record is None:
+                record = self.layouts[signature] = signature, {
+                    t: list(
+                        accumulate((stalks[x].dims.get(t + m, 0) for x, m in entries), initial=0)
+                    )
+                    for t in {s - m for x, m in entries for s in stalks[x].dims}
+                }
+            hit = self.words[id(word)] = word, record
+        return hit[1]
+
+    def layout(self, word) -> dict:
+        """degree t -> the layout of word at t, for t in its support."""
+        return self.record(word)[1]
+
+    def key(self, phi: CMorphism) -> tuple:
+        """The key of phi's evaluation at K: the ids of phi's pattern, of
+        the records of its two ends, and of the restriction K(x_i <= x_j)
+        that each nonzero entry (j, i) selects, in pattern order.
+
+        It decides the degreewise matrices.  The pattern stands for phi's
+        matrix object (formula_cat._patterns), so it decides the nonzero
+        positions (j, i) and their coefficients; the signatures decide the
+        degrees of both ends.  Together they decide every item
+        (j, i, (x_i, x_j), m_i, c, raising) of phi's plan but the element
+        pair: raising is m_j != m_i, and c is the coefficient, negated for
+        a raising entry from an odd m_i.  Of the pair, an item reads only
+        the restriction K(x_i <= x_j), in the key, and for a raising item
+        the differential of K(x_j), the stalk of target entry j in the
+        target's signature.  The signatures decide the layouts, where the
+        blocks are placed.  The empty pattern, which every zero matrix
+        shares, has no item, and its result is empty."""
+        src, tgt = phi.source, phi.target
+        r, se, te = self.K.r, src.entries, tgt.entries
+        positions = self.pattern(phi)
+        return (
+            id(positions), id(self.record(src)), id(self.record(tgt)),
+            *[id(r[se[i][0], te[j][0]]) for j, i in positions],
+        )
 
     def matrices(self, phi: CMorphism) -> dict:
         """The degreewise matrices of phi evaluated at K, nonzero degrees
-        only.  A plan item (j, i, (x_i, x_j), m_i, c, raising) is c times the
-        restriction K(x_i <= x_j), and then the differential of K(x_j) if
-        raising, walked over the nonzero degrees s of the restriction to
-        land at degree t = s - m_i."""
+        only, made once per key(phi).  They are {} when either end
+        evaluates to zero, and then no key or plan is made.  A plan item
+        (j, i, (x_i, x_j), m_i, c, raising) is c times the restriction
+        K(x_i <= x_j), and then the differential of K(x_j) if raising,
+        walked over the nonzero degrees s of the restriction to land at
+        degree t = s - m_i."""
+        rows, cols = self.layout(phi.target), self.layout(phi.source)
+        if not (rows and cols):
+            return {}
+        key = self.key(phi)
+        out = self.made.get(key)
+        if out is not None:
+            return out
         stalks, products, placed_at = self.K.K, self.products, {}
         for j, i, pair, mi, c, raising in _plan(phi):
             for s, m in self.K.r[pair].f.items():
@@ -498,29 +579,63 @@ class _Evaluation:
                     if m is None:
                         continue
                 placed_at.setdefault(s - mi, []).append((j, i, c, m))
-        rows, cols, out = self.layout(phi.target), self.layout(phi.source), {}
+        out = self.made[key] = {}
         for t, items in placed_at.items():
             m = placed(rows[t], cols[t], items)
             out[t] = self.shared.setdefault(m, m)
         return out
 
+    def chain_map(self, S: VectComplex, T: VectComplex, f: dict, check: bool) -> ChainMap:
+        """The chain map from S to T with the degreewise matrices f, made
+        once per object triple (S, T, f), and once per pair (S, T) when f
+        is empty, the zero map.  It is checked (ChainMap._check) the first
+        time check is true for its triple, though it was made unchecked
+        before.  The map and its check read those three objects and
+        nothing else, so the triple decides both.  The memo keeps f and the
+        map keeps S and T, so the ids stay unique while the context lives."""
+        key = id(S), id(T), id(f) if f else None
+        hit = self.maps.get(key)
+        if hit is None:
+            hit = self.maps[key] = [ChainMap(S, T, f, check=False), f, False]
+        if check and not hit[2]:
+            hit[0]._check()
+            hit[2] = True
+        return hit[0]
+
     def formula(self, F: Formula) -> PosetDiagram:
         """F evaluated at K (see eval_formula); a translation formula is K
-        shifted."""
+        shifted.
+
+        Each value f is evaluated once per key of its D: f's word is D's
+        source, so the key's source signature decides the word's layout,
+        its dimensions and its Euler characteristic, and the key decides
+        D's matrices, the differential; a later value with that key gets
+        the first one's complex, which passed the same checks.  A
+        restriction with a zero stalk at either end has no matrices (its
+        word evaluates to zero, the layout being empty exactly when the
+        stalk is), so no key is made for it."""
         if F.base != self.K.base:
             raise BaseMismatch("formula and diagram live over different posets")
         if F.shift is not None:
             return shift_diagram(self.K, F.shift)
-        stalks = {y: self.point(F.at[y]) for y in F.target.elements}
+        key, values, stalks = self.key, self.values, {}
+        for y in F.target.elements:
+            f = F.at[y]
+            k = key(f.D)
+            value = values.get(k)
+            if value is None:
+                value = values[k] = self.point(f)
+            stalks[y] = value
         edges = hasse(F.target).edges
         # Only restrictions along Hasse edges are checked as chain maps here;
         # PosetDiagram proves the rest, comparing each diagonal one with the
         # identity and each other one with a composite of checked ones along
         # cover_triangles.
-        restrictions = {
-            (y, y2): ChainMap(stalks[y], stalks[y2], self.matrices(phi), check=(y, y2) in edges)
-            for (y, y2), phi in F.res.items()
-        }
+        restrictions = {}
+        for (y, y2), phi in F.res.items():
+            S, T = stalks[y], stalks[y2]
+            f = self.matrices(phi) if S.dims and T.dims else {}
+            restrictions[y, y2] = self.chain_map(S, T, f, (y, y2) in edges)
         return PosetDiagram(F.target, stalks, restrictions, check=True)
 
     def point(self, f: FormulaToPoint) -> VectComplex:

@@ -129,7 +129,8 @@ class CMorphism:
     JSON, the retract maps, the named constants) takes the constructor.
     ``plan`` is None until the morphism is first evaluated; then :func:`_plan`
     keeps its entries there, so the plan lives exactly as long as the
-    morphism.
+    morphism.  The nonzero positions of a matrix alone are read through
+    :func:`_patterns`, once per matrix object within one call.
     """
 
     __slots__ = ("source", "target", "matrix", "plan")
@@ -248,6 +249,32 @@ def _plan(phi: CMorphism) -> tuple:
     if phi.plan is None:
         phi.plan = tuple(_entries(phi))
     return phi.plan
+
+
+def _patterns():
+    """A function pattern(phi) giving the nonzero positions (j, i) of phi's
+    matrix, row by row: the positions of _entries(phi), without the
+    element pairs and coefficients.  It is made once per matrix object, so
+    within one pattern function a pattern object stands for its matrix
+    object, and a key may hold its id (the one exception is the empty
+    pattern, which every zero matrix shares: such a matrix has no entry to
+    evaluate or substitute, and its shape is that of its ends).  It keeps
+    each matrix it reads, so the ids that key it cannot be reused while it
+    lives; its maker keeps it for one call (compose_formulas, and the
+    evaluation context of abelian_eval)."""
+    made = {}
+
+    def pattern(phi: CMorphism) -> tuple:
+        m = phi.matrix
+        hit = made.get(id(m))
+        if hit is None:
+            positions = range(m.ncols)
+            hit = made[id(m)] = m, tuple(
+                [(j, i) for j, row in enumerate(m.rows) for i in compress(positions, row)]
+            )
+        return hit[1]
+
+    return pattern
 
 
 def star(m: CMorphism) -> CMorphism:
@@ -489,7 +516,12 @@ class Formula:
     equal matrices one object (canonical_formula, compose_formulas), so the
     walk multiplies each distinct pair of matrix objects once, the cover
     tests' products included (intmat.product_memo, kept for this walk
-    only), and still compares the product with r(a, c) on every triangle.
+    only), and compares each distinct triple of matrix objects
+    (r(b, c), r(a, b), r(a, c)) once: the comparison reads those three
+    matrices and nothing else, so a repeated triple has the result of its
+    first triangle, which passed, and the first failing triangle in walk
+    order is still the witness.  The triples' ids stay unique while the
+    walk runs, as res keeps the matrices.
 
     `shift` is None except on the formulas made by translation_formula,
     which set it to their n: abelian_eval evaluates such a formula at K as
@@ -529,8 +561,14 @@ class Formula:
         for y in target.elements:
             if not res[(y, y)].matrix.is_identity():
                 raise DiagramAxiomFailure(f"restriction at ({y!r}, {y!r}) is not the identity")
+        compared = set()
         for y, y2, y3 in cover_triangles(target):
-            left, right = mul(res[(y2, y3)].matrix, res[(y, y2)].matrix), res[(y, y3)].matrix
+            g, f, right = res[(y2, y3)].matrix, res[(y, y2)].matrix, res[(y, y3)].matrix
+            triple = id(g), id(f), id(right)
+            if triple in compared:
+                continue
+            compared.add(triple)
+            left = mul(g, f)
             if left != right:
                 raise CommutativityFailure(
                     (y, y3), f"via {y2!r}: difference {left.sub(right).tolist()}"
@@ -708,36 +746,42 @@ def compose_formulas(outer: Formula, inner: Formula) -> Formula:
 
     The substituted matrix of each psi, a value's D or a restriction, is
     made only once per key, and equal ones are one object.  The key is
-    psi's matrix object, the shapes of its two ends, and the inner matrix
-    objects that psi's nonzero entries select: the restriction for each
-    such entry and, for a raising one, the D at its target element.  The
-    shape of an outer word is its degrees and, for each of its entries
-    (p, m), the degrees of the inner word at p; equal shapes are one
-    object, so the key holds its id.  The key decides _substituted_matrix:
-    psi runs between the outer words of its shapes (Formula checked the
-    ends of a restriction, FormulaToPoint those of a D), so its matrix and
-    their degrees decide every item of _entries(psi) but the element pair
-    (the nonzero positions, the signed coefficients, which entries raise
+    psi's pattern (see _patterns), the shapes of its two ends, and the
+    inner matrix objects that psi's nonzero entries select: the restriction
+    for each such entry and, for a raising one, the D at its target
+    element.  The shape of an outer word is its degrees and, for each of
+    its entries (p, m), the degrees of the inner word at p; equal shapes
+    are one object, so the key holds its id.  The key decides
+    _substituted_matrix: psi runs between the outer words of its shapes
+    (Formula checked the ends of a restriction, FormulaToPoint those of a
+    D), so its pattern, which stands for its matrix object, and their
+    degrees decide every item of _entries(psi) but the element pair (the
+    nonzero positions, the signed coefficients, which entries raise
     degree, the parity of m_a); the lengths of the inner words decide the
     block offsets; and each block is c times the selected restriction's
     matrix or, for a raising entry, c times the selected D's matrix times
-    it, masked and twisted by the degrees of the two inner words.
+    it, masked and twisted by the degrees of the two inner words.  The
+    selected objects are read at the pattern's positions, so no entry walk
+    runs on a hit; a miss walks _entries(psi) in _substituted_matrix.
     """
     if outer.base != inner.target:
         raise BaseMismatch("outer formula's base must equal inner formula's target")
     inner_res, inner_at = inner.res, inner.at
-    shapes, made, shared = {}, {}, {}
+    shapes, made, shared, pattern = {}, {}, {}, _patterns()
 
     def shape(word: CObject) -> tuple:
         s = (_degrees(word), *[_degrees(inner_at[p].xi) for p, _ in word.entries])
         return shapes.setdefault(s, s)
 
     def substituted(psi: CMorphism, source_shape: tuple, target_shape: tuple) -> Mat:
-        key = [id(psi.matrix), id(source_shape), id(target_shape)]
-        for _, _, pair, _, _, raising in _entries(psi):
-            key.append(id(inner_res[pair].matrix))
-            if raising:
-                key.append(id(inner_at[pair[1]].D.matrix))
+        positions = pattern(psi)
+        key = [id(positions), id(source_shape), id(target_shape)]
+        src, tgt = psi.source.entries, psi.target.entries
+        for j, i in positions:
+            (xi, mi), (xj, mj) = src[i], tgt[j]
+            key.append(id(inner_res[xi, xj].matrix))
+            if mj != mi:
+                key.append(id(inner_at[xj].D.matrix))
         key = tuple(key)
         m = made.get(key)
         if m is None:

@@ -242,11 +242,14 @@ class EpsilonTransform:
         at K, which checks K's base first.  A translation formula end (the
         unit's source, the counit's target) is K shifted, made by
         shift_diagram without the evaluator's checks; the other end, every
-        component and the naturality of the result are checked."""
+        component and the naturality of the result are checked.  The
+        components go through the context like the restrictions: their
+        matrices are made once per key, and their chain maps once per
+        object triple of stalks and matrices, each checked once."""
         ev = _Evaluation(K)
         src, tgt = ev.formula(self.source), ev.formula(self.target)
         comps = {
-            y: ChainMap(src.K[y], tgt.K[y], ev.matrices(self.components[y]), check=True)
+            y: ev.chain_map(src.K[y], tgt.K[y], ev.matrices(self.components[y]), check=True)
             for y in self.source.target.elements
         }
         return DiagramMap(src, tgt, comps)

@@ -82,12 +82,13 @@ from posetglue.harness import (
     verify_two_chain,
 )
 from posetglue.intmat import Mat
-from posetglue.poset_core import hasse, poset_from_generators
+from posetglue.poset_core import covers, hasse, poset_from_generators
 from posetglue.rng import SplitMix64, derive_seed
 
 from conftest import (
     _diagonal_eval,
     block_cone,
+    chain_of_chains,
     dense_graded,
     eta_composition_holds,
     eta_naturality_holds,
@@ -482,7 +483,10 @@ class TestEvalFormulas:
     def test_unchecked_restrictions_are_proved_by_the_diagram(self, monkeypatch, kind):
         # eval_formula checks only restrictions along Hasse edges as chain
         # maps; a wrong diagonal or non-cover restriction must still be
-        # rejected, by PosetDiagram's identity and composition checks.
+        # rejected, by PosetDiagram's identity and composition checks.  The
+        # evaluator makes one set of matrices per key, so the perturbation
+        # hits every restriction with the chosen one's key, and the chosen
+        # key is one that no Hasse edge has: those are all unchecked.
         g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
         F = build_theorem_formulas(g)[0]
         covers = hasse(F.target).edges
@@ -491,17 +495,23 @@ class TestEvalFormulas:
             if (p[0] == p[1]) == (kind == "diagonal") and p not in covers
         ]
         real = abelian_eval._Evaluation.matrices
+
+        def unchecked(ev, p):
+            return ev.key(F.res[p]) not in {ev.key(F.res[c]) for c in covers}
+
         K, phi = next(
             (K, F.res[p])
             for K in (random_diagram(build_plus(g).poset, seed) for seed in range(20))
+            for ev in [abelian_eval._Evaluation(K)]
             for p in pairs
-            if real(abelian_eval._Evaluation(K), F.res[p])
+            if real(ev, F.res[p]) and unchecked(ev, p)
         )
         assert list(F.res.values()).count(phi) == 1
 
         def perturbed(ev, psi):
             out = real(ev, psi)
-            if psi is phi:
+            if ev.key(psi) == ev.key(phi):
+                out = dict(out)
                 t = min(out)
                 out[t] = out[t].scale(2)
             return out
@@ -710,6 +720,115 @@ class TestEvaluationPlans:
         finally:
             tracemalloc.stop()
         assert growth < _PLAN_GROWTH_BOUND, growth
+
+
+def _scaled_diagram(X, scale: int) -> PosetDiagram:
+    """One stalk object S = k^2 -> k at every element of X, and for x <= x2
+    the restriction scale**(h(x2) - h(x)) times the identity in each
+    degree, h the height: many different restrictions between one pair of
+    stalk objects (all zero off the diagonal when scale is 0)."""
+    S = VectComplex({0: 2, 1: 1}, {0: [[1, -1]]})
+    r = {}
+    for x, x2 in X.leq:
+        c = scale ** (X.height(x2) - X.height(x))
+        r[(x, x2)] = ChainMap(S, S, {t: Mat.identity(n).scale(c) for t, n in S.dims.items()})
+    return PosetDiagram(X, {x: S for x in X.elements}, r)
+
+
+def _restrictions_vary_between_stalks(K) -> bool:
+    """True if two restrictions of K between the same pair of stalk objects
+    differ, so that no function of the stalks decides a restriction."""
+    seen = {}
+    for (x, x2), f in K.r.items():
+        if seen.setdefault((id(K.K[x]), id(K.K[x2])), f.f) != f.f:
+            return True
+    return False
+
+
+def _assert_per_morphism(F, K, T):
+    """T, the evaluation of F at K through one context, has at every y the
+    complex of a fresh eval_point of F's value, and at every pair the
+    matrices of a fresh eval_cmorphism of the restriction; over Q and F5
+    their cohomology agrees too."""
+    values = {y: eval_point(f, K) for y, f in F.at.items()}
+    for y, value in values.items():
+        assert T.K[y] == value, y
+    for pair, phi in F.res.items():
+        assert _exact(T.r[pair].f) == _exact(eval_cmorphism(phi, K).f), pair
+    for field in (RATIONALS, Field(5)):
+        assert cohomology_table(T, field) == {
+            y: cohomology(value, field) for y, value in values.items()
+        }
+
+
+_KEY_GLUINGS = {
+    "figure-one": lambda: [figure_one_gluing(pair)[0] for pair in FIGURE_ONE_PAIRS],
+    "random-gluings": lambda: [random_gluing(seed) for seed in range(40)],
+    "chain-of-chains": lambda: [chain_of_chains(10, 4)],
+}
+
+
+class TestEvaluationKeys:
+    @pytest.mark.parametrize("gluings", sorted(_KEY_GLUINGS))
+    def test_keyed_evaluation_matches_fresh_per_morphism_evaluation(self, gluings):
+        # The evaluator shares matrices, values and chain maps by key; on
+        # diagrams whose restrictions are no function of their stalks
+        # (an evaluated diagram, and one stalk object with scaled
+        # restrictions) every value, restriction and component still equals
+        # a fresh evaluation of that one morphism.
+        varied = 0
+        for g in _KEY_GLUINGS[gluings]():
+            xi_plus, xi_minus = build_theorem_formulas(g)
+            eps_pm, eps_mp = build_epsilons(g, xi_plus, xi_minus)
+            plus, minus = xi_plus.base, xi_minus.base
+            K, L = random_diagram(plus, 1), random_diagram(minus, 1)
+            sides = (
+                (xi_plus, eps_mp, [K, eval_formula(xi_minus, L)]),
+                (xi_minus, eps_pm, [L, eval_formula(xi_plus, K)]),
+            )
+            for F, eps, inputs in sides:
+                inputs += [_scaled_diagram(F.base, 2), _scaled_diagram(F.base, 0)]
+                varied += sum(map(_restrictions_vary_between_stalks, inputs))
+                for D in inputs:
+                    _assert_per_morphism(F, D, eval_formula(F, D))
+                    m = eps.evaluate(D)
+                    _assert_per_morphism(eps.source, D, m.source)
+                    _assert_per_morphism(eps.target, D, m.target)
+                    for y, phi in eps.components.items():
+                        assert _exact(m.components[y].f) == _exact(eval_cmorphism(phi, D).f), y
+        assert varied
+
+    def test_one_unit_and_counit_evaluation_does_pinned_work(self, monkeypatch):
+        # On chain_of_chains(10, 4), one evaluation of the unit and of the
+        # counit builds a plan per distinct key, a value per distinct key
+        # of its D, checks a chain map per distinct object triple and
+        # compares each distinct triangle once.  One of each per order pair
+        # would be 1,190 plans, 100 values, 270 checks and 1,080
+        # comparisons.
+        g = chain_of_chains(10, 4)
+        eps_pm, eps_mp = build_epsilons(g, *build_theorem_formulas(g))
+        K = random_diagram(eps_mp.source.base, 0)
+        L = random_diagram(eps_pm.source.base, 0)
+        counts = dict.fromkeys(("plans", "points", "checks", "products"), 0)
+
+        def counted(name, real):
+            def call(*args):
+                counts[name] += 1
+                return real(*args)
+
+            return call
+
+        E = abelian_eval._Evaluation
+        monkeypatch.setattr(abelian_eval, "_plan", counted("plans", abelian_eval._plan))
+        monkeypatch.setattr(E, "point", counted("points", E.point))
+        monkeypatch.setattr(ChainMap, "_check", counted("checks", ChainMap._check))
+        monkeypatch.setattr(abelian_eval, "_products", counted("products", abelian_eval._products))
+        unit, counit = eps_mp.evaluate(K), eps_pm.evaluate(L)
+        assert unit.source == shift_diagram(K, 1) and counit.target == shift_diagram(L, 1)
+        # each naturality walk takes two products per Hasse edge
+        squares = 2 * (len(covers(K.base)) + len(covers(L.base)))
+        triangles = counts.pop("products") - squares
+        assert (counts["plans"], counts["points"], counts["checks"], triangles) == (22, 10, 33, 46)
 
 
 def _maps_json(maps) -> dict:

@@ -742,17 +742,29 @@ class TestEpsilons:
         sides = ((eps_pm, eps_pm.source, eps_pm.target), (eps_mp, eps_mp.target, eps_mp.source))
         for eps, composite, nu in sides:
             K = random_diagram(eps.source.base, 7, 2, (-1, 1))
+            ev = abelian_eval._Evaluation(K)
+            keys = {y: ev.key(composite.at[y].D) for y in composite.target.elements}
+            first = {}
+            for y, key in keys.items():
+                first.setdefault(key, y)
+            assert len(first) < len(keys)  # some values share a key
             calls.clear()
             contexts.clear()
-            eps.evaluate(K)
-            # each composite value once; the translation side is K shifted
-            # and evaluates no value
+            m = eps.evaluate(K)
+            # each composite value once per distinct key of its D, the first
+            # with that key; the translation side is K shifted and evaluates
+            # no value
             assert nu.shift == 1 and composite.shift is None
-            assert [id(f) for f in calls] == [
-                id(composite.at[y]) for y in composite.target.elements
-            ]
+            assert [id(f) for f in calls] == [id(composite.at[y]) for y in first.values()]
             # one context for both formulas and every component
             assert contexts == [K]
+            # a stalk at every y: the value of the first y with its key, which
+            # is the value of y
+            values = m.target if composite is eps.target else m.source
+            assert values.K.keys() == keys.keys()
+            for y, key in keys.items():
+                assert values.K[y] is values.K[first[key]]
+                assert values.K[y] == real(abelian_eval._Evaluation(K), composite.at[y])
 
     def test_building_one_structure_makes_a_pinned_number_of_morphisms(self, monkeypatch):
         # Building the 50-element structure validates only the morphisms
