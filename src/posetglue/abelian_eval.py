@@ -30,10 +30,10 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-from .formula_cat import CMorphism, Formula, FormulaToPoint, _patterns, _plan
-from .intmat import Mat, _as_int, block, placed, product_memo, rank_exact, rank_mod
+from .formula_cat import CMorphism, Formula, FormulaToPoint, _entries, _patterns
+from .intmat import Mat, _as_int, block, placed, rank_exact, rank_mod
 from .poset_core import (
-    Poset, cover_triangles, covers, hasse, require_elements, require_relations
+    Poset, _failing_square, _failing_triangle, require_elements, require_relations
 )
 from .rng import SplitMix64, derive_seed
 
@@ -231,15 +231,15 @@ def identity_chain_map(K: VectComplex) -> ChainMap:
     return ChainMap(K, K, {i: Mat.identity(n) for i, n in K.dims.items()}, check=False)
 
 
-def _products(g: ChainMap, f: ChainMap, mul) -> dict:
-    """The nonzero degreewise products g.f[i]·f.f[i], each taken as
-    mul(g.f[i], f.f[i]), that is the blocks of the composite g·f, for chain
-    maps whose ends are already known to match."""
+def _products(g: ChainMap, f: ChainMap) -> dict:
+    """The nonzero degreewise products g.f[i]·f.f[i], that is the blocks of
+    the composite g·f, for chain maps whose ends are already known to
+    match."""
     gf, out = g.f, {}
     for i, m in f.f.items():
         n = gf.get(i)
         if n is not None:
-            nm = mul(n, m)
+            nm = n.mul(m)
             if not nm.is_zero():
                 out[i] = nm
     return out
@@ -323,17 +323,11 @@ class PosetDiagram:
     composition on cover_triangles, comparing the degreewise products with
     the stored blocks.  By the induction there this implies the general
     case; the degenerate triangles (x, x2, x2) follow from the identity
-    check.  Equal blocks are often one object (the evaluator and the draws
-    share them), so the walk multiplies each distinct pair of block objects
-    once (intmat.product_memo, kept for this walk only).  Equal restrictions
-    are often one chain map too (the evaluator makes one per object triple
-    of its ends and matrices; the draws one per pair of piece sets), so the
-    walk compares each distinct triple of restriction objects
-    (r(x2, x3), r(x, x2), r(x, x3)) once: the comparison reads the blocks
-    of those three chain maps and nothing else, so a repeated triple has
-    the result of its first triangle, which passed, and the first failing
-    triangle in walk order is still the witness.  The triples' ids stay
-    unique while the walk runs, as r keeps the chain maps.
+    check.  The comparison reads the blocks of the three chain maps and
+    nothing else, so poset_core._failing_triangle compares each distinct
+    triple of restriction objects once (the evaluator makes one chain map
+    per object triple of its ends and matrices, the draws one per pair of
+    piece sets); the first failing triangle is the witness.
     """
 
     __slots__ = ("base", "K", "r")
@@ -356,17 +350,12 @@ class PosetDiagram:
                     m.is_identity() for m in f.values()
                 ):
                     raise DiagramAxiomFailure(f"restriction at ({x!r},{x!r}) is not the identity")
-            r, mul, compared = self.r, product_memo(), set()
-            for x, x2, x3 in cover_triangles(base):
-                g, f, h = r[(x2, x3)], r[(x, x2)], r[(x, x3)]
-                triple = id(g), id(f), id(h)
-                if triple in compared:
-                    continue
-                compared.add(triple)
-                if _products(g, f, mul) != h.f:
-                    raise DiagramAxiomFailure(
-                        f"restrictions do not compose along {x!r} <= {x2!r} <= {x3!r}"
-                    )
+            triangle = _failing_triangle(base, self.r, lambda g, f, h: _products(g, f) == h.f)
+            if triangle is not None:
+                x, x2, x3 = triangle
+                raise DiagramAxiomFailure(
+                    f"restrictions do not compose along {x!r} <= {x2!r} <= {x3!r}"
+                )
 
     def stalk(self, x) -> VectComplex:
         return self.K[x]
@@ -385,7 +374,10 @@ class PosetDiagram:
 
 class DiagramMap:
     """A family of chain maps, one per element, commuting with restrictions:
-    the two composites on each Hasse edge have equal degreewise products."""
+    the two composites on each Hasse edge have equal degreewise products.
+    The comparison reads the square's four chain maps and nothing else, so
+    poset_core._failing_square compares each distinct quadruple once; the
+    first failing Hasse edge in element order raises NaturalityFailure."""
 
     __slots__ = ("source", "target", "components")
 
@@ -400,11 +392,12 @@ class DiagramMap:
             c = self.components[x]
             if c.source != source.K[x] or c.target != target.K[x]:
                 raise ShapeMismatch(f"component at {x!r} has wrong ends")
-        mul = product_memo()
-        for x, x2 in covers(source.base):
-            left = _products(target.r[(x, x2)], self.components[x], mul)
-            if left != _products(self.components[x2], source.r[(x, x2)], mul):
-                raise NaturalityFailure((x, x2))
+        edge = _failing_square(
+            source.base, target.r, self.components, source.r,
+            lambda t, a, b, s: _products(t, a) == _products(b, s),
+        )
+        if edge is not None:
+            raise NaturalityFailure(edge)
 
 
 def shift_diagram(K: PosetDiagram, n: int) -> PosetDiagram:
@@ -458,8 +451,8 @@ class _Evaluation:
     """The evaluation context of one call at a diagram K.  It does each
     piece of work once per distinct input, through memos that live on it
     for the call only; it is kept on nothing it makes, so it forms no
-    reference cycle.  Morphisms are read only through formula_cat._plan and
-    formula_cat._patterns; nothing here writes into one.
+    reference cycle.  Morphisms are read only through formula_cat._entries
+    and formula_cat._patterns; nothing here writes into one.
 
     * The record of a word (record) is its signature, the stalk object
       K(x) and the degree m of each entry (x, m), with its layout, one
@@ -469,22 +462,21 @@ class _Evaluation:
       total size: entry k, (x, m), spans dim K(x)^{t+m} rows or columns
       from offset k on.  The signature decides it.
     * The degreewise matrices of a word morphism phi are made once per
-      key(phi) (made); see key for the proof that the key decides them.
-      On a hit no plan is read.  Each product d_{x_j}·r of a raising plan
-      item is made once per pair (x_i, x_j) and stalk degree (products,
-      None where it vanishes), and equal evaluated matrices are one object
-      (shared, keyed by the Mat, so by its shape too).
+      key (made; see key for the proof that the key decides them), and
+      equal evaluated matrices are one object (shared, keyed by the Mat).
+      Each product d_{x_j}·r of a raising entry is made once per pair
+      (x_i, x_j) and stalk degree (products, None where it vanishes).
     * Each value is evaluated once per key of its D (values; see formula).
-    * Each chain map is made once per object triple of its ends and its
-      matrices (maps; see chain_map).
+    * Each chain map is made and checked once per object triple of its
+      ends and its matrices (maps; see chain_map).
     Every id these memos hold names an object that lives for the call:
     the patterns and the matrix objects they stand for are kept by the
     pattern function, the records by layouts, the words by words, the
-    stalks and restrictions by K, the matrices of a chain map by maps.
+    stalks and restrictions by K, the matrices of a chain map by made.
 
     Every evaluation passes through formula or record, which reject a
     formula or word over another base than K's first (BaseMismatch), before
-    any record, key or plan is made.
+    any record, key or matrix is made.
     """
 
     __slots__ = (
@@ -527,48 +519,49 @@ class _Evaluation:
         """degree t -> the layout of word at t, for t in its support."""
         return self.record(word)[1]
 
-    def key(self, phi: CMorphism) -> tuple:
-        """The key of phi's evaluation at K: the ids of phi's pattern, of
-        the records of its two ends, and of the restriction K(x_i <= x_j)
-        that each nonzero entry (j, i) selects, in pattern order.
+    def key(self, phi: CMorphism, source: tuple, target: tuple) -> tuple:
+        """The key of phi's evaluation at K, given the records source and
+        target of its two ends: the ids of phi's pattern, of the two
+        records, and of the restriction K(x_i <= x_j) that each nonzero
+        entry (j, i) selects, in pattern order.
 
         It decides the degreewise matrices.  The pattern stands for phi's
         matrix object (formula_cat._patterns), so it decides the nonzero
         positions (j, i) and their coefficients; the signatures decide the
         degrees of both ends.  Together they decide every item
-        (j, i, (x_i, x_j), m_i, c, raising) of phi's plan but the element
-        pair: raising is m_j != m_i, and c is the coefficient, negated for
-        a raising entry from an odd m_i.  Of the pair, an item reads only
-        the restriction K(x_i <= x_j), in the key, and for a raising item
-        the differential of K(x_j), the stalk of target entry j in the
-        target's signature.  The signatures decide the layouts, where the
-        blocks are placed.  The empty pattern, which every zero matrix
-        shares, has no item, and its result is empty."""
-        src, tgt = phi.source, phi.target
-        r, se, te = self.K.r, src.entries, tgt.entries
+        (j, i, (x_i, x_j), m_i, c, raising) of _entries(phi) but the
+        element pair: raising is m_j != m_i, and c is the coefficient,
+        negated for a raising entry from an odd m_i.  Of the pair, an item
+        reads only the restriction K(x_i <= x_j), in the key, and for a
+        raising item the differential of K(x_j), the stalk of target entry
+        j in the target's signature.  The signatures decide the layouts,
+        where the blocks are placed.  The empty pattern, which every zero
+        matrix shares, has no item, and its result is empty."""
+        r, se, te = self.K.r, phi.source.entries, phi.target.entries
         positions = self.pattern(phi)
         return (
-            id(positions), id(self.record(src)), id(self.record(tgt)),
+            id(positions), id(source), id(target),
             *[id(r[se[i][0], te[j][0]]) for j, i in positions],
         )
 
     def matrices(self, phi: CMorphism) -> dict:
         """The degreewise matrices of phi evaluated at K, nonzero degrees
-        only, made once per key(phi).  They are {} when either end
-        evaluates to zero, and then no key or plan is made.  A plan item
-        (j, i, (x_i, x_j), m_i, c, raising) is c times the restriction
-        K(x_i <= x_j), and then the differential of K(x_j) if raising,
-        walked over the nonzero degrees s of the restriction to land at
-        degree t = s - m_i."""
-        rows, cols = self.layout(phi.target), self.layout(phi.source)
+        only, made once per key.  They are {} when either end evaluates to
+        zero, and then no key is made.  An item (j, i, (x_i, x_j), m_i, c,
+        raising) of _entries(phi) is c times the restriction K(x_i <= x_j),
+        and then the differential of K(x_j) if raising, walked over the
+        nonzero degrees s of the restriction to land at degree
+        t = s - m_i."""
+        source, target = self.record(phi.source), self.record(phi.target)
+        rows, cols = target[1], source[1]
         if not (rows and cols):
             return {}
-        key = self.key(phi)
+        key = self.key(phi, source, target)
         out = self.made.get(key)
         if out is not None:
             return out
         stalks, products, placed_at = self.K.K, self.products, {}
-        for j, i, pair, mi, c, raising in _plan(phi):
+        for j, i, pair, mi, c, raising in _entries(phi):
             for s, m in self.K.r[pair].f.items():
                 if raising:
                     if (pair, s) not in products:
@@ -585,57 +578,49 @@ class _Evaluation:
             out[t] = self.shared.setdefault(m, m)
         return out
 
-    def chain_map(self, S: VectComplex, T: VectComplex, f: dict, check: bool) -> ChainMap:
-        """The chain map from S to T with the degreewise matrices f, made
-        once per object triple (S, T, f), and once per pair (S, T) when f
-        is empty, the zero map.  It is checked (ChainMap._check) the first
-        time check is true for its triple, though it was made unchecked
-        before.  The map and its check read those three objects and
-        nothing else, so the triple decides both.  The memo keeps f and the
-        map keeps S and T, so the ids stay unique while the context lives."""
+    def chain_map(self, S: VectComplex, T: VectComplex, f: dict) -> ChainMap:
+        """The chain map from S to T with the degreewise matrices f, a
+        result of matrices, made and checked once per object triple
+        (S, T, f), and once per pair (S, T) when f is empty, the zero map.
+        The map and its check read those three objects and nothing else,
+        so the triple decides both.  made keeps f and the map keeps S and
+        T, so the ids stay unique while the context lives."""
         key = id(S), id(T), id(f) if f else None
-        hit = self.maps.get(key)
-        if hit is None:
-            hit = self.maps[key] = [ChainMap(S, T, f, check=False), f, False]
-        if check and not hit[2]:
-            hit[0]._check()
-            hit[2] = True
-        return hit[0]
+        m = self.maps.get(key)
+        if m is None:
+            m = self.maps[key] = ChainMap(S, T, f)
+        return m
 
     def formula(self, F: Formula) -> PosetDiagram:
         """F evaluated at K (see eval_formula); a translation formula is K
         shifted.
 
         Each value f is evaluated once per key of its D: f's word is D's
-        source, so the key's source signature decides the word's layout,
-        its dimensions and its Euler characteristic, and the key decides
-        D's matrices, the differential; a later value with that key gets
-        the first one's complex, which passed the same checks.  A
-        restriction with a zero stalk at either end has no matrices (its
-        word evaluates to zero, the layout being empty exactly when the
-        stalk is), so no key is made for it."""
+        source, so the key's source record decides the word's layout, its
+        dimensions and its Euler characteristic, and the key decides D's
+        matrices, the differential; a later value with that key gets the
+        first one's complex, which passed the same checks.  A restriction
+        with a zero stalk at either end has no matrices (its word evaluates
+        to zero, the layout being empty exactly when the stalk is), so no
+        key is made for it.  Every distinct restriction is checked as a
+        chain map; PosetDiagram then checks the diagram axioms."""
         if F.base != self.K.base:
             raise BaseMismatch("formula and diagram live over different posets")
         if F.shift is not None:
             return shift_diagram(self.K, F.shift)
-        key, values, stalks = self.key, self.values, {}
+        record, values, stalks = self.record, self.values, {}
         for y in F.target.elements:
             f = F.at[y]
-            k = key(f.D)
+            k = self.key(f.D, record(f.D.source), record(f.D.target))
             value = values.get(k)
             if value is None:
                 value = values[k] = self.point(f)
             stalks[y] = value
-        edges = hasse(F.target).edges
-        # Only restrictions along Hasse edges are checked as chain maps here;
-        # PosetDiagram proves the rest, comparing each diagonal one with the
-        # identity and each other one with a composite of checked ones along
-        # cover_triangles.
         restrictions = {}
         for (y, y2), phi in F.res.items():
             S, T = stalks[y], stalks[y2]
             f = self.matrices(phi) if S.dims and T.dims else {}
-            restrictions[y, y2] = self.chain_map(S, T, f, (y, y2) in edges)
+            restrictions[y, y2] = self.chain_map(S, T, f)
         return PosetDiagram(F.target, stalks, restrictions, check=True)
 
     def point(self, f: FormulaToPoint) -> VectComplex:
@@ -661,12 +646,12 @@ class _Representable:
 
     A word entry (e, m) is one dimension in degree -m if u <= e and nothing
     otherwise, so the layout of a word at degree t counts its entries over
-    the up-set of u with m = -t.  A plan item (j, i, (x_i, x_j), m_i, c,
-    raising) of a morphism is c times a restriction of P_u, the identity of
-    the field at degree -m_i, when u <= x_i (and so u <= x_j); a raising
-    item vanishes, as it ends in a differential of P_u.  This is what
-    _Evaluation computes at the diagram P_u, made with no PosetDiagram and
-    no restriction; morphisms are read only through formula_cat._plan.
+    the up-set of u with m = -t.  An item (j, i, (x_i, x_j), m_i, c,
+    raising) of a morphism's entries is c times a restriction of P_u, the
+    identity of the field at degree -m_i, when u <= x_i (and so u <= x_j);
+    a raising item vanishes, as it ends in a differential of P_u.  This is
+    what _Evaluation computes at the diagram P_u, made with no PosetDiagram
+    and no restriction; morphisms are read only through formula_cat._entries.
     """
 
     __slots__ = ("base", "up")
@@ -689,7 +674,7 @@ class _Representable:
     def matrices(self, phi: CMorphism) -> dict:
         """The degreewise matrices of phi at P_u, nonzero degrees only."""
         one, placed_at = Mat.identity(1), {}
-        for j, i, (x, _), mi, c, raising in _plan(phi):
+        for j, i, (x, _), mi, c, raising in _entries(phi):
             if not raising and x in self.up:
                 placed_at.setdefault(-mi, []).append((j, i, c, one))
         rows, cols = self.layout(phi.target), self.layout(phi.source)
@@ -731,8 +716,8 @@ def eval_point_map(f: FormulaToPoint, g: DiagramMap) -> ChainMap:
 def _point_map(f: FormulaToPoint, g: DiagramMap, src_ev, tgt_ev, src, tgt) -> ChainMap:
     """eval_point_map between src and tgt, the evaluations of f on g's ends
     that the caller has already made through the contexts src_ev and tgt_ev:
-    the identity plan of f's word, with g's components for the restrictions,
-    on the word's layouts at both ends."""
+    the identity entries of f's word, with g's components for the
+    restrictions, on the word's layouts at both ends."""
     placed_at = {}
     for i, (x, m) in enumerate(f.xi.entries):
         for s, piece in g.components[x].f.items():

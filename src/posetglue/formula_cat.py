@@ -25,10 +25,10 @@ from .errors import (
     InternalInconsistency,
     ShapeMismatch,
 )
-from .intmat import Mat, _as_int, placed, product_memo
+from .intmat import Mat, _as_int, placed
 from .poset_core import (
     Poset,
-    cover_triangles,
+    _failing_triangle,
     covers,
     poset_from_generators,
     require_elements,
@@ -87,20 +87,16 @@ def _degrees(word: CObject) -> tuple:
     return tuple([m for _, m in word.entries])
 
 
-def _legal_row(source: CObject, xj, mj) -> tuple:
-    """The canonical-position rule for one target entry (x_j, m_j): entry i
-    is 1 where a matrix from source may be nonzero in that row, as
-    x_i <= x_j and m_j - m_i is 0 or 1, and 0 elsewhere.  It reads only
-    source and the target entry."""
-    below = source.base.down_set(xj)
-    return tuple([int(0 <= mj - mi <= 1 and xi in below) for xi, mi in source.entries])
-
-
 def _legal(source: CObject, target: CObject) -> list:
     """The canonical-position rule as rows: legal[j][i] is 1 where entry
-    (j, i) from source to target may be nonzero (see _legal_row; the
-    elements were validated when the objects were made)."""
-    return [_legal_row(source, xj, mj) for xj, mj in target.entries]
+    (j, i) from source to target may be nonzero, as x_i <= x_j and
+    m_j - m_i is 0 or 1, and 0 elsewhere (the elements were validated when
+    the objects were made)."""
+    rows = []
+    for xj, mj in target.entries:
+        below = source.base.down_set(xj)
+        rows.append(tuple([int(0 <= mj - mi <= 1 and xi in below) for xi, mi in source.entries]))
+    return rows
 
 
 def _canonical(source: CObject, target: CObject, matrix: Mat) -> Mat:
@@ -127,13 +123,12 @@ class CMorphism:
     :func:`compose_formulas`) and :func:`compose_formulas` (see
     :func:`_substituted_matrix`).  Input from outside these builders (rows,
     JSON, the retract maps, the named constants) takes the constructor.
-    ``plan`` is None until the morphism is first evaluated; then :func:`_plan`
-    keeps its entries there, so the plan lives exactly as long as the
-    morphism.  The nonzero positions of a matrix alone are read through
-    :func:`_patterns`, once per matrix object within one call.
+    A morphism holds its two ends and its matrix and nothing else: what a
+    walk or an evaluation derives from it (its entries, its pattern) is
+    kept by that call, not on the morphism.
     """
 
-    __slots__ = ("source", "target", "matrix", "plan")
+    __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source: CObject, target: CObject, matrix):
         if source.base != target.base:
@@ -148,7 +143,6 @@ class CMorphism:
         self.source = source
         self.target = target
         self.matrix = _canonical(source, target, matrix)
-        self.plan = None
 
     @classmethod
     def _trusted(cls, source: CObject, target: CObject, matrix: Mat) -> "CMorphism":
@@ -158,7 +152,6 @@ class CMorphism:
         m.source = source
         m.target = target
         m.matrix = matrix
-        m.plan = None
         return m
 
     def __eq__(self, other):
@@ -242,39 +235,30 @@ def _entries(phi: CMorphism):
             yield j, i, (xi, xj), mi, -c if raising and mi % 2 else c, raising
 
 
-def _plan(phi: CMorphism) -> tuple:
-    """phi's entries (see _entries) for evaluation, made on its first
-    evaluation and kept on phi.  Substitution and the checks read each
-    morphism once and walk _entries afresh."""
-    if phi.plan is None:
-        phi.plan = tuple(_entries(phi))
-    return phi.plan
+def _positions(phi: CMorphism) -> tuple:
+    """The nonzero positions (j, i) of phi's matrix, row by row: the
+    positions of _entries(phi), without the element pairs and
+    coefficients."""
+    m = phi.matrix
+    columns = range(m.ncols)
+    return tuple([(j, i) for j, row in enumerate(m.rows) for i in compress(columns, row)])
+
+
+def _matrix_key(phi: CMorphism) -> int:
+    """The key of _positions(phi): the id of phi's matrix object, the one
+    thing _positions reads."""
+    return id(phi.matrix)
 
 
 def _patterns():
-    """A function pattern(phi) giving the nonzero positions (j, i) of phi's
-    matrix, row by row: the positions of _entries(phi), without the
-    element pairs and coefficients.  It is made once per matrix object, so
-    within one pattern function a pattern object stands for its matrix
-    object, and a key may hold its id (the one exception is the empty
-    pattern, which every zero matrix shares: such a matrix has no entry to
-    evaluate or substitute, and its shape is that of its ends).  It keeps
-    each matrix it reads, so the ids that key it cannot be reused while it
-    lives; its maker keeps it for one call (compose_formulas, and the
-    evaluation context of abelian_eval)."""
-    made = {}
-
-    def pattern(phi: CMorphism) -> tuple:
-        m = phi.matrix
-        hit = made.get(id(m))
-        if hit is None:
-            positions = range(m.ncols)
-            hit = made[id(m)] = m, tuple(
-                [(j, i) for j, row in enumerate(m.rows) for i in compress(positions, row)]
-            )
-        return hit[1]
-
-    return pattern
+    """A function pattern(phi) = _positions(phi), run once per matrix
+    object (a _memo over _matrix_key).  So within one pattern function a
+    pattern object stands for its matrix object, and a key may hold its id;
+    the one exception is the empty pattern, which every zero matrix shares:
+    such a matrix has no entry to evaluate or substitute, and its shape is
+    that of its ends.  Its maker keeps it for one call (compose_formulas,
+    and the evaluation context of abelian_eval)."""
+    return _memo(_matrix_key, _positions)
 
 
 def star(m: CMorphism) -> CMorphism:
@@ -366,20 +350,20 @@ def check_formula_morphism(
     0 or 1, so no entry of either side jumps by 2 and none is quotiented."""
     if phi.source != source.xi or phi.target != target.xi:
         raise ShapeMismatch("phi must map the source word to the target word")
-    return _restriction_problem(phi, source, target, Mat.mul)
+    return _restriction_problem(phi, source, target)
 
 
 def _restriction_problem(
-    phi: CMorphism, source: FormulaToPoint, target: FormulaToPoint, mul
+    phi: CMorphism, source: FormulaToPoint, target: FormulaToPoint
 ) -> str | None:
-    """check_formula_morphism once phi's ends are known to be the two words,
-    with its two products taken by mul(a, b) = a·b."""
+    """check_formula_morphism once phi's ends are known to be the two
+    words."""
     for j, i, _, _, _, raising in _entries(phi):
         if raising:
             c = phi.matrix.rows[j][i]
             return f"component {c} at ({j},{i}) raises degree; not a restriction"
-    lhs = mul(phi.matrix, source.D.matrix)
-    rhs = mul(target.D.matrix, phi.matrix)
+    lhs = phi.matrix.mul(source.D.matrix)
+    rhs = target.D.matrix.mul(phi.matrix)
     if lhs != rhs:
         return f"intertwining fails: phi[1]·D - D'·phi = {lhs.sub(rhs).tolist()}"
     return None
@@ -389,9 +373,9 @@ def _memo(key, run):
     """A function check(*args) = run(*args) that runs once per key(*args)
     and returns that result on every later call with the same key.  Each
     key function proves in its docstring that its key decides run's result
-    (_value_key, _restriction_key, harness._homotopy_key).  It keeps
-    the arguments of each run, so the ids in its keys cannot be reused while
-    it lives; its maker keeps it for one call."""
+    (_matrix_key, _value_key, _restriction_key, harness._homotopy_key).  It
+    keeps the arguments of each run, so the ids in its keys cannot be
+    reused while it lives; its maker keeps it for one call."""
     made = {}
 
     def check(*args):
@@ -415,27 +399,15 @@ def _value_key(f: FormulaToPoint) -> tuple:
 
 
 def _restriction_key(phi: CMorphism, source: FormulaToPoint, target: FormulaToPoint) -> tuple:
-    """The key of _restriction_problem(phi, source, target, mul) for phi
-    from source's word to target's: the matrix objects of phi and of both
-    D's and the degrees of both words.  The degree test reads phi's matrix
+    """The key of _restriction_problem(phi, source, target) for phi from
+    source's word to target's: the matrix objects of phi and of both D's
+    and the degrees of both words.  The degree test reads phi's matrix
     and, through _entries, the degrees of phi's ends, which are the two
-    words; the intertwining test multiplies the three matrices.  A result
-    does not depend on mul, which multiplies exactly."""
+    words; the intertwining test multiplies the three matrices."""
     return (
         id(phi.matrix), id(source.D.matrix), id(target.D.matrix),
         _degrees(source.xi), _degrees(target.xi),
     )
-
-
-def _restriction_checks(mul):
-    """A check(phi, source, target) for restrictions whose ends are already
-    known to be the two words: _restriction_problem with mul, run once per
-    _restriction_key within one walk."""
-
-    def run(phi, source, target):
-        return _restriction_problem(phi, source, target, mul)
-
-    return _memo(_restriction_key, run)
 
 
 def check_homotopy(
@@ -487,6 +459,12 @@ def i_xi(f: FormulaToPoint) -> CMorphism:
 
 # --- poset-shaped formulas ---------------------------------------------------
 
+def _matrices(morphisms: dict) -> dict:
+    """The matrix object of each morphism, by the same key: what the
+    triangle and square walks of formulas compare."""
+    return {key: phi.matrix for key, phi in morphisms.items()}
+
+
 class Formula:
     """A diagram over a target poset valued in formulas over a base poset.
 
@@ -495,33 +473,23 @@ class Formula:
     at[y].xi to the word at[y2].xi, to intertwine the two values' D's.  The
     constructor verifies the diagram axioms: identity on diagonal pairs (a
     test of the matrix, as the ends were checked first) and closure under
-    composition, on the cover triangles of the target.  Those
-    leave out the degenerate triangles (y, y2, y2), which follow from the
-    identity check that runs first.  It is the one place where restriction
-    triangles are checked: a triangle that does not commute raises
-    CommutativityFailure with the difference matrix.
+    composition on the cover triangles of the target, which leave out the
+    degenerate triangles (y, y2, y2) that follow from the identity check.
+    It is the one place where restriction triangles are checked.
     Only the restrictions along Hasse edges, in element order, go through
     the test of check_formula_morphism, and the first message it returns is
     raised as DiagramAxiomFailure; by the induction in cover_triangles every
     other one equals a composite of those, so it is valid too.  The ends
-    were checked first, so the test runs once per _restriction_key (the
-    matrix objects of the restriction and of both D's, and the degrees of
-    both words), which decides its result; every Hasse edge still gets a
-    result.
+    were checked first, so the test runs once per _restriction_key, which
+    decides its result.
     Each triangle (a, b, c) compares the plain product r(b, c)·r(a, b) of
     the matrices with r(a, c): a < b is a Hasse edge, so r(a, b) was shown
     to preserve degree, and the canonical r(b, c) raises it by 0 or 1; no
     entry of the product jumps by 2, so compose's quotient would change
-    nothing, and the ends were checked before the walk.  The builders make
-    equal matrices one object (canonical_formula, compose_formulas), so the
-    walk multiplies each distinct pair of matrix objects once, the cover
-    tests' products included (intmat.product_memo, kept for this walk
-    only), and compares each distinct triple of matrix objects
-    (r(b, c), r(a, b), r(a, c)) once: the comparison reads those three
-    matrices and nothing else, so a repeated triple has the result of its
-    first triangle, which passed, and the first failing triangle in walk
-    order is still the witness.  The triples' ids stay unique while the
-    walk runs, as res keeps the matrices.
+    nothing.  The comparison reads the three matrices and nothing else, so
+    poset_core._failing_triangle compares each distinct triple of matrix
+    objects once (the builders make equal matrices one object); the first
+    failing triangle raises CommutativityFailure with the difference.
 
     `shift` is None except on the formulas made by translation_formula,
     which set it to their n: abelian_eval evaluates such a formula at K as
@@ -550,8 +518,7 @@ class Formula:
                 phi.target is not tgt and phi.target != tgt
             ):
                 raise ShapeMismatch(f"restriction for {y!r} <= {y2!r} has wrong ends")
-        mul = product_memo()
-        check = _restriction_checks(mul)
+        check = _memo(_restriction_key, _restriction_problem)
         for y, y2 in covers(target):
             problem = check(res[(y, y2)], at[y], at[y2])
             if problem is not None:
@@ -561,18 +528,14 @@ class Formula:
         for y in target.elements:
             if not res[(y, y)].matrix.is_identity():
                 raise DiagramAxiomFailure(f"restriction at ({y!r}, {y!r}) is not the identity")
-        compared = set()
-        for y, y2, y3 in cover_triangles(target):
-            g, f, right = res[(y2, y3)].matrix, res[(y, y2)].matrix, res[(y, y3)].matrix
-            triple = id(g), id(f), id(right)
-            if triple in compared:
-                continue
-            compared.add(triple)
-            left = mul(g, f)
-            if left != right:
-                raise CommutativityFailure(
-                    (y, y3), f"via {y2!r}: difference {left.sub(right).tolist()}"
-                )
+        matrices = _matrices(res)
+        triangle = _failing_triangle(target, matrices, lambda g, f, h: g.mul(f) == h)
+        if triangle is not None:
+            y, y2, y3 = triangle
+            left = matrices[y2, y3].mul(matrices[y, y2])
+            raise CommutativityFailure(
+                (y, y3), f"via {y2!r}: difference {left.sub(matrices[y, y3]).tolist()}"
+            )
 
     def __eq__(self, other):
         return (
@@ -592,51 +555,38 @@ def canonical_formula(target: Poset, base: Poset, words: dict) -> Formula:
     y < y2) is the all-ones matrix in canonical form.
 
     Canonical form keeps an entry only where the order holds and the degree
-    rises by 0 or 1, so the words and the base order decide every matrix.
-    Its row for a target entry (x_j, m_j) is _legal's row over the source
-    word, which reads only that word and that entry; so each row is made
-    once per source element and target entry, kept in a dict of that
-    element, and equal rows are one object (interned by value when a row is
-    made).  A matrix is then decided by its column count and the row
-    objects it stacks, in order: equal matrices have equal rows, and equal
-    rows are one object.  So matrices are shared through a dict keyed by
-    that count and the ids of those rows (kept alive by the dicts of this
-    call), and each distinct matrix is made once; no entry tuple is hashed
-    per pair.  The rows are canonical by construction, so each matrix is
-    taken as it is.  Equal matrices being one object, Formula's walks take
-    each distinct product and cover test once while they still compare
-    every triangle.
+    rises by 0 or 1, so the words and the base order decide every matrix:
+    its rows are _legal's.  Equal rows are one object (interned by value),
+    so a matrix is decided by its column count and the row objects it
+    stacks, in order, and matrices are shared through a dict keyed by that
+    count and the ids of those rows (kept alive by the interning dict of
+    this call): each distinct matrix is made once, and no entry tuple is
+    hashed per pair.  The rows are canonical by construction, so each
+    matrix is taken as it is.
     Each D keeps its unit diagonal when entries of equal degree in one word
     are incomparable, as the witnesses of one element are by the antichain
     condition (see harness._build_xi).  Values are checked by check_formula
     (InternalInconsistency otherwise), once per _value_key; restrictions by
     Formula.
     """
-    rows_at, interned, shared = {}, {}, {}
+    interned, shared = {}, {}
 
-    def ones(y, src: CObject, tgt: CObject) -> CMorphism:
-        rows, picked = rows_at[y], []
-        for entry in tgt.entries:
-            row = rows.get(entry)
-            if row is None:
-                row = _legal_row(src, *entry)
-                row = rows[entry] = interned.setdefault(row, row)
-            picked.append(row)
-        key = (len(src), *map(id, picked))
+    def ones(src: CObject, tgt: CObject) -> CMorphism:
+        rows = [interned.setdefault(row, row) for row in _legal(src, tgt)]
+        key = (len(src), *map(id, rows))
         m = shared.get(key)
         if m is None:
-            m = shared[key] = Mat(len(tgt), len(src), picked)
+            m = shared[key] = Mat(len(tgt), len(src), rows)
         return CMorphism._trusted(src, tgt, m)
 
     at, check = {}, _memo(_value_key, check_formula)
     for y in target.elements:
         xi = CObject(words[y], base)
-        rows_at[y] = {}
-        at[y] = FormulaToPoint(xi, ones(y, xi, xi.shifted(1)))
+        at[y] = FormulaToPoint(xi, ones(xi, xi.shifted(1)))
         problem = check(at[y])
         if problem is not None:
             raise InternalInconsistency(f"canonical value at {y!r} is invalid: {problem}")
-    res = {(y, y2): ones(y, at[y].xi, at[y2].xi) for y, y2 in target.leq if y != y2}
+    res = {(y, y2): ones(at[y].xi, at[y2].xi) for y, y2 in target.leq if y != y2}
     return Formula(target, at, res)
 
 

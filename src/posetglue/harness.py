@@ -61,8 +61,10 @@ from .formula_cat import (
     Formula,
     FormulaToPoint,
     _degrees,
+    _matrices,
     _memo,
-    _restriction_checks,
+    _restriction_key,
+    _restriction_problem,
     canonical_formula,
     check_formula,
     check_formula_morphism,
@@ -80,10 +82,10 @@ from .gluing import (
     ordinal_witness,
     validate_gluing,
 )
-from .intmat import Mat, product_memo
+from .intmat import Mat
 from .poset_core import (
     Poset,
-    covers,
+    _failing_square,
     hasse,
     point_poset,
     poset_from_generators,
@@ -188,22 +190,21 @@ class EpsilonTransform:
     """A natural transformation between two formulas over a common target.
 
     Components are given as matrices, one per target element, and stored as
-    CMorphisms from source.at[y].xi to target.at[y].xi.  The constructor
-    checks that each component intertwines the two values' D's
-    (DiagramAxiomFailure otherwise) and that the components commute with the
-    restrictions across every Hasse edge of the target, walked in element
-    order (NaturalityFailure, with the first offending edge as witness).
-    Both sides of each square are plain matrix products: the components
-    were just shown to preserve degree, and so were the restrictions along
-    Hasse edges (by Formula, or by the shape of a translation formula), so
-    no entry jumps by 2 and compose's quotient would change nothing; both
-    sides run from the source word at a to the target word at b.  Equal
-    component matrices are one object (a canonical form that masks nothing
-    keeps its Mat).  Each component is made between the two words at y, so
-    the test of check_formula_morphism runs once per _restriction_key,
-    which decides it; each distinct product of the tests and the walk is
-    taken once; every component gets a result and every square is still
-    compared.
+    CMorphisms from source.at[y].xi to target.at[y].xi, equal matrices as
+    one object (a canonical form that masks nothing keeps its Mat).  The
+    constructor checks that each component intertwines the two values' D's
+    (DiagramAxiomFailure otherwise): each is made between the two words at
+    y, so the test of check_formula_morphism runs once per
+    _restriction_key, which decides it.  Then it checks that the components
+    commute with the restrictions across every Hasse edge of the target
+    (NaturalityFailure, with the first offending edge in element order and
+    the difference).  Both sides of each square are plain matrix products:
+    the components were just shown to preserve degree, and so were the
+    restrictions along Hasse edges (by Formula, or by the shape of a
+    translation formula), so no entry jumps by 2 and compose's quotient
+    would change nothing.  The comparison reads the square's four matrices
+    and nothing else, so poset_core._failing_square compares each distinct
+    quadruple of matrix objects once.
     """
 
     __slots__ = ("source", "target", "components")
@@ -217,8 +218,7 @@ class EpsilonTransform:
         self.source = source
         self.target = target
         self.components, shared = {}, {}
-        mul = product_memo()
-        check = _restriction_checks(mul)
+        check = _memo(_restriction_key, _restriction_problem)
         for y in source.target.elements:
             src, tgt = source.at[y].xi, target.at[y].xi
             m = components[y]
@@ -229,12 +229,15 @@ class EpsilonTransform:
             if problem is not None:
                 raise DiagramAxiomFailure(f"component at {y!r} is invalid: {problem}")
             self.components[y] = phi
-        comps = self.components
-        for a, b in covers(source.target):
-            left = mul(target.res[(a, b)].matrix, comps[a].matrix)
-            right = mul(comps[b].matrix, source.res[(a, b)].matrix)
-            if left != right:
-                raise NaturalityFailure((a, b), f"difference {left.sub(right).tolist()}")
+        comps = _matrices(self.components)
+        target_r, source_r = _matrices(target.res), _matrices(source.res)
+        edge = _failing_square(
+            source.target, target_r, comps, source_r, lambda t, a, b, s: t.mul(a) == b.mul(s)
+        )
+        if edge is not None:
+            a, b = edge
+            left, right = target_r[a, b].mul(comps[a]), comps[b].mul(source_r[a, b])
+            raise NaturalityFailure(edge, f"difference {left.sub(right).tolist()}")
 
     def evaluate(self, K: PosetDiagram) -> DiagramMap:
         """The evaluated transformation at a diagram, as a map of diagrams.
@@ -244,12 +247,12 @@ class EpsilonTransform:
         shift_diagram without the evaluator's checks; the other end, every
         component and the naturality of the result are checked.  The
         components go through the context like the restrictions: their
-        matrices are made once per key, and their chain maps once per
-        object triple of stalks and matrices, each checked once."""
+        matrices are made once per key, and their chain maps made and
+        checked once per object triple of stalks and matrices."""
         ev = _Evaluation(K)
         src, tgt = ev.formula(self.source), ev.formula(self.target)
         comps = {
-            y: ev.chain_map(src.K[y], tgt.K[y], ev.matrices(self.components[y]), check=True)
+            y: ev.chain_map(src.K[y], tgt.K[y], ev.matrices(self.components[y]))
             for y in self.source.target.elements
         }
         return DiagramMap(src, tgt, comps)
@@ -439,19 +442,19 @@ class _Images:
     _Representable).  So the images at y depend on u only through which
     entries of the source and target words at y lie over u, its two
     selections at y.  One image is made per y and distinct pair of
-    selections, on the first trial that draws a piece at such a u; where
+    selections (by_selection), on the first trial that draws a piece at
+    such a u; where
     both are empty the images are zero, the component is acyclic, and
-    nothing is built.  The tables of a piece P_u ⊗ S are made once per
-    distinct u and H(S), on the first trial that draws such a piece."""
+    nothing is built.  The images at u are kept per u (by_element); the
+    tables of a drawn piece are convolved from them afresh."""
 
-    __slots__ = ("eps", "field", "by_element", "by_selection", "by_piece")
+    __slots__ = ("eps", "field", "by_element", "by_selection")
 
     def __init__(self, eps: EpsilonTransform, field: Field):
         self.eps = eps
         self.field = field
         self.by_element = {}
         self.by_selection = {}
-        self.by_piece = {}
 
     def at(self, u) -> tuple:
         """({y: (H(source at P_u)(y), H(target at P_u)(y))}, acyclic)."""
@@ -478,15 +481,12 @@ class _Images:
         """((source tables, target tables), acyclic) of a piece P_u ⊗ S with
         H(S) = h: at each y, the cohomology of the source and of the target
         value at the piece, the convolution of its image at P_u with h."""
-        key = u, tuple(sorted(h.items()))
-        if key not in self.by_piece:
-            cohomologies, acyclic = self.at(u)
-            tables = tuple(
-                {y: _convolved(images[end], h) for y, images in cohomologies.items()}
-                for end in (0, 1)
-            )
-            self.by_piece[key] = tables, acyclic
-        return self.by_piece[key]
+        cohomologies, acyclic = self.at(u)
+        tables = tuple(
+            {y: _convolved(images[end], h) for y, images in cohomologies.items()}
+            for end in (0, 1)
+        )
+        return tables, acyclic
 
 
 def _over(word, up) -> tuple:

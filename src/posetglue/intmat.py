@@ -218,23 +218,6 @@ class Mat:
         return Mat._of(self.nrows, other.ncols, tuple(out))
 
 
-def product_memo():
-    """A function mul(a, b) = a.mul(b) that multiplies each pair of operand
-    objects once and returns that product on every later call with the
-    same two objects.  It keeps its operands, so the ids that key it cannot
-    be reused while it lives; its maker keeps it for one walk."""
-    made = {}
-
-    def mul(a, b):
-        key = id(a), id(b)
-        hit = made.get(key)
-        if hit is None:
-            hit = made[key] = a, b, a.mul(b)
-        return hit[2]
-
-    return mul
-
-
 def block(parts, row_sizes, col_sizes):
     """Assemble a block matrix. parts[(i, j)] is a Mat or absent (= zero)."""
     blocks = [(i, j, 1, m) for (i, j), m in parts.items() if m is not None]

@@ -287,6 +287,48 @@ def cover_triangles(p: Poset) -> tuple:
     return p._triangles
 
 
+def _failing_triangle(p: Poset, r, commutes):
+    """The first cover triangle (a, b, c) of p, in walk order, on which the
+    maps r, keyed by the pairs a <= b of p, do not compose:
+    commutes(r[b, c], r[a, b], r[a, c]) is false.  None if there is none.
+
+    commutes reads the three objects it is given and nothing else, so it
+    runs once per distinct triple of objects: a repeated triple has the
+    result of its first triangle, which passed, and the first failing
+    triangle in walk order is still the witness.  r keeps the objects, so
+    their ids stay unique while the walk runs."""
+    seen = set()
+    for a, b, c in cover_triangles(p):
+        g, f, h = r[b, c], r[a, b], r[a, c]
+        triple = id(g), id(f), id(h)
+        if triple not in seen:
+            seen.add(triple)
+            if not commutes(g, f, h):
+                return a, b, c
+    return None
+
+
+def _failing_square(p: Poset, target_r, components, source_r, commutes):
+    """The first Hasse edge (a, b) of p, in element order, whose naturality
+    square does not commute: commutes(target_r[a, b], components[a],
+    components[b], source_r[a, b]) is false, the two composites
+    target_r[a, b]·components[a] and components[b]·source_r[a, b] being
+    different.  None if there is none.
+
+    As in _failing_triangle, commutes reads its four objects and nothing
+    else, so it runs once per distinct quadruple of objects, and the first
+    failing edge is still the witness; the three maps keep the objects."""
+    seen = set()
+    for a, b in covers(p):
+        square = target_r[a, b], components[a], components[b], source_r[a, b]
+        quadruple = tuple(map(id, square))
+        if quadruple not in seen:
+            seen.add(quadruple)
+            if not commutes(*square):
+                return a, b
+    return None
+
+
 def _disjoint_labels(p: Poset, q: Poset):
     """Relabel with 'L.'/'R.' prefixes when the two element sets collide."""
     if set(p.elements) & set(q.elements):

@@ -208,6 +208,12 @@ def modp_cohomology(K, p: int) -> dict:
     return out
 
 
+def evaluation_key(ev, phi) -> tuple:
+    """The key of phi's evaluation in the context ev, with the records of
+    phi's two ends read as _Evaluation.matrices reads them."""
+    return ev.key(phi, ev.record(phi.source), ev.record(phi.target))
+
+
 # --- the dense evaluator, kept as the reference for the evaluation plans ---------
 
 def dense_graded(phi, K) -> dict:

@@ -92,6 +92,7 @@ from conftest import (
     dense_graded,
     eta_composition_holds,
     eta_naturality_holds,
+    evaluation_key,
     frac_cohomology,
     frac_rank,
     glued_orders,
@@ -481,12 +482,13 @@ class TestEvalFormulas:
 
     @pytest.mark.parametrize("kind", ["non-cover", "diagonal"])
     def test_unchecked_restrictions_are_proved_by_the_diagram(self, monkeypatch, kind):
-        # eval_formula checks only restrictions along Hasse edges as chain
-        # maps; a wrong diagonal or non-cover restriction must still be
-        # rejected, by PosetDiagram's identity and composition checks.  The
-        # evaluator makes one set of matrices per key, so the perturbation
-        # hits every restriction with the chosen one's key, and the chosen
-        # key is one that no Hasse edge has: those are all unchecked.
+        # eval_formula checks each distinct restriction as a chain map; a
+        # wrong diagonal or non-cover restriction that is still a chain map
+        # (twice the right one) must be rejected by PosetDiagram's identity
+        # and composition checks.  The evaluator makes one set of matrices
+        # per key, so the perturbation hits every restriction with the
+        # chosen one's key, and the chosen key is one that no Hasse edge
+        # has: the Hasse edges stay right.
         g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
         F = build_theorem_formulas(g)[0]
         covers = hasse(F.target).edges
@@ -497,7 +499,8 @@ class TestEvalFormulas:
         real = abelian_eval._Evaluation.matrices
 
         def unchecked(ev, p):
-            return ev.key(F.res[p]) not in {ev.key(F.res[c]) for c in covers}
+            key = evaluation_key(ev, F.res[p])
+            return key not in {evaluation_key(ev, F.res[c]) for c in covers}
 
         K, phi = next(
             (K, F.res[p])
@@ -510,10 +513,8 @@ class TestEvalFormulas:
 
         def perturbed(ev, psi):
             out = real(ev, psi)
-            if ev.key(psi) == ev.key(phi):
-                out = dict(out)
-                t = min(out)
-                out[t] = out[t].scale(2)
+            if evaluation_key(ev, psi) == evaluation_key(ev, phi):
+                out = {t: m.scale(2) for t, m in out.items()}
             return out
 
         eval_formula(F, K)
@@ -587,9 +588,11 @@ class TestEvaluationContext:
     @pytest.mark.parametrize("entry", sorted(_OTHER_BASE))
     def test_a_diagram_over_another_poset_is_rejected_first(self, monkeypatch, entry):
         K, g = random_diagram(_DISCRETE, 1), random_qis_map(_DISCRETE, 1)
-        plans, contexts = [], []
-        real_plan, real_init = abelian_eval._plan, abelian_eval._Evaluation.__init__
-        monkeypatch.setattr(abelian_eval, "_plan", lambda phi: plans.append(phi) or real_plan(phi))
+        walks, contexts = [], []
+        real_entries, real_init = abelian_eval._entries, abelian_eval._Evaluation.__init__
+        monkeypatch.setattr(
+            abelian_eval, "_entries", lambda phi: walks.append(phi) or real_entries(phi)
+        )
         monkeypatch.setattr(
             abelian_eval._Evaluation,
             "__init__",
@@ -597,8 +600,8 @@ class TestEvaluationContext:
         )
         with pytest.raises(BaseMismatch, match="formula and diagram live over different posets"):
             _OTHER_BASE[entry](K, g)
-        # no plan compiled, and no layout or product kept
-        assert plans == []
+        # no entry walked, and no layout or product kept
+        assert walks == []
         assert contexts
         assert all(not (ev.layouts or ev.products) for ev in contexts)
 
@@ -800,16 +803,16 @@ class TestEvaluationKeys:
 
     def test_one_unit_and_counit_evaluation_does_pinned_work(self, monkeypatch):
         # On chain_of_chains(10, 4), one evaluation of the unit and of the
-        # counit builds a plan per distinct key, a value per distinct key
-        # of its D, checks a chain map per distinct object triple and
-        # compares each distinct triangle once.  One of each per order pair
-        # would be 1,190 plans, 100 values, 270 checks and 1,080
-        # comparisons.
+        # counit walks the entries of a morphism per distinct key, evaluates
+        # a value per distinct key of its D, checks a chain map per distinct
+        # object triple, and compares each distinct triangle and square of
+        # objects once.  One of each per order pair would be 1,190 entry
+        # walks, 100 values, 1,090 checks, 1,080 triangles and 170 squares.
         g = chain_of_chains(10, 4)
         eps_pm, eps_mp = build_epsilons(g, *build_theorem_formulas(g))
         K = random_diagram(eps_mp.source.base, 0)
         L = random_diagram(eps_pm.source.base, 0)
-        counts = dict.fromkeys(("plans", "points", "checks", "products"), 0)
+        counts = dict.fromkeys(("entries", "points", "checks", "triangles", "squares"), 0)
 
         def counted(name, real):
             def call(*args):
@@ -818,17 +821,23 @@ class TestEvaluationKeys:
 
             return call
 
+        def walk_counted(name, walk):
+            # the walk with each comparison it makes counted
+            def call(*args):
+                return walk(*args[:-1], counted(name, args[-1]))
+
+            return call
+
         E = abelian_eval._Evaluation
-        monkeypatch.setattr(abelian_eval, "_plan", counted("plans", abelian_eval._plan))
+        monkeypatch.setattr(abelian_eval, "_entries", counted("entries", abelian_eval._entries))
         monkeypatch.setattr(E, "point", counted("points", E.point))
         monkeypatch.setattr(ChainMap, "_check", counted("checks", ChainMap._check))
-        monkeypatch.setattr(abelian_eval, "_products", counted("products", abelian_eval._products))
+        for name, walk in (("triangles", "_failing_triangle"), ("squares", "_failing_square")):
+            monkeypatch.setattr(abelian_eval, walk, walk_counted(name, getattr(abelian_eval, walk)))
         unit, counit = eps_mp.evaluate(K), eps_pm.evaluate(L)
         assert unit.source == shift_diagram(K, 1) and counit.target == shift_diagram(L, 1)
-        # each naturality walk takes two products per Hasse edge
-        squares = 2 * (len(covers(K.base)) + len(covers(L.base)))
-        triangles = counts.pop("products") - squares
-        assert (counts["plans"], counts["points"], counts["checks"], triangles) == (22, 10, 33, 46)
+        assert len(covers(K.base)) + len(covers(L.base)) == 170
+        assert counts == {"entries": 22, "points": 10, "checks": 39, "triangles": 46, "squares": 23}
 
 
 def _maps_json(maps) -> dict:

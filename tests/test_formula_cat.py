@@ -865,8 +865,9 @@ def test_translation_formula_is_the_checked_canonical_formula(n):
 
 
 class TestSharedMatrices:
-    """Equal restriction matrices are one object, each distinct product of
-    a triangle walk is taken once, and every triangle is still compared."""
+    """Equal restriction matrices are one object, and a triangle walk
+    compares each distinct triple of them once: a repeated triple has the
+    result of its first triangle, and the first failing one is named."""
 
     def test_theorem_formulas_hold_few_distinct_matrices(self):
         g = chain_of_chains(10, 4)
@@ -877,7 +878,7 @@ class TestSharedMatrices:
             # equal matrices are one object, and there are at most six
             assert len({id(m) for m in strict}) == len(set(strict)) <= 6
 
-    def test_the_triangle_walk_multiplies_each_distinct_pair_once(self, monkeypatch):
+    def test_the_triangle_walk_multiplies_once_per_distinct_triple(self, monkeypatch):
         xi = build_theorem_formulas(chain_of_chains(10, 4))[0]
         counts = {"all": 0, "covers": 0}
         real_mul, real_check = Mat.mul, formula_cat._restriction_problem
@@ -896,18 +897,19 @@ class TestSharedMatrices:
         monkeypatch.setattr(formula_cat, "_restriction_problem", counted_check)
         Formula(xi.target, xi.at, xi.res)
         assert len(cover_triangles(xi.target)) == 540
-        assert 0 < counts["all"] - counts["covers"] <= 10
-        # one walk memo serves the cover tests and the triangles: each
-        # distinct operand pair is multiplied once, over both
-        res, at, pairs = xi.res, xi.at, set()
-        for y, y2 in hasse(xi.target).edges:
-            phi = res[(y, y2)].matrix
-            pairs |= {(id(phi), id(at[y].D.matrix)), (id(at[y2].D.matrix), id(phi))}
-        pairs |= {
-            (id(res[(b, c)].matrix), id(res[(a, b)].matrix))
+        # two products per distinct restriction key of the Hasse edges, and
+        # one per distinct triple of matrix objects of the cover triangles
+        res, at = xi.res, xi.at
+        keys = {
+            formula_cat._restriction_key(res[(y, y2)], at[y], at[y2])
+            for y, y2 in hasse(xi.target).edges
+        }
+        triples = {
+            (id(res[(b, c)].matrix), id(res[(a, b)].matrix), id(res[(a, c)].matrix))
             for a, b, c in cover_triangles(xi.target)
         }
-        assert counts["all"] == len(pairs)
+        assert counts["covers"] == 2 * len(keys)
+        assert counts["all"] - counts["covers"] == len(triples) <= 10
 
     @pytest.mark.parametrize("case", [FIGURE_ONE_PAIRS[0], (10, 4)], ids=["X1-X2", "chains-10-4"])
     def test_a_changed_non_cover_restriction_fails_at_its_first_triangle(self, case):

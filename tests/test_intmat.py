@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetglue.errors import ParseError, ShapeMismatch
-from posetglue.intmat import Mat, _as_int, block, product_memo, rank_exact, rank_mod
+from posetglue.intmat import Mat, _as_int, block, rank_exact, rank_mod
 from posetglue.rng import SplitMix64
 
 from conftest import frac_rank, matmul, modp_rank, nonzeros
@@ -220,20 +220,6 @@ def test_mul_is_the_triple_loop(pair):
     c = a.mul(b)
     assert_well_formed(c, a.nrows, b.ncols)
     assert c.tolist() == expected
-
-
-def test_product_memo_multiplies_each_pair_of_objects_once(monkeypatch):
-    a, b = Mat.from_rows([[1, 2], [0, 1]]), Mat.from_rows([[3], [4]])
-    equal = Mat.from_rows([[1, 2], [0, 1]])
-    calls = []
-    real = Mat.mul
-    monkeypatch.setattr(Mat, "mul", lambda x, y: calls.append((x, y)) or real(x, y))
-    mul = product_memo()
-    assert mul(a, b) is mul(a, b)
-    assert mul(equal, b) == mul(a, b)  # an equal operand is another object
-    assert mul(a, b).tolist() == [[11], [4]]
-    assert len(calls) == 2 and calls[1][0] is equal
-    assert product_memo()(a, b) is not mul(a, b)  # each memo is its own
 
 
 def _converted_one_by_one(nrows, ncols, rows):

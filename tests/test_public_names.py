@@ -3,9 +3,9 @@ defaulted parameter of a function or method, private ones included, is set
 by some call, the unchecked ``Mat._of`` constructor is used only inside
 ``intmat`` and the unchecked ``CMorphism._trusted`` only by the builders
 that prove their matrices canonical (and the one test wrapper), only
-``formula_cat`` walks a word morphism's entries and stores its plan, the
-isomorphism search serves only ``poset iso``, matrices are ranked only by
-``Field.rank``, JSON is decoded only by ``cli._load_doc``, ``harness``
+``formula_cat`` walks a word morphism's entries, nothing but the two
+constructors of a ``CMorphism`` writes into one, the isomorphism search
+serves only ``poset iso``, matrices are ranked only by ``Field.rank``, JSON is decoded only by ``cli._load_doc``, ``harness``
 makes evaluation contexts only in ``EpsilonTransform.evaluate``, no module
 keeps a cache in a dict or set of its own (but ``intmat._IDENTITIES``), and
 the package imports nothing outside the standard library.
@@ -248,38 +248,109 @@ def test_trusted_cmorphism_constructor_serves_only_proven_sites():
     assert not outside, outside
 
 
-def test_formula_cat_owns_the_entry_walk_and_the_plan():
-    # formula_cat._entries is the one reading of a word morphism's entries,
-    # with the Koszul sign of a raising entry folded in, and formula_cat._plan
-    # keeps it on the morphism for evaluation.  So no other module stores a
-    # plan, and abelian_eval takes its plan from formula_cat and reads no
-    # morphism's matrix, which an entry walk of its own would have to do.
+#: The slots of a CMorphism: its two ends and its matrix.
+_CMORPHISM_SLOTS = ("source", "target", "matrix")
+
+
+def _made_by_new_of_another_class(node) -> bool:
+    """Whether node is object.__new__(C) for a class C other than
+    CMorphism (cls, in a classmethod, could be CMorphism)."""
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "__new__"
+        and getattr(node.func.value, "id", None) == "object"
+        and len(node.args) == 1
+        and getattr(node.args[0], "id", "cls") not in ("CMorphism", "cls")
+    )
+
+
+def _slot_writes(tree) -> tuple:
+    """(constructors, other): the lines that store or delete an attribute
+    named like a CMorphism slot inside CMorphism.__init__ and
+    CMorphism._trusted, and those elsewhere that could write into a
+    CMorphism.  A CMorphism has no __dict__, so only its slots can be
+    written.  Not counted as other: a store on self in a method of another
+    class, and one on a name bound to object.__new__ of another class in
+    the same function.  setattr and __setattr__ calls that name a slot by a
+    literal count as other."""
+    inside, exempt = set(), set()
+    for stmt in tree.body:
+        if not isinstance(stmt, ast.ClassDef):
+            continue
+        for fn in stmt.body:
+            if stmt.name == "CMorphism" and getattr(fn, "name", None) in ("__init__", "_trusted"):
+                inside |= {id(node) for node in ast.walk(fn)}
+            elif stmt.name != "CMorphism" and isinstance(fn, ast.FunctionDef):
+                exempt |= {
+                    id(node) for node in ast.walk(fn) if getattr(node, "id", None) == "self"
+                }
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            made = {
+                target.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Assign) and _made_by_new_of_another_class(node.value)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            exempt |= {id(node) for node in ast.walk(fn) if getattr(node, "id", None) in made}
+    constructors, other = [], []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and node.attr in _CMORPHISM_SLOTS
+        ):
+            if id(node) in inside:
+                constructors.append(node.lineno)
+            elif id(node.value) not in exempt:
+                other.append(node.lineno)
+        elif isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) == "setattr"
+            or getattr(node.func, "attr", None) in ("setattr", "__setattr__")
+        ):
+            if any(
+                isinstance(arg, ast.Constant) and arg.value in _CMORPHISM_SLOTS
+                for arg in node.args
+            ):
+                other.append(node.lineno)
+    return constructors, other
+
+
+def test_formula_cat_owns_the_entry_walk_and_no_one_writes_a_cmorphism():
+    # A CMorphism holds its two ends and its matrix, set by its two
+    # constructors, and nothing else: no walk or evaluation keeps what it
+    # derives on a morphism.  formula_cat._entries is the one reading of a
+    # word morphism's entries, with the Koszul sign of a raising entry
+    # folded in, and abelian_eval reads no morphism's matrix, which an entry
+    # walk of its own would have to do.
     formula_cat, abelian_eval = PACKAGE / "formula_cat.py", PACKAGE / "abelian_eval.py"
     files = [
         path
         for folder in (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
         for path in sorted(folder.rglob("*.py"))
     ]
-    stores = {}
+    outside = {}
     for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr == "plan"
-                and isinstance(node.ctx, ast.Store)
-            ):
-                stores.setdefault(str(path.relative_to(ROOT)), []).append(node.lineno)
-    own = str(formula_cat.relative_to(ROOT))
-    assert own in stores  # the guard still sees formula_cat's own stores
-    outside = {p: lines for p, lines in stores.items() if p != own}
+        constructors, other = _slot_writes(ast.parse(path.read_text(), filename=str(path)))
+        if path == formula_cat:
+            # the guard still sees the stores of both constructors
+            assert len(constructors) == 2 * len(_CMORPHISM_SLOTS)
+        if other:
+            outside[str(path.relative_to(ROOT))] = other
     assert not outside, outside
-    tree = ast.parse(abelian_eval.read_text(), filename=str(abelian_eval))
-    assert any(
-        isinstance(node, ast.ImportFrom)
-        and node.module == "formula_cat"
-        and "_plan" in {alias.name for alias in node.names}
-        for node in tree.body
+    cmorphism = next(
+        stmt
+        for stmt in ast.parse(formula_cat.read_text(), filename=str(formula_cat)).body
+        if isinstance(stmt, ast.ClassDef) and stmt.name == "CMorphism"
     )
+    slots = [
+        ast.literal_eval(stmt.value)
+        for stmt in cmorphism.body
+        if isinstance(stmt, ast.Assign) and getattr(stmt.targets[0], "id", None) == "__slots__"
+    ]
+    assert slots == [_CMORPHISM_SLOTS]
+    tree = ast.parse(abelian_eval.read_text(), filename=str(abelian_eval))
     reads = [
         node.lineno
         for node in ast.walk(tree)
