@@ -426,10 +426,22 @@ def shift_diagram(K: PosetDiagram, n: int) -> PosetDiagram:
 
 
 def is_quasi_iso_diagram(f: DiagramMap, field: Field = RATIONALS) -> bool:
-    """True iff every component is a quasi-isomorphism."""
-    return all(
-        is_quasi_iso(f.components[x], field) for x in f.source.base.elements
-    )
+    """True iff every component is a quasi-isomorphism.
+
+    The test of a component reads its chain map object and nothing else, so
+    it runs once per distinct component object (keyed by its id; f keeps
+    the objects, so the ids stay unique for the walk), which the evaluator
+    shares between elements.  The walk goes in element order and stops at
+    the first failing component: a repeated object has the result of its
+    first test, which passed."""
+    tested = set()
+    for x in f.source.base.elements:
+        c = f.components[x]
+        if id(c) not in tested:
+            if not is_quasi_iso(c, field):
+                return False
+            tested.add(id(c))
+    return True
 
 
 def cohomology_table(K: PosetDiagram, field: Field = RATIONALS) -> dict:
@@ -798,6 +810,9 @@ def _complex_from_elementary(pieces) -> VectComplex:
 
 _UNIMODULAR_STEPS = 3
 
+#: The coefficients c of a row operation (i, j, c) of _unimodular_steps.
+_COEFFICIENTS = (-2, -1, 1, 2)
+
 
 def _unimodular_steps(rng: SplitMix64, n: int) -> list:
     """The draw of a random n x n integer matrix with determinant ±1 (n >= 1,
@@ -810,7 +825,8 @@ def _unimodular_steps(rng: SplitMix64, n: int) -> list:
         if kind == 0 and n >= 2:
             i, j = rng.randrange(n), rng.randrange(n)
             if i != j:
-                steps.append((i, j, rng.choice([-2, -1, 1, 2])))
+                # the one call rng.choice(_COEFFICIENTS) would make
+                steps.append((i, j, _COEFFICIENTS[rng.randrange(len(_COEFFICIENTS))]))
         else:
             steps.append((rng.randrange(n), None, None))
     return steps

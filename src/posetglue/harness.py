@@ -177,11 +177,13 @@ def _run_config(trials, seed, field, max_dim, window) -> dict:
     }
 
 
+def _row(table: dict) -> dict:
+    """A cohomology dimension table as a certificate writes it."""
+    return {str(i): n for i, n in sorted(table.items())}
+
+
 def _table_json(K: PosetDiagram, field: Field) -> dict:
-    return {
-        x: {str(i): n for i, n in sorted(row.items())}
-        for x, row in cohomology_table(K, field).items()
-    }
+    return {x: _row(row) for x, row in cohomology_table(K, field).items()}
 
 
 # --- natural transformations between formulas ---------------------------------
@@ -437,56 +439,76 @@ class _Images:
     its base, the cohomology of the source and of the target value at P_u
     at each y, and whether every component's cone at P_u is acyclic.
 
-    The value of a word at P_u is spanned by its entries over u, and a
-    morphism's matrices there are its entries between those (see
-    _Representable).  So the images at y depend on u only through which
-    entries of the source and target words at y lie over u, its two
-    selections at y.  One image is made per y and distinct pair of
-    selections (by_selection), on the first trial that draws a piece at
-    such a u; where
-    both are empty the images are zero, the component is acyclic, and
-    nothing is built.  The images at u are kept per u (by_element); the
-    tables of a drawn piece are convolved from them afresh."""
+    What an image at y reads.  _Representable.point(f) reads f's word
+    through layout, which reads each entry's degree and whether it lies
+    over u, in entry order, and f.D through matrices, which reads the
+    layouts of D's two ends (the word and, as FormulaToPoint requires, the
+    word shifted by one) and formula_cat._entries(f.D): D's matrix, the
+    degrees of the entries of its ends, and whether a source entry lies
+    over u.  So the point is decided by the object of D's matrix, the
+    word's degrees and the word's selection at u, the positions of its
+    entries that lie over u (_over).  Likewise P.matrices(component) is
+    decided by the component's matrix object, the degrees of both words
+    and both selections.  The ChainMap check, the two cohomologies and the
+    quasi-isomorphism test read the two points and those matrices and
+    nothing else.  (Every word lies over the epsilon's base, which is the
+    one base layout checks.)
 
-    __slots__ = ("eps", "field", "by_element", "by_selection")
+    The key.  At each y the five things other than the selections, the
+    objects of the source D's matrix, the target D's matrix and the
+    component's matrix and the degrees of the two words, are the shape of
+    y, formula_cat._restriction_key of the component.  Equal shapes are
+    interned in __init__ (shapes), so one shape object, and its id, stands
+    for them all.  An image is made once per (shape id, source selection,
+    target selection) (by_key), on the first trial that draws a piece
+    with H(S) != 0 at a u that reaches that key; where both selections
+    are empty the images are zero, the component is acyclic, and nothing
+    is built.  The ids stay unique for the call: the epsilon, which this
+    object keeps, keeps the matrix objects, and shapes keeps the shape
+    objects.
+
+    The images at u are kept per u (by_element), at the y where one of
+    the two is nonzero."""
+
+    __slots__ = ("eps", "field", "shapes", "words", "by_element", "by_key")
 
     def __init__(self, eps: EpsilonTransform, field: Field):
         self.eps = eps
         self.field = field
+        self.shapes, self.words = {}, []
+        for y in eps.source.target.elements:
+            src, tgt, phi = eps.source.at[y], eps.target.at[y], eps.components[y]
+            shape = _restriction_key(phi, src, tgt)
+            shape = self.shapes.setdefault(shape, shape)
+            self.words.append((y, id(shape), src, tgt, phi))
         self.by_element = {}
-        self.by_selection = {}
+        self.by_key = {}
 
     def at(self, u) -> tuple:
-        """({y: (H(source at P_u)(y), H(target at P_u)(y))}, acyclic)."""
+        """({y: (H(source at P_u)(y), H(target at P_u)(y))}, acyclic), with
+        the y where both are zero left out."""
         if u not in self.by_element:
-            eps, field, memo = self.eps, self.field, self.by_selection
-            base = eps.source.base
+            field, memo = self.field, self.by_key
+            base = self.eps.source.base
             up, P = base.up_set(u), None
             cohomologies, acyclic = {}, True
-            for y in eps.source.target.elements:
-                src, tgt = eps.source.at[y], eps.target.at[y]
-                key = (y, _over(src.xi, up), _over(tgt.xi, up))
-                if key not in memo and (key[1] or key[2]):
+            for y, shape, src, tgt, phi in self.words:
+                selections = _over(src.xi, up), _over(tgt.xi, up)
+                if not any(selections):
+                    continue
+                key = shape, *selections
+                if key not in memo:
                     P = _Representable(base, u) if P is None else P
-                    src, tgt = P.point(src), P.point(tgt)
-                    component = ChainMap(src, tgt, P.matrices(eps.components[y]), check=True)
-                    image = cohomology(src, field), cohomology(tgt, field)
+                    S, T = P.point(src), P.point(tgt)
+                    component = ChainMap(S, T, P.matrices(phi), check=True)
+                    image = cohomology(S, field), cohomology(T, field)
                     memo[key] = image, is_quasi_iso(component, field)
-                cohomologies[y], image_acyclic = memo.get(key, (({}, {}), True))
+                image, image_acyclic = memo[key]
+                if image[0] or image[1]:
+                    cohomologies[y] = image
                 acyclic = acyclic and image_acyclic
             self.by_element[u] = cohomologies, acyclic
         return self.by_element[u]
-
-    def piece(self, u, h) -> tuple:
-        """((source tables, target tables), acyclic) of a piece P_u ⊗ S with
-        H(S) = h: at each y, the cohomology of the source and of the target
-        value at the piece, the convolution of its image at P_u with h."""
-        cohomologies, acyclic = self.at(u)
-        tables = tuple(
-            {y: _convolved(images[end], h) for y, images in cohomologies.items()}
-            for end in (0, 1)
-        )
-        return tables, acyclic
 
 
 def _over(word, up) -> tuple:
@@ -504,21 +526,25 @@ def _convolved(a: dict, b: dict) -> dict:
     return out
 
 
-def _summed(tables) -> dict:
-    """The cohomology table entry of a direct sum, as _table_json writes it,
-    for the dimension tables of its summands."""
-    out = {}
-    for table in tables:
-        for i, n in table.items():
-            out[i] = out.get(i, 0) + n
-    return {str(i): out[i] for i in sorted(out)}
+def _add(total: dict, table: dict) -> None:
+    """Add the dimension table of a direct summand into total."""
+    for i, n in table.items():
+        total[i] = total.get(i, 0) + n
 
 
 def _assembled_trial(state, tseed) -> TrialRecord:
     """The record of _equivalence_trial at tseed, from the images of the
     representables (see verify_equivalence): the same pieces (u, S) are
     drawn, but no S is built; H(S) is read off each piece's recipe, and a
-    piece with H(S) = 0 contributes nothing."""
+    piece with H(S) = 0 contributes nothing.
+
+    Convolution is bilinear, so the pieces at one u are taken together:
+    their H(S) are added first (_add), and each image at u is convolved
+    once with the sum (_convolved), at each y where it is nonzero and at
+    each end, and added into that end's table.  The verdict asks that the
+    images at every drawn u with H(S) != 0 be acyclic; the sum of nonzero
+    tables of dimensions is nonzero, so those are the u with a nonzero
+    sum."""
     (counit_images, unit_images), _field, max_dim, window = state
     verdict, tables = True, {}
     sides = (
@@ -527,14 +553,19 @@ def _assembled_trial(state, tseed) -> TrialRecord:
     )
     for images, side, names in sides:
         base = images.eps.source.base
-        recipes = _diagram_draw(base, derive_seed(tseed, side), max_dim, window)
-        drawn = [images.piece(u, h) for u, elem, _ in recipes if (h := _recipe_cohomology(elem))]
-        verdict = verdict and all(acyclic for _, acyclic in drawn)
-        for end, name in enumerate(names):
-            tables[name] = {
-                y: _summed(pieces[end][y] for pieces, _ in drawn)
-                for y in images.eps.source.target.elements
-            }
+        drawn = {}
+        for u, elem, _ in _diagram_draw(base, derive_seed(tseed, side), max_dim, window):
+            if h := _recipe_cohomology(elem):
+                _add(drawn.setdefault(u, {}), h)
+        totals = ({}, {})
+        for u, h in drawn.items():
+            cohomologies, acyclic = images.at(u)
+            verdict = verdict and acyclic
+            for y, image in cohomologies.items():
+                for end, total in enumerate(totals):
+                    _add(total.setdefault(y, {}), _convolved(image[end], h))
+        for name, total in zip(names, totals):
+            tables[name] = {y: _row(total.get(y, {})) for y in images.eps.source.target.elements}
     return TrialRecord(seed=tseed, verdict=verdict, tables=tables)
 
 
@@ -585,10 +616,17 @@ def verify_equivalence(
     H(S) (Künneth), and by naturality an epsilon's component at P_u ⊗ S is
     a quasi-isomorphism iff H(S) = 0 or its component at P_u is one.  No
     assembled trial builds S: H(S) is read off the draw (one dimension per
-    stalk piece).  The images are made once per call and per distinct
-    sub-word, when a trial first draws a piece with H(S) ≠ 0 whose u selects
-    it (_Images).  With more than one trial, trial 0 is also assembled, and
-    a record that differs from the evaluated one raises
+    stalk piece).  An image at y reads the matrix objects of both D's and
+    of the component, the degrees of both words and the entries of each
+    word that lie over u, and nothing else; so it is made once per call and
+    per distinct (shape of those five, source selection, target selection)
+    that a drawn piece with H(S) ≠ 0 reaches, on the first trial that
+    reaches it (_Images, where the proof is).  The pieces drawn at one u
+    are convolved with its images once, with the sum of their H(S)
+    (_assembled_trial).  The evaluated trial 0 tests each distinct
+    component object of the unit and the counit once
+    (is_quasi_iso_diagram).  With more than one trial, trial 0 is also
+    assembled, and a record that differs from the evaluated one raises
     InternalInconsistency naming the first table and element that differ,
     or that only one record has, before any other trial runs.  A one-trial
     run builds no image.

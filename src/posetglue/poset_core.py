@@ -18,11 +18,13 @@ class Poset:
     reflexive-transitive closure as a frozenset of ordered pairs. Construct
     via :func:`poset_from_generators` (or the JSON loader), which computes the
     closure and rejects cycles; the raw constructor trusts its input.
-    Its Hasse diagram and cover triangles are computed on first use and kept.
+    Its Hasse diagram, its covers in element order and its cover triangles
+    are computed on first use and kept.
     """
 
     __slots__ = (
-        "elements", "leq", "_index", "_up", "_down", "_height", "_hasse", "_triangles"
+        "elements", "leq", "_index", "_up", "_down", "_height", "_hasse", "_covers",
+        "_triangles",
     )
 
     def __init__(self, elements, leq):
@@ -44,6 +46,7 @@ class Poset:
             )
         self._height = heights
         self._hasse = None
+        self._covers = None
         self._triangles = None
 
     def __len__(self):
@@ -229,9 +232,12 @@ def in_element_order(p: Poset, pairs) -> list:
     return sorted(pairs, key=lambda ab: (p.index(ab[0]), p.index(ab[1])))
 
 
-def covers(p: Poset) -> list:
-    """The Hasse edges in element order (see in_element_order)."""
-    return in_element_order(p, hasse(p).edges)
+def covers(p: Poset) -> tuple:
+    """The Hasse edges in element order (see in_element_order), sorted once
+    per order and kept on it as a tuple, which no caller can change."""
+    if p._covers is None:
+        p._covers = tuple(in_element_order(p, hasse(p).edges))
+    return p._covers
 
 
 def require_elements(p: Poset, mapping, what: str) -> None:

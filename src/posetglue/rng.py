@@ -53,12 +53,15 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK
-        return _mix(self._state)
-
     def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n). Uses rejection to avoid modulo bias."""
+        """Uniform integer in [0, n). Uses rejection to avoid modulo bias.
+
+        The loop makes each word of the stream itself: the state advances by
+        the golden gamma and _mix (the one place the two mix constants are
+        applied) turns it into the output, the recurrence of the module
+        docstring.  So each call reads the same words as any other
+        implementation of that stream, and a random number costs this call
+        and one call of _mix."""
         if n <= 0:
             raise ValueError("randrange needs a positive bound")
         if n > 1 << 64:
@@ -66,7 +69,8 @@ class SplitMix64:
         # Largest multiple of n that fits in 64 bits.
         limit = ((1 << 64) // n) * n
         while True:
-            u = self.next_u64()
+            self._state = state = (self._state + _GAMMA) & _MASK
+            u = _mix(state)
             if u < limit:
                 return u % n
 

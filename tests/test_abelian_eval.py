@@ -419,6 +419,34 @@ class TestQuasiIso:
         assert is_quasi_iso(to_zero, RATIONALS)
         assert not is_quasi_iso(to_zero, Field(5))
 
+    def test_a_failing_component_that_recurs_fails_the_diagram(self):
+        # the zero map on a stalk with cohomology is the only component
+        # object that is not a quasi-isomorphism, at "b" and again at "c"
+        X = poset_from_generators(["a", "b", "c"], [])
+        K = VectComplex({0: 1}, {})
+        D = PosetDiagram(X, {x: K for x in X.elements}, {})
+        zero = ChainMap(K, K, {})
+        f = DiagramMap(D, D, {"a": identity_chain_map(K), "b": zero, "c": zero})
+        assert not is_quasi_iso_diagram(f)
+        assert is_quasi_iso_diagram(DiagramMap(D, D, {x: identity_chain_map(K) for x in X.elements}))
+
+    def test_one_cone_per_distinct_component_object(self, monkeypatch):
+        # trial 0 of chain_of_chains(10, 4): the unit and the counit each
+        # have 50 components, but the evaluator shares them between
+        # elements: 6 distinct objects in the unit and 4 in the counit
+        g = chain_of_chains(10, 4)
+        eps_pm, eps_mp = build_epsilons(g, *build_theorem_formulas(g))
+        tseed = derive_seed(0, "trial", 0)
+        unit = eps_mp.evaluate(random_diagram(eps_mp.source.base, derive_seed(tseed, "plus")))
+        counit = eps_pm.evaluate(random_diagram(eps_pm.source.base, derive_seed(tseed, "minus")))
+        cones = []
+        monkeypatch.setattr(abelian_eval, "cone", lambda c: cones.append(c) or cone(c))
+        assert is_quasi_iso_diagram(unit) and is_quasi_iso_diagram(counit)
+        distinct = [{id(c) for c in m.components.values()} for m in (unit, counit)]
+        assert [len(m.components) for m in (unit, counit)] == [50, 50]
+        assert len(cones) == sum(map(len, distinct)) == 10
+        assert {id(c) for c in cones} == distinct[0] | distinct[1]
+
 
 class TestEvalFormulas:
     def test_stalk_formula_is_the_shifted_stalk(self):

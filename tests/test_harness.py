@@ -16,7 +16,9 @@ from posetglue.abelian_eval import (
     ChainMap,
     DiagramMap,
     Field,
+    PosetDiagram,
     VectComplex,
+    cohomology_table,
     eval_formula,
     random_diagram,
 )
@@ -1021,6 +1023,18 @@ def _epsilons(g):
     return build_epsilons(g, *build_theorem_formulas(g))
 
 
+def _representable(base, u) -> PosetDiagram:
+    """The diagram P_u: the field in degree 0 at each x >= u, zero
+    elsewhere, with identity restrictions."""
+    up = base.up_set(u)
+    stalks = {x: VectComplex({0: int(x in up)}, {}) for x in base.elements}
+    return PosetDiagram(
+        base,
+        stalks,
+        {(x, x2): ChainMap(stalks[x], stalks[x2], {0: [[1]]} if x in up else {}) for x, x2 in base.leq},
+    )
+
+
 def _both_paths(epsilons, field, tseeds):
     """The evaluated and the assembled record of each trial seed, as JSON
     text, at verify_equivalence's default draw (max_dim 3, window (-2, 2))."""
@@ -1098,10 +1112,11 @@ class TestAssembledTrials:
             assert verify_equivalence(g, trials=20).ok
             assert images and len(set(images)) == len(images)
 
-    def test_each_drawn_piece_is_convolved_once(self, monkeypatch):
-        # a trial sums the tables of its pieces; the tables of each drawn
-        # piece P_u ⊗ S with H(S) != 0 are convolved from the images at P_u
-        # once, at each y and end
+    def test_each_drawn_element_is_convolved_once(self, monkeypatch):
+        # a trial adds up H(S) of the drawn pieces with H(S) != 0 at each u
+        # and convolves each image at P_u with the sum once, at each y where
+        # the image at P_u (here evaluated at a diagram P_u) is nonzero, and
+        # at each end
         calls = []
         real = harness._convolved
         monkeypatch.setattr(harness, "_convolved", lambda a, b: calls.append(1) or real(a, b))
@@ -1109,72 +1124,133 @@ class TestAssembledTrials:
         for g in [figure_one_gluing(pair)[0] for pair in FIGURE_ONE_PAIRS] + [random_gluing(7)]:
             calls.clear()
             assert verify_equivalence(g, trials=20).ok
-            plus, minus = build_plus(g).poset, build_minus(g).poset
+            eps_pm, eps_mp = _epsilons(g)
             expected = 0
-            for base, side, target in ((plus, "plus", minus), (minus, "minus", plus)):
+            for eps, side in ((eps_mp, "plus"), (eps_pm, "minus")):
+                base, nonzero = eps.source.base, {}
+                for u in base.elements:
+                    P = _representable(base, u)
+                    images = [cohomology_table(eval_formula(F, P)) for F in (eps.source, eps.target)]
+                    nonzero[u] = sum(1 for y in eps.source.target.elements if any(t[y] for t in images))
                 # trial 0 is assembled once, to be compared with its evaluation
-                drawn = [
-                    u
-                    for tseed in seeds
-                    for u, elem, _ in abelian_eval._diagram_draw(
-                        base, harness.derive_seed(tseed, side), 3, (-2, 2)
-                    )
-                    if abelian_eval._recipe_cohomology(elem)
-                ]
-                expected += 2 * len(target) * len(drawn)
+                for tseed in seeds:
+                    recipes = abelian_eval._diagram_draw(base, harness.derive_seed(tseed, side), 3, (-2, 2))
+                    drawn = {u for u, elem, _ in recipes if abelian_eval._recipe_cohomology(elem)}
+                    expected += sum(2 * nonzero[u] for u in drawn)
             assert len(calls) == expected > 0
 
-    def test_each_sub_word_is_imaged_once_per_call(self, monkeypatch):
-        # An image at P_u depends on u only through the entries of the source
-        # and target words at y over u: one pair of points is built per
-        # distinct pair of those selections that a drawn piece with H(S) != 0
-        # reaches, and none for a pair of empty selections.  On random_gluing
-        # 7 two drawn u select the same source entries at some y but not the
-        # same target entries.
-        calls, made = [], []
-        real_point, real_init = abelian_eval._Representable.point, harness._Images.__init__
-        monkeypatch.setattr(
-            abelian_eval._Representable,
-            "point",
-            lambda P, f: calls.append((f, tuple(i for i, (x, _) in enumerate(f.xi.entries) if x in P.up)))
-            or real_point(P, f),
-        )
+    def test_each_image_key_is_imaged_once_per_call(self, monkeypatch):
+        # An image at P_u at y reads the matrix objects of both D's and of
+        # the component, the degrees of both words and the positions of the
+        # entries of each word over u, its selection: one pair of points is
+        # built per distinct key of those that a drawn piece with H(S) != 0
+        # reaches, and none for a pair of empty selections.  Each image
+        # reads its three matrices through _Representable.matrices, in the
+        # order source D, target D, component.
+        def over(word, P):
+            return tuple(i for i, (x, _) in enumerate(word.entries) if x in P.up)
+
+        points, maps, made = [], [], []
+        real_point, real_matrices = abelian_eval._Representable.point, abelian_eval._Representable.matrices
+        real_init = harness._Images.__init__
         monkeypatch.setattr(
             harness._Images, "__init__", lambda images, *args: made.append(images) or real_init(images, *args)
         )
+        monkeypatch.setattr(
+            abelian_eval._Representable, "point", lambda P, f: points.append(f) or real_point(P, f)
+        )
+        monkeypatch.setattr(
+            abelian_eval._Representable,
+            "matrices",
+            lambda P, phi: maps.append(
+                (id(phi.matrix), formula_cat._degrees(phi.source), formula_cat._degrees(phi.target),
+                 over(phi.source, P), over(phi.target, P))
+            )
+            or real_matrices(P, phi),
+        )
         seeds = [harness.derive_seed(0, "trial", i) for i in range(20)]
+        shared = 0
         for g in [figure_one_gluing(pair)[0] for pair in FIGURE_ONE_PAIRS] + [random_gluing(7)]:
-            calls.clear()
+            points.clear()
+            maps.clear()
             made.clear()
             assert verify_equivalence(g, trials=20).ok
+            built = []
+            for source_d, target_d, component in zip(maps[::3], maps[1::3], maps[2::3]):
+                phi, source_degrees, target_degrees, source_over, target_over = component
+                assert source_d[1::2] == (source_degrees, source_over)
+                assert target_d[1::2] == (target_degrees, target_over)
+                built.append(
+                    (phi, source_d[0], target_d[0], source_degrees, target_degrees, source_over, target_over)
+                )
+            assert len(maps) == 3 * len(built) and len(points) == 2 * len(built)
+            drawn, per_element = set(), set()
             counit_images, unit_images = made
-            for images, side in ((unit_images, "plus"), (counit_images, "minus")):
-                eps = images.eps
+            for eps, side in ((unit_images.eps, "plus"), (counit_images.eps, "minus")):
                 base = eps.source.base
-                ends = {}
-                for y in eps.source.target.elements:
-                    ends[id(eps.source.at[y])] = (y, 0)
-                    ends[id(eps.target.at[y])] = (y, 1)
-                # each image is a source point followed by a target point at y
-                points = [(ends[id(f)], selection) for f, selection in calls if id(f) in ends]
-                assert len(points) % 2 == 0
-                built = []
-                for ((y, end), selection), ((y2, end2), selection2) in zip(points[::2], points[1::2]):
-                    assert (y2, end, end2) == (y, 0, 1)
-                    built.append((y, selection, selection2))
-                drawn = set()
                 for tseed in seeds:
                     recipes = abelian_eval._diagram_draw(base, harness.derive_seed(tseed, side), 3, (-2, 2))
                     for u, elem, _ in recipes:
-                        if any(kind == "stalk" for kind, _ in elem):
-                            for y in eps.source.target.elements:
-                                over = [
-                                    tuple(i for i, (x, _) in enumerate(f.xi.entries) if base.le(u, x))
-                                    for f in (eps.source.at[y], eps.target.at[y])
-                                ]
-                                if any(over):
-                                    drawn.add((y, *over))
-                assert drawn and sorted(built) == sorted(drawn), side
+                        if not abelian_eval._recipe_cohomology(elem):
+                            continue
+                        for y in eps.source.target.elements:
+                            src, tgt = eps.source.at[y], eps.target.at[y]
+                            selections = [
+                                tuple(i for i, (x, _) in enumerate(f.xi.entries) if base.le(u, x))
+                                for f in (src, tgt)
+                            ]
+                            if any(selections):
+                                drawn.add((
+                                    id(eps.components[y].matrix), id(src.D.matrix), id(tgt.D.matrix),
+                                    formula_cat._degrees(src.xi), formula_cat._degrees(tgt.xi), *selections,
+                                ))
+                                per_element.add((id(eps), y, *selections))
+            assert drawn and sorted(built) == sorted(drawn)
+            shared += len(per_element) - len(drawn)
+        assert shared > 0  # some key is reached at more than one y
+
+    def test_the_image_key_tells_apart_components_selections_and_degrees(self):
+        # Values over the antichain p, q, r, at the elements of an
+        # antichain, so that naturality is vacuous.  "a" and "b" share both
+        # D's, the degrees and the selections, but the identity at "a" is a
+        # quasi-isomorphism at P_p and the zero map at "b" is not; "c" and
+        # "d" differ only in the target selection, at P_q and at P_r, and
+        # the selected target entries have different degrees; "e" differs
+        # from "a" only in its degrees.  The counit is an identity, so the
+        # verdict is the unit's: false iff the plus draw has a piece with
+        # H(S) != 0, and in a trial that draws those at p alone, false
+        # because of "b" alone.
+        base = poset_from_generators(["p", "q", "r"], [])
+        target = poset_from_generators(["a", "b", "c", "d", "e"], [])
+        one, two = Mat(1, 1, [[1]]), Mat.identity(2)
+
+        def value(entries, D):
+            return FormulaToPoint(CObject(entries, base), D)
+
+        p0, p1, r0 = value((("p", 0),), one), value((("p", 1),), one), value((("r", 0),), one)
+        c, d = value((("q", 0), ("r", 1)), two), value((("r", 0), ("q", 1)), two)
+        source = Formula(target, {"a": p0, "b": p0, "c": r0, "d": r0, "e": p1}, {})
+        image = Formula(target, {"a": p0, "b": p0, "c": c, "d": d, "e": p1}, {})
+        zero = [[0], [0]]
+        unit = EpsilonTransform(source, image, {"a": [[1]], "b": [[0]], "c": zero, "d": zero, "e": [[1]]})
+        counit = EpsilonTransform(image, image, {y: Mat.identity(len(image.at[y].xi)) for y in "abcde"})
+        key = {y: harness._restriction_key(unit.components[y], source.at[y], image.at[y]) for y in "abcde"}
+        assert key["a"][1:] == key["b"][1:] and key["a"][0] != key["b"][0]
+        assert key["c"] == key["d"]
+        assert key["a"][:3] == key["e"][:3] and key["a"] != key["e"]
+        seeds = range(20)
+        drawn = [
+            {
+                u
+                for u, elem, _ in abelian_eval._diagram_draw(base, harness.derive_seed(tseed, "plus"), 3, (-2, 2))
+                if abelian_eval._recipe_cohomology(elem)
+            }
+            for tseed in seeds
+        ]
+        assert {"p"} in drawn and {"q"} in drawn and {"r"} in drawn
+        for (evaluated, assembled), us in zip(_both_paths((counit, unit), RATIONALS, seeds), drawn):
+            assert assembled == evaluated
+            assert json.loads(evaluated)["verdict"] is not bool(us)
 
     @pytest.mark.parametrize(
         "lone, difference",

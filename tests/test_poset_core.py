@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posetglue import poset_core
 from posetglue.errors import CycleError, ParseError, SizeLimit, UnknownElement
 from posetglue.gluing import build_minus, build_plus
 from posetglue.harness import random_gluing
@@ -16,6 +17,7 @@ from posetglue.poset_core import (
     Poset,
     _find_cycle,
     cover_triangles,
+    covers,
     direct_sum,
     hasse,
     is_isomorphic,
@@ -202,6 +204,23 @@ class TestHasse:
         assert hasse(p) is first
         assert cover_triangles(p) is cover_triangles(p)
         assert calls == []
+
+    def test_covers_are_one_immutable_object_per_order(self, monkeypatch):
+        p = random_generated(401, 6)
+        first = covers(p)
+        assert isinstance(first, tuple)
+        assert first == tuple(sorted(hasse(p).edges, key=lambda ab: (p.index(ab[0]), p.index(ab[1]))))
+        sorts = []
+        real = poset_core.in_element_order
+        monkeypatch.setattr(
+            poset_core, "in_element_order", lambda q, pairs: sorts.append(q) or real(q, pairs)
+        )
+        assert covers(p) is first and cover_triangles(p)
+        assert sorts == []
+        # an equal order made afresh sorts its own covers, once
+        q = Poset(p.elements, p.leq)
+        assert covers(q) == first and covers(q) is covers(q)
+        assert sorts == [q]
 
     def test_cover_triangles_detect_every_broken_composite(self):
         # r(a, b) = h(b) - h(a) composes on every triangle; changing one
