@@ -5,9 +5,12 @@ posets.  `poset_core` holds finite posets and their combinatorics;
 `intmat` exact integer matrices; `formula_cat` the formula calculus with
 the paper's reference constants over the two-element chain; `gluing` the
 admissible-gluing data and the two induced orders; `abelian_eval`
-evaluation into complexes of vector spaces over exact fields; `harness`
-the randomized verification pipelines, with the two-chain instance derived
-from the point-over-point gluing; and `cli` the command-line front end.
+evaluation into complexes of vector spaces over exact fields, with the
+random split diagrams of the trials; `harness` the randomized
+verification pipelines, with the two-chain instance derived from the
+point-over-point gluing; and `cli` the command-line front end.  The
+random maps between diagrams that only the functor-law tests use live in
+the test suite (tests/generators.py), not here.
 """
 
 from .abelian_eval import (
@@ -17,16 +20,11 @@ from .abelian_eval import (
     PosetDiagram,
     VectComplex,
     cohomology_table,
-    eval_cmorphism,
     eval_formula,
     eval_formula_map,
-    eval_point_map,
     is_quasi_iso,
     is_quasi_iso_diagram,
-    random_complex,
     random_diagram,
-    random_qis_map,
-    random_ses,
     shift_diagram,
 )
 from .errors import (

@@ -8,12 +8,12 @@ elimination), so every construction is literally identical over every field
 and any field-dependence in reported dimensions would expose a bug.
 
 Every random diagram is a split sum of up-set pieces P_u ⊗ S (a complex S
-spread over the up-set of u) whose restrictions are the block inclusions.
-Piece maps between pieces whose up-sets nest never change a restriction:
-twists conjugate the components of a random quasi-isomorphism, after
-null-homotopic noise is added to them, and bends change the middle
-differential of a random short exact sequence.  So random trials never see
-a non-split diagram such as the cone of P_v -> P_u.
+spread over the up-set of u) whose restrictions are the block inclusions,
+so random trials never see a non-split diagram such as the cone of
+P_v -> P_u.  The module holds what a certificate runs: the draw, the
+evaluation and the checks.  The random maps between diagrams that the
+functor-law tests use (quasi-isomorphisms twisted by piece maps, and short
+exact sequences with a bent middle) are built in tests/generators.py.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .errors import (
 from .formula_cat import CMorphism, Formula, FormulaToPoint, _entries, _patterns
 from .intmat import Mat, _as_int, block, placed, rank_exact, rank_mod
 from .poset_core import (
-    Poset, _failing_square, _failing_triangle, require_elements, require_relations
+    Poset, _failing_square, _failing_triangle, _items, require_elements, require_relations
 )
 from .rng import SplitMix64, derive_seed
 
@@ -98,14 +98,6 @@ class Field:
 RATIONALS = Field(None)
 
 
-def _items(mapping, what: str):
-    """mapping.items(); ParseError naming the value if it is not a mapping."""
-    try:
-        return mapping.items()
-    except AttributeError:
-        raise ParseError(f"{what} must be a mapping by degree, got {mapping!r}") from None
-
-
 class VectComplex:
     """A bounded complex: degree -> dimension, with integer differentials.
 
@@ -117,12 +109,14 @@ class VectComplex:
     __slots__ = ("dims", "d")
 
     def __init__(self, dims, d, check: bool = True):
-        dims = {_as_int(i, "degree"): _as_int(n, "dimension") for i, n in _items(dims, "dims")}
+        dims = {
+            _as_int(i, "degree"): _as_int(n, "dimension") for i, n in _items(dims, "dims", "degree")
+        }
         self.dims = {i: n for i, n in dims.items() if n}
         if any(n < 0 for n in self.dims.values()):
             raise ShapeMismatch("negative dimension")
         dd = {}
-        for i, m in _items(d, "differentials"):
+        for i, m in _items(d, "differentials", "degree"):
             i = _as_int(i, "degree")
             if not isinstance(m, Mat):
                 m = Mat.from_rows(m)
@@ -175,7 +169,7 @@ class ChainMap:
         self.target = target
         ff = {}
         tdims, sdims = target.dims, source.dims
-        for i, m in _items(f, "components"):
+        for i, m in _items(f, "components", "degree"):
             i = _as_int(i, "degree")
             if not isinstance(m, Mat):
                 m = Mat.from_rows(m)
@@ -251,15 +245,6 @@ def shift_complex(K: VectComplex, n: int) -> VectComplex:
     return VectComplex(
         {i - n: m for i, m in K.dims.items()},
         {i - n: (mat if sign == 1 else mat.neg()) for i, mat in K.d.items()},
-        check=False,
-    )
-
-
-def shift_chain_map(f: ChainMap, n: int) -> ChainMap:
-    return ChainMap(
-        shift_complex(f.source, n),
-        shift_complex(f.target, n),
-        {i - n: m for i, m in f.f.items()},
         check=False,
     )
 
@@ -706,30 +691,12 @@ def eval_point(f: FormulaToPoint, K: PosetDiagram) -> VectComplex:
     return _Evaluation(K).point(f)
 
 
-def eval_cmorphism(phi: CMorphism, K: PosetDiagram) -> ChainMap:
-    """Evaluate a raw morphism of graded words on a diagram.
-
-    The carriers are the bare graded objects (zero differential) and no
-    chain condition is imposed; this form exists for functor-law checks.
-    """
-    ev = _Evaluation(K)
-    src = VectComplex(_eval_object_dims(phi.source, ev), {}, check=False)
-    tgt = VectComplex(_eval_object_dims(phi.target, ev), {}, check=False)
-    return ChainMap(src, tgt, ev.matrices(phi), check=False)
-
-
-def eval_point_map(f: FormulaToPoint, g: DiagramMap) -> ChainMap:
-    """Apply the functor of a formula to a diagram map: the diagonal map of
-    shifted components, verified to be a chain map."""
-    src, tgt = _Evaluation(g.source), _Evaluation(g.target)
-    return _point_map(f, g, src, tgt, src.point(f), tgt.point(f))
-
-
 def _point_map(f: FormulaToPoint, g: DiagramMap, src_ev, tgt_ev, src, tgt) -> ChainMap:
-    """eval_point_map between src and tgt, the evaluations of f on g's ends
-    that the caller has already made through the contexts src_ev and tgt_ev:
-    the identity entries of f's word, with g's components for the
-    restrictions, on the word's layouts at both ends."""
+    """The value f applied to the diagram map g, a chain map between src
+    and tgt, the evaluations of f on g's ends that the caller has already
+    made through the contexts src_ev and tgt_ev: the identity entries of
+    f's word, with g's components for the restrictions, on the word's
+    layouts at both ends, checked to be a chain map."""
     placed_at = {}
     for i, (x, m) in enumerate(f.xi.entries):
         for s, piece in g.components[x].f.items():
@@ -757,7 +724,7 @@ def eval_formula_map(F: Formula, g: DiagramMap) -> DiagramMap:
     return DiagramMap(src, tgt, comps)
 
 
-# --- random generators ---------------------------------------------------------
+# --- the random draw -----------------------------------------------------------
 
 def _random_elementary(rng: SplitMix64, max_dim: int, window) -> list:
     """A list of elementary pieces ('stalk', i) or ('two', i), respecting the
@@ -888,66 +855,9 @@ def _times(a: Mat, b: Mat) -> Mat:
     return b if a.is_identity() else a if b.is_identity() else a.mul(b)
 
 
-def random_complex(seed: int) -> VectComplex:
-    """A deterministic random bounded complex: a sum of stalk and two-term
-    identity pieces in degrees -2..2, at most three per degree, conjugated
-    by random unimodular basis changes."""
-    rng = SplitMix64(derive_seed(seed, "complex"))
-    return _build_complex(*_draw_complex(rng, 3, (-2, 2)))
-
-
-def _random_null_homotopic(rng: SplitMix64, S: VectComplex, T: VectComplex) -> dict:
-    """The degreewise matrices d_T·h + h·d_S of a null-homotopic chain map
-    S -> T, for a random homotopy h with entries in {-1, 0, 1}; zero
-    degrees are left out.  The blocks of h are drawn in ascending degree."""
-    h = {}
-    for t in sorted(set(S.dims) | {i + 1 for i in T.dims}):
-        if S.dim(t) and T.dim(t - 1):
-            rows = [[rng.randint(-1, 1) for _ in range(S.dim(t))] for _ in range(T.dim(t - 1))]
-            h[t] = Mat.from_rows(rows)
-    n = {}
-    for t in set(S.dims) | set(T.dims):
-        # an absent block of h or of a differential is zero, as is its term
-        piece = None
-        for a, b in ((T.d.get(t - 1), h.get(t)), (h.get(t + 1), S.d.get(t))):
-            if a is not None and b is not None:
-                term = a.mul(b)
-                piece = term if piece is None else piece.add(term)
-        if piece is not None and not piece.is_zero():
-            n[t] = piece
-    return n
-
-
-def _nested_pairs(X: Poset, sources, targets) -> list:
-    """The pairs (k, l) with u_l <= u_k, for pieces (u_k, S_k) of sources and
-    (u_l, S_l) of targets: the up-set of u_k lies in that of u_l, so a map
-    S_k -> S_l spread over the up-set of u_k commutes with the restrictions."""
-    return [
-        (k, l)
-        for k, (u, _) in enumerate(sources)
-        for l, (v, _) in enumerate(targets)
-        if X.le(v, u)
-    ]
-
-
-def _random_piece_maps(rng: SplitMix64, pairs, sources, targets, count: int) -> list:
-    """count random piece maps (k, l, n): a pair drawn from pairs and the
-    degreewise matrices n of a null-homotopic chain map S_k -> S_l. Zero
-    maps are dropped, and without pairs nothing is drawn."""
-    maps = []
-    for _ in range(count if pairs else 0):
-        k, l = rng.choice(pairs)
-        n = _random_null_homotopic(rng, sources[k][1], targets[l][1])
-        if n:
-            maps.append((k, l, n))
-    return maps
-
-
 class _PieceDiagram:
     """Internal: pieces (u_k, S_k); the stalk at x is the direct sum of the
-    pieces with u_k <= x, and restrictions are the block inclusions. Piece
-    maps (k, l, n), n degreewise S_k -> S_l or S_k -> S_l[1] with u_l <= u_k,
-    commute with them: they bend stalk differentials or twist diagram maps.
+    pieces with u_k <= x, and restrictions are the block inclusions.
 
     Everything at x depends on x only through present[x], its piece set:
     one stalk is built per distinct piece set and shared by the elements
@@ -967,23 +877,11 @@ class _PieceDiagram:
         }
         self.stalks = {x: self.sums[p] for x, p in self.present.items()}
 
-    def sizes(self, present, t) -> list:
-        return [self.pieces[k][1].dim(t) for k in present]
-
-    def place(self, present, t, maps, blocks) -> dict:
-        """Add the degree-t matrices of the piece maps (k, l, n) with k in
-        the piece set present to blocks, keyed by the positions of l and k."""
-        for k, l, n in maps:
-            if k in present and t in n:
-                key = present.index(l), present.index(k)
-                blocks[key] = blocks[key].add(n[t]) if key in blocks else n[t]
-        return blocks
-
     def inclusion_blocks(self, src_present, tgt_present, t):
         """(blocks, rows, cols) at degree t of the block inclusion of the
         pieces src_present into the pieces tgt_present: the restrictions of
-        every diagram, and the maps that random_qis_map and random_ses start
-        from."""
+        every diagram, and the maps between diagrams that the tests draw
+        (tests/generators.py) start from."""
         rows = [self.pieces[k][1].dim(t) for k in tgt_present]
         cols = [self.pieces[k][1].dim(t) for k in src_present]
         blocks = {
@@ -993,56 +891,19 @@ class _PieceDiagram:
         }
         return blocks, rows, cols
 
-    def random_twists(self, rng: SplitMix64) -> dict:
-        """(U, U^-1) by piece set p and degree t of its stalk, for a random
-        unipotent diagram automorphism U = I + N: N is one null-homotopic
-        constant chain map from a piece k into a piece l != k supported on a
-        larger up-set (none without such a pair).  N has only the off-diagonal
-        blocks (l, k), so it squares to zero and U^-1 = I - N."""
-        pairs = [kl for kl in _nested_pairs(self.X, self.pieces, self.pieces) if kl[0] != kl[1]]
-        maps = _random_piece_maps(rng, pairs, self.pieces, self.pieces, 1)
-        twists = {}
-        for p, K in self.sums.items():
-            for t, size in K.dims.items():
-                U = Uinv = Mat.identity(size)
-                blocks = self.place(p, t, maps, {})
-                if blocks:
-                    N = block(blocks, self.sizes(p, t), self.sizes(p, t))
-                    U, Uinv = U.add(N), U.sub(N)
-                twists[(p, t)] = U, Uinv
-        return twists
-
-    def _restrictions(self, sums, check: bool) -> dict:
-        """The restriction for each x <= x2 between the stalks sums (by piece
-        set): the block inclusion in each degree.  Pairs with the same two
-        piece sets share one chain map."""
+    def diagram(self) -> PosetDiagram:
+        """The split diagram of the pieces: the stalks, and for each x <= x2
+        the block inclusion in each degree, one chain map per distinct pair
+        of piece sets.  A split sum of up-set pieces is a diagram by
+        construction, so nothing is checked."""
         r, shared = {}, {}
         for x, x2 in self.X.leq:
             p, p2 = key = self.present[x], self.present[x2]
             if key not in shared:
-                f = {t: block(*self.inclusion_blocks(p, p2, t)) for t in sums[p].dims}
-                shared[key] = ChainMap(sums[p], sums[p2], f, check=check)
+                f = {t: block(*self.inclusion_blocks(p, p2, t)) for t in self.sums[p].dims}
+                shared[key] = ChainMap(self.sums[p], self.sums[p2], f, check=False)
             r[(x, x2)] = shared[key]
-        return r
-
-    def diagram(self, bends=()) -> PosetDiagram:
-        """The diagram of the pieces: the stalks, their differentials bent by
-        the degree-one piece maps bends, with block-inclusion restrictions.
-        Only a bent diagram needs its axioms checked."""
-        sums, stalks = self.sums, self.stalks
-        if bends:
-            sums = {}
-            for p, K in self.sums.items():
-                d = dict(K.d)
-                for t in K.dims:
-                    blocks = self.place(p, t, bends, {})
-                    if blocks:
-                        bend = block(blocks, self.sizes(p, t + 1), self.sizes(p, t))
-                        d[t] = K.diff(t).add(bend)
-                sums[p] = VectComplex(K.dims, d, check=True)
-            stalks = {x: sums[p] for x, p in self.present.items()}
-        r = self._restrictions(sums, bool(bends))
-        return PosetDiagram(self.X, stalks, r, check=bool(bends))
+        return PosetDiagram(self.X, self.stalks, r, check=False)
 
 
 def _draw_pieces(X: Poset, rng: SplitMix64, max_dim: int, window) -> list:
@@ -1089,84 +950,3 @@ def random_diagram(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> Pos
     all entries are integers; fields only enter when ranks are computed.
     """
     return _PieceDiagram(X, _build_pieces(_diagram_draw(X, seed, max_dim, window))).diagram()
-
-
-def random_qis_map(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> DiagramMap:
-    """A deterministic random quasi-isomorphism of diagrams over X: the
-    inclusion into a sum with extra acyclic pieces, plus null-homotopic
-    noise, conjugated by independent twists on both sides."""
-    rng = SplitMix64(derive_seed(seed, "qis"))
-    src_pieces = _build_pieces(_draw_pieces(X, rng, max_dim, window))
-    lo, hi = window
-    extra = []
-    for _ in range(1 + rng.randrange(2)):
-        u = rng.choice(X.elements)
-        i = lo + rng.randrange(max(hi - lo, 1))
-        extra.append((u, VectComplex({i: 1, i + 1: 1}, {i: [[1]]})))
-    src_pd = _PieceDiagram(X, src_pieces)
-    tgt_pd = _PieceDiagram(X, src_pieces + extra)
-    src_twists, tgt_twists = src_pd.random_twists(rng), tgt_pd.random_twists(rng)
-    source, target = src_pd.diagram(), tgt_pd.diagram()
-    # Null-homotopic noise on the block inclusion; (k, k) is always a pair.
-    pairs = _nested_pairs(X, src_pieces, tgt_pd.pieces)
-    noise = _random_piece_maps(rng, pairs, src_pieces, tgt_pd.pieces, rng.randrange(3))
-    components = {}
-    for x in X.elements:
-        f = {}
-        p, p2 = src_pd.present[x], tgt_pd.present[x]
-        for t in source.K[x].dims:
-            blocks, rows, cols = tgt_pd.inclusion_blocks(p, p2, t)
-            m = block(tgt_pd.place(p2, t, noise, blocks), rows, cols)
-            f[t] = _times(_times(tgt_twists[(p2, t)][0], m), src_twists[(p, t)][1])
-        components[x] = ChainMap(source.K[x], target.K[x], f, check=True)
-    return DiagramMap(source, target, components)
-
-
-_SES_WINDOW = (-1, 1)
-
-
-def random_ses(X: Poset, seed: int):
-    """A deterministic random degreewise-split short exact sequence of
-    diagrams, at most two dimensions per degree and part, in the degrees of
-    _SES_WINDOW: returns (inclusion, projection) with a bent extension in
-    the middle."""
-    rng = SplitMix64(derive_seed(seed, "ses"))
-    left_pieces = _build_pieces(_draw_pieces(X, rng, 2, _SES_WINDOW))
-    right_pieces = _build_pieces(_draw_pieces(X, rng, 2, _SES_WINDOW))
-    # Extension datum: piece maps from the right pieces into the left ones,
-    # of degree one, bent into the middle's off-diagonal differential block.
-    shifted = [(u, shift_complex(L, 1)) for u, L in left_pieces]
-    pairs = _nested_pairs(X, right_pieces, left_pieces)
-    count = rng.randrange(3) if pairs else 0
-    bends = [
-        (len(left_pieces) + k, l, {t: m.neg() for t, m in n.items()})
-        for k, l, n in _random_piece_maps(rng, pairs, right_pieces, shifted, count)
-    ]
-    pd = _PieceDiagram(X, left_pieces + right_pieces)
-    middle = pd.diagram(bends)
-    left = _PieceDiagram(X, left_pieces).diagram()
-    right = _PieceDiagram(X, right_pieces).diagram()
-    incl_components = {}
-    proj_components = {}
-    for x in X.elements:
-        present = pd.present[x]
-        lp = [k for k in present if k < len(left_pieces)]
-        rp = [k for k in present if k >= len(left_pieces)]
-        fi = {}
-        fp = {}
-        for t in middle.K[x].dims:
-            fi[t] = block(*pd.inclusion_blocks(lp, present, t))
-            blocks, rows, cols = pd.inclusion_blocks(rp, present, t)
-            fp[t] = block({(c, r): m for (r, c), m in blocks.items()}, cols, rows)
-        incl_components[x] = ChainMap(left.K[x], middle.K[x], fi, check=True)
-        proj_components[x] = ChainMap(middle.K[x], right.K[x], fp, check=True)
-    return DiagramMap(left, middle, incl_components), DiagramMap(middle, right, proj_components)
-
-
-# --- JSON ----------------------------------------------------------------------
-
-def complex_to_json(K: VectComplex) -> dict:
-    return {
-        "dims": {str(i): n for i, n in sorted(K.dims.items())},
-        "d": {str(i): m.tolist() for i, m in sorted(K.d.items())},
-    }

@@ -33,6 +33,7 @@ from .errors import (
 from .poset_core import (
     Poset,
     _disjoint_labels,
+    _items,
     cover_triangles,
     direct_sum,
     in_element_order,
@@ -80,11 +81,15 @@ def validate_gluing(X: Poset, Y: Poset, Yx) -> GluingData:
     first such x <= x2 in element order), and
     CocycleViolation if the inferred maps fail to compose (cannot happen
     when inference succeeded; checked anyway as an internal alarm), and
-    GluingError when X ⊔ Y is empty.
+    GluingError when X ⊔ Y is empty.  Yx must map elements of X to
+    collections of elements of Y (ParseError otherwise).
     """
     if not X.elements and not Y.elements:
         raise GluingError("X ⊔ Y is empty: a gluing needs at least one element")
-    Yx = {x: tuple(ys) for x, ys in Yx.items()}
+    Yx = {
+        x: _witness_set(ys, f"the witness set at {x!r}")
+        for x, ys in _items(Yx, "Yx", "element of X")
+    }
     for x in X.elements:
         if x not in Yx:
             raise ParseError(f"no witness set given for element {x!r}")
@@ -190,10 +195,22 @@ def build_minus(g: GluingData) -> GluedOrder:
     return _build(g, "minus")
 
 
+def _witness_set(ys, what: str) -> tuple:
+    """ys as a tuple; ParseError naming the value unless it is an iterable
+    collection and not a str, which would be read one character at a time."""
+    if not isinstance(ys, str):
+        try:
+            return tuple(ys)
+        except TypeError:
+            pass
+    raise ParseError(f"{what} must be a collection of elements, got {ys!r}")
+
+
 def from_function(X: Poset, Y: Poset, f) -> GluingData:
     """Gluing data of an order-preserving map f: X -> Y (all Y_x singletons);
-    NotOrderPreserving names the first pair in element order that f breaks."""
-    f = dict(f)
+    NotOrderPreserving names the first pair in element order that f breaks.
+    f must be a mapping (ParseError otherwise)."""
+    f = dict(_items(f, "f", "element of X"))
     for x in X.elements:
         if x not in f:
             raise ParseError(f"f gives no value for element {x!r}")
@@ -210,9 +227,10 @@ def from_bgp(Y: Poset, Y0) -> GluingData:
     """Gluing of a single new point against the witness set Y0 ⊆ Y.
 
     In the plus order the new point '*' is a source Hasse-connected to Y0;
-    in the minus order it is a sink.
+    in the minus order it is a sink.  Y0 must be a collection of elements
+    of Y (ParseError otherwise).
     """
-    Y0 = tuple(Y0)
+    Y0 = _witness_set(Y0, "Y0")
     for y in Y0:
         Y.index(y)
     star = "*" if "*" not in Y else "**"

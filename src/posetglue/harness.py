@@ -407,7 +407,7 @@ TWO_CHAIN_MINUS = compose_formulas(_POINT_XI[1], canonical_formula(_FLIPPED, TWO
 
 # --- randomized verification runs ----------------------------------------------
 
-def _equivalence_trial(state, tseed) -> TrialRecord:
+def _equivalence_trial(tseed, eps_pm, eps_mp, field, max_dim, window) -> TrialRecord:
     """One trial evaluated at its draws, the first of every certificate: the
     unit at a random diagram K over the plus order and the counit at one, L,
     over the minus order, with the cohomology tables of the four corners and
@@ -415,7 +415,6 @@ def _equivalence_trial(state, tseed) -> TrialRecord:
     evaluator runs here: the chain-map checks of the evaluated restrictions
     and components, the diagram axioms of the evaluated composites, the
     naturality of both diagram maps and the Euler ledger."""
-    (eps_pm, eps_mp), field, max_dim, window = state
     plus, minus = eps_mp.source.base, eps_pm.source.base
     K = random_diagram(plus, derive_seed(tseed, "plus"), max_dim, window)
     L = random_diagram(minus, derive_seed(tseed, "minus"), max_dim, window)
@@ -532,7 +531,7 @@ def _add(total: dict, table: dict) -> None:
         total[i] = total.get(i, 0) + n
 
 
-def _assembled_trial(state, tseed) -> TrialRecord:
+def _assembled_trial(tseed, counit_images, unit_images, max_dim, window) -> TrialRecord:
     """The record of _equivalence_trial at tseed, from the images of the
     representables (see verify_equivalence): the same pieces (u, S) are
     drawn, but no S is built; H(S) is read off each piece's recipe, and a
@@ -544,8 +543,8 @@ def _assembled_trial(state, tseed) -> TrialRecord:
     each end, and added into that end's table.  The verdict asks that the
     images at every drawn u with H(S) != 0 be acyclic; the sum of nonzero
     tables of dimensions is nonzero, so those are the u with a nonzero
-    sum."""
-    (counit_images, unit_images), _field, max_dim, window = state
+    sum.  An element y without a total, where every image at the drawn u
+    is zero, gets the empty row."""
     verdict, tables = True, {}
     sides = (
         (unit_images, "plus", ("plus_shift", "plus_round_trip")),
@@ -565,7 +564,9 @@ def _assembled_trial(state, tseed) -> TrialRecord:
                 for end, total in enumerate(totals):
                     _add(total.setdefault(y, {}), _convolved(image[end], h))
         for name, total in zip(names, totals):
-            tables[name] = {y: _row(total.get(y, {})) for y in images.eps.source.target.elements}
+            tables[name] = {
+                y: _row(total[y]) if y in total else {} for y in images.eps.source.target.elements
+            }
     return TrialRecord(seed=tseed, verdict=verdict, tables=tables)
 
 
@@ -639,17 +640,17 @@ def verify_equivalence(
     structural.append(("retract-homotopies", True))
 
     seeds = [derive_seed(seed, "trial", i) for i in range(trials)]
-    first = _equivalence_trial(((eps_pm, eps_mp), field, max_dim, window), seeds[0])
+    first = _equivalence_trial(seeds[0], eps_pm, eps_mp, field, max_dim, window)
     records = [first]
     if trials > 1:
-        state = ((_Images(eps_pm, field), _Images(eps_mp, field)), field, max_dim, window)
-        problem = _first_difference(first, _assembled_trial(state, seeds[0]))
+        images = _Images(eps_pm, field), _Images(eps_mp, field)
+        problem = _first_difference(first, _assembled_trial(seeds[0], *images, max_dim, window))
         if problem is not None:
             raise InternalInconsistency(
                 f"trial {seeds[0]} assembled from the representables differs "
                 f"from its evaluation, at the {problem}"
             )
-        records += [_assembled_trial(state, tseed) for tseed in seeds[1:]]
+        records += [_assembled_trial(tseed, *images, max_dim, window) for tseed in seeds[1:]]
     structural.append(("euler-ledger", True))
 
     return EquivalenceCertificate(
@@ -688,12 +689,12 @@ def _two_chain_epsilons():
     return eps_pm, eps_mp, eps_pp, eps_mm
 
 
-def _two_chain_trial(state, tseed) -> TrialRecord:
+def _two_chain_trial(tseed, epsilons, field, max_dim, window) -> TrialRecord:
     """One two-chain trial at a random diagram K: the four transformations
     evaluated (the square at T1, the plus side at K), and T3, the plus side
     applied to K three times, compared with the square's source and, by its
     cohomology tables, with K shifted by one."""
-    (eps_pm, eps_mp, eps_pp, eps_mm), field, max_dim, window = state
+    eps_pm, eps_mp, eps_pp, eps_mm = epsilons
     K = random_diagram(TWO_CHAIN, tseed, max_dim, window)
     counit, unit, double = eps_pm.evaluate(K), eps_mp.evaluate(K), eps_mm.evaluate(K)
     T1 = eval_formula(TWO_CHAIN_PLUS, K)
@@ -765,10 +766,9 @@ def verify_two_chain(
     structural.append(
         ("retract-homotopy-121", check_homotopy(ALPHA2, BETA2, H121, XI121.D) is None)
     )
-    state = (epsilons, field, max_dim, window)
     structural.append(("epsilon-naturality", True))
     seeds = [derive_seed(seed, "trial", i) for i in range(trials)]
-    records = [_two_chain_trial(state, tseed) for tseed in seeds]
+    records = [_two_chain_trial(tseed, epsilons, field, max_dim, window) for tseed in seeds]
     structural.append(("composition-law", True))
     structural.append(("euler-ledger", True))
 

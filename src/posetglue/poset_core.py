@@ -68,7 +68,7 @@ class Poset:
     def index(self, e):
         try:
             return self._index[e]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable value is no element either
             raise UnknownElement(e) from None
 
     def __contains__(self, e):
@@ -238,6 +238,15 @@ def covers(p: Poset) -> tuple:
     if p._covers is None:
         p._covers = tuple(in_element_order(p, hasse(p).edges))
     return p._covers
+
+
+def _items(mapping, what: str, by: str):
+    """mapping.items(); if it is not a mapping, ParseError naming the value:
+    "<what> must be a mapping by <by>"."""
+    try:
+        return mapping.items()
+    except AttributeError:
+        raise ParseError(f"{what} must be a mapping by {by}, got {mapping!r}") from None
 
 
 def require_elements(p: Poset, mapping, what: str) -> None:

@@ -478,10 +478,10 @@ def morphism_substituted_matrix(psi, inner):
     )
 
 
-# --- the homotopy draw, kept as a reference for abelian_eval's ------------------
+# --- the homotopy draw, kept as a reference for generators' --------------------
 
 def null_homotopic_reference(rng, S, T) -> dict:
-    """abelian_eval._random_null_homotopic redone by hand: each block
+    """generators._random_null_homotopic redone by hand: each block
     h_t: S_t -> T_(t-1), entries in {-1, 0, 1}, drawn row by row for t
     ascending over every integer degree, then d_T·h + h·d_S as nested lists
     in each degree where it is nonzero."""
@@ -555,9 +555,11 @@ def _diagonal_eval(obj, g, t: int) -> list[list]:
 
 def eta_composition_holds(seed: int) -> bool:
     """Evaluating a composite of word morphisms equals composing evaluations."""
-    from posetglue.abelian_eval import eval_cmorphism, random_diagram
+    from posetglue.abelian_eval import random_diagram
     from posetglue.formula_cat import TWO_CHAIN, compose
     from posetglue.rng import SplitMix64, derive_seed
+
+    from generators import eval_cmorphism
 
     rng = SplitMix64(derive_seed(seed, "etafunc"))
     K = random_diagram(TWO_CHAIN, derive_seed(seed, "K"), max_dim=2, window=(-1, 1))
@@ -578,9 +580,10 @@ def eta_composition_holds(seed: int) -> bool:
 
 def eta_naturality_holds(seed: int) -> bool:
     """Evaluated word morphisms commute with diagram maps on the carriers."""
-    from posetglue.abelian_eval import eval_cmorphism, random_qis_map
     from posetglue.formula_cat import TWO_CHAIN
     from posetglue.rng import SplitMix64, derive_seed
+
+    from generators import eval_cmorphism, random_qis_map
 
     rng = SplitMix64(derive_seed(seed, "etanat"))
     g = random_qis_map(TWO_CHAIN, derive_seed(seed, "g"), max_dim=2, window=(-1, 1))
@@ -607,9 +610,10 @@ def eta_naturality_holds(seed: int) -> bool:
 
 def ses_preservation_holds(seed: int) -> bool:
     """A formula to a point sends a short exact sequence to one, degreewise."""
-    from posetglue.abelian_eval import eval_point_map, random_ses
     from posetglue.formula_cat import TWO_CHAIN
     from posetglue.rng import derive_seed
+
+    from generators import eval_point_map, random_ses
 
     incl, proj = random_ses(TWO_CHAIN, derive_seed(seed, "ses"))
     xi = _law_xi(seed)
@@ -631,9 +635,11 @@ def ses_preservation_holds(seed: int) -> bool:
 
 def qis_preservation_holds(seed: int) -> bool:
     """A formula to a point sends quasi-isomorphisms to quasi-isomorphisms."""
-    from posetglue.abelian_eval import eval_point_map, is_quasi_iso, random_qis_map
+    from posetglue.abelian_eval import is_quasi_iso
     from posetglue.formula_cat import TWO_CHAIN
     from posetglue.rng import derive_seed
+
+    from generators import eval_point_map, random_qis_map
 
     g = random_qis_map(TWO_CHAIN, derive_seed(seed, "qis"), max_dim=2, window=(-1, 1))
     return is_quasi_iso(eval_point_map(_law_xi(seed), g))

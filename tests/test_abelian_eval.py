@@ -24,21 +24,14 @@ from posetglue.abelian_eval import (
     VectComplex,
     cohomology,
     cohomology_table,
-    complex_to_json,
     cone,
-    eval_cmorphism,
     eval_formula,
     eval_formula_map,
     eval_point,
-    eval_point_map,
     identity_chain_map,
     is_quasi_iso,
     is_quasi_iso_diagram,
-    random_complex,
     random_diagram,
-    random_qis_map,
-    random_ses,
-    shift_chain_map,
     shift_complex,
     shift_diagram,
 )
@@ -103,6 +96,16 @@ from conftest import (
     qis_preservation_holds,
     ses_preservation_holds,
     shear_product_unimodular,
+)
+from generators import (
+    _random_null_homotopic,
+    complex_to_json,
+    eval_cmorphism,
+    eval_point_map,
+    random_complex,
+    random_qis_map,
+    random_ses,
+    shift_chain_map,
 )
 
 # Bytes of traced memory still held after certifying random_gluing 10-59,
@@ -930,7 +933,7 @@ class TestRandomGenerators:
         T = VectComplex({-3: 1, -2: 2, -1: 1}, {-3: [[1], [0]], -2: [[0, 1]]})
         for seed in range(20):
             rng, ref = SplitMix64(seed), SplitMix64(seed)
-            got = abelian_eval._random_null_homotopic(rng, S, T)
+            got = _random_null_homotopic(rng, S, T)
             assert {t: m.tolist() for t, m in got.items()} == null_homotopic_reference(
                 ref, S, T
             ), seed
@@ -1082,8 +1085,6 @@ class TestFunctorLaws:
         for seed in range(25):
             assert qis_preservation_holds(seed)
         # independent oracle spot check on the evaluated maps
-        from posetglue.abelian_eval import eval_point_map
-
         for seed in range(8):
             g = random_qis_map(TWO_CHAIN, derive_seed(seed, "qis"), max_dim=2, window=(-1, 1))
             assert induced_qis(eval_point_map(XI121, g))

@@ -304,6 +304,42 @@ class TestConstructors:
         (x,) = g.X.elements
         assert set(g.Yx[x]) == {"a", "b"}
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda X, Y: validate_gluing(X, Y, [("x", ("y",))]),
+             "Yx must be a mapping by element of X, got [('x', ('y',))]"),
+            (lambda X, Y: validate_gluing(X, Y, {"x": 5}),
+             "the witness set at 'x' must be a collection of elements, got 5"),
+            (lambda X, Y: validate_gluing(X, Y, {"x": None}),
+             "the witness set at 'x' must be a collection of elements, got None"),
+            (lambda X, Y: validate_gluing(X, Y, {"x": "y"}),
+             "the witness set at 'x' must be a collection of elements, got 'y'"),
+            (lambda X, Y: from_function(X, Y, [("x", "y", 3)]),
+             "f must be a mapping by element of X, got [('x', 'y', 3)]"),
+            (lambda X, Y: from_bgp(Y, 5), "Y0 must be a collection of elements, got 5"),
+            (lambda X, Y: from_bgp(Y, "y"), "Y0 must be a collection of elements, got 'y'"),
+        ],
+        ids=["Yx-pairs", "set-int", "set-none", "set-str", "f-triples", "Y0-int", "Y0-str"],
+    )
+    def test_malformed_library_input_is_a_parse_error(self, build, message):
+        # a str is rejected, not read one character at a time
+        with pytest.raises(ParseError) as info:
+            build(antichain("x"), antichain("y"))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda X, Y: validate_gluing(X, Y, {"x": [["y"]]}),
+            lambda X, Y: from_function(X, Y, {"x": ["y"]}),
+        ],
+        ids=["validate", "from_function"],
+    )
+    def test_an_unhashable_element_is_unknown(self, build):
+        with pytest.raises(UnknownElement, match=r"unknown element: \['y'\]"):
+            build(antichain("x"), antichain("y"))
+
     def test_ordinal_witness_shapes(self):
         point = poset_from_generators(["*"], [])
         colliding = (  # '*' and 'a' in both X and Z

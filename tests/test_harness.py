@@ -1039,12 +1039,11 @@ def _both_paths(epsilons, field, tseeds):
     """The evaluated and the assembled record of each trial seed, as JSON
     text, at verify_equivalence's default draw (max_dim 3, window (-2, 2))."""
     eps_pm, eps_mp = epsilons
-    evaluated = ((eps_pm, eps_mp), field, 3, (-2, 2))
-    assembled = ((harness._Images(eps_pm, field), harness._Images(eps_mp, field)), field, 3, (-2, 2))
+    images = harness._Images(eps_pm, field), harness._Images(eps_mp, field)
     return [
         (
-            json.dumps(harness._equivalence_trial(evaluated, tseed).to_json()),
-            json.dumps(harness._assembled_trial(assembled, tseed).to_json()),
+            json.dumps(harness._equivalence_trial(tseed, *epsilons, field, 3, (-2, 2)).to_json()),
+            json.dumps(harness._assembled_trial(tseed, *images, 3, (-2, 2)).to_json()),
         )
         for tseed in tseeds
     ]
@@ -1262,8 +1261,8 @@ class TestAssembledTrials:
     def test_a_table_or_element_on_one_side_only_stops_the_run(self, monkeypatch, lone, difference):
         real_trial = harness._assembled_trial
 
-        def assembled(state, tseed):
-            record = real_trial(state, tseed)
+        def assembled(*args):
+            record = real_trial(*args)
             tables = dict(record.tables)
             if lone == "table":
                 tables["extra"] = {}
@@ -1307,7 +1306,7 @@ class TestAssembledTrials:
         monkeypatch.setattr(
             harness,
             "_assembled_trial",
-            lambda state, tseed: assembled.append(tseed) or real_trial(state, tseed),
+            lambda tseed, *args: assembled.append(tseed) or real_trial(tseed, *args),
         )
         g = figure_one_gluing(FIGURE_ONE_PAIRS[0])[0]
         tseed = harness.derive_seed(0, "trial", 0)

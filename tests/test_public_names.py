@@ -375,6 +375,30 @@ def test_runtime_imports_only_the_standard_library():
     assert not outside, outside
 
 
+def test_src_imports_nothing_from_the_tests():
+    # tests/generators.py and conftest build on the package; the package
+    # must not depend on them, so that it runs without its test suite.
+    test_modules = {"tests", "conftest", "generators"} | {
+        p.stem for p in (ROOT / "tests").glob("*.py")
+    }
+    assert {"conftest", "generators"} <= test_modules  # the guard still sees both
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            found += [
+                f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] in test_modules
+            ]
+    assert not found, found
+
+
 def _refers_to(node, name) -> bool:
     return any(
         getattr(sub, "id", None) == name
