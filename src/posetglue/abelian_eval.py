@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-from .formula_cat import CMorphism, Formula, FormulaToPoint, _entries, _patterns
+from .formula_cat import CMorphism, Formula, FormulaToPoint, _degrees, _entries, _patterns
 from .intmat import Mat, _as_int, block, placed, rank_exact, rank_mod
 from .poset_core import (
     Poset, _failing_square, _failing_triangle, _items, require_elements, require_relations
@@ -141,9 +141,6 @@ class VectComplex:
         if m is None:
             return Mat.zero(self.dim(i + 1), self.dim(i))
         return m
-
-    def is_zero_object(self) -> bool:
-        return not self.dims
 
     def euler(self) -> int:
         return sum((-1) ** (i % 2) * n for i, n in self.dims.items())
@@ -459,10 +456,7 @@ class _Evaluation:
       total size: entry k, (x, m), spans dim K(x)^{t+m} rows or columns
       from offset k on.  The signature decides it.
     * The degreewise matrices of a word morphism phi are made once per
-      key (made; see key for the proof that the key decides them), and
-      equal evaluated matrices are one object (shared, keyed by the Mat).
-      Each product d_{x_j}·r of a raising entry is made once per pair
-      (x_i, x_j) and stalk degree (products, None where it vanishes).
+      key (made; see key for the proof that the key decides them).
     * Each value is evaluated once per key of its D (values; see formula).
     * Each chain map is made and checked once per object triple of its
       ends and its matrices (maps; see chain_map).
@@ -476,20 +470,16 @@ class _Evaluation:
     any record, key or matrix is made.
     """
 
-    __slots__ = (
-        "K", "pattern", "words", "layouts", "products", "made", "values", "maps", "shared"
-    )
+    __slots__ = ("K", "pattern", "words", "layouts", "made", "values", "maps")
 
     def __init__(self, K: PosetDiagram):
         self.K = K
         self.pattern = _patterns()
         self.words = {}
         self.layouts = {}
-        self.products = {}
         self.made = {}
         self.values = {}
         self.maps = {}
-        self.shared = {}
 
     def record(self, word) -> tuple:
         """(signature, layout) of word at K, one object per distinct
@@ -557,22 +547,18 @@ class _Evaluation:
         out = self.made.get(key)
         if out is not None:
             return out
-        stalks, products, placed_at = self.K.K, self.products, {}
+        stalks, placed_at = self.K.K, {}
         for j, i, pair, mi, c, raising in _entries(phi):
             for s, m in self.K.r[pair].f.items():
                 if raising:
-                    if (pair, s) not in products:
-                        d = stalks[pair[1]].d.get(s)
-                        dm = None if d is None else d.mul(m)
-                        products[pair, s] = None if dm is None or dm.is_zero() else dm
-                    m = products[pair, s]
-                    if m is None:
+                    d = stalks[pair[1]].d.get(s)
+                    if d is None:
+                        continue
+                    m = d.mul(m)
+                    if m.is_zero():
                         continue
                 placed_at.setdefault(s - mi, []).append((j, i, c, m))
-        out = self.made[key] = {}
-        for t, items in placed_at.items():
-            m = placed(rows[t], cols[t], items)
-            out[t] = self.shared.setdefault(m, m)
+        out = self.made[key] = {t: placed(rows[t], cols[t], items) for t, items in placed_at.items()}
         return out
 
     def chain_map(self, S: VectComplex, T: VectComplex, f: dict) -> ChainMap:
@@ -636,51 +622,54 @@ class _Evaluation:
         return T
 
 
-class _Representable:
-    """The images of formula values and word morphisms at the representable
-    diagram P_u of an element u: the field in degree 0 at each x >= u and
-    zero elsewhere, identity restrictions and zero differential.
+# --- the selection kernel -----------------------------------------------------
+#
+# The image of a formula value at the representable diagram P_u (the field
+# in degree 0 at each x >= u, zero elsewhere, identity restrictions and zero
+# differential) is what _Evaluation computes at P_u: a word entry (e, m) is
+# one dimension in degree -m if u <= e and nothing otherwise, and an item
+# (j, i, (x_i, x_j), m_i, c, raising) of a morphism's entries is c times a
+# restriction of P_u, the identity of the field in degree -m_i, if
+# u <= x_i (and so u <= x_j), while a raising item vanishes, as it ends in
+# a differential of P_u.  So the image reads the word's degrees and its
+# selection, the positions of its entries that lie over u, and not u: the
+# kernel takes those and nothing else, and morphisms are read only through
+# formula_cat._entries.
 
-    A word entry (e, m) is one dimension in degree -m if u <= e and nothing
-    otherwise, so the layout of a word at degree t counts its entries over
-    the up-set of u with m = -t.  An item (j, i, (x_i, x_j), m_i, c,
-    raising) of a morphism's entries is c times a restriction of P_u, the
-    identity of the field at degree -m_i, when u <= x_i (and so u <= x_j);
-    a raising item vanishes, as it ends in a differential of P_u.  This is
-    what _Evaluation computes at the diagram P_u, made with no PosetDiagram
-    and no restriction; morphisms are read only through formula_cat._entries.
-    """
 
-    __slots__ = ("base", "up")
+def _selected_layout(degrees: tuple, selection: tuple) -> dict:
+    """degree t -> the offsets of a word's entries at t, then the total size
+    (see _Evaluation.layout), for the word with these degrees whose selected
+    entries are one dimension each and the others zero, for t in its
+    support: selected entry k of degree m counts at t = -m."""
+    chosen = set(selection)
+    return {
+        t: list(accumulate((int(m == -t and k in chosen) for k, m in enumerate(degrees)), initial=0))
+        for t in {-degrees[k] for k in selection}
+    }
 
-    def __init__(self, base: Poset, u):
-        self.base = base
-        self.up = base.up_set(u)
 
-    def layout(self, word) -> dict:
-        """degree t -> the offsets of word's entries at t, then the total
-        size (see _Evaluation.layout), for t in the support of word at P_u."""
-        if word.base != self.base:
-            raise BaseMismatch("formula and representable live over different posets")
-        up, entries = self.up, word.entries
-        return {
-            t: list(accumulate((int(m == -t and x in up) for x, m in entries), initial=0))
-            for t in {-m for x, m in entries if x in up}
-        }
+def _selected_matrices(phi: CMorphism, source_selection: tuple, target_selection: tuple) -> dict:
+    """The degreewise matrices of phi between the selected entries of its
+    ends, nonzero degrees only: each non-raising item from a selected
+    source entry is its coefficient at degree -m_i.  Its target entry
+    lies above the source one (x_i <= x_j), so a selection over an up-set
+    keeps it too."""
+    one, chosen, placed_at = Mat.identity(1), set(source_selection), {}
+    for j, i, _, mi, c, raising in _entries(phi):
+        if not raising and i in chosen:
+            placed_at.setdefault(-mi, []).append((j, i, c, one))
+    rows = _selected_layout(_degrees(phi.target), target_selection)
+    cols = _selected_layout(_degrees(phi.source), source_selection)
+    return {t: placed(rows[t], cols[t], items) for t, items in placed_at.items()}
 
-    def matrices(self, phi: CMorphism) -> dict:
-        """The degreewise matrices of phi at P_u, nonzero degrees only."""
-        one, placed_at = Mat.identity(1), {}
-        for j, i, (x, _), mi, c, raising in _entries(phi):
-            if not raising and x in self.up:
-                placed_at.setdefault(-mi, []).append((j, i, c, one))
-        rows, cols = self.layout(phi.target), self.layout(phi.source)
-        return {t: placed(rows[t], cols[t], items) for t, items in placed_at.items()}
 
-    def point(self, f: FormulaToPoint) -> VectComplex:
-        """f at P_u, its d·d = 0 checked."""
-        dims = {t: offsets[-1] for t, offsets in self.layout(f.xi).items()}
-        return VectComplex(dims, self.matrices(f.D), check=True)
+def _selected_complex(f: FormulaToPoint, selection: tuple) -> VectComplex:
+    """The complex of f's selected entries, with the selected part of D as
+    its differential, its d·d = 0 checked.  D's target is f's word shifted
+    by one, so it has the same selection."""
+    dims = {t: offsets[-1] for t, offsets in _selected_layout(_degrees(f.xi), selection).items()}
+    return VectComplex(dims, _selected_matrices(f.D, selection, selection), check=True)
 
 
 def eval_point(f: FormulaToPoint, K: PosetDiagram) -> VectComplex:

@@ -82,7 +82,7 @@ def validate_gluing(X: Poset, Y: Poset, Yx) -> GluingData:
     CocycleViolation if the inferred maps fail to compose (cannot happen
     when inference succeeded; checked anyway as an internal alarm), and
     GluingError when X ⊔ Y is empty.  Yx must map elements of X to
-    collections of elements of Y (ParseError otherwise).
+    ordered collections of elements of Y, not sets (ParseError otherwise).
     """
     if not X.elements and not Y.elements:
         raise GluingError("X ⊔ Y is empty: a gluing needs at least one element")
@@ -197,7 +197,11 @@ def build_minus(g: GluingData) -> GluedOrder:
 
 def _witness_set(ys, what: str) -> tuple:
     """ys as a tuple; ParseError naming the value unless it is an iterable
-    collection and not a str, which would be read one character at a time."""
+    collection and not a str, which would be read one character at a time,
+    nor a set or frozenset, whose order depends on the hash seed: the order
+    is part of the datum, as the matrix blocks downstream index by it."""
+    if isinstance(ys, (set, frozenset)):
+        raise ParseError(f"{what} must be ordered, not a {type(ys).__name__}, got {ys!r}")
     if not isinstance(ys, str):
         try:
             return tuple(ys)
@@ -227,8 +231,8 @@ def from_bgp(Y: Poset, Y0) -> GluingData:
     """Gluing of a single new point against the witness set Y0 ⊆ Y.
 
     In the plus order the new point '*' is a source Hasse-connected to Y0;
-    in the minus order it is a sink.  Y0 must be a collection of elements
-    of Y (ParseError otherwise).
+    in the minus order it is a sink.  Y0 must be an ordered collection of
+    elements of Y, not a set (ParseError otherwise).
     """
     Y0 = _witness_set(Y0, "Y0")
     for y in Y0:

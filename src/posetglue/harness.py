@@ -27,7 +27,8 @@ from .abelian_eval import (
     _diagram_draw,
     _Evaluation,
     _recipe_cohomology,
-    _Representable,
+    _selected_complex,
+    _selected_matrices,
     cohomology,
     cohomology_table,
     eval_formula,
@@ -438,48 +439,33 @@ class _Images:
     its base, the cohomology of the source and of the target value at P_u
     at each y, and whether every component's cone at P_u is acyclic.
 
-    What an image at y reads.  _Representable.point(f) reads f's word
-    through layout, which reads each entry's degree and whether it lies
-    over u, in entry order, and f.D through matrices, which reads the
-    layouts of D's two ends (the word and, as FormulaToPoint requires, the
-    word shifted by one) and formula_cat._entries(f.D): D's matrix, the
-    degrees of the entries of its ends, and whether a source entry lies
-    over u.  So the point is decided by the object of D's matrix, the
-    word's degrees and the word's selection at u, the positions of its
-    entries that lie over u (_over).  Likewise P.matrices(component) is
-    decided by the component's matrix object, the degrees of both words
-    and both selections.  The ChainMap check, the two cohomologies and the
-    quasi-isomorphism test read the two points and those matrices and
-    nothing else.  (Every word lies over the epsilon's base, which is the
-    one base layout checks.)
-
-    The key.  At each y the five things other than the selections, the
-    objects of the source D's matrix, the target D's matrix and the
-    component's matrix and the degrees of the two words, are the shape of
-    y, formula_cat._restriction_key of the component.  Equal shapes are
-    interned in __init__ (shapes), so one shape object, and its id, stands
-    for them all.  An image is made once per (shape id, source selection,
-    target selection) (by_key), on the first trial that draws a piece
-    with H(S) != 0 at a u that reaches that key; where both selections
-    are empty the images are zero, the component is acyclic, and nothing
-    is built.  The ids stay unique for the call: the epsilon, which this
-    object keeps, keeps the matrix objects, and shapes keeps the shape
-    objects.
+    The image at y is computed by the selection kernel of abelian_eval from
+    its key alone: formula_cat._restriction_key of the component (the
+    matrix objects of the component and of both values' D's, and the
+    degrees of both words) and the selection of each word, the positions
+    of its entries that lie over u (_over).  So it is made once per key
+    (by_key), on the first trial that draws a piece with H(S) != 0 at a u
+    that reaches the key.  Where both selections are empty the images are
+    zero, the component is acyclic, and nothing is built.  The epsilon,
+    which this object keeps, keeps the matrix objects, so their ids stay
+    unique for the call.  Every word is checked in __init__ to live over
+    the epsilon's base, whose up-sets the selections are taken in.
 
     The images at u are kept per u (by_element), at the y where one of
     the two is nonzero."""
 
-    __slots__ = ("eps", "field", "shapes", "words", "by_element", "by_key")
+    __slots__ = ("eps", "field", "words", "by_element", "by_key")
 
     def __init__(self, eps: EpsilonTransform, field: Field):
         self.eps = eps
         self.field = field
-        self.shapes, self.words = {}, []
+        self.words = []
+        base = eps.source.base
         for y in eps.source.target.elements:
             src, tgt, phi = eps.source.at[y], eps.target.at[y], eps.components[y]
-            shape = _restriction_key(phi, src, tgt)
-            shape = self.shapes.setdefault(shape, shape)
-            self.words.append((y, id(shape), src, tgt, phi))
+            if src.xi.base != base or tgt.xi.base != base:
+                raise BaseMismatch("formula and representable live over different posets")
+            self.words.append((y, _restriction_key(phi, src, tgt), src, tgt, phi))
         self.by_element = {}
         self.by_key = {}
 
@@ -488,18 +474,16 @@ class _Images:
         the y where both are zero left out."""
         if u not in self.by_element:
             field, memo = self.field, self.by_key
-            base = self.eps.source.base
-            up, P = base.up_set(u), None
+            up = self.eps.source.base.up_set(u)
             cohomologies, acyclic = {}, True
-            for y, shape, src, tgt, phi in self.words:
+            for y, restriction_key, src, tgt, phi in self.words:
                 selections = _over(src.xi, up), _over(tgt.xi, up)
                 if not any(selections):
                     continue
-                key = shape, *selections
+                key = restriction_key, *selections
                 if key not in memo:
-                    P = _Representable(base, u) if P is None else P
-                    S, T = P.point(src), P.point(tgt)
-                    component = ChainMap(S, T, P.matrices(phi), check=True)
+                    S, T = _selected_complex(src, selections[0]), _selected_complex(tgt, selections[1])
+                    component = ChainMap(S, T, _selected_matrices(phi, *selections), check=True)
                     image = cohomology(S, field), cohomology(T, field)
                     memo[key] = image, is_quasi_iso(component, field)
                 image, image_acyclic = memo[key]
@@ -617,15 +601,14 @@ def verify_equivalence(
     H(S) (Künneth), and by naturality an epsilon's component at P_u ⊗ S is
     a quasi-isomorphism iff H(S) = 0 or its component at P_u is one.  No
     assembled trial builds S: H(S) is read off the draw (one dimension per
-    stalk piece).  An image at y reads the matrix objects of both D's and
-    of the component, the degrees of both words and the entries of each
-    word that lie over u, and nothing else; so it is made once per call and
-    per distinct (shape of those five, source selection, target selection)
-    that a drawn piece with H(S) ≠ 0 reaches, on the first trial that
-    reaches it (_Images, where the proof is).  The pieces drawn at one u
-    are convolved with its images once, with the sum of their H(S)
-    (_assembled_trial).  The evaluated trial 0 tests each distinct
-    component object of the unit and the counit once
+    stalk piece).  An image at y is computed from the matrix objects of
+    both D's and of the component, the degrees of both words and the
+    entries of each word that lie over u, and nothing else; so it is made
+    once per call and per distinct key of those that a drawn piece with
+    H(S) ≠ 0 reaches, on the first trial that reaches it (_Images).  The
+    pieces drawn at one u are convolved with its images once, with the sum
+    of their H(S) (_assembled_trial).  The evaluated trial 0 tests each
+    distinct component object of the unit and the counit once
     (is_quasi_iso_diagram).  With more than one trial, trial 0 is also
     assembled, and a record that differs from the evaluated one raises
     InternalInconsistency naming the first table and element that differ,

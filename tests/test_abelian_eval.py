@@ -631,10 +631,10 @@ class TestEvaluationContext:
         )
         with pytest.raises(BaseMismatch, match="formula and diagram live over different posets"):
             _OTHER_BASE[entry](K, g)
-        # no entry walked, and no layout or product kept
+        # no entry walked, and no layout kept
         assert walks == []
         assert contexts
-        assert all(not (ev.layouts or ev.products) for ev in contexts)
+        assert all(not ev.layouts for ev in contexts)
 
     def test_a_translation_formula_evaluates_as_its_shift(self, monkeypatch):
         shifts = []

@@ -319,11 +319,22 @@ class TestConstructors:
              "f must be a mapping by element of X, got [('x', 'y', 3)]"),
             (lambda X, Y: from_bgp(Y, 5), "Y0 must be a collection of elements, got 5"),
             (lambda X, Y: from_bgp(Y, "y"), "Y0 must be a collection of elements, got 'y'"),
+            (lambda X, Y: validate_gluing(X, Y, {"x": {"y"}}),
+             "the witness set at 'x' must be ordered, not a set, got {'y'}"),
+            (lambda X, Y: validate_gluing(X, Y, {"x": frozenset({"y"})}),
+             "the witness set at 'x' must be ordered, not a frozenset, got frozenset({'y'})"),
+            (lambda X, Y: from_bgp(Y, {"y"}), "Y0 must be ordered, not a set, got {'y'}"),
+            (lambda X, Y: from_bgp(Y, frozenset({"y"})),
+             "Y0 must be ordered, not a frozenset, got frozenset({'y'})"),
         ],
-        ids=["Yx-pairs", "set-int", "set-none", "set-str", "f-triples", "Y0-int", "Y0-str"],
+        ids=[
+            "Yx-pairs", "set-int", "set-none", "set-str", "f-triples", "Y0-int", "Y0-str",
+            "set-set", "set-frozenset", "Y0-set", "Y0-frozenset",
+        ],
     )
     def test_malformed_library_input_is_a_parse_error(self, build, message):
-        # a str is rejected, not read one character at a time
+        # a str is rejected, not read one character at a time, and a set,
+        # whose order depends on the hash seed, is rejected too
         with pytest.raises(ParseError) as info:
             build(antichain("x"), antichain("y"))
         assert str(info.value) == message

@@ -20,6 +20,7 @@ from posetglue.abelian_eval import (
     VectComplex,
     cohomology_table,
     eval_formula,
+    is_quasi_iso_diagram,
     random_diagram,
 )
 from posetglue.errors import (
@@ -1085,16 +1086,44 @@ class TestAssembledTrials:
             assert json.loads(evaluated)["verdict"] is verdict
             assert json.loads(evaluated)["tables"] == json.loads(unscaled)["tables"]
 
+    @pytest.mark.parametrize(
+        "case, field",
+        [("figure-one", RATIONALS), ("figure-one", Field(5)), ("random-gluings", RATIONALS)],
+        ids=str,
+    )
+    def test_the_images_at_every_element_are_its_evaluations(self, case, field):
+        # every u, drawn or not: the images at u against the epsilon
+        # evaluated at the diagram P_u, the one piece (u, field in degree 0)
+        for g in ORACLE_GLUINGS[case]():
+            for eps in _epsilons(g):
+                images, base = harness._Images(eps, field), eps.source.base
+                for u in base.elements:
+                    P = abelian_eval._PieceDiagram(base, [(u, VectComplex({0: 1}, {}))]).diagram()
+                    at_u = eps.evaluate(P)
+                    source, target = cohomology_table(at_u.source, field), cohomology_table(at_u.target, field)
+                    nonzero = {
+                        y: (source[y], target[y]) for y in eps.source.target.elements if source[y] or target[y]
+                    }
+                    assert images.at(u) == (nonzero, is_quasi_iso_diagram(at_u, field))
+
     @pytest.fixture
     def images(self, monkeypatch):
-        """The (base, u) of every image of a representable built."""
-        built = []
-        real = abelian_eval._Representable.__init__
-        monkeypatch.setattr(
-            abelian_eval._Representable,
-            "__init__",
-            lambda P, base, u: built.append((id(base), u)) or real(P, base, u),
-        )
+        """The key of every image of a representable built, with the base it
+        lives over: each image is built as its source and target values at
+        P_u, then its component, through the selection kernel."""
+        values, built = [], []
+        real_complex, real_matrices = harness._selected_complex, harness._selected_matrices
+
+        def value(f, selection):
+            values.append((id(f.D.matrix), formula_cat._degrees(f.xi), selection))
+            return real_complex(f, selection)
+
+        def component(phi, *selections):
+            built.append((id(phi.source.base), id(phi.matrix), *values[-2:]))
+            return real_matrices(phi, *selections)
+
+        monkeypatch.setattr(harness, "_selected_complex", value)
+        monkeypatch.setattr(harness, "_selected_matrices", component)
         return built
 
     def test_a_one_trial_certificate_builds_no_image(self, images):
@@ -1141,32 +1170,28 @@ class TestAssembledTrials:
     def test_each_image_key_is_imaged_once_per_call(self, monkeypatch):
         # An image at P_u at y reads the matrix objects of both D's and of
         # the component, the degrees of both words and the positions of the
-        # entries of each word over u, its selection: one pair of points is
+        # entries of each word over u, its selection: one pair of values is
         # built per distinct key of those that a drawn piece with H(S) != 0
         # reaches, and none for a pair of empty selections.  Each image
-        # reads its three matrices through _Representable.matrices, in the
-        # order source D, target D, component.
-        def over(word, P):
-            return tuple(i for i, (x, _) in enumerate(word.entries) if x in P.up)
-
+        # reads its three matrices through the kernel's _selected_matrices,
+        # in the order source D, target D, component.
         points, maps, made = [], [], []
-        real_point, real_matrices = abelian_eval._Representable.point, abelian_eval._Representable.matrices
+        real_point, real_matrices = harness._selected_complex, harness._selected_matrices
         real_init = harness._Images.__init__
+
+        def matrices(phi, *selections):
+            degrees = formula_cat._degrees(phi.source), formula_cat._degrees(phi.target)
+            maps.append((id(phi.matrix), *degrees, *selections))
+            return real_matrices(phi, *selections)
+
         monkeypatch.setattr(
             harness._Images, "__init__", lambda images, *args: made.append(images) or real_init(images, *args)
         )
         monkeypatch.setattr(
-            abelian_eval._Representable, "point", lambda P, f: points.append(f) or real_point(P, f)
+            harness, "_selected_complex", lambda f, selection: points.append(f) or real_point(f, selection)
         )
-        monkeypatch.setattr(
-            abelian_eval._Representable,
-            "matrices",
-            lambda P, phi: maps.append(
-                (id(phi.matrix), formula_cat._degrees(phi.source), formula_cat._degrees(phi.target),
-                 over(phi.source, P), over(phi.target, P))
-            )
-            or real_matrices(P, phi),
-        )
+        monkeypatch.setattr(harness, "_selected_matrices", matrices)
+        monkeypatch.setattr(abelian_eval, "_selected_matrices", matrices)
         seeds = [harness.derive_seed(0, "trial", i) for i in range(20)]
         shared = 0
         for g in [figure_one_gluing(pair)[0] for pair in FIGURE_ONE_PAIRS] + [random_gluing(7)]:
@@ -1291,11 +1316,11 @@ class TestAssembledTrials:
         if corrupt == "point":
             # one more dimension in degree 9, far from every differential: no
             # component is a quasi-isomorphism any more
-            real = abelian_eval._Representable.point
+            real = harness._selected_complex
             monkeypatch.setattr(
-                abelian_eval._Representable,
-                "point",
-                lambda P, f: VectComplex({**real(P, f).dims, 9: 1}, real(P, f).d),
+                harness,
+                "_selected_complex",
+                lambda f, selection: VectComplex({**real(f, selection).dims, 9: 1}, real(f, selection).d),
             )
         else:
             # every image gets cohomology in degree 9 (no drawn S is ranked)
