@@ -10,7 +10,9 @@ random split diagrams of the trials; `harness` the randomized
 verification pipelines, with the two-chain instance derived from the
 point-over-point gluing; and `cli` the command-line front end.  The
 random maps between diagrams that only the functor-law tests use live in
-the test suite (tests/generators.py), not here.
+the test suite (tests/generators.py), not here.  The named formula
+constants (`NU`, `XI12`, the retract maps, `TWO_CHAIN_PLUS`, ...) are made
+when they are read, so importing the package builds and checks no formula.
 """
 
 from .abelian_eval import (
@@ -39,18 +41,9 @@ from .errors import (
     PosetGlueError,
     SizeLimit,
 )
+from . import formula_cat, harness
 from .formula_cat import (
-    ALPHA1,
-    ALPHA2,
-    BETA1,
-    BETA2,
-    H121,
-    H212,
-    NU,
     TWO_CHAIN,
-    XI12,
-    XI121,
-    XI212,
     CMorphism,
     CObject,
     Formula,
@@ -84,8 +77,6 @@ from .harness import (
     EpsilonTransform,
     EquivalenceCertificate,
     TrialRecord,
-    TWO_CHAIN_MINUS,
-    TWO_CHAIN_PLUS,
     build_epsilons,
     build_theorem_formulas,
     counterexample_data,
@@ -114,3 +105,15 @@ from .poset_core import (
 from .rng import SplitMix64, derive_seed
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """The named formula constants (PEP 562): formula_cat's NU, XI12, XI121,
+    XI212 and retract maps, and harness's TWO_CHAIN_PLUS and
+    TWO_CHAIN_MINUS, read from their modules, which make them on each read;
+    importing the package builds and checks no formula."""
+    if name in formula_cat._CONSTANTS:
+        return getattr(formula_cat, name)
+    if name in harness._TWO_CHAIN_FORMULAS:
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

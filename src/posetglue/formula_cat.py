@@ -23,6 +23,7 @@ from .errors import (
     CommutativityFailure,
     DiagramAxiomFailure,
     InternalInconsistency,
+    ParseError,
     ShapeMismatch,
 )
 from .intmat import Mat, _as_int, placed
@@ -48,7 +49,12 @@ class CObject:
     __slots__ = ("entries", "base")
 
     def __init__(self, entries, base: Poset):
-        entries = tuple((x, _as_int(m, "degree")) for x, m in entries)
+        try:
+            entries = tuple([(x, _as_int(m, "degree")) for x, m in entries])
+        except (TypeError, ValueError):  # not iterable, or an entry is no pair
+            raise ParseError(
+                f"a word must be a sequence of (element, degree) pairs, got {entries!r}"
+            ) from None
         for x, _ in entries:
             base.index(x)
         self.entries = entries
@@ -87,23 +93,23 @@ def _degrees(word: CObject) -> tuple:
     return tuple([m for _, m in word.entries])
 
 
-def _legal(source: CObject, target: CObject) -> list:
-    """The canonical-position rule as rows: legal[j][i] is 1 where entry
-    (j, i) from source to target may be nonzero, as x_i <= x_j and
-    m_j - m_i is 0 or 1, and 0 elsewhere (the elements were validated when
-    the objects were made)."""
-    rows = []
-    for xj, mj in target.entries:
-        below = source.base.down_set(xj)
-        rows.append(tuple([int(0 <= mj - mi <= 1 and xi in below) for xi, mi in source.entries]))
-    return rows
-
-
 def _canonical(source: CObject, target: CObject, matrix: Mat) -> Mat:
-    """Zero forbidden positions: order violations, degree lowerings, and
-    degree jumps of 2 or more (the quotient)."""
-    legal = _legal(source, target)
-    return matrix.masked(lambda j, i: legal[j][i])
+    """matrix, from source to target, in canonical form.
+
+    The canonical-position rule: entry (j, i), from source entry (x_i, m_i)
+    to target entry (x_j, m_j), may be nonzero exactly when x_i <= x_j and
+    m_j - m_i is 0 or 1.  Every other entry is zeroed: order violations,
+    degree lowerings, and degree jumps of 2 or more (the quotient).  The
+    predicate below is the one statement of the rule; Mat.masked calls it
+    only at the nonzero entries, so a mostly zero matrix costs its nonzero
+    entries.  The elements were validated when the objects were made."""
+    src, tgt, leq = source.entries, target.entries, source.base.leq
+
+    def allowed(j, i):
+        (xi, mi), (xj, mj) = src[i], tgt[j]
+        return 0 <= mj - mi <= 1 and (xi, xj) in leq
+
+    return matrix.masked(allowed)
 
 
 class CMorphism:
@@ -111,9 +117,11 @@ class CMorphism:
 
     The constructor validates and normalizes any input: a Mat of the right
     shape (ShapeMismatch otherwise), or rows of integer entries (see Mat).
-    Entries at positions violating the order or degree conditions become
-    zero, and degree jumps >= 2 are quotiented away.  Equality is equality
-    of canonical forms.  Matrices that are canonical by construction skip
+    Its entries are then put in canonical form by :func:`_canonical`, where
+    the canonical-position rule is stated, tested only at the nonzero
+    entries of the input: order violations and degree lowerings become zero
+    and degree jumps >= 2 are quotiented away.  Equality is equality of
+    canonical forms.  Matrices that are canonical by construction skip
     that pass through the private ``_trusted``, which checks nothing; each
     of its callers proves its matrix canonical in its docstring: the
     products of :func:`compose`, the sign twists of :func:`star`, the 0/1
@@ -552,41 +560,71 @@ class Formula:
 def canonical_formula(target: Poset, base: Poset, words: dict) -> Formula:
     """The formula over target whose value at y has the word words[y] over
     base, and whose every matrix (each value's D and each restriction for
-    y < y2) is the all-ones matrix in canonical form.
+    y < y2) is the all-ones matrix in canonical form.  ParseError unless
+    words has a word at exactly the elements of target.
 
-    Canonical form keeps an entry only where the order holds and the degree
-    rises by 0 or 1, so the words and the base order decide every matrix:
-    its rows are _legal's.  Equal rows are one object (interned by value),
-    so a matrix is decided by its column count and the row objects it
-    stacks, in order, and matrices are shared through a dict keyed by that
-    count and the ids of those rows (kept alive by the interning dict of
-    this call): each distinct matrix is made once, and no entry tuple is
-    hashed per pair.  The rows are canonical by construction, so each
-    matrix is taken as it is.
+    Canonical form keeps entry (j, i) only where the rule of _canonical
+    allows it, so the words and the base order decide every matrix.  Its
+    rows are integer bit masks over the source word's positions, made from
+    two tables built once per source word (x_1, m_1) ... (x_n, m_n):
+    below[z], for each element z, has bit i set when x_i <= z, filled by
+    adding the bits of the positions of each element x of the word to
+    below[z] for every z in up(x); and deg[m], for each degree m, has bit i
+    set when m_i = m.  Row j, to the target entry (x_j, m_j), is
+    below[x_j] & (deg[m_j] | deg[m_j - 1]).  Its bit i is set exactly when
+    x_j is in up(x_i), that is x_i <= x_j, and m_i is m_j or m_j - 1, that
+    is m_j - m_i is 0 or 1: the rule.  Matrices are shared through a dict
+    keyed by the width and the row masks, in order: each distinct matrix is
+    made once, its rows read off the binary digits of the masks, and no
+    entry is visited per pair.  The rows are canonical by construction, so
+    each matrix is taken as it is.
     Each D keeps its unit diagonal when entries of equal degree in one word
     are incomparable, as the witnesses of one element are by the antichain
     condition (see harness._build_xi).  Values are checked by check_formula
     (InternalInconsistency otherwise), once per _value_key; restrictions by
     Formula.
     """
-    interned, shared = {}, {}
+    require_elements(target, words, "word")
+    shared = {}
 
-    def ones(src: CObject, tgt: CObject) -> CMorphism:
-        rows = [interned.setdefault(row, row) for row in _legal(src, tgt)]
-        key = (len(src), *map(id, rows))
+    def masks(word: CObject) -> tuple:
+        own, deg = {}, {}
+        for i, (x, m) in enumerate(word.entries):
+            own[x] = own.get(x, 0) | 1 << i
+            deg[m] = deg.get(m, 0) | 1 << i
+        below = {}
+        for x, bits in own.items():
+            for z in base.up_set(x):
+                below[z] = below.get(z, 0) | bits
+        return below, deg
+
+    def ones(src: CObject, tgt: CObject, src_masks: tuple) -> CMorphism:
+        below, deg = src_masks
+        width = len(src)
+        key = (
+            width,
+            *[below.get(x, 0) & (deg.get(m, 0) | deg.get(m - 1, 0)) for x, m in tgt.entries],
+        )
         m = shared.get(key)
         if m is None:
-            m = shared[key] = Mat(len(tgt), len(src), rows)
+            # bit i of a mask is character width - i of its binary string
+            # under a sentinel bit at position width
+            rows = [tuple(map(int, format(mask | 1 << width, "b")[:0:-1])) for mask in key[1:]]
+            m = shared[key] = Mat(len(tgt), width, rows)
         return CMorphism._trusted(src, tgt, m)
 
-    at, check = {}, _memo(_value_key, check_formula)
+    at, word_masks, check = {}, {}, _memo(_value_key, check_formula)
     for y in target.elements:
         xi = CObject(words[y], base)
-        at[y] = FormulaToPoint(xi, ones(xi, xi.shifted(1)))
+        word_masks[y] = masks(xi)
+        at[y] = FormulaToPoint(xi, ones(xi, xi.shifted(1), word_masks[y]))
         problem = check(at[y])
         if problem is not None:
             raise InternalInconsistency(f"canonical value at {y!r} is invalid: {problem}")
-    res = {(y, y2): ones(at[y].xi, at[y2].xi) for y, y2 in target.leq if y != y2}
+    res = {
+        (y, y2): ones(at[y].xi, at[y2].xi, word_masks[y])
+        for y, y2 in target.leq if y != y2
+    }
     return Formula(target, at, res)
 
 
@@ -762,23 +800,46 @@ def compose_formulas(outer: Formula, inner: Formula) -> Formula:
 # --- named constants over the two-element chain ------------------------------
 
 TWO_CHAIN = poset_from_generators(["1", "2"], [("1", "2")])
-NU = translation_formula(TWO_CHAIN, 1)
 
-XI12 = FormulaToPoint(
-    CObject((("1", 1), ("2", 0)), TWO_CHAIN), [[1, 0], [1, 1]]
-)
-XI121 = FormulaToPoint(
-    CObject((("1", 2), ("2", 1), ("1", 1)), TWO_CHAIN),
-    [[1, 0, 0], [-1, 1, 0], [1, 0, 1]],
-)
-XI212 = FormulaToPoint(
-    CObject((("2", 1), ("1", 1), ("2", 0)), TWO_CHAIN),
-    [[1, 0, 0], [0, 1, 0], [1, 1, 1]],
+#: The names of the constants that _two_chain_constants makes.
+_CONSTANTS = (
+    "NU", "XI12", "XI121", "XI212", "ALPHA1", "BETA1", "ALPHA2", "BETA2", "H212", "H121",
 )
 
-ALPHA1 = CMorphism(NU.at["1"].xi, XI212.xi, [[1], [-1], [0]])
-BETA1 = CMorphism(XI212.xi, NU.at["1"].xi, [[0, -1, 0]])
-ALPHA2 = CMorphism(NU.at["2"].xi, XI121.xi, [[0], [1], [0]])
-BETA2 = CMorphism(XI121.xi, NU.at["2"].xi, [[0, 1, 1]])
-H212 = CMorphism(XI212.xi, XI212.xi.shifted(-1), [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-H121 = CMorphism(XI121.xi, XI121.xi.shifted(-1), [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+
+def _two_chain_constants() -> dict:
+    """The paper's named formulas and maps over TWO_CHAIN, made afresh, by
+    name: the translation formula NU, the values XI12, XI121 and XI212, and
+    the maps ALPHA1, BETA1, H212 and ALPHA2, BETA2, H121 of the two retract
+    homotopies."""
+    nu = translation_formula(TWO_CHAIN, 1)
+    xi12 = FormulaToPoint(CObject((("1", 1), ("2", 0)), TWO_CHAIN), [[1, 0], [1, 1]])
+    xi121 = FormulaToPoint(
+        CObject((("1", 2), ("2", 1), ("1", 1)), TWO_CHAIN),
+        [[1, 0, 0], [-1, 1, 0], [1, 0, 1]],
+    )
+    xi212 = FormulaToPoint(
+        CObject((("2", 1), ("1", 1), ("2", 0)), TWO_CHAIN),
+        [[1, 0, 0], [0, 1, 0], [1, 1, 1]],
+    )
+    h = [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
+    return {
+        "NU": nu,
+        "XI12": xi12,
+        "XI121": xi121,
+        "XI212": xi212,
+        "ALPHA1": CMorphism(nu.at["1"].xi, xi212.xi, [[1], [-1], [0]]),
+        "BETA1": CMorphism(xi212.xi, nu.at["1"].xi, [[0, -1, 0]]),
+        "ALPHA2": CMorphism(nu.at["2"].xi, xi121.xi, [[0], [1], [0]]),
+        "BETA2": CMorphism(xi121.xi, nu.at["2"].xi, [[0, 1, 1]]),
+        "H212": CMorphism(xi212.xi, xi212.xi.shifted(-1), h),
+        "H121": CMorphism(xi121.xi, xi121.xi.shifted(-1), h),
+    }
+
+
+def __getattr__(name):
+    """The constants of _CONSTANTS (PEP 562), made afresh on each read, so
+    that importing the module builds no formula."""
+    if name in _CONSTANTS:
+        return _two_chain_constants()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

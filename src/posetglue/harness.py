@@ -47,17 +47,7 @@ from .errors import (
     SizeLimit,
 )
 from .formula_cat import (
-    ALPHA1,
-    ALPHA2,
-    BETA1,
-    BETA2,
-    H121,
-    H212,
-    NU,
     TWO_CHAIN,
-    XI12,
-    XI121,
-    XI212,
     CMorphism,
     Formula,
     FormulaToPoint,
@@ -66,6 +56,7 @@ from .formula_cat import (
     _memo,
     _restriction_key,
     _restriction_problem,
+    _two_chain_constants,
     canonical_formula,
     check_formula,
     check_formula_morphism,
@@ -388,22 +379,37 @@ def _certify_retracts(retracts) -> None:
 # --- the two-chain instance ---------------------------------------------------
 
 #: The smallest gluing: the point "1" glued under the point "2".  Its plus
-#: order is TWO_CHAIN and its minus order is TWO_CHAIN with "1" and "2"
-#: swapped, so its theorem formulas relabelled along the swap (the
+#: order is TWO_CHAIN and its minus order, _FLIPPED, is TWO_CHAIN with "1"
+#: and "2" swapped, so its theorem formulas relabelled along the swap (the
 #: canonical formulas of the words _SWAP, between the two orders) are the
 #: two-chain instance.
 _POINT_GLUING = from_function(point_poset("1"), point_poset("2"), {"1": "2"})
-_POINT_XI = build_theorem_formulas(_POINT_GLUING)
-_FLIPPED = _POINT_XI[0].target
+_FLIPPED = build_minus(_POINT_GLUING).poset
 _SWAP = {"1": (("2", 0),), "2": (("1", 0),)}
 
-#: The plus-side formula over the two-element chain: the value at "1" is the
-#: stalk at "2" and the value at "2" is the extension of both stalks.
-TWO_CHAIN_PLUS = compose_formulas(canonical_formula(TWO_CHAIN, _FLIPPED, _SWAP), _POINT_XI[0])
+#: The names of the formulas that _two_chain_formulas makes.
+_TWO_CHAIN_FORMULAS = ("TWO_CHAIN_PLUS", "TWO_CHAIN_MINUS")
 
-#: The minus-side formula over the two-element chain, inverse to the plus
-#: side up to shift.
-TWO_CHAIN_MINUS = compose_formulas(_POINT_XI[1], canonical_formula(_FLIPPED, TWO_CHAIN, _SWAP))
+
+def _two_chain_formulas() -> tuple:
+    """The point gluing's theorem formulas and the two-chain formulas made
+    from them, afresh: (point_xi, plus, minus).  The plus side, over
+    TWO_CHAIN, has the stalk at "2" as its value at "1" and the extension of
+    both stalks as its value at "2"; the minus side is inverse to it up to
+    shift."""
+    point_xi = build_theorem_formulas(_POINT_GLUING)
+    plus = compose_formulas(canonical_formula(TWO_CHAIN, _FLIPPED, _SWAP), point_xi[0])
+    minus = compose_formulas(point_xi[1], canonical_formula(_FLIPPED, TWO_CHAIN, _SWAP))
+    return point_xi, plus, minus
+
+
+def __getattr__(name):
+    """TWO_CHAIN_PLUS and TWO_CHAIN_MINUS (PEP 562), made afresh on each
+    read by _two_chain_formulas, so that importing the module builds and
+    checks no formula."""
+    if name in _TWO_CHAIN_FORMULAS:
+        return _two_chain_formulas()[1 + _TWO_CHAIN_FORMULAS.index(name)]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # --- randomized verification runs ----------------------------------------------
@@ -647,42 +653,45 @@ def verify_equivalence(
     )
 
 
-def _two_chain_epsilons():
-    """The four comparison transformations of the two-chain instance.
+def _two_chain_epsilons(point_xi, plus, minus):
+    """The four comparison transformations of the two-chain instance, for
+    the formulas (point_xi, plus, minus) of _two_chain_formulas.
 
     The counit and unit come from the point gluing: the unit as it stands
     (its plus order is TWO_CHAIN), the counit re-keyed along the swap.
     """
-    counit, eps_mp = build_epsilons(_POINT_GLUING, *_POINT_XI)
-    comp_pm = compose_formulas(TWO_CHAIN_PLUS, TWO_CHAIN_MINUS)
-    comp_pp = compose_formulas(TWO_CHAIN_PLUS, TWO_CHAIN_PLUS)
-    comp_mm = compose_formulas(TWO_CHAIN_MINUS, TWO_CHAIN_MINUS)
+    counit, eps_mp = build_epsilons(_POINT_GLUING, *point_xi)
+    comp_pm = compose_formulas(plus, minus)
+    comp_pp = compose_formulas(plus, plus)
+    comp_mm = compose_formulas(minus, minus)
     swap = (("1", "2"), ("2", "1"))
     eps_pm = EpsilonTransform(
-        comp_pm, NU, {y: counit.components[z].matrix for y, z in swap}
+        comp_pm,
+        translation_formula(TWO_CHAIN, 1),
+        {y: counit.components[z].matrix for y, z in swap},
     )
     eps_pp = EpsilonTransform(
-        comp_pp, TWO_CHAIN_MINUS, {"1": [[1, 0], [0, 1]], "2": [[0, 1, 0]]}
+        comp_pp, minus, {"1": [[1, 0], [0, 1]], "2": [[0, 1, 0]]}
     )
     eps_mm = EpsilonTransform(
-        shift(TWO_CHAIN_PLUS, 1),
+        shift(plus, 1),
         comp_mm,
         {"1": [[0], [1], [0]], "2": [[-1, 0], [0, 1]]},
     )
     return eps_pm, eps_mp, eps_pp, eps_mm
 
 
-def _two_chain_trial(tseed, epsilons, field, max_dim, window) -> TrialRecord:
+def _two_chain_trial(tseed, plus, epsilons, field, max_dim, window) -> TrialRecord:
     """One two-chain trial at a random diagram K: the four transformations
     evaluated (the square at T1, the plus side at K), and T3, the plus side
-    applied to K three times, compared with the square's source and, by its
-    cohomology tables, with K shifted by one."""
+    plus applied to K three times, compared with the square's source and,
+    by its cohomology tables, with K shifted by one."""
     eps_pm, eps_mp, eps_pp, eps_mm = epsilons
     K = random_diagram(TWO_CHAIN, tseed, max_dim, window)
     counit, unit, double = eps_pm.evaluate(K), eps_mp.evaluate(K), eps_mm.evaluate(K)
-    T1 = eval_formula(TWO_CHAIN_PLUS, K)
+    T1 = eval_formula(plus, K)
     square = eps_pp.evaluate(T1)
-    T3 = eval_formula(TWO_CHAIN_PLUS, eval_formula(TWO_CHAIN_PLUS, T1))
+    T3 = eval_formula(plus, eval_formula(plus, T1))
     if square.source != T3:
         raise InternalInconsistency("composite formula disagrees with iterated evaluation")
     tables = {
@@ -720,14 +729,17 @@ def verify_two_chain(
     of the plus side has the cohomology tables of the input shifted by one.
     """
     config = _run_config(trials, seed, field, max_dim, window)
-    epsilons = _two_chain_epsilons()
+    point_xi, plus, minus = _two_chain_formulas()
+    epsilons = _two_chain_epsilons(point_xi, plus, minus)
     eps_pm, _, eps_pp, _ = epsilons
-    named = (TWO_CHAIN_PLUS, TWO_CHAIN_MINUS)
+    named = (plus, minus)
+    c = _two_chain_constants()
+    xi12, xi121, xi212 = c["XI12"], c["XI121"], c["XI212"]
     structural = []
     structural.append(
         (
             "named-formulas-valid",
-            check_formula(XI12) is None
+            check_formula(xi12) is None
             and all(check_formula(f) is None for F in named for f in F.at.values())
             and all(
                 check_formula_morphism(F.res[("1", "2")], F.at["1"], F.at["2"]) is None
@@ -738,20 +750,28 @@ def verify_two_chain(
     structural.append(
         (
             "substitution-identities",
-            TWO_CHAIN_PLUS.at["2"] == XI12
-            and eps_pm.source.at["2"] == XI121
-            and eps_pp.source.at["2"] == XI212,
+            plus.at["2"] == xi12
+            and eps_pm.source.at["2"] == xi121
+            and eps_pp.source.at["2"] == xi212,
         )
     )
     structural.append(
-        ("retract-homotopy-212", check_homotopy(ALPHA1, BETA1, H212, XI212.D) is None)
+        (
+            "retract-homotopy-212",
+            check_homotopy(c["ALPHA1"], c["BETA1"], c["H212"], xi212.D) is None,
+        )
     )
     structural.append(
-        ("retract-homotopy-121", check_homotopy(ALPHA2, BETA2, H121, XI121.D) is None)
+        (
+            "retract-homotopy-121",
+            check_homotopy(c["ALPHA2"], c["BETA2"], c["H121"], xi121.D) is None,
+        )
     )
     structural.append(("epsilon-naturality", True))
     seeds = [derive_seed(seed, "trial", i) for i in range(trials)]
-    records = [_two_chain_trial(tseed, epsilons, field, max_dim, window) for tseed in seeds]
+    records = [
+        _two_chain_trial(tseed, plus, epsilons, field, max_dim, window) for tseed in seeds
+    ]
     structural.append(("composition-law", True))
     structural.append(("euler-ledger", True))
 

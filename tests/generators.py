@@ -1,6 +1,7 @@
 """Maps between random diagrams, and the functor's action on raw word
 morphisms and on diagram maps, for the functor-law tests (criterion 8)
-and the draw pins.  No certificate runs any of it.
+and the draw pins, and a brute-force reference for the canonical-position
+rule.  No certificate runs any of it.
 
 Every generator here builds on abelian_eval's piece model: a random
 diagram is a split sum of up-set pieces P_u ⊗ S with block-inclusion
@@ -31,7 +32,7 @@ from posetglue.abelian_eval import (
     _times,
     shift_complex,
 )
-from posetglue.formula_cat import CMorphism, FormulaToPoint
+from posetglue.formula_cat import CMorphism, CObject, FormulaToPoint
 from posetglue.intmat import Mat, block
 from posetglue.poset_core import Poset
 from posetglue.rng import SplitMix64, derive_seed
@@ -254,3 +255,16 @@ def complex_to_json(K: VectComplex) -> dict:
         "dims": {str(i): n for i, n in sorted(K.dims.items())},
         "d": {str(i): m.tolist() for i, m in sorted(K.d.items())},
     }
+
+
+def legal_rows(source: CObject, target: CObject) -> list:
+    """The canonical-position rule written from its definition, as 0/1 rows:
+    row j, column i is 1 exactly when source entry (x_i, m_i) may map to
+    target entry (x_j, m_j), that is x_i <= x_j in the base order and
+    m_j - m_i is 0 or 1.  The reference for formula_cat's predicate
+    (_canonical) and masks (canonical_formula)."""
+    base = source.base
+    return [
+        [int(base.le(xi, xj) and mj - mi in (0, 1)) for xi, mi in source.entries]
+        for xj, mj in target.entries
+    ]

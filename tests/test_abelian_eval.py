@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from posetglue import abelian_eval
+from posetglue import abelian_eval, formula_cat, harness
 from posetglue.abelian_eval import (
     RATIONALS,
     ChainMap,
@@ -45,14 +45,10 @@ from posetglue.errors import (
     ShapeMismatch,
 )
 from posetglue.formula_cat import (
-    NU,
     TWO_CHAIN,
     CMorphism,
     CObject,
     FormulaToPoint,
-    XI12,
-    XI121,
-    XI212,
     canonical_formula,
     check_formula,
     i_xi,
@@ -64,8 +60,6 @@ from posetglue.gluing import build_minus, build_plus
 from posetglue.harness import (
     FIGURE_ONE_PAIRS,
     EpsilonTransform,
-    TWO_CHAIN_MINUS,
-    TWO_CHAIN_PLUS,
     build_epsilons,
     build_theorem_formulas,
     figure_one_gluing,
@@ -113,9 +107,15 @@ from generators import (
 # module-level cache keyed by id that holds each morphism with its plan.
 _PLAN_GROWTH_BOUND = 2**19
 
-# the one-entry values of the two-chain formulas
-XI1 = TWO_CHAIN_MINUS.at["2"]
-XI2 = TWO_CHAIN_PLUS.at["1"]
+# The one-entry values of the two-chain formulas.  The package makes the
+# formulas when they are read, so a test that reads them fails by its name
+# if they cannot be built.
+def _xi1():
+    return harness.TWO_CHAIN_MINUS.at["2"]
+
+
+def _xi2():
+    return harness.TWO_CHAIN_PLUS.at["1"]
 
 
 class TestField:
@@ -455,13 +455,13 @@ class TestEvalFormulas:
     def test_stalk_formula_is_the_shifted_stalk(self):
         for seed in range(15):
             K = random_diagram(TWO_CHAIN, seed, max_dim=2, window=(-1, 1))
-            assert eval_point(XI1, K) == shift_complex(K.K["1"], 1)
-            assert eval_point(XI2, K) == K.K["2"]
+            assert eval_point(_xi1(), K) == shift_complex(K.K["1"], 1)
+            assert eval_point(_xi2(), K) == K.K["2"]
 
     def test_arrow_formula_is_the_cone_of_the_restriction(self):
         for seed in range(25):
             K = random_diagram(TWO_CHAIN, seed, max_dim=2, window=(-1, 1))
-            assert eval_point(XI12, K) == cone(K.r[("1", "2")])
+            assert eval_point(formula_cat.XI12, K) == cone(K.r[("1", "2")])
 
     def test_translation_formula_evaluates_to_the_shift(self):
         # The general evaluator on the untagged words ((x, n),) is the
@@ -488,7 +488,7 @@ class TestEvalFormulas:
         # isomorphism; the negated-star form matches on the nose.
         for seed in range(10):
             K = random_diagram(TWO_CHAIN, seed, max_dim=2, window=(-1, 1))
-            for f in (XI1, XI12, XI212):
+            for f in (_xi1(), formula_cat.XI12, formula_cat.XI212):
                 assert eval_point(negated_star_shift(f), K) == shift_complex(
                     eval_point(f, K), 1
                 )
@@ -498,7 +498,7 @@ class TestEvalFormulas:
     def test_i_xi_evaluates_to_an_isomorphism(self):
         for seed in range(10):
             K = random_diagram(TWO_CHAIN, seed, max_dim=2, window=(-1, 1))
-            for f in (XI12, XI121):
+            for f in (formula_cat.XI12, formula_cat.XI121):
                 src, tgt = eval_point(shift(f, 1), K), eval_point(negated_star_shift(f), K)
                 j = ChainMap(src, tgt, eval_cmorphism(i_xi(f), K).f, check=True)
                 assert is_quasi_iso(j)
@@ -565,8 +565,8 @@ class TestEvalFormulas:
 
         monkeypatch.setattr(abelian_eval, "_eval_object_dims", miscounted)
         for evaluate in (
-            lambda: eval_point(XI12, K),
-            lambda: eval_formula(TWO_CHAIN_PLUS, K),
+            lambda: eval_point(formula_cat.XI12, K),
+            lambda: eval_formula(harness.TWO_CHAIN_PLUS, K),
             lambda: verify_two_chain(trials=1),
         ):
             with pytest.raises(InternalInconsistency, match="Euler characteristic"):
@@ -574,12 +574,13 @@ class TestEvalFormulas:
 
     def test_formula_map_of_identityish_diagram(self):
         g = random_qis_map(TWO_CHAIN, 5, max_dim=2, window=(-1, 1))
-        Fg = eval_formula_map(TWO_CHAIN_PLUS, g)
+        Fg = eval_formula_map(harness.TWO_CHAIN_PLUS, g)
         assert isinstance(Fg, DiagramMap)
         assert is_quasi_iso_diagram(Fg)
 
     def test_formula_map_evaluates_each_value_once_per_end(self, monkeypatch):
         calls, contexts = [], []
+        plus = harness.TWO_CHAIN_PLUS
         real, real_init = abelian_eval._Evaluation.point, abelian_eval._Evaluation.__init__
         monkeypatch.setattr(
             abelian_eval._Evaluation, "point", lambda ev, f: calls.append(f) or real(ev, f)
@@ -590,8 +591,8 @@ class TestEvalFormulas:
             lambda ev, K: contexts.append(K) or real_init(ev, K),
         )
         g = random_qis_map(TWO_CHAIN, 5)
-        eval_formula_map(TWO_CHAIN_PLUS, g)
-        assert len(calls) == 2 * len(TWO_CHAIN_PLUS.at)
+        eval_formula_map(plus, g)
+        assert len(calls) == 2 * len(plus.at)
         # the maps are laid out on the contexts of the two ends' evaluations
         assert contexts == [g.source, g.target]
 
@@ -599,19 +600,27 @@ class TestEvalFormulas:
 # The antichain on TWO_CHAIN's elements: a diagram over it has a stalk for
 # every entry of a word over TWO_CHAIN, so only the base check rejects it.
 _DISCRETE = poset_from_generators(["1", "2"], [])
-_PLUS_IDENTITY = EpsilonTransform(
-    TWO_CHAIN_PLUS, TWO_CHAIN_PLUS, {"1": [[1]], "2": [[1, 0], [0, 1]]}
-)
-_NU_IDENTITY = EpsilonTransform(NU, NU, {"1": [[1]], "2": [[1]]})
+
+
+def _plus_identity() -> EpsilonTransform:
+    plus = harness.TWO_CHAIN_PLUS
+    return EpsilonTransform(plus, plus, {"1": [[1]], "2": [[1, 0], [0, 1]]})
+
+
+def _nu_identity() -> EpsilonTransform:
+    nu = formula_cat.NU
+    return EpsilonTransform(nu, nu, {"1": [[1]], "2": [[1]]})
+
+
 _OTHER_BASE = {
-    "eval_point": lambda K, g: eval_point(XI12, K),
-    "eval_cmorphism": lambda K, g: eval_cmorphism(TWO_CHAIN_PLUS.res[("1", "2")], K),
-    "eval_point_map": lambda K, g: eval_point_map(XI12, g),
-    "eval_formula": lambda K, g: eval_formula(TWO_CHAIN_PLUS, K),
-    "eval_formula-translation": lambda K, g: eval_formula(NU, K),
-    "eval_formula_map": lambda K, g: eval_formula_map(TWO_CHAIN_PLUS, g),
-    "EpsilonTransform.evaluate": lambda K, g: _PLUS_IDENTITY.evaluate(K),
-    "EpsilonTransform.evaluate-translation": lambda K, g: _NU_IDENTITY.evaluate(K),
+    "eval_point": lambda K, g: eval_point(formula_cat.XI12, K),
+    "eval_cmorphism": lambda K, g: eval_cmorphism(harness.TWO_CHAIN_PLUS.res[("1", "2")], K),
+    "eval_point_map": lambda K, g: eval_point_map(formula_cat.XI12, g),
+    "eval_formula": lambda K, g: eval_formula(harness.TWO_CHAIN_PLUS, K),
+    "eval_formula-translation": lambda K, g: eval_formula(formula_cat.NU, K),
+    "eval_formula_map": lambda K, g: eval_formula_map(harness.TWO_CHAIN_PLUS, g),
+    "EpsilonTransform.evaluate": lambda K, g: _plus_identity().evaluate(K),
+    "EpsilonTransform.evaluate-translation": lambda K, g: _nu_identity().evaluate(K),
 }
 
 
@@ -650,7 +659,8 @@ class TestEvaluationContext:
 
     def test_contexts_share_no_evaluation(self):
         K = random_diagram(TWO_CHAIN, 3)
-        first, second = eval_formula(TWO_CHAIN_PLUS, K), eval_formula(TWO_CHAIN_PLUS, K)
+        plus = harness.TWO_CHAIN_PLUS
+        first, second = eval_formula(plus, K), eval_formula(plus, K)
         assert first == second
         assert first is not second
 
@@ -712,7 +722,7 @@ class TestEvaluationPlans:
 
     def test_two_chain_plans_match_the_dense_evaluator(self):
         diagrams, qis = _plan_diagrams(TWO_CHAIN)
-        for F in (TWO_CHAIN_PLUS, TWO_CHAIN_MINUS):
+        for F in (harness.TWO_CHAIN_PLUS, harness.TWO_CHAIN_MINUS):
             for K in diagrams:
                 _assert_dense(F, K, eval_formula(F, K))
             _assert_point_maps(F, qis)
@@ -1087,4 +1097,4 @@ class TestFunctorLaws:
         # independent oracle spot check on the evaluated maps
         for seed in range(8):
             g = random_qis_map(TWO_CHAIN, derive_seed(seed, "qis"), max_dim=2, window=(-1, 1))
-            assert induced_qis(eval_point_map(XI121, g))
+            assert induced_qis(eval_point_map(formula_cat.XI121, g))

@@ -13,18 +13,10 @@ from functools import lru_cache
 
 import pytest
 
+from posetglue import formula_cat, harness
 from posetglue.abelian_eval import RATIONALS, Field
 from posetglue.errors import AntichainViolation
 from posetglue.formula_cat import (
-    ALPHA1,
-    ALPHA2,
-    BETA1,
-    BETA2,
-    H121,
-    H212,
-    XI12,
-    XI121,
-    XI212,
     check_homotopy,
     compose,
     substitute,
@@ -32,8 +24,6 @@ from posetglue.formula_cat import (
 from posetglue.gluing import build_minus, build_plus, ordinal_witness, validate_gluing
 from posetglue.harness import (
     FIGURE_ONE_PAIRS,
-    TWO_CHAIN_MINUS,
-    TWO_CHAIN_PLUS,
     counterexample_data,
     figure_one_gluing,
     random_gluing,
@@ -171,24 +161,25 @@ def test_criterion_1_counterexample_rejection():
 
 
 def test_criterion_2_exact_homotopy_identities():
-    first = check_homotopy(ALPHA1, BETA1, H212, XI212.D)
+    fc = formula_cat
+    first = check_homotopy(fc.ALPHA1, fc.BETA1, fc.H212, fc.XI212.D)
     assert first is None, first
-    second = check_homotopy(ALPHA2, BETA2, H121, XI121.D)
+    second = check_homotopy(fc.ALPHA2, fc.BETA2, fc.H121, fc.XI121.D)
     assert second is None, second
-    assert compose(BETA1, ALPHA1).matrix.tolist() == [[1]]
-    assert compose(BETA2, ALPHA2).matrix.tolist() == [[1]]
+    assert compose(fc.BETA1, fc.ALPHA1).matrix.tolist() == [[1]]
+    assert compose(fc.BETA2, fc.ALPHA2).matrix.tolist() == [[1]]
     _report(2, "exact homotopy identities")
 
 
 def test_criterion_3_substitution_reproduces_composites():
-    via_minus = substitute(XI12, TWO_CHAIN_MINUS)
-    assert via_minus.xi.entries == XI121.xi.entries
-    assert via_minus.D.matrix.tolist() == XI121.D.matrix.tolist()
-    assert via_minus == XI121
-    via_plus = substitute(XI12, TWO_CHAIN_PLUS)
-    assert via_plus.xi.entries == XI212.xi.entries
-    assert via_plus.D.matrix.tolist() == XI212.D.matrix.tolist()
-    assert via_plus == XI212
+    via_minus = substitute(formula_cat.XI12, harness.TWO_CHAIN_MINUS)
+    assert via_minus.xi.entries == formula_cat.XI121.xi.entries
+    assert via_minus.D.matrix.tolist() == formula_cat.XI121.D.matrix.tolist()
+    assert via_minus == formula_cat.XI121
+    via_plus = substitute(formula_cat.XI12, harness.TWO_CHAIN_PLUS)
+    assert via_plus.xi.entries == formula_cat.XI212.xi.entries
+    assert via_plus.D.matrix.tolist() == formula_cat.XI212.D.matrix.tolist()
+    assert via_plus == formula_cat.XI212
     _report(3, "substitution reproduces composite words")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import sys
 
 import pytest
@@ -16,25 +17,15 @@ from posetglue.errors import (
     ParseError,
     ShapeMismatch,
 )
+import posetglue
 from posetglue import formula_cat, harness
 from posetglue.formula_cat import (
-    ALPHA1,
-    ALPHA2,
-    BETA1,
-    BETA2,
-    H121,
-    H212,
-    NU,
     TWO_CHAIN,
-    XI12,
-    XI121,
-    XI212,
     CMorphism,
     CObject,
     Formula,
     FormulaToPoint,
     _canonical,
-    _legal,
     _substituted_matrix,
     canonical_formula,
     check_formula,
@@ -53,8 +44,6 @@ from posetglue.formula_cat import (
 from posetglue.gluing import build_minus, build_plus
 from posetglue.harness import (
     FIGURE_ONE_PAIRS,
-    TWO_CHAIN_MINUS,
-    TWO_CHAIN_PLUS,
     build_epsilons,
     build_theorem_formulas,
     figure_one_gluing,
@@ -80,12 +69,25 @@ from conftest import (
     run_python,
     wrap_trusted,
 )
+from generators import legal_rows
 
-# the one-entry values and the restrictions of the two-chain formulas
-XI1 = TWO_CHAIN_MINUS.at["2"]
-XI2 = TWO_CHAIN_PLUS.at["1"]
-PHI1 = TWO_CHAIN_MINUS.res[("1", "2")]
-PHI2 = TWO_CHAIN_PLUS.res[("1", "2")]
+# The one-entry values and the restrictions of the two-chain formulas.  The
+# package makes the formulas when they are read, so a test that reads them
+# fails by its name if they cannot be built.
+def _xi1():
+    return harness.TWO_CHAIN_MINUS.at["2"]
+
+
+def _xi2():
+    return harness.TWO_CHAIN_PLUS.at["1"]
+
+
+def _phi1():
+    return harness.TWO_CHAIN_MINUS.res[("1", "2")]
+
+
+def _phi2():
+    return harness.TWO_CHAIN_PLUS.res[("1", "2")]
 
 
 class TestMat:
@@ -148,12 +150,12 @@ class TestObjectsAndMorphisms:
                 CMorphism(src, target, rows)
 
     def test_composition_matches_matrix_product(self):
-        phi = CMorphism(XI12.xi, XI1.xi, [[1, 0]])
-        psi = CMorphism(XI1.xi, XI1.xi, [[1]])
+        phi = CMorphism(formula_cat.XI12.xi, _xi1().xi, [[1, 0]])
+        psi = CMorphism(_xi1().xi, _xi1().xi, [[1]])
         assert compose(psi, phi).matrix.tolist() == [[1, 0]]
 
     def test_identity_is_neutral(self):
-        phi = PHI1
+        phi = _phi1()
         left = compose(identity_morphism(phi.target), phi)
         right = compose(phi, identity_morphism(phi.source))
         assert left.matrix == phi.matrix == right.matrix
@@ -164,7 +166,7 @@ class TestObjectsAndMorphisms:
         # named values and on random D's over words with degrees -2..2
         rng = SplitMix64(derive_seed(0, "star"))
         words = [random_cobject(rng, TWO_CHAIN, 4, (-2, -1, 0, 1, 2)) for _ in range(40)]
-        values = [XI1, XI12, XI121, XI212] + [
+        values = [_xi1(), formula_cat.XI12, formula_cat.XI121, formula_cat.XI212] + [
             FormulaToPoint(xi, random_cmorphism(rng, xi, xi.shifted(1))) for xi in words
         ]
         for f in values:
@@ -180,12 +182,89 @@ class TestObjectsAndMorphisms:
             assert i_xi(f).matrix == Mat.diag([(-1) ** (m % 2) for _, m in f.xi.entries])
 
     def test_star_is_an_involution(self):
-        assert star(star(XI121.D)).matrix == XI121.D.matrix
+        assert star(star(formula_cat.XI121.D)).matrix == formula_cat.XI121.D.matrix
 
     def test_shift_moves_degrees_only(self):
-        s = shift(XI12, 1)
-        assert s.xi.entries == tuple((x, m + 1) for x, m in XI12.xi.entries)
-        assert s.D.matrix == XI12.D.matrix
+        s = shift(formula_cat.XI12, 1)
+        assert s.xi.entries == tuple((x, m + 1) for x, m in formula_cat.XI12.xi.entries)
+        assert s.D.matrix == formula_cat.XI12.D.matrix
+
+
+def _rule_orders() -> list:
+    """TWO_CHAIN, the orders X1..X4, the glued orders of the Figure-1
+    gluings and those of random_gluing 0-9."""
+    orders = glued_orders() + [figure_one_poset(f"X{k}") for k in range(1, 5)]
+    for seed in range(10):
+        g = random_gluing(seed)
+        orders += [build_plus(g).poset, build_minus(g).poset]
+    return orders
+
+
+def _spread_word(rng, base) -> tuple:
+    """1 to 4 entries at the degrees 0, 2 and 4, the entries of one degree
+    at pairwise incomparable elements."""
+    entries = []
+    for _ in range(1 + rng.randrange(4)):
+        x, m = rng.choice(base.elements), rng.choice((0, 2, 4))
+        if all(m != n or not (base.le(x, e) or base.le(e, x)) for e, n in entries):
+            entries.append((x, m))
+    return tuple(entries)
+
+
+class TestCanonicalRule:
+    """The rule's two statements in formula_cat, the predicate of
+    _canonical and the row masks of canonical_formula, against
+    generators.legal_rows, which is written from the definition."""
+
+    def test_the_constructor_keeps_exactly_the_entries_the_rule_allows(self):
+        # seeded integer matrices, about a fifth of their entries zero,
+        # between words of up to 6 entries at degrees 0..3, so elements
+        # repeat and meet incomparable ones
+        seen = set()  # (x_i <= x_j, m_j - m_i) of each nonzero input entry
+        for k, base in enumerate(_rule_orders()):
+            rng = SplitMix64(derive_seed(k, "canonical-rule"))
+            for _ in range(12):
+                src, tgt = (random_cobject(rng, base, 6, (0, 1, 2, 3)) for _ in range(2))
+                rows = [[rng.randint(-2, 2) for _ in src.entries] for _ in tgt.entries]
+                legal = legal_rows(src, tgt)
+                want = Mat(len(tgt), len(src), [
+                    [c * ok for c, ok in zip(row, allowed)] for row, allowed in zip(rows, legal)
+                ])
+                assert _canonical(src, tgt, Mat(len(tgt), len(src), rows)) == want
+                assert CMorphism(src, tgt, rows).matrix == want
+                seen |= {
+                    (base.le(xi, xj), mj - mi)
+                    for row, (xj, mj) in zip(rows, tgt.entries)
+                    for c, (xi, mi) in zip(row, src.entries)
+                    if c
+                }
+        # every jump -3..3 met with the order holding and failing
+        assert seen == {(le, jump) for le in (True, False) for jump in range(-3, 4)}
+
+    def test_canonical_formula_rows_follow_the_rule_at_degree_spreads_of_two(self):
+        # words at the degrees 0, 2 and 4 whose entries of one degree are
+        # incomparable: each D is the identity, no restriction raises degree,
+        # and the target has no chain of three, so no triangle; every such
+        # formula is valid, and its entries x_i <= x_j two or four degrees
+        # apart must stay zero
+        T = poset_from_generators(["p", "q", "r", "s"], [("p", "r"), ("p", "s"), ("q", "s")])
+        jumps = set()
+        for k, base in enumerate(_rule_orders()):
+            rng = SplitMix64(derive_seed(k, "canonical-rows"))
+            for _ in range(4):
+                F = canonical_formula(T, base, {y: _spread_word(rng, base) for y in T.elements})
+                for f in F.at.values():
+                    n = len(f.xi)
+                    assert f.D.matrix == Mat(n, n, legal_rows(f.xi, f.xi.shifted(1)))
+                for (y, y2), phi in F.res.items():
+                    src, tgt = F.at[y].xi, F.at[y2].xi
+                    if y != y2:
+                        assert phi.matrix == Mat(len(tgt), len(src), legal_rows(src, tgt))
+                    jumps |= {
+                        mj - mi for xj, mj in tgt.entries for xi, mi in src.entries
+                        if base.le(xi, xj)
+                    }
+        assert jumps == {-4, -2, 0, 2, 4}
 
 
 class TestCompose:
@@ -232,16 +311,16 @@ class TestRejectedInputs:
     def test_morphism_ends_over_different_posets(self):
         over_x1 = CObject((("1", 0),), self.X1)
         with pytest.raises(BaseMismatch, match="source and target live over different posets"):
-            CMorphism(XI12.xi, over_x1, [[1, 0]])
+            CMorphism(formula_cat.XI12.xi, over_x1, [[1, 0]])
 
     def test_compose_over_different_posets(self):
         one = identity_morphism(CObject((("1", 0),), self.X1))
         with pytest.raises(BaseMismatch, match="cannot compose morphisms over different posets"):
-            compose(one, identity_morphism(XI12.xi))
+            compose(one, identity_morphism(formula_cat.XI12.xi))
 
     def test_compose_of_unmatched_ends(self):
         with pytest.raises(ShapeMismatch, match="target of the first factor != source"):
-            compose(identity_morphism(XI121.xi), identity_morphism(XI12.xi))
+            compose(identity_morphism(formula_cat.XI121.xi), identity_morphism(formula_cat.XI12.xi))
 
     def test_degrees_and_entries_are_integers(self):
         # int() used to truncate: CMorphism(w, w, [[0.5]]) was the zero map
@@ -251,73 +330,130 @@ class TestRejectedInputs:
         with pytest.raises(ParseError, match="degree must be an integer, got 0.5"):
             CObject((("1", 0.5),), self.X1)
 
+    def test_words_at_other_elements_than_the_target_s(self):
+        one = (("1", 0),)
+        with pytest.raises(ParseError, match="^no word at element '2'$"):
+            canonical_formula(TWO_CHAIN, TWO_CHAIN, {"1": one})
+        with pytest.raises(ParseError, match="^word given at '3', which is not an element$"):
+            canonical_formula(TWO_CHAIN, TWO_CHAIN, {"1": one, "2": one, "3": one})
+
+    @pytest.mark.parametrize("word", [5, None, [5], [("1",)], [("1", 0, 0)]], ids=repr)
+    def test_a_word_that_is_no_sequence_of_pairs(self, word):
+        message = f"a word must be a sequence of (element, degree) pairs, got {word!r}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            CObject(word, TWO_CHAIN)
+
     def test_value_with_a_d_that_is_not_to_the_shift(self):
         with pytest.raises(ShapeMismatch, match="D must map the object to its shift by one"):
-            FormulaToPoint(XI12.xi, identity_morphism(XI12.xi))
+            FormulaToPoint(formula_cat.XI12.xi, identity_morphism(formula_cat.XI12.xi))
 
     def test_substitution_over_another_target(self):
         inner = translation_formula(self.X1, 0)
         with pytest.raises(BaseMismatch, match="outer formula must live over the inner"):
-            substitute(XI12, inner)
+            substitute(formula_cat.XI12, inner)
         with pytest.raises(BaseMismatch, match="base must equal inner formula's target"):
-            compose_formulas(NU, inner)
+            compose_formulas(formula_cat.NU, inner)
+
+
+#: Import the package under a profile hook and print the names of the
+#: formula_cat functions it called, but for the module __getattr__, which
+#: the import machinery asks for names such as __path__.
+_IMPORT_CALLS = """
+import inspect
+import sys
+
+calls = set()
+
+
+def watch(frame, event, arg):
+    code = frame.f_code
+    if (
+        event == "call"
+        and code.co_flags & inspect.CO_NEWLOCALS
+        and code.co_filename.endswith("formula_cat.py")
+        and code.co_name != "__getattr__"
+    ):
+        calls.add(code.co_name)
+
+
+sys.setprofile(watch)
+import posetglue
+sys.setprofile(None)
+print(sorted(calls))
+"""
 
 
 class TestNamedConstants:
+    def test_importing_the_package_builds_no_formula(self):
+        # the named constants are made when read, so a defect in a builder
+        # or a check fails the tests that read them, not the import
+        result = run_python(["-c", _IMPORT_CALLS])
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_the_package_serves_the_named_constants(self):
+        assert posetglue.TWO_CHAIN_PLUS == harness.TWO_CHAIN_PLUS
+        assert posetglue.XI12 == formula_cat.XI12
+        assert posetglue.H121 == formula_cat.H121
+        for module in (posetglue, formula_cat, harness):
+            with pytest.raises(AttributeError, match="has no attribute 'XI13'"):
+                module.XI13
+
     def test_all_named_formulas_are_valid(self):
-        for f in (XI1, XI2, XI12, XI121, XI212):
+        for f in (_xi1(), _xi2(), formula_cat.XI12, formula_cat.XI121, formula_cat.XI212):
             report = check_formula(f)
             assert report is None, report
 
     def test_named_formula_morphisms_are_valid(self):
-        for phi, F in ((PHI1, TWO_CHAIN_MINUS), (PHI2, TWO_CHAIN_PLUS)):
+        for phi, F in ((_phi1(), harness.TWO_CHAIN_MINUS), (_phi2(), harness.TWO_CHAIN_PLUS)):
             report = check_formula_morphism(phi, F.at["1"], F.at["2"])
             assert report is None, report
 
     def test_exact_matrices(self):
-        assert XI1.xi.entries == (("1", 1),)
-        assert XI1.D.matrix.tolist() == [[1]]
-        assert XI2.xi.entries == (("2", 0),)
-        assert XI12.xi.entries == (("1", 1), ("2", 0))
-        assert XI12.D.matrix.tolist() == [[1, 0], [1, 1]]
-        assert XI121.xi.entries == (("1", 2), ("2", 1), ("1", 1))
-        assert XI121.D.matrix.tolist() == [[1, 0, 0], [-1, 1, 0], [1, 0, 1]]
-        assert XI212.xi.entries == (("2", 1), ("1", 1), ("2", 0))
-        assert XI212.D.matrix.tolist() == [[1, 0, 0], [0, 1, 0], [1, 1, 1]]
+        assert _xi1().xi.entries == (("1", 1),)
+        assert _xi1().D.matrix.tolist() == [[1]]
+        assert _xi2().xi.entries == (("2", 0),)
+        assert formula_cat.XI12.xi.entries == (("1", 1), ("2", 0))
+        assert formula_cat.XI12.D.matrix.tolist() == [[1, 0], [1, 1]]
+        assert formula_cat.XI121.xi.entries == (("1", 2), ("2", 1), ("1", 1))
+        assert formula_cat.XI121.D.matrix.tolist() == [[1, 0, 0], [-1, 1, 0], [1, 0, 1]]
+        assert formula_cat.XI212.xi.entries == (("2", 1), ("1", 1), ("2", 0))
+        assert formula_cat.XI212.D.matrix.tolist() == [[1, 0, 0], [0, 1, 0], [1, 1, 1]]
 
     def test_retract_homotopies(self):
-        report = check_homotopy(ALPHA1, BETA1, H212, XI212.D)
+        fc = formula_cat
+        report = check_homotopy(fc.ALPHA1, fc.BETA1, fc.H212, fc.XI212.D)
         assert report is None, report
-        report = check_homotopy(ALPHA2, BETA2, H121, XI121.D)
+        report = check_homotopy(fc.ALPHA2, fc.BETA2, fc.H121, fc.XI121.D)
         assert report is None, report
 
     def test_beta_alpha_is_identity(self):
-        assert compose(BETA1, ALPHA1).matrix.tolist() == [[1]]
-        assert compose(BETA2, ALPHA2).matrix.tolist() == [[1]]
+        assert compose(formula_cat.BETA1, formula_cat.ALPHA1).matrix.tolist() == [[1]]
+        assert compose(formula_cat.BETA2, formula_cat.ALPHA2).matrix.tolist() == [[1]]
 
     def test_broken_homotopy_is_rejected(self):
-        zero_h = CMorphism(XI212.xi, XI212.xi.shifted(-1), Mat.zero(3, 3))
-        report = check_homotopy(ALPHA1, BETA1, zero_h, XI212.D)
+        zero_h = CMorphism(formula_cat.XI212.xi, formula_cat.XI212.xi.shifted(-1), Mat.zero(3, 3))
+        report = check_homotopy(formula_cat.ALPHA1, formula_cat.BETA1, zero_h, formula_cat.XI212.D)
         assert "is not the identity" in report
 
 
 class TestSubstitution:
     def test_reproduces_named_composites(self):
-        via_minus = substitute(XI12, TWO_CHAIN_MINUS)
-        assert via_minus.xi.entries == XI121.xi.entries
-        assert via_minus.D.matrix.tolist() == XI121.D.matrix.tolist()
-        via_plus = substitute(XI12, TWO_CHAIN_PLUS)
-        assert via_plus.xi.entries == XI212.xi.entries
-        assert via_plus.D.matrix.tolist() == XI212.D.matrix.tolist()
+        via_minus = substitute(formula_cat.XI12, harness.TWO_CHAIN_MINUS)
+        assert via_minus.xi.entries == formula_cat.XI121.xi.entries
+        assert via_minus.D.matrix.tolist() == formula_cat.XI121.D.matrix.tolist()
+        via_plus = substitute(formula_cat.XI12, harness.TWO_CHAIN_PLUS)
+        assert via_plus.xi.entries == formula_cat.XI212.xi.entries
+        assert via_plus.D.matrix.tolist() == formula_cat.XI212.D.matrix.tolist()
 
     def test_substituting_the_translation_is_the_shift(self):
-        for f in (XI1, XI2, XI12):
-            s = substitute(f, NU)
+        for f in (_xi1(), _xi2(), formula_cat.XI12):
+            s = substitute(f, formula_cat.NU)
             assert s.xi.entries == tuple((x, m + 1) for x, m in f.xi.entries)
 
     def test_result_is_always_valid(self):
-        for f in (XI1, XI2, XI12, XI121, XI212):
-            for F in (TWO_CHAIN_PLUS, TWO_CHAIN_MINUS, NU):
+        for f in (_xi1(), _xi2(), formula_cat.XI12, formula_cat.XI121, formula_cat.XI212):
+            for F in (harness.TWO_CHAIN_PLUS, harness.TWO_CHAIN_MINUS, formula_cat.NU):
                 assert check_formula(substitute(f, F)) is None
 
     def test_degree_raising_outer_coefficient_evaluates_as_composite(self):
@@ -340,7 +476,7 @@ class TestSubstitution:
 
 class TestShiftAndStar:
     def test_i_xi_intertwines(self):
-        for f in (XI1, XI12, XI121, XI212):
+        for f in (_xi1(), formula_cat.XI12, formula_cat.XI121, formula_cat.XI212):
             phi = i_xi(f)
             assert check_formula_morphism(phi, shift(f, 1), negated_star_shift(f)) is None
             expected = Mat.diag([(-1) ** (m % 2) for _, m in f.xi.entries])
@@ -349,7 +485,7 @@ class TestShiftAndStar:
             assert negated_star_shift(f).D.matrix == star(f.D).matrix.neg()
 
     def test_negated_star_shift_is_valid(self):
-        for f in (XI12, XI121, XI212):
+        for f in (formula_cat.XI12, formula_cat.XI121, formula_cat.XI212):
             assert check_formula(negated_star_shift(f)) is None
 
 
@@ -375,7 +511,7 @@ for build in (
 
 class TestFormulaValidation:
     def test_two_chain_formulas_are_valid(self):
-        for F in (TWO_CHAIN_PLUS, TWO_CHAIN_MINUS, NU):
+        for F in (harness.TWO_CHAIN_PLUS, harness.TWO_CHAIN_MINUS, formula_cat.NU):
             for y in F.target.elements:
                 assert check_formula(F.at[y]) is None
             for (y, y2), phi in F.res.items():
@@ -383,14 +519,14 @@ class TestFormulaValidation:
 
     def test_res_must_be_degree_preserving_restrictions(self):
         # a res entry that raises degree is not a valid restriction morphism
-        bad = CMorphism(XI2.xi, XI12.xi, [[0], [1]])
-        F = Formula(TWO_CHAIN, {"1": XI2, "2": XI12}, {("1", "2"): bad})
+        bad = CMorphism(_xi2().xi, formula_cat.XI12.xi, [[0], [1]])
+        F = Formula(TWO_CHAIN, {"1": _xi2(), "2": formula_cat.XI12}, {("1", "2"): bad})
         assert F is not None  # PHI2 itself is legal as a res value
         with pytest.raises(Exception):
             Formula(
                 TWO_CHAIN,
-                {"1": XI1, "2": XI12},
-                {("1", "2"): CMorphism(XI1.xi, XI12.xi, [[1], [1]])},
+                {"1": _xi1(), "2": formula_cat.XI12},
+                {("1", "2"): CMorphism(_xi1().xi, formula_cat.XI12.xi, [[1], [1]])},
             )
 
     def test_a_degree_raising_entry_off_the_covers_fails_its_triangle(self):
@@ -423,23 +559,24 @@ class TestFormulaValidation:
         # PHI2 maps XI2's word to XI12's; as a restriction between XI1 and
         # XI12, or between XI2 and XI1, it has the wrong ends
         with pytest.raises(ShapeMismatch, match="phi must map the source word"):
-            check_formula_morphism(PHI2, XI1, XI12)
+            check_formula_morphism(_phi2(), _xi1(), formula_cat.XI12)
         with pytest.raises(ShapeMismatch, match="phi must map the source word"):
-            check_formula_morphism(PHI2, XI2, XI1)
+            check_formula_morphism(_phi2(), _xi2(), _xi1())
         with pytest.raises(ShapeMismatch, match="restriction for '1' <= '2' has wrong ends"):
-            Formula(TWO_CHAIN, {"1": XI1, "2": XI12}, {("1", "2"): PHI2})
+            Formula(TWO_CHAIN, {"1": _xi1(), "2": formula_cat.XI12}, {("1", "2"): _phi2()})
 
     def test_value_at_a_stray_element_is_rejected(self):
-        at = {**TWO_CHAIN_PLUS.at, "3": XI2}
+        at = {**harness.TWO_CHAIN_PLUS.at, "3": _xi2()}
         with pytest.raises(ParseError, match="value given at '3', which is not an element"):
-            Formula(TWO_CHAIN, at, TWO_CHAIN_PLUS.res)
+            Formula(TWO_CHAIN, at, harness.TWO_CHAIN_PLUS.res)
         with pytest.raises(ParseError, match="no value at element '2'"):
-            Formula(TWO_CHAIN, {"1": XI2}, {})
+            Formula(TWO_CHAIN, {"1": _xi2()}, {})
 
     def test_restriction_for_an_unrelated_pair_is_rejected(self):
-        res = {**NU.res, ("2", "1"): CMorphism(NU.at["2"].xi, NU.at["1"].xi, [[1]])}
+        nu = formula_cat.NU
+        res = {**nu.res, ("2", "1"): CMorphism(nu.at["2"].xi, nu.at["1"].xi, [[1]])}
         with pytest.raises(ParseError, match="restriction given for unrelated pair '2', '1'"):
-            Formula(TWO_CHAIN, NU.at, res)
+            Formula(TWO_CHAIN, formula_cat.NU.at, res)
 
     def test_missing_restriction_is_named_in_element_order(self):
         # leq is a frozenset of string pairs, so its iteration order moves
@@ -453,18 +590,18 @@ class TestFormulaValidation:
         # 2·identity at the maximal element "2" intertwines its value's D, so
         # only the identity check rejects it: cover_triangles has no
         # triangle (1, 2, 2)
-        word = TWO_CHAIN_PLUS.at["2"].xi
+        word = harness.TWO_CHAIN_PLUS.at["2"].xi
         doubled = CMorphism(word, word, Mat.identity(len(word)).scale(2))
-        res = {**TWO_CHAIN_PLUS.res, ("2", "2"): doubled}
+        res = {**harness.TWO_CHAIN_PLUS.res, ("2", "2"): doubled}
         with pytest.raises(DiagramAxiomFailure, match=r"at \('2', '2'\) is not the identity"):
-            Formula(TWO_CHAIN, TWO_CHAIN_PLUS.at, res)
+            Formula(TWO_CHAIN, harness.TWO_CHAIN_PLUS.at, res)
 
     def test_values_over_two_bases_are_rejected(self):
         other = poset_from_generators(["1", "2", "3"], [("1", "2")])
         stray = FormulaToPoint(CObject((("2", 0),), other), [[1]])
         with pytest.raises(BaseMismatch, match="all values must live over one base poset"):
-            Formula(TWO_CHAIN, {"1": XI2, "2": stray}, {})
-        F = TWO_CHAIN_PLUS
+            Formula(TWO_CHAIN, {"1": _xi2(), "2": stray}, {})
+        F = harness.TWO_CHAIN_PLUS
         assert Formula(F.target, F.at, F.res).base is F.base
 
     def test_stalk_values_are_valid(self):
@@ -535,20 +672,22 @@ class TestCheckWitnesses:
 
     def test_intertwining_difference_is_named(self):
         # "1" goes to "1" in degree 1, but XI12's D also sends it on to "2"
-        phi = CMorphism(XI1.xi, XI12.xi, [[1], [0]])
-        assert check_formula_morphism(phi, XI1, XI12) == (
+        phi = CMorphism(_xi1().xi, formula_cat.XI12.xi, [[1], [0]])
+        assert check_formula_morphism(phi, _xi1(), formula_cat.XI12) == (
             "intertwining fails: phi[1]·D - D'·phi = [[0], [-1]]"
         )
 
     def test_bad_beta_alpha_is_named(self):
-        zero_beta = CMorphism(XI212.xi, NU.at["1"].xi, [[0, 0, 0]])
-        assert check_homotopy(ALPHA1, zero_beta, H212, XI212.D) == (
+        fc = formula_cat
+        zero_beta = CMorphism(fc.XI212.xi, fc.NU.at["1"].xi, [[0, 0, 0]])
+        assert check_homotopy(fc.ALPHA1, zero_beta, fc.H212, fc.XI212.D) == (
             "beta·alpha = [[0]] is not the identity"
         )
 
     def test_bad_homotopy_sum_is_named(self):
-        zero_h = CMorphism(XI212.xi, XI212.xi.shifted(-1), Mat.zero(3, 3))
-        assert check_homotopy(ALPHA1, BETA1, zero_h, XI212.D) == (
+        fc = formula_cat
+        zero_h = CMorphism(fc.XI212.xi, fc.XI212.xi.shifted(-1), Mat.zero(3, 3))
+        assert check_homotopy(fc.ALPHA1, fc.BETA1, zero_h, fc.XI212.D) == (
             "alpha·beta + h[1]·D + D*[-1]·h = "
             "[[0, -1, 0], [0, 1, 0], [0, 0, 0]] is not the identity"
         )
@@ -556,11 +695,11 @@ class TestCheckWitnesses:
     def test_homotopy_against_a_map_that_is_no_d_is_rejected(self):
         # every shape is checked before any product, so a pair that is no
         # retract is rejected for the shape of D too
-        not_d = CMorphism(XI212.xi, XI212.xi, Mat.identity(3))
-        zero_beta = CMorphism(XI212.xi, NU.at["1"].xi, [[0, 0, 0]])
-        for beta in (BETA1, zero_beta):
+        not_d = CMorphism(formula_cat.XI212.xi, formula_cat.XI212.xi, Mat.identity(3))
+        zero_beta = CMorphism(formula_cat.XI212.xi, formula_cat.NU.at["1"].xi, [[0, 0, 0]])
+        for beta in (formula_cat.BETA1, zero_beta):
             with pytest.raises(ShapeMismatch, match="D must map its object to its shift by 1"):
-                check_homotopy(ALPHA1, beta, H212, not_d)
+                check_homotopy(formula_cat.ALPHA1, beta, formula_cat.H212, not_d)
 
     def test_check_formula_agrees_with_the_three_conditions(self):
         V = poset_from_generators(["a", "b", "c"], [("a", "c"), ("b", "c")])
@@ -748,14 +887,15 @@ class TestMatrixLevelChecks:
         } <= messages
 
     def test_non_identity_diagonals_agree_with_the_reference(self):
-        word = TWO_CHAIN_PLUS.at["2"].xi
+        word = harness.TWO_CHAIN_PLUS.at["2"].xi
         for phi in (CMorphism(word, word, Mat.identity(len(word)).scale(c)) for c in (1, 2, -1)):
             assert phi.matrix.is_identity() == (phi == identity_morphism(word))
-        doubled = FormulaToPoint(XI12.xi, XI12.D.matrix.scale(2))
+        doubled = FormulaToPoint(formula_cat.XI12.xi, formula_cat.XI12.D.matrix.scale(2))
+        alpha = formula_cat.ALPHA1
         _agree([
             (check_formula, (doubled,)),
-            (check_homotopy, (CMorphism(ALPHA1.source, ALPHA1.target, ALPHA1.matrix.scale(2)),
-                              BETA1, H212, XI212.D)),
+            (check_homotopy, (CMorphism(alpha.source, alpha.target, alpha.matrix.scale(2)),
+                              formula_cat.BETA1, formula_cat.H212, formula_cat.XI212.D)),
         ])
         assert check_formula(doubled) == "diagonal entry at (0,0) is 2, not 1"
 
@@ -775,18 +915,22 @@ def _trusted_site(frame) -> str:
 
 
 def _build_two_chain():
-    """Rebuild the two-chain formulas and transformations as the harness
-    does, and the substitutions that reproduce the named constants."""
-    harness.build_theorem_formulas(harness._POINT_GLUING)
+    """Rebuild the two-chain formulas as the harness does and compare them
+    with its own, then build its transformations and the substitutions
+    that reproduce the named constants."""
+    xi_plus, xi_minus = harness.build_theorem_formulas(harness._POINT_GLUING)
     plus = compose_formulas(
-        canonical_formula(TWO_CHAIN, harness._FLIPPED, harness._SWAP), harness._POINT_XI[0]
+        canonical_formula(TWO_CHAIN, harness._FLIPPED, harness._SWAP), xi_plus
     )
     minus = compose_formulas(
-        harness._POINT_XI[1], canonical_formula(harness._FLIPPED, TWO_CHAIN, harness._SWAP)
+        xi_minus, canonical_formula(harness._FLIPPED, TWO_CHAIN, harness._SWAP)
     )
-    assert (plus, minus) == (TWO_CHAIN_PLUS, TWO_CHAIN_MINUS)
-    assert substitute(XI12, minus) == XI121 and substitute(XI12, plus) == XI212
-    harness._two_chain_epsilons()
+    formulas = harness._two_chain_formulas()
+    assert formulas[1:] == (plus, minus)
+    named = formula_cat._two_chain_constants()
+    assert substitute(named["XI12"], minus) == named["XI121"]
+    assert substitute(named["XI12"], plus) == named["XI212"]
+    harness._two_chain_epsilons(*formulas)
 
 
 #: Structures whose build is observed: the Figure-1 gluings, random gluings,
@@ -963,10 +1107,10 @@ class TestKeyedBuilds:
         for F in (xi_plus, xi_minus):
             for f in F.at.values():
                 n = len(f.xi)
-                assert f.D.matrix == Mat(n, n, _legal(f.xi, f.xi.shifted(1)))
+                assert f.D.matrix == Mat(n, n, legal_rows(f.xi, f.xi.shifted(1)))
             for (y, y2), phi in F.res.items():
                 src, tgt = F.at[y].xi, F.at[y2].xi
-                reference = Mat(len(tgt), len(src), _legal(src, tgt))
+                reference = Mat(len(tgt), len(src), legal_rows(src, tgt))
                 assert phi.matrix.is_identity() if y == y2 else phi.matrix == reference
         for F, outer, inner in ((eps_pm.source, xi_plus, xi_minus), (eps_mp.target, xi_minus, xi_plus)):
             for q, f in F.at.items():
@@ -1065,7 +1209,7 @@ class TestKeyedBuilds:
         for (y, y2), phi in F.res.items():
             src, tgt = F.at[y].xi, F.at[y2].xi
             if y != y2:
-                assert phi.matrix == Mat(len(tgt), len(src), _legal(src, tgt)), (y, y2)
+                assert phi.matrix == Mat(len(tgt), len(src), legal_rows(src, tgt)), (y, y2)
         assert F.res[("p", "r")].is_zero() and not F.res[("p", "q")].is_zero()
 
     def test_a_value_sharing_a_valid_d_with_other_degrees_is_rejected(self):
@@ -1075,8 +1219,8 @@ class TestKeyedBuilds:
         T = poset_from_generators(["p", "q"], [])
         words = {"p": (("a", 0), ("b", 0), ("c", 0)), "q": (("a", 1), ("b", 0), ("c", 0))}
         xis = {y: CObject(w, C) for y, w in words.items()}
-        assert len({Mat(3, 3, _legal(xi, xi.shifted(1))) for xi in xis.values()}) == 1
-        problem = check_formula(FormulaToPoint(xis["q"], _legal(xis["q"], xis["q"].shifted(1))))
+        assert len({Mat(3, 3, legal_rows(xi, xi.shifted(1))) for xi in xis.values()}) == 1
+        problem = check_formula(FormulaToPoint(xis["q"], legal_rows(xis["q"], xis["q"].shifted(1))))
         assert problem is not None
         with pytest.raises(InternalInconsistency) as info:
             canonical_formula(T, C, words)

@@ -38,11 +38,7 @@ from posetglue.errors import (
 from posetglue import abelian_eval, formula_cat, gluing, harness
 from posetglue.cli import main
 from posetglue.formula_cat import (
-    NU,
     TWO_CHAIN,
-    XI12,
-    XI121,
-    XI212,
     CMorphism,
     CObject,
     Formula,
@@ -64,8 +60,6 @@ from posetglue.gluing import (
 from posetglue.harness import (
     FIGURE_ONE_PAIRS,
     EpsilonTransform,
-    TWO_CHAIN_MINUS,
-    TWO_CHAIN_PLUS,
     build_epsilons,
     build_theorem_formulas,
     counterexample_data,
@@ -118,8 +112,8 @@ class TestTheoremFormulas:
             res = {(a, b): CMorphism(at[a].xi, at[b].xi, [[1]]) for a, b in target.leq}
             return Formula(target, at, res)
 
-        assert compose_formulas(swap(chain, flipped), xi_plus) == TWO_CHAIN_PLUS
-        assert compose_formulas(xi_minus, swap(flipped, chain)) == TWO_CHAIN_MINUS
+        assert compose_formulas(swap(chain, flipped), xi_plus) == harness.TWO_CHAIN_PLUS
+        assert compose_formulas(xi_minus, swap(flipped, chain)) == harness.TWO_CHAIN_MINUS
 
     def test_every_value_is_a_valid_formula(self):
         for seed in (0, 3, 11):
@@ -171,7 +165,7 @@ def _paper_xi(g, source, target) -> Formula:
         arrow = Formula(
             TWO_CHAIN, {"1": low, "2": high}, {("1", "2"): CMorphism(low.xi, high.xi, ones)}
         )
-        at[x] = substitute(XI12, arrow)
+        at[x] = substitute(formula_cat.XI12, arrow)
     res = {}
     for a, b in target.poset.leq:
         if a == b:
@@ -290,13 +284,15 @@ class TestDuality:
 
 def _non_cover_pairs():
     """(side, a, c) for each relation a < c that is not a cover in the
-    target of xi_plus (side 0) or xi_minus (side 1) of the X1/X2 gluing."""
+    target of xi_plus (side 0), the minus order, or of xi_minus (side 1),
+    the plus order, of the X1/X2 gluing.  The orders are read off the
+    gluing, so collecting the tests builds no formula."""
     g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
     return [
         (side, a, c)
-        for side, xi in enumerate(build_theorem_formulas(g))
-        for a, c in sorted(xi.target.leq)
-        if a != c and (a, c) not in hasse(xi.target).edges
+        for side, target in enumerate((build_minus(g).poset, build_plus(g).poset))
+        for a, c in sorted(target.leq)
+        if a != c and (a, c) not in hasse(target).edges
     ]
 
 
@@ -598,9 +594,10 @@ class TestCompose:
             m = real(psi, inner)
             return m.neg() if psi.target != psi.source.shifted(1) else m
 
+        plus, minus = harness.TWO_CHAIN_PLUS, harness.TWO_CHAIN_MINUS
         monkeypatch.setattr(formula_cat, "_substituted_matrix", negated)
         with pytest.raises(InternalInconsistency, match="substitution produced") as info:
-            compose_formulas(TWO_CHAIN_PLUS, TWO_CHAIN_MINUS)
+            compose_formulas(plus, minus)
         assert isinstance(info.value.__cause__, DiagramAxiomFailure)
 
     @pytest.mark.parametrize("index", range(len(FIGURE_ONE_PAIRS) + 10))
@@ -658,8 +655,9 @@ except NaturalityFailure as exc:
 
 class TestEpsilons:
     def test_two_chain_substitutions_reproduce_constants(self):
-        assert substitute(XI12, TWO_CHAIN_MINUS).D.matrix == XI121.D.matrix
-        assert substitute(XI12, TWO_CHAIN_PLUS).D.matrix == XI212.D.matrix
+        fc = formula_cat
+        assert substitute(fc.XI12, harness.TWO_CHAIN_MINUS).D.matrix == fc.XI121.D.matrix
+        assert substitute(fc.XI12, harness.TWO_CHAIN_PLUS).D.matrix == fc.XI212.D.matrix
 
     def test_epsilon_shapes_cover_all_elements(self):
         g = random_gluing(2)
@@ -672,9 +670,9 @@ class TestEpsilons:
     def test_component_at_a_stray_element_is_rejected(self):
         comps = {"1": [[1]], "2": [[1]], "3": [[1]]}
         with pytest.raises(ParseError, match="component given at '3', which is not"):
-            EpsilonTransform(NU, NU, comps)
+            EpsilonTransform(formula_cat.NU, formula_cat.NU, comps)
         with pytest.raises(ParseError, match="no component at element '2'"):
-            EpsilonTransform(NU, NU, {"1": [[1]]})
+            EpsilonTransform(formula_cat.NU, formula_cat.NU, {"1": [[1]]})
 
     def test_formulas_over_different_bases_are_rejected(self):
         # the same target, TWO_CHAIN, but values over a one-point order
@@ -684,11 +682,11 @@ class TestEpsilons:
         res = {("1", "2"): CMorphism(word, word, [[1]])}
         F = Formula(TWO_CHAIN, {"1": value, "2": value}, res)
         with pytest.raises(BaseMismatch, match="different bases"):
-            EpsilonTransform(NU, F, {"1": [[1]], "2": [[1]]})
+            EpsilonTransform(formula_cat.NU, F, {"1": [[1]], "2": [[1]]})
 
     def test_formulas_of_different_shapes_are_rejected(self):
         with pytest.raises(ParseError, match="different shapes"):
-            EpsilonTransform(NU, translation_formula(point_poset("1"), 1), {"1": [[1]]})
+            EpsilonTransform(formula_cat.NU, translation_formula(point_poset("1"), 1), {"1": [[1]]})
 
     def test_a_broken_retract_is_caught(self):
         g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
@@ -709,7 +707,7 @@ class TestEpsilons:
         # sharing, one alpha, beta and h; only the degrees differ, and with
         # them the sign twist of D
         P = point_poset("1")
-        D = XI121.D.matrix
+        D = formula_cat.XI121.D.matrix
         valid = FormulaToPoint(CObject((("1", 1), ("1", 1), ("1", 0)), P), D)
         other = FormulaToPoint(CObject((("1", 1), ("1", 0), ("1", 0)), P), D)
         assert valid.D.matrix is D and other.D.matrix is D
@@ -735,7 +733,7 @@ class TestEpsilons:
     def test_component_shape_mismatch_is_rejected(self):
         comps = {"1": [[1]], "2": [[1]]}
         with pytest.raises(PosetGlueError):
-            EpsilonTransform(TWO_CHAIN_PLUS, TWO_CHAIN_MINUS, comps)
+            EpsilonTransform(harness.TWO_CHAIN_PLUS, harness.TWO_CHAIN_MINUS, comps)
 
     def test_evaluate_evaluates_each_value_once(self, monkeypatch):
         g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
@@ -805,9 +803,9 @@ class TestEpsilons:
         # sign-flipped identity components break the connecting square
         bad = {"1": [[1]], "2": [[-1]]}
         with pytest.raises(NaturalityFailure) as info:
-            EpsilonTransform(NU, NU, bad)
+            EpsilonTransform(formula_cat.NU, formula_cat.NU, bad)
         assert info.value.edge == ("1", "2")
-        difference = _naturality_difference(NU, NU, bad, info.value.edge)
+        difference = _naturality_difference(formula_cat.NU, formula_cat.NU, bad, info.value.edge)
         assert difference == [[2]]
         assert str(info.value).endswith(f"difference {difference}")
 
@@ -943,17 +941,17 @@ class TestVerifyTwoChain:
             }
             return values, F.res[("1", "2")].matrix.tolist()
 
-        assert pins(TWO_CHAIN_PLUS) == (
+        assert pins(harness.TWO_CHAIN_PLUS) == (
             {"1": ((("2", 0),), [[1]]), "2": ((("1", 1), ("2", 0)), [[1, 0], [1, 1]])},
             [[0], [1]],
         )
-        assert pins(TWO_CHAIN_MINUS) == (
+        assert pins(harness.TWO_CHAIN_MINUS) == (
             {"1": ((("1", 1), ("2", 0)), [[1, 0], [1, 1]]), "2": ((("1", 1),), [[1]])},
             [[1, 0]],
         )
 
     def test_counit_and_unit_are_pinned(self):
-        counit, unit, _, _ = harness._two_chain_epsilons()
+        counit, unit, _, _ = harness._two_chain_epsilons(*harness._two_chain_formulas())
         matrices = [
             {y: phi.matrix.tolist() for y, phi in eps.components.items()}
             for eps in (counit, unit)
