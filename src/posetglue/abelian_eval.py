@@ -7,6 +7,12 @@ All matrices are integers; the field only enters through rank computations
 elimination), so every construction is literally identical over every field
 and any field-dependence in reported dimensions would expose a bug.
 
+A diagram stores a restriction only between two nonzero stalks: one into or
+out of a zero stalk is the zero map, and is never built, stored, checked or
+walked.  Every reader takes an omitted restriction as zero: the evaluator
+skips its items, the cover-triangle walk asks r(a, c) = 0 across a zero
+middle stalk, and a naturality square reads its omitted side as zero.
+
 Every random diagram is a split sum of up-set pieces P_u ⊗ S (a complex S
 spread over the up-set of u) whose restrictions are the block inclusions,
 so random trials never see a non-split diagram such as the cone of
@@ -222,10 +228,13 @@ def identity_chain_map(K: VectComplex) -> ChainMap:
     return ChainMap(K, K, {i: Mat.identity(n) for i, n in K.dims.items()}, check=False)
 
 
-def _products(g: ChainMap, f: ChainMap) -> dict:
+def _products(g: ChainMap | None, f: ChainMap | None) -> dict:
     """The nonzero degreewise products g.f[i]·f.f[i], that is the blocks of
     the composite g·f, for chain maps whose ends are already known to
-    match."""
+    match; None stands for a restriction a diagram omits, the zero map, and
+    then there are none."""
+    if g is None or f is None:
+        return {}
     gf, out = g.f, {}
     for i, m in f.f.items():
         n = gf.get(i)
@@ -299,38 +308,49 @@ def is_quasi_iso(f: ChainMap, field: Field = RATIONALS) -> bool:
 class PosetDiagram:
     """One complex per poset element plus compatible restriction chain maps.
 
-    Restrictions are stored for every related pair, a missing diagonal one
-    being the identity.  With check, the constructor checks the ends of each
-    restriction, that each diagonal one is the identity, and closure under
+    Restrictions are stored only for the related pairs whose two stalks are
+    nonzero, the support pairs; a restriction into or out of a zero stalk is
+    the zero map, and is never stored, checked or walked.  A missing
+    diagonal restriction at a nonzero stalk is the identity.  The input may
+    give the pairs with a zero end or leave them out; every support pair
+    must be given (ParseError names the first one missing, in element
+    order), and no unrelated pair.  As no stored map has a zero end, equal
+    diagrams store equal restrictions.
+
+    With check, the constructor checks the ends of each given restriction,
+    stored or not, that each diagonal one is the identity, and closure under
     composition on cover_triangles, comparing the degreewise products with
     the stored blocks.  By the induction there this implies the general
     case; the degenerate triangles (x, x2, x2) follow from the identity
-    check.  The comparison reads the blocks of the three chain maps and
-    nothing else, so poset_core._failing_triangle compares each distinct
-    triple of restriction objects once (the evaluator makes one chain map
-    per object triple of its ends and matrices, the draws one per pair of
-    piece sets); the first failing triangle is the witness.
+    check.  Only the triangles (x, x2, x3) with x and x3 in the support are
+    walked, and one whose middle stalk is zero requires r(x, x3) = 0, what
+    the product of the two zero maps requires (see
+    poset_core._failing_triangle).  The comparison reads the blocks of the
+    three chain maps and nothing else, so _failing_triangle compares each
+    distinct triple of restriction objects once (the evaluator makes one
+    chain map per object triple of its ends and matrices, the draws one per
+    pair of piece sets); the first failing triangle is the witness.
     """
 
     __slots__ = ("base", "K", "r")
 
     def __init__(self, base: Poset, K: dict, r: dict, check: bool = True):
         self.base = base
-        self.K = dict(K)
-        self.r = dict(r)
-        require_elements(base, self.K, "complex")
-        require_relations(base, self.r, lambda x: identity_chain_map(self.K[x]))
+        self.K = K = dict(K)
+        require_elements(base, K, "complex")
+        support = {x for x, C in K.items() if C.dims}
+        self.r = require_relations(base, r, lambda x: identity_chain_map(K[x]), support)
         if check:
-            for (x, x2), f in self.r.items():
-                if f.source != self.K[x] or f.target != self.K[x2]:
+            for (x, x2), f in r.items():
+                if f.source != K[x] or f.target != K[x2]:
                     raise ShapeMismatch(f"restriction for {x!r} <= {x2!r} has wrong ends")
             for x in base.elements:
+                if x not in support:
+                    continue
                 # the ends are checked: the identity is an identity
                 # block in each degree of the stalk
                 f = self.r[(x, x)].f
-                if f.keys() != self.K[x].dims.keys() or not all(
-                    m.is_identity() for m in f.values()
-                ):
+                if f.keys() != K[x].dims.keys() or not all(m.is_identity() for m in f.values()):
                     raise DiagramAxiomFailure(f"restriction at ({x!r},{x!r}) is not the identity")
             triangle = _failing_triangle(base, self.r, lambda g, f, h: _products(g, f) == h.f)
             if triangle is not None:
@@ -357,9 +377,12 @@ class PosetDiagram:
 class DiagramMap:
     """A family of chain maps, one per element, commuting with restrictions:
     the two composites on each Hasse edge have equal degreewise products.
-    The comparison reads the square's four chain maps and nothing else, so
-    poset_core._failing_square compares each distinct quadruple once; the
-    first failing Hasse edge in element order raises NaturalityFailure."""
+    A restriction that a diagram omits, into or out of a zero stalk, is the
+    zero map, and its side of the square is zero (see
+    poset_core._failing_square).  The comparison reads the square's four
+    chain maps and nothing else, so _failing_square compares each distinct
+    quadruple once; the first failing Hasse edge in element order raises
+    NaturalityFailure."""
 
     __slots__ = ("source", "target", "components")
 
@@ -383,11 +406,13 @@ class DiagramMap:
 
 
 def shift_diagram(K: PosetDiagram, n: int) -> PosetDiagram:
-    """K shifted by n: each stalk by shift_complex, each restriction
-    reindexed between the shifted stalks of its pair.  Each distinct stalk
-    object is shifted once, as is each restriction object between one pair
-    of stalk objects, so what K shares the result shares.  Shifting keeps
-    d·d = 0, chain maps and the diagram axioms, so nothing is checked again.
+    """K shifted by n: each stalk by shift_complex, each stored restriction
+    reindexed between the shifted stalks of its pair; a shifted stalk is
+    zero exactly when the stalk is, so these are the result's support
+    pairs.  Each distinct stalk object is shifted once, as is each
+    restriction object between one pair of stalk objects, so what K shares
+    the result shares.  Shifting keeps d·d = 0, chain maps and the diagram
+    axioms, so nothing is checked again.
 
     This is the evaluation of translation_formula(K.base, n) at K: the
     general evaluation of its words ((x, n),) puts K(x)^{t+n} in degree t,
@@ -510,7 +535,7 @@ class _Evaluation:
         """The key of phi's evaluation at K, given the records source and
         target of its two ends: the ids of phi's pattern, of the two
         records, and of the restriction K(x_i <= x_j) that each nonzero
-        entry (j, i) selects, in pattern order.
+        entry (j, i) selects, in pattern order, where K stores one.
 
         It decides the degreewise matrices.  The pattern stands for phi's
         matrix object (formula_cat._patterns), so it decides the nonzero
@@ -519,16 +544,21 @@ class _Evaluation:
         (j, i, (x_i, x_j), m_i, c, raising) of _entries(phi) but the
         element pair: raising is m_j != m_i, and c is the coefficient,
         negated for a raising entry from an odd m_i.  Of the pair, an item
-        reads only the restriction K(x_i <= x_j), in the key, and for a
-        raising item the differential of K(x_j), the stalk of target entry
-        j in the target's signature.  The signatures decide the layouts,
-        where the blocks are placed.  The empty pattern, which every zero
-        matrix shares, has no item, and its result is empty."""
-        r, se, te = self.K.r, phi.source.entries, phi.target.entries
+        reads only the restriction K(x_i <= x_j), and for a raising item the
+        differential of K(x_j), the stalk of target entry j in the target's
+        signature.  K omits the restriction exactly when K(x_i) or K(x_j) is
+        zero, which the stalks of entries i and j in the two signatures
+        decide; it is then the zero map, and the item adds nothing.  So the
+        signatures decide which positions have a stored restriction, and the
+        ids of those, in pattern order, decide the rest.  The signatures
+        decide the layouts, where the blocks are placed.  The empty pattern,
+        which every zero matrix shares, has no item, and its result is
+        empty."""
+        get, se, te = self.K.r.get, phi.source.entries, phi.target.entries
         positions = self.pattern(phi)
+        stored = [get((se[i][0], te[j][0])) for j, i in positions]
         return (
-            id(positions), id(source), id(target),
-            *[id(r[se[i][0], te[j][0]]) for j, i in positions],
+            id(positions), id(source), id(target), *[id(f) for f in stored if f is not None]
         )
 
     def matrices(self, phi: CMorphism) -> dict:
@@ -538,7 +568,8 @@ class _Evaluation:
         raising) of _entries(phi) is c times the restriction K(x_i <= x_j),
         and then the differential of K(x_j) if raising, walked over the
         nonzero degrees s of the restriction to land at degree
-        t = s - m_i."""
+        t = s - m_i; an item whose restriction K omits, the zero map, is
+        skipped."""
         source, target = self.record(phi.source), self.record(phi.target)
         rows, cols = target[1], source[1]
         if not (rows and cols):
@@ -547,9 +578,12 @@ class _Evaluation:
         out = self.made.get(key)
         if out is not None:
             return out
-        stalks, placed_at = self.K.K, {}
+        stalks, get, placed_at = self.K.K, self.K.r.get, {}
         for j, i, pair, mi, c, raising in _entries(phi):
-            for s, m in self.K.r[pair].f.items():
+            f = get(pair)
+            if f is None:
+                continue
+            for s, m in f.f.items():
                 if raising:
                     d = stalks[pair[1]].d.get(s)
                     if d is None:
@@ -583,10 +617,12 @@ class _Evaluation:
         dimensions and its Euler characteristic, and the key decides D's
         matrices, the differential; a later value with that key gets the
         first one's complex, which passed the same checks.  A restriction
-        with a zero stalk at either end has no matrices (its word evaluates
-        to zero, the layout being empty exactly when the stalk is), so no
-        key is made for it.  Every distinct restriction is checked as a
-        chain map; PosetDiagram then checks the diagram axioms."""
+        with a zero stalk at either end is the zero map, which the diagram
+        omits, so it is not made: the support pairs are walked in F.res
+        order, so the first failing chain map is the one a walk over every
+        pair finds, the zero maps passing.  Every distinct restriction is
+        checked as a chain map; PosetDiagram then checks the diagram
+        axioms."""
         if F.base != self.K.base:
             raise BaseMismatch("formula and diagram live over different posets")
         if F.shift is not None:
@@ -602,8 +638,8 @@ class _Evaluation:
         restrictions = {}
         for (y, y2), phi in F.res.items():
             S, T = stalks[y], stalks[y2]
-            f = self.matrices(phi) if S.dims and T.dims else {}
-            restrictions[y, y2] = self.chain_map(S, T, f)
+            if S.dims and T.dims:
+                restrictions[y, y2] = self.chain_map(S, T, self.matrices(phi))
         return PosetDiagram(F.target, stalks, restrictions, check=True)
 
     def point(self, f: FormulaToPoint) -> VectComplex:
@@ -851,6 +887,8 @@ class _PieceDiagram:
     Everything at x depends on x only through present[x], its piece set:
     one stalk is built per distinct piece set and shared by the elements
     that have it, as is one restriction per distinct pair of piece sets.
+    Every piece is a nonzero complex, so the stalk at x is zero exactly when
+    present[x] is empty, and the support, where it is nonzero, is an up-set.
     """
 
     def __init__(self, X: Poset, pieces):
@@ -881,17 +919,22 @@ class _PieceDiagram:
         return blocks, rows, cols
 
     def diagram(self) -> PosetDiagram:
-        """The split diagram of the pieces: the stalks, and for each x <= x2
-        the block inclusion in each degree, one chain map per distinct pair
-        of piece sets.  A split sum of up-set pieces is a diagram by
-        construction, so nothing is checked."""
-        r, shared = {}, {}
-        for x, x2 in self.X.leq:
-            p, p2 = key = self.present[x], self.present[x2]
-            if key not in shared:
-                f = {t: block(*self.inclusion_blocks(p, p2, t)) for t in self.sums[p].dims}
-                shared[key] = ChainMap(self.sums[p], self.sums[p2], f, check=False)
-            r[(x, x2)] = shared[key]
+        """The split diagram of the pieces: the stalks, and for each support
+        pair x <= x2, x with a nonzero stalk and so x2 too, the block
+        inclusion in each degree, one chain map per distinct pair of piece
+        sets.  A split sum of up-set pieces is a diagram by construction, so
+        nothing is checked."""
+        r, shared, present = {}, {}, self.present
+        for x in self.X.elements:
+            p = present[x]
+            if not p:
+                continue
+            for x2 in self.X.up_set(x):
+                key = p, present[x2]
+                if key not in shared:
+                    f = {t: block(*self.inclusion_blocks(*key, t)) for t in self.sums[p].dims}
+                    shared[key] = ChainMap(self.sums[p], self.sums[key[1]], f, check=False)
+                r[(x, x2)] = shared[key]
         return PosetDiagram(self.X, self.stalks, r, check=False)
 
 

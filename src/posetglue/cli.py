@@ -10,7 +10,9 @@ deterministic: the same inputs, seed, field, and trial count produce
 byte-identical JSON.
 
 Exit codes: 0 all passed; 1 input or validation failure; 2 verification
-failure; 3 parse error (bad files or bad command lines).
+failure; 3 parse error (bad files or bad command lines); 4 internal error,
+an InternalInconsistency raised by a defect in the library, reported on
+stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -444,8 +446,10 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
-    except InternalInconsistency:
-        raise
+    except InternalInconsistency as exc:
+        # a defect in the library, not in the input: no traceback, and its own code
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except PosetGlueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

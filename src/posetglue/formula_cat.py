@@ -517,9 +517,8 @@ class Formula:
             raise BaseMismatch("all values must live over one base poset")
         self.base = first.xi.base
         require_elements(target, self.at, "value")
-        self.res = res = dict(res)
         at = self.at
-        require_relations(target, res, lambda y: identity_morphism(at[y].xi))
+        self.res = res = require_relations(target, res, lambda y: identity_morphism(at[y].xi))
         for (y, y2), phi in res.items():
             src, tgt = at[y].xi, at[y2].xi
             if (phi.source is not src and phi.source != src) or (

@@ -18,13 +18,13 @@ class Poset:
     reflexive-transitive closure as a frozenset of ordered pairs. Construct
     via :func:`poset_from_generators` (or the JSON loader), which computes the
     closure and rejects cycles; the raw constructor trusts its input.
-    Its Hasse diagram, its covers in element order and its cover triangles
-    are computed on first use and kept.
+    Its Hasse diagram, its covers in element order and its cover triangles,
+    flat and grouped by cover, are computed on first use and kept.
     """
 
     __slots__ = (
         "elements", "leq", "_index", "_up", "_down", "_height", "_hasse", "_covers",
-        "_triangles",
+        "_fans", "_triangles",
     )
 
     def __init__(self, elements, leq):
@@ -47,6 +47,7 @@ class Poset:
         self._height = heights
         self._hasse = None
         self._covers = None
+        self._fans = None
         self._triangles = None
 
     def __len__(self):
@@ -260,21 +261,57 @@ def require_elements(p: Poset, mapping, what: str) -> None:
         raise ParseError(f"{what} given at {stray!r}, which is not an element")
 
 
-def require_relations(p: Poset, maps: dict, identity) -> None:
-    """Complete maps, keyed by the pairs a <= b of p, with identity(a) at each
-    missing diagonal pair; ParseError unless its keys are then exactly the
-    pairs of p, naming the first missing pair in element order or else the
-    first key that is not a pair of p."""
+def require_relations(p: Poset, maps, identity, support=None) -> dict:
+    """The maps of a diagram over p whose objects outside support are zero,
+    as a new dict keyed by pairs a <= b of p: each map of maps whose two ends
+    lie in support (a set of p's elements; None stands for all of them), with
+    identity(a) at each pair (a, a) of support that maps lacks.  A map into
+    or out of a zero object is zero, so a given pair with an end outside
+    support is left out, and need not be given.  ParseError unless every
+    key of maps is a pair of p and every pair of support has a map, naming
+    the first pair of support without one in element order, or else the
+    first key that is not a pair of p.
+
+    Every kept pair is a pair of support, so the count of the kept maps
+    against that of the pairs of support tells whether one is missing."""
+    leq = p.leq
+    if support is None:
+        kept = dict(maps)
+    else:
+        kept = {
+            ab: f for ab, f in _items(maps, "restrictions", "pair")
+            if ab in leq and ab[0] in support and ab[1] in support
+        }
     for a in p.elements:
-        if (a, a) not in maps:
-            maps[(a, a)] = identity(a)
-    if maps.keys() != p.leq:
-        missing = in_element_order(p, [ab for ab in p.leq if ab not in maps])
+        if (a, a) not in kept and (support is None or a in support):
+            kept[a, a] = identity(a)
+    wanted = len(leq) if support is None else sum(len(p._up[a] & support) for a in support)
+    if len(kept) != wanted or not leq.issuperset(maps):
+        pairs = leq if support is None else [
+            (a, b) for a in support for b in p._up[a] if b in support
+        ]
+        missing = in_element_order(p, [ab for ab in pairs if ab not in kept])
         if missing:
             a, b = missing[0]
             raise ParseError(f"no restriction for {a!r} <= {b!r}")
-        a, b = next(ab for ab in maps if ab not in p.leq)
+        a, b = next(ab for ab in maps if ab not in leq)
         raise ParseError(f"restriction given for unrelated pair {a!r}, {b!r}")
+    return kept
+
+
+def _fans(p: Poset) -> tuple:
+    """The cover triangles grouped by Hasse edge: (a, b, above) for each
+    edge a < b in element order, above being the elements c > b in element
+    order, one tuple per b shared by its edges.  Computed once per order and
+    kept on it."""
+    if p._fans is None:
+        above, fans = {}, []
+        for a, b in covers(p):
+            if b not in above:
+                above[b] = tuple(sorted(p._up[b] - {b}, key=p.index))
+            fans.append((a, b, above[b]))
+        p._fans = tuple(fans)
+    return p._fans
 
 
 def cover_triangles(p: Poset) -> tuple:
@@ -293,12 +330,7 @@ def cover_triangles(p: Poset) -> tuple:
     identity before it walks these triangles.
     """
     if p._triangles is None:
-        p._triangles = tuple(
-            (a, b, c)
-            for a, b in covers(p)
-            for c in sorted(p.up_set(b), key=p.index)
-            if c != b
-        )
+        p._triangles = tuple((a, b, c) for a, b, above in _fans(p) for c in above)
     return p._triangles
 
 
@@ -307,19 +339,37 @@ def _failing_triangle(p: Poset, r, commutes):
     maps r, keyed by the pairs a <= b of p, do not compose:
     commutes(r[b, c], r[a, b], r[a, c]) is false.  None if there is none.
 
+    r may omit maps as require_relations omits them, those with an end
+    outside a support set, each being zero: it then holds r(a, a) exactly
+    for a in the support, and, for such a, r(a, c) exactly when c is in it
+    too.  The walk visits the triangles whose a and c lie in the support
+    and gives commutes None for an omitted r(a, b) or r(b, c).  That is the
+    whole check: if a or c is outside the support, r(a, c) and one factor
+    of r(b, c)·r(a, b) are zero, and the triangle holds; if b is, both
+    factors are omitted and commutes(None, None, r(a, c)) asks for
+    r(a, c) = 0, what the product of the zero maps asks.  With every map
+    given, every triangle is walked.
+
     commutes reads the three objects it is given and nothing else, so it
     runs once per distinct triple of objects: a repeated triple has the
     result of its first triangle, which passed, and the first failing
     triangle in walk order is still the witness.  r keeps the objects, so
     their ids stay unique while the walk runs."""
-    seen = set()
-    for a, b, c in cover_triangles(p):
-        g, f, h = r[b, c], r[a, b], r[a, c]
-        triple = id(g), id(f), id(h)
-        if triple not in seen:
-            seen.add(triple)
-            if not commutes(g, f, h):
-                return a, b, c
+    seen, get = set(), r.get
+    for a, b, above in _fans(p):
+        if (a, a) not in r:
+            continue
+        f = get((a, b))
+        for c in above:
+            h = get((a, c))
+            if h is None:
+                continue
+            g = get((b, c))
+            triple = id(g), id(f), id(h)
+            if triple not in seen:
+                seen.add(triple)
+                if not commutes(g, f, h):
+                    return a, b, c
     return None
 
 
@@ -330,12 +380,18 @@ def _failing_square(p: Poset, target_r, components, source_r, commutes):
     target_r[a, b]·components[a] and components[b]·source_r[a, b] being
     different.  None if there is none.
 
+    A map that target_r or source_r omits, as require_relations omits the
+    maps with a zero end, is zero and given to commutes as None; every
+    square is still compared.  With the target's map into or out of a zero
+    object omitted, the square asks for components[b]·source_r[a, b] = 0,
+    and with the source's omitted, for target_r[a, b]·components[a] = 0.
+
     As in _failing_triangle, commutes reads its four objects and nothing
     else, so it runs once per distinct quadruple of objects, and the first
     failing edge is still the witness; the three maps keep the objects."""
     seen = set()
     for a, b in covers(p):
-        square = target_r[a, b], components[a], components[b], source_r[a, b]
+        square = target_r.get((a, b)), components[a], components[b], source_r.get((a, b))
         quadruple = tuple(map(id, square))
         if quadruple not in seen:
             seen.add(quadruple)

@@ -208,6 +208,19 @@ def modp_cohomology(K, p: int) -> dict:
     return out
 
 
+def restriction(K, x, x2):
+    """The restriction of the diagram K for x <= x2: the chain map K stores,
+    or, for a related pair with a zero stalk at an end, which K omits, the
+    zero map between the two stalks."""
+    from posetglue.abelian_eval import ChainMap
+
+    f = K.r.get((x, x2))
+    if f is None:
+        assert K.base.le(x, x2) and not (K.K[x].dims and K.K[x2].dims), (x, x2)
+        f = ChainMap(K.K[x], K.K[x2], {}, check=False)
+    return f
+
+
 def evaluation_key(ev, phi) -> tuple:
     """The key of phi's evaluation in the context ev, with the records of
     phi's two ends read as _Evaluation.matrices reads them."""
@@ -243,7 +256,7 @@ def dense_graded(phi, K) -> dict:
                 if c == 0:
                     continue
                 # absent restriction or differential blocks are zero
-                r = K.r[(xi, xj)].f.get(t + mi)
+                r = restriction(K, xi, xj).f.get(t + mi)
                 if r is None:
                     continue
                 if mj == mi:

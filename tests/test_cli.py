@@ -9,6 +9,7 @@ import pytest
 
 from posetglue import cli
 from posetglue.cli import main
+from posetglue.errors import InternalInconsistency
 from posetglue.gluing import build_minus, build_plus, gluing_from_json, gluing_to_json
 from posetglue.harness import FIGURE_ONE_PAIRS, figure_one_gluing
 from posetglue.poset_core import (
@@ -679,11 +680,39 @@ class TestParserKept:
         assert len(built) == 1
 
 
+#: The CLI in a child process, with verify_two_chain raising the error a
+#: defect in the library raises.
+_PLANTED_DEFECT = """
+from posetglue import cli
+from posetglue.errors import InternalInconsistency
+
+def broken(**_):
+    raise InternalInconsistency("planted defect")
+
+cli.verify_two_chain = broken
+raise SystemExit(cli.main(["verify", "two-chain", "--trials", "2"]))
+"""
+
+
 class TestConsoleScript:
     def test_module_entry_point(self, files):
         result = run_python(["-m", "posetglue.cli", "poset", "check", files["chain3"]])
         assert result.returncode == 0
         assert "3 elements" in result.stdout
+
+    def test_internal_error_exits_4_without_a_traceback(self, files, capsys, monkeypatch):
+        # a defect inside the library is neither invalid input (exit 1) nor
+        # a raw traceback
+        def broken(**_):
+            raise InternalInconsistency("planted defect")
+
+        monkeypatch.setattr(cli, "verify_two_chain", broken)
+        assert main(["verify", "two-chain", "--trials", "2"]) == 4
+        assert capsys.readouterr().err == "internal error: planted defect\n"
+        result = run_python(["-c", _PLANTED_DEFECT])
+        assert result.returncode == 4
+        assert result.stderr == "internal error: planted defect\n"
+        assert "Traceback" not in result.stderr
 
     def test_theorem_json_does_not_depend_on_the_hash_seed(self, tmp_path):
         # set and frozenset iteration order changes with PYTHONHASHSEED; a

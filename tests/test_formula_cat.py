@@ -580,11 +580,23 @@ class TestFormulaValidation:
 
     def test_missing_restriction_is_named_in_element_order(self):
         # leq is a frozenset of string pairs, so its iteration order moves
-        # with the hash seed; the pair named must not
+        # with the hash seed; the pair named must not.  A diagram needs
+        # restrictions only between nonzero stalks, so it names the first
+        # such pair in element order.
+        X1 = figure_one_poset("X1")
+        K = random_diagram(X1, 0)
+        support = [x for x in X1.elements if K.K[x].dims]
+        first = min(
+            ((a, b) for a in support for b in support if a != b and X1.le(a, b)),
+            key=lambda ab: (X1.index(ab[0]), X1.index(ab[1])),
+        )
+        assert first == ("6", "7") and not K.K["1"].dims
         for hash_seed in (0, 2):
             result = run_python(["-c", _MISSING_RESTRICTIONS], hash_seed)
             assert result.returncode == 0, result.stderr
-            assert result.stdout.splitlines() == ["no restriction for '1' <= '2'"] * 2
+            assert result.stdout.splitlines() == [
+                "no restriction for '1' <= '2'", "no restriction for '6' <= '7'"
+            ]
 
     def test_a_diagonal_automorphism_is_not_the_identity(self):
         # 2·identity at the maximal element "2" intertwines its value's D, so

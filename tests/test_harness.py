@@ -74,7 +74,7 @@ from posetglue.harness import (
 from posetglue.intmat import Mat
 from posetglue.poset_core import covers, hasse, opposite, point_poset, poset_from_generators
 
-from conftest import chain_of_chains, evaluation_key, run_python, wrap_trusted
+from conftest import chain_of_chains, evaluation_key, restriction, run_python, wrap_trusted
 
 SMALL = {"trials": 3, "max_dim": 2, "window": (-1, 1)}
 
@@ -823,8 +823,9 @@ class TestEpsilons:
         evaluated = eps.evaluate(random_diagram(eps.source.base, 0))
         source, target, comps = evaluated.source, evaluated.target, evaluated.components
         edges = covers(source.base)
+        # the squares as the walk reads them, an omitted restriction as None
         squares = {
-            tuple(map(id, (target.r[a, b], comps[a], comps[b], source.r[a, b])))
+            tuple(map(id, (target.r.get((a, b)), comps[a], comps[b], source.r.get((a, b)))))
             for a, b in edges
         }
         assert len(squares) < len(edges)
@@ -867,8 +868,8 @@ def _square_commutes(source, target, components, a, b) -> bool:
     a and the target stalk at b with plain products."""
     degrees = set(source.K[a].dims) | set(target.K[b].dims)
     return all(
-        target.r[a, b].at(t).mul(components[a].at(t))
-        == components[b].at(t).mul(source.r[a, b].at(t))
+        restriction(target, a, b).at(t).mul(components[a].at(t))
+        == components[b].at(t).mul(restriction(source, a, b).at(t))
         for t in degrees
     )
 
