@@ -39,7 +39,7 @@ from .errors import (
 from .formula_cat import CMorphism, Formula, FormulaToPoint, _degrees, _entries, _patterns
 from .intmat import Mat, _as_int, block, placed, rank_exact, rank_mod
 from .poset_core import (
-    Poset, _failing_square, _failing_triangle, _items, require_elements, require_relations
+    Poset, _failing_square, _failing_triangle, _items, _pairs, require_elements, require_relations
 )
 from .rng import SplitMix64, derive_seed
 
@@ -894,9 +894,10 @@ class _PieceDiagram:
     def __init__(self, X: Poset, pieces):
         self.X = X
         self.pieces = list(pieces)  # list of (u, VectComplex)
+        bits = [1 << X.index(u) for u, _ in self.pieces]
         self.present = {
-            x: tuple(k for k, (u, _) in enumerate(self.pieces) if X.le(u, x))
-            for x in X.elements
+            x: tuple(k for k, b in enumerate(bits) if down & b)
+            for x, down in zip(X.elements, X._down)
         }
         self.sums = {
             p: direct_sum_complexes(self.pieces[k][1] for k in p)
@@ -922,14 +923,12 @@ class _PieceDiagram:
         """The split diagram of the pieces: the stalks, and for each support
         pair x <= x2, x with a nonzero stalk and so x2 too, the block
         inclusion in each degree, one chain map per distinct pair of piece
-        sets.  A split sum of up-set pieces is a diagram by construction, so
-        nothing is checked."""
+        sets, walked in element order.  A split sum of up-set pieces is a
+        diagram by construction, so nothing is checked."""
         r, shared, present = {}, {}, self.present
-        for x in self.X.elements:
+        for x, x2 in _pairs(self.X):
             p = present[x]
-            if not p:
-                continue
-            for x2 in self.X.up_set(x):
+            if p:
                 key = p, present[x2]
                 if key not in shared:
                     f = {t: block(*self.inclusion_blocks(*key, t)) for t in self.sums[p].dims}

@@ -10,7 +10,8 @@ deterministic: the same inputs, seed, field, and trial count produce
 byte-identical JSON.
 
 Exit codes: 0 all passed; 1 input or validation failure; 2 verification
-failure; 3 parse error (bad files or bad command lines); 4 internal error,
+failure; 3 parse error (bad files or bad command lines) or an input above
+a size cap (SizeLimit); 4 internal error,
 an InternalInconsistency raised by a defect in the library, reported on
 stderr without a traceback.
 """
@@ -24,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .abelian_eval import Field
-from .errors import InternalInconsistency, ParseError, PosetGlueError
+from .errors import InternalInconsistency, ParseError, PosetGlueError, SizeLimit
 from .gluing import (
     build_minus,
     build_plus,
@@ -445,6 +446,9 @@ def main(argv=None) -> int:
         return ns.func(ns)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 3
+    except SizeLimit as exc:
+        print(f"size limit: {exc}", file=sys.stderr)
         return 3
     except InternalInconsistency as exc:
         # a defect in the library, not in the input: no traceback, and its own code

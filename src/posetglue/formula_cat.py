@@ -29,7 +29,9 @@ from .errors import (
 from .intmat import Mat, _as_int, placed
 from .poset_core import (
     Poset,
+    _bits,
     _failing_triangle,
+    _pairs,
     covers,
     poset_from_generators,
     require_elements,
@@ -103,11 +105,12 @@ def _canonical(source: CObject, target: CObject, matrix: Mat) -> Mat:
     predicate below is the one statement of the rule; Mat.masked calls it
     only at the nonzero entries, so a mostly zero matrix costs its nonzero
     entries.  The elements were validated when the objects were made."""
-    src, tgt, leq = source.entries, target.entries, source.base.leq
+    src, tgt, base = source.entries, target.entries, source.base
+    up, index = base._up, base._index
 
     def allowed(j, i):
         (xi, mi), (xj, mj) = src[i], tgt[j]
-        return 0 <= mj - mi <= 1 and (xi, xj) in leq
+        return 0 <= mj - mi <= 1 and up[index[xi]] >> index[xj] & 1
 
     return matrix.masked(allowed)
 
@@ -568,15 +571,16 @@ def canonical_formula(target: Poset, base: Poset, words: dict) -> Formula:
     two tables built once per source word (x_1, m_1) ... (x_n, m_n):
     below[z], for each element z, has bit i set when x_i <= z, filled by
     adding the bits of the positions of each element x of the word to
-    below[z] for every z in up(x); and deg[m], for each degree m, has bit i
-    set when m_i = m.  Row j, to the target entry (x_j, m_j), is
-    below[x_j] & (deg[m_j] | deg[m_j - 1]).  Its bit i is set exactly when
-    x_j is in up(x_i), that is x_i <= x_j, and m_i is m_j or m_j - 1, that
-    is m_j - m_i is 0 or 1: the rule.  Matrices are shared through a dict
-    keyed by the width and the row masks, in order: each distinct matrix is
-    made once, its rows read off the binary digits of the masks, and no
-    entry is visited per pair.  The rows are canonical by construction, so
-    each matrix is taken as it is.
+    below[z] for every z in up(x), read off x's up-set mask; and deg[m],
+    for each degree m, has bit i set when m_i = m.  Row j, to the target
+    entry (x_j, m_j), is below[x_j] & (deg[m_j] | deg[m_j - 1]).  Its bit i
+    is set exactly when x_j is in up(x_i), that is x_i <= x_j, and m_i is
+    m_j or m_j - 1, that is m_j - m_i is 0 or 1: the rule.  Matrices are
+    shared through a dict keyed by the width and the row masks, in order:
+    each distinct matrix is made once, its rows read off the binary digits
+    of the masks, and no entry is visited per pair.  The rows are canonical
+    by construction, so each matrix is taken as it is.  The restrictions
+    are made in element order of their pairs.
     Each D keeps its unit diagonal when entries of equal degree in one word
     are incomparable, as the witnesses of one element are by the antichain
     condition (see harness._build_xi).  Values are checked by check_formula
@@ -584,7 +588,7 @@ def canonical_formula(target: Poset, base: Poset, words: dict) -> Formula:
     Formula.
     """
     require_elements(target, words, "word")
-    shared = {}
+    shared, up, index, elements = {}, base._up, base._index, base.elements
 
     def masks(word: CObject) -> tuple:
         own, deg = {}, {}
@@ -593,7 +597,7 @@ def canonical_formula(target: Poset, base: Poset, words: dict) -> Formula:
             deg[m] = deg.get(m, 0) | 1 << i
         below = {}
         for x, bits in own.items():
-            for z in base.up_set(x):
+            for z in map(elements.__getitem__, _bits(up[index[x]])):
                 below[z] = below.get(z, 0) | bits
         return below, deg
 
@@ -622,7 +626,7 @@ def canonical_formula(target: Poset, base: Poset, words: dict) -> Formula:
             raise InternalInconsistency(f"canonical value at {y!r} is invalid: {problem}")
     res = {
         (y, y2): ones(at[y].xi, at[y2].xi, word_masks[y])
-        for y, y2 in target.leq if y != y2
+        for y, y2 in _pairs(target) if y != y2
     }
     return Formula(target, at, res)
 
@@ -647,7 +651,7 @@ def translation_formula(X: Poset, n: int) -> Formula:
         x: FormulaToPoint(w, CMorphism._trusted(w, w.shifted(1), one))
         for x, w in words.items()
     }
-    F.res = {(x, x2): CMorphism._trusted(words[x], words[x2], one) for x, x2 in X.leq}
+    F.res = {(x, x2): CMorphism._trusted(words[x], words[x2], one) for x, x2 in _pairs(X)}
     F.shift = n
     return F
 

@@ -19,10 +19,13 @@ same order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .errors import (
     AntichainViolation,
     CocycleViolation,
+    CycleError,
     GluingError,
     InternalInconsistency,
     NotOrderPreserving,
@@ -32,14 +35,14 @@ from .errors import (
 )
 from .poset_core import (
     Poset,
+    _bits,
     _disjoint_labels,
     _items,
+    _pairs,
     cover_triangles,
     direct_sum,
-    in_element_order,
     ordinal_sum,
     point_poset,
-    poset_from_generators,
     poset_from_json,
     poset_to_json,
 )
@@ -110,33 +113,33 @@ def validate_gluing(X: Poset, Y: Poset, Yx) -> GluingData:
         for x, ys in Yx.items()
     }
 
+    # The lowest set bit of a shared mask is the first shared element.
+    at = {x: [Y._index[y] for y in ys] for x, ys in Yx.items()}
     for x in X.elements:
-        ys = Yx[x]
+        ys, js = Yx[x], at[x]
         for i in range(len(ys)):
             for j in range(i + 1, len(ys)):
-                y, y2 = ys[i], ys[j]
-                shared_up = Y.up_set(y) & Y.up_set(y2)
-                if shared_up:
-                    w = min(shared_up, key=Y.index)
-                    raise AntichainViolation(x, y, y2, w, "up")
-                shared_down = Y.down_set(y) & Y.down_set(y2)
-                if shared_down:
-                    w = min(shared_down, key=Y.index)
-                    raise AntichainViolation(x, y, y2, w, "down")
+                for masks, side in ((Y._up, "up"), (Y._down, "down")):
+                    shared = masks[js[i]] & masks[js[j]]
+                    if shared:
+                        w = Y.elements[(shared & -shared).bit_length() - 1]
+                        raise AntichainViolation(x, ys[i], ys[j], w, side)
 
+    # phi(y), for x <= x2, is the one member of Y_x2 in the up-set of y.
+    members = {x: sum(1 << j for j in js) for x, js in at.items()}
     phi = {}
-    for x, x2 in in_element_order(X, X.leq):
+    for x, x2 in _pairs(X):
         fwd = {}
-        for y in Yx[x]:
-            candidates = [y2 for y2 in Yx[x2] if Y.le(y, y2)]
-            if not candidates:
+        for y, j in zip(Yx[x], at[x]):
+            hits = Y._up[j] & members[x2]
+            if not hits:
                 raise PhiMissing(x, x2, y)
-            if len(candidates) > 1:
+            if hits & (hits - 1):
                 raise InternalInconsistency(
                     f"multiple admissible images for {y!r} under {x!r} <= {x2!r}; "
                     "the antichain check should have excluded this"
                 )
-            fwd[y] = candidates[0]
+            fwd[y] = Y.elements[hits.bit_length() - 1]
         if len(Yx[x]) != len(Yx[x2]) or len(set(fwd.values())) != len(fwd):
             raise PhiNotBijective(x, x2)
         phi[(x, x2)] = fwd
@@ -153,34 +156,51 @@ def validate_gluing(X: Poset, Y: Poset, Yx) -> GluingData:
 
 
 def _build(g: GluingData, sign: str) -> GluedOrder:
+    """The glued order of the given sign, predicted as masks and checked.
+
+    The prediction is the generators and the diagonal: X, then Y, with each
+    x below the up-sets of its witnesses (plus) or above their down-sets
+    (minus).  The closure of a relation is its smallest transitive
+    superset, so the closure adds nothing and has no cycle exactly when the
+    prediction is transitive (each up-set holds the up-sets of its members)
+    and antisymmetric (no two up-sets are equal, given transitivity).  The
+    witness masks of one x must be disjoint, or a cross relation has two
+    witnesses."""
     if sign in g._orders:
         return g._orders[sign]
-    X, Y = g.X, g.Y
-    witness = {}
-    for x in X.elements:
-        for w in g.Yx[x]:
-            for y in Y.up_set(w) if sign == "plus" else Y.down_set(w):
-                pair = (x, y) if sign == "plus" else (y, x)
-                if pair in witness:
-                    raise InternalInconsistency(
-                        f"cross relation {pair} has two witnesses, {witness[pair]!r} and {w!r}"
-                    )
-                witness[pair] = w
-    generators = list(X.leq) + list(Y.leq) + sorted(witness)
+    X, Y, n, plus = g.X, g.Y, len(g.X), sign == "plus"
     elements = X.elements + Y.elements
-    try:
-        poset = poset_from_generators(elements, generators)
-    except Exception as exc:
-        raise InternalInconsistency(
-            f"glued relation is not a partial order: {exc}"
-        ) from exc
-
-    expected = set(X.leq) | set(Y.leq) | set(witness)
-    expected.update((e, e) for e in elements)
-    if poset.leq != frozenset(expected):
-        raise InternalInconsistency(
-            "transitive closure added relations beyond the predicted glued order"
-        )
+    up = [m | 1 << i for i, m in enumerate(X._up + tuple(m << n for m in Y._up))]
+    down = [m | 1 << i for i, m in enumerate(X._down + tuple(m << n for m in Y._down))]
+    x_side, y_side, reach = (up, down, Y._up) if plus else (down, up, Y._down)
+    witness = {}
+    for i, x in enumerate(X.elements):
+        seen = 0
+        for w in g.Yx[x]:
+            m = reach[Y.index(w)]
+            if m & seen:
+                y = Y.elements[(m & seen & -(m & seen)).bit_length() - 1]
+                pair = (x, y) if plus else (y, x)
+                raise InternalInconsistency(
+                    f"cross relation {pair} has two witnesses, {witness[pair]!r} and {w!r}"
+                )
+            seen |= m
+            for j in _bits(m):
+                witness[(x, Y.elements[j]) if plus else (Y.elements[j], x)] = w
+                y_side[n + j] |= 1 << i
+        x_side[i] |= seen << n
+    first = {}
+    for i, m in enumerate(up):
+        if reduce(or_, [up[j] for j in _bits(m)]) != m:
+            raise InternalInconsistency(
+                "transitive closure added relations beyond the predicted glued order"
+            )
+        a = elements[first.setdefault(m, i)]  # an earlier element with this up-set
+        if a != elements[i]:
+            raise InternalInconsistency(
+                f"glued relation is not a partial order: {CycleError([a, elements[i], a])}"
+            )
+    poset = Poset._from_masks(elements, up, down)
     g._orders[sign] = GluedOrder(poset=poset, sign=sign, witness=witness)
     return g._orders[sign]
 
@@ -221,7 +241,7 @@ def from_function(X: Poset, Y: Poset, f) -> GluingData:
         Y.index(f[x])
     for x in f:
         X.index(x)
-    for x, x2 in in_element_order(X, X.leq):
+    for x, x2 in _pairs(X):
         if not Y.le(f[x], f[x2]):
             raise NotOrderPreserving(x, x2)
     return validate_gluing(X, Y, {x: (f[x],) for x in X.elements})

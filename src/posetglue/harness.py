@@ -17,6 +17,8 @@ coefficient field; a discrepancy between fields aborts the run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .abelian_eval import (
     RATIONALS,
@@ -77,6 +79,7 @@ from .gluing import (
 from .intmat import Mat
 from .poset_core import (
     Poset,
+    _bits,
     _failing_square,
     hasse,
     point_poset,
@@ -580,6 +583,13 @@ def _first_difference(evaluated: TrialRecord, assembled: TrialRecord):
     return None
 
 
+#: The most order pairs that the two glued orders of a gluing may have
+#: together for verify_equivalence to build its formulas.  Time and memory
+#: grow with that count, as every formula has one restriction per pair:
+#: 393,900 pairs, at 2,000 elements, peaked at 409 MB.
+_MAX_ORDER_PAIRS = 500_000
+
+
 def verify_equivalence(
     g: GluingData,
     trials: int = 100,
@@ -619,9 +629,16 @@ def verify_equivalence(
     assembled, and a record that differs from the evaluated one raises
     InternalInconsistency naming the first table and element that differ,
     or that only one record has, before any other trial runs.  A one-trial
-    run builds no image.
+    run builds no image.  SizeLimit, before any formula is built, when the
+    glued orders have more than _MAX_ORDER_PAIRS order pairs together.
     """
     config = _run_config(trials, seed, field, max_dim, window)
+    pairs = sum(m.bit_count() for build in (build_plus, build_minus) for m in build(g).poset._up)
+    if pairs > _MAX_ORDER_PAIRS:
+        raise SizeLimit(
+            f"the glued orders have {pairs} order pairs together, above the cap of "
+            f"{_MAX_ORDER_PAIRS}"
+        )
     xi_plus, xi_minus = build_theorem_formulas(g)
     structural = [("theorem-formulas", True)]
     eps_pm, eps_mp = build_epsilons(g, xi_plus, xi_minus)
@@ -969,12 +986,9 @@ def _random_monotone_map(rng: SplitMix64, X: Poset, Y: Poset) -> dict:
         f = {}
         ok = True
         for x in X.elements:
-            below = [f[x2] for x2 in X.elements if x2 != x and X.le(x2, x)]
-            candidates = [
-                y
-                for y in Y.elements
-                if all(Y.le(b, y) for b in below)
-            ]
+            # the elements above the image of everything below x
+            above = [Y._up[Y.index(f[x2])] for x2 in X.elements if x2 != x and X.le(x2, x)]
+            candidates = [Y.elements[j] for j in _bits(reduce(and_, above, (1 << len(Y)) - 1))]
             if not candidates:
                 ok = False
                 break
@@ -987,13 +1001,12 @@ def _random_monotone_map(rng: SplitMix64, X: Poset, Y: Poset) -> dict:
 
 def _random_witness_set(rng: SplitMix64, Y: Poset) -> tuple:
     """A random admissible witness set: pairwise disjoint up- and down-sets."""
-    chosen = []
+    chosen, up, down = [], 0, 0
     for y in rng.shuffled(Y.elements):
-        if all(
-            not (Y.up_set(y) & Y.up_set(c)) and not (Y.down_set(y) & Y.down_set(c))
-            for c in chosen
-        ):
+        i = Y.index(y)
+        if not (Y._up[i] & up or Y._down[i] & down):
             chosen.append(y)
+            up, down = up | Y._up[i], down | Y._down[i]
         if len(chosen) == 3:
             break
     return tuple(sorted(chosen, key=Y.index))

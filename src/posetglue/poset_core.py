@@ -8,47 +8,56 @@ deterministic. Values are immutable after construction.
 """
 from __future__ import annotations
 
+from collections import Counter
+from functools import reduce
+from operator import or_
+
 from .errors import CycleError, ParseError, SizeLimit, UnknownElement
 
 
 class Poset:
     """A finite partially ordered set.
 
-    `elements` is the canonical enumeration order; `leq` holds the full
-    reflexive-transitive closure as a frozenset of ordered pairs. Construct
-    via :func:`poset_from_generators` (or the JSON loader), which computes the
-    closure and rejects cycles; the raw constructor trusts its input.
+    `elements` is the canonical enumeration order, and the order is held as
+    two bit masks per element index and nothing else: bit j of the up-set
+    mask of element i is set when elements[i] <= elements[j], and the
+    down-set masks are the same relation transposed.  `le` tests one bit.
+    `leq` (the relation as a frozenset of ordered pairs), `up_set`,
+    `down_set` and `height` are views of the masks, each made on first read
+    and kept.  Construct via :func:`poset_from_generators` (or the JSON
+    loader), which computes the closure and rejects cycles; the raw
+    constructor takes the pairs of a relation and trusts them.
     Its Hasse diagram, its covers in element order and its cover triangles,
     flat and grouped by cover, are computed on first use and kept.
     """
 
     __slots__ = (
-        "elements", "leq", "_index", "_up", "_down", "_height", "_hasse", "_covers",
-        "_fans", "_triangles",
+        "elements", "_index", "_up", "_down", "_related", "_leq", "_up_sets",
+        "_down_sets", "_height", "_hasse", "_covers", "_fans", "_triangles",
     )
 
     def __init__(self, elements, leq):
-        self.elements = tuple(elements)
-        self.leq = frozenset(leq)
-        self._index = _index_of(self.elements)
-        up = {e: [] for e in self.elements}
-        down = {e: [] for e in self.elements}
-        for a, b in self.leq:
-            up[a].append(b)
-            down[b].append(a)
-        self._up = {e: frozenset(v) for e, v in up.items()}
-        self._down = {e: frozenset(v) for e, v in down.items()}
-        # Longest-chain height, used by DOT ranks and isomorphism pruning.
-        heights = {}
-        for e in sorted(self.elements, key=lambda e: len(self._down[e])):
-            heights[e] = 1 + max(
-                (heights[d] for d in self._down[e] if d != e), default=-1
-            )
-        self._height = heights
-        self._hasse = None
-        self._covers = None
-        self._fans = None
-        self._triangles = None
+        elements = tuple(elements)
+        index = _index_of(elements)
+        up, down = [0] * len(elements), [0] * len(elements)
+        for a, b in leq:
+            up[index[a]] |= 1 << index[b]
+            down[index[b]] |= 1 << index[a]
+        self._set(elements, up, down)
+
+    @classmethod
+    def _from_masks(cls, elements, up, down):
+        """The poset of the given up-set and down-set masks, by element
+        index; the masks are trusted to be one relation and its transpose."""
+        p = object.__new__(cls)
+        p._set(tuple(elements), up, down)
+        return p
+
+    def _set(self, elements, up, down):
+        self.elements, self._index = elements, _index_of(elements)
+        self._up, self._down, self._up_sets, self._down_sets = tuple(up), tuple(down), {}, {}
+        self._related = self._leq = self._height = self._hasse = None
+        self._covers = self._fans = self._triangles = None
 
     def __len__(self):
         return len(self.elements)
@@ -57,14 +66,21 @@ class Poset:
         return self is other or (
             isinstance(other, Poset)
             and self.elements == other.elements
-            and self.leq == other.leq
+            and self._up == other._up
         )
 
     def __hash__(self):
-        return hash((self.elements, self.leq))
+        return hash((self.elements, self._up))
 
     def __repr__(self):
-        return f"Poset({list(self.elements)}, {len(self.leq)} relations)"
+        return f"Poset({list(self.elements)}, {sum(m.bit_count() for m in self._up)} relations)"
+
+    @property
+    def leq(self) -> frozenset:
+        """The relation as a frozenset of pairs (a, b) with a <= b."""
+        if self._leq is None:
+            self._leq = frozenset(_pairs(self))
+        return self._leq
 
     def index(self, e):
         try:
@@ -76,27 +92,71 @@ class Poset:
         return e in self._index
 
     def le(self, a, b) -> bool:
-        self.index(a)
-        self.index(b)
-        return (a, b) in self.leq
+        return self._up[self.index(a)] >> self.index(b) & 1 == 1
 
     def up_set(self, e) -> frozenset:
         """All elements above or equal to e (the principal up-set)."""
-        self.index(e)
-        return self._up[e]
+        return _view(self, self._up, self._up_sets, self.index(e))
 
     def down_set(self, e) -> frozenset:
         """All elements below or equal to e (the principal down-set)."""
-        self.index(e)
-        return self._down[e]
+        return _view(self, self._down, self._down_sets, self.index(e))
 
     def height(self, e) -> int:
-        self.index(e)
-        return self._height[e]
+        if self._height is None:
+            # Longest-chain height, used by DOT ranks and isomorphism pruning;
+            # a strict down-set has fewer elements, so it is done first.
+            h = self._height = [0] * len(self)
+            for k in sorted(range(len(h)), key=lambda k: self._down[k].bit_count()):
+                h[k] = 1 + max((h[j] for j in _bits(self._down[k]) if j != k), default=-1)
+        return self._height[self.index(e)]
 
     def same_order(self, other) -> bool:
         """Equality as orders: same element set and same relation, any enumeration."""
         return set(self.elements) == set(other.elements) and self.leq == other.leq
+
+
+def _view(p: Poset, masks, views: dict, i: int) -> frozenset:
+    """The elements of masks[i] as a frozenset, made once and kept in views."""
+    if i not in views:
+        views[i] = frozenset(map(p.elements.__getitem__, _bits(masks[i])))
+    return views[i]
+
+
+#: _DIGIT_BITS[k][c]: the positions of the set bits of a mask whose
+#: hexadecimal digit k, from the low end, is c, for the low sixteen digits.
+_DIGIT_BITS = [
+    {c: tuple(4 * k + j for j in range(4) if int(c, 16) >> j & 1) for c in "0123456789abcdef"}
+    for k in range(16)
+]
+
+
+def _bits(mask: int) -> list:
+    """The positions of the set bits of mask, lowest first: below bit 64
+    by the table of each hexadecimal digit, above it by searching the
+    binary digits."""
+    if mask >> 64:
+        digits = bin(mask)[:1:-1]
+        out, i = [], digits.find("1")
+        while i >= 0:
+            out.append(i)
+            i = digits.find("1", i + 1)
+        return out
+    out = []
+    for row, c in zip(_DIGIT_BITS, hex(mask)[:1:-1]):
+        out += row[c]
+    return out
+
+
+def _pairs(p: Poset) -> tuple:
+    """The pairs (a, b) with a <= b in p, in element order (by the index of
+    a, then of b), so that every walk over them, and the first failure it
+    names, is the same on every run.  Made on first use and kept on p, so
+    the restriction dicts of p's formulas share their key pairs."""
+    if p._related is None:
+        elements = p.elements
+        p._related = tuple([(a, elements[j]) for a, m in zip(elements, p._up) for j in _bits(m)])
+    return p._related
 
 
 def _index_of(elements) -> dict:
@@ -150,20 +210,19 @@ def poset_from_generators(elements, generating_pairs) -> Poset:
                 order.append(j)
     if len(order) < n:
         raise CycleError(_find_cycle(elements, index, pairs, *_first_cycle_pair(succ)))
-    reach = [0] * n
+    up = [0] * n
     for i in reversed(order):
         r = 1 << i
         for j in succ[i]:
-            r |= reach[j]
-        reach[i] = r
-    leq = set()
-    for i, a in enumerate(elements):
-        r = reach[i]
-        while r:
-            low = r & -r
-            leq.add((a, elements[low.bit_length() - 1]))
-            r ^= low
-    return Poset(elements, leq)
+            r |= up[j]
+        up[i] = r
+    # and each element's down-set, by the same order forwards: its
+    # predecessors come before it
+    down = [1 << i for i in range(n)]
+    for i in order:
+        for j in succ[i]:
+            down[j] |= down[i]
+    return Poset._from_masks(elements, up, down)
 
 
 def _first_cycle_pair(succ) -> tuple:
@@ -216,29 +275,30 @@ def _find_cycle(elements, index, pairs, i, j):
 
 def hasse(p: Poset) -> HasseDiagram:
     """Transitive reduction: edges (a, b) with a < b and nothing strictly
-    between.  With S the strict up-set of a, b in S is a cover iff S meets
-    the down-set of b in b alone."""
+    between (Aho, Garey and Ullman 1972): with S the strict up-set of a,
+    the covers of a are S less the strict up-sets of the members of S."""
     if p._hasse is None:
-        edges = set()
-        for a in p.elements:
-            above = p._up[a] - {a}
-            edges.update((a, b) for b in above if len(above & p._down[b]) == 1)
-        p._hasse = HasseDiagram(edges)
+        p._hasse = HasseDiagram(covers(p))
     return p._hasse
 
 
-def in_element_order(p: Poset, pairs) -> list:
-    """pairs of p's elements in element order, so that every walk over them,
-    and the first failure it names, is the same on every run."""
-    return sorted(pairs, key=lambda ab: (p.index(ab[0]), p.index(ab[1])))
-
-
 def covers(p: Poset) -> tuple:
-    """The Hasse edges in element order (see in_element_order), sorted once
-    per order and kept on it as a tuple, which no caller can change."""
+    """The Hasse edges in element order (by the index of a, then of b),
+    made once per order from the masks and kept on it as a tuple, which no
+    caller can change."""
     if p._covers is None:
-        p._covers = tuple(in_element_order(p, hasse(p).edges))
+        elements, strict = p.elements, _strict_up(p)
+        p._covers = tuple([
+            (a, elements[b])
+            for a, s in zip(elements, strict) if s
+            for b in _bits(s & ~reduce(or_, [strict[c] for c in _bits(s)]))
+        ])
     return p._covers
+
+
+def _strict_up(p: Poset) -> list:
+    """The strict up-set mask of each element, by index."""
+    return [m & ~(1 << i) for i, m in enumerate(p._up)]
 
 
 def _items(mapping, what: str, by: str):
@@ -272,31 +332,30 @@ def require_relations(p: Poset, maps, identity, support=None) -> dict:
     the first pair of support without one in element order, or else the
     first key that is not a pair of p.
 
-    Every kept pair is a pair of support, so the count of the kept maps
-    against that of the pairs of support tells whether one is missing."""
-    leq = p.leq
-    if support is None:
-        kept = dict(maps)
-    else:
-        kept = {
-            ab: f for ab, f in _items(maps, "restrictions", "pair")
-            if ab in leq and ab[0] in support and ab[1] in support
-        }
+    A key is kept when it is a pair of p's elements in support, a <= b by
+    the masks; the kept pairs are distinct, so their count against that of
+    the pairs of support tells whether one is missing.  A map left out must
+    still be keyed by a pair of p."""
+    index, up = p._index, p._up
+    within = index if support is None else support
+    kept = {
+        ab: f for ab, f in _items(maps, "restrictions", "pair")
+        if isinstance(ab, tuple) and len(ab) == 2 and ab[0] in within and ab[1] in within
+        and up[index[ab[0]]] >> index[ab[1]] & 1
+    }
+    left_out = len(kept) < len(maps)
     for a in p.elements:
-        if (a, a) not in kept and (support is None or a in support):
+        if (a, a) not in kept and a in within:
             kept[a, a] = identity(a)
-    wanted = len(leq) if support is None else sum(len(p._up[a] & support) for a in support)
-    if len(kept) != wanted or not leq.issuperset(maps):
-        pairs = leq if support is None else [
-            (a, b) for a in support for b in p._up[a] if b in support
-        ]
-        missing = in_element_order(p, [ab for ab in pairs if ab not in kept])
-        if missing:
-            a, b = missing[0]
+    inside = sum(1 << index[x] for x in within)
+    wanted = sum((up[index[x]] & inside).bit_count() for x in within)
+    if len(kept) == wanted and not (left_out and (support is None or not p.leq.issuperset(maps))):
+        return kept
+    for a, b in _pairs(p):
+        if a in within and b in within and (a, b) not in kept:
             raise ParseError(f"no restriction for {a!r} <= {b!r}")
-        a, b = next(ab for ab in maps if ab not in leq)
-        raise ParseError(f"restriction given for unrelated pair {a!r}, {b!r}")
-    return kept
+    a, b = next(ab for ab in maps if ab not in p.leq)
+    raise ParseError(f"restriction given for unrelated pair {a!r}, {b!r}")
 
 
 def _fans(p: Poset) -> tuple:
@@ -305,10 +364,11 @@ def _fans(p: Poset) -> tuple:
     order, one tuple per b shared by its edges.  Computed once per order and
     kept on it."""
     if p._fans is None:
-        above, fans = {}, []
+        elements, above, fans = p.elements, {}, []
         for a, b in covers(p):
             if b not in above:
-                above[b] = tuple(sorted(p._up[b] - {b}, key=p.index))
+                j = p._index[b]
+                above[b] = tuple([elements[c] for c in _bits(p._up[j] & ~(1 << j))])
             fans.append((a, b, above[b]))
         p._fans = tuple(fans)
     return p._fans
@@ -403,32 +463,30 @@ def _failing_square(p: Poset, target_r, components, source_r, commutes):
 def _disjoint_labels(p: Poset, q: Poset):
     """Relabel with 'L.'/'R.' prefixes when the two element sets collide."""
     if set(p.elements) & set(q.elements):
-        pm = {e: "L." + e for e in p.elements}
-        qm = {e: "R." + e for e in q.elements}
-        p = Poset([pm[e] for e in p.elements],
-                  {(pm[a], pm[b]) for a, b in p.leq})
-        q = Poset([qm[e] for e in q.elements],
-                  {(qm[a], qm[b]) for a, b in q.leq})
+        p = Poset._from_masks(["L." + e for e in p.elements], p._up, p._down)
+        q = Poset._from_masks(["R." + e for e in q.elements], q._up, q._down)
     return p, q
 
 
 def ordinal_sum(p: Poset, q: Poset) -> Poset:
     """Disjoint union with everything in p below everything in q."""
     p, q = _disjoint_labels(p, q)
-    leq = set(p.leq) | set(q.leq)
-    leq.update((a, b) for a in p.elements for b in q.elements)
-    return Poset(p.elements + q.elements, leq)
+    n, top = len(p), ((1 << len(q)) - 1) << len(p)
+    up = [u | top for u in p._up] + [u << n for u in q._up]
+    down = [*p._down, *(d << n | (1 << n) - 1 for d in q._down)]
+    return Poset._from_masks(p.elements + q.elements, up, down)
 
 
 def direct_sum(p: Poset, q: Poset) -> Poset:
     """Disjoint union with no cross relations."""
     p, q = _disjoint_labels(p, q)
-    return Poset(p.elements + q.elements, set(p.leq) | set(q.leq))
+    up, down = [*p._up, *(u << len(p) for u in q._up)], [*p._down, *(d << len(p) for d in q._down)]
+    return Poset._from_masks(p.elements + q.elements, up, down)
 
 
 def opposite(p: Poset) -> Poset:
     """Same elements, reversed order."""
-    return Poset(p.elements, {(b, a) for a, b in p.leq})
+    return Poset._from_masks(p.elements, p._down, p._up)
 
 
 #: Backslash-escapes for the characters that delimit a product label.
@@ -446,13 +504,12 @@ def product(p: Poset, q: Poset) -> Poset:
         for a in p.elements for b in q.elements
     }
     elements = [label[(a, b)] for a in p.elements for b in q.elements]
-    leq = set()
-    for a in p.elements:
-        for b in q.elements:
-            for a2 in p.up_set(a):
-                for b2 in q.up_set(b):
-                    leq.add((label[(a, b)], label[(a2, b2)]))
-    return Poset(elements, leq)
+    # (a, b) has index a * len(q) + b, so the pairs above or below it are
+    # q's mask for b moved to the block of each a2 above or below a
+    n = len(q)
+    up = [sum(u << a2 * n for a2 in _bits(pu)) for pu in p._up for u in q._up]
+    down = [sum(d << a2 * n for a2 in _bits(pd)) for pd in p._down for d in q._down]
+    return Poset._from_masks(elements, up, down)
 
 
 def point_poset(label="*") -> Poset:
@@ -471,84 +528,58 @@ def is_isomorphic(p: Poset, q: Poset):
         return None
     if len(p) > 12:
         raise SizeLimit("isomorphism search capped at 12 elements")
-    if len(p) == 0:
-        return {}
-
-    cover_p = _cover_maps(p)
-    cover_q = _cover_maps(q)
-
-    def refine(poset, covers):
-        color = {
-            e: (len(poset.down_set(e)), len(poset.up_set(e)), poset.height(e))
-            for e in poset.elements
-        }
-        for _ in range(len(poset)):
-            ranks = {c: i for i, c in enumerate(sorted(set(color.values())))}
-            new = {
-                e: (
-                    ranks[color[e]],
-                    tuple(sorted(ranks[color[u]] for u in covers[0][e])),
-                    tuple(sorted(ranks[color[d]] for d in covers[1][e])),
-                )
-                for e in poset.elements
-            }
-            if len(set(new.values())) == len(set(color.values())):
-                color = new
-                break
-            color = new
-        return color
-
-    col_p = refine(p, cover_p)
-    col_q = refine(q, cover_q)
-    from collections import Counter
-
-    if Counter(col_p.values()) != Counter(col_q.values()):
+    col_p, col_q = _colors(p), _colors(q)
+    if Counter(col_p) != Counter(col_q):
         return None
-
-    # Match rarest color classes first.
+    # Match rarest color classes first, by element index.
     by_color_q = {}
-    for e in q.elements:
-        by_color_q.setdefault(col_q[e], []).append(e)
-    order = sorted(p.elements, key=lambda e: (len(by_color_q[col_p[e]]), p.index(e)))
-
+    for j, c in enumerate(col_q):
+        by_color_q.setdefault(c, []).append(j)
+    order = sorted(range(len(p)), key=lambda i: (len(by_color_q[col_p[i]]), i))
     mapping = {}
-    used = set()
 
-    def consistent(a, b):
-        for a2, b2 in mapping.items():
-            if p.le(a, a2) != q.le(b, b2) or p.le(a2, a) != q.le(b2, b):
-                return False
-        return True
-
-    def backtrack(i):
-        if i == len(order):
+    def backtrack(k):
+        if k == len(order):
             return True
-        a = order[i]
-        for b in by_color_q[col_p[a]]:
-            if b in used:
-                continue
-            if consistent(a, b):
-                mapping[a] = b
-                used.add(b)
-                if backtrack(i + 1):
+        i = order[k]
+        for j in by_color_q[col_p[i]]:
+            if j not in mapping.values() and all(
+                (p._up[i] >> i2 & 1, p._up[i2] >> i & 1) == (q._up[j] >> j2 & 1, q._up[j2] >> j & 1)
+                for i2, j2 in mapping.items()
+            ):
+                mapping[i] = j
+                if backtrack(k + 1):
                     return True
-                del mapping[a]
-                used.discard(b)
+                del mapping[i]
         return False
 
     if backtrack(0):
-        return dict(mapping)
+        return {p.elements[i]: q.elements[j] for i, j in mapping.items()}
     return None
 
 
-def _cover_maps(p: Poset):
-    h = hasse(p)
-    up = {e: [] for e in p.elements}
-    down = {e: [] for e in p.elements}
-    for a, b in h.edges:
-        up[a].append(b)
-        down[b].append(a)
-    return up, down
+def _colors(p: Poset) -> list:
+    """The color of each element index for the isomorphism search: the
+    sizes of its down-set and up-set and its height, refined by the colors
+    of the elements it covers and is covered by until no class splits."""
+    above, below = [[] for _ in p.elements], [[] for _ in p.elements]
+    for a, b in covers(p):
+        above[p._index[a]].append(p._index[b])
+        below[p._index[b]].append(p._index[a])
+    color = [
+        (d.bit_count(), u.bit_count(), p.height(e)) for e, u, d in zip(p.elements, p._up, p._down)
+    ]
+    for _ in range(len(p)):
+        ranks = {c: i for i, c in enumerate(sorted(set(color)))}
+        new = [
+            (ranks[c], *(tuple(sorted(ranks[color[k]] for k in ks)) for ks in (up, down)))
+            for c, up, down in zip(color, above, below)
+        ]
+        split = len(set(new)) != len(set(color))
+        color = new
+        if not split:
+            break
+    return color
 
 
 # --- JSON / DOT ------------------------------------------------------------

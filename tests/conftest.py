@@ -157,17 +157,13 @@ def frac_cohomology(K) -> dict:
 
 
 def brute_closure(elements, pairs) -> frozenset:
-    """Reflexive-transitive closure of generating pairs, via Warshall."""
-    le = {(e, e) for e in elements}
-    le.update(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(le):
-            for c, d in list(le):
-                if b == c and (a, d) not in le:
-                    le.add((a, d))
-                    changed = True
+    """Reflexive-transitive closure of generating pairs, by Warshall's
+    algorithm on a set of pairs."""
+    le = {(e, e) for e in elements} | set(pairs)
+    for k in elements:
+        below = [a for a in elements if (a, k) in le]
+        above = [b for b in elements if (k, b) in le]
+        le.update((a, b) for a in below for b in above)
     return frozenset(le)
 
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 
 import pytest
 
-from posetglue import cli
+from posetglue import cli, harness
 from posetglue.cli import main
 from posetglue.errors import InternalInconsistency
 from posetglue.gluing import build_minus, build_plus, gluing_from_json, gluing_to_json
@@ -144,6 +145,13 @@ class TestPoset:
         assert "a -> x" in out
         assert main(["poset", "iso", files["chain3"], files["anti2"]]) == 1
         assert "none" in capsys.readouterr().out
+
+    def test_iso_past_its_cap_exits_3(self, files, capsys):
+        # every size cap is one exit code, the one the order-pair cap uses
+        big = files["tmp"] / "anti13.json"
+        big.write_text(json.dumps({"elements": [f"e{i}" for i in range(13)]}))
+        assert main(["poset", "iso", str(big), str(big)]) == 3
+        assert capsys.readouterr().err == "size limit: isomorphism search capped at 12 elements\n"
 
     def test_op_output_parses(self, files, capsys):
         assert main(["poset", "op", "ordinal-sum", files["anti2"], files["chain3"]]) == 0
@@ -683,7 +691,7 @@ class TestParserKept:
 #: The CLI in a child process, with verify_two_chain raising the error a
 #: defect in the library raises.
 _PLANTED_DEFECT = """
-from posetglue import cli
+from posetglue import cli, harness
 from posetglue.errors import InternalInconsistency
 
 def broken(**_):
@@ -713,6 +721,25 @@ class TestConsoleScript:
         assert result.returncode == 4
         assert result.stderr == "internal error: planted defect\n"
         assert "Traceback" not in result.stderr
+
+    def test_gluing_above_the_size_cap_exits_3_without_a_traceback(self, tmp_path):
+        # a point glued below a chain of m elements: each glued order has
+        # the chain's m(m + 1)/2 pairs, so together they pass the cap
+        m = math.isqrt(harness._MAX_ORDER_PAIRS) + 1
+        chain = [f"c{i}" for i in range(m)]
+        doc = {
+            "Y": {"elements": chain, "relations": [list(e) for e in zip(chain, chain[1:])]},
+            "Y0": ["c0"],
+        }
+        gluing = tmp_path / "big.json"
+        gluing.write_text(json.dumps(doc))
+        result = run_python(
+            ["-m", "posetglue.cli", "verify", "theorem", "--gluing", str(gluing), "--trials", "1"]
+        )
+        assert result.returncode == 3
+        assert result.stderr.startswith("size limit: the glued orders have ")
+        assert f"above the cap of {harness._MAX_ORDER_PAIRS}" in result.stderr
+        assert "Traceback" not in result.stderr and result.stdout == ""
 
     def test_theorem_json_does_not_depend_on_the_hash_seed(self, tmp_path):
         # set and frozenset iteration order changes with PYTHONHASHSEED; a

@@ -1256,3 +1256,42 @@ class TestKeyedBuilds:
         with pytest.raises(DiagramAxiomFailure) as info:
             Formula(T, at, res)
         assert str(info.value) == f"restriction for 'r' <= 's' is invalid: {problem}"
+
+
+#: Prints the pairs of every restriction dict that the builders make: the
+#: theorem formulas, the composites, a translation and random draws.
+_PAIR_WALKS = """
+from posetglue import FIGURE_ONE_PAIRS, build_epsilons, build_theorem_formulas
+from posetglue import figure_one_gluing, random_gluing, translation_formula
+from posetglue.abelian_eval import random_diagram
+
+gluings = [figure_one_gluing(pair)[0] for pair in FIGURE_ONE_PAIRS]
+for g in gluings + [random_gluing(s) for s in range(10)]:
+    xi_plus, xi_minus = build_theorem_formulas(g)
+    eps_pm, eps_mp = build_epsilons(g, xi_plus, xi_minus)
+    for F in (xi_plus, xi_minus, eps_pm.source, eps_mp.target):
+        print(list(F.res))
+    print(list(translation_formula(xi_plus.base, 1).res))
+    for seed in range(3):
+        print(list(random_diagram(xi_plus.base, seed).r))
+"""
+
+
+def test_related_pairs_are_walked_in_element_order_at_every_hash_seed():
+    # the order of F.res decides which chain map an evaluation checks
+    # first; frozenset iteration, which moves with PYTHONHASHSEED, must not
+    outs = []
+    for hash_seed in (1, 2):
+        result = run_python(["-c", _PAIR_WALKS], hash_seed)
+        assert result.returncode == 0, result.stderr
+        outs.append(result.stdout)
+    assert outs[0] == outs[1]
+    xi_plus = build_theorem_formulas(figure_one_gluing(FIGURE_ONE_PAIRS[0])[0])[0]
+    target = xi_plus.target
+    pairs = sorted(target.leq, key=lambda ab: (target.index(ab[0]), target.index(ab[1])))
+    diagonal = [(y, y) for y in target.elements]
+    assert list(xi_plus.res) == [ab for ab in pairs if ab[0] != ab[1]] + diagonal
+    assert list(translation_formula(target, 1).res) == pairs
+    K = random_diagram(target, 0)
+    support = {x for x in target.elements if K.stalk(x).dims}
+    assert list(K.r) == [ab for ab in pairs if ab[0] in support and ab[1] in support]

@@ -8,6 +8,7 @@ import pytest
 
 from posetglue.errors import (
     AntichainViolation,
+    CycleError,
     GluingError,
     InternalInconsistency,
     ParseError,
@@ -33,6 +34,7 @@ from posetglue.harness import (
     random_gluing,
 )
 from posetglue.poset_core import (
+    Poset,
     direct_sum,
     is_isomorphic,
     opposite,
@@ -267,6 +269,64 @@ class TestBuild:
         built = build_plus(g).poset
         assert built.leq == brute_closure(
             built.elements, set(X.leq) | set(Y.leq)
+        )
+
+
+class TestChecksStillFire:
+    """Each check of a glued order still rejects what it rejected, with the
+    same exception and witness."""
+
+    def test_shared_bounds_name_the_first_in_element_order(self):
+        # two shared upper bounds, t2 listed first, and then two shared
+        # lower bounds, b2 listed first: the lowest index is named
+        X = antichain("x")
+        Y = poset_from_generators(
+            ["t2", "y1", "t1", "y2", "b"],
+            [("y1", "t1"), ("y2", "t1"), ("y1", "t2"), ("y2", "t2"), ("b", "y1"), ("b", "y2")],
+        )
+        with pytest.raises(AntichainViolation) as info:
+            validate_gluing(X, Y, {"x": ("y2", "y1")})
+        shared = Y.up_set("y1") & Y.up_set("y2")
+        assert info.value.witness == min(shared, key=Y.index) == "t2"
+        assert str(info.value) == "elements 'y2' and 'y1' of the set at 'x' share 't2' in their up-sets"
+        Y = poset_from_generators(
+            ["y1", "y2", "b2", "b1"], [("b1", "y1"), ("b1", "y2"), ("b2", "y1"), ("b2", "y2")]
+        )
+        with pytest.raises(AntichainViolation) as info:
+            validate_gluing(X, Y, {"x": ("y1", "y2")})
+        assert (info.value.witness, info.value.side) == ("b2", "down")
+
+    def test_a_generator_cycle_keeps_its_message(self):
+        with pytest.raises(CycleError) as info:
+            poset_from_generators(
+                ["d", "c", "b", "a"],
+                [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "b")],
+            )
+        assert str(info.value) == "not antisymmetric; cycle: d <= b <= c <= d"
+
+    @pytest.mark.parametrize("side", ["X", "Y"])
+    def test_a_prediction_with_a_transitive_pair_dropped_is_rejected(self, side):
+        # unvalidated data whose X, or whose Y under the one witness, is a
+        # chain of three without its pair from bottom to top: the predicted
+        # glued order lacks that pair, or the cross pair through it
+        chain = ["a", "b", "c"]
+        dropped = Poset(chain, {(e, e) for e in chain} | {("a", "b"), ("b", "c")})
+        point = antichain("p")
+        if side == "X":
+            g = GluingData(X=dropped, Y=point, Yx={e: ("p",) for e in chain}, phi={})
+        else:
+            g = GluingData(X=point, Y=dropped, Yx={"p": ("a",)}, phi={})
+        for build in (build_plus, build_minus):
+            with pytest.raises(InternalInconsistency, match="transitive closure added relations"):
+                build(g)
+
+    def test_a_predicted_cycle_is_rejected(self):
+        cycle = Poset(["a", "b"], {("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")})
+        g = GluingData(X=cycle, Y=antichain("p"), Yx={"a": (), "b": ()}, phi={})
+        with pytest.raises(InternalInconsistency) as info:
+            build_plus(g)
+        assert str(info.value) == (
+            "glued relation is not a partial order: not antisymmetric; cycle: a <= b <= a"
         )
 
 

@@ -486,12 +486,13 @@ class TestOneBuildPerOrder:
 
     @pytest.fixture
     def closures(self, monkeypatch):
+        # _build predicts and checks a glued order, then wraps it once
         calls = []
-        real = gluing.poset_from_generators
+        real = gluing.GluedOrder
         monkeypatch.setattr(
             gluing,
-            "poset_from_generators",
-            lambda *args: calls.append(args) or real(*args),
+            "GluedOrder",
+            lambda **fields: calls.append(fields) or real(**fields),
         )
         return calls
 
@@ -518,6 +519,22 @@ class TestOneBuildPerOrder:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv + run) == 0
         assert len(closures) == builds
+
+
+class TestSizeCap:
+    def test_order_pairs_above_the_cap_raise_before_any_formula(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a formula was built")
+
+        monkeypatch.setattr(harness, "build_theorem_formulas", no_work)
+        g = chain_of_chains(3, 2)
+        pairs = len(gluing.build_plus(g).poset.leq) + len(gluing.build_minus(g).poset.leq)
+        monkeypatch.setattr(harness, "_MAX_ORDER_PAIRS", pairs - 1)
+        with pytest.raises(SizeLimit, match=f"have {pairs} order pairs together"):
+            verify_equivalence(g, trials=1)
+        monkeypatch.setattr(harness, "_MAX_ORDER_PAIRS", pairs)
+        with pytest.raises(AssertionError, match="a formula was built"):
+            verify_equivalence(g, trials=1)
 
 
 class TestCompose:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import pickle
 
@@ -9,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetglue import poset_core
+from posetglue import harness, poset_core
 from posetglue.errors import CycleError, ParseError, SizeLimit, UnknownElement
 from posetglue.gluing import build_minus, build_plus
-from posetglue.harness import random_gluing
+from posetglue.harness import figure_one_poset, random_gluing
 from posetglue.poset_core import (
     Poset,
+    _bits,
     _find_cycle,
     cover_triangles,
     covers,
@@ -210,17 +212,17 @@ class TestHasse:
         first = covers(p)
         assert isinstance(first, tuple)
         assert first == tuple(sorted(hasse(p).edges, key=lambda ab: (p.index(ab[0]), p.index(ab[1]))))
-        sorts = []
-        real = poset_core.in_element_order
+        reductions = []
+        real = poset_core._strict_up
         monkeypatch.setattr(
-            poset_core, "in_element_order", lambda q, pairs: sorts.append(q) or real(q, pairs)
+            poset_core, "_strict_up", lambda q: reductions.append(q) or real(q)
         )
         assert covers(p) is first and cover_triangles(p)
-        assert sorts == []
-        # an equal order made afresh sorts its own covers, once
+        assert reductions == []
+        # an equal order made afresh reduces its own covers, once
         q = Poset(p.elements, p.leq)
         assert covers(q) == first and covers(q) is covers(q)
-        assert sorts == [q]
+        assert reductions == [q]
 
     def test_cover_triangles_detect_every_broken_composite(self):
         # r(a, b) = h(b) - h(a) composes on every triangle; changing one
@@ -472,3 +474,127 @@ class TestQueries:
         assert p == p
         assert p != poset_from_generators(["a", "b"], [])
         assert p != poset_from_generators(["b", "a"], [("a", "b")])
+
+
+# --- the masks against a reference made from pairs alone ---------------------
+
+def _glued_reference(g, sign) -> tuple:
+    """The elements and the pairs of a glued order by its definition: X and
+    Y with x below each y above a witness (plus), or above each y below one
+    (minus), closed by brute_closure."""
+    cross = [
+        (x, y) if sign == "plus" else (y, x)
+        for x in g.X.elements
+        for w in g.Yx[x]
+        for y in g.Y.elements
+        if ((w, y) if sign == "plus" else (y, w)) in g.Y.leq
+    ]
+    elements = g.X.elements + g.Y.elements
+    return elements, brute_closure(elements, set(g.X.leq) | set(g.Y.leq) | set(cross))
+
+
+def _oracle_cases() -> list:
+    """(name, poset, elements, pairs): each poset with the pairs that its
+    definition gives, made without the masks."""
+    cases = []
+    for seed in range(40):
+        g = random_gluing(seed)
+        for sign, build in (("plus", build_plus), ("minus", build_minus)):
+            cases.append((f"random{seed}-{sign}", build(g).poset, *_glued_reference(g, sign)))
+    for name, edges in harness._FIGURE_ONE_EDGES.items():
+        elements = [str(i) for i in range(1, 8)]
+        pairs = [(str(a), str(b)) for a, b in edges]
+        cases.append((name, figure_one_poset(name), elements, brute_closure(elements, pairs)))
+    # past 64 elements, where a mask is more than one machine word
+    g = chain_of_chains(10, 9)
+    for sign, build in (("plus", build_plus), ("minus", build_minus)):
+        cases.append((f"chains-10-9-{sign}", build(g).poset, *_glued_reference(g, sign)))
+    small = []
+    for seed in range(6):
+        rng = SplitMix64(seed + 500)
+        n = 1 + rng.randrange(3)
+        elements = [f"e{i}" for i in range(n)]
+        pairs = [(a, b) for i, a in enumerate(elements) for b in elements[i + 1:] if rng.randrange(2)]
+        small.append((poset_from_generators(elements, pairs), elements, brute_closure(elements, pairs)))
+    for (p, pe, pl), (q, qe, ql) in zip(small, small[1:] + small[:1]):
+        cases.append(("opposite", opposite(p), pe, frozenset((b, a) for a, b in pl)))
+        # the two sums relabel both sides, as the element names collide
+        L, R = ["L." + e for e in pe], ["R." + e for e in qe]
+        inner = {("L." + a, "L." + b) for a, b in pl} | {("R." + a, "R." + b) for a, b in ql}
+        cases.append(("direct", direct_sum(p, q), L + R, frozenset(inner)))
+        cases.append(
+            ("ordinal", ordinal_sum(p, q), L + R, frozenset(inner | {(a, b) for a in L for b in R}))
+        )
+        label = {(a, b): f"({a},{b})" for a in pe for b in qe}
+        pairs = frozenset(
+            (label[a, b], label[a2, b2]) for a, a2 in pl for b, b2 in ql
+        )
+        cases.append(("product", product(p, q), [label[a, b] for a in pe for b in qe], pairs))
+    return cases
+
+
+_ORACLE = _oracle_cases()
+
+
+class TestMaskOracle:
+    @pytest.mark.parametrize("width", [1, 8, 63, 64, 65, 130, 700])
+    def test_bits_are_the_set_positions_lowest_first(self, width):
+        # both sides of the 64-bit switch between digit table and digit search
+        rng = SplitMix64(width)
+        for _ in range(40):
+            positions = sorted({rng.randrange(width) for _ in range(rng.randrange(width + 1))})
+            assert _bits(sum(1 << i for i in positions)) == positions
+        assert _bits(0) == [] and _bits((1 << width) - 1) == list(range(width))
+
+    @pytest.mark.parametrize("case", _ORACLE, ids=[c[0] for c in _ORACLE])
+    def test_every_view_matches_the_pairs(self, case):
+        _, p, elements, leq = case
+        assert p.elements == tuple(elements) and p.leq == leq
+        for a in elements:
+            assert p.up_set(a) == {b for b in elements if (a, b) in leq}
+            assert p.down_set(a) == {b for b in elements if (b, a) in leq}
+            assert [p.le(a, b) for b in elements] == [(a, b) in leq for b in elements]
+
+        @functools.cache
+        def height(e):  # the longest chain that ends at e
+            return max((1 + height(d) for d in elements if d != e and (d, e) in leq), default=0)
+
+        assert [p.height(e) for e in elements] == [height(e) for e in elements]
+        edges = {
+            (a, b) for a, b in leq
+            if a != b and not any(c not in (a, b) and (a, c) in leq and (c, b) in leq for c in elements)
+        }
+        position = {e: i for i, e in enumerate(elements)}
+        in_order = sorted(edges, key=lambda ab: (position[ab[0]], position[ab[1]]))
+        assert hasse(p).edges == edges and covers(p) == tuple(in_order)
+        assert cover_triangles(p) == tuple(
+            (a, b, c) for a, b in in_order for c in elements if c != b and (b, c) in leq
+        )
+        same = Poset(elements, leq)
+        assert same == p and hash(same) == hash(p)
+        for pair in sorted(leq - {(e, e) for e in elements})[:3]:
+            assert Poset(elements, leq - {pair}) != p
+
+    def test_isomorphism_answers_match_the_pairs(self):
+        # by brute force over bijections, on the cases of up to six elements
+        # and on a reversed relabelling of each, which is isomorphic to it
+        def brute(p_elements, p_leq, q_elements, q_leq):
+            if len(p_elements) != len(q_elements) or len(p_leq) != len(q_leq):
+                return False
+            return any(
+                all((m[a], m[b]) in q_leq for a, b in p_leq)
+                for m in map(dict, (zip(p_elements, perm) for perm in itertools.permutations(q_elements)))
+            )
+
+        cases = [c for c in _ORACLE if len(c[2]) <= 6]
+        answers = set()
+        for (_, p, pe, pl), (_, q, qe, ql) in zip(cases, cases[1:] + cases[:1]):
+            found = is_isomorphic(p, q)
+            assert (found is not None) == brute(pe, pl, qe, ql)
+            answers.add(found is not None)
+            name = {e: f"z{i}" for i, e in enumerate(pe)}
+            relabelled = Poset([name[e] for e in reversed(pe)], {(name[a], name[b]) for a, b in pl})
+            m = is_isomorphic(p, relabelled)
+            assert m is not None and all(((m[a], m[b]) in relabelled.leq) == ((a, b) in pl)
+                                         for a in pe for b in pe)
+        assert answers == {True, False}
