@@ -618,11 +618,15 @@ class _Evaluation:
         matrices, the differential; a later value with that key gets the
         first one's complex, which passed the same checks.  A restriction
         with a zero stalk at either end is the zero map, which the diagram
-        omits, so it is not made: the support pairs are walked in F.res
-        order, so the first failing chain map is the one a walk over every
-        pair finds, the zero maps passing.  Every distinct restriction is
-        checked as a chain map; PosetDiagram then checks the diagram
-        axioms."""
+        omits, so it is neither read from F nor made: the related pairs of
+        F's target are walked in element order (poset_core._pairs), and only
+        the support pairs, whose two values are nonzero, are read.  That is
+        the order of F.res on the formulas of compose_formulas and
+        translation_formula, and on those of canonical_formula but for
+        their diagonal identities, which come last and cannot fail; so the
+        first failing chain map is the one a walk over F.res finds, the
+        zero maps passing.  Every distinct restriction read is checked as a
+        chain map; PosetDiagram then checks the diagram axioms."""
         if F.base != self.K.base:
             raise BaseMismatch("formula and diagram live over different posets")
         if F.shift is not None:
@@ -635,11 +639,10 @@ class _Evaluation:
             if value is None:
                 value = values[k] = self.point(f)
             stalks[y] = value
-        restrictions = {}
-        for (y, y2), phi in F.res.items():
-            S, T = stalks[y], stalks[y2]
-            if S.dims and T.dims:
-                restrictions[y, y2] = self.chain_map(S, T, self.matrices(phi))
+        restrictions = {
+            (y, y2): self.chain_map(stalks[y], stalks[y2], self.matrices(F.res[y, y2]))
+            for y, y2 in _pairs(F.target) if stalks[y].dims and stalks[y2].dims
+        }
         return PosetDiagram(F.target, stalks, restrictions, check=True)
 
     def point(self, f: FormulaToPoint) -> VectComplex:

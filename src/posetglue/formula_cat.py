@@ -16,6 +16,7 @@ abelian_eval module turns these values into actual complexes and chain maps.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import accumulate, compress
 
 from .errors import (
@@ -129,11 +130,13 @@ class CMorphism:
     of its callers proves its matrix canonical in its docstring: the
     products of :func:`compose`, the sign twists of :func:`star`, the 0/1
     matrices of :func:`canonical_formula`, the [[1]] matrices of
-    :func:`translation_formula` and the substituted matrices of
+    :func:`translation_formula`, the substituted matrices of
     :func:`_substituted_value` (for :func:`substitute` and
-    :func:`compose_formulas`) and :func:`compose_formulas` (see
-    :func:`_substituted_matrix`).  Input from outside these builders (rows,
-    JSON, the retract maps, the named constants) takes the constructor.
+    :func:`compose_formulas`, see :func:`_substituted_matrix`), and the
+    restrictions that :class:`_Restrictions` makes on read, whose matrices
+    translation_formula and compose_formulas prove canonical.  Input from
+    outside these builders (rows, JSON, the retract maps, the named
+    constants) takes the constructor.
     A morphism holds its two ends and its matrix and nothing else: what a
     walk or an evaluation derives from it (its entries, its pattern) is
     kept by that call, not on the morphism.
@@ -267,8 +270,9 @@ def _patterns():
     pattern object stands for its matrix object, and a key may hold its id;
     the one exception is the empty pattern, which every zero matrix shares:
     such a matrix has no entry to evaluate or substitute, and its shape is
-    that of its ends.  Its maker keeps it for one call (compose_formulas,
-    and the evaluation context of abelian_eval)."""
+    that of its ends.  Its maker keeps it for one call (the evaluation
+    context of abelian_eval) or as long as its result (compose_formulas,
+    whose composite substitutes on read)."""
     return _memo(_matrix_key, _positions)
 
 
@@ -470,29 +474,20 @@ def i_xi(f: FormulaToPoint) -> CMorphism:
 
 # --- poset-shaped formulas ---------------------------------------------------
 
-def _matrices(morphisms: dict) -> dict:
-    """The matrix object of each morphism, by the same key: what the
-    triangle and square walks of formulas compare."""
-    return {key: phi.matrix for key, phi in morphisms.items()}
-
-
 class Formula:
     """A diagram over a target poset valued in formulas over a base poset.
 
     `at` maps each target element to a FormulaToPoint over the common base;
     `res` maps each pair (y, y2) with y <= y2 to a CMorphism from the word
     at[y].xi to the word at[y2].xi, to intertwine the two values' D's.  The
-    constructor verifies the diagram axioms: identity on diagonal pairs (a
-    test of the matrix, as the ends were checked first) and closure under
-    composition on the cover triangles of the target, which leave out the
-    degenerate triangles (y, y2, y2) that follow from the identity check.
-    It is the one place where restriction triangles are checked.
-    Only the restrictions along Hasse edges, in element order, go through
-    the test of check_formula_morphism, and the first message it returns is
-    raised as DiagramAxiomFailure; by the induction in cover_triangles every
-    other one equals a composite of those, so it is valid too.  The ends
-    were checked first, so the test runs once per _restriction_key, which
-    decides its result.
+    constructor checks the ends of every restriction, then the Hasse-edge
+    restrictions and the diagonal ones (_check_restrictions), then closure
+    under composition on the cover triangles of the target, which leave out
+    the degenerate triangles (y, y2, y2) that follow from the identity
+    check.  Every formula made from outside input takes it, and so does
+    each theorem formula, through canonical_formula; the formulas of
+    translation_formula and compose_formulas derive their triangle law
+    instead (see there) and are made by _trusted_formula.
     Each triangle (a, b, c) compares the plain product r(b, c)·r(a, b) of
     the matrices with r(a, c): a < b is a Hasse edge, so r(a, b) was shown
     to preserve degree, and the canonical r(b, c) raises it by 0 or 1; no
@@ -502,6 +497,10 @@ class Formula:
     objects once (the builders make equal matrices one object); the first
     failing triangle raises CommutativityFailure with the difference.
 
+    `res` is a dict here, in the order it was given, with the missing
+    diagonal identities after it; on the formulas of _trusted_formula it is
+    a _Restrictions.  Equality of formulas compares the targets, the values
+    and every restriction, so it makes every restriction of a _Restrictions.
     `shift` is None except on the formulas made by translation_formula,
     which set it to their n: abelian_eval evaluates such a formula at K as
     K shifted by n, which is what the general evaluation computes for it.
@@ -513,14 +512,13 @@ class Formula:
     def __init__(self, target: Poset, at: dict, res: dict):
         self.target = target
         self.shift = None
-        self.at = dict(at)
-        values = iter(self.at.values())
+        self.at = at = dict(at)
+        values = iter(at.values())
         first = next(values, None)
         if first is None or any(f.xi.base != first.xi.base for f in values):
             raise BaseMismatch("all values must live over one base poset")
         self.base = first.xi.base
-        require_elements(target, self.at, "value")
-        at = self.at
+        require_elements(target, at, "value")
         self.res = res = require_relations(target, res, lambda y: identity_morphism(at[y].xi))
         for (y, y2), phi in res.items():
             src, tgt = at[y].xi, at[y2].xi
@@ -528,17 +526,8 @@ class Formula:
                 phi.target is not tgt and phi.target != tgt
             ):
                 raise ShapeMismatch(f"restriction for {y!r} <= {y2!r} has wrong ends")
-        check = _memo(_restriction_key, _restriction_problem)
-        for y, y2 in covers(target):
-            problem = check(res[(y, y2)], at[y], at[y2])
-            if problem is not None:
-                raise DiagramAxiomFailure(
-                    f"restriction for {y!r} <= {y2!r} is invalid: {problem}"
-                )
-        for y in target.elements:
-            if not res[(y, y)].matrix.is_identity():
-                raise DiagramAxiomFailure(f"restriction at ({y!r}, {y!r}) is not the identity")
-        matrices = _matrices(res)
+        _check_restrictions(target, at, res)
+        matrices = {pair: phi.matrix for pair, phi in res.items()}
         triangle = _failing_triangle(target, matrices, lambda g, f, h: g.mul(f) == h)
         if triangle is not None:
             y, y2, y3 = triangle
@@ -557,6 +546,75 @@ class Formula:
 
     def __repr__(self):
         return f"Formula(over {list(self.target.elements)})"
+
+
+def _check_restrictions(target: Poset, at: dict, res) -> None:
+    """DiagramAxiomFailure unless the restrictions res of a formula with
+    the values at, whose ends are its words, are valid along the Hasse
+    edges of target and the identity on its diagonal.
+
+    Only the restrictions along Hasse edges, in element order, go through
+    the test of check_formula_morphism, and the first message it returns is
+    raised; by the induction in cover_triangles every other one equals a
+    composite of those once the triangles hold, so it is valid too.  The
+    ends are known, so the test runs once per _restriction_key, which
+    decides its result.  The diagonal test reads the matrix alone, as the
+    ends are the word at y twice."""
+    check = _memo(_restriction_key, _restriction_problem)
+    for y, y2 in covers(target):
+        problem = check(res[y, y2], at[y], at[y2])
+        if problem is not None:
+            raise DiagramAxiomFailure(f"restriction for {y!r} <= {y2!r} is invalid: {problem}")
+    for y in target.elements:
+        if not res[y, y].matrix.is_identity():
+            raise DiagramAxiomFailure(f"restriction at ({y!r}, {y!r}) is not the identity")
+
+
+class _Restrictions(Mapping):
+    """The restrictions of a formula made by _trusted_formula, each made on
+    its first read and kept: a read-only mapping over the pairs y <= y2 of
+    the target, iterated in element order (poset_core._pairs).  The
+    restriction for y <= y2 is the morphism from the word at[y].xi to the
+    word at[y2].xi with the matrix matrix(y, y2), taken as it is: the maker
+    of matrix proves its matrices canonical for those words
+    (translation_formula, compose_formulas).  A pair that is not y <= y2
+    raises KeyError and is not in the mapping; len, iteration, membership
+    and equality are those of the dict of every restriction, though a
+    membership test makes the restriction it finds and equality makes
+    every one.  It holds the values and matrix, and matrix holds what its
+    maker reads, never the formula, so no reference cycle is made."""
+
+    __slots__ = ("target", "at", "matrix", "made")
+
+    def __init__(self, target: Poset, at: dict, matrix):
+        self.target, self.at, self.matrix, self.made = target, at, matrix, {}
+
+    def __getitem__(self, pair):
+        phi = self.made.get(pair)
+        if phi is None:
+            index, up = self.target._index, self.target._up
+            if not (isinstance(pair, tuple) and len(pair) == 2 and pair[0] in index
+                    and pair[1] in index and up[index[pair[0]]] >> index[pair[1]] & 1):
+                raise KeyError(pair)
+            (y, y2), at = pair, self.at
+            phi = self.made[pair] = CMorphism._trusted(at[y].xi, at[y2].xi, self.matrix(y, y2))
+        return phi
+
+    def __iter__(self):
+        return iter(_pairs(self.target))
+
+    def __len__(self):
+        return len(_pairs(self.target))
+
+
+def _trusted_formula(target: Poset, base: Poset, at: dict, matrix, shift=None) -> Formula:
+    """The formula over target, valued over base, with the values at and
+    the restrictions of matrix made on read (_Restrictions), and shift;
+    nothing is checked.  Each caller proves its values and matrices valid
+    and canonical, and runs the checks its proof does not cover."""
+    F = object.__new__(Formula)
+    F.target, F.base, F.at, F.res, F.shift = target, base, at, _Restrictions(target, at, matrix), shift
+    return F
 
 
 def canonical_formula(target: Poset, base: Poset, words: dict) -> Formula:
@@ -636,24 +694,18 @@ def translation_formula(X: Poset, n: int) -> Formula:
     formula of the words ((x, n),), tagged with n in its shift slot so that
     abelian_eval evaluates it as the shifted diagram (see Formula).
 
-    Its shape proves it valid, so no check of canonical_formula or Formula
-    runs: each D is [[1]] from (x, n) to (x, n + 1), unit lower triangular
-    with D*[1]·D one jump of 2, quotiented away; each restriction is [[1]]
-    from (x, n) to (x2, n), degree-preserving, intertwining ([[1]] on both
-    sides) and closed under composition.  Each [[1]] joins x <= x2 and
-    raises degree by 0 or 1, so it is canonical and taken as it is.
-    Tier-1 checks it against canonical_formula on the same words."""
-    words = {x: CObject(((x, n),), X) for x in X.elements}
-    one = Mat.identity(1)
-    F = object.__new__(Formula)
-    F.target = F.base = X
-    F.at = {
-        x: FormulaToPoint(w, CMorphism._trusted(w, w.shifted(1), one))
-        for x, w in words.items()
-    }
-    F.res = {(x, x2): CMorphism._trusted(words[x], words[x2], one) for x, x2 in _pairs(X)}
-    F.shift = n
-    return F
+    Its shape proves it valid, so it is made by _trusted_formula and no
+    check runs: each D is [[1]] from (x, n) to (x, n + 1), unit lower
+    triangular with D*[1]·D one jump of 2, quotiented away; each
+    restriction, made when it is read, is the one [[1]] from (x, n) to
+    (x2, n), degree-preserving, intertwining ([[1]] on both sides), the
+    identity on the diagonal and closed under composition.  Each [[1]]
+    joins x <= x2 and raises degree by 0 or 1, so it is canonical and taken
+    as it is.  Tier-1 checks it against canonical_formula on the same
+    words."""
+    one, words = Mat.identity(1), {x: CObject(((x, n),), X) for x in X.elements}
+    at = {x: FormulaToPoint(w, CMorphism._trusted(w, w.shifted(1), one)) for x, w in words.items()}
+    return _trusted_formula(X, X, at, lambda x, x2: one, n)
 
 
 def substitute(outer: FormulaToPoint, inner: Formula) -> FormulaToPoint:
@@ -731,12 +783,38 @@ def compose_formulas(outer: Formula, inner: Formula) -> Formula:
     restriction of the outer one. The result is a formula over the outer
     target valued over the inner base, and its evaluation is the composite
     of the two evaluations (outer applied after inner).  Each value is
-    substituted once and checked once per _value_key; each restriction is
-    built from its substituted ends.  Every matrix is canonical by
-    construction (see _substituted_matrix).
+    substituted when the result is made, and checked once per _value_key.
+    Each restriction is made when it is first read (_trusted_formula),
+    between its substituted ends, as the substituted matrix of
+    outer.res[q, q2]; the Hasse-edge and diagonal ones are read and checked
+    here (_check_restrictions), and a failure is an InternalInconsistency.
+    Every matrix is canonical by construction (see _substituted_matrix).
+
+    The cover triangles of the result are not walked: its law follows from
+    those of the two formulas.  Every restriction psi of a valid formula
+    preserves degree (those on Hasse edges are checked to, and every other
+    one is a product of those), so each item of _entries(psi) is a plain
+    coefficient c, and the substituted matrix S(psi) has block (b, a) equal
+    to c_ba times rho(p_a, p_b), the inner restriction between the elements
+    of the two entries.  For psi from q to q2 and psi' from q2 to q3, block
+    (k, a) of S(psi')·S(psi) is the sum over b of c'_kb·c_ba times
+    rho(p_b, p_k)·rho(p_a, p_b).  A nonzero term has p_a <= p_b <= p_k, by
+    canonical form, and there the inner law makes the product
+    rho(p_a, p_k); so the block is (psi'·psi)_ka times rho(p_a, p_k), that
+    of S(psi'·psi).  A product of degree-preserving canonical matrices is
+    canonical, so S(psi')·S(psi) = S(psi'·psi): substitution preserves
+    composition, and the outer law psi(q2, q3)·psi(q, q2) = psi(q, q3) gives
+    the same law for the result.  The theorem formulas, the outer and inner
+    formulas of every certificate's composites, have their triangles walked
+    by Formula when they are made, and a composite of composites inherits
+    the law by the same argument.  Tier-1 walks the composites' triangles
+    through the checked constructor, and the evaluated composites of each
+    certificate's trial 0 have their diagram axioms checked by
+    PosetDiagram(check=True) in abelian_eval.
 
     The substituted matrix of each psi, a value's D or a restriction, is
-    made only once per key, and equal ones are one object.  The key is
+    made only once per key, and equal ones are one object; the memo lives
+    as long as the result, which reads it for its restrictions.  The key is
     psi's pattern (see _patterns), the shapes of its two ends, and the
     inner matrix objects that psi's nonzero entries select: the restriction
     for each such entry and, for a raising one, the D at its target
@@ -744,8 +822,8 @@ def compose_formulas(outer: Formula, inner: Formula) -> Formula:
     its entries (p, m), the degrees of the inner word at p; equal shapes
     are one object, so the key holds its id.  The key decides
     _substituted_matrix: psi runs between the outer words of its shapes
-    (Formula checked the ends of a restriction, FormulaToPoint those of a
-    D), so its pattern, which stands for its matrix object, and their
+    (the outer formula made a restriction between its words, FormulaToPoint
+    a D), so its pattern, which stands for its matrix object, and their
     degrees decide every item of _entries(psi) but the element pair (the
     nonzero positions, the signed coefficients, which entries raise
     degree, the parity of m_a); the lengths of the inner words decide the
@@ -753,11 +831,13 @@ def compose_formulas(outer: Formula, inner: Formula) -> Formula:
     matrix or, for a raising entry, c times the selected D's matrix times
     it, masked and twisted by the degrees of the two inner words.  The
     selected objects are read at the pattern's positions, so no entry walk
-    runs on a hit; a miss walks _entries(psi) in _substituted_matrix.
+    runs on a hit; a miss walks _entries(psi) in _substituted_matrix.  The
+    memo, the pattern function and the two formulas keep every object
+    whose id a key holds.
     """
     if outer.base != inner.target:
         raise BaseMismatch("outer formula's base must equal inner formula's target")
-    inner_res, inner_at = inner.res, inner.at
+    inner_res, inner_at, outer_res = inner.res, inner.at, outer.res
     shapes, made, shared, pattern = {}, {}, {}, _patterns()
 
     def shape(word: CObject) -> tuple:
@@ -786,18 +866,16 @@ def compose_formulas(outer: Formula, inner: Formula) -> Formula:
         at_shape[q] = shape(f.xi)
         D = substituted(f.D, at_shape[q], shape(f.D.target))
         at[q] = _substituted_value(f, inner, D, check)
-    res = {
-        (q, q2): CMorphism._trusted(
-            at[q].xi, at[q2].xi, substituted(psi, at_shape[q], at_shape[q2])
-        )
-        for (q, q2), psi in outer.res.items()
-    }
+
+    def matrix(q, q2):
+        return substituted(outer_res[q, q2], at_shape[q], at_shape[q2])
+
+    composite = _trusted_formula(outer.target, inner.base, at, matrix)
     try:
-        return Formula(outer.target, at, res)
+        _check_restrictions(composite.target, at, composite.res)
     except DiagramAxiomFailure as exc:
-        raise InternalInconsistency(
-            f"substitution produced an invalid formula: {exc}"
-        ) from exc
+        raise InternalInconsistency(f"substitution produced an invalid formula: {exc}") from exc
+    return composite
 
 
 # --- named constants over the two-element chain ------------------------------

@@ -9,8 +9,8 @@ between the Y_x along relations of X, then :func:`build_plus` /
 * plus:  x lies below y whenever some witness w in Y_x has w <= y in Y;
 * minus: y lies below x whenever some witness w in Y_x has y <= w in Y;
 
-with no other cross relations. Both constructions record the unique witness
-of each cross relation and re-verify the result is a poset with exactly the
+with no other cross relations. Both constructions check that each cross
+relation has one witness and that the result is a poset with exactly the
 predicted relations, raising InternalInconsistency if the algebra ever
 disagrees with the prediction.  Each glued order is built and checked once
 per gluing and then kept on the GluingData, so every later caller gets the
@@ -67,12 +67,12 @@ class GluingData:
 
 @dataclass(frozen=True)
 class GluedOrder:
-    """One of the two orders on X ⊔ Y induced by a gluing; `witness` maps each
-    cross relation (a, b) between X and Y to its unique witness in Y."""
+    """One of the two orders on X ⊔ Y induced by a gluing.  The witness of
+    a cross relation x <= y (plus) or y <= x (minus) is the one w in Y_x
+    with w <= y, or y <= w; it is not stored."""
 
     poset: Poset
     sign: str  # "plus" | "minus"
-    witness: dict
 
 
 def validate_gluing(X: Poset, Y: Poset, Yx) -> GluingData:
@@ -165,7 +165,8 @@ def _build(g: GluingData, sign: str) -> GluedOrder:
     prediction is transitive (each up-set holds the up-sets of its members)
     and antisymmetric (no two up-sets are equal, given transitivity).  The
     witness masks of one x must be disjoint, or a cross relation has two
-    witnesses."""
+    witnesses; the earlier one is then the witness of x before w whose mask
+    holds the shared element."""
     if sign in g._orders:
         return g._orders[sign]
     X, Y, n, plus = g.X, g.Y, len(g.X), sign == "plus"
@@ -173,20 +174,19 @@ def _build(g: GluingData, sign: str) -> GluedOrder:
     up = [m | 1 << i for i, m in enumerate(X._up + tuple(m << n for m in Y._up))]
     down = [m | 1 << i for i, m in enumerate(X._down + tuple(m << n for m in Y._down))]
     x_side, y_side, reach = (up, down, Y._up) if plus else (down, up, Y._down)
-    witness = {}
     for i, x in enumerate(X.elements):
         seen = 0
         for w in g.Yx[x]:
             m = reach[Y.index(w)]
             if m & seen:
-                y = Y.elements[(m & seen & -(m & seen)).bit_length() - 1]
-                pair = (x, y) if plus else (y, x)
+                j = _bits(m & seen)[0]
+                earlier = next(v for v in g.Yx[x] if reach[Y.index(v)] >> j & 1)
+                pair = (x, Y.elements[j]) if plus else (Y.elements[j], x)
                 raise InternalInconsistency(
-                    f"cross relation {pair} has two witnesses, {witness[pair]!r} and {w!r}"
+                    f"cross relation {pair} has two witnesses, {earlier!r} and {w!r}"
                 )
             seen |= m
             for j in _bits(m):
-                witness[(x, Y.elements[j]) if plus else (Y.elements[j], x)] = w
                 y_side[n + j] |= 1 << i
         x_side[i] |= seen << n
     first = {}
@@ -200,8 +200,7 @@ def _build(g: GluingData, sign: str) -> GluedOrder:
             raise InternalInconsistency(
                 f"glued relation is not a partial order: {CycleError([a, elements[i], a])}"
             )
-    poset = Poset._from_masks(elements, up, down)
-    g._orders[sign] = GluedOrder(poset=poset, sign=sign, witness=witness)
+    g._orders[sign] = GluedOrder(poset=Poset._from_masks(elements, up, down), sign=sign)
     return g._orders[sign]
 
 

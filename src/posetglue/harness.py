@@ -54,7 +54,6 @@ from .formula_cat import (
     Formula,
     FormulaToPoint,
     _degrees,
-    _matrices,
     _memo,
     _restriction_key,
     _restriction_problem,
@@ -81,6 +80,7 @@ from .poset_core import (
     Poset,
     _bits,
     _failing_square,
+    covers,
     hasse,
     point_poset,
     poset_from_generators,
@@ -195,9 +195,13 @@ class EpsilonTransform:
     _restriction_key, which decides it.  Then it checks that the components
     commute with the restrictions across every Hasse edge of the target
     (NaturalityFailure, with the first offending edge in element order and
-    the difference).  Both sides of each square are plain matrix products:
-    the components were just shown to preserve degree, and so were the
-    restrictions along Hasse edges (by Formula, or by the shape of a
+    the difference).  Those squares are the whole of naturality: the other
+    restrictions are composites of Hasse-edge ones, and squares paste.  So
+    only the restrictions on Hasse edges are read, and a formula that makes
+    its restrictions on read (a composite, a translation) makes no other.
+    Both sides of each square are plain matrix products: the components
+    were just shown to preserve degree, and so were the restrictions along
+    Hasse edges (by Formula, compose_formulas, or the shape of a
     translation formula), so no entry jumps by 2 and compose's quotient
     would change nothing.  The comparison reads the square's four matrices
     and nothing else, so poset_core._failing_square compares each distinct
@@ -214,7 +218,7 @@ class EpsilonTransform:
         require_elements(source.target, components, "component")
         self.source = source
         self.target = target
-        self.components, shared = {}, {}
+        self.components, comps, shared = {}, {}, {}
         check = _memo(_restriction_key, _restriction_problem)
         for y in source.target.elements:
             src, tgt = source.at[y].xi, target.at[y].xi
@@ -225,9 +229,8 @@ class EpsilonTransform:
             problem = check(phi, source.at[y], target.at[y])
             if problem is not None:
                 raise DiagramAxiomFailure(f"component at {y!r} is invalid: {problem}")
-            self.components[y] = phi
-        comps = _matrices(self.components)
-        target_r, source_r = _matrices(target.res), _matrices(source.res)
+            self.components[y], comps[y] = phi, phi.matrix
+        target_r, source_r = [{e: F.res[e].matrix for e in covers(F.target)} for F in (target, source)]
         edge = _failing_square(
             source.target, target_r, comps, source_r, lambda t, a, b, s: t.mul(a) == b.mul(s)
         )
@@ -585,8 +588,10 @@ def _first_difference(evaluated: TrialRecord, assembled: TrialRecord):
 
 #: The most order pairs that the two glued orders of a gluing may have
 #: together for verify_equivalence to build its formulas.  Time and memory
-#: grow with that count, as every formula has one restriction per pair:
-#: 393,900 pairs, at 2,000 elements, peaked at 409 MB.
+#: grow with that count, as each theorem formula makes and keeps one
+#: restriction per pair of its target (the composites and translations
+#: make only those they read): 393,900 pairs, at 2,000 elements, peaked at
+#: 173 MB in a 1-trial certificate.
 _MAX_ORDER_PAIRS = 500_000
 
 

@@ -913,10 +913,11 @@ class TestMatrixLevelChecks:
 
 
 #: The functions that build morphisms through CMorphism._trusted while a
-#: structure is built, each of which proves in its docstring that its
-#: matrices are canonical; compose and star are trusted sites too, but no
-#: builder calls them.
-TRUSTED_SITES = {"ones", "translation_formula", "_substituted_value", "compose_formulas"}
+#: structure is built and read, each of which proves in its docstring that
+#: its matrices are canonical; "__getitem__" is _Restrictions', which makes
+#: the restrictions of the composites and translations when they are read.
+#: compose and star are trusted sites too, but no builder calls them.
+TRUSTED_SITES = {"ones", "translation_formula", "_substituted_value", "__getitem__"}
 
 
 def _trusted_site(frame) -> str:
@@ -942,7 +943,7 @@ def _build_two_chain():
     named = formula_cat._two_chain_constants()
     assert substitute(named["XI12"], minus) == named["XI121"]
     assert substitute(named["XI12"], plus) == named["XI212"]
-    harness._two_chain_epsilons(*formulas)
+    return harness._two_chain_epsilons(*formulas)
 
 
 #: Structures whose build is observed: the Figure-1 gluings, random gluings,
@@ -958,17 +959,22 @@ def _structure_id(case) -> str:
 
 
 def _build_structure(case):
-    """Build the formulas and transformations of one of _STRUCTURES."""
+    """Build the formulas and transformations of one of _STRUCTURES, and
+    read every restriction of every formula they hold, so that the
+    restrictions made on read are made too."""
     if case == "two-chain":
-        _build_two_chain()
-        return
-    if case in FIGURE_ONE_PAIRS:
-        g = figure_one_gluing(case)[0]
-    elif isinstance(case, tuple):
-        g = chain_of_chains(*case)
+        epsilons = _build_two_chain()
     else:
-        g = random_gluing(case)
-    build_epsilons(g, *build_theorem_formulas(g))
+        if case in FIGURE_ONE_PAIRS:
+            g = figure_one_gluing(case)[0]
+        elif isinstance(case, tuple):
+            g = chain_of_chains(*case)
+        else:
+            g = random_gluing(case)
+        epsilons = build_epsilons(g, *build_theorem_formulas(g))
+    for eps in epsilons:
+        for F in (eps.source, eps.target):
+            assert len(list(F.res.values())) == len(F.target.leq)
 
 
 class TestCanonicalByConstruction:
@@ -1010,10 +1016,63 @@ class TestCanonicalByConstruction:
                 assert F.res[key].matrix == morphism_substituted_matrix(psi, inner), key
 
 
+def test_every_composite_passes_the_triangle_walk_it_derives(monkeypatch):
+    # compose_formulas walks no cover triangle of its result: the law
+    # follows from those of the two formulas, as substitution preserves
+    # composition (see its docstring).  Every composite that build_epsilons
+    # and the two-chain make is still accepted by the checked constructor,
+    # triangle walk included, and each restriction made on read is the
+    # substituted matrix of the outer restriction.
+    composites, real = [], compose_formulas
+
+    def recording(outer, inner):
+        composites.append((outer, inner, real(outer, inner)))
+        return composites[-1][2]
+
+    monkeypatch.setattr(harness, "compose_formulas", recording)
+    gluings = [figure_one_gluing(pair)[0] for pair in FIGURE_ONE_PAIRS]
+    gluings += [random_gluing(seed) for seed in range(40)]
+    gluings += [chain_of_chains(6, 3), chain_of_chains(10, 4)]
+    for g in gluings:
+        build_epsilons(g, *build_theorem_formulas(g))
+    assert len(composites) == 2 * len(gluings)
+    # the two two-chain formulas, the point gluing's two composites and the
+    # three of the two-chain's own transformations
+    harness._two_chain_epsilons(*harness._two_chain_formulas())
+    assert len(composites) == 2 * len(gluings) + 7
+    for outer, inner, C in composites:
+        for pair in C.res:
+            assert C.res[pair].matrix == _substituted_matrix(outer.res[pair], inner), pair
+        assert Formula(C.target, C.at, dict(C.res)) == C
+
+
+def test_restrictions_made_on_read_answer_as_the_dict_of_every_restriction():
+    # a composite and a translation formula make each restriction on its
+    # first read and keep it; their mapping iterates the related pairs in
+    # element order and answers len, in, items and == as the dict of every
+    # restriction, with KeyError for a key that is not a related pair
+    xi_plus, xi_minus = build_theorem_formulas(figure_one_gluing(FIGURE_ONE_PAIRS[0])[0])
+    for F in (compose_formulas(xi_plus, xi_minus), translation_formula(xi_minus.base, 1)):
+        P = F.target
+        pairs = [(a, b) for a in P.elements for b in P.elements if P.le(a, b)]
+        assert list(F.res) == pairs and len(F.res) == len(P.leq)
+        full = dict(F.res.items())
+        assert full.keys() == P.leq and F.res == full and full == F.res
+        assert all(F.res[pair] is full[pair] for pair in pairs)
+        unrelated = next((b, a) for a, b in pairs if a != b)
+        for key in (unrelated, ("nowhere", P.elements[0]), P.elements[0], (*pairs[0], 0), 5):
+            assert key not in F.res and key not in full
+            with pytest.raises(KeyError):
+                F.res[key]
+        with pytest.raises(TypeError):
+            [*pairs[0]] in F.res
+
+
 @pytest.mark.parametrize("n", range(-2, 3))
 def test_translation_formula_is_the_checked_canonical_formula(n):
     # translation_formula skips the checks its shape proves; canonical_formula
-    # on the same words runs every one
+    # on the same words runs every one.  Formula equality makes every
+    # restriction of the translation formula, which makes them on read.
     g = chain_of_chains(10, 4)
     for X in (*glued_orders(), build_plus(g).poset, build_minus(g).poset):
         words = {x: ((x, n),) for x in X.elements}

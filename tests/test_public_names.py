@@ -214,14 +214,15 @@ def test_trusted_mat_constructor_stays_in_intmat():
 #: The callers of CMorphism._trusted: each proves in its docstring that the
 #: matrices it passes are canonical (compose's products by transitivity and
 #: its own quotient, star's sign changes, canonical_formula's 0/1 pass,
-#: translation_formula's [[1]] and the substituted matrices).
+#: translation_formula's [[1]] and the substituted matrices), or takes them
+#: from a maker that does (the restrictions _Restrictions makes on read).
 PROVEN_TRUSTED_SITES = {
     "formula_cat.compose",
     "formula_cat.star",
     "formula_cat.canonical_formula",
     "formula_cat.translation_formula",
     "formula_cat._substituted_value",
-    "formula_cat.compose_formulas",
+    "formula_cat._Restrictions.__getitem__",
 }
 
 
