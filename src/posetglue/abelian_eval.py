@@ -621,12 +621,10 @@ class _Evaluation:
         omits, so it is neither read from F nor made: the related pairs of
         F's target are walked in element order (poset_core._pairs), and only
         the support pairs, whose two values are nonzero, are read.  That is
-        the order of F.res on the formulas of compose_formulas and
-        translation_formula, and on those of canonical_formula but for
-        their diagonal identities, which come last and cannot fail; so the
-        first failing chain map is the one a walk over F.res finds, the
-        zero maps passing.  Every distinct restriction read is checked as a
-        chain map; PosetDiagram then checks the diagram axioms."""
+        the order of F.res on every formula, so the first failing chain map
+        is the one a walk over F.res finds, the zero maps passing.  Every
+        distinct restriction read is checked as a chain map; PosetDiagram
+        then checks the diagram axioms."""
         if F.base != self.K.base:
             raise BaseMismatch("formula and diagram live over different posets")
         if F.shift is not None:
@@ -976,11 +974,35 @@ def _diagram_draw(X: Poset, seed: int, max_dim: int, window) -> list:
     return _draw_pieces(X, SplitMix64(derive_seed(seed, "diagram")), max_dim, window)
 
 
+def _draw_bounds(max_dim, window) -> None:
+    """ParseError unless max_dim is an int of at least 1 and window a pair
+    of ints (lo, hi) with lo <= hi spanning at most 2**64 degrees: the
+    bounds of random_diagram, and of every verification run, which draws
+    its diagrams with them."""
+    if type(max_dim) is not int:  # bool is an int subclass, and rejected
+        raise ParseError(f"max_dim must be an int, got {max_dim!r}")
+    if not (
+        isinstance(window, (tuple, list))
+        and len(window) == 2
+        and all(type(v) is int for v in window)
+    ):
+        raise ParseError(f"window must be a pair of ints, got {window!r}")
+    if max_dim < 1:
+        raise ParseError(f"max_dim must be at least 1, got {max_dim}")
+    lo, hi = window
+    if lo > hi:
+        raise ParseError(f"degree window [{lo}, {hi}] is empty")
+    if hi - lo >= 2**64:  # the widest draw, randrange(hi - lo + 1), is at most 2**64
+        raise ParseError(f"degree window [{lo}, {hi}] spans more than 2**64 degrees")
+
+
 def random_diagram(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> PosetDiagram:
     """A deterministic random diagram over X: a split sum of up-set pieces
-    with block-inclusion restrictions.
+    with block-inclusion restrictions.  ParseError unless max_dim and
+    window are in bounds (_draw_bounds).
 
     The same seed yields the same diagram regardless of the field in use —
     all entries are integers; fields only enter when ranks are computed.
     """
+    _draw_bounds(max_dim, window)
     return _PieceDiagram(X, _build_pieces(_diagram_draw(X, seed, max_dim, window))).diagram()

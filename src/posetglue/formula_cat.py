@@ -134,7 +134,8 @@ class CMorphism:
     :func:`_substituted_value` (for :func:`substitute` and
     :func:`compose_formulas`, see :func:`_substituted_matrix`), and the
     restrictions that :class:`_Restrictions` makes on read, whose matrices
-    translation_formula and compose_formulas prove canonical.  Input from
+    canonical_formula, translation_formula, compose_formulas and shift
+    prove canonical.  Input from
     outside these builders (rows, JSON, the retract maps, the named
     constants) takes the constructor.
     A morphism holds its two ends and its matrix and nothing else: what a
@@ -318,16 +319,21 @@ class FormulaToPoint:
 def shift(value, n: int):
     """Shift all degrees by n; matrices are carried over unchanged.
 
-    Accepts a CMorphism, FormulaToPoint, or Formula.
+    Accepts a CMorphism, FormulaToPoint, or Formula.  A shifted formula is
+    made by _trusted_formula, each restriction on read with the matrix of
+    value's: a shift of every degree changes no degree difference, so each
+    matrix stays canonical, each value keeps D*[1]·D (its sign twist reads
+    the parity of degree differences) and each restriction preserves degree
+    and intertwines the same matrices; the identities and the triangles are
+    value's, so the shift of a valid formula is valid.
     """
     if isinstance(value, CMorphism):
         return CMorphism(value.source.shifted(n), value.target.shifted(n), value.matrix)
     if isinstance(value, FormulaToPoint):
         return FormulaToPoint(value.xi.shifted(n), value.D.matrix.rows)
     if isinstance(value, Formula):
-        at = {y: shift(f, n) for y, f in value.at.items()}
-        res = {key: shift(phi, n) for key, phi in value.res.items()}
-        return Formula(value.target, at, res)
+        at, res = {y: shift(f, n) for y, f in value.at.items()}, value.res
+        return _trusted_formula(value.target, value.base, at, lambda y, y2: res[y, y2].matrix)
     raise TypeError(f"cannot shift {type(value).__name__}")
 
 
@@ -480,27 +486,17 @@ class Formula:
     `at` maps each target element to a FormulaToPoint over the common base;
     `res` maps each pair (y, y2) with y <= y2 to a CMorphism from the word
     at[y].xi to the word at[y2].xi, to intertwine the two values' D's.  The
-    constructor checks the ends of every restriction, then the Hasse-edge
-    restrictions and the diagonal ones (_check_restrictions), then closure
-    under composition on the cover triangles of the target, which leave out
-    the degenerate triangles (y, y2, y2) that follow from the identity
-    check.  Every formula made from outside input takes it, and so does
-    each theorem formula, through canonical_formula; the formulas of
-    translation_formula and compose_formulas derive their triangle law
-    instead (see there) and are made by _trusted_formula.
-    Each triangle (a, b, c) compares the plain product r(b, c)·r(a, b) of
-    the matrices with r(a, c): a < b is a Hasse edge, so r(a, b) was shown
-    to preserve degree, and the canonical r(b, c) raises it by 0 or 1; no
-    entry of the product jumps by 2, so compose's quotient would change
-    nothing.  The comparison reads the three matrices and nothing else, so
-    poset_core._failing_triangle compares each distinct triple of matrix
-    objects once (the builders make equal matrices one object); the first
-    failing triangle raises CommutativityFailure with the difference.
+    constructor takes outside input: it checks that the values share a base
+    and that the restrictions are keyed by the related pairs of the target
+    (require_relations, which fills the missing diagonal identities) and
+    have the two words as ends, and ends with _check_diagram.  No builder
+    calls it: canonical_formula, translation_formula, compose_formulas and
+    shift make their formulas by _trusted_formula.
 
-    `res` is a dict here, in the order it was given, with the missing
-    diagonal identities after it; on the formulas of _trusted_formula it is
-    a _Restrictions.  Equality of formulas compares the targets, the values
-    and every restriction, so it makes every restriction of a _Restrictions.
+    `res` is always a _Restrictions, iterated in element order of its pairs
+    (poset_core._pairs); the constructor seeds it with the restrictions it
+    is given.  Equality of formulas compares the targets, the values and
+    every restriction, so it makes every restriction of both sides.
     `shift` is None except on the formulas made by translation_formula,
     which set it to their n: abelian_eval evaluates such a formula at K as
     K shifted by n, which is what the general evaluation computes for it.
@@ -519,22 +515,13 @@ class Formula:
             raise BaseMismatch("all values must live over one base poset")
         self.base = first.xi.base
         require_elements(target, at, "value")
-        self.res = res = require_relations(target, res, lambda y: identity_morphism(at[y].xi))
-        for (y, y2), phi in res.items():
-            src, tgt = at[y].xi, at[y2].xi
-            if (phi.source is not src and phi.source != src) or (
-                phi.target is not tgt and phi.target != tgt
-            ):
+        given = require_relations(target, res, lambda y: identity_morphism(at[y].xi))
+        for (y, y2), phi in given.items():
+            if phi.source != at[y].xi or phi.target != at[y2].xi:
                 raise ShapeMismatch(f"restriction for {y!r} <= {y2!r} has wrong ends")
-        _check_restrictions(target, at, res)
-        matrices = {pair: phi.matrix for pair, phi in res.items()}
-        triangle = _failing_triangle(target, matrices, lambda g, f, h: g.mul(f) == h)
-        if triangle is not None:
-            y, y2, y3 = triangle
-            left = matrices[y2, y3].mul(matrices[y, y2])
-            raise CommutativityFailure(
-                (y, y3), f"via {y2!r}: difference {left.sub(matrices[y, y3]).tolist()}"
-            )
+        self.res = _Restrictions(target, at, lambda y, y2: given[y, y2].matrix)
+        self.res.made = given
+        _check_diagram(self)
 
     def __eq__(self, other):
         return (
@@ -570,14 +557,42 @@ def _check_restrictions(target: Poset, at: dict, res) -> None:
             raise DiagramAxiomFailure(f"restriction at ({y!r}, {y!r}) is not the identity")
 
 
+def _check_diagram(F: Formula) -> None:
+    """DiagramAxiomFailure unless the restrictions of F, a formula whose
+    law is not derived (one from outside input, a theorem formula), make
+    it a diagram: _check_restrictions, then closure under composition on
+    the cover triangles of the target, which leave out the degenerate
+    triangles (y, y2, y2) that follow from the identity check.
+
+    The walk reads one matrix per pair, made by F.res.matrix for the walk
+    and dropped after it, so it makes and keeps no restriction.  Each
+    triangle (a, b, c) compares the plain product r(b, c)·r(a, b) of the
+    matrices with r(a, c): a < b is a Hasse edge, so r(a, b) was shown to
+    preserve degree, and the canonical r(b, c) raises it by 0 or 1; no
+    entry of the product jumps by 2, so compose's quotient would change
+    nothing.  The comparison reads the three matrices and nothing else, so
+    poset_core._failing_triangle compares each distinct triple of matrix
+    objects once (the builders make equal matrices one object, and the
+    dict of the walk keeps them while it runs); the first failing triangle
+    raises CommutativityFailure with the difference."""
+    _check_restrictions(F.target, F.at, F.res)
+    matrices = {pair: F.res.matrix(*pair) for pair in _pairs(F.target)}
+    triangle = _failing_triangle(F.target, matrices, lambda g, f, h: g.mul(f) == h)
+    if triangle is not None:
+        y, y2, y3 = triangle
+        difference = matrices[y2, y3].mul(matrices[y, y2]).sub(matrices[y, y3])
+        raise CommutativityFailure((y, y3), f"via {y2!r}: difference {difference.tolist()}")
+
+
 class _Restrictions(Mapping):
-    """The restrictions of a formula made by _trusted_formula, each made on
-    its first read and kept: a read-only mapping over the pairs y <= y2 of
-    the target, iterated in element order (poset_core._pairs).  The
-    restriction for y <= y2 is the morphism from the word at[y].xi to the
-    word at[y2].xi with the matrix matrix(y, y2), taken as it is: the maker
-    of matrix proves its matrices canonical for those words
-    (translation_formula, compose_formulas).  A pair that is not y <= y2
+    """The restrictions of a formula, each made on its first read and kept:
+    a read-only mapping over the pairs y <= y2 of the target, iterated in
+    element order (poset_core._pairs).  The restriction for y <= y2 is the
+    morphism from the word at[y].xi to the word at[y2].xi with the matrix
+    matrix(y, y2), taken as it is: the maker of matrix proves its matrices
+    canonical for those words (canonical_formula, translation_formula,
+    compose_formulas, shift), or Formula seeds made with the restrictions
+    it was given and reads their matrices.  A pair that is not y <= y2
     raises KeyError and is not in the mapping; len, iteration, membership
     and equality are those of the dict of every restriction, though a
     membership test makes the restriction it finds and equality makes
@@ -637,18 +652,22 @@ def canonical_formula(target: Poset, base: Poset, words: dict) -> Formula:
     shared through a dict keyed by the width and the row masks, in order:
     each distinct matrix is made once, its rows read off the binary digits
     of the masks, and no entry is visited per pair.  The rows are canonical
-    by construction, so each matrix is taken as it is.  The restrictions
-    are made in element order of their pairs.
+    by construction, so each matrix is taken as it is.  The formula is made
+    by _trusted_formula: the restriction for y < y2 is made when it is
+    read, from the masks of the word at y, which the formula keeps, and
+    the one at (y, y) is the identity.
     Each D keeps its unit diagonal when entries of equal degree in one word
     are incomparable, as the witnesses of one element are by the antichain
     condition (see harness._build_xi).  Values are checked by check_formula
     (InternalInconsistency otherwise), once per _value_key; restrictions by
-    Formula.
+    _check_diagram, as Formula checks the restrictions it is given.
     """
     require_elements(target, words, "word")
     shared, up, index, elements = {}, base._up, base._index, base.elements
 
     def masks(word: CObject) -> tuple:
+        """The tables below and deg of word, and its length, the width of
+        every matrix from it."""
         own, deg = {}, {}
         for i, (x, m) in enumerate(word.entries):
             own[x] = own.get(x, 0) | 1 << i
@@ -657,11 +676,10 @@ def canonical_formula(target: Poset, base: Poset, words: dict) -> Formula:
         for x, bits in own.items():
             for z in map(elements.__getitem__, _bits(up[index[x]])):
                 below[z] = below.get(z, 0) | bits
-        return below, deg
+        return below, deg, len(word)
 
-    def ones(src: CObject, tgt: CObject, src_masks: tuple) -> CMorphism:
-        below, deg = src_masks
-        width = len(src)
+    def ones(src_masks: tuple, tgt: CObject) -> Mat:
+        below, deg, width = src_masks
         key = (
             width,
             *[below.get(x, 0) & (deg.get(m, 0) | deg.get(m - 1, 0)) for x, m in tgt.entries],
@@ -672,21 +690,23 @@ def canonical_formula(target: Poset, base: Poset, words: dict) -> Formula:
             # under a sentinel bit at position width
             rows = [tuple(map(int, format(mask | 1 << width, "b")[:0:-1])) for mask in key[1:]]
             m = shared[key] = Mat(len(tgt), width, rows)
-        return CMorphism._trusted(src, tgt, m)
+        return m
 
     at, word_masks, check = {}, {}, _memo(_value_key, check_formula)
     for y in target.elements:
         xi = CObject(words[y], base)
-        word_masks[y] = masks(xi)
-        at[y] = FormulaToPoint(xi, ones(xi, xi.shifted(1), word_masks[y]))
+        word_masks[y], shifted = masks(xi), xi.shifted(1)
+        at[y] = FormulaToPoint(xi, CMorphism._trusted(xi, shifted, ones(word_masks[y], shifted)))
         problem = check(at[y])
         if problem is not None:
             raise InternalInconsistency(f"canonical value at {y!r} is invalid: {problem}")
-    res = {
-        (y, y2): ones(at[y].xi, at[y2].xi, word_masks[y])
-        for y, y2 in _pairs(target) if y != y2
-    }
-    return Formula(target, at, res)
+
+    def matrix(y, y2):
+        return Mat.identity(len(at[y].xi)) if y == y2 else ones(word_masks[y], at[y2].xi)
+
+    F = _trusted_formula(target, base, at, matrix)
+    _check_diagram(F)
+    return F
 
 
 def translation_formula(X: Poset, n: int) -> Formula:
@@ -806,11 +826,11 @@ def compose_formulas(outer: Formula, inner: Formula) -> Formula:
     composition, and the outer law psi(q2, q3)·psi(q, q2) = psi(q, q3) gives
     the same law for the result.  The theorem formulas, the outer and inner
     formulas of every certificate's composites, have their triangles walked
-    by Formula when they are made, and a composite of composites inherits
-    the law by the same argument.  Tier-1 walks the composites' triangles
-    through the checked constructor, and the evaluated composites of each
-    certificate's trial 0 have their diagram axioms checked by
-    PosetDiagram(check=True) in abelian_eval.
+    by _check_diagram when they are made, and a composite of composites
+    inherits the law by the same argument.  Tier-1 walks the composites'
+    triangles through the checked constructor, and the evaluated
+    composites of each certificate's trial 0 have their diagram axioms
+    checked by PosetDiagram(check=True) in abelian_eval.
 
     The substituted matrix of each psi, a value's D or a restriction, is
     made only once per key, and equal ones are one object; the memo lives

@@ -27,6 +27,7 @@ from .abelian_eval import (
     Field,
     PosetDiagram,
     _diagram_draw,
+    _draw_bounds,
     _Evaluation,
     _recipe_cohomology,
     _selected_complex,
@@ -140,29 +141,16 @@ def _run_config(trials, seed, field, max_dim, window) -> dict:
     """The run parameters as recorded in a report.  Every
     verification entry point calls this first, so bad parameters are
     rejected before any work."""
-    ints = {"trials": trials, "seed": seed, "max_dim": max_dim}
-    for name, value in ints.items():
+    for name, value in {"trials": trials, "seed": seed}.items():
         if type(value) is not int:  # bool is an int subclass, and rejected
             raise ParseError(f"{name} must be an int, got {value!r}")
-    if not (
-        isinstance(window, (tuple, list))
-        and len(window) == 2
-        and all(type(v) is int for v in window)
-    ):
-        raise ParseError(f"window must be a pair of ints, got {window!r}")
+    _draw_bounds(max_dim, window)
     if not isinstance(field, Field):
         raise ParseError(f"field must be a Field, got {field!r}")
     if not 0 <= seed < 2**64:  # the RNG reads seeds modulo 2**64
         raise ParseError(f"seed must be in [0, 2**64), got {seed}")
     if trials < 1:
         raise ParseError(f"trials must be at least 1, got {trials}")
-    if max_dim < 1:
-        raise ParseError(f"max_dim must be at least 1, got {max_dim}")
-    lo, hi = window
-    if lo > hi:
-        raise ParseError(f"degree window [{lo}, {hi}] is empty")
-    if hi - lo >= 2**64:  # the widest draw, randrange(hi - lo + 1), is at most 2**64
-        raise ParseError(f"degree window [{lo}, {hi}] spans more than 2**64 degrees")
     return {
         "trials": trials,
         "seed": seed,
@@ -197,11 +185,11 @@ class EpsilonTransform:
     (NaturalityFailure, with the first offending edge in element order and
     the difference).  Those squares are the whole of naturality: the other
     restrictions are composites of Hasse-edge ones, and squares paste.  So
-    only the restrictions on Hasse edges are read, and a formula that makes
-    its restrictions on read (a composite, a translation) makes no other.
+    only the restrictions on Hasse edges are read, and a formula, which
+    makes its restrictions on read, makes no other.
     Both sides of each square are plain matrix products: the components
     were just shown to preserve degree, and so were the restrictions along
-    Hasse edges (by Formula, compose_formulas, or the shape of a
+    Hasse edges (by _check_diagram, compose_formulas, or the shape of a
     translation formula), so no entry jumps by 2 and compose's quotient
     would change nothing.  The comparison reads the square's four matrices
     and nothing else, so poset_core._failing_square compares each distinct
@@ -291,9 +279,10 @@ def build_theorem_formulas(g: GluingData):
     xi_plus is a diagram over the minus order valued in words over the plus
     order and xi_minus the reverse, so that each one's evaluation carries
     diagrams over one glued order to diagrams over the other.  Every value
-    is checked where it is made.  The Formula constructor checks restrictions
-    on covers and proves the rest by the cover triangles; a non-commuting
-    triangle raises CommutativityFailure with the difference matrix.
+    is checked where it is made.  canonical_formula checks the restrictions
+    on covers and proves the rest by the cover triangles (_check_diagram);
+    a non-commuting triangle raises CommutativityFailure with the
+    difference matrix.
     """
     plus = build_plus(g)
     minus = build_minus(g)
@@ -460,8 +449,9 @@ class _Images:
     that reaches the key.  Where both selections are empty the images are
     zero, the component is acyclic, and nothing is built.  The epsilon,
     which this object keeps, keeps the matrix objects, so their ids stay
-    unique for the call.  Every word is checked in __init__ to live over
-    the epsilon's base, whose up-sets the selections are taken in.
+    unique for the call.  Every word lives over the epsilon's base, whose
+    up-sets the selections are taken in: a Formula's values share its base,
+    and EpsilonTransform requires one base for its two formulas.
 
     The images at u are kept per u (by_element), at the y where one of
     the two is nonzero."""
@@ -472,11 +462,8 @@ class _Images:
         self.eps = eps
         self.field = field
         self.words = []
-        base = eps.source.base
         for y in eps.source.target.elements:
             src, tgt, phi = eps.source.at[y], eps.target.at[y], eps.components[y]
-            if src.xi.base != base or tgt.xi.base != base:
-                raise BaseMismatch("formula and representable live over different posets")
             self.words.append((y, _restriction_key(phi, src, tgt), src, tgt, phi))
         self.by_element = {}
         self.by_key = {}
@@ -588,10 +575,10 @@ def _first_difference(evaluated: TrialRecord, assembled: TrialRecord):
 
 #: The most order pairs that the two glued orders of a gluing may have
 #: together for verify_equivalence to build its formulas.  Time and memory
-#: grow with that count, as each theorem formula makes and keeps one
-#: restriction per pair of its target (the composites and translations
-#: make only those they read): 393,900 pairs, at 2,000 elements, peaked at
-#: 173 MB in a 1-trial certificate.
+#: grow with that count: each theorem formula walks the cover triangles of
+#: its target over one matrix per pair, made for the walk and dropped after
+#: it, and every formula keeps only the restrictions that are read.  393,900
+#: pairs, at 2,000 elements, peaked at 120 MB in a 1-trial certificate.
 _MAX_ORDER_PAIRS = 500_000
 
 

@@ -1104,6 +1104,20 @@ class TestRandomGenerators:
                         assert all(sum(col) == 1 for col in m.transpose().rows), (seed, x, x2, t)
                         assert all(sum(row) <= 1 for row in m.rows), (seed, x, x2, t)
 
+    @pytest.mark.parametrize(
+        "max_dim, window, message",
+        [
+            (0, (-2, 2), "max_dim must be at least 1, got 0"),
+            (3, (2, -2), r"degree window \[2, -2\] is empty"),
+            (3, (0,), r"window must be a pair of ints, got \(0,\)"),
+            ("3", (-2, 2), "max_dim must be an int, got '3'"),
+        ],
+    )
+    def test_random_diagram_rejects_bounds_out_of_range(self, max_dim, window, message):
+        # the bounds of every verification run, with their messages
+        with pytest.raises(ParseError, match=message):
+            random_diagram(figure_one_poset("X1"), 1, max_dim, window)
+
     def test_random_diagram_builds_each_stalk_once(self, monkeypatch):
         # one direct sum per distinct piece set {k : u_k <= x}, shared by the
         # elements that have it

@@ -51,7 +51,7 @@ from posetglue.harness import (
     random_gluing,
 )
 from posetglue.intmat import Mat
-from posetglue.poset_core import cover_triangles, hasse, poset_from_generators
+from posetglue.poset_core import _pairs, cover_triangles, covers, hasse, poset_from_generators
 
 from posetglue.rng import SplitMix64, derive_seed
 
@@ -915,9 +915,10 @@ class TestMatrixLevelChecks:
 #: The functions that build morphisms through CMorphism._trusted while a
 #: structure is built and read, each of which proves in its docstring that
 #: its matrices are canonical; "__getitem__" is _Restrictions', which makes
-#: the restrictions of the composites and translations when they are read.
-#: compose and star are trusted sites too, but no builder calls them.
-TRUSTED_SITES = {"ones", "translation_formula", "_substituted_value", "__getitem__"}
+#: the restrictions of the theorem formulas, composites and translations
+#: when they are read.  compose and star are trusted sites too, but no
+#: builder calls them.
+TRUSTED_SITES = {"canonical_formula", "translation_formula", "_substituted_value", "__getitem__"}
 
 
 def _trusted_site(frame) -> str:
@@ -1348,9 +1349,102 @@ def test_related_pairs_are_walked_in_element_order_at_every_hash_seed():
     xi_plus = build_theorem_formulas(figure_one_gluing(FIGURE_ONE_PAIRS[0])[0])[0]
     target = xi_plus.target
     pairs = sorted(target.leq, key=lambda ab: (target.index(ab[0]), target.index(ab[1])))
-    diagonal = [(y, y) for y in target.elements]
-    assert list(xi_plus.res) == [ab for ab in pairs if ab[0] != ab[1]] + diagonal
+    assert list(xi_plus.res) == pairs
     assert list(translation_formula(target, 1).res) == pairs
     K = random_diagram(target, 0)
     support = {x for x in target.elements if K.stalk(x).dims}
     assert list(K.r) == [ab for ab in pairs if ab[0] in support and ab[1] in support]
+
+
+def test_every_kind_of_formula_iterates_its_restrictions_in_pair_order():
+    # one store for every formula: canonical, composite, translation,
+    # shifted, and outside input given in reversed insertion order all
+    # iterate res in poset_core._pairs order, as a _Restrictions
+    g = figure_one_gluing(FIGURE_ONE_PAIRS[0])[0]
+    xi_plus, xi_minus = build_theorem_formulas(g)
+    given = dict(reversed(list(xi_plus.res.items())))
+    assert list(given) != list(_pairs(xi_plus.target))
+    kinds = {
+        "canonical": xi_plus,
+        "composite": compose_formulas(xi_plus, xi_minus),
+        "translation": translation_formula(xi_plus.base, 1),
+        "shift": shift(xi_minus, 2),
+        "outside input": Formula(xi_plus.target, xi_plus.at, given),
+    }
+    for kind, F in kinds.items():
+        assert type(F.res) is formula_cat._Restrictions, kind
+        assert list(F.res) == list(F.res.keys()) == list(_pairs(F.target)), kind
+        assert [pair for pair, _ in F.res.items()] == list(_pairs(F.target)), kind
+    assert kinds["outside input"] == xi_plus
+    assert all(kinds["outside input"].res[pair] is phi for pair, phi in given.items())
+
+
+class TestTheoremFormulaLaws:
+    """canonical_formula builds its restrictions on read and still runs
+    both laws on them: the Hasse-edge and diagonal checks, and the walk of
+    every cover triangle over the matrices it makes."""
+
+    @staticmethod
+    def _injected(monkeypatch, target_pair, wrong):
+        # the matrix function of the next trusted formula, with the matrix
+        # at target_pair replaced by wrong(correct matrix)
+        real = formula_cat._trusted_formula
+
+        def injecting(target, base, at, matrix, shift=None):
+            def changed(y, y2):
+                m = matrix(y, y2)
+                return wrong(m) if (y, y2) == target_pair else m
+
+            return real(target, base, at, changed, shift)
+
+        monkeypatch.setattr(formula_cat, "_trusted_formula", injecting)
+
+    @pytest.mark.parametrize("pair", FIGURE_ONE_PAIRS, ids="-".join)
+    def test_a_wrong_non_cover_matrix_fails_at_its_triangle(self, pair, monkeypatch):
+        g = figure_one_gluing(pair)[0]
+        xi = build_theorem_formulas(g)[0]
+        target, covers_ = xi.target, set(hasse(xi.target).edges)
+        a, c = next(
+            ab for ab in _pairs(target)
+            if ab[0] != ab[1] and ab not in covers_ and not xi.res[ab].is_zero()
+        )
+        changed = {ab: phi.matrix for ab, phi in xi.res.items()}
+        changed[a, c] = changed[a, c].scale(2)
+        # the first triangle, in walk order, whose plain product differs
+        first = next(
+            (x, y, z) for x, y, z in cover_triangles(target)
+            if changed[y, z].mul(changed[x, y]) != changed[x, z]
+        )
+        self._injected(monkeypatch, (a, c), lambda m: m.scale(2))
+        with pytest.raises(CommutativityFailure) as info:
+            build_theorem_formulas(g)
+        assert info.value.pair == (first[0], first[2])
+        assert f"via {first[1]!r}:" in str(info.value)
+        assert (a, c) in {(first[0], first[2]), (first[1], first[2])}
+
+    def test_a_wrong_hasse_edge_matrix_fails_the_edge_check(self, monkeypatch):
+        # a Hasse-edge matrix with one nonzero entry zeroed that no longer
+        # intertwines the two D's: the edge check names the edge before
+        # any triangle is walked
+        g = figure_one_gluing(FIGURE_ONE_PAIRS[0])[0]
+        xi = build_theorem_formulas(g)[0]
+
+        def zeroed(m, j, i):
+            rows = m.tolist()
+            rows[j][i] = 0
+            return Mat(m.nrows, m.ncols, rows)
+
+        edge, bad = next(
+            ((a, b), zeroed(phi.matrix, j, i))
+            for a, b in covers(xi.target)
+            for phi in [xi.res[a, b]]
+            for j, i in itertools.product(range(phi.matrix.nrows), range(phi.matrix.ncols))
+            if phi.matrix[j, i] and check_formula_morphism(
+                CMorphism(phi.source, phi.target, zeroed(phi.matrix, j, i)), xi.at[a], xi.at[b]
+            )
+        )
+        self._injected(monkeypatch, edge, lambda m: bad)
+        with pytest.raises(DiagramAxiomFailure) as info:
+            build_theorem_formulas(g)
+        assert type(info.value) is DiagramAxiomFailure
+        assert f"restriction for {edge[0]!r} <= {edge[1]!r} is invalid" in str(info.value)

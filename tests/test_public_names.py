@@ -249,6 +249,19 @@ def test_trusted_cmorphism_constructor_serves_only_proven_sites():
     assert not outside, outside
 
 
+def test_no_builder_calls_the_checked_formula_constructor():
+    # Formula(...) takes outside input; every formula the package builds is
+    # made by formula_cat._trusted_formula, with the store of restrictions
+    # made on read, and runs the checks its maker's proof does not cover
+    calls = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Formula"
+    ]
+    assert not calls, calls
+
+
 #: The slots of a CMorphism: its two ends and its matrix.
 _CMORPHISM_SLOTS = ("source", "target", "matrix")
 
