@@ -974,19 +974,22 @@ def _diagram_draw(X: Poset, seed: int, max_dim: int, window) -> list:
     return _draw_pieces(X, SplitMix64(derive_seed(seed, "diagram")), max_dim, window)
 
 
-def _draw_bounds(max_dim, window) -> None:
-    """ParseError unless max_dim is an int of at least 1 and window a pair
-    of ints (lo, hi) with lo <= hi spanning at most 2**64 degrees: the
-    bounds of random_diagram, and of every verification run, which draws
-    its diagrams with them."""
-    if type(max_dim) is not int:  # bool is an int subclass, and rejected
-        raise ParseError(f"max_dim must be an int, got {max_dim!r}")
+def _draw_bounds(seed, max_dim, window) -> None:
+    """ParseError unless seed is an int in [0, 2**64), max_dim an int of at
+    least 1 and window a pair of ints (lo, hi) with lo <= hi spanning at
+    most 2**64 degrees: the bounds of random_diagram, and of every
+    verification run, which draws its diagrams with them."""
+    for name, value in (("seed", seed), ("max_dim", max_dim)):
+        if type(value) is not int:  # bool is an int subclass, and rejected
+            raise ParseError(f"{name} must be an int, got {value!r}")
     if not (
         isinstance(window, (tuple, list))
         and len(window) == 2
         and all(type(v) is int for v in window)
     ):
         raise ParseError(f"window must be a pair of ints, got {window!r}")
+    if not 0 <= seed < 2**64:  # the RNG reads seeds modulo 2**64
+        raise ParseError(f"seed must be in [0, 2**64), got {seed}")
     if max_dim < 1:
         raise ParseError(f"max_dim must be at least 1, got {max_dim}")
     lo, hi = window
@@ -998,11 +1001,11 @@ def _draw_bounds(max_dim, window) -> None:
 
 def random_diagram(X: Poset, seed: int, max_dim: int = 3, window=(-2, 2)) -> PosetDiagram:
     """A deterministic random diagram over X: a split sum of up-set pieces
-    with block-inclusion restrictions.  ParseError unless max_dim and
+    with block-inclusion restrictions.  ParseError unless seed, max_dim and
     window are in bounds (_draw_bounds).
 
     The same seed yields the same diagram regardless of the field in use —
     all entries are integers; fields only enter when ranks are computed.
     """
-    _draw_bounds(max_dim, window)
+    _draw_bounds(seed, max_dim, window)
     return _PieceDiagram(X, _build_pieces(_diagram_draw(X, seed, max_dim, window))).diagram()

@@ -64,14 +64,6 @@ class PhiNotBijective(GluingError):
         super().__init__(f"transfer map {x!r} -> {x2!r} is not a bijection")
 
 
-class CocycleViolation(GluingError):
-    def __init__(self, x, x2, x3, y):
-        self.x, self.x2, self.x3, self.y = x, x2, x3, y
-        super().__init__(
-            f"transfer maps do not compose along {x!r} <= {x2!r} <= {x3!r} at {y!r}"
-        )
-
-
 class NotOrderPreserving(GluingError):
     def __init__(self, x, x2):
         self.x, self.x2 = x, x2

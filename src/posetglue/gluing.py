@@ -2,8 +2,11 @@
 
 The data consists of a poset X, a poset Y, and for each x in X a subset
 Y_x of Y whose members have pairwise disjoint principal up-sets and pairwise
-disjoint principal down-sets. Validation infers the connecting bijections
-between the Y_x along relations of X, then :func:`build_plus` /
+disjoint principal down-sets. For x <= x2 in X the order fixes a transfer
+map Y_x -> Y_x2, which sends y to the one member of Y_x2 above it.
+Validation checks the antichain condition and that each transfer map is
+defined and a bijection; the identity and cocycle laws then hold by
+construction, and no map is stored.  :func:`build_plus` /
 :func:`build_minus` produce the two orders on the disjoint union of X and Y:
 
 * plus:  x lies below y whenever some witness w in Y_x has w <= y in Y;
@@ -24,7 +27,6 @@ from operator import or_
 
 from .errors import (
     AntichainViolation,
-    CocycleViolation,
     CycleError,
     GluingError,
     InternalInconsistency,
@@ -39,7 +41,6 @@ from .poset_core import (
     _disjoint_labels,
     _items,
     _pairs,
-    cover_triangles,
     direct_sum,
     ordinal_sum,
     point_poset,
@@ -53,15 +54,14 @@ class GluingData:
     """Validated gluing data.
 
     `Yx` maps each element of X to an ordered tuple of Y-elements (the input
-    order is kept: downstream matrix blocks index by it). `phi` maps each
-    ordered pair (x, x2) with x <= x2 to the inferred bijection Y_x -> Y_x2,
-    stored as a dict.  Its glued orders are built on first use and kept.
+    order is kept: downstream matrix blocks index by it).  The transfer maps
+    are fixed by the order and not stored (see validate_gluing).  Its glued
+    orders are built on first use and kept.
     """
 
     X: Poset
     Y: Poset
     Yx: dict
-    phi: dict
     _orders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -76,16 +76,27 @@ class GluedOrder:
 
 
 def validate_gluing(X: Poset, Y: Poset, Yx) -> GluingData:
-    """Check the gluing conditions and infer the connecting bijections.
+    """Check the gluing conditions: the antichain condition and the transfer
+    maps.
 
     Raises AntichainViolation when two members of some Y_x share an element
-    of their up-sets or down-sets (the witness is reported), PhiMissing /
-    PhiNotBijective when the connecting maps cannot be inferred (for the
-    first such x <= x2 in element order), and
-    CocycleViolation if the inferred maps fail to compose (cannot happen
-    when inference succeeded; checked anyway as an internal alarm), and
+    of their up-sets or down-sets (the witness is reported), PhiMissing when
+    some y in Y_x has no member of Y_x2 above it, for x <= x2, and
+    PhiNotBijective when the transfer map Y_x -> Y_x2 is not a bijection
+    (for the first such x <= x2 in element order, and y in Y_x's order), and
     GluingError when X ⊔ Y is empty.  Yx must map elements of X to
     ordered collections of elements of Y, not sets (ParseError otherwise).
+
+    The transfer map phi of x <= x2 sends y in Y_x to the member of Y_x2
+    above it, so phi(y) >= y.  Once the antichain test has passed, that
+    member is unique: two members of Y_x2 above y would share y in their
+    down-sets.  The laws of the transfer maps then hold by construction:
+    * identity: y is the one member of Y_x above y, so phi of x <= x is
+      the identity;
+    * cocycle: for x <= x2 <= x3, phi(phi(y)) is a member of Y_x3 above
+      phi(y) >= y, hence the one member of Y_x3 above y, which is the
+      image of y under phi of x <= x3.
+    The maps are checked on masks and not kept: nothing reads them.
     """
     if not X.elements and not Y.elements:
         raise GluingError("X ⊔ Y is empty: a gluing needs at least one element")
@@ -125,34 +136,20 @@ def validate_gluing(X: Poset, Y: Poset, Yx) -> GluingData:
                         w = Y.elements[(shared & -shared).bit_length() - 1]
                         raise AntichainViolation(x, ys[i], ys[j], w, side)
 
-    # phi(y), for x <= x2, is the one member of Y_x2 in the up-set of y.
+    # The hit of y, for x <= x2, is the mask of the members of Y_x2 above y:
+    # one bit, by the antichain test (two would share y in their down-sets).
     members = {x: sum(1 << j for j in js) for x, js in at.items()}
-    phi = {}
     for x, x2 in _pairs(X):
-        fwd = {}
+        images = 0
         for y, j in zip(Yx[x], at[x]):
-            hits = Y._up[j] & members[x2]
-            if not hits:
+            hit = Y._up[j] & members[x2]
+            if not hit:
                 raise PhiMissing(x, x2, y)
-            if hits & (hits - 1):
-                raise InternalInconsistency(
-                    f"multiple admissible images for {y!r} under {x!r} <= {x2!r}; "
-                    "the antichain check should have excluded this"
-                )
-            fwd[y] = Y.elements[hits.bit_length() - 1]
-        if len(Yx[x]) != len(Yx[x2]) or len(set(fwd.values())) != len(fwd):
+            images |= hit
+        if len(Yx[x]) != len(Yx[x2]) or images.bit_count() != len(Yx[x]):
             raise PhiNotBijective(x, x2)
-        phi[(x, x2)] = fwd
 
-    for x in X.elements:
-        if any(phi[(x, x)][y] != y for y in Yx[x]):
-            raise InternalInconsistency(f"connecting map at {x!r} is not the identity")
-    for x, x2, x3 in cover_triangles(X):
-        for y in Yx[x]:
-            if phi[(x2, x3)][phi[(x, x2)][y]] != phi[(x, x3)][y]:
-                raise CocycleViolation(x, x2, x3, y)
-
-    return GluingData(X=X, Y=Y, Yx=Yx, phi=phi)
+    return GluingData(X=X, Y=Y, Yx=Yx)
 
 
 def _build(g: GluingData, sign: str) -> GluedOrder:

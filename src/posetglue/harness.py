@@ -61,7 +61,6 @@ from .formula_cat import (
     _two_chain_constants,
     canonical_formula,
     check_formula,
-    check_formula_morphism,
     check_homotopy,
     compose_formulas,
     shift,
@@ -81,8 +80,8 @@ from .poset_core import (
     Poset,
     _bits,
     _failing_square,
+    _shortest_path,
     covers,
-    hasse,
     point_poset,
     poset_from_generators,
     require_elements,
@@ -141,14 +140,11 @@ def _run_config(trials, seed, field, max_dim, window) -> dict:
     """The run parameters as recorded in a report.  Every
     verification entry point calls this first, so bad parameters are
     rejected before any work."""
-    for name, value in {"trials": trials, "seed": seed}.items():
-        if type(value) is not int:  # bool is an int subclass, and rejected
-            raise ParseError(f"{name} must be an int, got {value!r}")
-    _draw_bounds(max_dim, window)
+    if type(trials) is not int:  # bool is an int subclass, and rejected
+        raise ParseError(f"trials must be an int, got {trials!r}")
+    _draw_bounds(seed, max_dim, window)
     if not isinstance(field, Field):
         raise ParseError(f"field must be a Field, got {field!r}")
-    if not 0 <= seed < 2**64:  # the RNG reads seeds modulo 2**64
-        raise ParseError(f"seed must be in [0, 2**64), got {seed}")
     if trials < 1:
         raise ParseError(f"trials must be at least 1, got {trials}")
     return {
@@ -409,27 +405,37 @@ def __getattr__(name):
 
 # --- randomized verification runs ----------------------------------------------
 
-def _equivalence_trial(tseed, eps_pm, eps_mp, field, max_dim, window) -> TrialRecord:
+#: The two sides of a trial, in record order: the key of the side's draw
+#: seed, its epsilon by its position in build_epsilons' pair (eps_pm,
+#: eps_mp), and the names of the tables of that epsilon's source and
+#: target.  The plus side draws over the plus order and evaluates the unit
+#: (K shifted against the round trip), the minus side draws over the minus
+#: order and evaluates the counit (the round trip against L shifted).
+_SIDES = (
+    ("plus", 1, ("plus_shift", "plus_round_trip")),
+    ("minus", 0, ("minus_round_trip", "minus_shift")),
+)
+
+
+def _equivalence_trial(tseed, epsilons, field, max_dim, window) -> TrialRecord:
     """One trial evaluated at its draws, the first of every certificate: the
     unit at a random diagram K over the plus order and the counit at one, L,
-    over the minus order, with the cohomology tables of the four corners and
-    the verdict that both are quasi-isomorphisms.  Every check of the
-    evaluator runs here: the chain-map checks of the evaluated restrictions
-    and components, the diagram axioms of the evaluated composites, the
-    naturality of both diagram maps and the Euler ledger."""
-    plus, minus = eps_mp.source.base, eps_pm.source.base
-    K = random_diagram(plus, derive_seed(tseed, "plus"), max_dim, window)
-    L = random_diagram(minus, derive_seed(tseed, "minus"), max_dim, window)
-    unit = eps_mp.evaluate(K)
-    counit = eps_pm.evaluate(L)
-    verdict = is_quasi_iso_diagram(unit, field) and is_quasi_iso_diagram(
-        counit, field
-    )
+    over the minus order, for epsilons = (eps_pm, eps_mp), with the
+    cohomology tables of the four corners and the verdict that both are
+    quasi-isomorphisms.  Every check of the evaluator runs here: the
+    chain-map checks of the evaluated restrictions and components, the
+    diagram axioms of the evaluated composites, the naturality of both
+    diagram maps and the Euler ledger."""
+    draws = [
+        random_diagram(epsilons[i].source.base, derive_seed(tseed, side), max_dim, window)
+        for side, i, _ in _SIDES
+    ]
+    maps = [epsilons[i].evaluate(K) for (_, i, _), K in zip(_SIDES, draws)]
+    verdict = all(is_quasi_iso_diagram(m, field) for m in maps)
     tables = {
-        "plus_shift": _table_json(unit.source, field),
-        "plus_round_trip": _table_json(unit.target, field),
-        "minus_round_trip": _table_json(counit.source, field),
-        "minus_shift": _table_json(counit.target, field),
+        name: _table_json(K, field)
+        for (_, _, names), m in zip(_SIDES, maps)
+        for name, K in zip(names, (m.source, m.target))
     }
     return TrialRecord(seed=tseed, verdict=verdict, tables=tables)
 
@@ -514,11 +520,12 @@ def _add(total: dict, table: dict) -> None:
         total[i] = total.get(i, 0) + n
 
 
-def _assembled_trial(tseed, counit_images, unit_images, max_dim, window) -> TrialRecord:
+def _assembled_trial(tseed, images, max_dim, window) -> TrialRecord:
     """The record of _equivalence_trial at tseed, from the images of the
-    representables (see verify_equivalence): the same pieces (u, S) are
-    drawn, but no S is built; H(S) is read off each piece's recipe, and a
-    piece with H(S) = 0 contributes nothing.
+    representables under eps_pm and eps_mp, in that order (see
+    verify_equivalence): the same pieces (u, S) are drawn, but no S is
+    built; H(S) is read off each piece's recipe, and a piece with H(S) = 0
+    contributes nothing.
 
     Convolution is bilinear, so the pieces at one u are taken together:
     their H(S) are added first (_add), and each image at u is convolved
@@ -529,26 +536,21 @@ def _assembled_trial(tseed, counit_images, unit_images, max_dim, window) -> Tria
     sum.  An element y without a total, where every image at the drawn u
     is zero, gets the empty row."""
     verdict, tables = True, {}
-    sides = (
-        (unit_images, "plus", ("plus_shift", "plus_round_trip")),
-        (counit_images, "minus", ("minus_round_trip", "minus_shift")),
-    )
-    for images, side, names in sides:
-        base = images.eps.source.base
-        drawn = {}
-        for u, elem, _ in _diagram_draw(base, derive_seed(tseed, side), max_dim, window):
+    for side, i, names in _SIDES:
+        eps, drawn = images[i].eps, {}
+        for u, elem, _ in _diagram_draw(eps.source.base, derive_seed(tseed, side), max_dim, window):
             if h := _recipe_cohomology(elem):
                 _add(drawn.setdefault(u, {}), h)
         totals = ({}, {})
         for u, h in drawn.items():
-            cohomologies, acyclic = images.at(u)
+            cohomologies, acyclic = images[i].at(u)
             verdict = verdict and acyclic
             for y, image in cohomologies.items():
                 for end, total in enumerate(totals):
                     _add(total.setdefault(y, {}), _convolved(image[end], h))
         for name, total in zip(names, totals):
             tables[name] = {
-                y: _row(total[y]) if y in total else {} for y in images.eps.source.target.elements
+                y: _row(total[y]) if y in total else {} for y in eps.source.target.elements
             }
     return TrialRecord(seed=tseed, verdict=verdict, tables=tables)
 
@@ -633,22 +635,22 @@ def verify_equivalence(
         )
     xi_plus, xi_minus = build_theorem_formulas(g)
     structural = [("theorem-formulas", True)]
-    eps_pm, eps_mp = build_epsilons(g, xi_plus, xi_minus)
+    epsilons = build_epsilons(g, xi_plus, xi_minus)
     structural.append(("epsilon-naturality", True))
     structural.append(("retract-homotopies", True))
 
     seeds = [derive_seed(seed, "trial", i) for i in range(trials)]
-    first = _equivalence_trial(seeds[0], eps_pm, eps_mp, field, max_dim, window)
+    first = _equivalence_trial(seeds[0], epsilons, field, max_dim, window)
     records = [first]
     if trials > 1:
-        images = _Images(eps_pm, field), _Images(eps_mp, field)
-        problem = _first_difference(first, _assembled_trial(seeds[0], *images, max_dim, window))
+        images = [_Images(eps, field) for eps in epsilons]
+        problem = _first_difference(first, _assembled_trial(seeds[0], images, max_dim, window))
         if problem is not None:
             raise InternalInconsistency(
                 f"trial {seeds[0]} assembled from the representables differs "
                 f"from its evaluation, at the {problem}"
             )
-        records += [_assembled_trial(tseed, *images, max_dim, window) for tseed in seeds[1:]]
+        records += [_assembled_trial(tseed, images, max_dim, window) for tseed in seeds[1:]]
     structural.append(("euler-ledger", True))
 
     return EquivalenceCertificate(
@@ -729,7 +731,8 @@ def verify_two_chain(
 
     The two formulas, the counit and the unit are those of the point gluing
     of "1" under "2", relabelled onto TWO_CHAIN.  Structural checks: validity
-    of their values and restrictions and of XI12, the substitution identities
+    of XI12 (compose_formulas checked the two formulas' values and
+    restrictions when it made them), the substitution identities
     (the plus side's value at "2" is XI12, and the round trip's and the
     square's values there are XI121 and XI212), and the paper's two retract
     homotopies.  Per trial: the four comparison transformations
@@ -741,21 +744,11 @@ def verify_two_chain(
     point_xi, plus, minus = _two_chain_formulas()
     epsilons = _two_chain_epsilons(point_xi, plus, minus)
     eps_pm, _, eps_pp, _ = epsilons
-    named = (plus, minus)
     c = _two_chain_constants()
     xi12, xi121, xi212 = c["XI12"], c["XI121"], c["XI212"]
-    structural = []
-    structural.append(
-        (
-            "named-formulas-valid",
-            check_formula(xi12) is None
-            and all(check_formula(f) is None for F in named for f in F.at.values())
-            and all(
-                check_formula_morphism(F.res[("1", "2")], F.at["1"], F.at["2"]) is None
-                for F in named
-            ),
-        )
-    )
+    # compose_formulas checked the values and the restriction of both
+    # formulas where it made them; XI12 is made by no construction
+    structural = [("named-formulas-valid", check_formula(xi12) is None)]
     structural.append(
         (
             "substitution-identities",
@@ -855,7 +848,7 @@ def verify_bgp_path(
     """
     config = _run_config(trials, seed, field, max_dim, window)
     verts = set(tree.elements)
-    und = _undirected(hasse(tree).edges)
+    und = _undirected(covers(tree))
     if len(und) != len(verts) - 1 or not _connected(verts, und):
         raise NotATree(
             f"underlying graph has {len(und)} edges on {len(verts)} vertices"
@@ -863,13 +856,13 @@ def verify_bgp_path(
     if len(und) > 8:
         raise SizeLimit("reflection search capped at 8 edges")
     for name, orient in (("from", from_orient), ("to", to_orient)):
-        if set(orient.elements) != verts or _undirected(hasse(orient).edges) != und:
+        if set(orient.elements) != verts or _undirected(covers(orient)) != und:
             raise ParseError(
                 f"the {name!r} orientation does not orient the given tree"
             )
 
-    start = frozenset(hasse(from_orient).edges)
-    goal = frozenset(hasse(to_orient).edges)
+    start = frozenset(covers(from_orient))
+    goal = frozenset(covers(to_orient))
     path = _reflection_path(verts, start, goal)
 
     steps = []
@@ -931,32 +924,20 @@ def _reflection_path(verts, start, goal):
     "sink" when it has only incoming ones.
     """
     order = sorted(verts)
-    parent = {start: None}
-    queue = [start]
-    while queue:
-        state = queue.pop(0)
-        if state == goal:
-            break
+
+    def moves(state):
         for v in order:
             out = frozenset(e for e in state if e[0] == v)
             inc = frozenset(e for e in state if e[1] == v)
             if bool(out) == bool(inc):
                 continue  # neither a source nor a sink
             kind, flipped = ("source", out) if out else ("sink", inc)
-            nxt = frozenset((state - flipped) | {(b, a) for a, b in flipped})
-            if nxt not in parent:
-                parent[nxt] = (state, v, kind)
-                queue.append(nxt)
-    if goal not in parent:
+            yield (v, kind), frozenset((state - flipped) | {(b, a) for a, b in flipped})
+
+    steps = _shortest_path(start, goal, moves)
+    if steps is None:
         raise NoPathFound("no reflection sequence reaches the target orientation")
-    path = []
-    state = goal
-    while parent[state] is not None:
-        prev, v, kind = parent[state]
-        path.append((v, kind, prev, state))
-        state = prev
-    path.reverse()
-    return path
+    return [(v, kind, before, after) for before, (v, kind), after in steps]
 
 
 # --- random gluings -------------------------------------------------------------

@@ -8,7 +8,7 @@ deterministic. Values are immutable after construction.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from functools import reduce
 from operator import or_
 
@@ -186,14 +186,13 @@ def poset_from_generators(elements, generating_pairs) -> Poset:
     """
     elements = list(elements)
     index = _index_of(elements)
-    pairs = [(a, b) for a, b in generating_pairs]
     n = len(elements)
     # Reachability as bitmasks, by one pass over a topological order (Kahn):
     # each element reaches itself and whatever its successors reach, and
     # taken in reverse order its successors are done before it.
     succ = [[] for _ in range(n)]
     indegree = [0] * n
-    for a, b in pairs:
+    for a, b in generating_pairs:
         i, j = index.get(a), index.get(b)
         if i is None:
             raise UnknownElement(a)
@@ -209,7 +208,7 @@ def poset_from_generators(elements, generating_pairs) -> Poset:
             if not indegree[j]:
                 order.append(j)
     if len(order) < n:
-        raise CycleError(_find_cycle(elements, index, pairs, *_first_cycle_pair(succ)))
+        raise CycleError(_find_cycle(elements, succ, *_first_cycle_pair(succ)))
     up = [0] * n
     for i in reversed(order):
         r = 1 << i
@@ -246,31 +245,39 @@ def _first_cycle_pair(succ) -> tuple:
     )
 
 
-def _find_cycle(elements, index, pairs, i, j):
+def _find_cycle(elements, succ, i, j):
     """A concrete generator path i -> j -> i, for the CycleError message.
-    The closure found i and j on a cycle along these edges, so both exist."""
-    adj = {e: [] for e in elements}
-    for a, b in pairs:
-        adj[a].append(b)
+    The closure found i and j on a cycle along the edges succ, so both
+    paths exist."""
 
-    def path(src, dst):
-        prev = {src: None}
-        queue = [src]
-        while queue:
-            cur = queue.pop(0)
-            if cur == dst:
-                out = [cur]
-                while prev[cur] is not None:
-                    cur = prev[cur]
-                    out.append(cur)
-                return out[::-1]
-            for nxt in adj[cur]:
-                if nxt not in prev:
-                    prev[nxt] = cur
-                    queue.append(nxt)
+    def moves(k):
+        return [(None, m) for m in succ[k]]
 
-    a, b = elements[i], elements[j]
-    return path(a, b) + path(b, a)[1:]
+    steps = _shortest_path(i, j, moves) + _shortest_path(j, i, moves)
+    return [elements[k] for k in [i] + [after for _, _, after in steps]]
+
+
+def _shortest_path(start, goal, moves):
+    """A shortest path from start to goal, by breadth-first search, as its
+    steps (before, label, after), or None when goal is out of reach.
+    moves(state) lists the pairs (label, next state) in the order they are
+    tried, and a state keeps the first step that reached it."""
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        if state == goal:
+            steps = []
+            while parent[state] is not None:
+                before, label = parent[state]
+                steps.append((before, label, state))
+                state = before
+            return steps[::-1]
+        for label, nxt in moves(state):
+            if nxt not in parent:
+                parent[nxt] = state, label
+                queue.append(nxt)
+    return None
 
 
 def hasse(p: Poset) -> HasseDiagram:

@@ -1118,6 +1118,23 @@ class TestRandomGenerators:
         with pytest.raises(ParseError, match=message):
             random_diagram(figure_one_poset("X1"), 1, max_dim, window)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            ("3", "seed must be an int, got '3'"),
+            (1.5, "seed must be an int, got 1.5"),
+            (True, "seed must be an int, got True"),
+            (-1, r"seed must be in \[0, 2\*\*64\), got -1"),
+            (2**64 + 1, rf"seed must be in \[0, 2\*\*64\), got {2**64 + 1}"),
+        ],
+    )
+    def test_random_diagram_rejects_seeds_out_of_range(self, seed, message):
+        # the seed bounds of every verification run, with their messages:
+        # the RNG reads seeds modulo 2**64, so -1 and 2**64 + 1 would draw
+        # the diagrams of other seeds
+        with pytest.raises(ParseError, match=message):
+            random_diagram(figure_one_poset("X1"), seed)
+
     def test_random_diagram_builds_each_stalk_once(self, monkeypatch):
         # one direct sum per distinct piece set {k : u_k <= x}, shared by the
         # elements that have it

@@ -178,7 +178,7 @@ def _paper_xi(g, source, target) -> Formula:
         if a == b:
             continue
         if a in X and b in X:
-            matching = {a: b, **g.phi[(a, b)]}
+            matching = {a: b, **{y: _witness(g, b, lambda w: g.Y.le(y, w)) for y in g.Yx[a]}}
         elif a in X:
             matching = {_witness(g, a, lambda w: g.Y.le(w, b)): b}
         elif b in X:
@@ -1070,12 +1070,11 @@ def _representable(base, u) -> PosetDiagram:
 def _both_paths(epsilons, field, tseeds):
     """The evaluated and the assembled record of each trial seed, as JSON
     text, at verify_equivalence's default draw (max_dim 3, window (-2, 2))."""
-    eps_pm, eps_mp = epsilons
-    images = harness._Images(eps_pm, field), harness._Images(eps_mp, field)
+    images = [harness._Images(eps, field) for eps in epsilons]
     return [
         (
-            json.dumps(harness._equivalence_trial(tseed, *epsilons, field, 3, (-2, 2)).to_json()),
-            json.dumps(harness._assembled_trial(tseed, *images, 3, (-2, 2)).to_json()),
+            json.dumps(harness._equivalence_trial(tseed, epsilons, field, 3, (-2, 2)).to_json()),
+            json.dumps(harness._assembled_trial(tseed, images, 3, (-2, 2)).to_json()),
         )
         for tseed in tseeds
     ]

@@ -54,9 +54,11 @@ def _warshall(elements, pairs):
     poset_core._find_cycle gives for the first pair (i, j), i != j, in
     row-major order with each reachable from the other."""
     n, index = len(elements), {e: i for i, e in enumerate(elements)}
-    reach = [1 << i for i in range(n)]
+    reach, succ = [1 << i for i in range(n)], [[] for _ in range(n)]
     for a, b in pairs:
         reach[index[a]] |= 1 << index[b]
+        if a != b:
+            succ[index[a]].append(index[b])
     for k in range(n):
         for i in range(n):
             if reach[i] >> k & 1:
@@ -64,7 +66,7 @@ def _warshall(elements, pairs):
     for i in range(n):
         for j in range(n):
             if i != j and reach[i] >> j & 1 and reach[j] >> i & 1:
-                return tuple(_find_cycle(elements, index, pairs, i, j))
+                return tuple(_find_cycle(elements, succ, i, j))
     return frozenset(
         (elements[i], elements[j]) for i in range(n) for j in range(n) if reach[i] >> j & 1
     )
