@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-from .formula_cat import CMorphism, Formula, FormulaToPoint, _degrees, _entries, _patterns
+from .formula_cat import CMorphism, Formula, FormulaToPoint, _entries, _patterns
 from .intmat import Mat, _as_int, block, placed, rank_exact, rank_mod
 from .poset_core import (
     Poset, _failing_square, _failing_triangle, _items, _pairs, require_elements, require_relations
@@ -319,17 +319,17 @@ class PosetDiagram:
 
     With check, the constructor checks the ends of each given restriction,
     stored or not, that each diagonal one is the identity, and closure under
-    composition on cover_triangles, comparing the degreewise products with
-    the stored blocks.  By the induction there this implies the general
-    case; the degenerate triangles (x, x2, x2) follow from the identity
-    check.  Only the triangles (x, x2, x3) with x and x3 in the support are
-    walked, and one whose middle stalk is zero requires r(x, x3) = 0, what
-    the product of the two zero maps requires (see
-    poset_core._failing_triangle).  The comparison reads the blocks of the
-    three chain maps and nothing else, so _failing_triangle compares each
-    distinct triple of restriction objects once (the evaluator makes one
-    chain map per object triple of its ends and matrices, the draws one per
-    pair of piece sets); the first failing triangle is the witness.
+    composition on the cover triangles, comparing the degreewise products
+    with the stored blocks.  By the induction in poset_core._failing_triangle
+    this implies the general case; the degenerate triangles (x, x2, x2)
+    follow from the identity check.  Only the triangles (x, x2, x3) with x
+    and x3 in the support are walked, and one whose middle stalk is zero
+    requires r(x, x3) = 0, what the product of the two zero maps requires
+    (see poset_core._failing_triangle).  The comparison reads the blocks of
+    the three chain maps and nothing else, so _failing_triangle compares
+    each distinct triple of restriction objects once (the evaluator makes
+    one chain map per object triple of its ends and matrices, the draws one
+    per pair of piece sets); the first failing triangle is the witness.
     """
 
     __slots__ = ("base", "K", "r")
@@ -696,8 +696,8 @@ def _selected_matrices(phi: CMorphism, source_selection: tuple, target_selection
     for j, i, _, mi, c, raising in _entries(phi):
         if not raising and i in chosen:
             placed_at.setdefault(-mi, []).append((j, i, c, one))
-    rows = _selected_layout(_degrees(phi.target), target_selection)
-    cols = _selected_layout(_degrees(phi.source), source_selection)
+    rows = _selected_layout(phi.target.degrees, target_selection)
+    cols = _selected_layout(phi.source.degrees, source_selection)
     return {t: placed(rows[t], cols[t], items) for t, items in placed_at.items()}
 
 
@@ -705,7 +705,7 @@ def _selected_complex(f: FormulaToPoint, selection: tuple) -> VectComplex:
     """The complex of f's selected entries, with the selected part of D as
     its differential, its d·d = 0 checked.  D's target is f's word shifted
     by one, so it has the same selection."""
-    dims = {t: offsets[-1] for t, offsets in _selected_layout(_degrees(f.xi), selection).items()}
+    dims = {t: offsets[-1] for t, offsets in _selected_layout(f.xi.degrees, selection).items()}
     return VectComplex(dims, _selected_matrices(f.D, selection, selection), check=True)
 
 

@@ -46,10 +46,17 @@ class CObject:
     """A finite sequence of (element, degree) pairs over a base poset.
 
     Entries may repeat and their order is significant: it is the row/column
-    order of every matrix attached to the object.
+    order of every matrix attached to the object.  Two values are derived
+    from the entries and kept, so that every memo key and ends test reads
+    one object per word: `degrees`, the degrees of the entries in entry
+    order, made with the word (by the constructor or _word); and the word
+    shifted by one, made by the first shifted(1) and returned by every
+    later one.  Only the constructor, _word and shifted write a word's
+    slots (a Tier-1 guard reads the source for it), and entries are never
+    rewritten, so neither derived value can go stale.
     """
 
-    __slots__ = ("entries", "base")
+    __slots__ = ("entries", "base", "degrees", "_shifted")
 
     def __init__(self, entries, base: Poset):
         try:
@@ -62,6 +69,8 @@ class CObject:
             base.index(x)
         self.entries = entries
         self.base = base
+        self.degrees = tuple([m for _, m in entries])
+        self._shifted = None
 
     def __len__(self):
         return len(self.entries)
@@ -78,7 +87,12 @@ class CObject:
 
     def shifted(self, n: int) -> "CObject":
         # the elements were validated when self was made
-        return _word(tuple([(x, m + n) for x, m in self.entries]), self.base)
+        if n == 1 and self._shifted is not None:
+            return self._shifted
+        word = _word(tuple([(x, m + n) for x, m in self.entries]), self.base)
+        if n == 1:
+            self._shifted = word
+        return word
 
 
 def _word(entries: tuple, base: Poset) -> CObject:
@@ -88,32 +102,35 @@ def _word(entries: tuple, base: Poset) -> CObject:
     obj = object.__new__(CObject)
     obj.entries = entries
     obj.base = base
+    obj.degrees = tuple([m for _, m in entries])
+    obj._shifted = None
     return obj
 
 
-def _degrees(word: CObject) -> tuple:
-    """The degrees of word's entries, in entry order."""
-    return tuple([m for _, m in word.entries])
-
-
-def _canonical(source: CObject, target: CObject, matrix: Mat) -> Mat:
-    """matrix, from source to target, in canonical form.
-
-    The canonical-position rule: entry (j, i), from source entry (x_i, m_i)
-    to target entry (x_j, m_j), may be nonzero exactly when x_i <= x_j and
-    m_j - m_i is 0 or 1.  Every other entry is zeroed: order violations,
-    degree lowerings, and degree jumps of 2 or more (the quotient).  The
-    predicate below is the one statement of the rule; Mat.masked calls it
-    only at the nonzero entries, so a mostly zero matrix costs its nonzero
-    entries.  The elements were validated when the objects were made."""
-    src, tgt, base = source.entries, target.entries, source.base
+def _rule(src: tuple, tgt: tuple, base: Poset, rise: int = 0):
+    """The canonical-position rule, as a predicate allowed(j, i) on the
+    entries of a matrix from the word entries src to the word entries tgt
+    shifted by rise, all over base: entry (j, i), from source entry
+    (x_i, m_i) to target entry (x_j, m_j + rise), may be nonzero exactly
+    when x_i <= x_j and m_j + rise - m_i is 0 or 1.  Every other entry is
+    zero in canonical form: order violations, degree lowerings, and degree
+    jumps of 2 or more (the quotient).  This predicate is the one statement
+    of the rule.  The elements were validated when the words were made."""
     up, index = base._up, base._index
 
     def allowed(j, i):
         (xi, mi), (xj, mj) = src[i], tgt[j]
-        return 0 <= mj - mi <= 1 and up[index[xi]] >> index[xj] & 1
+        return 0 <= mj + rise - mi <= 1 and up[index[xi]] >> index[xj] & 1
 
-    return matrix.masked(allowed)
+    return allowed
+
+
+def _canonical(source: CObject, target: CObject, matrix: Mat) -> Mat:
+    """matrix, from source to target, in canonical form: the entries that
+    _rule allows kept, every other one zeroed.  Mat.masked calls the rule
+    only at the nonzero entries, so a mostly zero matrix costs its nonzero
+    entries."""
+    return matrix.masked(_rule(source.entries, target.entries, source.base))
 
 
 class CMorphism:
@@ -121,23 +138,22 @@ class CMorphism:
 
     The constructor validates and normalizes any input: a Mat of the right
     shape (ShapeMismatch otherwise), or rows of integer entries (see Mat).
-    Its entries are then put in canonical form by :func:`_canonical`, where
-    the canonical-position rule is stated, tested only at the nonzero
-    entries of the input: order violations and degree lowerings become zero
-    and degree jumps >= 2 are quotiented away.  Equality is equality of
-    canonical forms.  Matrices that are canonical by construction skip
-    that pass through the private ``_trusted``, which checks nothing; each
-    of its callers proves its matrix canonical in its docstring: the
+    Its entries are then put in canonical form by :func:`_canonical`, by
+    the canonical-position rule that :func:`_rule` states, tested only at
+    the nonzero entries of the input: order violations and degree lowerings
+    become zero and degree jumps >= 2 are quotiented away.  Equality is
+    equality of canonical forms.  Matrices that are canonical by construction
+    skip that pass through the private ``_trusted``, which checks nothing;
+    each of its callers proves its matrix canonical in its docstring: the
     products of :func:`compose`, the sign twists of :func:`star`, the 0/1
     matrices of :func:`canonical_formula`, the [[1]] matrices of
     :func:`translation_formula`, the substituted matrices of
     :func:`_substituted_value` (for :func:`substitute` and
     :func:`compose_formulas`, see :func:`_substituted_matrix`), and the
     restrictions that :class:`_Restrictions` makes on read, whose matrices
-    canonical_formula, translation_formula, compose_formulas and shift
-    prove canonical.  Input from
-    outside these builders (rows, JSON, the retract maps, the named
-    constants) takes the constructor.
+    canonical_formula, translation_formula, compose_formulas and shift prove
+    canonical.  Input from outside these builders (rows, JSON, the retract
+    maps, the named constants) takes the constructor.
     A morphism holds its two ends and its matrix and nothing else: what a
     walk or an evaluation derives from it (its entries, its pattern) is
     kept by that call, not on the morphism.
@@ -189,14 +205,14 @@ def identity_morphism(obj: CObject) -> CMorphism:
 
 
 def _quotient(product: Mat, src: tuple, tgt: tuple, rise: int = 0) -> Mat:
-    """product, a product of canonical matrices from the entries src to the
-    entries tgt shifted by rise, with its degree jumps of 2 zeroed.  When the
-    highest target degree is less than 2 above the lowest source degree no
-    entry can jump by 2, and product is returned as it is."""
-    top = max((m for _, m in tgt), default=0) + rise
-    if top - min((m for _, m in src), default=top) < 2:
+    """product, a product of canonical matrices from a word of degrees src
+    to one of degrees tgt shifted by rise, with its degree jumps of 2
+    zeroed.  When the highest target degree is less than 2 above the lowest
+    source degree no entry can jump by 2, and product is returned as it is."""
+    top = max(tgt, default=0) + rise
+    if top - min(src, default=top) < 2:
         return product
-    return product.masked(lambda k, i: tgt[k][1] + rise - src[i][1] != 2)
+    return product.masked(lambda k, i: tgt[k] + rise - src[i] != 2)
 
 
 def compose(g: CMorphism, f: CMorphism) -> CMorphism:
@@ -216,13 +232,13 @@ def compose(g: CMorphism, f: CMorphism) -> CMorphism:
         raise BaseMismatch("cannot compose morphisms over different posets")
     if f.target != g.source:
         raise ShapeMismatch("compose: target of the first factor != source of the second")
-    product = _quotient(g.matrix.mul(f.matrix), f.source.entries, g.target.entries)
+    product = _quotient(g.matrix.mul(f.matrix), f.source.degrees, g.target.degrees)
     return CMorphism._trusted(f.source, g.target, product)
 
 
 def _koszul(obj: CObject) -> tuple:
     """The Koszul signs (-1)**m of obj's degrees m, in entry order."""
-    return tuple([-1 if m % 2 else 1 for _, m in obj.entries])
+    return tuple([-1 if m % 2 else 1 for m in obj.degrees])
 
 
 def _starred(matrix: Mat, source: CObject, target: CObject) -> Mat:
@@ -346,7 +362,7 @@ def check_formula(f: FormulaToPoint) -> str | None:
     D*[1]·D maps xi to xi[2], so its jumps of 2, the entries (k, i) with
     m_k = m_i, are the ones quotiented away."""
     D, xi = f.D, f.xi
-    square = _quotient(_starred(D.matrix, xi, D.target).mul(D.matrix), xi.entries, xi.entries, 2)
+    square = _quotient(_starred(D.matrix, xi, D.target).mul(D.matrix), xi.degrees, xi.degrees, 2)
     if not square.is_zero():
         return f"D*[1]·D = {square.tolist()} is not zero"
     for j, row in enumerate(D.matrix.rows):
@@ -416,7 +432,7 @@ def _value_key(f: FormulaToPoint) -> tuple:
     degrees of the word and of D's target, the word shifted by one (as
     FormulaToPoint requires); the quotient of the square reads those
     degrees; the triangularity test reads the matrix."""
-    return id(f.D.matrix), _degrees(f.xi)
+    return id(f.D.matrix), f.xi.degrees
 
 
 def _restriction_key(phi: CMorphism, source: FormulaToPoint, target: FormulaToPoint) -> tuple:
@@ -427,7 +443,7 @@ def _restriction_key(phi: CMorphism, source: FormulaToPoint, target: FormulaToPo
     words; the intertwining test multiplies the three matrices."""
     return (
         id(phi.matrix), id(source.D.matrix), id(target.D.matrix),
-        _degrees(source.xi), _degrees(target.xi),
+        source.xi.degrees, target.xi.degrees,
     )
 
 
@@ -451,12 +467,12 @@ def check_homotopy(
         raise ShapeMismatch("alpha and beta must connect D's object with a common one")
     if h.source != xi or h.target != xi.shifted(-1):
         raise ShapeMismatch("h must map D's object to its shift by -1")
-    ba = _quotient(beta.matrix.mul(alpha.matrix), xi_small.entries, xi_small.entries)
+    ba = _quotient(beta.matrix.mul(alpha.matrix), xi_small.degrees, xi_small.degrees)
     if not ba.is_identity():
         return f"beta·alpha = {ba.tolist()} is not the identity"
     ab, hD = alpha.matrix.mul(beta.matrix), h.matrix.mul(D.matrix)
     Dh = _starred(D.matrix, xi, D.target).mul(h.matrix)
-    total = _quotient(ab.add(hD).add(Dh), xi.entries, xi.entries)
+    total = _quotient(ab.add(hD).add(Dh), xi.degrees, xi.degrees)
     if not total.is_identity():
         return f"alpha·beta + h[1]·D + D*[-1]·h = {total.tolist()} is not the identity"
     return None
@@ -542,11 +558,11 @@ def _check_restrictions(target: Poset, at: dict, res) -> None:
 
     Only the restrictions along Hasse edges, in element order, go through
     the test of check_formula_morphism, and the first message it returns is
-    raised; by the induction in cover_triangles every other one equals a
-    composite of those once the triangles hold, so it is valid too.  The
-    ends are known, so the test runs once per _restriction_key, which
-    decides its result.  The diagonal test reads the matrix alone, as the
-    ends are the word at y twice."""
+    raised; by the induction in poset_core._failing_triangle every other
+    one equals a composite of those once the triangles hold, so it is
+    valid too.  The ends are known, so the test runs once per
+    _restriction_key, which decides its result.  The diagonal test reads
+    the matrix alone, as the ends are the word at y twice."""
     check = _memo(_restriction_key, _restriction_problem)
     for y, y2 in covers(target):
         problem = check(res[y, y2], at[y], at[y2])
@@ -638,7 +654,7 @@ def canonical_formula(target: Poset, base: Poset, words: dict) -> Formula:
     y < y2) is the all-ones matrix in canonical form.  ParseError unless
     words has a word at exactly the elements of target.
 
-    Canonical form keeps entry (j, i) only where the rule of _canonical
+    Canonical form keeps entry (j, i) only where the rule (_rule)
     allows it, so the words and the base order decide every matrix.  Its
     rows are integer bit masks over the source word's positions, made from
     two tables built once per source word (x_1, m_1) ... (x_n, m_n):
@@ -791,7 +807,7 @@ def _substituted_matrix(psi: CMorphism, inner: Formula) -> Mat:
         mat = rho.matrix
         if raising:
             D = inner.at[pair[1]].D
-            mat = _quotient(D.matrix.mul(mat), rho.source.entries, D.target.entries)
+            mat = _quotient(D.matrix.mul(mat), rho.source.degrees, D.target.degrees)
             if ma % 2:
                 mat = _starred(mat, rho.source, D.target)
         blocks.append((b, a, c, mat))
@@ -861,7 +877,7 @@ def compose_formulas(outer: Formula, inner: Formula) -> Formula:
     shapes, made, shared, pattern = {}, {}, {}, _patterns()
 
     def shape(word: CObject) -> tuple:
-        s = (_degrees(word), *[_degrees(inner_at[p].xi) for p, _ in word.entries])
+        s = (word.degrees, *[inner_at[p].xi.degrees for p, _ in word.entries])
         return shapes.setdefault(s, s)
 
     def substituted(psi: CMorphism, source_shape: tuple, target_shape: tuple) -> Mat:

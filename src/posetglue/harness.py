@@ -54,10 +54,10 @@ from .formula_cat import (
     CMorphism,
     Formula,
     FormulaToPoint,
-    _degrees,
     _memo,
     _restriction_key,
     _restriction_problem,
+    _rule,
     _two_chain_constants,
     canonical_formula,
     check_formula,
@@ -301,17 +301,19 @@ def build_epsilons(g: GluingData, xi_plus: Formula, xi_minus: Formula):
     comp_mp = compose_formulas(xi_minus, xi_plus)
     nu_plus = translation_formula(plus, 1)
     nu_minus = translation_formula(minus, 1)
-    counit = {y: [[1]] for y in g.Y.elements}
+    # both composite values at x are words (witnesses, x, witnesses): the
+    # counit is a row on that layout, the unit a column, and the shifted
+    # stalk sits in the middle; each is one Mat per witness count
+    one, mats, retracts = Mat(1, 1, [[1]]), {}, []
+    counit = {y: one for y in g.Y.elements}
     unit = dict(counit)
-    retracts = []
     for x in g.X.elements:
-        # both composite values at x are words (witnesses, x, witnesses):
-        # the counit is a row on that layout, the unit a column, and the
-        # shifted stalk sits in the middle
         k = len(g.Yx[x])
         row, column = [0] * k + [1] + [1] * k, [1] * k + [-1] + [0] * k
         middle = [0] * k + [1] + [0] * k
-        counit[x], unit[x] = [row], [[c] for c in column]
+        if k not in mats:
+            mats[k] = Mat(1, 2 * k + 1, [row]), Mat(2 * k + 1, 1, [[c] for c in column])
+        counit[x], unit[x] = mats[k]
         retracts.append((comp_mp.at[x], nu_plus.at[x], column, [-c for c in middle]))
         retracts.append((comp_pm.at[x], nu_minus.at[x], middle, row))
     eps_pm = EpsilonTransform(comp_pm, nu_minus, counit)
@@ -320,16 +322,65 @@ def build_epsilons(g: GluingData, xi_plus: Formula, xi_minus: Formula):
     return eps_pm, eps_mp
 
 
-def _homotopy_key(alpha: CMorphism, beta: CMorphism, h: CMorphism, D: CMorphism) -> tuple:
-    """The key of check_homotopy(alpha, beta, h, D) when the four morphisms
-    have the ends it asks for: the four matrix objects and the degrees of
-    alpha's source and of D's source.  With the ends right, the check reads
-    nothing else: it multiplies the matrices, twists D by the Koszul signs
-    of the degrees of its ends (D's source and that word shifted by one),
-    and masks and compares the products by the degrees of the two words."""
+def _homotopy(n: int) -> list:
+    """The nonzero entries (i, j), each 1, of the homotopy h on a composite
+    word of n = 2k + 1 entries (witnesses, x, witnesses): it matches the
+    leading witness block with the trailing one, j = k + 1 + i for i < k."""
+    k = n // 2
+    return [(i, k + 1 + i) for i in range(k)]
+
+
+def _homotopy_key(value: FormulaToPoint, small: FormulaToPoint, alpha, beta) -> tuple:
+    """The key of _retract_problem(value, small, alpha, beta), made before
+    any map is built: the nonzero entries of the column alpha, the row beta
+    and h (_homotopy) that the canonical rule (formula_cat._rule) keeps at
+    the retract's own words, each with its position and value; the D matrix
+    object of value; and the degrees of small's word and of value's.
+
+    The key decides the canonical pass and the check.  _retract_problem
+    builds alpha from small's word to value's, beta back, and h from value's
+    word to that word shifted by -1, by the checked constructor;
+    build_epsilons gives lists of the words' lengths and words over one
+    base, so its shape and base tests pass.  Its canonical pass tests
+    x_i <= x_j and the degree rise at each nonzero entry and keeps it, with
+    its value, exactly when _rule allows it there; that is the test run here,
+    with h's target read as value's word lowered by one (rise -1).  So the
+    kept entries are the nonzero entries of the three canonical matrices,
+    and the key decides them; the raw lists would not, as two retracts with
+    equal lists and degrees whose orders differ at one entry keep different
+    entries.  The maps and value.D (which maps value's word to its shift by
+    one, as FormulaToPoint requires) have the ends check_homotopy asks for,
+    so its ends tests pass and it reads nothing else: it multiplies the four
+    matrices, twists D's by the Koszul signs of the degrees of D's ends
+    (value's word and its shift by one), and masks and compares the products
+    by the degrees of the two words.  The memo of _certify_retracts keeps
+    value, so the id of its D matrix stays unique while the memo lives."""
+    xi, word = value.xi, small.xi
+    into = _rule(word.entries, xi.entries, xi.base)
+    back = _rule(xi.entries, word.entries, xi.base)
+    down = _rule(xi.entries, xi.entries, xi.base, -1)
     return (
-        id(alpha.matrix), id(beta.matrix), id(h.matrix), id(D.matrix),
-        _degrees(alpha.source), _degrees(D.source),
+        tuple([(j, a) for j, a in enumerate(alpha) if a and into(j, 0)]),
+        tuple([(i, b) for i, b in enumerate(beta) if b and back(0, i)]),
+        tuple([(i, j) for i, j in _homotopy(len(xi)) if down(i, j)]),
+        id(value.D.matrix), word.degrees, xi.degrees,
+    )
+
+
+def _retract_problem(value: FormulaToPoint, small: FormulaToPoint, alpha, beta) -> str | None:
+    """check_homotopy on the maps of one retract: the column alpha from
+    small's word into value's, the row beta out of it, and the homotopy h
+    (_homotopy) from value's word to its shift by -1, each made by the
+    checked constructor, against value.D."""
+    xi, n = value.xi, len(value.xi)
+    h = [[0] * n for _ in range(n)]
+    for i, j in _homotopy(n):
+        h[i][j] = 1
+    return check_homotopy(
+        CMorphism(small.xi, xi, [[a] for a in alpha]),
+        CMorphism(xi, small.xi, [beta]),
+        CMorphism(xi, xi.shifted(-1), h),
+        value.D,
     )
 
 
@@ -341,28 +392,13 @@ def _certify_retracts(retracts) -> None:
 
     The homotopy matches the leading witness block with the trailing one;
     failure means the construction itself is wrong, hence the hard error.
-    The three maps are made between the two words with the ends
-    check_homotopy asks for, and equal matrices are one object, through a
-    dict of this call (a canonical form that masks nothing keeps its Mat).
-    So check_homotopy runs once per _homotopy_key, which decides it, and
-    every retract still gets a result.
+    Each retract's key is made before anything is built, and the three maps
+    are built and checked (_retract_problem) once per _homotopy_key, which
+    decides them; every retract still gets a result.
     """
-    shared, check = {}, _memo(_homotopy_key, check_homotopy)
-
-    def morphism(source, target, rows):
-        m = Mat(len(target), len(source), rows)
-        return CMorphism(source, target, shared.setdefault(m, m))
-
-    for value, small, alpha, beta in retracts:
-        n = len(value.xi)
-        k = n // 2
-        h_rows = [[int(i < k and j == k + 1 + i) for j in range(n)] for i in range(n)]
-        problem = check(
-            morphism(small.xi, value.xi, [[a] for a in alpha]),
-            morphism(value.xi, small.xi, [beta]),
-            morphism(value.xi, value.xi.shifted(-1), h_rows),
-            value.D,
-        )
+    check = _memo(_homotopy_key, _retract_problem)
+    for retract in retracts:
+        problem = check(*retract)
         if problem is not None:
             raise InternalInconsistency(f"retract certificate failed: {problem}")
 

@@ -27,13 +27,13 @@ class Poset:
     and kept.  Construct via :func:`poset_from_generators` (or the JSON
     loader), which computes the closure and rejects cycles; the raw
     constructor takes the pairs of a relation and trusts them.
-    Its Hasse diagram, its covers in element order and its cover triangles,
-    flat and grouped by cover, are computed on first use and kept.
+    Its Hasse diagram, its covers in element order and its cover triangles
+    grouped by cover (_fans) are computed on first use and kept.
     """
 
     __slots__ = (
         "elements", "_index", "_up", "_down", "_related", "_leq", "_up_sets",
-        "_down_sets", "_height", "_hasse", "_covers", "_fans", "_triangles",
+        "_down_sets", "_height", "_hasse", "_covers", "_fans",
     )
 
     def __init__(self, elements, leq):
@@ -57,7 +57,7 @@ class Poset:
         self.elements, self._index = elements, _index_of(elements)
         self._up, self._down, self._up_sets, self._down_sets = tuple(up), tuple(down), {}, {}
         self._related = self._leq = self._height = self._hasse = None
-        self._covers = self._fans = self._triangles = None
+        self._covers = self._fans = None
 
     def __len__(self):
         return len(self.elements)
@@ -381,30 +381,24 @@ def _fans(p: Poset) -> tuple:
     return p._fans
 
 
-def cover_triangles(p: Poset) -> tuple:
-    """Triangles (a, b, c) with a Hasse edge a < b and c > b, in element order.
-
-    Maps r(a, b), one per a <= b with r(a, a) the identity, compose on all of
-    a <= b <= c once they compose on these.  By induction on the longest
-    chain from a to b (a = b is trivial): pick a cover a < a2 <= b; then
-    r(b, c)·r(a, b) = r(b, c)·r(a2, b)·r(a, a2)   [cover triangle (a, a2, b)]
-                    = r(a2, c)·r(a, a2)           [induction, a2 to b]
-                    = r(a, c)                     [cover triangle (a, a2, c)].
-    The degenerate triangles (a, b, b) are left out: the steps that would use
-    them fall to the identity check.  When a2 = b, the first step is
-    r(b, b) = id and the second is trivial; when a2 = c (so a2 = b = c), the
-    last step is r(c, c) = id.  Every caller checks each r(b, b) against the
-    identity before it walks these triangles.
-    """
-    if p._triangles is None:
-        p._triangles = tuple((a, b, c) for a, b, above in _fans(p) for c in above)
-    return p._triangles
-
-
 def _failing_triangle(p: Poset, r, commutes):
     """The first cover triangle (a, b, c) of p, in walk order, on which the
     maps r, keyed by the pairs a <= b of p, do not compose:
     commutes(r[b, c], r[a, b], r[a, c]) is false.  None if there is none.
+
+    The cover triangles are the (a, b, c) with a Hasse edge a < b and
+    c > b, walked in element order off _fans.  Maps r(a, b), one per
+    a <= b with r(a, a) the identity, compose on all of a <= b <= c once
+    they compose on these.  By induction on the longest chain from a to b
+    (a = b is trivial): pick a cover a < a2 <= b; then
+    r(b, c)·r(a, b) = r(b, c)·r(a2, b)·r(a, a2)   [cover triangle (a, a2, b)]
+                    = r(a2, c)·r(a, a2)           [induction, a2 to b]
+                    = r(a, c)                     [cover triangle (a, a2, c)].
+    The degenerate triangles (a, b, b) are left out: the steps that would
+    use them fall to the identity check.  When a2 = b, the first step is
+    r(b, b) = id and the second is trivial; when a2 = c (so a2 = b = c), the
+    last step is r(c, c) = id.  Every caller checks each r(b, b) against
+    the identity before it walks these triangles.
 
     r may omit maps as require_relations omits them, those with an end
     outside a support set, each being zero: it then holds r(a, a) exactly

@@ -348,6 +348,15 @@ def chain_of_chains(n: int, k: int):
     return validate_gluing(X, Y, {x: tuple(c[i] for c in ys) for i, x in enumerate(xs)})
 
 
+def cover_triangles(p) -> tuple:
+    """The cover triangles (a, b, c) of p, a Hasse edge a < b and each
+    c > b, in the walk order of poset_core._failing_triangle, read off the
+    fans that the order keeps (poset_core._fans)."""
+    from posetglue.poset_core import _fans
+
+    return tuple((a, b, c) for a, b, above in _fans(p) for c in above)
+
+
 def glued_orders() -> list:
     """TWO_CHAIN and the six glued orders of the Figure-1 gluings."""
     from posetglue.formula_cat import TWO_CHAIN

@@ -51,12 +51,13 @@ from posetglue.harness import (
     random_gluing,
 )
 from posetglue.intmat import Mat
-from posetglue.poset_core import _pairs, cover_triangles, covers, hasse, poset_from_generators
+from posetglue.poset_core import _pairs, covers, hasse, poset_from_generators
 
 from posetglue.rng import SplitMix64, derive_seed
 
 from conftest import (
     chain_of_chains,
+    cover_triangles,
     glued_orders,
     matmul,
     morphism_check_formula,
@@ -752,9 +753,9 @@ _REFERENCE = {
 def _built_sites(g, monkeypatch) -> list:
     """(check, args) for every value and restriction of g's theorem formulas,
     their composites and shift formulas, every epsilon component, and every
-    retract certificate that build_epsilons runs: check_homotopy runs once
-    per distinct _homotopy_key of the retracts, one of which each retract
-    gets."""
+    retract certificate that build_epsilons runs: each retract gets one
+    _homotopy_key, made before its maps are built, and check_homotopy runs
+    once per distinct key."""
     retracts, keys = [], []
     real, real_key = harness.check_homotopy, harness._homotopy_key
     monkeypatch.setattr(harness, "check_homotopy", lambda *a: retracts.append(a) or real(*a))
@@ -959,12 +960,15 @@ def _structure_id(case) -> str:
     )
 
 
-def _build_structure(case):
+def _build_structure(case) -> list:
     """Build the formulas and transformations of one of _STRUCTURES, and
     read every restriction of every formula they hold, so that the
-    restrictions made on read are made too."""
+    restrictions made on read are made too.  Returns the formulas: the
+    theorem formulas (the point gluing's, for the two-chain) and both ends
+    of every transformation."""
     if case == "two-chain":
         epsilons = _build_two_chain()
+        formulas = list(harness._two_chain_formulas()[0])
     else:
         if case in FIGURE_ONE_PAIRS:
             g = figure_one_gluing(case)[0]
@@ -972,10 +976,13 @@ def _build_structure(case):
             g = chain_of_chains(*case)
         else:
             g = random_gluing(case)
-        epsilons = build_epsilons(g, *build_theorem_formulas(g))
+        formulas = list(build_theorem_formulas(g))
+        epsilons = build_epsilons(g, *formulas)
     for eps in epsilons:
         for F in (eps.source, eps.target):
             assert len(list(F.res.values())) == len(F.target.leq)
+            formulas.append(F)
+    return formulas
 
 
 class TestCanonicalByConstruction:
@@ -1015,6 +1022,27 @@ class TestCanonicalByConstruction:
                 assert F.at[q].D.matrix == morphism_substituted_matrix(outer.at[q].D, inner), q
             for key, psi in outer.res.items():
                 assert F.res[key].matrix == morphism_substituted_matrix(psi, inner), key
+
+
+@pytest.mark.parametrize("case", _STRUCTURES, ids=_structure_id)
+def test_every_built_word_keeps_its_degrees_and_one_shift(case):
+    # A word keeps the degrees of its entries and its shift by one, made
+    # once; every value's D maps its word to that one shift, and the ends
+    # test of FormulaToPoint still compares words by value.
+    for F in _build_structure(case):
+        for f in F.at.values():
+            for w in (f.xi, f.D.target):
+                assert w.degrees == tuple(m for _, m in w.entries)
+                assert w.shifted(1) is w.shifted(1)
+                assert w.shifted(1).entries == tuple((x, m + 1) for x, m in w.entries)
+            up = f.xi.shifted(1)
+            assert f.D.target is up
+            other = f.xi.shifted(2)
+            with pytest.raises(ShapeMismatch):
+                FormulaToPoint(f.xi, CMorphism(f.xi, other, f.D.matrix))
+            equal = CObject(up.entries, up.base)
+            assert equal is not up
+            assert FormulaToPoint(f.xi, CMorphism(f.xi, equal, f.D.matrix)) == f
 
 
 def test_every_composite_passes_the_triangle_walk_it_derives(monkeypatch):

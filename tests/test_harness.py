@@ -744,6 +744,34 @@ class TestEpsilons:
         with pytest.raises(InternalInconsistency, match="retract certificate failed: alpha"):
             harness._certify_retracts([(valid, small(1), alpha, beta), (other, small(0), alpha, beta)])
 
+    def test_retracts_whose_orders_differ_at_one_alpha_entry_get_two_keys(self, monkeypatch):
+        # equal alpha and beta lists, equal degrees and one D object; only
+        # the order differs, at alpha's entry from ("0", 1) to ("1", 1),
+        # which the canonical pass keeps over the chain and zeroes over the
+        # antichain.  The key holds the kept entries, so the two retracts
+        # get two keys and two checks.
+        D = formula_cat.XI121.D.matrix
+        alpha, beta = [0, 1, 0], [0, 1, -1]
+        retracts = []
+        for relations in ([("0", "1")], []):
+            P = poset_from_generators(["0", "1"], relations)
+            value = FormulaToPoint(CObject((("1", 1), ("1", 1), ("1", 0)), P), D)
+            small = FormulaToPoint(CObject((("0", 1),), P), [[1]])
+            assert value.D.matrix is D
+            retracts.append((value, small, alpha, beta))
+        (v, s, _, _), (v2, s2, _, _) = retracts
+        assert (v.xi.degrees, s.xi.degrees) == (v2.xi.degrees, s2.xi.degrees)
+        keys = [harness._homotopy_key(*r) for r in retracts]
+        assert keys[0] != keys[1]
+        checks = []
+        monkeypatch.setattr(harness, "check_homotopy", lambda *a: checks.append(a))
+        harness._certify_retracts(retracts)
+        harness._certify_retracts(retracts[:1] * 2)
+        # one check per key in each call, the second call's two retracts
+        # being one key; each check gets the alpha that its key keeps
+        kept = [[[0], [1], [0]], [[0], [0], [0]], [[0], [1], [0]]]
+        assert [a.matrix.tolist() for a, *_ in checks] == kept
+
     def test_component_that_is_no_formula_morphism_is_named(self):
         g, _, _ = figure_one_gluing(FIGURE_ONE_PAIRS[0])
         eps_pm, _ = build_epsilons(g, *build_theorem_formulas(g))
@@ -801,20 +829,21 @@ class TestEpsilons:
 
     def test_building_one_structure_makes_a_pinned_number_of_morphisms(self, monkeypatch):
         # Building the 50-element structure validates only the morphisms
-        # made from outside input (epsilon components, retract maps).  The
-        # trusted ones are the canonical values and the restrictions that
-        # are read: the 0/1 matrices of the canonical and translation
-        # formulas and the substituted ones.  No compose runs:
-        # substitution, the checks and the triangle and naturality walks
-        # multiply plain matrices.  Every formula makes a restriction when
-        # it is read, and the build reads only the 85 Hasse edges of each
-        # (the edge checks, the naturality squares) and the 50 diagonals of
-        # each theorem formula and composite (the identity check); the
-        # triangle walk of the theorem formulas reads matrices, and the
-        # substitutions read no other restriction of theirs.  So the
-        # 2 x 445 restrictions of the theorem formulas made eagerly and
-        # their 2 x 50 diagonals made by the checked constructor became
-        # 2 x 135 reads: 260 -> 160 checked and 1,630 -> 1,010 trusted.
+        # made from outside input: the 2 x 50 epsilon components, one per
+        # element of each epsilon, and the maps of the retracts.  A
+        # retract's three maps (alpha, beta, h) are built only when its key
+        # misses, and the 20 retracts have 2 distinct keys, so 2 x 3 are
+        # made: 100 + 6 = 106 checked.  The trusted ones are the canonical
+        # values and the restrictions that are read: the 0/1 matrices of
+        # the canonical and translation formulas and the substituted ones.
+        # No compose runs: substitution, the checks and the triangle and
+        # naturality walks multiply plain matrices.  Every formula makes a
+        # restriction when it is read, and the build reads only the 85
+        # Hasse edges of each (the edge checks, the naturality squares) and
+        # the 50 diagonals of each theorem formula and composite (the
+        # identity check); the triangle walk of the theorem formulas reads
+        # matrices, and the substitutions read no other restriction of
+        # theirs: 1,010 trusted.
         made, trusted, composed = [], [], []
         real_init, real_compose = CMorphism.__init__, formula_cat.compose
 
@@ -829,7 +858,7 @@ class TestEpsilons:
         monkeypatch.setattr(formula_cat, "compose", counted_compose)
         g = chain_of_chains(10, 4)
         build_epsilons(g, *build_theorem_formulas(g))
-        assert (len(made), len(trusted), len(composed)) == (160, 1010, 0)
+        assert (len(made), len(trusted), len(composed)) == (106, 1010, 0)
 
     def test_naturality_failure_is_reported_with_edge(self):
         # sign-flipped identity components break the connecting square
@@ -1145,7 +1174,7 @@ class TestAssembledTrials:
         real_complex, real_matrices = harness._selected_complex, harness._selected_matrices
 
         def value(f, selection):
-            values.append((id(f.D.matrix), formula_cat._degrees(f.xi), selection))
+            values.append((id(f.D.matrix), f.xi.degrees, selection))
             return real_complex(f, selection)
 
         def component(phi, *selections):
@@ -1210,7 +1239,7 @@ class TestAssembledTrials:
         real_init = harness._Images.__init__
 
         def matrices(phi, *selections):
-            degrees = formula_cat._degrees(phi.source), formula_cat._degrees(phi.target)
+            degrees = phi.source.degrees, phi.target.degrees
             maps.append((id(phi.matrix), *degrees, *selections))
             return real_matrices(phi, *selections)
 
@@ -1256,7 +1285,7 @@ class TestAssembledTrials:
                             if any(selections):
                                 drawn.add((
                                     id(eps.components[y].matrix), id(src.D.matrix), id(tgt.D.matrix),
-                                    formula_cat._degrees(src.xi), formula_cat._degrees(tgt.xi), *selections,
+                                    src.xi.degrees, tgt.xi.degrees, *selections,
                                 ))
                                 per_element.add((id(eps), y, *selections))
             assert drawn and sorted(built) == sorted(drawn)

@@ -17,8 +17,8 @@ from posetglue.harness import figure_one_poset, random_gluing
 from posetglue.poset_core import (
     Poset,
     _bits,
+    _fans,
     _find_cycle,
-    cover_triangles,
     covers,
     direct_sum,
     hasse,
@@ -33,7 +33,7 @@ from posetglue.poset_core import (
 )
 from posetglue.rng import SplitMix64
 
-from conftest import brute_closure, chain_of_chains
+from conftest import brute_closure, chain_of_chains, cover_triangles
 
 
 def random_generated(seed: int, n: int) -> Poset:
@@ -206,7 +206,7 @@ class TestHasse:
             Poset, "le", lambda self, a, b: calls.append((a, b)) or real(self, a, b)
         )
         assert hasse(p) is first
-        assert cover_triangles(p) is cover_triangles(p)
+        assert _fans(p) is _fans(p)
         assert calls == []
 
     def test_covers_are_one_immutable_object_per_order(self, monkeypatch):

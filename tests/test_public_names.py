@@ -4,8 +4,10 @@ by some call, the unchecked ``Mat._of`` constructor is used only inside
 ``intmat`` and the unchecked ``CMorphism._trusted`` only by the builders
 that prove their matrices canonical (and the one test wrapper), only
 ``formula_cat`` walks a word morphism's entries, nothing but the two
-constructors of a ``CMorphism`` writes into one, the isomorphism search
-serves only ``poset iso``, matrices are ranked only by ``Field.rank``, JSON is decoded only by ``cli._load_doc``, ``harness``
+constructors of a ``CMorphism`` writes into one, nothing but the two
+constructors of a ``CObject`` and the cache of its shift writes into one,
+the isomorphism search serves only ``poset iso``, matrices are ranked only
+by ``Field.rank``, JSON is decoded only by ``cli._load_doc``, ``harness``
 makes evaluation contexts only in ``EpsilonTransform.evaluate``, no module
 keeps a cache in a dict or set of its own (but ``intmat._IDENTITIES``), and
 the package imports nothing outside the standard library.
@@ -265,36 +267,49 @@ def test_no_builder_calls_the_checked_formula_constructor():
 #: The slots of a CMorphism: its two ends and its matrix.
 _CMORPHISM_SLOTS = ("source", "target", "matrix")
 
+#: The functions that may write a CMorphism's slots: its two constructors.
+_CMORPHISM_WRITERS = {"CMorphism.__init__", "CMorphism._trusted"}
 
-def _made_by_new_of_another_class(node) -> bool:
-    """Whether node is object.__new__(C) for a class C other than
-    CMorphism (cls, in a classmethod, could be CMorphism)."""
+#: The slots of a CObject: its entries and base, and the two values derived
+#: from them, its degrees and its shift by one.
+_COBJECT_SLOTS = ("entries", "base", "degrees", "_shifted")
+
+#: The functions that may write a CObject's slots: its two constructors and
+#: the cache of its shift by one.
+_COBJECT_WRITERS = {"CObject.__init__", "_word", "CObject.shifted"}
+
+
+def _made_by_new_of_another_class(node, cls: str) -> bool:
+    """Whether node is object.__new__(C) for a class C other than cls
+    (cls, in a classmethod, could be the class itself)."""
     return (
         isinstance(node, ast.Call)
         and getattr(node.func, "attr", None) == "__new__"
         and getattr(node.func.value, "id", None) == "object"
         and len(node.args) == 1
-        and getattr(node.args[0], "id", "cls") not in ("CMorphism", "cls")
+        and getattr(node.args[0], "id", "cls") not in (cls, "cls")
     )
 
 
-def _slot_writes(tree) -> tuple:
-    """(constructors, other): the lines that store or delete an attribute
-    named like a CMorphism slot inside CMorphism.__init__ and
-    CMorphism._trusted, and those elsewhere that could write into a
-    CMorphism.  A CMorphism has no __dict__, so only its slots can be
-    written.  Not counted as other: a store on self in a method of another
-    class, and one on a name bound to object.__new__ of another class in
-    the same function.  setattr and __setattr__ calls that name a slot by a
-    literal count as other."""
+def _slot_writes(tree, cls: str, slots: tuple, writers: set) -> tuple:
+    """(inside, other): the lines that store or delete an attribute named
+    like a slot of the class cls inside its writers (methods by
+    "Class.name", module functions by name), and those elsewhere that
+    could write into an instance of cls.  An instance has no __dict__, so
+    only its slots can be written.  Not counted as other: a store on self
+    in a method of another class, and one on a name bound to object.__new__
+    of another class in the same function.  setattr and __setattr__ calls
+    that name a slot by a literal count as other."""
     inside, exempt = set(), set()
     for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name in writers:
+            inside |= {id(node) for node in ast.walk(stmt)}
         if not isinstance(stmt, ast.ClassDef):
             continue
         for fn in stmt.body:
-            if stmt.name == "CMorphism" and getattr(fn, "name", None) in ("__init__", "_trusted"):
+            if f"{stmt.name}.{getattr(fn, 'name', None)}" in writers:
                 inside |= {id(node) for node in ast.walk(fn)}
-            elif stmt.name != "CMorphism" and isinstance(fn, ast.FunctionDef):
+            elif stmt.name != cls and isinstance(fn, ast.FunctionDef):
                 exempt |= {
                     id(node) for node in ast.walk(fn) if getattr(node, "id", None) == "self"
                 }
@@ -303,7 +318,7 @@ def _slot_writes(tree) -> tuple:
             made = {
                 target.id
                 for node in ast.walk(fn)
-                if isinstance(node, ast.Assign) and _made_by_new_of_another_class(node.value)
+                if isinstance(node, ast.Assign) and _made_by_new_of_another_class(node.value, cls)
                 for target in node.targets
                 if isinstance(target, ast.Name)
             }
@@ -313,7 +328,7 @@ def _slot_writes(tree) -> tuple:
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.ctx, (ast.Store, ast.Del))
-            and node.attr in _CMORPHISM_SLOTS
+            and node.attr in slots
         ):
             if id(node) in inside:
                 constructors.append(node.lineno)
@@ -323,12 +338,37 @@ def _slot_writes(tree) -> tuple:
             getattr(node.func, "id", None) == "setattr"
             or getattr(node.func, "attr", None) in ("setattr", "__setattr__")
         ):
-            if any(
-                isinstance(arg, ast.Constant) and arg.value in _CMORPHISM_SLOTS
-                for arg in node.args
-            ):
+            if any(isinstance(arg, ast.Constant) and arg.value in slots for arg in node.args):
                 other.append(node.lineno)
     return constructors, other
+
+
+def _writes_outside(cls: str, slots: tuple, writers: set, stores: int) -> dict:
+    """The lines, by file of src/, tests/ and perfbench/, that could write a
+    slot of formula_cat's class cls outside its writers, which live in
+    formula_cat.  Asserts that the class declares exactly slots and that
+    the guard still sees the stores of the writers, stores in all."""
+    formula_cat = PACKAGE / "formula_cat.py"
+    tree = ast.parse(formula_cat.read_text(), filename=str(formula_cat))
+    declared = [
+        ast.literal_eval(stmt.value)
+        for klass in tree.body if isinstance(klass, ast.ClassDef) and klass.name == cls
+        for stmt in klass.body
+        if isinstance(stmt, ast.Assign) and getattr(stmt.targets[0], "id", None) == "__slots__"
+    ]
+    assert declared == [slots]
+    outside = {}
+    for folder in (ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
+        for path in sorted(folder.rglob("*.py")):
+            own = writers if path == formula_cat else set()
+            constructors, other = _slot_writes(
+                ast.parse(path.read_text(), filename=str(path)), cls, slots, own
+            )
+            if path == formula_cat:
+                assert len(constructors) == stores
+            if other:
+                outside[str(path.relative_to(ROOT))] = other
+    return outside
 
 
 def test_formula_cat_owns_the_entry_walk_and_no_one_writes_a_cmorphism():
@@ -338,32 +378,11 @@ def test_formula_cat_owns_the_entry_walk_and_no_one_writes_a_cmorphism():
     # word morphism's entries, with the Koszul sign of a raising entry
     # folded in, and abelian_eval reads no morphism's matrix, which an entry
     # walk of its own would have to do.
-    formula_cat, abelian_eval = PACKAGE / "formula_cat.py", PACKAGE / "abelian_eval.py"
-    files = [
-        path
-        for folder in (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
-        for path in sorted(folder.rglob("*.py"))
-    ]
-    outside = {}
-    for path in files:
-        constructors, other = _slot_writes(ast.parse(path.read_text(), filename=str(path)))
-        if path == formula_cat:
-            # the guard still sees the stores of both constructors
-            assert len(constructors) == 2 * len(_CMORPHISM_SLOTS)
-        if other:
-            outside[str(path.relative_to(ROOT))] = other
-    assert not outside, outside
-    cmorphism = next(
-        stmt
-        for stmt in ast.parse(formula_cat.read_text(), filename=str(formula_cat)).body
-        if isinstance(stmt, ast.ClassDef) and stmt.name == "CMorphism"
+    outside = _writes_outside(
+        "CMorphism", _CMORPHISM_SLOTS, _CMORPHISM_WRITERS, 2 * len(_CMORPHISM_SLOTS)
     )
-    slots = [
-        ast.literal_eval(stmt.value)
-        for stmt in cmorphism.body
-        if isinstance(stmt, ast.Assign) and getattr(stmt.targets[0], "id", None) == "__slots__"
-    ]
-    assert slots == [_CMORPHISM_SLOTS]
+    assert not outside, outside
+    abelian_eval = PACKAGE / "abelian_eval.py"
     tree = ast.parse(abelian_eval.read_text(), filename=str(abelian_eval))
     reads = [
         node.lineno
@@ -371,6 +390,18 @@ def test_formula_cat_owns_the_entry_walk_and_no_one_writes_a_cmorphism():
         if isinstance(node, ast.Attribute) and node.attr == "matrix"
     ]
     assert not reads, reads
+
+
+def test_only_a_words_constructors_and_shift_cache_write_a_cobject():
+    # A CObject keeps its degrees and its shift by one, derived from its
+    # entries; so that neither can go stale, only its two constructors
+    # (CObject.__init__ and _word) write its slots, and CObject.shifted
+    # writes its shift, once.  The guard sees the four stores of each
+    # constructor and the one of the cache.
+    outside = _writes_outside(
+        "CObject", _COBJECT_SLOTS, _COBJECT_WRITERS, 2 * len(_COBJECT_SLOTS) + 1
+    )
+    assert not outside, outside
 
 
 def test_runtime_imports_only_the_standard_library():
